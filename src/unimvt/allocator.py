@@ -5,11 +5,10 @@ gain (click value times predicted uplift, minus the coupon cost) and by
 uplift-to-cost ratio, then issue at the best intensity when both the ratio
 threshold and positive-net-gain conditions hold.
 
-Two simulation modes exist because training calibrates the unit uplift as a
-logit-space shift while the additive probability form is the natural
-decision-time reading: ``logit`` (default) computes
-sigmoid(logit(p0) + eta * q); ``additive`` computes min(p0 + eta * q, cap).
-Both are nondecreasing in q.
+predict_batch reports eta_hat as a click-probability gain per unit of
+intensity, so the uplifted click probability at intensity q is the additive
+min(p0_hat + q * eta_hat, 1 - PROB_EPS), nondecreasing in q. ``additive`` is
+the one simulation mode.
 """
 from __future__ import annotations
 
@@ -19,9 +18,8 @@ import numpy as np
 
 from .autodiff import PROB_EPS
 from .errors import ConfigError
-from .htenet import counterfactual_treat
 
-MODES = ("additive", "logit")
+MODES = ("additive",)
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class AllocationDecision:
     expected_uplift: float   # uplift at the best candidate intensity
     ratio: float             # value * uplift / cost at the best candidate
     net_gain: float          # value * uplift - cost at the best candidate
-    mode: str
 
     def to_csv_fields(self, index: int) -> str:
         return ",".join([
@@ -65,20 +62,21 @@ class AllocationDecision:
         ])
 
 
-def simulate(prediction, q: float, mode: str = "logit") -> float:
-    """Uplifted click probability at candidate intensity q; nondecreasing in q."""
+def _click_prob(p0: float, eta: float, q, mode: str):
     if mode not in MODES:
         raise ConfigError(f"unknown simulation mode {mode!r}")
+    return np.minimum(p0 + eta * q, 1.0 - PROB_EPS)
+
+
+def simulate(prediction, q: float, mode: str = "additive") -> float:
+    """Uplifted click probability at candidate intensity q; nondecreasing in q."""
     if q < 0:
         raise ConfigError("candidate intensity must be nonnegative")
-    p0, eta = float(prediction.p0_hat), float(prediction.eta_hat)
-    if mode == "additive":
-        return float(min(p0 + eta * q, 1.0 - PROB_EPS))
-    return float(counterfactual_treat(p0, q, eta))
+    return float(_click_prob(float(prediction.p0_hat), float(prediction.eta_hat), q, mode))
 
 
 def decide(prediction, grid: AllocationGrid, value_per_click: float,
-           threshold: float, mode: str = "logit") -> AllocationDecision:
+           threshold: float, mode: str = "additive") -> AllocationDecision:
     """Pick q* = argmax net gain over the grid (ties go to the cheapest q);
     issue iff ratio(q*) >= threshold and net_gain(q*) > 0."""
     if value_per_click <= 0:
@@ -87,21 +85,10 @@ def decide(prediction, grid: AllocationGrid, value_per_click: float,
     if qs.size == 0:
         raise ConfigError("allocation grid is empty")
     p0 = float(prediction.p0_hat)
-
-    best = None
-    for q in qs:
-        uplift = simulate(prediction, float(q), mode) - p0
-        net_gain = value_per_click * uplift - q
-        ratio = value_per_click * uplift / q
-        if best is None or net_gain > best[0]:
-            best = (net_gain, float(q), uplift, ratio)
-    net_gain, q_star, uplift, ratio = best
+    uplift = _click_prob(p0, float(prediction.eta_hat), qs, mode) - p0
+    net_gain = value_per_click * uplift - qs
+    best = int(net_gain.argmax())  # the first maximum, so ties go to the cheapest q
+    q_star, uplift, net_gain = qs.item(best), uplift.item(best), net_gain.item(best)
+    ratio = value_per_click * uplift / q_star
     issue = ratio >= threshold and net_gain > 0
-    return AllocationDecision(
-        issue=issue,
-        q_star=q_star if issue else 0.0,
-        expected_uplift=uplift,
-        ratio=ratio,
-        net_gain=net_gain,
-        mode=mode,
-    )
+    return AllocationDecision(issue, q_star if issue else 0.0, uplift, ratio, net_gain)

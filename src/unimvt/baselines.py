@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import kvfile
 from .config import ExperimentConfig, resolve_seed
 from .datagen import Dataset, dataset_arrays
 from .errors import ConfigError, NumericError, UsageError
@@ -136,19 +137,6 @@ def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
     return TLearnerModel(control_net, treated_net, t_min, t_max)
 
 
-def unit_uplift(model, x) -> float:
-    """Per-unit uplift of one sample: S-Learner f(x,1)-f(x,0); T-Learner
-    f_T(x,1)-f_C(x); the main model reports its uplift head directly."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if hasattr(model, "unit_uplift_scores"):
-        return float(model.unit_uplift_scores(x)[0])
-    from .htenet import UniMvtModel, unit_uplift_scores
-
-    if isinstance(model, UniMvtModel):
-        return float(unit_uplift_scores(model, x)[0])
-    raise ConfigError(f"cannot compute unit uplift for {type(model).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # serialization (same key=value format as the main model)
 # ---------------------------------------------------------------------------
@@ -159,8 +147,6 @@ def _net_dims(layers) -> str:
 
 
 def save_baseline(model, path) -> None:
-    from .htenet import _param_line
-
     if isinstance(model, SLearnerModel):
         kind = "slearner"
         nets = {"slearner": model.net}
@@ -172,28 +158,24 @@ def save_baseline(model, path) -> None:
     lines = [f"kind={kind}", f"t_min={model.t_min!r}", f"t_max={model.t_max!r}"]
     lines.extend(f"dims.{name}={_net_dims(layers)}" for name, layers in nets.items())
     for layers in nets.values():
-        lines.extend(_param_line(p) for p in ad.mlp_params(layers))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.extend(kvfile.param_line(p) for p in ad.mlp_params(layers))
+    kvfile.write(path, lines)
 
 
 def load_baseline(path):
-    from .htenet import _parse_kv, _restore_params
-
-    kv = _parse_kv(path)
+    kv = kvfile.read(path)
     kind = kv.get("kind")
     rng = np.random.default_rng(0)
 
     def build(name):
-        dims = tuple(int(v) for v in kv[f"dims.{name}"].split(","))
+        dims = kvfile.field(kv, f"dims.{name}", lambda raw: tuple(int(v) for v in raw.split(",")))
         return ad.init_mlp(rng, name, dims, out_activation="sigmoid")
 
     if kind == "slearner":
-        net = build("slearner")
-        _restore_params(kv, ad.mlp_params(net))
-        return SLearnerModel(net, float(kv["t_min"]), float(kv["t_max"]))
-    if kind == "tlearner":
-        control, treated = build("tlearner.control"), build("tlearner.treated")
-        _restore_params(kv, ad.mlp_params(control) + ad.mlp_params(treated))
-        return TLearnerModel(control, treated, float(kv["t_min"]), float(kv["t_max"]))
-    raise ConfigError(f"not a baseline model file: kind={kind!r}")
+        cls, nets = SLearnerModel, [build("slearner")]
+    elif kind == "tlearner":
+        cls, nets = TLearnerModel, [build("tlearner.control"), build("tlearner.treated")]
+    else:
+        raise ConfigError(f"not a baseline model file: kind={kind!r}")
+    kvfile.restore_params(kv, [p for net in nets for p in ad.mlp_params(net)])
+    return cls(*nets, kvfile.field(kv, "t_min", float), kvfile.field(kv, "t_max", float))

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
+from . import kvfile
 from .dcr import DcrConfig
 from .errors import ConfigError
 
@@ -133,24 +133,10 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
     return flat
 
 
-def load_config_file(path) -> dict:
-    """Read a flat key=value file, ignoring blank lines and # comments."""
-    flat = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        flat[key.strip()] = value.strip()
-    return flat
-
-
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     cfg = default_config()
     if path is not None:
-        apply_overrides(cfg, load_config_file(path))
+        apply_overrides(cfg, kvfile.read(path))
     if overrides:
         apply_overrides(cfg, overrides)
     cfg.loss.validate()

@@ -7,18 +7,22 @@ confounded by the same score that drives treatment propensity. The test
 split is always an RCT. Generation is fully determined by the spec seed;
 calibration intercepts are found by bisection and recorded in a metadata
 sidecar next to each CSV.
+
+A Dataset holds whole columns, not rows, checked once at construction. Any
+feature width works in memory; the CSV format holds eight feature columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cholesky, toeplitz
 from scipy.special import expit
 from scipy.stats import norm
 
+from . import kvfile
 from .errors import ConfigError, DataFormatError
 
 N_FEATURES = 8
@@ -32,30 +36,18 @@ SENS_SCORE_SD = 2.0         # sd of the sensitivity score c.x; wide spread keeps
 
 
 @dataclass(eq=False)
-class Sample:
-    """One observation: covariates, treatment flag/intensity, click label,
-    plus the latent ground truth when the row is synthetic."""
-
-    x: np.ndarray
-    w: int
-    t: float
-    y: int
-    truth_p0: float | None = None
-    truth_eta: float | None = None
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=np.float64)
-        if self.w == 0 and self.t != 0.0:
-            raise DataFormatError("control sample must have zero intensity")
-        if self.w == 1 and self.t <= 0.0:
-            raise DataFormatError("treated sample must have positive intensity")
-        if (self.truth_p0 is None) != (self.truth_eta is None):
-            raise DataFormatError("truth columns must be present together")
-
-
-@dataclass(eq=False)
 class Dataset:
-    samples: list[Sample]
+    """Observations as columns: covariates X (rows, features), treatment flag
+    w, intensity t, click label y, and the latent ground truth when the rows
+    are synthetic. The row invariants are checked once, on copies of the given
+    columns, which are stored read-only so that the dataset stays valid."""
+
+    X: np.ndarray
+    w: np.ndarray
+    t: np.ndarray
+    y: np.ndarray
+    truth_p0: np.ndarray | None = None
+    truth_eta: np.ndarray | None = None
     split: str = "train"      # train | test
     rct: bool = False
     meta: dict | None = None  # generator sidecar content, when known
@@ -65,31 +57,57 @@ class Dataset:
             raise ConfigError(f"unknown split {self.split!r}")
         if self.split == "test" and not self.rct:
             raise ConfigError("test split must be RCT")
+        if (self.truth_p0 is None) != (self.truth_eta is None):
+            raise DataFormatError("truth columns must be present together")
+        X = np.array(self.X, dtype=np.float64, order="C")
+        # w and y keep their given dtype until they are known to be binary
+        w, t, y = np.array(self.w), np.array(self.t, dtype=np.float64), np.array(self.y)
+        truth = [None if c is None else np.array(c, dtype=np.float64)
+                 for c in (self.truth_p0, self.truth_eta)]
+        if X.ndim != 2 or any(c.shape != X.shape[:1] for c in (w, t, y, *truth) if c is not None):
+            raise DataFormatError(f"need X of shape (rows, features), got {X.shape}, and "
+                                  "one entry per row in every other column")
+        bad = _first_invalid_row(X, w, t, y, *truth)
+        if bad is not None:
+            raise DataFormatError(f"row {bad[0]}: {bad[1]}")
+        self.X, self.w, self.t, self.y = X, w.astype(np.int64), t, y.astype(np.int64)
+        self.truth_p0, self.truth_eta = truth
+        for column in (self.X, self.w, self.t, self.y, *truth):
+            if column is not None:
+                column.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.X.shape[0]
 
     @property
     def has_truth(self) -> bool:
-        return bool(self.samples) and self.samples[0].truth_p0 is not None
+        return self.truth_p0 is not None
 
 
-def dataset_arrays(ds: Dataset | Sequence[Sample]):
-    """Stack samples into (X, w, t, y, truth_p0, truth_eta) float arrays.
+def _first_invalid_row(X, w, t, y, truth_p0, truth_eta) -> tuple[int, str] | None:
+    """Index and reason of the first row that breaks a row invariant, or None."""
+    rules = [
+        (~np.isfinite(X).all(axis=1), "features must be finite"),
+        (~np.isfinite(t), "intensity must be finite"),
+        ((w != 0) & (w != 1), "w must be 0 or 1"),
+        ((y != 0) & (y != 1), "y must be 0 or 1"),
+        ((w == 0) & (t != 0.0), "control row must have zero intensity"),
+        ((w == 1) & ~(t > 0.0), "treated row must have positive intensity"),
+    ]
+    if truth_p0 is not None:
+        rules.append((~(np.isfinite(truth_p0) & np.isfinite(truth_eta)),
+                      "truth columns must be finite"))
+    # min keeps the first rule on ties, so each row reports its first broken rule
+    return min(((int(np.argmax(mask)), reason) for mask, reason in rules if mask.any()),
+               key=lambda bad: bad[0], default=None)
 
-    Truth arrays are None when the dataset carries no ground truth.
+
+def dataset_arrays(ds: Dataset):
+    """The columns (X, w, t, y, truth_p0, truth_eta) of a dataset.
+
+    The truth pair is None when the dataset carries no ground truth.
     """
-    samples = ds.samples if isinstance(ds, Dataset) else list(ds)
-    X = np.stack([s.x for s in samples])
-    w = np.array([s.w for s in samples], dtype=np.int64)
-    t = np.array([s.t for s in samples], dtype=np.float64)
-    y = np.array([s.y for s in samples], dtype=np.int64)
-    if samples and samples[0].truth_p0 is not None:
-        p0 = np.array([s.truth_p0 for s in samples], dtype=np.float64)
-        eta = np.array([s.truth_eta for s in samples], dtype=np.float64)
-    else:
-        p0 = eta = None
-    return X, w, t, y, p0, eta
+    return ds.X, ds.w, ds.t, ds.y, ds.truth_p0, ds.truth_eta
 
 
 @dataclass(frozen=True)
@@ -258,13 +276,8 @@ def generate(spec: SynSpec) -> tuple[Dataset, Dataset]:
     y_test = (rng.uniform(size=spec.n_test) < coefs.click_prob(X_test, t_test)).astype(int)
 
     def build(X, w, t, y, split, rct):
-        p0 = coefs.base_ctr(X)
-        eta = coefs.sensitivity(X)
-        samples = [
-            Sample(X[i], int(w[i]), float(t[i]), int(y[i]), float(p0[i]), float(eta[i]))
-            for i in range(X.shape[0])
-        ]
-        return Dataset(samples, split=split, rct=rct, meta=_metadata(spec, coefs, split, rct))
+        return Dataset(X, w, t, y, coefs.base_ctr(X), coefs.sensitivity(X),
+                       split=split, rct=rct, meta=_metadata(spec, coefs, split, rct))
 
     train = build(X_train, w_train, t_train, y_train, "train", rct=False)
     test = build(X_test, w_test, t_test, y_test, "test", rct=True)
@@ -298,89 +311,102 @@ def _metadata(spec: SynSpec, coefs: GeneratorCoefficients, split: str, rct: bool
 
 _BASE_COLUMNS = [f"x{i}" for i in range(1, N_FEATURES + 1)] + ["w", "t", "y"]
 _TRUTH_COLUMNS = ["truth_p0", "truth_eta"]
+_WRITE_ROWS = 4096  # rows formatted by one string operation in save_csv
 
 
 def meta_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta")
 
 
-def save_csv(dataset: Dataset, path, metadata: dict | None = None) -> None:
+def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset with full-precision decimals; metadata goes to a
     key=value sidecar with the same basename and a .meta suffix."""
     path = Path(path)
-    cols = _BASE_COLUMNS + (_TRUTH_COLUMNS if dataset.has_truth else [])
+    if dataset.X.shape[1] != N_FEATURES:
+        raise DataFormatError(f"the CSV format holds {N_FEATURES} features, "
+                              f"the dataset has {dataset.X.shape[1]}")
+    columns = [dataset.X, dataset.w, dataset.t, dataset.y]
+    names = list(_BASE_COLUMNS)
+    if dataset.has_truth:
+        columns += [dataset.truth_p0, dataset.truth_eta]
+        names += _TRUTH_COLUMNS
+    # floats as their shortest round-trip repr, w and y as integers
+    row = ",".join(["%r"] * N_FEATURES + ["%d", "%r", "%d"] + ["%r"] * (len(columns) - 4)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for s in dataset.samples:
-            fields = [repr(float(v)) for v in s.x]
-            fields += [str(s.w), repr(float(s.t)), str(s.y)]
-            if dataset.has_truth:
-                fields += [repr(float(s.truth_p0)), repr(float(s.truth_eta))]
-            fh.write(",".join(fields) + "\n")
-    meta = dict(metadata if metadata is not None else (dataset.meta or {}))
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(dataset), _WRITE_ROWS):
+            block = np.column_stack([c[start : start + _WRITE_ROWS] for c in columns])
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    meta = dict(dataset.meta or {})
     meta.setdefault("split", dataset.split)
     meta.setdefault("rct", dataset.rct)
     save_meta(meta_path(path), meta)
 
 
 def save_meta(path, meta: dict) -> None:
-    with open(Path(path), "w", newline="\n") as fh:
-        for key in sorted(meta):
-            value = meta[key]
-            if isinstance(value, (list, tuple, np.ndarray)):
-                value = " ".join(repr(float(v)) for v in value)
-            fh.write(f"{key}={value}\n")
+    def text(value):
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return " ".join(repr(float(v)) for v in value)
+        return value
+
+    kvfile.write(path, (f"{key}={text(meta[key])}" for key in sorted(meta)))
 
 
-def load_meta(path) -> dict:
-    meta = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        meta[key] = value
-    return meta
+load_meta = kvfile.read  # values come back as the strings written
 
 
 def load_csv(path, split: str | None = None, rct: bool | None = None) -> Dataset:
-    """Read a dataset CSV; split/rct come from the sidecar unless overridden."""
+    """Read a dataset CSV and its sidecar, if any, as the dataset's meta;
+    split/rct come from the sidecar unless given. Empty lines are skipped but
+    counted: a malformed row raises a DataFormatError naming ``path:line``."""
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
+    with open(path) as fh:
+        first = fh.readline()
+    if not first:
         raise DataFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = first.rstrip("\r\n").split(",")
     if header[: len(_BASE_COLUMNS)] != _BASE_COLUMNS:
-        raise DataFormatError(f"{path}: unexpected header {lines[0]!r}")
+        raise DataFormatError(f"{path}: unexpected header {first.rstrip()!r}")
     extra = header[len(_BASE_COLUMNS):]
     if extra not in ([], _TRUTH_COLUMNS):
         raise DataFormatError(f"{path}: unexpected trailing columns {extra}")
-    has_truth = extra == _TRUTH_COLUMNS
 
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise DataFormatError(f"{path}:{lineno}: expected {len(header)} fields")
+    dtype = np.dtype([("X", np.float64, (N_FEATURES,)), ("w", np.int64), ("t", np.float64),
+                      ("y", np.int64)] + [(name, np.float64) for name in extra])
+    try:
+        rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise _parse_error(path, dtype, exc) from exc
+    truth = (rows["truth_p0"], rows["truth_eta"]) if extra else (None, None)
+    columns = (rows["X"], rows["w"], rows["t"], rows["y"], *truth)
+    bad = _first_invalid_row(*columns)
+    if bad is not None:
+        lineno, _ = next(islice(_data_lines(path), bad[0], None))
+        raise DataFormatError(f"{path}:{lineno}: {bad[1]}")
+
+    meta = load_meta(meta_path(path)) if meta_path(path).exists() else None
+    if split is None:
+        split = (meta or {}).get("split", "train")
+    if rct is None:
+        rct = (meta or {}).get("rct", "False") in ("True", "true", "1")
+    return Dataset(*columns, split=split, rct=rct, meta=meta)
+
+
+def _data_lines(path):
+    """(line number, text) of each line np.loadtxt reads as a row."""
+    with open(path) as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            if line.rstrip("\r\n"):
+                yield lineno, line
+
+
+def _parse_error(path, dtype, exc: ValueError) -> DataFormatError:
+    """np.loadtxt does not number the failing line consistently, so parse
+    the file again one line at a time to find it."""
+    for lineno, line in _data_lines(path):
         try:
-            x = np.array([float(v) for v in fields[:N_FEATURES]])
-            w = int(fields[N_FEATURES])
-            t = float(fields[N_FEATURES + 1])
-            y = int(fields[N_FEATURES + 2])
-            if w not in (0, 1) or y not in (0, 1):
-                raise ValueError("w and y must be binary")
-            truth_p0 = float(fields[N_FEATURES + 3]) if has_truth else None
-            truth_eta = float(fields[N_FEATURES + 4]) if has_truth else None
-            samples.append(Sample(x, w, t, y, truth_p0, truth_eta))
-        except (ValueError, DataFormatError) as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-
-    if split is None or rct is None:
-        mp = meta_path(path)
-        meta = load_meta(mp) if mp.exists() else {}
-        if split is None:
-            split = meta.get("split", "train")
-        if rct is None:
-            rct = meta.get("rct", "False") in ("True", "true", "1")
-    return Dataset(samples, split=split, rct=rct)
+            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
+        except ValueError as line_exc:
+            return DataFormatError(f"{path}:{lineno}: {str(line_exc).split(' at row ')[0]}")
+    return DataFormatError(f"{path}: {exc}")

@@ -19,8 +19,10 @@ import numpy as np
 from scipy.special import expit
 
 from . import autodiff as ad
+from . import kvfile
 from .autodiff import PROB_EPS
-from .config import AblationConfig, ExperimentConfig, LossWeights, resolve_seed
+from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_flat,
+                     default_config, resolve_seed)
 from .datagen import Dataset, dataset_arrays
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
 from .errors import ConfigError, NumericError, UsageError
@@ -175,12 +177,16 @@ def counterfactual_base(pt_hat, t_hat, eta_hat):
 # joint loss
 # ---------------------------------------------------------------------------
 
-LOSS_COMPONENTS = ("l_base", "l_treat", "l_t", "l_x", "r_orth")
+# loss component -> the LossWeights field that weighs it
+LOSS_COMPONENTS = {"l_base": "lambda_base", "l_treat": "lambda_treat", "l_t": "lambda_t",
+                   "l_x": "lambda_x", "r_orth": "lambda_o"}
 
 
 def joint_loss_arrays(X, w, t, y, dcr_params: DcrParams, hte: HteParams,
                       weights: LossWeights, tape: ad.Tape):
-    """Array-level joint loss; returns (total node, unweighted component sums)."""
+    """Joint loss over a batch: lambda-weighted sum of the factual
+    cross-entropies, intensity regression, counterfactual MSE and the
+    orthogonality penalty. Returns (total node, per-term unweighted sums)."""
     n = X.shape[0]
     if n == 0:
         raise UsageError("joint_loss needs a nonempty batch")
@@ -237,24 +243,16 @@ def joint_loss_arrays(X, w, t, y, dcr_params: DcrParams, hte: HteParams,
     return total, components
 
 
-def joint_loss(batch, dcr_params: DcrParams, hte: HteParams,
-               weights: LossWeights, tape: ad.Tape):
-    """Joint loss over a batch of samples: lambda-weighted sum of the factual
-    cross-entropies, intensity regression, counterfactual MSE and the
-    orthogonality penalty. Returns (total node, per-term unweighted sums)."""
-    samples = batch.samples if isinstance(batch, Dataset) else list(batch)
-    if not samples:
-        raise UsageError("joint_loss needs a nonempty batch")
-    X, w, t, y, _, _ = dataset_arrays(samples)
-    return joint_loss_arrays(X, w, t, y, dcr_params, hte, weights, tape)
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
 
 def train(dataset: Dataset, cfg: ExperimentConfig):
     """Train on one dataset; returns (model, per-epoch history of loss components).
+
+    Each history record holds the per-row means of the loss terms (r_orth,
+    which does not grow with the batch, is a per-batch mean) and their total
+    under the loss weights in effect.
 
     Deterministic in (cfg, seed): parameter init, batch shuffling and every
     update derive from one seeded generator.
@@ -282,7 +280,6 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
     for epoch in range(cfg.train.epochs):
         perm = rng.permutation(n)
         sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
-        total_sum = 0.0
         n_batches = 0
         for start in range(0, n, cfg.train.batch):
             idx = perm[start : start + cfg.train.batch]
@@ -298,12 +295,10 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
             ad.optimizer_step(params, state)
             for k in LOSS_COMPONENTS:
                 sums[k] += comps[k]
-            total_sum += float(total.value)
             n_batches += 1
-        record = {"epoch": epoch, "total": total_sum / n}
-        for k in LOSS_COMPONENTS:
-            record[k] = sums[k] / (n_batches if k == "r_orth" else n)
-        history.append(record)
+        means = {k: sums[k] / (n_batches if k == "r_orth" else n) for k in LOSS_COMPONENTS}
+        total = sum(getattr(weights, lam) * means[k] for k, lam in LOSS_COMPONENTS.items())
+        history.append({"epoch": epoch, "total": total, **means})
     return model, history
 
 
@@ -324,7 +319,9 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
         eta_hat = (sigmoid(logit(p0_hat) + t_hat * head) - p0_hat) / t_hat
 
     which puts it in the same units as the ground-truth sensitivity and the
-    meta-learner baselines. The raw head output is returned as eta_head.
+    meta-learner baselines, and is what allocator.decide reads: the click
+    probability at intensity q is p0_hat + q * eta_hat there. The raw head
+    output is returned as eta_head.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
@@ -378,90 +375,33 @@ def predict(model: UniMvtModel, x, q: float | None = None) -> Prediction:
     )
 
 
-def base_ctr_scores(model: UniMvtModel, X) -> np.ndarray:
-    return predict_batch(model, X)["p0_hat"]
-
-
-def unit_uplift_scores(model: UniMvtModel, X) -> np.ndarray:
-    return predict_batch(model, X)["eta_hat"]
-
-
-def observed_outcome_prob(model: UniMvtModel, X, w, t) -> np.ndarray:
-    """Probability of the observed regime: p0 for control rows, pt at the
-    observed dose for treated rows (calibration diagnostics)."""
-    out = predict_batch(model, X, q=np.asarray(t, dtype=np.float64))
-    return np.where(np.asarray(w) == 1, out["pt_hat"], out["p0_hat"])
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def _param_line(p: ad.ParamTensor) -> str:
-    dims = " ".join(str(d) for d in p.values.shape)
-    vals = " ".join(repr(float(v)) for v in p.values.reshape(-1))
-    return f"param.{p.name}={p.values.ndim} {dims} {vals}"
+# the config keys a model file records: those that shape the network
+_CONFIG_KEYS = ("dcr.experts_per_group", "dcr.hidden", "dcr.out_dim", "dcr.enabled",
+                "net.tower_hidden", "net.head_hidden",
+                "ablate.dcr", "ablate.xnet", "ablate.treat_tower")
 
 
 def save_model(model: UniMvtModel, path) -> None:
-    cfg = model.cfg
-    lines = [
-        "kind=unimvt",
-        f"input_dim={model.input_dim}",
-        f"t_min={model.hte.t_min!r}",
-        f"t_max={model.hte.t_max!r}",
-        f"dcr.experts_per_group={cfg.dcr.experts_per_group}",
-        f"dcr.hidden={cfg.dcr.hidden}",
-        f"dcr.out_dim={cfg.dcr.out_dim}",
-        f"dcr.enabled={cfg.dcr.enabled}",
-        f"net.tower_hidden={','.join(str(v) for v in cfg.net.tower_hidden)}",
-        f"net.head_hidden={cfg.net.head_hidden}",
-        f"ablate.dcr={cfg.ablate.dcr}",
-        f"ablate.xnet={cfg.ablate.xnet}",
-        f"ablate.treat_tower={cfg.ablate.treat_tower}",
-    ]
-    lines.extend(_param_line(p) for p in model.parameters())
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_kv(path) -> dict:
-    out = {}
-    for line in open(path):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        out[key] = value
-    return out
-
-
-def _restore_params(kv: dict, params) -> None:
-    for p in params:
-        raw = kv.get(f"param.{p.name}")
-        if raw is None:
-            raise ConfigError(f"model file is missing parameter {p.name!r}")
-        fields = raw.split()
-        ndim = int(fields[0])
-        shape = tuple(int(v) for v in fields[1 : 1 + ndim])
-        vals = np.array([float(v) for v in fields[1 + ndim :]])
-        if vals.size != int(np.prod(shape)):
-            raise ConfigError(f"parameter {p.name!r} has wrong element count")
-        p.values[...] = vals.reshape(shape)
+    flat = config_to_flat(model.cfg)
+    lines = ["kind=unimvt", f"input_dim={model.input_dim}",
+             f"t_min={model.hte.t_min!r}", f"t_max={model.hte.t_max!r}"]
+    lines.extend(f"{key}={flat[key]}" for key in _CONFIG_KEYS)
+    lines.extend(kvfile.param_line(p) for p in model.parameters())
+    kvfile.write(path, lines)
 
 
 def load_model(path) -> UniMvtModel:
-    kv = _parse_kv(path)
+    kv = kvfile.read(path)
     if kv.get("kind") != "unimvt":
         raise ConfigError(f"not a unimvt model file: kind={kv.get('kind')!r}")
-    from .config import apply_overrides, default_config
-
     cfg = default_config()
-    apply_overrides(cfg, {k: kv[k] for k in (
-        "dcr.experts_per_group", "dcr.hidden", "dcr.out_dim", "dcr.enabled",
-        "net.tower_hidden", "net.head_hidden",
-        "ablate.dcr", "ablate.xnet", "ablate.treat_tower",
-    )})
-    model = build_model(cfg, int(kv["input_dim"]), float(kv["t_min"]), float(kv["t_max"]))
-    _restore_params(kv, model.parameters())
+    for key in _CONFIG_KEYS:
+        kvfile.field(kv, key, lambda raw: apply_overrides(cfg, {key: raw}))
+    model = build_model(cfg, kvfile.field(kv, "input_dim", int),
+                        kvfile.field(kv, "t_min", float), kvfile.field(kv, "t_max", float))
+    kvfile.restore_params(kv, model.parameters())
     return model

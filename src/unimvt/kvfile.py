@@ -1,0 +1,65 @@
+"""The key=value text format of config files, model files and dataset
+metadata sidecars.
+
+One ``key=value`` pair per line; blank lines and ``#`` comments are skipped.
+A parameter tensor is one line ``param.<name>=<ndim> <dims...> <values...>``
+with every value written as its shortest round-trip ``repr``, so a save/load
+round trip is bit-exact.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from . import autodiff as ad
+from .errors import ConfigError
+
+
+def read(path) -> dict[str, str]:
+    out = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
+    return out
+
+
+def write(path, lines) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def field(kv: dict, key: str, parse=str):
+    """``parse(kv[key])``; a missing key or a value that does not parse
+    raises a ConfigError naming the key."""
+    if key not in kv:
+        raise ConfigError(f"model file is missing {key!r}")
+    try:
+        return parse(kv[key])
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"model file has a bad {key!r}: {exc}") from exc
+
+
+def param_line(p: ad.ParamTensor) -> str:
+    dims = " ".join(str(d) for d in p.values.shape)
+    vals = " ".join(repr(float(v)) for v in p.values.reshape(-1))
+    return f"param.{p.name}={p.values.ndim} {dims} {vals}"
+
+
+def _parse_array(raw: str, shape: tuple[int, ...]) -> np.ndarray:
+    fields = raw.split()
+    ndim = int(fields[0])
+    got = tuple(int(v) for v in fields[1 : 1 + ndim])
+    if got != shape:
+        raise ValueError(f"shape {got}, expected {shape}")
+    return np.array([float(v) for v in fields[1 + ndim :]]).reshape(shape)
+
+
+def restore_params(kv: dict, params) -> None:
+    for p in params:
+        p.values[...] = field(kv, f"param.{p.name}", lambda raw: _parse_array(raw, p.shape))

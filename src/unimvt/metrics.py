@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .datagen import Dataset, Sample, dataset_arrays
+from .autodiff import PROB_EPS
+from .datagen import Dataset, dataset_arrays
 from .errors import ConfigError, MetricUndefinedError
 
-PROB_EPS = 1e-7
 DEFAULT_GRID = 100
 
 
@@ -42,11 +42,12 @@ def logloss(labels, probs) -> float:
     return float(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean())
 
 
-def _dose_outcome(samples) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, Dataset) or (samples and isinstance(samples[0], Sample)):
-        _, _, t, y, _, _ = dataset_arrays(samples)
-        return t, y.astype(np.float64)
-    t, y = samples  # (t, y) array pair accepted for convenience
+def _dose_outcome(data) -> tuple[np.ndarray, np.ndarray]:
+    """(t, y) as floats from a Dataset or from a (t, y) array pair."""
+    if isinstance(data, Dataset):
+        _, _, t, y, _, _ = dataset_arrays(data)
+    else:
+        t, y = data
     return np.asarray(t, dtype=np.float64), np.asarray(y, dtype=np.float64)
 
 
@@ -103,10 +104,10 @@ class CumulativeSlopeCurve:
         return [(float(p), float(b), self.beta_global) for p, b in zip(self.phis, self.betas)]
 
 
-def cumulative_slope_curve(scores, samples, k: int = DEFAULT_GRID) -> CumulativeSlopeCurve:
+def cumulative_slope_curve(scores, data, k: int = DEFAULT_GRID) -> CumulativeSlopeCurve:
     """Build the curve: sort by score descending (stable), evaluate prefix slopes
     at phi = 1/K .. K/K, skipping prefixes without dose variance."""
-    t, y = _dose_outcome(samples)
+    t, y = _dose_outcome(data)
     n = t.shape[0]
     if n == 0:
         raise MetricUndefinedError("empty dataset")
@@ -145,26 +146,26 @@ def cumulative_slope_curve(scores, samples, k: int = DEFAULT_GRID) -> Cumulative
     )
 
 
-def cs_auuc(scores, samples, k: int = DEFAULT_GRID) -> float:
-    return cumulative_slope_curve(scores, samples, k).auuc()
+def cs_auuc(scores, data, k: int = DEFAULT_GRID) -> float:
+    return cumulative_slope_curve(scores, data, k).auuc()
 
 
-def cs_qini(scores, samples, k: int = DEFAULT_GRID) -> float:
-    return cumulative_slope_curve(scores, samples, k).qini()
+def cs_qini(scores, data, k: int = DEFAULT_GRID) -> float:
+    return cumulative_slope_curve(scores, data, k).qini()
 
 
-def pcoc(pred_probs, samples, edges: Sequence[float]) -> list[tuple[str, float, int]]:
-    """Predicted-over-observed click ratio per intensity bin.
+def pcoc(pred_probs, data, edges: Sequence[float]) -> list[tuple[str, float, int]]:
+    """Predicted-over-observed click ratio per intensity bin, on a Dataset or
+    on a (w, t, y) array triple.
 
     Control rows (w == 0) form their own bin; treated rows are grouped into
     [edges[i], edges[i+1]) intervals. Bins without rows or without a positive
     observation are omitted.
     """
-    if isinstance(samples, Dataset) or (samples and isinstance(samples[0], Sample)):
-        _, w, t, y, _, _ = dataset_arrays(samples)
+    if isinstance(data, Dataset):
+        _, w, t, y, _, _ = dataset_arrays(data)
     else:
-        w, t, y = samples
-        w, t, y = np.asarray(w), np.asarray(t), np.asarray(y)
+        w, t, y = (np.asarray(c) for c in data)
     p = np.asarray(pred_probs, dtype=np.float64)
     edges = sorted(float(e) for e in edges)
     out = []

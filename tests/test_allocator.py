@@ -1,4 +1,4 @@
-"""Allocation engine: simulation modes, decision rule vs brute force, monotonicity."""
+"""Allocation engine: the additive simulation, decision rule vs brute force, monotonicity."""
 
 from types import SimpleNamespace
 
@@ -32,10 +32,6 @@ def test_simulate_additive_caps_probability():
     assert al.simulate(pred(0.9, 0.5), 10.0, "additive") == 1.0 - 1e-7
 
 
-def test_simulate_logit_analytic_value():
-    assert al.simulate(pred(0.5, np.log(3.0)), 1.0, "logit") == pytest.approx(0.75, abs=1e-12)
-
-
 @given(st.floats(0.05, 0.95), st.floats(0.0, 0.3), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
 def test_simulate_nondecreasing_in_q(p0, eta, q1, q2):
     lo, hi = sorted((q1, q2))
@@ -44,8 +40,11 @@ def test_simulate_nondecreasing_in_q(p0, eta, q1, q2):
 
 
 def test_simulate_rejects_bad_mode_and_negative_q():
-    with pytest.raises(ConfigError):
-        al.simulate(pred(0.5, 0.1), 1.0, "nonsense")
+    for mode in ("nonsense", "logit"):
+        with pytest.raises(ConfigError):
+            al.simulate(pred(0.5, 0.1), 1.0, mode)
+        with pytest.raises(ConfigError):
+            al.decide(pred(0.5, 0.1), al.AllocationGrid(1, 2, 1), 10.0, 0.5, mode)
     with pytest.raises(ConfigError):
         al.simulate(pred(0.5, 0.1), -1.0)
 
@@ -79,6 +78,17 @@ def test_decide_worked_example_additive():
     assert decision.q_star == 3.0
     assert decision.net_gain == pytest.approx(12.0, abs=1e-9)
     assert decision.ratio == pytest.approx(5.0, abs=1e-9)
+
+
+def test_decide_default_reads_eta_as_probability_gain_per_unit():
+    # eta_hat is a click-probability gain per unit (predict_batch): uplift 0.03 q,
+    # net gain 60 * 0.03 q - q = 0.8 q peaks at the top of the grid, ratio 1.8
+    decision = al.decide(pred(0.2, 0.03), al.AllocationGrid.parse("0.5:4:0.5"), 60.0, 1.5)
+    assert decision.issue
+    assert decision.q_star == 4.0
+    assert decision.expected_uplift == pytest.approx(0.12, abs=1e-12)
+    assert decision.net_gain == pytest.approx(3.2, abs=1e-9)
+    assert decision.ratio == pytest.approx(1.8, abs=1e-9)
 
 
 def test_decide_threshold_dominates():

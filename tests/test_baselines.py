@@ -29,8 +29,7 @@ def all_control_dataset(n=400, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, 4))
     y = (rng.uniform(size=n) < expit(X[:, 0])).astype(int)
-    samples = [dg.Sample(X[i], 0, 0.0, int(y[i])) for i in range(n)]
-    return dg.Dataset(samples)
+    return dg.Dataset(X, np.zeros(n, dtype=int), np.zeros(n), y)
 
 
 def test_slearner_all_control_matches_plain_ctr_net():
@@ -71,9 +70,8 @@ def test_tlearner_null_effect_on_duplicated_rows():
     n = 1200
     X = rng.standard_normal((n, 4))
     y = (rng.uniform(size=n) < expit(X[:, 0])).astype(int)
-    samples = [dg.Sample(X[i], 0, 0.0, int(y[i])) for i in range(n)]
-    samples += [dg.Sample(X[i], 1, 1.0, int(y[i])) for i in range(n)]
-    ds = dg.Dataset(samples)
+    ds = dg.Dataset(np.vstack([X, X]), np.repeat([0, 1], n), np.repeat([0.0, 1.0], n),
+                    np.concatenate([y, y]))
     means = []
     for seed in (1, 2):
         cfg = quick_cfg(seed=seed, epochs=10)
@@ -92,7 +90,7 @@ def test_unit_uplift_zero_for_zeroed_final_layer(small_syn):
     model = bl.train_slearner(train_ds, quick_cfg(seed=0, epochs=1))
     model.net[-1].W.values[:] = 0.0
     model.net[-1].b.values[:] = 0.0
-    assert bl.unit_uplift(model, np.zeros(8)) == 0.0  # 0.5 - 0.5
+    assert model.unit_uplift_scores(np.zeros(8))[0] == 0.0  # 0.5 - 0.5
 
 
 def test_unit_uplift_hand_built_sigmoid_of_t():
@@ -101,7 +99,7 @@ def test_unit_uplift_hand_built_sigmoid_of_t():
     W[2, 0] = 1.0  # only the intensity feature
     net = [ad.Layer(ad.ParamTensor("s.W", W), ad.ParamTensor("s.b", np.zeros(1)), "sigmoid")]
     model = bl.SLearnerModel(net, t_min=0.0, t_max=1.0)
-    got = bl.unit_uplift(model, np.array([0.4, -1.0]))
+    got = model.unit_uplift_scores(np.array([0.4, -1.0]))[0]
     assert got == pytest.approx(expit(1.0) - expit(0.0), abs=1e-12)
     assert got == pytest.approx(0.23105857863, abs=1e-9)
 
@@ -111,7 +109,7 @@ def test_unit_uplift_matches_two_call_evaluation(small_syn):
     model = bl.train_tlearner(train_ds, quick_cfg(seed=3, epochs=1))
     x = dg.dataset_arrays(test_ds)[0][7]
     want = float(model.treated_prob(x, 1.0)[0] - model.base_ctr(x)[0])
-    assert bl.unit_uplift(model, x) == want
+    assert model.unit_uplift_scores(x)[0] == want
 
 
 def test_baseline_round_trip(tmp_path, small_syn):

@@ -1,9 +1,12 @@
-"""Generator marginals, ground-truth construction, determinism and CSV round-trips."""
+"""Generator marginals, ground-truth construction, determinism, the column
+invariants and CSV round-trips."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unimvt import datagen as dg
 from unimvt.errors import ConfigError, DataFormatError
@@ -90,9 +93,8 @@ def test_csv_round_trip(tmp_path, small_pair):
     loaded = dg.load_csv(path)
     assert loaded.split == "train" and not loaded.rct
     assert len(loaded) == len(train)
-    for a, b in zip(train.samples, loaded.samples):
-        assert np.array_equal(a.x, b.x)
-        assert (a.w, a.t, a.y, a.truth_p0, a.truth_eta) == (b.w, b.t, b.y, b.truth_p0, b.truth_eta)
+    for a, b in zip(dg.dataset_arrays(train), dg.dataset_arrays(loaded)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_csv_round_trip_preserves_split_flags(tmp_path, small_pair):
@@ -122,7 +124,19 @@ def test_load_without_truth_columns(tmp_path):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     ds = dg.load_csv(path)
     assert len(ds) == 2
-    assert ds.samples[0].truth_p0 is None and not ds.has_truth
+    assert ds.truth_p0 is None and ds.truth_eta is None and not ds.has_truth
+
+
+def test_load_csv_returns_the_sidecar_as_meta(tmp_path, small_pair):
+    train, _ = small_pair
+    path = tmp_path / "ds.csv"
+    dg.save_csv(train, path)
+    # the sidecar is read also when split and rct are both given
+    for loaded in (dg.load_csv(path), dg.load_csv(path, split="train", rct=False)):
+        coef = np.array(loaded.meta["coef_propensity"].split(), dtype=float)
+        np.testing.assert_array_equal(coef, train.meta["coef_propensity"])
+        for key in ("intercept_ctr", "eta_max"):
+            assert float(loaded.meta[key]) == train.meta[key]
 
 
 def test_meta_sidecar_round_trip(tmp_path, small_pair):
@@ -150,3 +164,123 @@ def test_spec_validation_errors():
 def test_unreachable_ctr_target_fails_bracketing():
     with pytest.raises(ConfigError, match="bracket"):
         dg.generate(replace(SMALL, n_train=500, n_test=100, target_avg_ctr=0.005))
+
+
+# ---------------------------------------------------------------------------
+# column invariants
+# ---------------------------------------------------------------------------
+
+def columns(d=4):
+    return dict(X=np.arange(3.0 * d).reshape(3, d), w=np.array([0, 1, 1]),
+                t=np.array([0.0, 1.5, 2.0]), y=np.array([1, 0, 1]))
+
+
+@pytest.mark.parametrize("column,row,value,reason", [
+    ("X", 1, np.nan, "features must be finite"),
+    ("X", 2, np.inf, "features must be finite"),
+    ("t", 1, np.inf, "intensity must be finite"),
+    ("w", 2, 2, "w must be 0 or 1"),
+    ("y", 0, -1, "y must be 0 or 1"),
+    ("t", 0, 0.5, "control row must have zero intensity"),
+    ("t", 2, 0.0, "treated row must have positive intensity"),
+])
+def test_dataset_rejects_the_first_invalid_row(column, row, value, reason):
+    cols = columns()
+    cols[column] = cols[column].astype(float)
+    if column == "X":
+        cols["X"][row, 1] = value
+    else:
+        cols[column][row] = value
+    with pytest.raises(DataFormatError, match=f"row {row}: {reason}"):
+        dg.Dataset(**cols)
+
+
+def test_dataset_checks_truth_and_shapes():
+    cols = columns()
+    with pytest.raises(DataFormatError, match="together"):
+        dg.Dataset(**cols, truth_p0=np.full(3, 0.2))
+    with pytest.raises(DataFormatError, match="finite"):
+        dg.Dataset(**cols, truth_p0=np.full(3, 0.2), truth_eta=np.array([0.1, np.nan, 0.1]))
+    for bad in (dict(y=np.array([0, 1])), dict(X=np.zeros(3))):
+        with pytest.raises(DataFormatError, match="one entry per row"):
+            dg.Dataset(**dict(cols, **bad))
+
+
+def test_dataset_columns_are_read_only_copies():
+    cols = columns(d=5)
+    ds = dg.Dataset(**cols)
+    cols["t"][0] = 7.0  # the caller's array stays the caller's
+    assert ds.t[0] == 0.0
+    assert ds.X.shape == (3, 5) and ds.X.flags.c_contiguous
+    assert (ds.w.dtype, ds.y.dtype, ds.t.dtype) == (np.int64, np.int64, np.float64)
+    for column in dg.dataset_arrays(ds)[:4]:
+        with pytest.raises(ValueError):
+            column[0] = 1
+
+
+# ---------------------------------------------------------------------------
+# CSV format
+# ---------------------------------------------------------------------------
+
+HEADER = ",".join([f"x{i}" for i in range(1, 9)] + ["w", "t", "y"])
+GOOD_ROW = ",".join(["0.5"] * 8 + ["1", "2.5", "0"])
+
+
+@pytest.mark.parametrize("bad_row,reason", [
+    (",".join(["0.5"] * 7 + ["1", "2.5", "0"]), "requires 11 columns but 10 were found"),
+    (",".join(["abc"] + ["0.5"] * 7 + ["1", "2.5", "0"]), "'abc'"),
+    (",".join(["0.5"] * 7 + ["nan", "1", "2.5", "0"]), "features must be finite"),
+    (",".join(["0.5"] * 8 + ["2", "2.5", "0"]), "w must be 0 or 1"),
+    (",".join(["0.5"] * 8 + ["0", "0.5", "0"]), "control row must have zero intensity"),
+    (",".join(["0.5"] * 8 + ["1", "0.0", "0"]), "treated row must have positive intensity"),
+])
+@pytest.mark.parametrize("blank_before", [False, True])
+def test_load_names_the_bad_line(tmp_path, bad_row, reason, blank_before):
+    lines = [HEADER, GOOD_ROW] + ([""] if blank_before else []) + [bad_row, GOOD_ROW]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    lineno = 4 if blank_before else 3
+    with pytest.raises(DataFormatError, match=re.escape(f":{lineno}: ") + ".*" + re.escape(reason)):
+        dg.load_csv(path)
+
+
+def test_save_csv_bytes(tmp_path):
+    ds = dg.Dataset(
+        X=[[0.1, -2.0, 0.0, 1e-05, 1e16, 3.0, -0.5, 123.456],
+           [-0.0, 5e-324, 1e308, 0.0001, 2.0, -7.25, 1 / 3, 1e-07]],
+        w=[1, 0], t=[2.5, 0.0], y=[0, 1], truth_p0=[0.2, 0.75], truth_eta=[0.01, 0.0])
+    path = tmp_path / "two.csv"
+    dg.save_csv(ds, path)
+    assert path.read_text() == (
+        "x1,x2,x3,x4,x5,x6,x7,x8,w,t,y,truth_p0,truth_eta\n"
+        "0.1,-2.0,0.0,1e-05,1e+16,3.0,-0.5,123.456,1,2.5,0,0.2,0.01\n"
+        "-0.0,5e-324,1e+308,0.0001,2.0,-7.25,0.3333333333333333,1e-07,0,0.0,1,0.75,0.0\n"
+    )
+    assert dg.meta_path(path).read_text() == "rct=False\nsplit=train\n"
+
+
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                               3.0, -2.0, 2.0 ** 53, 1e16])
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+POSITIVE = st.floats(min_value=5e-324, max_value=1e308) | st.sampled_from([5e-324, 1e308, 3.0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), truth=st.booleans())
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, data, n, truth):
+    X = np.array(data.draw(st.lists(FINITE, min_size=8 * n, max_size=8 * n))).reshape(n, 8)
+    w = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    t = np.array([data.draw(POSITIVE if wi else st.sampled_from([0.0, -0.0])) for wi in w])
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    truth_columns = [np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+                     for _ in range(2)] if truth else [None, None]
+    ds = dg.Dataset(X, w, t, y, *truth_columns)
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    dg.save_csv(ds, path)
+    loaded = dg.load_csv(path)
+    assert loaded.has_truth == truth
+    for a, b in zip(dg.dataset_arrays(ds), dg.dataset_arrays(loaded)):
+        if a is None:
+            assert b is None
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -201,9 +201,9 @@ def test_joint_loss_single_control_row_is_ln2():
     model.hte.base_tower[-1].W.values[:] = 0.0
     model.hte.base_tower[-1].b.values[:] = 0.0  # p0 = sigmoid(0) = 0.5
     weights = LossWeights(1.0, 0, 0, 0, 0)
-    sample = dg.Sample(np.zeros(5), 0, 0.0, 1)
     tape = ad.Tape()
-    total, comps = ht.joint_loss([sample], model.dcr, model.hte, weights, tape)
+    total, comps = ht.joint_loss_arrays(np.zeros((1, 5)), np.array([0]), np.array([0.0]),
+                                        np.array([1]), model.dcr, model.hte, weights, tape)
     assert float(total.value) == pytest.approx(np.log(2.0), abs=1e-12)
     assert comps["l_base"] == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -211,7 +211,8 @@ def test_joint_loss_single_control_row_is_ln2():
 def test_joint_loss_empty_batch_is_usage_error():
     model = tiny_model()
     with pytest.raises(UsageError):
-        ht.joint_loss([], model.dcr, model.hte, LossWeights(), ad.Tape())
+        ht.joint_loss_arrays(np.zeros((0, 5)), np.zeros(0), np.zeros(0), np.zeros(0),
+                             model.dcr, model.hte, LossWeights(), ad.Tape())
 
 
 def scalar_oracle_loss(model, X, w, t, y, weights):
@@ -393,6 +394,19 @@ def test_xnet_ablation_zeroes_loss_column(small_syn):
     assert all(rec["l_x"] == 0.0 for rec in hist)
 
 
+@pytest.mark.parametrize("ablate", [AblationConfig(), AblationConfig(xnet=True)])
+def test_history_total_is_weighted_sum_of_its_components(small_syn, ablate):
+    train_ds, _ = small_syn
+    cfg = ExperimentConfig(train=TrainConfig(epochs=2, batch=128, seed=3), ablate=ablate)
+    _, hist = ht.train(train_ds, cfg)
+    lam = replace(cfg.loss, lambda_x=0.0) if ablate.xnet else cfg.loss
+    for rec in hist:
+        want = (lam.lambda_base * rec["l_base"] + lam.lambda_treat * rec["l_treat"]
+                + lam.lambda_t * rec["l_t"] + lam.lambda_x * rec["l_x"]
+                + lam.lambda_o * rec["r_orth"])
+        assert rec["total"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_training_descends(small_syn):
     train_ds, _ = small_syn
     cfg = ExperimentConfig(train=TrainConfig(epochs=4, batch=128, seed=1))
@@ -402,9 +416,9 @@ def test_training_descends(small_syn):
 
 
 def test_training_without_treated_rows_fails():
-    samples = [dg.Sample(np.zeros(5), 0, 0.0, 0) for _ in range(10)]
+    ds = dg.Dataset(np.zeros((10, 5)), np.zeros(10, dtype=int), np.zeros(10), np.zeros(10, dtype=int))
     with pytest.raises(ConfigError):
-        ht.train(dg.Dataset(samples), ExperimentConfig())
+        ht.train(ds, ExperimentConfig())
 
 
 # ---------------------------------------------------------------------------
