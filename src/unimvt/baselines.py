@@ -3,8 +3,8 @@
 Both reuse the tower sizes and optimizer of the main model so comparisons
 isolate architecture rather than capacity. Intensity enters as an extra
 input feature, min-max normalized by the same treated-support bounds the
-main model uses; unit uplift is read off by contrasting intensity 1 against
-intensity 0.
+main model uses; unit uplift is read off by contrasting normalized intensity
+1 (the raw treated maximum t_max) against no treatment.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ class SLearnerModel:
         return self.outcome_prob(X, 0.0)
 
     def unit_uplift_scores(self, X) -> np.ndarray:
-        return self.outcome_prob(X, 1.0) - self.outcome_prob(X, 0.0)
+        return self.outcome_prob(X, self.t_max) - self.outcome_prob(X, 0.0)
 
 
 @dataclass
@@ -92,7 +92,7 @@ class TLearnerModel:
         return np.where(t > 0, self.treated_prob(X, t), self.base_ctr(X))
 
     def unit_uplift_scores(self, X) -> np.ndarray:
-        return self.treated_prob(X, 1.0) - self.base_ctr(X)
+        return self.treated_prob(X, self.t_max) - self.base_ctr(X)
 
 
 def _t_bounds(w, t) -> tuple[float, float]:

@@ -63,9 +63,6 @@ class ExperimentConfig:
     ablate: AblationConfig = field(default_factory=AblationConfig)
     metrics_k: int = 100
 
-    def dcr_enabled(self) -> bool:
-        return self.dcr.enabled and not self.ablate.dcr
-
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()

@@ -2,11 +2,19 @@
 
 Three expert groups encode the covariates: base experts (intrinsic
 preference), shared experts (confounders common to both outcomes) and
-treated experts (intervention sensitivity). Two softmax gates weight every
-expert's output block before concatenation, producing one representation per
-downstream task. Stop-gradient on the off-task group keeps the base loss
-from training treated experts and vice versa, while the shared path stays
-open in both directions. A Frobenius cross-product penalty pushes the three
+treated experts (intervention sensitivity). All K = 3E experts (E per group)
+have the same shape, so each layer holds them as one stacked weight
+(K, fan_in, fan_out) and bias (K, 1, fan_out), and one pass of the stack
+gives every expert's output as a (K, rows, out_dim) tensor. Slots run
+``base0.., shared0.., treated0..``.
+
+Two softmax gates over the K slots weight every expert's output block
+side by side, producing one representation per downstream task. One
+stop-gradient on the stacked output gives a frozen copy; each task reads
+its off-task group's slots from that copy through a constant 0/1 slot mask
+(u0 stops the treated slots, ut the base slots), so the base loss never
+trains treated experts and vice versa, while the shared slots stay open in
+both directions. A Frobenius cross-product penalty pushes the three
 groups' weight matrices toward mutually orthogonal subspaces.
 """
 from __future__ import annotations
@@ -18,88 +26,78 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError
 
+BASE, SHARED, TREATED = range(3)  # expert groups, in slot order
+
 
 @dataclass
 class DcrConfig:
     experts_per_group: int = 2
     hidden: int = 32
     out_dim: int = 16
-    enabled: bool = True
 
 
 @dataclass
 class DcrParams:
     """Parameter bundle for the representation layer.
 
-    When ``enabled`` is False (the degenerate ablation), only ``shared_mlp``
-    is populated and both task representations collapse to its output.
+    ``experts`` holds one stacked layer per depth. Under the ``ablate.dcr``
+    ablation only ``shared_mlp`` is populated and both task representations
+    collapse to its output.
     """
 
-    enabled: bool
     input_dim: int
-    base_experts: list = field(default_factory=list)
-    shared_experts: list = field(default_factory=list)
-    treated_experts: list = field(default_factory=list)
+    experts: list = field(default_factory=list)
     gate0: list = field(default_factory=list)
     gate_t: list = field(default_factory=list)
     shared_mlp: list | None = None
 
     @property
-    def expert_groups(self):
-        return (self.base_experts, self.shared_experts, self.treated_experts)
+    def enabled(self) -> bool:
+        return self.shared_mlp is None
+
+    @property
+    def experts_per_group(self) -> int:
+        return self.experts[0].W.shape[0] // 3
 
     @property
     def output_dim(self) -> int:
         if not self.enabled:
             return self.shared_mlp[-1].W.shape[1]
-        per_expert = self.base_experts[0][-1].W.shape[1]
-        n_experts = sum(len(g) for g in self.expert_groups)
-        return per_expert * n_experts
+        n_slots, _, per_expert = self.experts[-1].W.shape
+        return n_slots * per_expert
 
     def parameters(self) -> list[ad.ParamTensor]:
-        out = []
         if not self.enabled:
             return ad.mlp_params(self.shared_mlp)
-        for group in self.expert_groups:
-            for expert in group:
-                out.extend(ad.mlp_params(expert))
-        out.extend(ad.mlp_params(self.gate0))
-        out.extend(ad.mlp_params(self.gate_t))
-        return out
-
-    def expert_parameters(self, group: str) -> list[ad.ParamTensor]:
-        groups = {"base": self.base_experts, "shared": self.shared_experts,
-                  "treated": self.treated_experts}
-        out = []
-        for expert in groups[group]:
-            out.extend(ad.mlp_params(expert))
-        return out
+        return ad.mlp_params(self.experts) + ad.mlp_params(self.gate0) + ad.mlp_params(self.gate_t)
 
 
 @dataclass
 class DcrOutput:
     u0: ad.Node
     ut: ad.Node
-    expert_outputs: dict  # group -> list of output nodes, retained for tests
 
 
-def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig) -> DcrParams:
-    if not cfg.enabled:
-        total = 3 * cfg.experts_per_group * cfg.out_dim
+def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig,
+             ablate: bool) -> DcrParams:
+    n_slots = 3 * cfg.experts_per_group
+    if ablate:
         # degenerate path keeps the downstream tower width unchanged
-        shared = ad.init_mlp(rng, "dcr.shared_mlp", (input_dim, cfg.hidden, total))
-        return DcrParams(enabled=False, input_dim=input_dim, shared_mlp=shared)
+        shared = ad.init_mlp(rng, "dcr.shared_mlp", (input_dim, cfg.hidden, n_slots * cfg.out_dim))
+        return DcrParams(input_dim=input_dim, shared_mlp=shared)
     dims = (input_dim, cfg.hidden, cfg.out_dim)
-    params = DcrParams(enabled=True, input_dim=input_dim)
-    for group, store in (("base", params.base_experts),
-                         ("shared", params.shared_experts),
-                         ("treated", params.treated_experts)):
-        for j in range(cfg.experts_per_group):
-            store.append(ad.init_mlp(rng, f"dcr.{group}{j}", dims))
-    n_experts = 3 * cfg.experts_per_group
-    params.gate0 = ad.init_mlp(rng, "dcr.gate0", (input_dim, n_experts))
-    params.gate_t = ad.init_mlp(rng, "dcr.gate_t", (input_dim, n_experts))
-    return params
+    # drawn expert by expert, layer by layer: the order of one MLP per expert
+    draws = [[ad.glorot_uniform(rng, fan_in, fan_out) for fan_in, fan_out in zip(dims, dims[1:])]
+             for _ in range(n_slots)]
+    experts = [
+        ad.Layer(ad.ParamTensor(f"dcr.l{i}.W", np.stack(weights)),
+                 ad.ParamTensor(f"dcr.l{i}.b", np.zeros((n_slots, 1, dims[i + 1]))),
+                 "relu" if i < len(dims) - 2 else "linear")
+        for i, weights in enumerate(zip(*draws))
+    ]
+    return DcrParams(input_dim=input_dim, experts=experts,
+                     gate0=ad.init_mlp(rng, "dcr.gate0", (input_dim, n_slots)),
+                     gate_t=ad.init_mlp(rng, "dcr.gate_t", (input_dim, n_slots)))
 
 
 def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape | None = None) -> DcrOutput:
@@ -121,69 +119,38 @@ def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape | None = None) -> D
 
     if not params.enabled:
         shared_out = ad.mlp_forward(params.shared_mlp, x, tape)
-        return DcrOutput(u0=shared_out, ut=shared_out, expert_outputs={"shared_mlp": [shared_out]})
+        return DcrOutput(u0=shared_out, ut=shared_out)
 
-    outputs = {
-        "base": [ad.mlp_forward(e, x, tape) for e in params.base_experts],
-        "shared": [ad.mlp_forward(e, x, tape) for e in params.shared_experts],
-        "treated": [ad.mlp_forward(e, x, tape) for e in params.treated_experts],
-    }
+    experts = ad.mlp_forward(params.experts, x, tape)
+    frozen = ad.stop_gradient(experts)
+    group = np.repeat([BASE, SHARED, TREATED], params.experts_per_group)
+
+    def task(gate, stopped_group):
+        keep = (group != stopped_group).astype(np.float64).reshape(-1, 1, 1)
+        h = ad.add(ad.mul(experts, keep), ad.mul(frozen, 1.0 - keep))
+        return ad.gate_merge(gate, h)
+
     g0 = ad.softmax(ad.mlp_forward(params.gate0, x, tape))
     gt = ad.softmax(ad.mlp_forward(params.gate_t, x, tape))
-
-    def combine(gate, blocked_group):
-        blocks, slot = [], 0
-        for group in ("base", "shared", "treated"):
-            for out in outputs[group]:
-                h = ad.stop_gradient(out) if group == blocked_group else out
-                blocks.append(ad.mul(ad.column(gate, slot), h))
-                slot += 1
-        return ad.concat(blocks, axis=1)
-
-    return DcrOutput(
-        u0=combine(g0, blocked_group="treated"),
-        ut=combine(gt, blocked_group="base"),
-        expert_outputs=outputs,
-    )
+    return DcrOutput(u0=task(g0, TREATED), ut=task(gt, BASE))
 
 
 def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:
     """Sum over layers and cross-group pairs of ||W_i^T W_j||_F^2.
 
-    Computed on weight matrices only (biases excluded). Experts within a
-    group are concatenated column-wise per layer, so one matrix product per
-    (group pair, layer) covers every cross-group expert pair: the Frobenius
-    norm of the blocked product equals the sum over expert-pair blocks.
+    Computed on weight matrices only (biases excluded). Each group's slots
+    are read side by side per layer, so one matrix product per (group pair,
+    layer) covers every cross-group expert pair: the Frobenius norm of the
+    blocked product equals the sum over expert-pair blocks.
     """
     if not params.enabled:
         return tape.constant(0.0)
-    groups = params.expert_groups
-    n_layers = {len(e) for g in groups for e in g}
-    if len(n_layers) != 1:
-        raise ConfigError("expert groups must share layer count for the orthogonality penalty")
-    depth = n_layers.pop()
-
-    stacked = []  # one column-concatenated weight node per (group, layer)
-    for group in groups:
-        per_layer = []
-        for l in range(depth):
-            fan_in = {e[l].W.shape[0] for e in group}
-            if len(fan_in) != 1:
-                raise ConfigError("experts within a group must share layer fan-in")
-            nodes = [tape.param(e[l].W) for e in group]
-            per_layer.append(nodes[0] if len(nodes) == 1 else ad.concat(nodes, axis=1))
-        stacked.append(per_layer)
-
+    e = params.experts_per_group
+    blocks = [[ad.slot_columns(tape.param(layer.W), g * e, (g + 1) * e)
+               for layer in params.experts] for g in (BASE, SHARED, TREATED)]
     total = None
-    for gi in range(3):
-        for gj in range(gi + 1, 3):
-            for l in range(depth):
-                a, b = stacked[gi][l], stacked[gj][l]
-                if a.value.shape[0] != b.value.shape[0]:
-                    raise ConfigError(
-                        "expert layer widths differ across groups: "
-                        f"{a.value.shape} vs {b.value.shape}"
-                    )
-                term = ad.sum_all(ad.square(ad.matmul(ad.transpose(a), b)))
-                total = term if total is None else ad.add(total, term)
+    for gi, gj in ((BASE, SHARED), (BASE, TREATED), (SHARED, TREATED)):
+        for a, b in zip(blocks[gi], blocks[gj]):
+            term = ad.sum_all(ad.square(ad.matmul(ad.transpose(a), b)))
+            total = term if total is None else ad.add(total, term)
     return total

@@ -86,7 +86,7 @@ class Prediction:
 def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: float,
                 seed: int = 0) -> UniMvtModel:
     rng = np.random.default_rng(seed)
-    dcr_params = init_dcr(rng, input_dim, replace(cfg.dcr, enabled=cfg.dcr_enabled()))
+    dcr_params = init_dcr(rng, input_dim, cfg.dcr, cfg.ablate.dcr)
     rep = dcr_params.output_dim
     tower_dims = (rep, *cfg.net.tower_hidden, 1)
     base_tower = ad.init_mlp(rng, "base_tower", tower_dims, out_activation="sigmoid")
@@ -380,7 +380,7 @@ def predict(model: UniMvtModel, x, q: float | None = None) -> Prediction:
 # ---------------------------------------------------------------------------
 
 # the config keys a model file records: those that shape the network
-_CONFIG_KEYS = ("dcr.experts_per_group", "dcr.hidden", "dcr.out_dim", "dcr.enabled",
+_CONFIG_KEYS = ("dcr.experts_per_group", "dcr.hidden", "dcr.out_dim",
                 "net.tower_hidden", "net.head_hidden",
                 "ablate.dcr", "ablate.xnet", "ablate.treat_tower")
 

@@ -162,18 +162,25 @@ def test_sigmoid_strictly_inside_unit_interval(z):
 def test_primitive_gradients_against_finite_differences():
     rng = np.random.default_rng(3)
     w = ad.ParamTensor("w", rng.uniform(0.1, 2.0, size=(3, 4)))
+    ws = ad.ParamTensor("ws", rng.standard_normal((2, 4, 3)))
+    bs = ad.ParamTensor("bs", rng.standard_normal((2, 1, 3)))
     mask = rng.uniform(0.5, 1.5, size=(3, 4))
+    proj = rng.standard_normal((4, 2))
+    merge_mask = rng.uniform(0.5, 1.5, size=(3, 6))
 
     def loss_fn():
         tape = ad.Tape()
         wn = tape.param(w)
+        stacked = ad.affine(wn, tape.param(ws), tape.param(bs))  # (2, 3, 3)
         parts = [
             ad.sum_all(ad.mul(mask, ad.sigmoid(wn))),
             ad.sum_all(ad.softmax(wn)),
-            ad.sum_all(ad.log(ad.clamp(wn, 1e-6, 10.0))),
             ad.sum_all(ad.absolute(ad.sub(wn, 1.0))),
             ad.sum_all(ad.square(ad.logit(ad.sigmoid(wn)))),
-            ad.sum_all(ad.mul(ad.column(wn, 1), ad.column(wn, 2))),
+            ad.sum_all(ad.square(stacked)),
+            ad.sum_all(ad.mul(merge_mask, ad.gate_merge(ad.softmax(ad.matmul(wn, proj)),
+                                                        ad.relu(stacked)))),
+            ad.sum_all(ad.square(ad.slot_columns(tape.param(ws), 0, 2))),
             ad.sum_all(ad.matmul(ad.transpose(wn), wn)),
             ad.sum_all(ad.concat([ad.relu(wn), ad.scale(wn, 0.5)], axis=1)),
         ]
@@ -182,7 +189,7 @@ def test_primitive_gradients_against_finite_differences():
             total = ad.add(total, p)
         return total
 
-    assert ad.finite_diff_check(loss_fn, [w], eps=1e-6) < 1e-6
+    assert ad.finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6) < 1e-6
 
 
 # ---------------------------------------------------------------------------

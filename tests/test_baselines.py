@@ -108,8 +108,21 @@ def test_unit_uplift_matches_two_call_evaluation(small_syn):
     train_ds, test_ds = small_syn
     model = bl.train_tlearner(train_ds, quick_cfg(seed=3, epochs=1))
     x = dg.dataset_arrays(test_ds)[0][7]
-    want = float(model.treated_prob(x, 1.0)[0] - model.base_ctr(x)[0])
+    want = float(model.treated_prob(x, model.t_max)[0] - model.base_ctr(x)[0])
     assert model.unit_uplift_scores(x)[0] == want
+
+
+def test_tlearner_unit_uplift_reads_the_top_of_the_treated_support():
+    # f_T(x, t) = sigmoid(t_normalized) and f_C(x) = 0.5 on doses [2.2, 2.8]:
+    # unit uplift contrasts normalized intensity 1 (raw 2.8) with no treatment
+    W = np.zeros((3, 1))
+    W[2, 0] = 1.0
+    treated = [ad.Layer(ad.ParamTensor("t.W", W), ad.ParamTensor("t.b", np.zeros(1)), "sigmoid")]
+    control = [ad.Layer(ad.ParamTensor("c.W", np.zeros((2, 1))), ad.ParamTensor("c.b", np.zeros(1)),
+                        "sigmoid")]
+    model = bl.TLearnerModel(control, treated, t_min=2.2, t_max=2.8)
+    got = model.unit_uplift_scores(np.array([0.4, -1.0]))[0]
+    assert got == pytest.approx(expit(1.0) - 0.5, abs=1e-12)
 
 
 def test_baseline_round_trip(tmp_path, small_syn):

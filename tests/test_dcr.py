@@ -8,24 +8,22 @@ from unimvt import dcr
 from unimvt.errors import ConfigError
 
 
-def identity_expert(name, dim):
-    return [ad.Layer(ad.ParamTensor(f"{name}.W", np.eye(dim)),
-                     ad.ParamTensor(f"{name}.b", np.zeros(dim)), "linear")]
-
-
 def zero_gate(name, in_dim, n_experts):
     return [ad.Layer(ad.ParamTensor(f"{name}.W", np.zeros((in_dim, n_experts))),
                      ad.ParamTensor(f"{name}.b", np.zeros(n_experts)), "linear")]
 
 
+def single_layer_params(Wb, Ws, Wt):
+    """One linear expert per group, stacked in slot order base, shared, treated."""
+    W = np.stack([Wb, Ws, Wt])
+    layer = ad.Layer(ad.ParamTensor("dcr.l0.W", W),
+                     ad.ParamTensor("dcr.l0.b", np.zeros((3, 1, W.shape[2]))), "linear")
+    return dcr.DcrParams(input_dim=W.shape[1], experts=[layer],
+                         gate0=zero_gate("g0", W.shape[1], 3), gate_t=zero_gate("gt", W.shape[1], 3))
+
+
 def one_expert_identity_params(dim=2):
-    params = dcr.DcrParams(enabled=True, input_dim=dim)
-    params.base_experts.append(identity_expert("b0", dim))
-    params.shared_experts.append(identity_expert("s0", dim))
-    params.treated_experts.append(identity_expert("t0", dim))
-    params.gate0 = zero_gate("g0", dim, 3)
-    params.gate_t = zero_gate("gt", dim, 3)
-    return params
+    return single_layer_params(np.eye(dim), np.eye(dim), np.eye(dim))
 
 
 def test_uniform_gate_with_identity_experts():
@@ -40,33 +38,41 @@ def test_uniform_gate_with_identity_experts():
 
 def seeded_params(seed=0, input_dim=4):
     rng = np.random.default_rng(seed)
-    return dcr.init_dcr(rng, input_dim, dcr.DcrConfig(experts_per_group=2, hidden=8, out_dim=5))
+    return dcr.init_dcr(rng, input_dim, dcr.DcrConfig(experts_per_group=2, hidden=8, out_dim=5),
+                        False)
+
+
+def slot_grads(params, group):
+    """The gradient blocks of one expert group's slots, every stacked tensor."""
+    e = params.experts_per_group
+    return [p.grad[k] for p in ad.mlp_params(params.experts)
+            for k in range(group * e, (group + 1) * e)]
+
+
+def backward_of(task, seed, data_seed):
+    params = seeded_params(seed)
+    rng = np.random.default_rng(data_seed)
+    tape = ad.Tape()
+    out = dcr.dcr_forward(params, rng.standard_normal((6, 4)), tape)
+    ad.sum_all(getattr(out, task))
+    ad.backward(tape)
+    return params
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_gradient_blocking_u0_vs_treated(seed):
-    params = seeded_params(seed)
-    rng = np.random.default_rng(100 + seed)
-    tape = ad.Tape()
-    out = dcr.dcr_forward(params, rng.standard_normal((6, 4)), tape)
-    ad.sum_all(out.u0)
-    ad.backward(tape)
-    for p in params.expert_parameters("treated"):
-        assert np.all(p.grad == 0.0)
-    assert any(np.any(p.grad != 0.0) for p in params.expert_parameters("base"))
+    params = backward_of("u0", seed, 100 + seed)
+    assert all(np.all(g == 0.0) for g in slot_grads(params, dcr.TREATED))
+    for group in (dcr.BASE, dcr.SHARED):
+        assert all(np.any(g != 0.0) for g in slot_grads(params, group))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_gradient_blocking_ut_vs_base_but_shared_open(seed):
-    params = seeded_params(seed)
-    rng = np.random.default_rng(200 + seed)
-    tape = ad.Tape()
-    out = dcr.dcr_forward(params, rng.standard_normal((6, 4)), tape)
-    ad.sum_all(out.ut)
-    ad.backward(tape)
-    for p in params.expert_parameters("base"):
-        assert np.all(p.grad == 0.0)
-    assert any(np.any(p.grad != 0.0) for p in params.expert_parameters("shared"))
+    params = backward_of("ut", seed, 200 + seed)
+    assert all(np.all(g == 0.0) for g in slot_grads(params, dcr.BASE))
+    for group in (dcr.SHARED, dcr.TREATED):
+        assert all(np.any(g != 0.0) for g in slot_grads(params, group))
 
 
 def test_gate_weights_sum_to_one():
@@ -88,19 +94,6 @@ def test_dimension_mismatch_is_config_error():
 # ---------------------------------------------------------------------------
 # orthogonality penalty
 # ---------------------------------------------------------------------------
-
-def single_layer_params(Wb, Ws, Wt):
-    params = dcr.DcrParams(enabled=True, input_dim=Wb.shape[0])
-    def expert(name, W):
-        return [ad.Layer(ad.ParamTensor(f"{name}.W", W),
-                         ad.ParamTensor(f"{name}.b", np.zeros(W.shape[1])), "linear")]
-    params.base_experts.append(expert("b0", Wb))
-    params.shared_experts.append(expert("s0", Ws))
-    params.treated_experts.append(expert("t0", Wt))
-    params.gate0 = zero_gate("g0", Wb.shape[0], 3)
-    params.gate_t = zero_gate("gt", Wb.shape[0], 3)
-    return params
-
 
 def test_orth_penalty_zero_for_orthogonal_columns():
     params = single_layer_params(
@@ -144,17 +137,8 @@ def test_orth_penalty_nonnegative_and_differentiable():
         return dcr.orth_penalty(params, tape)
 
     assert float(loss_fn().value) >= 0.0
-    weights = [p for p in params.parameters() if p.name.endswith(".W")]
-    assert ad.finite_diff_check(loss_fn, weights[:4], eps=1e-6) < 1e-6
-
-
-def test_orth_penalty_incompatible_shapes():
-    params = single_layer_params(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
-    params.treated_experts[0] = [
-        ad.Layer(ad.ParamTensor("t0.W", np.ones((3, 2))), ad.ParamTensor("t0.b", np.zeros(2)))
-    ]
-    with pytest.raises(ConfigError):
-        dcr.orth_penalty(params, ad.Tape())
+    weights = [layer.W for layer in params.experts]
+    assert ad.finite_diff_check(loss_fn, weights, eps=1e-6) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +147,8 @@ def test_orth_penalty_incompatible_shapes():
 
 def test_disabled_dcr_collapses_to_shared_mlp():
     rng = np.random.default_rng(5)
-    cfg = dcr.DcrConfig(experts_per_group=2, hidden=8, out_dim=5, enabled=False)
-    params = dcr.init_dcr(rng, 4, cfg)
+    cfg = dcr.DcrConfig(experts_per_group=2, hidden=8, out_dim=5)
+    params = dcr.init_dcr(rng, 4, cfg, True)
     x = rng.standard_normal((3, 4))
     tape = ad.Tape()
     out = dcr.dcr_forward(params, x, tape)

@@ -10,6 +10,7 @@ from scipy.special import expit
 
 from unimvt import autodiff as ad
 from unimvt import datagen as dg
+from unimvt import dcr
 from unimvt import htenet as ht
 from unimvt.config import AblationConfig, ExperimentConfig, LossWeights, TrainConfig
 from unimvt.dcr import DcrConfig
@@ -43,6 +44,25 @@ def tiny_batch(seed=0, n=16, input_dim=5):
     t = np.where(w == 1, rng.uniform(1.0, 3.0, size=n), 0.0)
     y = rng.integers(0, 2, size=n)
     return X, w, t, y
+
+
+def test_build_model_draws_dcr_experts_one_mlp_at_a_time():
+    # the stacked DCR weights hold the draws of one MLP per expert in slot
+    # order, and the rest of the init stream follows them unchanged
+    cfg = ExperimentConfig()
+    model = ht.build_model(cfg, input_dim=5, t_min=1.0, t_max=3.0, seed=4)
+    rng = np.random.default_rng(4)
+    n_slots = 3 * cfg.dcr.experts_per_group
+    experts = [ad.init_mlp(rng, f"expert{k}", (5, cfg.dcr.hidden, cfg.dcr.out_dim))
+               for k in range(n_slots)]
+    for i, layer in enumerate(model.dcr.experts):
+        np.testing.assert_array_equal(layer.W.values, np.stack([e[i].W.values for e in experts]))
+        assert np.all(layer.b.values == 0.0)
+    for gate in (model.dcr.gate0, model.dcr.gate_t):
+        np.testing.assert_array_equal(gate[0].W.values, ad.glorot_uniform(rng, 5, n_slots))
+    tower = ad.init_mlp(rng, "base_tower", (model.dcr.output_dim, *cfg.net.tower_hidden, 1))
+    for got, want in zip(model.hte.base_tower, tower):
+        np.testing.assert_array_equal(got.W.values, want.W.values)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +247,19 @@ def scalar_oracle_loss(model, X, w, t, y, weights):
         return h
 
     hte, dcrp = model.hte, model.dcr
-    outs = {g: [mlp_np(e, X) for e in getattr(dcrp, f"{g}_experts")]
-            for g in ("base", "shared", "treated")}
+    n_slots = dcrp.experts[0].W.shape[0]
+    # slot k of the stacked DCR layers, read back as one expert's MLP
+    experts = [[ad.Layer(ad.ParamTensor("W", layer.W.values[k]),
+                         ad.ParamTensor("b", layer.b.values[k, 0]), layer.activation)
+                for layer in dcrp.experts] for k in range(n_slots)]
+    outs = [mlp_np(e, X) for e in experts]
     def gated(gate_layers):
         logits = mlp_np(gate_layers, X)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         gw = e / e.sum(axis=1, keepdims=True)
-        blocks, slot = [], 0
-        for g in ("base", "shared", "treated"):
-            for out in outs[g]:
-                blocks.append(gw[:, slot : slot + 1] * out)
-                slot += 1
+        blocks = []
+        for slot, out in enumerate(outs):
+            blocks.append(gw[:, slot : slot + 1] * out)
         return np.concatenate(blocks, axis=1)
 
     u0, ut = gated(dcrp.gate0), gated(dcrp.gate_t)
@@ -274,7 +296,8 @@ def scalar_oracle_loss(model, X, w, t, y, weights):
     p_base_cf = expit(lg(pt) - tau)
     l_x = ((y[trt] - p_treat_cf[trt]) ** 2).sum() + ((y[ctrl] - p_base_cf[ctrl]) ** 2).sum()
     r_orth = 0.0
-    groups = dcrp.expert_groups
+    per_group = n_slots // 3
+    groups = [experts[g * per_group : (g + 1) * per_group] for g in range(3)]
     for gi in range(3):
         for gj in range(gi + 1, 3):
             for ei in groups[gi]:
@@ -314,6 +337,13 @@ def test_joint_loss_total_is_weighted_component_sum():
 # stop-gradient blocking through the full loss
 # ---------------------------------------------------------------------------
 
+def slot_grads(params, group):
+    """The gradient blocks of one expert group's slots, every stacked tensor."""
+    e = params.experts_per_group
+    return [p.grad[k] for p in ad.mlp_params(params.experts)
+            for k in range(group * e, (group + 1) * e)]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_base_loss_never_trains_treated_experts(seed):
     model = tiny_model(seed=seed)
@@ -322,8 +352,9 @@ def test_base_loss_never_trains_treated_experts(seed):
     ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte,
                          LossWeights(1.0, 0, 0, 0, 0), tape)
     ad.backward(tape)
-    for p in model.dcr.expert_parameters("treated"):
-        assert np.all(p.grad == 0.0)
+    assert all(np.all(g == 0.0) for g in slot_grads(model.dcr, dcr.TREATED))
+    for group in (dcr.BASE, dcr.SHARED):
+        assert all(np.any(g != 0.0) for g in slot_grads(model.dcr, group))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -334,8 +365,9 @@ def test_treat_loss_never_trains_base_experts(seed):
     ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte,
                          LossWeights(0, 1.0, 0, 0, 0), tape)
     ad.backward(tape)
-    for p in model.dcr.expert_parameters("base"):
-        assert np.all(p.grad == 0.0)
+    assert all(np.all(g == 0.0) for g in slot_grads(model.dcr, dcr.BASE))
+    for group in (dcr.SHARED, dcr.TREATED):
+        assert all(np.any(g != 0.0) for g in slot_grads(model.dcr, group))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -14,7 +14,7 @@ from unimvt.errors import ConfigError
 
 HEADER_KEYS = {
     "unimvt": ["kind", "input_dim", "t_min", "t_max", "dcr.experts_per_group", "dcr.hidden",
-               "dcr.out_dim", "dcr.enabled", "net.tower_hidden", "net.head_hidden",
+               "dcr.out_dim", "net.tower_hidden", "net.head_hidden",
                "ablate.dcr", "ablate.xnet", "ablate.treat_tower"],
     "tlearner": ["kind", "t_min", "t_max", "dims.tlearner.control", "dims.tlearner.treated"],
 }
@@ -63,3 +63,12 @@ def test_corrupt_parameter_is_named(tmp_path):
         path.write_text("\n".join(edited) + "\n")
         with pytest.raises(ConfigError, match=re.escape(name)):
             bl.load_baseline(path)
+
+
+def test_per_expert_model_file_names_the_missing_stacked_tensor(tmp_path):
+    # files that stored one tensor per DCR expert lack the stacked dcr.l{i} tensors
+    path = tmp_path / "model.txt"
+    lines = [line for line in save("unimvt", path) if not line.startswith("param.dcr.l")]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape("param.dcr.l0.W")):
+        ht.load_model(path)
