@@ -7,8 +7,18 @@ operator, an Adam optimizer and a central-difference gradient checker.
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
 ``(K, ...)`` stacks of K same-shaped layers' weights and outputs. A ``Tape``
-records every primitive in creation order; ``backward`` replays it once in
+records every primitive in creation order through its methods
+(``tape.affine(x, W, b)``, ``tape.relu(h)``); ``backward`` replays it once in
 reverse, so creation order doubles as the topological order.
+
+Who owns what: a ``ParamTensor`` owns its values and its accumulated
+gradient and outlives every tape. A ``Tape`` owns its nodes. A ``Node``
+holds its value, its parents, the vjp that maps its gradient to theirs and,
+for a parameter leaf, its ``ParamTensor``; it refers to no tape and holds no
+gradient. The gradients of one ``backward`` call live in that call.
+References thus run one way, from a tape to its nodes and from a node to
+its parents, so a spent tape is freed by reference counting as soon as its
+last reference goes. The module holds no mutable state.
 """
 from __future__ import annotations
 
@@ -51,36 +61,59 @@ class ParamTensor:
 
 
 class Node:
-    """One tape entry: a value plus the recipe for pushing gradients to parents."""
+    """One tape entry: a value plus the recipe for pushing gradients to parents.
 
-    __slots__ = ("tape", "value", "parents", "vjp", "param", "grad")
+    A node with parents but no vjp is a stop-gradient: backward passes
+    nothing through it.
+    """
 
-    def __init__(self, tape, value, parents=(), vjp=None, param=None):
-        self.tape = tape
+    __slots__ = ("value", "parents", "vjp", "param")
+
+    def __init__(self, value, parents=(), vjp=None, param=None):
         self.value = value
         self.parents = parents
         self.vjp = vjp
         self.param = param
-        self.grad = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return np.shape(self.value)
 
 
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcasted gradient back down to the original operand shape."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
 class Tape:
-    """Ordered record of forward primitives, replayed in reverse by backward()."""
+    """Ordered record of forward primitives, replayed in reverse by backward().
+
+    The primitives are its methods. Each records one node whose parents must
+    have been recorded on this tape (UsageError otherwise); the binary
+    arithmetic primitives also take arrays and scalars, recorded as constants.
+    No vjp closes over the tape, so references run one way.
+    """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
+        self._ids: set[int] = set()  # of self.nodes, which the tape keeps alive
         self._param_nodes: dict[int, Node] = {}
 
     def record(self, value, parents=(), vjp=None, param=None) -> Node:
+        for parent in parents:
+            if id(parent) not in self._ids:
+                raise UsageError("operand is not a node recorded on this tape")
         value = np.asarray(value)
         if value.dtype.kind != "f":
             value = value.astype(np.float64)
-        node = Node(self, value, tuple(parents), vjp, param)
+        node = Node(value, tuple(parents), vjp, param)
         self.nodes.append(node)
+        self._ids.add(id(node))
         return node
 
     def constant(self, values) -> Node:
@@ -95,276 +128,192 @@ class Tape:
             self._param_nodes[id(p)] = node
         return node
 
+    def _lift(self, x) -> Node:
+        return x if isinstance(x, Node) else self.constant(x)
 
-def _lift(tape: Tape, x) -> Node:
-    if isinstance(x, Node):
-        if x.tape is not tape:
-            raise UsageError("operands live on different tapes")
-        return x
-    return tape.constant(x)
+    # -- primitives ---------------------------------------------------------
 
-
-def _tape_of(*args) -> Tape:
-    for a in args:
-        if isinstance(a, Node):
-            return a.tape
-    raise UsageError("at least one operand must be a tape node")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcasted gradient back down to the original operand shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# primitives
-# ---------------------------------------------------------------------------
-
-def add(a, b) -> Node:
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    sa, sb = np.shape(a.value), np.shape(b.value)
-    return tape.record(
-        a.value + b.value, (a, b),
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
-    )
-
-
-def sub(a, b) -> Node:
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    sa, sb = np.shape(a.value), np.shape(b.value)
-    return tape.record(
-        a.value - b.value, (a, b),
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
-    )
-
-
-def mul(a, b) -> Node:
-    """Elementwise product with numpy broadcasting."""
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    sa, sb = np.shape(a.value), np.shape(b.value)
-    av, bv = a.value, b.value
-    return tape.record(
-        av * bv, (a, b),
-        lambda g: (_unbroadcast(g * bv, sa), _unbroadcast(g * av, sb)),
-    )
-
-
-def scale(a: Node, c: float) -> Node:
-    c = float(c)
-    return a.tape.record(a.value * c, (a,), lambda g: (g * c,))
-
-
-def matmul(a: Node, b: Node) -> Node:
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
-    return tape.record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
-
-
-def transpose(a: Node) -> Node:
-    return a.tape.record(a.value.T, (a,), lambda g: (g.T,))
-
-
-def affine(x: Node, w: Node, b: Node) -> Node:
-    """x @ W + b with b broadcast over rows. A weight with a leading stack
-    axis, (K, in, out) with bias (K, 1, out), applies K layers at once and
-    gives (K, rows, out); x is then (rows, in) or already stacked."""
-    xv, wv = x.value, w.value
-    if xv.shape[-1] != wv.shape[-2]:
-        raise ConfigError(
-            f"affine input width {xv.shape[-1]} does not match weight rows {wv.shape[-2]}"
-        )
-    # the vjp closes over the two arrays alone: every object it holds lives
-    # as long as the tape, which only the cyclic collector frees
-    return x.tape.record(
-        xv @ wv + b.value, (x, w, b),
-        lambda g: (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape),
-                   _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape),
-                   g.sum(axis=-2, keepdims=g.ndim > 2)),
-    )
-
-
-def relu(a: Node) -> Node:
-    mask = a.value > 0.0
-    return a.tape.record(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
-
-
-def sigmoid(a: Node) -> Node:
-    s = _stable_sigmoid(a.value)
-    return a.tape.record(s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def softmax(a: Node) -> Node:
-    """Row-wise softmax (max-shifted for stability)."""
-    z = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - inner),)
-
-    return a.tape.record(s, (a,), vjp)
-
-
-def absolute(a: Node) -> Node:
-    sign = np.sign(a.value)
-    return a.tape.record(np.abs(a.value), (a,), lambda g: (g * sign,))
-
-
-def square(a: Node) -> Node:
-    av = a.value
-    return a.tape.record(av * av, (a,), lambda g: (2.0 * g * av,))
-
-
-def logit(a: Node) -> Node:
-    """Inverse sigmoid on probabilities clamped into [PROB_EPS, 1 - PROB_EPS]."""
-    p = np.clip(a.value, PROB_EPS, 1.0 - PROB_EPS)
-    inside = (a.value > PROB_EPS) & (a.value < 1.0 - PROB_EPS)
-    return a.tape.record(
-        np.log(p) - np.log1p(-p), (a,),
-        lambda g: (g * inside / (p * (1.0 - p)),),
-    )
-
-
-def concat(nodes: Sequence[Node], axis: int = 1) -> Node:
-    tape = nodes[0].tape
-    widths = [n.value.shape[axis] for n in nodes]
-    offsets = np.cumsum([0] + widths)
-
-    def vjp(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(nodes))
+    def add(self, a, b) -> Node:
+        a, b = self._lift(a), self._lift(b)
+        sa, sb = np.shape(a.value), np.shape(b.value)
+        return self.record(
+            a.value + b.value, (a, b),
+            lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
         )
 
-    return tape.record(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), vjp)
+    def sub(self, a, b) -> Node:
+        a, b = self._lift(a), self._lift(b)
+        sa, sb = np.shape(a.value), np.shape(b.value)
+        return self.record(
+            a.value - b.value, (a, b),
+            lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
+        )
+
+    def mul(self, a, b) -> Node:
+        """Elementwise product with numpy broadcasting."""
+        a, b = self._lift(a), self._lift(b)
+        sa, sb = np.shape(a.value), np.shape(b.value)
+        av, bv = a.value, b.value
+        return self.record(
+            av * bv, (a, b),
+            lambda g: (_unbroadcast(g * bv, sa), _unbroadcast(g * av, sb)),
+        )
+
+    def scale(self, a: Node, c: float) -> Node:
+        c = float(c)
+        return self.record(a.value * c, (a,), lambda g: (g * c,))
+
+    def matmul(self, a, b) -> Node:
+        a, b = self._lift(a), self._lift(b)
+        av, bv = a.value, b.value
+        return self.record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+
+    def transpose(self, a: Node) -> Node:
+        return self.record(a.value.T, (a,), lambda g: (g.T,))
+
+    def affine(self, x: Node, w: Node, b: Node) -> Node:
+        """x @ W + b with b broadcast over rows. A weight with a leading stack
+        axis, (K, in, out) with bias (K, 1, out), applies K layers at once and
+        gives (K, rows, out); x is then (rows, in) or already stacked."""
+        xv, wv = x.value, w.value
+        if xv.shape[-1] != wv.shape[-2]:
+            raise ConfigError(
+                f"affine input width {xv.shape[-1]} does not match weight rows {wv.shape[-2]}"
+            )
+        return self.record(
+            xv @ wv + b.value, (x, w, b),
+            lambda g: (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape),
+                       _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape),
+                       g.sum(axis=-2, keepdims=g.ndim > 2)),
+        )
+
+    def relu(self, a: Node) -> Node:
+        mask = a.value > 0.0
+        return self.record(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+
+    def sigmoid(self, a: Node) -> Node:
+        s = _stable_sigmoid(a.value)
+        return self.record(s, (a,), lambda g: (g * s * (1.0 - s),))
+
+    def softmax(self, a: Node) -> Node:
+        """Row-wise softmax (max-shifted for stability)."""
+        z = a.value - a.value.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        s = e / e.sum(axis=1, keepdims=True)
+
+        def vjp(g):
+            inner = (g * s).sum(axis=1, keepdims=True)
+            return (s * (g - inner),)
+
+        return self.record(s, (a,), vjp)
+
+    def absolute(self, a: Node) -> Node:
+        sign = np.sign(a.value)
+        return self.record(np.abs(a.value), (a,), lambda g: (g * sign,))
+
+    def square(self, a: Node) -> Node:
+        av = a.value
+        return self.record(av * av, (a,), lambda g: (2.0 * g * av,))
+
+    def logit(self, a: Node) -> Node:
+        """Inverse sigmoid on probabilities clamped into [PROB_EPS, 1 - PROB_EPS]."""
+        p = np.clip(a.value, PROB_EPS, 1.0 - PROB_EPS)
+        inside = (a.value > PROB_EPS) & (a.value < 1.0 - PROB_EPS)
+        return self.record(
+            np.log(p) - np.log1p(-p), (a,),
+            lambda g: (g * inside / (p * (1.0 - p)),),
+        )
+
+    def concat(self, nodes: Sequence[Node], axis: int = 1) -> Node:
+        widths = [n.value.shape[axis] for n in nodes]
+        offsets = np.cumsum([0] + widths)
+
+        def vjp(g):
+            return tuple(
+                np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
+                for i in range(len(nodes))
+            )
+
+        return self.record(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), vjp)
+
+    def gate_merge(self, gate: Node, experts: Node) -> Node:
+        """Gate-weighted experts side by side: gate (rows, K) and stacked expert
+        outputs (K, rows, d) give the (rows, K * d) matrix whose block k is
+        gate[:, k:k+1] * experts[k]."""
+        ev = experts.value
+        k, n, d = ev.shape
+        weights = gate.value.T[:, :, None]
+
+        def vjp(g):
+            blocks = g.reshape(n, k, d).transpose(1, 0, 2)
+            return (blocks * ev).sum(axis=2).T, blocks * weights
+
+        return self.record((weights * ev).transpose(1, 0, 2).reshape(n, k * d),
+                           (gate, experts), vjp)
+
+    def slot_columns(self, a: Node, start: int, stop: int) -> Node:
+        """Slots start..stop-1 of a stacked (K, rows, cols) tensor side by side,
+        as one (rows, (stop - start) * cols) matrix."""
+        av = a.value
+        _, rows, cols = av.shape
+
+        def vjp(g):
+            out = np.zeros(av.shape)
+            out[start:stop] = g.reshape(rows, stop - start, cols).transpose(1, 0, 2)
+            return (out,)
+
+        return self.record(av[start:stop].transpose(1, 0, 2).reshape(rows, -1), (a,), vjp)
+
+    def stop_gradient(self, a: Node) -> Node:
+        """Forward identity whose backward contribution is exactly zero."""
+        return self.record(a.value, (a,))
+
+    def sum_all(self, a: Node) -> Node:
+        shape = a.value.shape
+        return self.record(a.value.sum(), (a,), lambda g: (np.full(shape, float(g)),))
+
+    def binary_cross_entropy(self, y, p: Node) -> Node:
+        """Per-element -[y log p + (1-y) log(1-p)] with the standard probability clamp.
+
+        Fused primitive: one tape node, gradient (p - y) / (p (1 - p)) where the
+        clamp does not bind, zero where it does.
+        """
+        yv = np.asarray(y, dtype=np.float64)
+        pv = p.value
+        pc = np.clip(pv, PROB_EPS, 1.0 - PROB_EPS)
+        inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
+        value = -(yv * np.log(pc) + (1.0 - yv) * np.log1p(-pc))
+        return self.record(value, (p,),
+                           lambda g: (g * inside * (pc - yv) / (pc * (1.0 - pc)),))
 
 
-def gate_merge(gate: Node, experts: Node) -> Node:
-    """Gate-weighted experts side by side: gate (rows, K) and stacked expert
-    outputs (K, rows, d) give the (rows, K * d) matrix whose block k is
-    gate[:, k:k+1] * experts[k]."""
-    ev = experts.value
-    k, n, d = ev.shape
-    weights = gate.value.T[:, :, None]
-
-    def vjp(g):
-        blocks = g.reshape(n, k, d).transpose(1, 0, 2)
-        return (blocks * ev).sum(axis=2).T, blocks * weights
-
-    return gate.tape.record((weights * ev).transpose(1, 0, 2).reshape(n, k * d),
-                            (gate, experts), vjp)
-
-
-def slot_columns(a: Node, start: int, stop: int) -> Node:
-    """Slots start..stop-1 of a stacked (K, rows, cols) tensor side by side,
-    as one (rows, (stop - start) * cols) matrix."""
-    av = a.value
-    _, rows, cols = av.shape
-
-    def vjp(g):
-        out = np.zeros(av.shape)
-        out[start:stop] = g.reshape(rows, stop - start, cols).transpose(1, 0, 2)
-        return (out,)
-
-    return a.tape.record(av[start:stop].transpose(1, 0, 2).reshape(rows, -1), (a,), vjp)
-
-
-class _SgFreeze:
-    """Record/replay of stop-gradient outputs for the gradient checker.
-
-    A stop-gradient makes the tape's gradient intentionally differ from the
-    true derivative of the forward function, so central differences of the
-    raw loss cannot match it. Freezing pins every stop-gradient output at its
-    unperturbed value during the perturbed evaluations, which turns the
-    finite difference into the derivative the tape actually defines.
-    """
-
-    __slots__ = ("mode", "values", "idx")
-
-    def __init__(self) -> None:
-        self.mode = None  # None | "record" | "replay"
-        self.values: list[np.ndarray] = []
-        self.idx = 0
-
-    def reset(self) -> None:
-        self.mode, self.values, self.idx = None, [], 0
-
-
-_SG_FREEZE = _SgFreeze()
-
-
-def stop_gradient(a: Node) -> Node:
-    """Forward identity whose backward contribution is exactly zero."""
-    value = a.value
-    fz = _SG_FREEZE
-    if fz.mode == "record":
-        fz.values.append(np.array(value, copy=True))
-    elif fz.mode == "replay":
-        if fz.idx >= len(fz.values):
-            raise UsageError("stop-gradient replay saw more SG nodes than were recorded")
-        value = fz.values[fz.idx]
-        fz.idx += 1
-    return a.tape.record(value, (a,), lambda g: (None,))
-
-
-def sum_all(a: Node) -> Node:
-    shape = a.value.shape
-    return a.tape.record(a.value.sum(), (a,), lambda g: (np.full(shape, float(g)),))
-
-
-def binary_cross_entropy(y, p: Node) -> Node:
-    """Per-element -[y log p + (1-y) log(1-p)] with the standard probability clamp.
-
-    Fused primitive: one tape node, gradient (p - y) / (p (1 - p)) where the
-    clamp does not bind, zero where it does.
-    """
-    yv = np.asarray(y, dtype=np.float64)
-    pv = p.value
-    pc = np.clip(pv, PROB_EPS, 1.0 - PROB_EPS)
-    inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
-    value = -(yv * np.log(pc) + (1.0 - yv) * np.log1p(-pc))
-    return p.tape.record(value, (p,), lambda g: (g * inside * (pc - yv) / (pc * (1.0 - pc)),))
-
-
-def backward(tape: Tape, loss_seed: float = 1.0) -> None:
+def backward(tape: Tape) -> None:
     """Replay the tape in reverse, accumulating d(loss)/d(param) into ParamTensor.grad.
 
     The tape must end in a scalar node (the loss). Each node is visited
-    exactly once; stop-gradient nodes propagate nothing upstream. A node's
-    gradient is dropped once it has reached the node's parents: a spent tape
-    is a reference cycle (tape -> node -> tape) that only the cyclic
-    collector frees, so it should hold no more than its forward values.
+    exactly once; stop-gradient nodes propagate nothing upstream. The
+    gradients live in this call alone, each dropped once it has reached the
+    node's parents.
     """
     if not tape.nodes:
         raise UsageError("backward called before any forward computation")
     last = tape.nodes[-1]
     if np.size(last.value) != 1:
         raise UsageError(f"tape must end in a scalar node, got shape {last.shape}")
-    last.grad = np.full_like(np.asarray(last.value), float(loss_seed))
+    grads = {id(last): np.full_like(last.value, 1.0)}
     for node in reversed(tape.nodes):
-        g, node.grad = node.grad, None
+        g = grads.pop(id(node), None)
         if g is None:
             continue
         if node.param is not None:
             node.param.grad += g
         if node.vjp is not None:
             for parent, pg in zip(node.parents, node.vjp(g)):
-                if pg is None:
-                    continue
-                if parent.grad is None:
-                    parent.grad = np.array(pg, dtype=np.float64)
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
                 else:
-                    parent.grad = parent.grad + pg
+                    grads[key] = np.array(pg, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -420,28 +369,20 @@ def mlp_params(layers: Sequence[Layer]) -> list[ParamTensor]:
     return out
 
 
-def mlp_forward(layers: Sequence[Layer], x, tape: Tape | None = None) -> Node:
-    """Run a layer stack; raises NumericError (with layer index) on non-finite output."""
-    if isinstance(x, Node):
-        tape = x.tape
-    elif tape is None:
-        raise UsageError("mlp_forward needs a tape when the input is a plain array")
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-        x = tape.constant(x)
+def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
+    """Run a layer stack on x, a node of tape; raises NumericError (with layer
+    index) on non-finite output."""
     h = x
     for i, layer in enumerate(layers):
         if h.value.shape[-1] != layer.W.shape[-2]:
             raise ConfigError(
                 f"layer {i} expects input width {layer.W.shape[-2]}, got {h.value.shape[-1]}"
             )
-        h = affine(h, tape.param(layer.W), tape.param(layer.b))
+        h = tape.affine(h, tape.param(layer.W), tape.param(layer.b))
         if layer.activation == "relu":
-            h = relu(h)
+            h = tape.relu(h)
         elif layer.activation == "sigmoid":
-            h = sigmoid(h)
+            h = tape.sigmoid(h)
         # a non-finite entry poisons the sum, so one reduction guards the layer
         if not math.isfinite(h.value.sum()):
             raise NumericError(f"non-finite activation after layer {i}")
@@ -495,15 +436,44 @@ def optimizer_step(params: Sequence[ParamTensor], state: OptimizerState) -> None
 # gradient checking
 # ---------------------------------------------------------------------------
 
+class _PinnedTape(Tape):
+    """A tape whose stop-gradient outputs are pinned for the gradient checker.
+
+    A stop-gradient makes the tape's gradient intentionally differ from the
+    true derivative of the forward function, so central differences of the
+    raw loss cannot match it. Built on an empty list, the tape appends a copy
+    of every stop-gradient output to it; built on the filled list, it outputs
+    the recorded values in order. Pinning them during the perturbed
+    evaluations turns the finite difference into the derivative the tape
+    actually defines.
+    """
+
+    def __init__(self, pinned: list) -> None:
+        super().__init__()
+        self._pinned = pinned
+        self._replaying = bool(pinned)
+        self._used = 0
+
+    def stop_gradient(self, a: Node) -> Node:
+        if not self._replaying:
+            self._pinned.append(np.array(a.value, copy=True))
+        elif self._used == len(self._pinned):
+            raise UsageError("stop-gradient replay saw more SG nodes than were recorded")
+        self._used += 1
+        return self.record(self._pinned[self._used - 1], (a,))
+
+
 def finite_diff_check(
-    loss_fn: Callable[[], Node],
+    loss_fn: Callable[[Tape], Node],
     params: Sequence[ParamTensor],
     eps: float = 1e-5,
 ) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    ``loss_fn`` must rebuild the loss on a fresh tape at every call and return
-    the scalar loss node. The relative error for one parameter entry is
+    ``loss_fn(tape)`` must build the loss on the tape it is given, through
+    that tape's methods, and return the scalar loss node; the checker calls
+    it once per evaluation, each time with a fresh tape it builds itself.
+    The relative error for one parameter entry is
     |analytic - cd| / max(|analytic|, |cd|, 1e-8); the max over all entries of
     all params is returned. This routine never trusts the tape for the
     reference values: it only re-evaluates the forward pass.
@@ -521,62 +491,53 @@ def finite_diff_check(
     """
     if eps <= 0:
         raise ConfigError("finite difference step must be positive")
-    fz = _SG_FREEZE
-    fz.reset()
-    fz.mode = "record"
+    pinned: list[np.ndarray] = []
+    for p in params:
+        p.zero_grad()
+    tape = _PinnedTape(pinned)
+    loss_fn(tape)
+    backward(tape)
+    analytic = {p.name: p.grad.copy() for p in params}
+    for p in params:
+        p.zero_grad()
+
+    def loss_at(flat, i, value):
+        flat[i] = value
+        return loss_fn(_PinnedTape(pinned)).value
+
     recheck: list = []
-    try:
-        for p in params:
-            p.zero_grad()
-        node = loss_fn()
-        backward(node.tape, 1.0)
-        analytic = {p.name: p.grad.copy() for p in params}
-        for p in params:
-            p.zero_grad()
-        fz.mode = "replay"
+    worst = 0.0
+    for p in params:
+        flat = p.values.reshape(-1)
+        ref = analytic[p.name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            lp = float(loss_at(flat, i, orig + eps))
+            lm = float(loss_at(flat, i, orig - eps))
+            flat[i] = orig
+            cd = (lp - lm) / (2.0 * eps)
+            denom = max(abs(ref[i]), abs(cd), 1e-8)
+            rel = abs(ref[i] - cd) / denom
+            if rel > 1e-7 and np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+                recheck.append((p, i, ref[i]))
+            else:
+                worst = max(worst, rel)
 
-        worst = 0.0
+    if recheck:
+        originals = {id(p): p.values for p in params}
         for p in params:
-            flat = p.values.reshape(-1)
-            ref = analytic[p.name].reshape(-1)
-            for i in range(flat.size):
+            p.values = p.values.astype(np.longdouble)
+        try:
+            for p, i, a in recheck:
+                flat = p.values.reshape(-1)
                 orig = flat[i]
-                flat[i] = orig + eps
-                fz.idx = 0
-                lp = float(loss_fn().value)
-                flat[i] = orig - eps
-                fz.idx = 0
-                lm = float(loss_fn().value)
+                lp = loss_at(flat, i, orig + eps)
+                lm = loss_at(flat, i, orig - eps)
                 flat[i] = orig
-                cd = (lp - lm) / (2.0 * eps)
-                denom = max(abs(ref[i]), abs(cd), 1e-8)
-                rel = abs(ref[i] - cd) / denom
-                if rel > 1e-7 and np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
-                    recheck.append((p, i, ref[i]))
-                else:
-                    worst = max(worst, rel)
-
-        if recheck:
-            originals = {id(p): p.values for p in params}
+                cd = float((lp - lm) / np.longdouble(2.0 * eps))
+                denom = max(abs(a), abs(cd), 1e-8)
+                worst = max(worst, abs(a - cd) / denom)
+        finally:
             for p in params:
-                p.values = p.values.astype(np.longdouble)
-            try:
-                for p, i, a in recheck:
-                    flat = p.values.reshape(-1)
-                    orig = flat[i]
-                    flat[i] = orig + eps
-                    fz.idx = 0
-                    lp = loss_fn().value
-                    flat[i] = orig - eps
-                    fz.idx = 0
-                    lm = loss_fn().value
-                    flat[i] = orig
-                    cd = float((lp - lm) / np.longdouble(2.0 * eps))
-                    denom = max(abs(a), abs(cd), 1e-8)
-                    worst = max(worst, abs(a - cd) / denom)
-            finally:
-                for p in params:
-                    p.values = originals[id(p)]
-    finally:
-        fz.reset()
+                p.values = originals[id(p)]
     return worst

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kvfile
-from .config import ExperimentConfig, resolve_seed
+from .config import ExperimentConfig
 from .datagen import Dataset, dataset_arrays
 from .errors import ConfigError, NumericError, UsageError
 
@@ -25,7 +25,7 @@ def _normalize_t(t, t_min: float, t_max: float):
 
 def _mlp_predict(layers, inputs: np.ndarray) -> np.ndarray:
     tape = ad.Tape()
-    return ad.mlp_forward(layers, inputs, tape).value.reshape(-1)
+    return ad.mlp_forward(layers, tape.constant(inputs), tape).value.reshape(-1)
 
 
 def _fit_binary_mlp(layers, inputs, labels, cfg: ExperimentConfig, rng) -> None:
@@ -39,8 +39,8 @@ def _fit_binary_mlp(layers, inputs, labels, cfg: ExperimentConfig, rng) -> None:
         for start in range(0, n, cfg.train.batch):
             idx = perm[start : start + cfg.train.batch]
             tape = ad.Tape()
-            p = ad.mlp_forward(layers, inputs[idx], tape)
-            total = ad.sum_all(ad.binary_cross_entropy(y_col[idx], p))
+            p = ad.mlp_forward(layers, tape.constant(inputs[idx]), tape)
+            total = tape.sum_all(tape.binary_cross_entropy(y_col[idx], p))
             if not np.isfinite(total.value):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} batch {start // cfg.train.batch}"
@@ -110,8 +110,7 @@ def train_slearner(dataset: Dataset, cfg: ExperimentConfig) -> SLearnerModel:
     if X.shape[0] == 0:
         raise UsageError("training needs a nonempty dataset")
     t_min, t_max = _t_bounds(w, t)
-    seed = resolve_seed(cfg)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.train.seed)
     dims = (X.shape[1] + 1, *cfg.net.tower_hidden, 1)
     net = ad.init_mlp(rng, "slearner", dims, out_activation="sigmoid")
     inputs = np.column_stack([X, _normalize_t(t, t_min, t_max)])
@@ -125,8 +124,7 @@ def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
     if not ctrl.any() or not trt.any():
         raise ConfigError("T-Learner needs both control and treated rows")
     t_min, t_max = _t_bounds(w, t)
-    seed = resolve_seed(cfg)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.train.seed)
     control_net = ad.init_mlp(rng, "tlearner.control", (X.shape[1], *cfg.net.tower_hidden, 1),
                               out_activation="sigmoid")
     treated_net = ad.init_mlp(rng, "tlearner.treated", (X.shape[1] + 1, *cfg.net.tower_hidden, 1),

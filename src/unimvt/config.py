@@ -7,14 +7,11 @@ e.g. ``loss.lambda_base``, ``train.epochs``, ``ablate.xnet``, ``dcr.hidden``,
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields, replace
 
 from . import kvfile
 from .dcr import DcrConfig
 from .errors import ConfigError
-
-SEED_ENV_VAR = "UNIMVT_SEED"
 
 
 @dataclass
@@ -44,7 +41,7 @@ class TrainConfig:
     epochs: int = 6
     batch: int = 256
     lr: float = 1e-3
-    seed: int | None = None  # falls back to $UNIMVT_SEED, then 0
+    seed: int = 0
 
 
 @dataclass
@@ -68,18 +65,6 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def resolve_seed(cfg: ExperimentConfig) -> int:
-    if cfg.train.seed is not None:
-        return cfg.train.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
-
-
 _SECTIONS = ("dcr", "net", "loss", "train", "ablate")
 
 
@@ -93,7 +78,7 @@ def _parse_value(current, raw: str, key: str):
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if isinstance(current, tuple):
         return tuple(int(v) for v in raw.split(",") if v.strip())
-    if isinstance(current, int) or current is None:  # None only for train.seed
+    if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
         return float(raw)

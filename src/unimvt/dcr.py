@@ -100,38 +100,34 @@ def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig,
                      gate_t=ad.init_mlp(rng, "dcr.gate_t", (input_dim, n_slots)))
 
 
-def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape | None = None) -> DcrOutput:
-    """Produce the per-task representations for a batch of embedded features.
+def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> DcrOutput:
+    """Produce the per-task representations for a batch of embedded features,
+    x, a node of tape.
 
     u0 weights CONCAT(base, shared, SG(treated)); ut weights
     CONCAT(SG(base), shared, treated). Gate weights are softmax outputs over
     expert slots, applied as per-expert scalars on each output block.
     """
-    if not isinstance(x, ad.Node):
-        if tape is None:
-            raise ConfigError("dcr_forward needs a tape for plain array input")
-        x = tape.constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     if x.value.shape[1] != params.input_dim:
         raise ConfigError(
             f"dcr input width {x.value.shape[1]} does not match configured {params.input_dim}"
         )
-    tape = x.tape
 
     if not params.enabled:
         shared_out = ad.mlp_forward(params.shared_mlp, x, tape)
         return DcrOutput(u0=shared_out, ut=shared_out)
 
     experts = ad.mlp_forward(params.experts, x, tape)
-    frozen = ad.stop_gradient(experts)
+    frozen = tape.stop_gradient(experts)
     group = np.repeat([BASE, SHARED, TREATED], params.experts_per_group)
 
     def task(gate, stopped_group):
         keep = (group != stopped_group).astype(np.float64).reshape(-1, 1, 1)
-        h = ad.add(ad.mul(experts, keep), ad.mul(frozen, 1.0 - keep))
-        return ad.gate_merge(gate, h)
+        h = tape.add(tape.mul(experts, keep), tape.mul(frozen, 1.0 - keep))
+        return tape.gate_merge(gate, h)
 
-    g0 = ad.softmax(ad.mlp_forward(params.gate0, x, tape))
-    gt = ad.softmax(ad.mlp_forward(params.gate_t, x, tape))
+    g0 = tape.softmax(ad.mlp_forward(params.gate0, x, tape))
+    gt = tape.softmax(ad.mlp_forward(params.gate_t, x, tape))
     return DcrOutput(u0=task(g0, TREATED), ut=task(gt, BASE))
 
 
@@ -146,11 +142,11 @@ def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:
     if not params.enabled:
         return tape.constant(0.0)
     e = params.experts_per_group
-    blocks = [[ad.slot_columns(tape.param(layer.W), g * e, (g + 1) * e)
+    blocks = [[tape.slot_columns(tape.param(layer.W), g * e, (g + 1) * e)
                for layer in params.experts] for g in (BASE, SHARED, TREATED)]
     total = None
     for gi, gj in ((BASE, SHARED), (BASE, TREATED), (SHARED, TREATED)):
         for a, b in zip(blocks[gi], blocks[gj]):
-            term = ad.sum_all(ad.square(ad.matmul(ad.transpose(a), b)))
-            total = term if total is None else ad.add(total, term)
+            term = tape.sum_all(tape.square(tape.matmul(tape.transpose(a), b)))
+            total = term if total is None else tape.add(total, term)
     return total

@@ -22,10 +22,10 @@ from . import autodiff as ad
 from . import kvfile
 from .autodiff import PROB_EPS
 from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_flat,
-                     default_config, resolve_seed)
+                     default_config)
 from .datagen import Dataset, dataset_arrays
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, DataFormatError, NumericError, UsageError
 
 TREAT_ENC_DIM = 2        # normalized intensity and its square
 UPLIFT_HEAD_INIT = 0.02  # initial uniform eta_hat, calibrated downstream by the X losses
@@ -118,41 +118,39 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
 # forward pieces
 # ---------------------------------------------------------------------------
 
-def treatment_encoding(t_raw: ad.Node, t_min: float, t_max: float) -> ad.Node:
+def treatment_encoding(t_raw: ad.Node, t_min: float, t_max: float, tape: ad.Tape) -> ad.Node:
     """e_t: intensity min-max normalized by the model's t bounds, plus its square."""
-    tn = ad.scale(ad.add(t_raw, -t_min), 1.0 / (t_max - t_min))
-    return ad.concat([tn, ad.square(tn)], axis=1)
+    tn = tape.scale(tape.add(t_raw, -t_min), 1.0 / (t_max - t_min))
+    return tape.concat([tn, tape.square(tn)], axis=1)
 
 
-def ta_gate(gate: ad.Layer, e_t: ad.Node, h: ad.Node) -> ad.Node:
+def ta_gate(gate: ad.Layer, e_t: ad.Node, h: ad.Node, tape: ad.Tape) -> ad.Node:
     """Scale hidden activations by a = 2*sigmoid(W e_t + b), elementwise in (0, 2)."""
-    tape = h.tape
-    a = ad.scale(ad.sigmoid(ad.affine(e_t, tape.param(gate.W), tape.param(gate.b))), 2.0)
-    return ad.mul(a, h)
+    a = tape.scale(tape.sigmoid(tape.affine(e_t, tape.param(gate.W), tape.param(gate.b))), 2.0)
+    return tape.mul(a, h)
 
 
-def treat_tower_forward(hte: HteParams, ut: ad.Node, e_t: ad.Node) -> ad.Node:
+def treat_tower_forward(hte: HteParams, ut: ad.Node, e_t: ad.Node, tape: ad.Tape) -> ad.Node:
     """Treatment tower with a TA-gate after every hidden layer (never the output)."""
-    tape = ut.tape
     h = ut
     for i, layer in enumerate(hte.treat_tower[:-1]):
-        h = ad.affine(h, tape.param(layer.W), tape.param(layer.b))
-        h = ad.relu(h)
-        h = ta_gate(hte.ta_gates[i], e_t, h)
+        h = tape.affine(h, tape.param(layer.W), tape.param(layer.b))
+        h = tape.relu(h)
+        h = ta_gate(hte.ta_gates[i], e_t, h, tape)
     last = hte.treat_tower[-1]
-    return ad.sigmoid(ad.affine(h, tape.param(last.W), tape.param(last.b)))
+    return tape.sigmoid(tape.affine(h, tape.param(last.W), tape.param(last.b)))
 
 
-def intensity_head_forward(hte: HteParams, ut: ad.Node) -> ad.Node:
+def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
     """t_hat = sigmoid(MLP(SG(ut))) scaled into (t_min, t_max); no gradient
     reaches the representation layer from this head."""
-    z = ad.mlp_forward(hte.intensity_head, ad.stop_gradient(ut))
-    return ad.add(ad.scale(ad.sigmoid(z), hte.t_max - hte.t_min), hte.t_min)
+    z = ad.mlp_forward(hte.intensity_head, tape.stop_gradient(ut), tape)
+    return tape.add(tape.scale(tape.sigmoid(z), hte.t_max - hte.t_min), hte.t_min)
 
 
-def uplift_head_forward(hte: HteParams, ut: ad.Node) -> ad.Node:
+def uplift_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
     """eta_hat = ReLU(MLP(ut)) >= 0; nonnegativity is structural."""
-    return ad.relu(ad.mlp_forward(hte.uplift_head, ut))
+    return tape.relu(ad.mlp_forward(hte.uplift_head, ut, tape))
 
 
 # counterfactual estimators in plain numpy (inference path); the tape route in
@@ -197,17 +195,18 @@ def joint_loss_arrays(X, w, t, y, dcr_params: DcrParams, hte: HteParams,
 
     x_node = tape.constant(np.asarray(X, dtype=np.float64))
     rep = dcr_forward(dcr_params, x_node, tape)
-    p0 = ad.mlp_forward(hte.base_tower, rep.u0)
-    t_hat = intensity_head_forward(hte, rep.ut)
-    eta = uplift_head_forward(hte, rep.ut)
-    tau = ad.mul(t_hat, eta)
+    p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape)
+    t_hat = intensity_head_forward(hte, rep.ut, tape)
+    eta = uplift_head_forward(hte, rep.ut, tape)
+    tau = tape.mul(t_hat, eta)
 
     # observed dose drives the gate on treated rows; the imputed dose on controls
-    t_mix = ad.add(ad.mul(ctrl_mask, t_hat), t_col)
+    t_mix = tape.add(tape.mul(ctrl_mask, t_hat), t_col)
     if hte.treat_tower is not None:
-        pt = treat_tower_forward(hte, rep.ut, treatment_encoding(t_mix, hte.t_min, hte.t_max))
+        e_t = treatment_encoding(t_mix, hte.t_min, hte.t_max, tape)
+        pt = treat_tower_forward(hte, rep.ut, e_t, tape)
     else:
-        pt = ad.sigmoid(ad.add(ad.logit(p0), tau))
+        pt = tape.sigmoid(tape.add(tape.logit(p0), tau))
 
     components = dict.fromkeys(LOSS_COMPONENTS, 0.0)
     total = None
@@ -215,26 +214,27 @@ def joint_loss_arrays(X, w, t, y, dcr_params: DcrParams, hte: HteParams,
     def accumulate(name, node, lam):
         nonlocal total
         components[name] = float(node.value)
-        weighted = ad.scale(node, lam)
-        total = weighted if total is None else ad.add(total, weighted)
+        weighted = tape.scale(node, lam)
+        total = weighted if total is None else tape.add(total, weighted)
 
     if weights.lambda_base > 0:
-        accumulate("l_base", ad.sum_all(ad.mul(ctrl_mask, ad.binary_cross_entropy(y_col, p0))),
+        accumulate("l_base",
+                   tape.sum_all(tape.mul(ctrl_mask, tape.binary_cross_entropy(y_col, p0))),
                    weights.lambda_base)
     if weights.lambda_treat > 0 and hte.treat_tower is not None:
-        accumulate("l_treat", ad.sum_all(ad.mul(w_col, ad.binary_cross_entropy(y_col, pt))),
+        accumulate("l_treat", tape.sum_all(tape.mul(w_col, tape.binary_cross_entropy(y_col, pt))),
                    weights.lambda_treat)
     if weights.lambda_t > 0:
-        err = ad.sub(t_col, t_hat)
-        per_row = ad.add(ad.scale(ad.square(err), weights.l2),
-                         ad.scale(ad.absolute(err), weights.l1))
-        accumulate("l_t", ad.sum_all(ad.mul(w_col, per_row)), weights.lambda_t)
+        err = tape.sub(t_col, t_hat)
+        per_row = tape.add(tape.scale(tape.square(err), weights.l2),
+                           tape.scale(tape.absolute(err), weights.l1))
+        accumulate("l_t", tape.sum_all(tape.mul(w_col, per_row)), weights.lambda_t)
     if weights.lambda_x > 0:
-        p_treat_cf = ad.sigmoid(ad.add(ad.logit(p0), tau))
-        p_base_cf = ad.sigmoid(ad.sub(ad.logit(pt), tau))
-        x_treat = ad.sum_all(ad.mul(w_col, ad.square(ad.sub(y_col, p_treat_cf))))
-        x_base = ad.sum_all(ad.mul(ctrl_mask, ad.square(ad.sub(y_col, p_base_cf))))
-        accumulate("l_x", ad.add(x_treat, x_base), weights.lambda_x)
+        p_treat_cf = tape.sigmoid(tape.add(tape.logit(p0), tau))
+        p_base_cf = tape.sigmoid(tape.sub(tape.logit(pt), tau))
+        x_treat = tape.sum_all(tape.mul(w_col, tape.square(tape.sub(y_col, p_treat_cf))))
+        x_base = tape.sum_all(tape.mul(ctrl_mask, tape.square(tape.sub(y_col, p_base_cf))))
+        accumulate("l_x", tape.add(x_treat, x_base), weights.lambda_x)
     if weights.lambda_o > 0 and dcr_params.enabled:
         accumulate("r_orth", orth_penalty(dcr_params, tape), weights.lambda_o)
 
@@ -265,7 +265,7 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
         raise ConfigError("training data has no treated rows; t bounds undefined")
     t_min, t_max = float(t[treated].min()), float(t[treated].max())
 
-    seed = resolve_seed(cfg)
+    seed = cfg.train.seed
     model = build_model(cfg, X.shape[1], t_min, t_max, seed=seed)
     weights = replace(cfg.loss)
     if cfg.ablate.xnet:
@@ -322,15 +322,21 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     meta-learner baselines, and is what allocator.decide reads: the click
     probability at intensity q is p0_hat + q * eta_hat there. The raw head
     output is returned as eta_head.
+
+    A NaN or infinite feature raises DataFormatError naming its row and
+    feature index.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if not np.isfinite(X).all():
+        row, feature = np.argwhere(~np.isfinite(X))[0]
+        raise DataFormatError(f"row {row}: feature {feature} is {X[row, feature]}, not finite")
     n = X.shape[0]
     hte = model.hte
     tape = ad.Tape()
     rep = dcr_forward(model.dcr, tape.constant(X), tape)
-    p0 = ad.mlp_forward(hte.base_tower, rep.u0).value.reshape(-1)
-    t_hat = intensity_head_forward(hte, rep.ut).value.reshape(-1)
-    eta_head = uplift_head_forward(hte, rep.ut).value.reshape(-1)
+    p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape).value.reshape(-1)
+    t_hat = intensity_head_forward(hte, rep.ut, tape).value.reshape(-1)
+    eta_head = uplift_head_forward(hte, rep.ut, tape).value.reshape(-1)
 
     def clip(p):
         return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
@@ -347,8 +353,8 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     tau = t_eff * eta
 
     if hte.treat_tower is not None:
-        e_t = treatment_encoding(tape.constant(t_eff.reshape(-1, 1)), hte.t_min, hte.t_max)
-        pt = treat_tower_forward(hte, rep.ut, e_t).value.reshape(-1)
+        e_t = treatment_encoding(tape.constant(t_eff.reshape(-1, 1)), hte.t_min, hte.t_max, tape)
+        pt = treat_tower_forward(hte, rep.ut, e_t, tape).value.reshape(-1)
     else:
         pt = counterfactual_treat(p0, t_eff, eta_head)
 

@@ -20,14 +20,14 @@ def make_layer(name, W, b, activation="linear"):
 def test_mlp_identity_layer():
     layer = make_layer("l0", np.eye(2), np.zeros(2))
     tape = ad.Tape()
-    out = ad.mlp_forward([layer], np.array([3.0, -1.0]), tape)
+    out = ad.mlp_forward([layer], tape.constant(np.array([[3.0, -1.0]])), tape)
     np.testing.assert_array_equal(out.value, [[3.0, -1.0]])
 
 
 def test_mlp_sigmoid_at_zero():
     layer = make_layer("l0", np.array([[1.0], [1.0]]), np.zeros(1), "sigmoid")
     tape = ad.Tape()
-    out = ad.mlp_forward([layer], np.array([0.0, 0.0]), tape)
+    out = ad.mlp_forward([layer], tape.constant(np.array([[0.0, 0.0]])), tape)
     assert out.value[0, 0] == 0.5
 
 
@@ -39,7 +39,7 @@ def test_mlp_matches_straight_line_matrix_eval():
     x = rng.standard_normal((6, 4))
 
     tape = ad.Tape()
-    out = ad.mlp_forward(layers, x, tape)
+    out = ad.mlp_forward(layers, tape.constant(x), tape)
 
     # oracle: plain matrix arithmetic, no tape involved
     h = np.maximum(x @ W1 + b1, 0.0)
@@ -49,15 +49,17 @@ def test_mlp_matches_straight_line_matrix_eval():
 
 def test_mlp_dimension_mismatch():
     layer = make_layer("l0", np.eye(3), np.zeros(3))
+    tape = ad.Tape()
     with pytest.raises(ConfigError):
-        ad.mlp_forward([layer], np.ones((1, 2)), ad.Tape())
+        ad.mlp_forward([layer], tape.constant(np.ones((1, 2))), tape)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_mlp_nonfinite_activation_names_layer():
     layer = make_layer("l0", np.array([[1e308], [1e308]]), np.array([1e308]))
+    tape = ad.Tape()
     with pytest.raises(NumericError, match="layer 0"):
-        ad.mlp_forward([layer], np.array([[1e9, 1e9]]), ad.Tape())
+        ad.mlp_forward([layer], tape.constant(np.array([[1e9, 1e9]])), tape)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +69,7 @@ def test_mlp_nonfinite_activation_names_layer():
 def test_backward_square():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     tape = ad.Tape()
-    loss = ad.sum_all(ad.square(tape.param(w)))
+    loss = tape.sum_all(tape.square(tape.param(w)))
     ad.backward(tape)
     assert w.grad[0, 0] == 6.0
 
@@ -76,7 +78,7 @@ def test_backward_stop_gradient_kills_one_path():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     tape = ad.Tape()
     wn = tape.param(w)
-    loss = ad.sum_all(ad.mul(ad.stop_gradient(wn), wn))
+    loss = tape.sum_all(tape.mul(tape.stop_gradient(wn), wn))
     ad.backward(tape)
     assert w.grad[0, 0] == 3.0  # not 6
 
@@ -89,9 +91,19 @@ def test_backward_before_forward_is_usage_error():
 def test_backward_requires_scalar_tail():
     w = ad.ParamTensor("w", np.ones((2, 2)))
     tape = ad.Tape()
-    ad.square(tape.param(w))
+    tape.square(tape.param(w))
     with pytest.raises(UsageError):
         ad.backward(tape)
+
+
+def test_operand_from_another_tape_is_usage_error():
+    w = ad.ParamTensor("w", np.ones((1, 1)))
+    tape, other = ad.Tape(), ad.Tape()
+    foreign = other.param(w)
+    with pytest.raises(UsageError):
+        tape.add(tape.param(w), foreign)
+    with pytest.raises(UsageError):
+        tape.relu(foreign)
 
 
 def test_backward_two_layer_net_matches_finite_differences():
@@ -104,10 +116,9 @@ def test_backward_two_layer_net_matches_finite_differences():
     y = rng.integers(0, 2, size=(8, 1)).astype(float)
     params = ad.mlp_params(layers)
 
-    def loss_fn():
-        tape = ad.Tape()
-        p = ad.mlp_forward(layers, x, tape)
-        return ad.sum_all(ad.binary_cross_entropy(y, p))
+    def loss_fn(tape):
+        p = ad.mlp_forward(layers, tape.constant(x), tape)
+        return tape.sum_all(tape.binary_cross_entropy(y, p))
 
     assert ad.finite_diff_check(loss_fn, params, eps=1e-5) < 1e-4
 
@@ -119,14 +130,14 @@ def test_backward_two_layer_net_matches_finite_differences():
 def test_stop_gradient_forward_identity():
     tape = ad.Tape()
     x = tape.constant(np.array([[1.5, -2.0]]))
-    out = ad.stop_gradient(x)
+    out = tape.stop_gradient(x)
     np.testing.assert_array_equal(out.value, [[1.5, -2.0]])
 
 
 def test_stop_gradient_zero_grad():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
-    ad.backward_node = ad.sum_all(ad.stop_gradient(tape.param(x)))
+    loss = tape.sum_all(tape.stop_gradient(tape.param(x)))
     ad.backward(tape)
     np.testing.assert_array_equal(x.grad, np.zeros((1, 3)))
 
@@ -135,7 +146,7 @@ def test_stop_gradient_additive_path_stays_open():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
     xn = tape.param(x)
-    ad.sum_all(ad.add(xn, ad.stop_gradient(xn)))
+    tape.sum_all(tape.add(xn, tape.stop_gradient(xn)))
     ad.backward(tape)
     np.testing.assert_array_equal(x.grad, np.ones((1, 3)))
 
@@ -147,7 +158,7 @@ def test_stop_gradient_additive_path_stays_open():
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
 def test_softmax_positive_and_normalized(logits):
     tape = ad.Tape()
-    s = ad.softmax(tape.constant(np.array([logits])))
+    s = tape.softmax(tape.constant(np.array([logits])))
     assert np.all(s.value > 0)
     assert abs(s.value.sum() - 1.0) < 1e-12
 
@@ -155,7 +166,7 @@ def test_softmax_positive_and_normalized(logits):
 @given(st.floats(-30, 30))
 def test_sigmoid_strictly_inside_unit_interval(z):
     tape = ad.Tape()
-    s = ad.sigmoid(tape.constant(np.array([[z]])))
+    s = tape.sigmoid(tape.constant(np.array([[z]])))
     assert 0.0 < s.value[0, 0] < 1.0
 
 
@@ -168,25 +179,24 @@ def test_primitive_gradients_against_finite_differences():
     proj = rng.standard_normal((4, 2))
     merge_mask = rng.uniform(0.5, 1.5, size=(3, 6))
 
-    def loss_fn():
-        tape = ad.Tape()
+    def loss_fn(tape):
         wn = tape.param(w)
-        stacked = ad.affine(wn, tape.param(ws), tape.param(bs))  # (2, 3, 3)
+        stacked = tape.affine(wn, tape.param(ws), tape.param(bs))  # (2, 3, 3)
         parts = [
-            ad.sum_all(ad.mul(mask, ad.sigmoid(wn))),
-            ad.sum_all(ad.softmax(wn)),
-            ad.sum_all(ad.absolute(ad.sub(wn, 1.0))),
-            ad.sum_all(ad.square(ad.logit(ad.sigmoid(wn)))),
-            ad.sum_all(ad.square(stacked)),
-            ad.sum_all(ad.mul(merge_mask, ad.gate_merge(ad.softmax(ad.matmul(wn, proj)),
-                                                        ad.relu(stacked)))),
-            ad.sum_all(ad.square(ad.slot_columns(tape.param(ws), 0, 2))),
-            ad.sum_all(ad.matmul(ad.transpose(wn), wn)),
-            ad.sum_all(ad.concat([ad.relu(wn), ad.scale(wn, 0.5)], axis=1)),
+            tape.sum_all(tape.mul(mask, tape.sigmoid(wn))),
+            tape.sum_all(tape.softmax(wn)),
+            tape.sum_all(tape.absolute(tape.sub(wn, 1.0))),
+            tape.sum_all(tape.square(tape.logit(tape.sigmoid(wn)))),
+            tape.sum_all(tape.square(stacked)),
+            tape.sum_all(tape.mul(merge_mask, tape.gate_merge(tape.softmax(tape.matmul(wn, proj)),
+                                                              tape.relu(stacked)))),
+            tape.sum_all(tape.square(tape.slot_columns(tape.param(ws), 0, 2))),
+            tape.sum_all(tape.matmul(tape.transpose(wn), wn)),
+            tape.sum_all(tape.concat([tape.relu(wn), tape.scale(wn, 0.5)], axis=1)),
         ]
         total = parts[0]
         for p in parts[1:]:
-            total = ad.add(total, p)
+            total = tape.add(total, p)
         return total
 
     assert ad.finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6) < 1e-6
@@ -220,7 +230,7 @@ def test_optimizer_converges_on_quadratic_bowl():
     state = ad.OptimizerState.for_params([w], lr=0.05)
     for _ in range(500):
         tape = ad.Tape()
-        ad.sum_all(ad.square(ad.sub(tape.param(w), 2.0)))
+        tape.sum_all(tape.square(tape.sub(tape.param(w), 2.0)))
         ad.backward(tape)
         ad.optimizer_step([w], state)
     assert abs(w.values[0, 0] - 2.0) < 0.01
@@ -247,9 +257,8 @@ def test_optimizer_step_zeroes_gradients():
 def test_finite_diff_exact_for_linear_loss():
     w = ad.ParamTensor("w", np.arange(6.0).reshape(2, 3))
 
-    def loss_fn():
-        tape = ad.Tape()
-        return ad.sum_all(tape.param(w))
+    def loss_fn(tape):
+        return tape.sum_all(tape.param(w))
 
     assert ad.finite_diff_check(loss_fn, [w], eps=1e-5) < 1e-8
 
@@ -257,13 +266,12 @@ def test_finite_diff_exact_for_linear_loss():
 def test_finite_diff_detects_corrupted_gradient():
     w = ad.ParamTensor("w", np.array([[3.0]]))
 
-    def loss_fn():
-        tape = ad.Tape()
+    def loss_fn(tape):
         wn = tape.param(w)
         # deliberately wrong vjp: doubles the true gradient of w**2
         return tape.record(wn.value**2, (wn,), lambda g: (4.0 * g * wn.value,))
 
-    err = ad.finite_diff_check(lambda: ad.sum_all(loss_fn()), [w], eps=1e-5)
+    err = ad.finite_diff_check(lambda tape: tape.sum_all(loss_fn(tape)), [w], eps=1e-5)
     assert err > 0.3
 
 
@@ -290,8 +298,8 @@ def test_seeded_init_and_steps_are_bit_reproducible():
         y = rng.integers(0, 2, size=(16, 1)).astype(float)
         for _ in range(5):
             tape = ad.Tape()
-            p = ad.mlp_forward(layers, x, tape)
-            ad.sum_all(ad.binary_cross_entropy(y, p))
+            p = ad.mlp_forward(layers, tape.constant(x), tape)
+            tape.sum_all(tape.binary_cross_entropy(y, p))
             ad.backward(tape)
             ad.optimizer_step(params, state)
         return np.concatenate([p.values.reshape(-1) for p in params])

@@ -30,7 +30,7 @@ def test_uniform_gate_with_identity_experts():
     params = one_expert_identity_params()
     tape = ad.Tape()
     x = np.array([[1.5, -0.6]])
-    out = dcr.dcr_forward(params, x, tape)
+    out = dcr.dcr_forward(params, tape.constant(x), tape)
     expected = np.concatenate([x, x, x], axis=1) / 3.0
     np.testing.assert_allclose(out.u0.value, expected, atol=1e-15)
     np.testing.assert_allclose(out.ut.value, expected, atol=1e-15)
@@ -53,8 +53,8 @@ def backward_of(task, seed, data_seed):
     params = seeded_params(seed)
     rng = np.random.default_rng(data_seed)
     tape = ad.Tape()
-    out = dcr.dcr_forward(params, rng.standard_normal((6, 4)), tape)
-    ad.sum_all(getattr(out, task))
+    out = dcr.dcr_forward(params, tape.constant(rng.standard_normal((6, 4))), tape)
+    tape.sum_all(getattr(out, task))
     ad.backward(tape)
     return params
 
@@ -80,15 +80,16 @@ def test_gate_weights_sum_to_one():
     rng = np.random.default_rng(3)
     tape = ad.Tape()
     x = tape.constant(rng.standard_normal((5, 4)))
-    g = ad.softmax(ad.mlp_forward(params.gate0, x, tape))
+    g = tape.softmax(ad.mlp_forward(params.gate0, x, tape))
     assert np.all(g.value > 0)
     np.testing.assert_allclose(g.value.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_dimension_mismatch_is_config_error():
     params = seeded_params(0, input_dim=4)
+    tape = ad.Tape()
     with pytest.raises(ConfigError):
-        dcr.dcr_forward(params, np.ones((2, 3)), ad.Tape())
+        dcr.dcr_forward(params, tape.constant(np.ones((2, 3))), tape)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +133,10 @@ def test_orth_penalty_matches_naive_triple_loop():
 def test_orth_penalty_nonnegative_and_differentiable():
     params = seeded_params(7)
 
-    def loss_fn():
-        tape = ad.Tape()
+    def loss_fn(tape):
         return dcr.orth_penalty(params, tape)
 
-    assert float(loss_fn().value) >= 0.0
+    assert float(loss_fn(ad.Tape()).value) >= 0.0
     weights = [layer.W for layer in params.experts]
     assert ad.finite_diff_check(loss_fn, weights, eps=1e-6) < 1e-6
 
@@ -151,9 +151,10 @@ def test_disabled_dcr_collapses_to_shared_mlp():
     params = dcr.init_dcr(rng, 4, cfg, True)
     x = rng.standard_normal((3, 4))
     tape = ad.Tape()
-    out = dcr.dcr_forward(params, x, tape)
+    out = dcr.dcr_forward(params, tape.constant(x), tape)
     assert out.u0 is out.ut
-    expected = ad.mlp_forward(params.shared_mlp, x, ad.Tape())
+    expected_tape = ad.Tape()
+    expected = ad.mlp_forward(params.shared_mlp, expected_tape.constant(x), expected_tape)
     np.testing.assert_array_equal(out.u0.value, expected.value)
     assert out.u0.value.shape[1] == params.output_dim == 2 * 3 * 5
     # penalty degenerates to zero

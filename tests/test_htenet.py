@@ -1,6 +1,7 @@
 """HTE network: gate algebra, head contracts, counterfactual estimators,
 joint-loss oracle checks, stop-gradient blocking, training and serialization."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from unimvt import dcr
 from unimvt import htenet as ht
 from unimvt.config import AblationConfig, ExperimentConfig, LossWeights, TrainConfig
 from unimvt.dcr import DcrConfig
-from unimvt.errors import ConfigError, UsageError
+from unimvt.errors import ConfigError, DataFormatError, UsageError
 
 
 def tiny_config(**kw):
@@ -78,7 +79,7 @@ def test_ta_gate_neutral_at_zero_params():
     tape = ad.Tape()
     h = tape.constant(np.array([[1.0, -2.0, 0.5]]))
     e = tape.constant(np.array([[0.3, 0.09]]))
-    out = ht.ta_gate(gate, e, h)
+    out = ht.ta_gate(gate, e, h, tape)
     np.testing.assert_array_equal(out.value, h.value)
 
 
@@ -87,7 +88,7 @@ def test_ta_gate_saturates_to_two():
     tape = ad.Tape()
     h = tape.constant(np.array([[1.0, -2.0, 0.5]]))
     e = tape.constant(np.array([[0.3, 0.09]]))
-    out = ht.ta_gate(gate, e, h)
+    out = ht.ta_gate(gate, e, h, tape)
     np.testing.assert_allclose(out.value, 2.0 * h.value, atol=1e-8)
 
 
@@ -97,7 +98,7 @@ def test_ta_gate_matches_direct_scalar_evaluation():
     e_val = rng.standard_normal((1, 2))
     gate = gate_layer(W, b)
     tape = ad.Tape()
-    out = ht.ta_gate(gate, tape.constant(e_val), tape.constant(np.ones((1, 3))))
+    out = ht.ta_gate(gate, tape.constant(e_val), tape.constant(np.ones((1, 3))), tape)
     np.testing.assert_allclose(out.value, 2.0 * expit(e_val @ W + b), atol=1e-14)
 
 
@@ -117,7 +118,7 @@ def test_intensity_head_midpoint_at_zero_logit():
     model = zeroed_head_model()
     tape = ad.Tape()
     ut = tape.constant(np.random.default_rng(0).standard_normal((3, model.dcr.output_dim)))
-    t_hat = ht.intensity_head_forward(model.hte, ut)
+    t_hat = ht.intensity_head_forward(model.hte, ut, tape)
     np.testing.assert_allclose(t_hat.value, 2.0, atol=1e-12)  # midpoint of [1, 3]
 
 
@@ -126,7 +127,7 @@ def test_intensity_head_saturation():
     model.hte.intensity_head[-1].b.values[:] = 30.0
     tape = ad.Tape()
     ut = tape.constant(np.zeros((1, model.dcr.output_dim)))
-    t_hat = ht.intensity_head_forward(model.hte, ut)
+    t_hat = ht.intensity_head_forward(model.hte, ut, tape)
     assert abs(t_hat.value[0, 0] - 3.0) < 1e-8
     assert t_hat.value[0, 0] < 3.0  # strictly inside
 
@@ -139,8 +140,8 @@ def test_intensity_head_blocks_gradients_to_dcr():
     from unimvt.dcr import dcr_forward
 
     rep = dcr_forward(model.dcr, rep_in, tape)
-    t_hat = ht.intensity_head_forward(model.hte, rep.ut)
-    ad.sum_all(t_hat)
+    t_hat = ht.intensity_head_forward(model.hte, rep.ut, tape)
+    tape.sum_all(t_hat)
     ad.backward(tape)
     for p in model.dcr.parameters():
         assert np.all(p.grad == 0.0)
@@ -157,11 +158,12 @@ def test_uplift_head_clamps_negative_output():
     model.hte.uplift_head[-1].b.values[:] = -0.7
     tape = ad.Tape()
     ut = tape.constant(np.zeros((2, model.dcr.output_dim)))
-    eta = ht.uplift_head_forward(model.hte, ut)
+    eta = ht.uplift_head_forward(model.hte, ut, tape)
     np.testing.assert_array_equal(eta.value, 0.0)
 
     model.hte.uplift_head[-1].b.values[:] = 0.03
-    eta = ht.uplift_head_forward(model.hte, ad.Tape().constant(np.zeros((2, model.dcr.output_dim))))
+    tape = ad.Tape()
+    eta = ht.uplift_head_forward(model.hte, tape.constant(np.zeros((2, model.dcr.output_dim))), tape)
     np.testing.assert_allclose(eta.value, 0.03, atol=1e-15)
 
 
@@ -391,8 +393,7 @@ def test_full_joint_loss_passes_gradient_check():
     weights = LossWeights(1.0, 1.0, 0.1, 0.5, 1e-2)
     params = model.parameters()
 
-    def loss_fn():
-        tape = ad.Tape()
+    def loss_fn(tape):
         total, _ = ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte, weights, tape)
         return total
 
@@ -500,6 +501,21 @@ def test_predict_with_q_drives_gate_encoding():
     assert hi.tau_hat == 2.8 * hi.eta_hat
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_batch_names_the_nonfinite_feature(bad):
+    X = np.ones((4, 5))
+    X[2, 3] = bad
+    with pytest.raises(DataFormatError, match="row 2: feature 3"):
+        ht.predict_batch(tiny_model(), X)
+
+
+def test_predict_names_the_nonfinite_feature():
+    x = np.ones(5)
+    x[1] = np.nan
+    with pytest.raises(DataFormatError, match="row 0: feature 1"):
+        ht.predict(tiny_model(), x)
+
+
 def test_t_hat_strictly_inside_bounds():
     model = tiny_model(seed=8)
     rng = np.random.default_rng(0)
@@ -513,6 +529,33 @@ def test_eta_nonnegative_everywhere():
     rng = np.random.default_rng(1)
     out = ht.predict_batch(model, rng.standard_normal((100, 5)) * 3.0)
     assert np.all(out["eta_hat"] >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# memory: a spent tape is freed by reference counting
+# ---------------------------------------------------------------------------
+
+def test_batch_and_predict_leave_no_cyclic_garbage():
+    model = ht.build_model(ExperimentConfig(), input_dim=5, t_min=1.0, t_max=3.0)
+    params = model.parameters()
+    state = ad.OptimizerState.for_params(params)
+    X, w, t, y = tiny_batch(seed=5, n=64)
+
+    def batch():
+        tape = ad.Tape()
+        ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte, LossWeights(), tape)
+        ad.backward(tape)
+        ad.optimizer_step(params, state)
+
+    gc.collect()
+    gc.disable()
+    try:
+        batch()
+        assert gc.collect() == 0
+        ht.predict(model, X[0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
