@@ -8,7 +8,7 @@ threshold and positive-net-gain conditions hold.
 predict_batch reports eta_hat as a click-probability gain per unit of
 intensity, so the uplifted click probability at intensity q is the additive
 min(p0_hat + q * eta_hat, 1 - PROB_EPS), nondecreasing in q. ``additive`` is
-the one simulation mode.
+the one mode ``decide`` accepts.
 """
 from __future__ import annotations
 
@@ -38,14 +38,6 @@ class AllocationGrid:
         count = int(np.floor((self.q_max - self.q_min) / self.step + 1e-9)) + 1
         return self.q_min + self.step * np.arange(count)
 
-    @classmethod
-    def parse(cls, text: str) -> "AllocationGrid":
-        """Parse a qmin:qmax:step CLI argument."""
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid must be qmin:qmax:step, got {text!r}")
-        return cls(*(float(p) for p in parts))
-
 
 @dataclass
 class AllocationDecision:
@@ -55,24 +47,11 @@ class AllocationDecision:
     ratio: float             # value * uplift / cost at the best candidate
     net_gain: float          # value * uplift - cost at the best candidate
 
-    def to_csv_fields(self, index: int) -> str:
-        return ",".join([
-            str(index), str(int(self.issue)), repr(self.q_star),
-            repr(self.expected_uplift), repr(self.ratio), repr(self.net_gain),
-        ])
-
 
 def _click_prob(p0: float, eta: float, q, mode: str):
     if mode not in MODES:
-        raise ConfigError(f"unknown simulation mode {mode!r}")
+        raise ConfigError(f"unknown decision mode {mode!r}")
     return np.minimum(p0 + eta * q, 1.0 - PROB_EPS)
-
-
-def simulate(prediction, q: float, mode: str = "additive") -> float:
-    """Uplifted click probability at candidate intensity q; nondecreasing in q."""
-    if q < 0:
-        raise ConfigError("candidate intensity must be nonnegative")
-    return float(_click_prob(float(prediction.p0_hat), float(prediction.eta_hat), q, mode))
 
 
 def decide(prediction, grid: AllocationGrid, value_per_click: float,

@@ -371,7 +371,7 @@ def mlp_params(layers: Sequence[Layer]) -> list[ParamTensor]:
 
 def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
     """Run a layer stack on x, a node of tape; raises NumericError (with layer
-    index) on non-finite output."""
+    index) when a layer's affine output is non-finite."""
     h = x
     for i, layer in enumerate(layers):
         if h.value.shape[-1] != layer.W.shape[-2]:
@@ -379,13 +379,14 @@ def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
                 f"layer {i} expects input width {layer.W.shape[-2]}, got {h.value.shape[-1]}"
             )
         h = tape.affine(h, tape.param(layer.W), tape.param(layer.b))
+        # a non-finite entry poisons the sum, so one reduction guards the layer;
+        # it checks the affine output because relu maps NaN to 0
+        if not math.isfinite(h.value.sum()):
+            raise NumericError(f"non-finite activation after layer {i}")
         if layer.activation == "relu":
             h = tape.relu(h)
         elif layer.activation == "sigmoid":
             h = tape.sigmoid(h)
-        # a non-finite entry poisons the sum, so one reduction guards the layer
-        if not math.isfinite(h.value.sum()):
-            raise NumericError(f"non-finite activation after layer {i}")
     return h
 
 
@@ -393,31 +394,33 @@ def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam moments keyed by parameter name (names must be unique)."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     slots: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: Sequence[ParamTensor], lr: float = 1e-3, **kw) -> "OptimizerState":
+    def for_params(cls, params: Sequence[ParamTensor], lr: float = 1e-3) -> "OptimizerState":
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ConfigError("parameter names must be unique for optimizer state")
-        return cls(lr=lr, **kw)
+        return cls(lr=lr)
 
 
 def optimizer_step(params: Sequence[ParamTensor], state: OptimizerState) -> None:
     """One Adam update (bias-corrected); gradients are zeroed afterwards."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for p in params:
         g = p.grad
         if not np.all(np.isfinite(g)):
@@ -425,10 +428,10 @@ def optimizer_step(params: Sequence[ParamTensor], state: OptimizerState) -> None
         slot = state.slots.get(p.name)
         if slot is None:
             slot = (np.zeros_like(p.values), np.zeros_like(p.values))
-        m = state.beta1 * slot[0] + (1.0 - state.beta1) * g
-        v = state.beta2 * slot[1] + (1.0 - state.beta2) * g * g
+        m = ADAM_BETA1 * slot[0] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * slot[1] + (1.0 - ADAM_BETA2) * g * g
         state.slots[p.name] = (m, v)
-        p.values -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.values -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.zero_grad()
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import kvfile
 from .config import ExperimentConfig
-from .datagen import Dataset, dataset_arrays
+from .datagen import Dataset, dataset_arrays, feature_matrix
 from .errors import ConfigError, NumericError, UsageError
 
 
@@ -58,7 +57,7 @@ class SLearnerModel:
     t_max: float
 
     def outcome_prob(self, X, t) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = feature_matrix(X)
         tn = np.broadcast_to(_normalize_t(t, self.t_min, self.t_max), (X.shape[0],))
         return _mlp_predict(self.net, np.column_stack([X, tn]))
 
@@ -79,16 +78,16 @@ class TLearnerModel:
     t_max: float
 
     def base_ctr(self, X) -> np.ndarray:
-        return _mlp_predict(self.control_net, np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        return _mlp_predict(self.control_net, feature_matrix(X))
 
     def treated_prob(self, X, t) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = feature_matrix(X)
         tn = np.broadcast_to(_normalize_t(t, self.t_min, self.t_max), (X.shape[0],))
         return _mlp_predict(self.treated_net, np.column_stack([X, tn]))
 
     def outcome_prob(self, X, t) -> np.ndarray:
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64),
-                            (np.atleast_2d(X).shape[0],))
+        X = feature_matrix(X)
+        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
         return np.where(t > 0, self.treated_prob(X, t), self.base_ctr(X))
 
     def unit_uplift_scores(self, X) -> np.ndarray:
@@ -133,47 +132,3 @@ def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
     treated_inputs = np.column_stack([X[trt], _normalize_t(t[trt], t_min, t_max)])
     _fit_binary_mlp(treated_net, treated_inputs, y[trt], cfg, rng)
     return TLearnerModel(control_net, treated_net, t_min, t_max)
-
-
-# ---------------------------------------------------------------------------
-# serialization (same key=value format as the main model)
-# ---------------------------------------------------------------------------
-
-def _net_dims(layers) -> str:
-    dims = [layers[0].W.shape[0]] + [l.W.shape[1] for l in layers]
-    return ",".join(str(d) for d in dims)
-
-
-def save_baseline(model, path) -> None:
-    if isinstance(model, SLearnerModel):
-        kind = "slearner"
-        nets = {"slearner": model.net}
-    elif isinstance(model, TLearnerModel):
-        kind = "tlearner"
-        nets = {"tlearner.control": model.control_net, "tlearner.treated": model.treated_net}
-    else:
-        raise ConfigError(f"not a baseline model: {type(model).__name__}")
-    lines = [f"kind={kind}", f"t_min={model.t_min!r}", f"t_max={model.t_max!r}"]
-    lines.extend(f"dims.{name}={_net_dims(layers)}" for name, layers in nets.items())
-    for layers in nets.values():
-        lines.extend(kvfile.param_line(p) for p in ad.mlp_params(layers))
-    kvfile.write(path, lines)
-
-
-def load_baseline(path):
-    kv = kvfile.read(path)
-    kind = kv.get("kind")
-    rng = np.random.default_rng(0)
-
-    def build(name):
-        dims = kvfile.field(kv, f"dims.{name}", lambda raw: tuple(int(v) for v in raw.split(",")))
-        return ad.init_mlp(rng, name, dims, out_activation="sigmoid")
-
-    if kind == "slearner":
-        cls, nets = SLearnerModel, [build("slearner")]
-    elif kind == "tlearner":
-        cls, nets = TLearnerModel, [build("tlearner.control"), build("tlearner.treated")]
-    else:
-        raise ConfigError(f"not a baseline model file: kind={kind!r}")
-    kvfile.restore_params(kv, [p for net in nets for p in ad.mlp_params(net)])
-    return cls(*nets, kvfile.field(kv, "t_min", float), kvfile.field(kv, "t_max", float))

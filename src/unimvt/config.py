@@ -1,15 +1,13 @@
 """Experiment configuration: dataclasses plus the flat key=value bridge.
 
-Config files are flat ``key=value`` text; every key can also be overridden on
-the command line as ``--key value``. Keys follow ``section.field`` naming,
-e.g. ``loss.lambda_base``, ``train.epochs``, ``ablate.xnet``, ``dcr.hidden``,
-``net.tower_hidden``, ``metrics.k``.
+Flat keys follow ``section.field`` naming, e.g. ``loss.lambda_base``,
+``train.epochs``, ``ablate.xnet``, ``dcr.hidden``, ``net.tower_hidden``;
+model files record the keys that shape the network in this form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
-from . import kvfile
 from .dcr import DcrConfig
 from .errors import ConfigError
 
@@ -58,7 +56,6 @@ class ExperimentConfig:
     loss: LossWeights = field(default_factory=LossWeights)
     train: TrainConfig = field(default_factory=TrainConfig)
     ablate: AblationConfig = field(default_factory=AblationConfig)
-    metrics_k: int = 100
 
 
 def default_config() -> ExperimentConfig:
@@ -88,9 +85,6 @@ def _parse_value(current, raw: str, key: str):
 def apply_overrides(cfg: ExperimentConfig, flat: dict) -> ExperimentConfig:
     """Apply flat key=value overrides in place; unknown keys raise ConfigError."""
     for key, raw in flat.items():
-        if key == "metrics.k":
-            cfg.metrics_k = int(raw)
-            continue
         section, _, name = key.partition(".")
         if section not in _SECTIONS or not name:
             raise ConfigError(f"unknown config key {key!r}")
@@ -111,15 +105,4 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             flat[f"{section}.{f.name}"] = str(value)
-    flat["metrics.k"] = str(cfg.metrics_k)
     return flat
-
-
-def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    cfg = default_config()
-    if path is not None:
-        apply_overrides(cfg, kvfile.read(path))
-    if overrides:
-        apply_overrides(cfg, overrides)
-    cfg.loss.validate()
-    return cfg

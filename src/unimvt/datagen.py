@@ -110,6 +110,16 @@ def dataset_arrays(ds: Dataset):
     return ds.X, ds.w, ds.t, ds.y, ds.truth_p0, ds.truth_eta
 
 
+def feature_matrix(X) -> np.ndarray:
+    """X as a 2-D float64 matrix to score; a NaN or infinite feature raises
+    DataFormatError naming its row and feature index."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if not np.isfinite(X).all():
+        row, feature = np.argwhere(~np.isfinite(X))[0]
+        raise DataFormatError(f"row {row}: feature {feature} is {X[row, feature]}, not finite")
+    return X
+
+
 @dataclass(frozen=True)
 class SynSpec:
     """Recipe for one synthetic benchmark."""
@@ -358,9 +368,10 @@ load_meta = kvfile.read  # values come back as the strings written
 def load_csv(path, split: str | None = None, rct: bool | None = None) -> Dataset:
     """Read a dataset CSV and its sidecar, if any, as the dataset's meta;
     split/rct come from the sidecar unless given. Empty lines are skipped but
-    counted: a malformed row raises a DataFormatError naming ``path:line``."""
+    counted: a malformed row, one with bytes that do not decode included,
+    raises a DataFormatError naming ``path:line``."""
     path = Path(path)
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         first = fh.readline()
     if not first:
         raise DataFormatError(f"{path}: empty file")
@@ -375,7 +386,7 @@ def load_csv(path, split: str | None = None, rct: bool | None = None) -> Dataset
                       ("y", np.int64)] + [(name, np.float64) for name in extra])
     try:
         rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
-    except ValueError as exc:
+    except ValueError as exc:  # a UnicodeDecodeError too
         raise _parse_error(path, dtype, exc) from exc
     truth = (rows["truth_p0"], rows["truth_eta"]) if extra else (None, None)
     columns = (rows["X"], rows["w"], rows["t"], rows["y"], *truth)
@@ -393,8 +404,9 @@ def load_csv(path, split: str | None = None, rct: bool | None = None) -> Dataset
 
 
 def _data_lines(path):
-    """(line number, text) of each line np.loadtxt reads as a row."""
-    with open(path) as fh:
+    """(line number, text) of each line np.loadtxt reads as a row; a byte
+    that does not decode reads as U+FFFD, which no numeric field parses."""
+    with open(path, errors="replace") as fh:
         next(fh)
         for lineno, line in enumerate(fh, start=2):
             if line.rstrip("\r\n"):

@@ -23,9 +23,9 @@ from . import kvfile
 from .autodiff import PROB_EPS
 from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_flat,
                      default_config)
-from .datagen import Dataset, dataset_arrays
+from .datagen import Dataset, dataset_arrays, feature_matrix
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
-from .errors import ConfigError, DataFormatError, NumericError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 
 TREAT_ENC_DIM = 2        # normalized intensity and its square
 UPLIFT_HEAD_INIT = 0.02  # initial uniform eta_hat, calibrated downstream by the X losses
@@ -45,8 +45,8 @@ class HteParams:
     t_max: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.t_min < self.t_max):
-            raise ConfigError(f"need 0 < t_min < t_max, got [{self.t_min}, {self.t_max}]")
+        if not (0.0 < self.t_min < self.t_max < np.inf):
+            raise ConfigError(f"need 0 < t_min < t_max < inf, got [{self.t_min}, {self.t_max}]")
         if self.treat_tower is not None and len(self.ta_gates) != len(self.treat_tower) - 1:
             raise ConfigError("one TA-gate per treatment-tower hidden layer required")
 
@@ -85,6 +85,13 @@ class Prediction:
 
 def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: float,
                 seed: int = 0) -> UniMvtModel:
+    widths = {"input_dim": input_dim, "dcr.experts_per_group": cfg.dcr.experts_per_group,
+              "dcr.hidden": cfg.dcr.hidden, "dcr.out_dim": cfg.dcr.out_dim,
+              "net.tower_hidden": min(cfg.net.tower_hidden, default=1),
+              "net.head_hidden": cfg.net.head_hidden}
+    for key, width in widths.items():
+        if width < 1:
+            raise ConfigError(f"{key} must be positive, got {width}")
     rng = np.random.default_rng(seed)
     dcr_params = init_dcr(rng, input_dim, cfg.dcr, cfg.ablate.dcr)
     rep = dcr_params.output_dim
@@ -153,8 +160,8 @@ def uplift_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
     return tape.relu(ad.mlp_forward(hte.uplift_head, ut, tape))
 
 
-# counterfactual estimators in plain numpy (inference path); the tape route in
-# joint_loss applies the same formulas with autodiff primitives
+# the treated counterfactual in plain numpy (inference path); the tape route in
+# joint_loss_arrays applies the same formula with autodiff primitives
 
 def logit_np(p):
     p = np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
@@ -164,11 +171,6 @@ def logit_np(p):
 def counterfactual_treat(p0_hat, t_hat, eta_hat):
     """Treated probability imputed from the base estimate: sigmoid(logit(p0) + t*eta)."""
     return expit(logit_np(p0_hat) + np.asarray(t_hat) * np.asarray(eta_hat))
-
-
-def counterfactual_base(pt_hat, t_hat, eta_hat):
-    """Base probability reconstructed from the treated estimate: sigmoid(logit(pt) - t*eta)."""
-    return expit(logit_np(pt_hat) - np.asarray(t_hat) * np.asarray(eta_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +328,7 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     A NaN or infinite feature raises DataFormatError naming its row and
     feature index.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if not np.isfinite(X).all():
-        row, feature = np.argwhere(~np.isfinite(X))[0]
-        raise DataFormatError(f"row {row}: feature {feature} is {X[row, feature]}, not finite")
+    X = feature_matrix(X)
     n = X.shape[0]
     hte = model.hte
     tape = ad.Tape()

@@ -1,10 +1,9 @@
-"""The key=value text format of config files, model files and dataset
-metadata sidecars.
+"""The key=value text format of model files and dataset metadata sidecars.
 
 One ``key=value`` pair per line; blank lines and ``#`` comments are skipped.
 A parameter tensor is one line ``param.<name>=<ndim> <dims...> <values...>``
-with every value written as its shortest round-trip ``repr``, so a save/load
-round trip is bit-exact.
+with every value finite and written as its shortest round-trip ``repr``, so
+a save/load round trip is bit-exact.
 """
 from __future__ import annotations
 
@@ -17,8 +16,12 @@ from .errors import ConfigError
 
 
 def read(path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot decode: {exc}") from exc
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -57,7 +60,10 @@ def _parse_array(raw: str, shape: tuple[int, ...]) -> np.ndarray:
     got = tuple(int(v) for v in fields[1 : 1 + ndim])
     if got != shape:
         raise ValueError(f"shape {got}, expected {shape}")
-    return np.array([float(v) for v in fields[1 + ndim :]]).reshape(shape)
+    values = np.array([float(v) for v in fields[1 + ndim :]]).reshape(shape)
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    return values
 
 
 def restore_params(kv: dict, params) -> None:

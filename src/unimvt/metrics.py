@@ -9,8 +9,7 @@ gives the gain over random targeting.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -99,10 +98,6 @@ class CumulativeSlopeCurve:
     def qini(self) -> float:
         return self._integrate((self.betas - self.beta_global) * self.phis * self.n)
 
-    def points(self):
-        """(phi, beta, beta_global) rows for curve dumps."""
-        return [(float(p), float(b), self.beta_global) for p, b in zip(self.phis, self.betas)]
-
 
 def cumulative_slope_curve(scores, data, k: int = DEFAULT_GRID) -> CumulativeSlopeCurve:
     """Build the curve: sort by score descending (stable), evaluate prefix slopes
@@ -183,37 +178,3 @@ def pcoc(pred_probs, data, edges: Sequence[float]) -> list[tuple[str, float, int
     for lo, hi in zip(edges, edges[1:]):
         emit(f"[{lo:g},{hi:g})", (w == 1) & (t >= lo) & (t < hi))
     return out
-
-
-@dataclass
-class MetricsReport:
-    """Everything one evaluation run produces, serializable to JSON and CSV."""
-
-    auc: float | None
-    logloss: float | None
-    cs_auuc: float
-    cs_qini: float
-    pcoc_bins: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-
-    CSV_HEADER = "auc,logloss,cs_auuc,cs_qini"
-
-    def to_json(self) -> str:
-        payload = {
-            "auc": self.auc,
-            "logloss": self.logloss,
-            "cs_auuc": self.cs_auuc,
-            "cs_qini": self.cs_qini,
-            "pcoc_bins": [
-                {"bin": label, "ratio": ratio, "count": count}
-                for label, ratio, count in self.pcoc_bins
-            ],
-            "warnings": self.warnings,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    def to_csv_row(self) -> str:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-
-        return ",".join([fmt(self.auc), fmt(self.logloss), fmt(self.cs_auuc), fmt(self.cs_qini)])

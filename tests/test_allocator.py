@@ -1,4 +1,4 @@
-"""Allocation engine: the additive simulation, decision rule vs brute force, monotonicity."""
+"""Allocation engine: the additive decision rule vs brute force, monotonicity."""
 
 from types import SimpleNamespace
 
@@ -15,49 +15,15 @@ def pred(p0, eta):
 
 
 # ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
-
-def test_simulate_zero_eta_is_identity_both_modes():
-    for mode in al.MODES:
-        for q in (0.0, 1.0, 5.0):
-            assert al.simulate(pred(0.3, 0.0), q, mode) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_simulate_additive_arithmetic():
-    assert al.simulate(pred(0.2, 0.05), 2.0, "additive") == pytest.approx(0.30, abs=1e-12)
-
-
-def test_simulate_additive_caps_probability():
-    assert al.simulate(pred(0.9, 0.5), 10.0, "additive") == 1.0 - 1e-7
-
-
-@given(st.floats(0.05, 0.95), st.floats(0.0, 0.3), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
-def test_simulate_nondecreasing_in_q(p0, eta, q1, q2):
-    lo, hi = sorted((q1, q2))
-    for mode in al.MODES:
-        assert al.simulate(pred(p0, eta), lo, mode) <= al.simulate(pred(p0, eta), hi, mode) + 1e-15
-
-
-def test_simulate_rejects_bad_mode_and_negative_q():
-    for mode in ("nonsense", "logit"):
-        with pytest.raises(ConfigError):
-            al.simulate(pred(0.5, 0.1), 1.0, mode)
-        with pytest.raises(ConfigError):
-            al.decide(pred(0.5, 0.1), al.AllocationGrid(1, 2, 1), 10.0, 0.5, mode)
-    with pytest.raises(ConfigError):
-        al.simulate(pred(0.5, 0.1), -1.0)
-
-
-# ---------------------------------------------------------------------------
 # decide
 # ---------------------------------------------------------------------------
 
-def brute_force_decision(p, grid, value, threshold, mode):
+def brute_force_decision(p, grid, value, threshold):
+    """The documented additive rule, one candidate intensity at a time."""
     qs = grid.values()
     rows = []
     for q in qs:
-        uplift = al.simulate(p, float(q), mode) - p.p0_hat
+        uplift = min(p.p0_hat + p.eta_hat * float(q), 1.0 - 1e-7) - p.p0_hat
         rows.append((value * uplift - q, float(q), uplift, value * uplift / q))
     best = max(rows, key=lambda r: (r[0], -r[1]))  # ties -> smallest q
     net, q, uplift, ratio = best
@@ -83,7 +49,7 @@ def test_decide_worked_example_additive():
 def test_decide_default_reads_eta_as_probability_gain_per_unit():
     # eta_hat is a click-probability gain per unit (predict_batch): uplift 0.03 q,
     # net gain 60 * 0.03 q - q = 0.8 q peaks at the top of the grid, ratio 1.8
-    decision = al.decide(pred(0.2, 0.03), al.AllocationGrid.parse("0.5:4:0.5"), 60.0, 1.5)
+    decision = al.decide(pred(0.2, 0.03), al.AllocationGrid(0.5, 4.0, 0.5), 60.0, 1.5)
     assert decision.issue
     assert decision.q_star == 4.0
     assert decision.expected_uplift == pytest.approx(0.12, abs=1e-12)
@@ -99,7 +65,7 @@ def test_decide_threshold_dominates():
 def test_additive_ratio_constant_before_cap():
     p = pred(0.2, 0.04)
     grid = al.AllocationGrid(0.5, 3.0, 0.5)
-    ratios = [100.0 * (al.simulate(p, float(q), "additive") - 0.2) / q for q in grid.values()]
+    ratios = [al.decide(p, al.AllocationGrid(q, q, 1.0), 100.0, 0.0).ratio for q in grid.values()]
     assert max(ratios) - min(ratios) < 1e-9
 
 
@@ -118,7 +84,7 @@ def test_decide_matches_brute_force(p0, eta, q_min, n_steps, step, value, thresh
     p = pred(p0, eta)
     grid = al.AllocationGrid(q_min, q_min + n_steps * step, step)
     got = al.decide(p, grid, value, threshold, mode)
-    issue, q_star, uplift, ratio, net = brute_force_decision(p, grid, value, threshold, mode)
+    issue, q_star, uplift, ratio, net = brute_force_decision(p, grid, value, threshold)
     assert got.issue == issue
     assert got.q_star == pytest.approx(q_star, abs=1e-12)
     assert got.expected_uplift == pytest.approx(uplift, abs=1e-12)
@@ -157,10 +123,14 @@ def test_grid_validation():
         al.AllocationGrid(2.0, 1.0, 0.5)
     with pytest.raises(ConfigError):
         al.AllocationGrid(1.0, 2.0, 0.0)
-    with pytest.raises(ConfigError):
-        al.AllocationGrid.parse("1:2")
-    grid = al.AllocationGrid.parse("1:3:0.5")
+    grid = al.AllocationGrid(1.0, 3.0, 0.5)
     np.testing.assert_allclose(grid.values(), [1.0, 1.5, 2.0, 2.5, 3.0])
+
+
+def test_decide_rejects_unknown_mode():
+    for mode in ("nonsense", "logit"):
+        with pytest.raises(ConfigError):
+            al.decide(pred(0.5, 0.1), al.AllocationGrid(1, 2, 1), 10.0, 0.5, mode)
 
 
 def test_decide_rejects_nonpositive_value():

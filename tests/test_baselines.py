@@ -1,4 +1,4 @@
-"""Baseline learners: degenerate cases, determinism, uplift extraction, IO."""
+"""Baseline learners: degenerate cases, determinism, uplift extraction, input checks."""
 
 from dataclasses import replace
 
@@ -10,7 +10,7 @@ from unimvt import autodiff as ad
 from unimvt import baselines as bl
 from unimvt import datagen as dg
 from unimvt.config import ExperimentConfig, TrainConfig
-from unimvt.errors import ConfigError
+from unimvt.errors import ConfigError, DataFormatError
 
 
 def quick_cfg(seed=0, epochs=3):
@@ -125,13 +125,31 @@ def test_tlearner_unit_uplift_reads_the_top_of_the_treated_support():
     assert got == pytest.approx(expit(1.0) - 0.5, abs=1e-12)
 
 
-def test_baseline_round_trip(tmp_path, small_syn):
-    train_ds, test_ds = small_syn
-    X = dg.dataset_arrays(test_ds)[0][:40]
-    for trainer, name in ((bl.train_slearner, "s.txt"), (bl.train_tlearner, "t.txt")):
-        model = trainer(train_ds, quick_cfg(seed=5, epochs=1))
-        path = tmp_path / name
-        bl.save_baseline(model, path)
-        loaded = bl.load_baseline(path)
-        np.testing.assert_array_equal(model.base_ctr(X), loaded.base_ctr(X))
-        np.testing.assert_array_equal(model.unit_uplift_scores(X), loaded.unit_uplift_scores(X))
+def untrained_learners():
+    rng = np.random.default_rng(0)
+
+    def net(name, n_inputs):
+        return ad.init_mlp(rng, name, (n_inputs, 4, 1), out_activation="sigmoid")
+
+    return (bl.SLearnerModel(net("s", 6), 1.0, 3.0),
+            bl.TLearnerModel(net("c", 5), net("t", 6), 1.0, 3.0))
+
+
+SCORING = {
+    "slearner.base_ctr": lambda s, t, X: s.base_ctr(X),
+    "slearner.outcome_prob": lambda s, t, X: s.outcome_prob(X, 2.0),
+    "slearner.unit_uplift_scores": lambda s, t, X: s.unit_uplift_scores(X),
+    "tlearner.base_ctr": lambda s, t, X: t.base_ctr(X),
+    "tlearner.treated_prob": lambda s, t, X: t.treated_prob(X, 2.0),
+    "tlearner.outcome_prob": lambda s, t, X: t.outcome_prob(X, 2.0),
+    "tlearner.unit_uplift_scores": lambda s, t, X: t.unit_uplift_scores(X),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", SCORING)
+def test_scoring_names_the_nonfinite_feature(entry, bad):
+    X = np.ones((4, 5))
+    X[2, 3] = bad
+    with pytest.raises(DataFormatError, match="row 2: feature 3"):
+        SCORING[entry](*untrained_learners(), X)

@@ -42,6 +42,15 @@ def test_same_seed_gives_identical_datasets(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_larger_test_split_leaves_the_train_split_unchanged(small_pair):
+    # generate draws the test split last
+    train, _ = small_pair
+    larger, _ = dg.generate(replace(SMALL, n_test=4 * SMALL.n_test))
+    for a, b in zip(dg.dataset_arrays(train), dg.dataset_arrays(larger)):
+        np.testing.assert_array_equal(a, b)
+    assert larger.meta == train.meta
+
+
 def test_pooled_ols_slope_recovers_mean_sensitivity():
     # low-noise oracle run: big RCT split, slope of (y - truth_p0) on t through
     # the origin over treated rows should estimate the average unit sensitivity
@@ -241,6 +250,13 @@ def test_load_names_the_bad_line(tmp_path, bad_row, reason, blank_before):
     path.write_text("\n".join(lines) + "\n")
     lineno = 4 if blank_before else 3
     with pytest.raises(DataFormatError, match=re.escape(f":{lineno}: ") + ".*" + re.escape(reason)):
+        dg.load_csv(path)
+
+
+def test_load_names_the_undecodable_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f"{HEADER}\n{GOOD_ROW}\n".encode() + b"0.5\xff" + f"{GOOD_ROW}\n".encode())
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: ")):
         dg.load_csv(path)
 
 

@@ -254,14 +254,3 @@ def test_pcoc_matches_hand_aggregation():
     bins = dict((label, ratio) for label, ratio, _ in mt.pcoc(p, (w, t, y), edges=[0.5, 1.5, 2.5]))
     mask = (w == 1) & (t >= 0.5) & (t < 1.5)
     assert bins["[0.5,1.5)"] == pytest.approx(p[mask].mean() / y[mask].mean(), abs=1e-12)
-
-
-def test_report_serialization_round_trip():
-    import json
-
-    rep = mt.MetricsReport(auc=0.7, logloss=0.4, cs_auuc=12.0, cs_qini=3.0,
-                           pcoc_bins=[("control", 1.1, 10)])
-    payload = json.loads(rep.to_json())
-    assert payload["auc"] == 0.7
-    assert payload["pcoc_bins"][0]["bin"] == "control"
-    assert rep.to_csv_row().split(",")[0] == "0.7"

@@ -1,12 +1,17 @@
 """Every entry point named outside the package resolves to a callable: the
 console scripts of pyproject.toml and the functions the benchmark's tracer
-rebinds by name; and a traced training gives the tracer what it reads."""
+rebinds by name; a traced training gives the tracer what it reads; and the
+benchmark's serving loop runs on the library's decision API."""
 
 import importlib
 import importlib.util
+import sys
 import tomllib
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 from unimvt import datagen, htenet
 from unimvt.config import ExperimentConfig, TrainConfig
@@ -14,12 +19,12 @@ from unimvt.config import ExperimentConfig, TrainConfig
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tracing():
-    """bench/tracing.py, imported from its path."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def load_bench(name):
+    """bench/<name>.py, imported from its path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_declared_scripts_resolve_to_callables():
@@ -30,7 +35,7 @@ def test_declared_scripts_resolve_to_callables():
 
 
 def test_traced_bindings_resolve_to_callables():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     for span, bindings in tracing.SPANS.items():
         for module, attr in bindings:
             assert callable(getattr(module, attr, None)), f"{span}: {module.__name__}.{attr}"
@@ -39,7 +44,21 @@ def test_traced_bindings_resolve_to_callables():
 def test_traced_training_counts_tape_nodes():
     # the tracer reads len(args[0].nodes) after every autodiff.backward call
     train, _ = datagen.generate(replace(datagen.PRESETS["syn1"], n_train=2000, n_test=200))
-    tracer = load_tracing().Tracer()
+    tracer = load_bench("tracing").Tracer()
     with tracer.phase("setup"):
         htenet.train(train, ExperimentConfig(train=TrainConfig(epochs=1)))
     assert tracer.counters["setup"]["tape_nodes"] > 0
+
+
+def test_benchmark_serving_loop_runs_on_the_library(monkeypatch, tmp_path):
+    # the library calls bench/workloads.py makes outside the traced spans:
+    # AllocationGrid, decide(..., mode=DECISION_MODE) and Prediction
+    monkeypatch.setitem(sys.modules, "checks", load_bench("checks"))
+    workloads = load_bench("workloads")
+    clock = SimpleNamespace(begin=lambda: None, factor=lambda: 1.0)
+    workload = workloads.Workload(0, tmp_path, clock)
+    users = np.random.default_rng(0).uniform([0.05, 0.0], [0.9, 0.08], size=(40, 2))
+    res = workload.serve(users, lambda u: htenet.Prediction(u[0], 0.0, 0.0, u[1], 0.0))
+    workload.check_decisions(res)
+    assert workload.failures == [] and workload.ops.failed == 0
+    assert res["issue"].any() and not res["issue"].all()
