@@ -2,7 +2,8 @@
 
 This is the substrate everything else is built on: dense affine layers with
 relu/sigmoid/softmax activations, elementwise arithmetic, a stop-gradient
-operator, an Adam optimizer and a central-difference gradient checker.
+operator, the fused counterfactual bridge, an Adam optimizer with the one
+minibatch training loop and a central-difference gradient checker.
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
@@ -215,14 +216,22 @@ class Tape:
         av = a.value
         return self.record(av * av, (a,), lambda g: (2.0 * g * av,))
 
-    def logit(self, a: Node) -> Node:
-        """Inverse sigmoid on probabilities clamped into [PROB_EPS, 1 - PROB_EPS]."""
-        p = np.clip(a.value, PROB_EPS, 1.0 - PROB_EPS)
-        inside = (a.value > PROB_EPS) & (a.value < 1.0 - PROB_EPS)
-        return self.record(
-            np.log(p) - np.log1p(-p), (a,),
-            lambda g: (g * inside / (p * (1.0 - p)),),
-        )
+    def bridge(self, p, shift) -> Node:
+        """The counterfactual bridge sigmoid(logit(p) + shift), p clamped into
+        [PROB_EPS, 1 - PROB_EPS]. Fused primitive: one tape node; no gradient
+        reaches p where the clamp binds."""
+        p, shift = self._lift(p), self._lift(shift)
+        pv, sv = p.value, shift.value
+        pc = np.clip(pv, PROB_EPS, 1.0 - PROB_EPS)
+        s = _stable_sigmoid(np.log(pc) - np.log1p(-pc) + sv)
+
+        def vjp(g):  # the clamp mask is built here: prediction never needs it
+            gz = g * s * (1.0 - s)
+            inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
+            return (_unbroadcast(gz * inside / (pc * (1.0 - pc)), np.shape(pv)),
+                    _unbroadcast(gz, np.shape(sv)))
+
+        return self.record(s, (p, shift), vjp)
 
     def concat(self, nodes: Sequence[Node], axis: int = 1) -> Node:
         widths = [n.value.shape[axis] for n in nodes]
@@ -341,17 +350,13 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_mlp(
-    rng: np.random.Generator,
-    name: str,
-    dims: Sequence[int],
-    hidden_activation: str = "relu",
-    out_activation: str = "linear",
-) -> list[Layer]:
-    """Stack of affine layers with glorot-uniform weights and zero biases."""
+def init_mlp(rng: np.random.Generator, name: str, dims: Sequence[int],
+             out_activation: str = "linear") -> list[Layer]:
+    """Stack of affine layers with glorot-uniform weights and zero biases;
+    every hidden layer is a relu."""
     layers = []
     for i in range(len(dims) - 1):
-        act = out_activation if i == len(dims) - 2 else hidden_activation
+        act = out_activation if i == len(dims) - 2 else "relu"
         layers.append(
             Layer(
                 ParamTensor(f"{name}.l{i}.W", glorot_uniform(rng, dims[i], dims[i + 1])),
@@ -433,6 +438,29 @@ def optimizer_step(params: Sequence[ParamTensor], state: OptimizerState) -> None
         state.slots[p.name] = (m, v)
         p.values -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.zero_grad()
+
+
+def minibatch_adam(params: Sequence[ParamTensor], n_rows: int, batch_loss, train, rng) -> list:
+    """The training loop: ``train.epochs`` passes of Adam at rate ``train.lr``
+    over rows 0..n_rows-1, each in a fresh ``rng`` permutation cut into
+    batches of ``train.batch`` rows. ``batch_loss(rows, tape)`` records a
+    batch's loss on a fresh tape and returns (scalar loss node, record); a
+    NaN or infinite loss raises NumericError naming its epoch and batch.
+    Returns each epoch's list of batch records."""
+    state = OptimizerState.for_params(params, lr=train.lr)
+    records = []
+    for epoch in range(train.epochs):
+        perm = rng.permutation(n_rows)
+        records.append([])
+        for start in range(0, n_rows, train.batch):
+            tape = Tape()
+            loss, record = batch_loss(perm[start : start + train.batch], tape)
+            if not np.isfinite(loss.value):
+                raise NumericError(f"non-finite loss at epoch {epoch} batch {start // train.batch}")
+            backward(tape)
+            optimizer_step(params, state)
+            records[-1].append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import ExperimentConfig
 from .datagen import Dataset, dataset_arrays, feature_matrix
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, UsageError
 
 
 def _normalize_t(t, t_min: float, t_max: float):
@@ -28,24 +28,14 @@ def _mlp_predict(layers, inputs: np.ndarray) -> np.ndarray:
 
 
 def _fit_binary_mlp(layers, inputs, labels, cfg: ExperimentConfig, rng) -> None:
-    """Cross-entropy minimization with the shared Adam settings."""
-    params = ad.mlp_params(layers)
-    state = ad.OptimizerState.for_params(params, lr=cfg.train.lr)
+    """Cross-entropy minimization with the shared minibatch-Adam loop."""
     y_col = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    n = inputs.shape[0]
-    for epoch in range(cfg.train.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.train.batch):
-            idx = perm[start : start + cfg.train.batch]
-            tape = ad.Tape()
-            p = ad.mlp_forward(layers, tape.constant(inputs[idx]), tape)
-            total = tape.sum_all(tape.binary_cross_entropy(y_col[idx], p))
-            if not np.isfinite(total.value):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} batch {start // cfg.train.batch}"
-                )
-            ad.backward(tape)
-            ad.optimizer_step(params, state)
+
+    def batch_loss(rows, tape):
+        p = ad.mlp_forward(layers, tape.constant(inputs[rows]), tape)
+        return tape.sum_all(tape.binary_cross_entropy(y_col[rows], p)), None
+
+    ad.minibatch_adam(ad.mlp_params(layers), inputs.shape[0], batch_loss, cfg.train, rng)
 
 
 @dataclass

@@ -25,8 +25,6 @@ class LossWeights:
     lambda_t: float = 0.1
     lambda_x: float = 0.5
     lambda_o: float = 1e-4
-    l1: float = 1.0    # absolute-error weight inside the intensity loss
-    l2: float = 1.0    # squared-error weight inside the intensity loss
 
     def validate(self) -> None:
         for f in fields(self):

@@ -311,7 +311,7 @@ def _metadata(spec: SynSpec, coefs: GeneratorCoefficients, split: str, rct: bool
         "coef_propensity": coefs.coef_propensity.tolist(),
         "intercept_ctr": coefs.intercept_ctr,
         "intercept_propensity": coefs.intercept_propensity,
-        "eta_max": coefs.eta_max,
+        "eta_max": float(coefs.eta_max),
     }
 
 
@@ -347,10 +347,7 @@ def save_csv(dataset: Dataset, path) -> None:
         for start in range(0, len(dataset), _WRITE_ROWS):
             block = np.column_stack([c[start : start + _WRITE_ROWS] for c in columns])
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
-    meta = dict(dataset.meta or {})
-    meta.setdefault("split", dataset.split)
-    meta.setdefault("rct", dataset.rct)
-    save_meta(meta_path(path), meta)
+    save_meta(meta_path(path), {**(dataset.meta or {}), "split": dataset.split, "rct": dataset.rct})
 
 
 def save_meta(path, meta: dict) -> None:
@@ -362,14 +359,36 @@ def save_meta(path, meta: dict) -> None:
     kvfile.write(path, (f"{key}={text(meta[key])}" for key in sorted(meta)))
 
 
-load_meta = kvfile.read  # values come back as the strings written
+def _floats(raw: str) -> list:
+    return [float(v) for v in raw.split()]
 
 
-def load_csv(path, split: str | None = None, rct: bool | None = None) -> Dataset:
-    """Read a dataset CSV and its sidecar, if any, as the dataset's meta;
-    split/rct come from the sidecar unless given. Empty lines are skipped but
-    counted: a malformed row, one with bytes that do not decode included,
-    raises a DataFormatError naming ``path:line``."""
+# parsers giving each metadata value that save_meta writes the type generate gave it
+_META_PARSERS = {"name": str, "split": str, "rct": {"True": True, "False": False}.__getitem__,
+                 "seed": int, "coupon_ratio": float, "target_avg_ctr": float, "modes": _floats,
+                 "mode_weights": _floats, "mode_jitter_sd": float,
+                 "confounding_strength": float, "coef_ctr": _floats,
+                 "coef_sensitivity": _floats, "coef_propensity": _floats,
+                 "intercept_ctr": float, "intercept_propensity": float, "eta_max": float}
+
+
+def load_meta(path) -> dict:
+    """A sidecar's metadata, each value of the type generate gives it (other
+    keys as strings); a value that does not parse raises DataFormatError."""
+    meta = {}
+    for key, raw in kvfile.read(path).items():
+        try:
+            meta[key] = _META_PARSERS.get(key, str)(raw)
+        except (ValueError, KeyError) as exc:
+            raise DataFormatError(f"{path}: bad {key!r}: {raw!r}") from exc
+    return meta
+
+
+def load_csv(path) -> Dataset:
+    """Read a dataset CSV and, as the dataset's meta, its sidecar if there is
+    one; split and rct come from the sidecar (train and not RCT without one).
+    Empty lines are skipped but counted: a malformed row, one with bytes that
+    do not decode included, raises a DataFormatError naming ``path:line``."""
     path = Path(path)
     with open(path, errors="replace") as fh:
         first = fh.readline()
@@ -396,11 +415,8 @@ def load_csv(path, split: str | None = None, rct: bool | None = None) -> Dataset
         raise DataFormatError(f"{path}:{lineno}: {bad[1]}")
 
     meta = load_meta(meta_path(path)) if meta_path(path).exists() else None
-    if split is None:
-        split = (meta or {}).get("split", "train")
-    if rct is None:
-        rct = (meta or {}).get("rct", "False") in ("True", "true", "1")
-    return Dataset(*columns, split=split, rct=rct, meta=meta)
+    flags = {key: meta[key] for key in ("split", "rct") if key in (meta or {})}
+    return Dataset(*columns, **flags, meta=meta)
 
 
 def _data_lines(path):

@@ -6,17 +6,19 @@ treatment tower estimates the intervened probability from ut, with every
 hidden layer modulated by a treatment-aware gate 2*sigmoid(W e_t + b). An
 intensity head (behind stop-gradient) imputes the dose a unit would have
 received; a ReLU uplift head outputs the nonnegative per-unit sensitivity.
-Counterfactual estimators bridge the two towers in logit space by shifting
-with t_hat * eta_hat, and the joint loss combines factual cross-entropies,
-the intensity regression, the counterfactual MSE terms and the expert
-orthogonality penalty.
+The counterfactual bridge ``Tape.bridge`` links the towers in logit space by
+shifting with t_hat * eta. One ``forward`` records the network for training
+and prediction alike, which differ only in the dose that gates the treatment
+tower. The joint loss adds the factual cross-entropies, the intensity
+regression, the counterfactual MSE terms and the expert orthogonality
+penalty; ``train`` runs it in the shared loop ``autodiff.minibatch_adam``.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from . import kvfile
@@ -25,7 +27,7 @@ from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_f
                      default_config)
 from .datagen import Dataset, dataset_arrays, feature_matrix
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, UsageError
 
 TREAT_ENC_DIM = 2        # normalized intensity and its square
 UPLIFT_HEAD_INIT = 0.02  # initial uniform eta_hat, calibrated downstream by the X losses
@@ -65,7 +67,6 @@ class UniMvtModel:
     cfg: ExperimentConfig
     dcr: DcrParams
     hte: HteParams
-    input_dim: int
 
     def parameters(self) -> list[ad.ParamTensor]:
         return self.dcr.parameters() + self.hte.parameters()
@@ -118,34 +119,17 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
     uplift_head[-1].b.values[:] = UPLIFT_HEAD_INIT
     hte = HteParams(base_tower, treat_tower, ta_gates, intensity_head, uplift_head,
                     float(t_min), float(t_max))
-    return UniMvtModel(cfg=cfg, dcr=dcr_params, hte=hte, input_dim=input_dim)
+    return UniMvtModel(cfg=cfg, dcr=dcr_params, hte=hte)
 
 
 # ---------------------------------------------------------------------------
 # forward pieces
 # ---------------------------------------------------------------------------
 
-def treatment_encoding(t_raw: ad.Node, t_min: float, t_max: float, tape: ad.Tape) -> ad.Node:
-    """e_t: intensity min-max normalized by the model's t bounds, plus its square."""
-    tn = tape.scale(tape.add(t_raw, -t_min), 1.0 / (t_max - t_min))
-    return tape.concat([tn, tape.square(tn)], axis=1)
-
-
 def ta_gate(gate: ad.Layer, e_t: ad.Node, h: ad.Node, tape: ad.Tape) -> ad.Node:
     """Scale hidden activations by a = 2*sigmoid(W e_t + b), elementwise in (0, 2)."""
     a = tape.scale(tape.sigmoid(tape.affine(e_t, tape.param(gate.W), tape.param(gate.b))), 2.0)
     return tape.mul(a, h)
-
-
-def treat_tower_forward(hte: HteParams, ut: ad.Node, e_t: ad.Node, tape: ad.Tape) -> ad.Node:
-    """Treatment tower with a TA-gate after every hidden layer (never the output)."""
-    h = ut
-    for i, layer in enumerate(hte.treat_tower[:-1]):
-        h = tape.affine(h, tape.param(layer.W), tape.param(layer.b))
-        h = tape.relu(h)
-        h = ta_gate(hte.ta_gates[i], e_t, h, tape)
-    last = hte.treat_tower[-1]
-    return tape.sigmoid(tape.affine(h, tape.param(last.W), tape.param(last.b)))
 
 
 def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
@@ -160,17 +144,37 @@ def uplift_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
     return tape.relu(ad.mlp_forward(hte.uplift_head, ut, tape))
 
 
-# the treated counterfactual in plain numpy (inference path); the tape route in
-# joint_loss_arrays applies the same formula with autodiff primitives
-
-def logit_np(p):
-    p = np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    return np.log(p) - np.log1p(-p)
+Forward = namedtuple("Forward", "p0 t_hat eta tau p_cf pt")
 
 
-def counterfactual_treat(p0_hat, t_hat, eta_hat):
-    """Treated probability imputed from the base estimate: sigmoid(logit(p0) + t*eta)."""
-    return expit(logit_np(p0_hat) + np.asarray(t_hat) * np.asarray(eta_hat))
+def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forward:
+    """Record the network once on tape for the feature matrix X: the nodes p0,
+    t_hat, the uplift head eta (a per-unit logit shift), tau = t_hat * eta,
+    p_cf = bridge(p0, tau) and pt at the gate dose. ``gate_dose(t_hat)`` gives
+    that dose, a node of tape or an array; it feeds the treatment tower's TA
+    gates or, with the tower ablated, the bridge from p0."""
+    hte = model.hte
+    rep = dcr_forward(model.dcr, tape.constant(X), tape)
+    p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape)
+    t_hat = intensity_head_forward(hte, rep.ut, tape)
+    eta = uplift_head_forward(hte, rep.ut, tape)
+    tau = tape.mul(t_hat, eta)
+    p_cf = tape.bridge(p0, tau)
+    dose = gate_dose(t_hat)
+    if hte.treat_tower is None:
+        pt = tape.bridge(p0, tape.mul(dose, eta))
+    else:
+        # e_t, the dose min-max normalized by the t bounds and its square, feeds
+        # the TA gate after every hidden layer of the tower (never the output)
+        tn = tape.scale(tape.add(dose, -hte.t_min), 1.0 / (hte.t_max - hte.t_min))
+        e_t = tape.concat([tn, tape.square(tn)], axis=1)
+        h = rep.ut
+        for layer, gate in zip(hte.treat_tower, hte.ta_gates):
+            h = tape.relu(tape.affine(h, tape.param(layer.W), tape.param(layer.b)))
+            h = ta_gate(gate, e_t, h, tape)
+        last = hte.treat_tower[-1]
+        pt = tape.sigmoid(tape.affine(h, tape.param(last.W), tape.param(last.b)))
+    return Forward(p0, t_hat, eta, tau, p_cf, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -182,33 +186,21 @@ LOSS_COMPONENTS = {"l_base": "lambda_base", "l_treat": "lambda_treat", "l_t": "l
                    "l_x": "lambda_x", "r_orth": "lambda_o"}
 
 
-def joint_loss_arrays(X, w, t, y, dcr_params: DcrParams, hte: HteParams,
-                      weights: LossWeights, tape: ad.Tape):
+def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape: ad.Tape):
     """Joint loss over a batch: lambda-weighted sum of the factual
-    cross-entropies, intensity regression, counterfactual MSE and the
-    orthogonality penalty. Returns (total node, per-term unweighted sums)."""
-    n = X.shape[0]
-    if n == 0:
+    cross-entropies, intensity regression (squared plus absolute error),
+    counterfactual MSE and the orthogonality penalty. Returns (total node,
+    per-term unweighted sums)."""
+    if X.shape[0] == 0:
         raise UsageError("joint_loss needs a nonempty batch")
     w_col = np.asarray(w, dtype=np.float64).reshape(-1, 1)
     y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     t_col = np.asarray(t, dtype=np.float64).reshape(-1, 1)
     ctrl_mask = 1.0 - w_col
 
-    x_node = tape.constant(np.asarray(X, dtype=np.float64))
-    rep = dcr_forward(dcr_params, x_node, tape)
-    p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape)
-    t_hat = intensity_head_forward(hte, rep.ut, tape)
-    eta = uplift_head_forward(hte, rep.ut, tape)
-    tau = tape.mul(t_hat, eta)
-
-    # observed dose drives the gate on treated rows; the imputed dose on controls
-    t_mix = tape.add(tape.mul(ctrl_mask, t_hat), t_col)
-    if hte.treat_tower is not None:
-        e_t = treatment_encoding(t_mix, hte.t_min, hte.t_max, tape)
-        pt = treat_tower_forward(hte, rep.ut, e_t, tape)
-    else:
-        pt = tape.sigmoid(tape.add(tape.logit(p0), tau))
+    # the observed dose gates the treatment tower on treated rows, the imputed one on controls
+    fw = forward(model, np.asarray(X, dtype=np.float64), tape,
+                 lambda t_hat: tape.add(tape.mul(ctrl_mask, t_hat), t_col))
 
     components = dict.fromkeys(LOSS_COMPONENTS, 0.0)
     total = None
@@ -221,24 +213,23 @@ def joint_loss_arrays(X, w, t, y, dcr_params: DcrParams, hte: HteParams,
 
     if weights.lambda_base > 0:
         accumulate("l_base",
-                   tape.sum_all(tape.mul(ctrl_mask, tape.binary_cross_entropy(y_col, p0))),
+                   tape.sum_all(tape.mul(ctrl_mask, tape.binary_cross_entropy(y_col, fw.p0))),
                    weights.lambda_base)
-    if weights.lambda_treat > 0 and hte.treat_tower is not None:
-        accumulate("l_treat", tape.sum_all(tape.mul(w_col, tape.binary_cross_entropy(y_col, pt))),
+    if weights.lambda_treat > 0 and model.hte.treat_tower is not None:
+        accumulate("l_treat",
+                   tape.sum_all(tape.mul(w_col, tape.binary_cross_entropy(y_col, fw.pt))),
                    weights.lambda_treat)
     if weights.lambda_t > 0:
-        err = tape.sub(t_col, t_hat)
-        per_row = tape.add(tape.scale(tape.square(err), weights.l2),
-                           tape.scale(tape.absolute(err), weights.l1))
+        err = tape.sub(t_col, fw.t_hat)
+        per_row = tape.add(tape.square(err), tape.absolute(err))
         accumulate("l_t", tape.sum_all(tape.mul(w_col, per_row)), weights.lambda_t)
     if weights.lambda_x > 0:
-        p_treat_cf = tape.sigmoid(tape.add(tape.logit(p0), tau))
-        p_base_cf = tape.sigmoid(tape.sub(tape.logit(pt), tau))
-        x_treat = tape.sum_all(tape.mul(w_col, tape.square(tape.sub(y_col, p_treat_cf))))
+        p_base_cf = tape.bridge(fw.pt, tape.scale(fw.tau, -1.0))
+        x_treat = tape.sum_all(tape.mul(w_col, tape.square(tape.sub(y_col, fw.p_cf))))
         x_base = tape.sum_all(tape.mul(ctrl_mask, tape.square(tape.sub(y_col, p_base_cf))))
         accumulate("l_x", tape.add(x_treat, x_base), weights.lambda_x)
-    if weights.lambda_o > 0 and dcr_params.enabled:
-        accumulate("r_orth", orth_penalty(dcr_params, tape), weights.lambda_o)
+    if weights.lambda_o > 0 and model.dcr.enabled:
+        accumulate("r_orth", orth_penalty(model.dcr, tape), weights.lambda_o)
 
     if total is None:
         total = tape.constant(0.0)
@@ -274,31 +265,16 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
         weights = replace(weights, lambda_x=0.0)
     weights.validate()
 
-    params = model.parameters()
-    state = ad.OptimizerState.for_params(params, lr=cfg.train.lr)
-    rng = np.random.default_rng(seed + 1)  # shuffle stream separate from init
+    def batch_loss(rows, tape):
+        return joint_loss_arrays(X[rows], w[rows], t[rows], y[rows], model, weights, tape)
+
     n = X.shape[0]
+    rng = np.random.default_rng(seed + 1)  # shuffle stream separate from init
+    epochs = ad.minibatch_adam(model.parameters(), n, batch_loss, cfg.train, rng)
     history = []
-    for epoch in range(cfg.train.epochs):
-        perm = rng.permutation(n)
-        sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
-        n_batches = 0
-        for start in range(0, n, cfg.train.batch):
-            idx = perm[start : start + cfg.train.batch]
-            tape = ad.Tape()
-            total, comps = joint_loss_arrays(
-                X[idx], w[idx], t[idx], y[idx], model.dcr, model.hte, weights, tape
-            )
-            if not np.isfinite(total.value):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} batch {start // cfg.train.batch}"
-                )
-            ad.backward(tape)
-            ad.optimizer_step(params, state)
-            for k in LOSS_COMPONENTS:
-                sums[k] += comps[k]
-            n_batches += 1
-        means = {k: sums[k] / (n_batches if k == "r_orth" else n) for k in LOSS_COMPONENTS}
+    for epoch, batches in enumerate(epochs):
+        means = {k: sum(comps[k] for comps in batches) / (len(batches) if k == "r_orth" else n)
+                 for k in LOSS_COMPONENTS}
         total = sum(getattr(weights, lam) * means[k] for k, lam in LOSS_COMPONENTS.items())
         history.append({"epoch": epoch, "total": total, **means})
     return model, history
@@ -309,14 +285,15 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
-    """Vectorized prediction. When q (scalar or per-row array) is given, the
-    treated probability and tau_hat are evaluated at that intensity instead of
-    the imputed t_hat; values outside [t_min, t_max] set the extrapolated flag.
+    """Vectorized prediction, read off one ``forward``. When q (scalar or
+    per-row array) is given, the treated probability and tau_hat are evaluated
+    at that intensity instead of the imputed t_hat; values outside
+    [t_min, t_max] set the extrapolated flag.
 
     The uplift head learns a per-unit logit shift (that is how the
     counterfactual losses calibrate it); the reported unit uplift eta_hat is
     the implied click-probability gain per unit of intensity, read off the
-    counterfactual at the imputed dose:
+    counterfactual node p_cf = bridge(p0, t_hat * head) that the X loss trains:
 
         eta_hat = (sigmoid(logit(p0_hat) + t_hat * head) - p0_hat) / t_hat
 
@@ -330,40 +307,22 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     """
     X = feature_matrix(X)
     n = X.shape[0]
-    hte = model.hte
-    tape = ad.Tape()
-    rep = dcr_forward(model.dcr, tape.constant(X), tape)
-    p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape).value.reshape(-1)
-    t_hat = intensity_head_forward(hte, rep.ut, tape).value.reshape(-1)
-    eta_head = uplift_head_forward(hte, rep.ut, tape).value.reshape(-1)
-
-    def clip(p):
-        return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-
-    p0 = clip(p0)
-    eta = np.maximum((counterfactual_treat(p0, t_hat, eta_head) - p0) / t_hat, 0.0)
-
     if q is None:
-        t_eff = t_hat
         extrapolated = np.zeros(n, dtype=bool)
     else:
-        t_eff = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,)).copy()
-        extrapolated = (t_eff < hte.t_min) | (t_eff > hte.t_max)
-    tau = t_eff * eta
-
-    if hte.treat_tower is not None:
-        e_t = treatment_encoding(tape.constant(t_eff.reshape(-1, 1)), hte.t_min, hte.t_max, tape)
-        pt = treat_tower_forward(hte, rep.ut, e_t, tape).value.reshape(-1)
-    else:
-        pt = counterfactual_treat(p0, t_eff, eta_head)
-
+        q = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,)).copy()
+        extrapolated = (q < model.hte.t_min) | (q > model.hte.t_max)
+    fw = forward(model, X, ad.Tape(), lambda t_hat: t_hat if q is None else q.reshape(-1, 1))
+    p0, t_hat, eta_head, _, p_cf, pt = (node.value.reshape(-1) for node in fw)
+    p0 = np.clip(p0, PROB_EPS, 1.0 - PROB_EPS)
+    eta = np.maximum((p_cf - p0) / t_hat, 0.0)
     return {
         "p0_hat": p0,
-        "pt_hat": clip(pt),
+        "pt_hat": np.clip(pt, PROB_EPS, 1.0 - PROB_EPS),
         "t_hat": t_hat,
         "eta_hat": eta,
         "eta_head": eta_head,
-        "tau_hat": tau,
+        "tau_hat": (t_hat if q is None else q) * eta,
         "extrapolated": extrapolated,
     }
 
@@ -392,7 +351,7 @@ _CONFIG_KEYS = ("dcr.experts_per_group", "dcr.hidden", "dcr.out_dim",
 
 def save_model(model: UniMvtModel, path) -> None:
     flat = config_to_flat(model.cfg)
-    lines = ["kind=unimvt", f"input_dim={model.input_dim}",
+    lines = ["kind=unimvt", f"input_dim={model.dcr.input_dim}",
              f"t_min={model.hte.t_min!r}", f"t_max={model.hte.t_max!r}"]
     lines.extend(f"{key}={flat[key]}" for key in _CONFIG_KEYS)
     lines.extend(kvfile.param_line(p) for p in model.parameters())

@@ -67,5 +67,11 @@ def _parse_array(raw: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def restore_params(kv: dict, params) -> None:
+    """Fill params from their lines; the first parameter line that names
+    none of them raises a ConfigError naming it."""
+    names = {f"param.{p.name}" for p in params}
+    stray = next((key for key in kv if key.startswith("param.") and key not in names), None)
+    if stray is not None:
+        raise ConfigError(f"model file has {stray!r}, which the network has no slot for")
     for p in params:
         p.values[...] = field(kv, f"param.{p.name}", lambda raw: _parse_array(raw, p.shape))

@@ -4,8 +4,10 @@ stop-gradient semantics, optimizer behaviour and the finite-difference checker."
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit, logit
 
 from unimvt import autodiff as ad
+from unimvt.config import TrainConfig
 from unimvt.errors import ConfigError, NumericError, UsageError
 
 
@@ -178,6 +180,10 @@ def test_primitive_gradients_against_finite_differences():
     mask = rng.uniform(0.5, 1.5, size=(3, 4))
     proj = rng.standard_normal((4, 2))
     merge_mask = rng.uniform(0.5, 1.5, size=(3, 6))
+    # 0.4 w lies in [0.04, 0.8]; the offsets move some entries past 1 or below 0,
+    # where the bridge's clamp binds
+    offsets = np.zeros((3, 4))
+    offsets[0, :2], offsets[1, 2:] = 1.0, -1.0
 
     def loss_fn(tape):
         wn = tape.param(w)
@@ -186,7 +192,8 @@ def test_primitive_gradients_against_finite_differences():
             tape.sum_all(tape.mul(mask, tape.sigmoid(wn))),
             tape.sum_all(tape.softmax(wn)),
             tape.sum_all(tape.absolute(tape.sub(wn, 1.0))),
-            tape.sum_all(tape.square(tape.logit(tape.sigmoid(wn)))),
+            tape.sum_all(tape.square(tape.bridge(tape.add(tape.scale(wn, 0.4), offsets),
+                                                 tape.scale(wn, 0.3)))),
             tape.sum_all(tape.square(stacked)),
             tape.sum_all(tape.mul(merge_mask, tape.gate_merge(tape.softmax(tape.matmul(wn, proj)),
                                                               tape.relu(stacked)))),
@@ -200,6 +207,24 @@ def test_primitive_gradients_against_finite_differences():
         return total
 
     assert ad.finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6) < 1e-6
+
+
+def bridge_value(p, shift):
+    tape = ad.Tape()
+    return float(tape.bridge(tape.constant(p), shift).value)
+
+
+def test_bridge_known_values():
+    assert bridge_value(0.5, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert bridge_value(0.5, np.log(3.0)) == pytest.approx(0.75, abs=1e-12)
+    assert bridge_value(0.2, 2.0 * 0.3) == pytest.approx(expit(logit(0.2) + 0.6), abs=1e-15)
+    assert bridge_value(0.0, 0.0) == pytest.approx(ad.PROB_EPS, rel=1e-9)  # the clamp
+
+
+@given(st.floats(0.05, 0.95), st.floats(0.0, 2.0))
+def test_bridge_matches_scalar_oracle(p, delta):
+    want = 1.0 / (1.0 + np.exp(-(np.log(p / (1 - p)) + delta)))
+    assert bridge_value(p, delta) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +273,37 @@ def test_optimizer_step_zeroes_gradients():
     p.grad[:] = 1.0
     ad.optimizer_step([p], ad.OptimizerState.for_params([p]))
     np.testing.assert_array_equal(p.grad, np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# minibatch_adam
+# ---------------------------------------------------------------------------
+
+def test_minibatch_adam_visits_every_row_once_per_epoch():
+    w = ad.ParamTensor("w", np.array([[5.0]]))
+
+    def batch_loss(rows, tape):
+        return tape.sum_all(tape.square(tape.param(w))), rows
+
+    epochs = ad.minibatch_adam([w], 10, batch_loss, TrainConfig(epochs=2, batch=4, lr=0.1),
+                               np.random.default_rng(0))
+    assert len(epochs) == 2
+    for batches in epochs:
+        assert [len(rows) for rows in batches] == [4, 4, 2]
+        np.testing.assert_array_equal(np.sort(np.concatenate(batches)), np.arange(10))
+    assert 0.0 < w.values[0, 0] < 5.0  # six Adam steps downhill
+
+
+def test_minibatch_adam_nonfinite_loss_names_epoch_and_batch():
+    w = ad.ParamTensor("w", np.ones((1, 1)))
+
+    def batch_loss(rows, tape):
+        return tape.sum_all(tape.scale(tape.param(w), np.nan)), None
+
+    with pytest.raises(NumericError, match="non-finite loss at epoch 0 batch 0"):
+        ad.minibatch_adam([w], 10, batch_loss, TrainConfig(epochs=2, batch=4),
+                          np.random.default_rng(0))
+    assert w.values[0, 0] == 1.0  # no step was taken
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimvt import datagen as dg
+from unimvt import kvfile
 from unimvt.errors import ConfigError, DataFormatError
 
 SMALL = replace(dg.PRESETS["syn1"], n_train=6000, n_test=1500, seed=9)
@@ -77,9 +78,7 @@ def test_truth_fields_and_response_shape(small_pair):
 
 def test_dose_confounding_present_in_train_absent_in_test(multi_pair):
     train, test = multi_pair
-    d = np.array([float(v) for v in str(train.meta["coef_propensity"]).split()]) \
-        if isinstance(train.meta["coef_propensity"], str) \
-        else np.array(train.meta["coef_propensity"])
+    d = np.array(train.meta["coef_propensity"])
     for ds, check in ((train, "pos"), (test, "null")):
         X, w, t, _, _, _ = dg.dataset_arrays(ds)
         score = X @ d
@@ -136,27 +135,38 @@ def test_load_without_truth_columns(tmp_path):
     assert ds.truth_p0 is None and ds.truth_eta is None and not ds.has_truth
 
 
-def test_load_csv_returns_the_sidecar_as_meta(tmp_path, small_pair):
+def test_load_csv_returns_the_sidecar_as_meta(tmp_path, small_pair, multi_pair):
+    # the keys, values and types generate gave, for both splits of syn1 and syn3
+    for ds in (*small_pair, *multi_pair):
+        path = tmp_path / f"{ds.meta['name']}-{ds.split}.csv"
+        dg.save_csv(ds, path)
+        loaded = dg.load_csv(path)
+        assert loaded.meta == ds.meta
+        for key, value in ds.meta.items():
+            assert type(loaded.meta[key]) is type(value), key
+    assert dg.load_csv(tmp_path / "syn1-train.csv").meta["modes"] == [2.5]  # one mode, a list
+
+
+def test_bad_metadata_value_is_named(tmp_path, small_pair):
     train, _ = small_pair
     path = tmp_path / "ds.csv"
     dg.save_csv(train, path)
-    # the sidecar is read also when split and rct are both given
-    for loaded in (dg.load_csv(path), dg.load_csv(path, split="train", rct=False)):
-        coef = np.array(loaded.meta["coef_propensity"].split(), dtype=float)
-        np.testing.assert_array_equal(coef, train.meta["coef_propensity"])
-        for key in ("intercept_ctr", "eta_max"):
-            assert float(loaded.meta[key]) == train.meta[key]
+    sidecar = dg.meta_path(path)
+    sidecar.write_text(sidecar.read_text().replace("rct=False", "rct=maybe"))
+    with pytest.raises(DataFormatError, match="'rct'"):
+        dg.load_csv(path)
 
 
 def test_meta_sidecar_round_trip(tmp_path, small_pair):
     train, _ = small_pair
     path = tmp_path / "ds.csv"
     dg.save_csv(train, path)
-    meta = dg.load_meta(dg.meta_path(path))
+    meta = kvfile.read(dg.meta_path(path))  # the strings written
     assert meta["seed"] == str(SMALL.seed)
     assert "coef_propensity" in meta and "intercept_ctr" in meta
     d = np.array([float(v) for v in meta["coef_propensity"].split()])
     np.testing.assert_allclose(d, np.asarray(train.meta["coef_propensity"]), atol=0)
+    assert dg.load_meta(dg.meta_path(path)) == train.meta
 
 
 def test_spec_validation_errors():

@@ -6,8 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from unimvt import autodiff as ad
 from unimvt import datagen as dg
@@ -175,23 +174,6 @@ def test_tau_is_product_of_intensity_and_unit_uplift():
 
 
 # ---------------------------------------------------------------------------
-# counterfactual estimators
-# ---------------------------------------------------------------------------
-
-def test_counterfactual_treat_known_values():
-    assert ht.counterfactual_treat(0.5, 1.0, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert ht.counterfactual_treat(0.5, 1.0, np.log(3.0)) == pytest.approx(0.75, abs=1e-12)
-    want = expit(ht.logit_np(0.2) + 0.6)
-    assert ht.counterfactual_treat(0.2, 2.0, 0.3) == pytest.approx(want, abs=1e-15)
-
-
-@given(st.floats(0.05, 0.95), st.floats(0.0, 2.0))
-def test_counterfactual_matches_scalar_oracle(p, delta):
-    want = 1.0 / (1.0 + np.exp(-(np.log(p / (1 - p)) + delta)))
-    assert ht.counterfactual_treat(p, 1.0, delta) == pytest.approx(want, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # joint loss
 # ---------------------------------------------------------------------------
 
@@ -200,7 +182,7 @@ def test_joint_loss_all_zero_weights():
     X, w, t, y = tiny_batch()
     zero = LossWeights(0, 0, 0, 0, 0)
     tape = ad.Tape()
-    total, comps = ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte, zero, tape)
+    total, comps = ht.joint_loss_arrays(X, w, t, y, model, zero, tape)
     assert float(total.value) == 0.0
     assert all(v == 0.0 for v in comps.values())
 
@@ -212,7 +194,7 @@ def test_joint_loss_single_control_row_is_ln2():
     weights = LossWeights(1.0, 0, 0, 0, 0)
     tape = ad.Tape()
     total, comps = ht.joint_loss_arrays(np.zeros((1, 5)), np.array([0]), np.array([0.0]),
-                                        np.array([1]), model.dcr, model.hte, weights, tape)
+                                        np.array([1]), model, weights, tape)
     assert float(total.value) == pytest.approx(np.log(2.0), abs=1e-12)
     assert comps["l_base"] == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -221,7 +203,7 @@ def test_joint_loss_empty_batch_is_usage_error():
     model = tiny_model()
     with pytest.raises(UsageError):
         ht.joint_loss_arrays(np.zeros((0, 5)), np.zeros(0), np.zeros(0), np.zeros(0),
-                             model.dcr, model.hte, LossWeights(), ad.Tape())
+                             model, LossWeights(), ad.Tape())
 
 
 def scalar_oracle_loss(model, X, w, t, y, weights):
@@ -279,8 +261,7 @@ def scalar_oracle_loss(model, X, w, t, y, weights):
     ctrl, trt = w == 0, w == 1
     l_base = bce(y[ctrl], p0[ctrl]).sum()
     l_treat = bce(y[trt], pt[trt]).sum()
-    l_t = (weights.l2 * (t[trt] - t_hat[trt]) ** 2
-           + weights.l1 * np.abs(t[trt] - t_hat[trt])).sum()
+    l_t = ((t[trt] - t_hat[trt]) ** 2 + np.abs(t[trt] - t_hat[trt])).sum()
     p_treat_cf = expit(lg(p0) + tau)
     p_base_cf = expit(lg(pt) - tau)
     l_x = ((y[trt] - p_treat_cf[trt]) ** 2).sum() + ((y[ctrl] - p_base_cf[ctrl]) ** 2).sum()
@@ -303,7 +284,7 @@ def test_joint_loss_matches_scalar_oracle_on_mixed_batch():
     X, w, t, y = tiny_batch(seed=11, n=8)
     weights = LossWeights(1.0, 1.0, 1.0, 1.0, 1.0)
     tape = ad.Tape()
-    total, comps = ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte, weights, tape)
+    total, comps = ht.joint_loss_arrays(X, w, t, y, model, weights, tape)
     want_total, want_comps = scalar_oracle_loss(model, X, w, t, y, weights)
     assert float(total.value) == pytest.approx(want_total, rel=1e-12)
     for key, want in want_comps.items():
@@ -313,9 +294,9 @@ def test_joint_loss_matches_scalar_oracle_on_mixed_batch():
 def test_joint_loss_total_is_weighted_component_sum():
     model = tiny_model(seed=2)
     X, w, t, y = tiny_batch(seed=2, n=24)
-    weights = LossWeights(0.7, 1.3, 0.2, 0.9, 1e-3, l1=0.5, l2=2.0)
+    weights = LossWeights(0.7, 1.3, 0.2, 0.9, 1e-3)
     tape = ad.Tape()
-    total, comps = ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte, weights, tape)
+    total, comps = ht.joint_loss_arrays(X, w, t, y, model, weights, tape)
     want = (weights.lambda_base * comps["l_base"] + weights.lambda_treat * comps["l_treat"]
             + weights.lambda_t * comps["l_t"] + weights.lambda_x * comps["l_x"]
             + weights.lambda_o * comps["r_orth"])
@@ -338,7 +319,7 @@ def test_base_loss_never_trains_treated_experts(seed):
     model = tiny_model(seed=seed)
     X, w, t, y = tiny_batch(seed=seed + 50)
     tape = ad.Tape()
-    ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte,
+    ht.joint_loss_arrays(X, w, t, y, model,
                          LossWeights(1.0, 0, 0, 0, 0), tape)
     ad.backward(tape)
     assert all(np.all(g == 0.0) for g in slot_grads(model.dcr, dcr.TREATED))
@@ -351,7 +332,7 @@ def test_treat_loss_never_trains_base_experts(seed):
     model = tiny_model(seed=seed)
     X, w, t, y = tiny_batch(seed=seed + 60)
     tape = ad.Tape()
-    ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte,
+    ht.joint_loss_arrays(X, w, t, y, model,
                          LossWeights(0, 1.0, 0, 0, 0), tape)
     ad.backward(tape)
     assert all(np.all(g == 0.0) for g in slot_grads(model.dcr, dcr.BASE))
@@ -364,7 +345,7 @@ def test_intensity_loss_never_trains_dcr_or_uplift_head(seed):
     model = tiny_model(seed=seed)
     X, w, t, y = tiny_batch(seed=seed + 70)
     tape = ad.Tape()
-    ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte,
+    ht.joint_loss_arrays(X, w, t, y, model,
                          LossWeights(0, 0, 1.0, 0, 0), tape)
     ad.backward(tape)
     for p in model.dcr.parameters():
@@ -381,7 +362,7 @@ def test_full_joint_loss_passes_gradient_check():
     params = model.parameters()
 
     def loss_fn(tape):
-        total, _ = ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte, weights, tape)
+        total, _ = ht.joint_loss_arrays(X, w, t, y, model, weights, tape)
         return total
 
     assert ad.finite_diff_check(loss_fn, params, eps=1e-5) < 1e-4
@@ -464,14 +445,16 @@ def test_predict_with_zero_q_gives_zero_tau():
 
 
 def test_uplifted_probability_monotone_in_q():
-    # the uplift-path probability sigmoid(logit(p0) + q*eta) is nondecreasing
-    # in q because eta >= 0 structurally; equality holds iff eta == 0
+    # the uplift-path probability bridge(p0, q*eta) = sigmoid(logit(p0) + q*eta)
+    # is nondecreasing in q because eta >= 0 structurally; equality holds iff eta == 0
     model = tiny_model(seed=6)
     rng = np.random.default_rng(6)
     X = rng.standard_normal((40, 5))
     out = ht.predict_batch(model, X)
-    lo = ht.counterfactual_treat(out["p0_hat"], 1.2, out["eta_hat"])
-    hi = ht.counterfactual_treat(out["p0_hat"], 2.8, out["eta_hat"])
+    tape = ad.Tape()
+    p0 = tape.constant(out["p0_hat"])
+    lo = tape.bridge(p0, 1.2 * out["eta_hat"]).value
+    hi = tape.bridge(p0, 2.8 * out["eta_hat"]).value
     assert np.all(lo <= hi)
     positive = out["eta_hat"] > 0
     assert np.all(lo[positive] < hi[positive])
@@ -511,6 +494,20 @@ def test_predict_names_the_layer_of_a_nan_weight():
         ht.predict(model, np.ones(5))
 
 
+def test_eta_hat_is_the_counterfactual_gain_per_unit_of_imputed_dose():
+    # eta_hat is read off the node p_cf the X loss trains; scipy's sigmoid and
+    # the tape's differ by at most one ulp
+    model = tiny_model(seed=5)
+    rng = np.random.default_rng(5)
+    head = model.hte.uplift_head[-1]
+    head.W.values[:] = rng.normal(0.0, 0.5, size=head.W.shape)  # ReLU zeros some rows
+    out = ht.predict_batch(model, rng.standard_normal((200, 5)))
+    p0, t_hat = out["p0_hat"], out["t_hat"]
+    want = (expit(logit(p0) + t_hat * out["eta_head"]) - p0) / t_hat
+    assert np.any(out["eta_head"] == 0.0) and np.any(out["eta_head"] > 0.0)
+    np.testing.assert_allclose(out["eta_hat"], want, rtol=0, atol=1e-15)
+
+
 def test_t_hat_strictly_inside_bounds():
     model = tiny_model(seed=8)
     rng = np.random.default_rng(0)
@@ -527,6 +524,33 @@ def test_eta_nonnegative_everywhere():
 
 
 # ---------------------------------------------------------------------------
+# tape-node budget: node growth shows up here, not only as benchmark time
+# ---------------------------------------------------------------------------
+
+def test_default_training_batch_records_at_most_171_nodes():
+    model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
+    X, w, t, y = tiny_batch(seed=1, n=256, input_dim=8)
+    tape = ad.Tape()
+    ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), tape)
+    assert len(tape.nodes) <= 171
+
+
+def test_predict_records_at_most_92_nodes(monkeypatch):
+    model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
+    tapes = []
+
+    class CountingTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(ad, "Tape", CountingTape)
+    ht.predict(model, np.ones(8))
+    assert len(tapes) == 1
+    assert len(tapes[0].nodes) <= 92
+
+
+# ---------------------------------------------------------------------------
 # memory: a spent tape is freed by reference counting
 # ---------------------------------------------------------------------------
 
@@ -538,7 +562,7 @@ def test_batch_and_predict_leave_no_cyclic_garbage():
 
     def batch():
         tape = ad.Tape()
-        ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte, LossWeights(), tape)
+        ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), tape)
         ad.backward(tape)
         ad.optimizer_step(params, state)
 
@@ -562,7 +586,7 @@ def test_treat_tower_ablation_uses_counterfactual_bridge():
     assert model.hte.treat_tower is None
     X, w, t, y = tiny_batch(seed=4)
     tape = ad.Tape()
-    total, comps = ht.joint_loss_arrays(X, w, t, y, model.dcr, model.hte,
+    total, comps = ht.joint_loss_arrays(X, w, t, y, model,
                                         LossWeights(1, 1, 0.1, 0.5, 0), tape)
     assert comps["l_treat"] == 0.0
     assert comps["l_x"] > 0.0

@@ -58,6 +58,23 @@ def test_corrupt_parameter_is_named(tmp_path):
             ht.load_model(path)
 
 
+def test_tower_lines_of_a_model_edited_to_ablate_the_tower_are_named(tmp_path):
+    # the header now builds no treatment tower, so its saved lines have no slot
+    path = tmp_path / "model.txt"
+    lines = [line.replace("ablate.treat_tower=False", "ablate.treat_tower=True")
+             for line in save(path)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape("param.treat_tower.l0.W")):
+        ht.load_model(path)
+
+
+def test_stray_parameter_line_is_named(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(save(path) + ["param.bogus=1 1 0.5"]) + "\n")
+    with pytest.raises(ConfigError, match=re.escape("param.bogus")):
+        ht.load_model(path)
+
+
 def test_per_expert_model_file_names_the_missing_stacked_tensor(tmp_path):
     # files that stored one tensor per DCR expert lack the stacked dcr.l{i} tensors
     path = tmp_path / "model.txt"
