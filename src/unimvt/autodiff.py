@@ -12,19 +12,27 @@ records every primitive in creation order through its methods
 (``tape.affine(x, W, b)``, ``tape.relu(h)``); ``backward`` replays it once in
 reverse, so creation order doubles as the topological order.
 
-Who owns what: a ``ParamTensor`` owns its values and its accumulated
-gradient and outlives every tape. A ``Tape`` owns its nodes. A ``Node``
-holds its value, its parents, the vjp that maps its gradient to theirs and,
-for a parameter leaf, its ``ParamTensor``; it refers to no tape and holds no
-gradient. The gradients of one ``backward`` call live in that call.
-References thus run one way, from a tape to its nodes and from a node to
-its parents, so a spent tape is freed by reference counting as soon as its
-last reference goes. The module holds no mutable state.
+Who owns what: a ``ParamTensor`` holds its values and its accumulated
+gradient and outlives every tape; once an ``OptimizerState`` has packed it,
+both are views of that state's flat buffers, which own the memory. A
+``Tape`` owns its nodes. A ``Node`` holds its value, its parents, the vjp
+that maps its gradient to theirs, its tape's mark (a token, not the tape)
+and, for a parameter leaf, its ``ParamTensor``; it holds no gradient. The
+gradients of one ``backward`` call live in that call. References thus run
+one way, from a tape to its nodes and from a node to its parents, so a spent
+tape is freed by reference counting as soon as its last reference goes. The
+module holds no mutable state.
+
+Liveness is decided as the tape records: a parameter leaf is live, and any
+other node is live when it has a vjp and at least one live parent. A node
+that is not live keeps no vjp, and a live node's vjp gives None for a dead
+operand, so ``backward`` computes gradients only along paths that reach a
+parameter.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +49,8 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class ParamTensor:
-    """Trainable tensor with a persistent accumulated gradient."""
+    """Trainable tensor with a persistent accumulated gradient; an
+    OptimizerState that packs it rebinds both as views of its buffers."""
 
     __slots__ = ("name", "values", "grad")
 
@@ -64,17 +73,21 @@ class ParamTensor:
 class Node:
     """One tape entry: a value plus the recipe for pushing gradients to parents.
 
-    A node with parents but no vjp is a stop-gradient: backward passes
-    nothing through it.
+    A node is live when a gradient through it can reach a ParamTensor: a
+    parameter leaf is, and any other node is when it has a vjp and a live
+    parent. Only a live node keeps its vjp. A node with parents but no vjp is
+    a stop-gradient: backward passes nothing through it.
     """
 
-    __slots__ = ("value", "parents", "vjp", "param")
+    __slots__ = ("value", "parents", "vjp", "param", "live", "mark")
 
-    def __init__(self, value, parents=(), vjp=None, param=None):
+    def __init__(self, value, parents, vjp, param, live, mark):
         self.value = value
         self.parents = parents
         self.vjp = vjp
         self.param = param
+        self.live = live
+        self.mark = mark  # the recording tape's mark, which is not the tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -97,24 +110,30 @@ class Tape:
     The primitives are its methods. Each records one node whose parents must
     have been recorded on this tape (UsageError otherwise); the binary
     arithmetic primitives also take arrays and scalars, recorded as constants.
+    A primitive with more than one operand reads their ``live`` flags when it
+    records, and its vjp gives None, which backward skips, for a dead one.
     No vjp closes over the tape, so references run one way.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
-        self._ids: set[int] = set()  # of self.nodes, which the tape keeps alive
+        self._mark = object()  # stamped on every node recorded here
         self._param_nodes: dict[int, Node] = {}
 
-    def record(self, value, parents=(), vjp=None, param=None) -> Node:
+    def record(self, value, parents=(), vjp=None) -> Node:
+        mark = self._mark
+        live = False
         for parent in parents:
-            if id(parent) not in self._ids:
+            if parent.mark is not mark:
                 raise UsageError("operand is not a node recorded on this tape")
+            if parent.live:
+                live = True
         value = np.asarray(value)
         if value.dtype.kind != "f":
             value = value.astype(np.float64)
-        node = Node(value, tuple(parents), vjp, param)
+        live = live and vjp is not None
+        node = Node(value, tuple(parents), vjp if live else None, None, live, mark)
         self.nodes.append(node)
-        self._ids.add(id(node))
         return node
 
     def constant(self, values) -> Node:
@@ -125,7 +144,8 @@ class Tape:
         """Leaf bound to a ParamTensor; repeated use returns the same node."""
         node = self._param_nodes.get(id(p))
         if node is None:
-            node = self.record(p.values, param=p)
+            node = Node(p.values, (), None, p, True, self._mark)
+            self.nodes.append(node)
             self._param_nodes[id(p)] = node
         return node
 
@@ -137,17 +157,19 @@ class Tape:
     def add(self, a, b) -> Node:
         a, b = self._lift(a), self._lift(b)
         sa, sb = np.shape(a.value), np.shape(b.value)
+        la, lb = a.live, b.live
         return self.record(
             a.value + b.value, (a, b),
-            lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
+            lambda g: (_unbroadcast(g, sa) if la else None, _unbroadcast(g, sb) if lb else None),
         )
 
     def sub(self, a, b) -> Node:
         a, b = self._lift(a), self._lift(b)
         sa, sb = np.shape(a.value), np.shape(b.value)
+        la, lb = a.live, b.live
         return self.record(
             a.value - b.value, (a, b),
-            lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
+            lambda g: (_unbroadcast(g, sa) if la else None, _unbroadcast(-g, sb) if lb else None),
         )
 
     def mul(self, a, b) -> Node:
@@ -155,9 +177,11 @@ class Tape:
         a, b = self._lift(a), self._lift(b)
         sa, sb = np.shape(a.value), np.shape(b.value)
         av, bv = a.value, b.value
+        la, lb = a.live, b.live
         return self.record(
             av * bv, (a, b),
-            lambda g: (_unbroadcast(g * bv, sa), _unbroadcast(g * av, sb)),
+            lambda g: (_unbroadcast(g * bv, sa) if la else None,
+                       _unbroadcast(g * av, sb) if lb else None),
         )
 
     def scale(self, a: Node, c: float) -> Node:
@@ -167,7 +191,9 @@ class Tape:
     def matmul(self, a, b) -> Node:
         a, b = self._lift(a), self._lift(b)
         av, bv = a.value, b.value
-        return self.record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+        la, lb = a.live, b.live
+        return self.record(av @ bv, (a, b),
+                           lambda g: (g @ bv.T if la else None, av.T @ g if lb else None))
 
     def transpose(self, a: Node) -> Node:
         return self.record(a.value.T, (a,), lambda g: (g.T,))
@@ -181,11 +207,12 @@ class Tape:
             raise ConfigError(
                 f"affine input width {xv.shape[-1]} does not match weight rows {wv.shape[-2]}"
             )
+        lx, lw, lb = x.live, w.live, b.live
         return self.record(
             xv @ wv + b.value, (x, w, b),
-            lambda g: (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape),
-                       _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape),
-                       g.sum(axis=-2, keepdims=g.ndim > 2)),
+            lambda g: (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape) if lx else None,
+                       _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape) if lw else None,
+                       g.sum(axis=-2, keepdims=g.ndim > 2) if lb else None),
         )
 
     def relu(self, a: Node) -> Node:
@@ -224,24 +251,26 @@ class Tape:
         pv, sv = p.value, shift.value
         pc = np.clip(pv, PROB_EPS, 1.0 - PROB_EPS)
         s = _stable_sigmoid(np.log(pc) - np.log1p(-pc) + sv)
+        lp, ls = p.live, shift.live
 
         def vjp(g):  # the clamp mask is built here: prediction never needs it
             gz = g * s * (1.0 - s)
-            inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
-            return (_unbroadcast(gz * inside / (pc * (1.0 - pc)), np.shape(pv)),
-                    _unbroadcast(gz, np.shape(sv)))
+            gp = None
+            if lp:
+                inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
+                gp = _unbroadcast(gz * inside / (pc * (1.0 - pc)), np.shape(pv))
+            return gp, _unbroadcast(gz, np.shape(sv)) if ls else None
 
         return self.record(s, (p, shift), vjp)
 
     def concat(self, nodes: Sequence[Node], axis: int = 1) -> Node:
-        widths = [n.value.shape[axis] for n in nodes]
-        offsets = np.cumsum([0] + widths)
+        cuts = np.cumsum([0] + [n.value.shape[axis] for n in nodes]).tolist()
+        lead = (slice(None),) * (axis % nodes[0].value.ndim)
+        live = [n.live for n in nodes]
 
         def vjp(g):
-            return tuple(
-                np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-                for i in range(len(nodes))
-            )
+            return tuple(g[lead + (slice(start, stop),)] if keep else None
+                         for start, stop, keep in zip(cuts, cuts[1:], live))
 
         return self.record(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), vjp)
 
@@ -252,10 +281,12 @@ class Tape:
         ev = experts.value
         k, n, d = ev.shape
         weights = gate.value.T[:, :, None]
+        lg, le = gate.live, experts.live
 
         def vjp(g):
             blocks = g.reshape(n, k, d).transpose(1, 0, 2)
-            return (blocks * ev).sum(axis=2).T, blocks * weights
+            return ((blocks * ev).sum(axis=2).T if lg else None,
+                    blocks * weights if le else None)
 
         return self.record((weights * ev).transpose(1, 0, 2).reshape(n, k * d),
                            (gate, experts), vjp)
@@ -300,9 +331,10 @@ def backward(tape: Tape) -> None:
     """Replay the tape in reverse, accumulating d(loss)/d(param) into ParamTensor.grad.
 
     The tape must end in a scalar node (the loss). Each node is visited
-    exactly once; stop-gradient nodes propagate nothing upstream. The
-    gradients live in this call alone, each dropped once it has reached the
-    node's parents.
+    exactly once; stop-gradient nodes propagate nothing upstream, and a vjp
+    output of None (a dead operand) is skipped. The gradients live in this
+    call alone, each dropped once it has reached the node's parents; a stored
+    gradient is never changed in place, so vjp outputs are stored uncopied.
     """
     if not tape.nodes:
         raise UsageError("backward called before any forward computation")
@@ -318,11 +350,13 @@ def backward(tape: Tape) -> None:
             node.param.grad += g
         if node.vjp is not None:
             for parent, pg in zip(node.parents, node.vjp(g)):
+                if pg is None:
+                    continue
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
                 else:
-                    grads[key] = np.array(pg, dtype=np.float64)
+                    grads[key] = pg
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +408,27 @@ def mlp_params(layers: Sequence[Layer]) -> list[ParamTensor]:
     return out
 
 
+def layer_affine(layer: Layer, x: Node, tape: Tape, index: int = 0) -> Node:
+    """The affine part of one layer, x @ W + b, on x, a node of tape; raises
+    NumericError naming the layer (its index and weight) when the output is
+    non-finite. It checks the affine output because relu maps NaN to 0."""
+    h = tape.affine(x, tape.param(layer.W), tape.param(layer.b))
+    # a non-finite entry poisons the sum, so one reduction guards the layer
+    if not math.isfinite(h.value.sum()):
+        raise NumericError(f"non-finite activation after layer {index} ({layer.W.name})")
+    return h
+
+
 def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
-    """Run a layer stack on x, a node of tape; raises NumericError (with layer
-    index) when a layer's affine output is non-finite."""
+    """Run a layer stack on x, a node of tape; raises NumericError naming the
+    layer when a layer's affine output is non-finite."""
     h = x
     for i, layer in enumerate(layers):
         if h.value.shape[-1] != layer.W.shape[-2]:
             raise ConfigError(
                 f"layer {i} expects input width {layer.W.shape[-2]}, got {h.value.shape[-1]}"
             )
-        h = tape.affine(h, tape.param(layer.W), tape.param(layer.b))
-        # a non-finite entry poisons the sum, so one reduction guards the layer;
-        # it checks the affine output because relu maps NaN to 0
-        if not math.isfinite(h.value.sum()):
-            raise NumericError(f"non-finite activation after layer {i}")
+        h = layer_affine(layer, h, tape, i)
         if layer.activation == "relu":
             h = tape.relu(h)
         elif layer.activation == "sigmoid":
@@ -404,40 +445,74 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
 class OptimizerState:
-    """Adam moments keyed by parameter name (names must be unique)."""
+    """Adam over the parameters it packs: ``for_params`` copies their values
+    and gradients into one flat float64 buffer each, in parameter order, and
+    rebinds every ``ParamTensor.values`` and ``.grad`` as a view of its block.
+    The moments ``m`` and ``v`` are flat too, so one step is one vectorized
+    update."""
 
-    lr: float = 1e-3
-    step_count: int = 0
-    slots: dict = field(default_factory=dict)
+    def __init__(self, params: Sequence[ParamTensor], lr: float) -> None:
+        self.lr = lr
+        self.step_count = 0
+        self.params = tuple(params)
+        self.ends = np.cumsum([p.values.size for p in self.params], dtype=np.int64)
+        size = int(self.ends[-1]) if self.params else 0
+        self.values, self.grad = np.empty(size), np.empty(size)
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._work = np.empty(size), np.empty(size)  # step and temporary
+        for p, end in zip(self.params, self.ends.tolist()):
+            start, shape = end - p.values.size, p.values.shape
+            self.values[start:end] = p.values.reshape(-1)
+            self.grad[start:end] = p.grad.reshape(-1)
+            p.values = self.values[start:end].reshape(shape)
+            p.grad = self.grad[start:end].reshape(shape)
 
     @classmethod
     def for_params(cls, params: Sequence[ParamTensor], lr: float = 1e-3) -> "OptimizerState":
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ConfigError("parameter names must be unique for optimizer state")
-        return cls(lr=lr)
+        return cls(params, lr)
 
 
 def optimizer_step(params: Sequence[ParamTensor], state: OptimizerState) -> None:
-    """One Adam update (bias-corrected); gradients are zeroed afterwards."""
+    """One Adam update (bias-corrected) of the parameters ``state`` packed,
+    which ``params`` must be, in order (UsageError otherwise); gradients are
+    zeroed afterwards. A NaN or infinite gradient raises NumericError naming
+    the first such parameter before any value moves."""
+    if tuple(params) != state.params:
+        raise UsageError("optimizer_step needs the parameters its state packed, in order")
+    g = state.grad
+    # a non-finite entry poisons the sum; a finite overflow is sorted out below
+    if not math.isfinite(g.sum()):
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            p = state.params[int(np.searchsorted(state.ends, bad[0], side="right"))]
+            raise NumericError(f"non-finite gradient for parameter {p.name!r}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p in params:
-        g = p.grad
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {p.name!r}")
-        slot = state.slots.get(p.name)
-        if slot is None:
-            slot = (np.zeros_like(p.values), np.zeros_like(p.values))
-        m = ADAM_BETA1 * slot[0] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * slot[1] + (1.0 - ADAM_BETA2) * g * g
-        state.slots[p.name] = (m, v)
-        p.values -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.zero_grad()
+    # in place, in the operation order of
+    #   m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
+    #   values -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+    m, v = state.m, state.v
+    step, tmp = state._work
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    v *= ADAM_BETA2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    np.divide(m, bc1, out=step)
+    step *= state.lr
+    step /= tmp
+    state.values -= step
+    g.fill(0.0)
 
 
 def minibatch_adam(params: Sequence[ParamTensor], n_rows: int, batch_loss, train, rng) -> list:

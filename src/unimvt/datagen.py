@@ -374,9 +374,14 @@ _META_PARSERS = {"name": str, "split": str, "rct": {"True": True, "False": False
 
 def load_meta(path) -> dict:
     """A sidecar's metadata, each value of the type generate gives it (other
-    keys as strings); a value that does not parse raises DataFormatError."""
+    keys as strings); a line that is not key=value, bytes that do not decode
+    or a value that does not parse raise DataFormatError."""
+    try:
+        kv = kvfile.read(path)
+    except ConfigError as exc:
+        raise DataFormatError(str(exc)) from exc
     meta = {}
-    for key, raw in kvfile.read(path).items():
+    for key, raw in kv.items():
         try:
             meta[key] = _META_PARSERS.get(key, str)(raw)
         except (ValueError, KeyError) as exc:

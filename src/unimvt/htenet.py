@@ -127,8 +127,9 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
 # ---------------------------------------------------------------------------
 
 def ta_gate(gate: ad.Layer, e_t: ad.Node, h: ad.Node, tape: ad.Tape) -> ad.Node:
-    """Scale hidden activations by a = 2*sigmoid(W e_t + b), elementwise in (0, 2)."""
-    a = tape.scale(tape.sigmoid(tape.affine(e_t, tape.param(gate.W), tape.param(gate.b))), 2.0)
+    """Scale hidden activations by a = 2*sigmoid(W e_t + b), elementwise in (0, 2);
+    a non-finite W e_t + b raises NumericError naming the gate."""
+    a = tape.scale(tape.sigmoid(ad.layer_affine(gate, e_t, tape)), 2.0)
     return tape.mul(a, h)
 
 
@@ -169,11 +170,9 @@ def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forw
         tn = tape.scale(tape.add(dose, -hte.t_min), 1.0 / (hte.t_max - hte.t_min))
         e_t = tape.concat([tn, tape.square(tn)], axis=1)
         h = rep.ut
-        for layer, gate in zip(hte.treat_tower, hte.ta_gates):
-            h = tape.relu(tape.affine(h, tape.param(layer.W), tape.param(layer.b)))
-            h = ta_gate(gate, e_t, h, tape)
-        last = hte.treat_tower[-1]
-        pt = tape.sigmoid(tape.affine(h, tape.param(last.W), tape.param(last.b)))
+        for i, (layer, gate) in enumerate(zip(hte.treat_tower, hte.ta_gates)):
+            h = ta_gate(gate, e_t, tape.relu(ad.layer_affine(layer, h, tape, i)), tape)
+        pt = tape.sigmoid(ad.layer_affine(hte.treat_tower[-1], h, tape, len(hte.ta_gates)))
     return Forward(p0, t_hat, eta, tau, p_cf, pt)
 
 

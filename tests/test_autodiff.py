@@ -209,6 +209,61 @@ def test_primitive_gradients_against_finite_differences():
     assert ad.finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6) < 1e-6
 
 
+# every primitive with more than one operand: (record, operand shapes)
+MULTI_OPERAND = {
+    "add": (lambda tape, a, b: tape.add(a, b), [(3, 4), (1, 4)]),
+    "sub": (lambda tape, a, b: tape.sub(a, b), [(3, 4), (1, 4)]),
+    "mul": (lambda tape, a, b: tape.mul(a, b), [(3, 4), (3, 1)]),
+    "matmul": (lambda tape, a, b: tape.matmul(a, b), [(3, 4), (4, 2)]),
+    "affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (4, 2), (2,)]),
+    "stacked affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (2, 4, 5), (2, 1, 5)]),
+    "bridge": (lambda tape, p, shift: tape.bridge(p, shift), [(3, 1), (3, 1)]),
+    "concat": (lambda tape, *parts: tape.concat(parts, axis=1), [(3, 2), (3, 3), (3, 1)]),
+    "gate_merge": (lambda tape, gate, experts: tape.gate_merge(gate, experts), [(3, 2), (2, 3, 4)]),
+}
+
+
+def operand_gradients(name, constant):
+    """Record the primitive on ParamTensor operands, operand ``constant``
+    (an index or None) as a tape.constant instead; run backward through a
+    weighted sum. Returns (output node, the gradients of every operand)."""
+    record, shapes = MULTI_OPERAND[name]
+    rng = np.random.default_rng(len(name))
+    params = [ad.ParamTensor(f"x{i}", rng.uniform(0.1, 0.9, size=s)) for i, s in enumerate(shapes)]
+    tape = ad.Tape()
+    out = record(tape, *(tape.constant(p.values) if i == constant else tape.param(p)
+                         for i, p in enumerate(params)))
+    tape.sum_all(tape.mul(out, rng.standard_normal(out.value.shape)))
+    ad.backward(tape)
+    return out, [p.grad for p in params]
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name, (_, shapes) in MULTI_OPERAND.items()
+                                     for k in range(len(shapes))])
+def test_vjp_gives_none_for_a_constant_operand(name, k):
+    out, got = operand_gradients(name, constant=k)
+    parts = out.vjp(np.ones_like(out.value))
+    assert [part is None for part in parts] == [i == k for i in range(len(parts))]
+    _, want = operand_gradients(name, constant=None)
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i == k:
+            assert not np.any(g)
+        else:
+            np.testing.assert_array_equal(g, w)
+
+
+def test_only_a_node_that_reaches_a_parameter_is_live():
+    w = ad.ParamTensor("w", np.ones((2, 2)))
+    tape = ad.Tape()
+    wn = tape.param(w)
+    on_constants = tape.mul(tape.constant(np.ones((2, 2))), 2.0)
+    frozen = tape.stop_gradient(wn)
+    mixed = tape.add(on_constants, wn)
+    assert wn.live and mixed.live and mixed.vjp is not None
+    for dead in (on_constants, frozen, tape.mul(frozen, on_constants)):
+        assert not dead.live and dead.vjp is None
+
+
 def bridge_value(p, shift):
     tape = ad.Tape()
     return float(tape.bridge(tape.constant(p), shift).value)
@@ -266,6 +321,66 @@ def test_optimizer_nonfinite_gradient_names_parameter():
     p.grad[:] = np.nan
     with pytest.raises(NumericError, match="tower.l0.W"):
         ad.optimizer_step([p], ad.OptimizerState.for_params([p]))
+
+
+def reference_adam(values, grad_steps, lr):
+    """Adam one tensor at a time: the update before the parameters shared
+    one flat buffer."""
+    values = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - ad.ADAM_BETA1**t
+        bc2 = 1.0 - ad.ADAM_BETA2**t
+        for i, g in enumerate(grads):
+            m[i] = ad.ADAM_BETA1 * m[i] + (1.0 - ad.ADAM_BETA1) * g
+            v2[i] = ad.ADAM_BETA2 * v2[i] + (1.0 - ad.ADAM_BETA2) * g * g
+            values[i] -= lr * (m[i] / bc1) / (np.sqrt(v2[i] / bc2) + ad.ADAM_EPS)
+    return values
+
+
+def three_params(rng):
+    return [ad.ParamTensor("a", rng.standard_normal((3, 4))),
+            ad.ParamTensor("b", rng.standard_normal(5)),
+            ad.ParamTensor("c", rng.standard_normal((2, 3, 2)))]
+
+
+def test_flat_adam_matches_the_per_tensor_update():
+    rng = np.random.default_rng(21)
+    params = three_params(rng)
+    start = [p.values.copy() for p in params]
+    grad_steps = [[rng.standard_normal(p.shape) * 10.0**rng.integers(-4, 3) for p in params]
+                  for _ in range(5)]
+    state = ad.OptimizerState.for_params(params, lr=0.01)
+    for grads in grad_steps:
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        ad.optimizer_step(params, state)
+    for p, want in zip(params, reference_adam(start, grad_steps, lr=0.01)):
+        assert np.array_equal(p.values, want)
+        assert not np.any(p.grad)
+
+
+def test_nonfinite_gradient_names_the_parameter_before_any_value_moves():
+    params = three_params(np.random.default_rng(22))
+    state = ad.OptimizerState.for_params(params)
+    for p in params:
+        p.grad[...] = 1.0
+    params[1].grad[2] = np.nan
+    before = [p.values.copy() for p in params]
+    with pytest.raises(NumericError, match="'b'"):
+        ad.optimizer_step(params, state)
+    for p, values in zip(params, before):
+        np.testing.assert_array_equal(p.values, values)
+
+
+def test_optimizer_step_needs_the_packed_parameters():
+    a, b, c = three_params(np.random.default_rng(23))
+    state = ad.OptimizerState.for_params([a, b])
+    ad.optimizer_step((a, b), state)  # the same parameters in another sequence
+    for other in ([a], [b, a], [a, b, c], [a, ad.ParamTensor("b", b.values)]):
+        with pytest.raises(UsageError):
+            ad.optimizer_step(other, state)
 
 
 def test_optimizer_step_zeroes_gradients():

@@ -157,6 +157,18 @@ def test_bad_metadata_value_is_named(tmp_path, small_pair):
         dg.load_csv(path)
 
 
+@pytest.mark.parametrize("damage, reason", [(b"garbage line\n", r"\.meta:\d+: expected key=value"),
+                                            (b"name=\xff\n", "cannot decode")])
+def test_bad_sidecar_line_is_a_data_format_error(tmp_path, small_pair, damage, reason):
+    train, _ = small_pair
+    path = tmp_path / "ds.csv"
+    dg.save_csv(train, path)
+    sidecar = dg.meta_path(path)
+    sidecar.write_bytes(sidecar.read_bytes() + damage)
+    with pytest.raises(DataFormatError, match=reason):
+        dg.load_csv(path)
+
+
 def test_meta_sidecar_round_trip(tmp_path, small_pair):
     train, _ = small_pair
     path = tmp_path / "ds.csv"

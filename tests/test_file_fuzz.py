@@ -1,5 +1,6 @@
-"""Random line and byte edits of a saved dataset CSV and of a saved model
-file: each edited file either loads or raises the library's own error."""
+"""Random line and byte edits of a saved dataset CSV, of its metadata
+sidecar and of a saved model file: each edited file either loads or raises
+the library's own error."""
 
 from dataclasses import replace
 
@@ -66,6 +67,18 @@ def test_edited_csv_loads_or_raises_data_format_error(saved, tmp_path_factory, e
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(edit((saved / "data.csv").read_bytes(), edits))
     dg.meta_path(path).write_bytes(dg.meta_path(saved / "data.csv").read_bytes())
+    try:
+        dg.load_csv(path)
+    except DataFormatError:
+        pass
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(edits=EDITS)
+def test_edited_sidecar_loads_or_raises_data_format_error(saved, tmp_path_factory, edits):
+    path = tmp_path_factory.mktemp("sidecar") / "data.csv"
+    path.write_bytes((saved / "data.csv").read_bytes())
+    dg.meta_path(path).write_bytes(edit(dg.meta_path(saved / "data.csv").read_bytes(), edits))
     try:
         dg.load_csv(path)
     except DataFormatError:

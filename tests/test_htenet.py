@@ -9,6 +9,7 @@ import pytest
 from scipy.special import expit, logit
 
 from unimvt import autodiff as ad
+from unimvt import baselines
 from unimvt import datagen as dg
 from unimvt import dcr
 from unimvt import htenet as ht
@@ -494,6 +495,15 @@ def test_predict_names_the_layer_of_a_nan_weight():
         ht.predict(model, np.ones(5))
 
 
+@pytest.mark.parametrize("part, name", [("treat_tower", "treat_tower.l0.W"),
+                                        ("ta_gates", "ta_gate0.W")])
+def test_predict_names_a_nan_weight_of_the_treatment_tower(part, name):
+    model = tiny_model()
+    getattr(model.hte, part)[0].W.values[0, 0] = np.nan
+    with pytest.raises(NumericError, match=f"layer 0 \\({name}\\)"):
+        ht.predict(model, np.ones(5))
+
+
 def test_eta_hat_is_the_counterfactual_gain_per_unit_of_imputed_dose():
     # eta_hat is read off the node p_cf the X loss trains; scipy's sigmoid and
     # the tape's differ by at most one ulp
@@ -548,6 +558,60 @@ def test_predict_records_at_most_92_nodes(monkeypatch):
     ht.predict(model, np.ones(8))
     assert len(tapes) == 1
     assert len(tapes[0].nodes) <= 92
+
+
+class _Captured(Exception):
+    pass
+
+
+def first_batch_tape(monkeypatch, fit):
+    """The tape of the first batch ``fit()`` trains on, caught at backward."""
+    tapes = []
+
+    def capture(tape):
+        tapes.append(tape)
+        raise _Captured
+
+    monkeypatch.setattr(ad, "backward", capture)
+    with pytest.raises(_Captured):
+        fit()
+    monkeypatch.undo()
+    return tapes[0]
+
+
+def dead_gradients(tape) -> int:
+    """Run backward with every vjp wrapped, counting the gradients it computes
+    into parents that reach no parameter (a parameter leaf reaches one; any
+    other node does through a vjp and a parent that reaches one)."""
+    reaches = set()
+    for node in tape.nodes:  # creation order is topological
+        if node.param is not None or (
+                node.vjp is not None and any(id(p) in reaches for p in node.parents)):
+            reaches.add(id(node))
+    count = 0
+
+    def counted(vjp, parents):
+        def wrapped(g):
+            nonlocal count
+            out = vjp(g)
+            count += sum(pg is not None and id(p) not in reaches for p, pg in zip(parents, out))
+            return out
+        return wrapped
+
+    for node in tape.nodes:
+        if node.vjp is not None:
+            node.vjp = counted(node.vjp, node.parents)
+    ad.backward(tape)
+    return count
+
+
+def test_training_batches_compute_no_dead_gradient(monkeypatch):
+    train_ds, _ = dg.generate(replace(dg.PRESETS["syn3"], n_train=300, n_test=10, seed=2))
+    cfg = ExperimentConfig()
+    unimvt = first_batch_tape(monkeypatch, lambda: ht.train(train_ds, cfg))
+    slearner = first_batch_tape(monkeypatch, lambda: baselines.train_slearner(train_ds, cfg))
+    assert dead_gradients(unimvt) == 0
+    assert dead_gradients(slearner) == 0
 
 
 # ---------------------------------------------------------------------------
