@@ -12,12 +12,13 @@ the one mode ``decide`` accepts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import PROB_EPS
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 MODES = ("additive",)
 
@@ -29,6 +30,8 @@ class AllocationGrid:
     step: float
 
     def __post_init__(self) -> None:
+        for name in ("q_min", "q_max", "step"):
+            _require_finite(name, getattr(self, name))
         if not (0.0 < self.q_min <= self.q_max):
             raise ConfigError("need 0 < q_min <= q_max")
         if self.step <= 0.0:
@@ -48,6 +51,11 @@ class AllocationDecision:
     net_gain: float          # value * uplift - cost at the best candidate
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def _click_prob(p0: float, eta: float, q, mode: str):
     if mode not in MODES:
         raise ConfigError(f"unknown decision mode {mode!r}")
@@ -57,14 +65,19 @@ def _click_prob(p0: float, eta: float, q, mode: str):
 def decide(prediction, grid: AllocationGrid, value_per_click: float,
            threshold: float, mode: str = "additive") -> AllocationDecision:
     """Pick q* = argmax net gain over the grid (ties go to the cheapest q);
-    issue iff ratio(q*) >= threshold and net_gain(q*) > 0."""
+    issue iff ratio(q*) >= threshold and net_gain(q*) > 0. A NaN or infinite
+    knob raises ConfigError, a NaN or infinite prediction NumericError."""
+    _require_finite("value_per_click", value_per_click)
+    _require_finite("threshold", threshold)
     if value_per_click <= 0:
         raise ConfigError("value_per_click must be positive")
     qs = grid.values()
     if qs.size == 0:
         raise ConfigError("allocation grid is empty")
-    p0 = float(prediction.p0_hat)
-    uplift = _click_prob(p0, float(prediction.eta_hat), qs, mode) - p0
+    p0, eta = float(prediction.p0_hat), float(prediction.eta_hat)
+    if not (math.isfinite(p0) and math.isfinite(eta)):
+        raise NumericError(f"prediction is not finite: p0_hat={p0}, eta_hat={eta}")
+    uplift = _click_prob(p0, eta, qs, mode) - p0
     net_gain = value_per_click * uplift - qs
     best = int(net_gain.argmax())  # the first maximum, so ties go to the cheapest q
     q_star, uplift, net_gain = qs.item(best), uplift.item(best), net_gain.item(best)

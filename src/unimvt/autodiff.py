@@ -1,8 +1,12 @@
 """Tape-based reverse-mode autodiff over float64 numpy arrays.
 
-This is the substrate everything else is built on: dense affine layers with
-relu/sigmoid/softmax activations, elementwise arithmetic, a stop-gradient
-operator, the fused counterfactual bridge, an Adam optimizer with the one
+This is the substrate everything else is built on. The primitives are the
+``Tape`` methods ``add``, ``sub``, ``mul``, ``scale``, ``affine`` (also over
+a stack of layers), ``relu``, ``sigmoid``, ``softmax``, ``absolute``,
+``square``, ``bridge`` (the fused counterfactual bridge), ``concat``,
+``gate_merge``, ``stop_gradient`` (optionally open on a mask), ``sum_all``
+and ``binary_cross_entropy``; ``Tape.record`` lets a caller add a node with
+its own vjp. Around them: dense layers, an Adam optimizer with the one
 minibatch training loop and a central-difference gradient checker.
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
@@ -75,8 +79,8 @@ class Node:
 
     A node is live when a gradient through it can reach a ParamTensor: a
     parameter leaf is, and any other node is when it has a vjp and a live
-    parent. Only a live node keeps its vjp. A node with parents but no vjp is
-    a stop-gradient: backward passes nothing through it.
+    parent. Only a live node keeps its vjp; backward passes nothing through
+    a node without one, such as a closed stop-gradient.
     """
 
     __slots__ = ("value", "parents", "vjp", "param", "live", "mark")
@@ -188,16 +192,6 @@ class Tape:
         c = float(c)
         return self.record(a.value * c, (a,), lambda g: (g * c,))
 
-    def matmul(self, a, b) -> Node:
-        a, b = self._lift(a), self._lift(b)
-        av, bv = a.value, b.value
-        la, lb = a.live, b.live
-        return self.record(av @ bv, (a, b),
-                           lambda g: (g @ bv.T if la else None, av.T @ g if lb else None))
-
-    def transpose(self, a: Node) -> Node:
-        return self.record(a.value.T, (a,), lambda g: (g.T,))
-
     def affine(self, x: Node, w: Node, b: Node) -> Node:
         """x @ W + b with b broadcast over rows. A weight with a leading stack
         axis, (K, in, out) with bias (K, 1, out), applies K layers at once and
@@ -291,22 +285,10 @@ class Tape:
         return self.record((weights * ev).transpose(1, 0, 2).reshape(n, k * d),
                            (gate, experts), vjp)
 
-    def slot_columns(self, a: Node, start: int, stop: int) -> Node:
-        """Slots start..stop-1 of a stacked (K, rows, cols) tensor side by side,
-        as one (rows, (stop - start) * cols) matrix."""
-        av = a.value
-        _, rows, cols = av.shape
-
-        def vjp(g):
-            out = np.zeros(av.shape)
-            out[start:stop] = g.reshape(rows, stop - start, cols).transpose(1, 0, 2)
-            return (out,)
-
-        return self.record(av[start:stop].transpose(1, 0, 2).reshape(rows, -1), (a,), vjp)
-
-    def stop_gradient(self, a: Node) -> Node:
-        """Forward identity whose backward contribution is exactly zero."""
-        return self.record(a.value, (a,))
+    def stop_gradient(self, a: Node, keep=False) -> Node:
+        """Forward identity whose backward passes g * keep, keep a boolean
+        array broadcast against a; by default it passes nothing."""
+        return self.record(a.value, (a,), (lambda g: (g * keep,)) if np.any(keep) else None)
 
     def sum_all(self, a: Node) -> Node:
         shape = a.value.shape
@@ -331,8 +313,8 @@ def backward(tape: Tape) -> None:
     """Replay the tape in reverse, accumulating d(loss)/d(param) into ParamTensor.grad.
 
     The tape must end in a scalar node (the loss). Each node is visited
-    exactly once; stop-gradient nodes propagate nothing upstream, and a vjp
-    output of None (a dead operand) is skipped. The gradients live in this
+    exactly once; a node without a vjp propagates nothing upstream, and a
+    vjp output of None (a dead operand) is skipped. The gradients live in this
     call alone, each dropped once it has reached the node's parents; a stored
     gradient is never changed in place, so vjp outputs are stored uncopied.
     """
@@ -549,7 +531,8 @@ class _PinnedTape(Tape):
     true derivative of the forward function, so central differences of the
     raw loss cannot match it. Built on an empty list, the tape appends a copy
     of every stop-gradient output to it; built on the filled list, it outputs
-    the recorded values in order. Pinning them during the perturbed
+    the recorded values in order, except where the stop-gradient's ``keep``
+    mask lets the gradient through. Pinning them during the perturbed
     evaluations turns the finite difference into the derivative the tape
     actually defines.
     """
@@ -560,13 +543,15 @@ class _PinnedTape(Tape):
         self._replaying = bool(pinned)
         self._used = 0
 
-    def stop_gradient(self, a: Node) -> Node:
+    def stop_gradient(self, a: Node, keep=False) -> Node:
         if not self._replaying:
             self._pinned.append(np.array(a.value, copy=True))
         elif self._used == len(self._pinned):
             raise UsageError("stop-gradient replay saw more SG nodes than were recorded")
         self._used += 1
-        return self.record(self._pinned[self._used - 1], (a,))
+        node = super().stop_gradient(a, keep)
+        node.value = np.where(keep, a.value, self._pinned[self._used - 1])
+        return node
 
 
 def finite_diff_check(
@@ -585,8 +570,8 @@ def finite_diff_check(
     reference values: it only re-evaluates the forward pass.
 
     Stop-gradient outputs are replayed at their unperturbed values during the
-    +-eps evaluations, so the check validates the derivative the tape
-    defines: SG inputs are constants.
+    +-eps evaluations, outside their ``keep`` masks, so the check validates
+    the derivative the tape defines: stopped SG inputs are constants.
 
     Entries that disagree by more than 1e-7 may be quantization-limited in
     float64 (the +-eps loss change sits within a few ulp of the loss

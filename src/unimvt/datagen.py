@@ -391,9 +391,11 @@ def load_meta(path) -> dict:
 
 def load_csv(path) -> Dataset:
     """Read a dataset CSV and, as the dataset's meta, its sidecar if there is
-    one; split and rct come from the sidecar (train and not RCT without one).
-    Empty lines are skipped but counted: a malformed row, one with bytes that
-    do not decode included, raises a DataFormatError naming ``path:line``."""
+    one; split and rct come from the sidecar (train and not RCT without one),
+    and a split other than train or test, or a test split that is not RCT,
+    raises a DataFormatError naming the sidecar. Empty lines are skipped but
+    counted: a malformed row, one with bytes that do not decode included,
+    raises a DataFormatError naming ``path:line``."""
     path = Path(path)
     with open(path, errors="replace") as fh:
         first = fh.readline()
@@ -421,7 +423,10 @@ def load_csv(path) -> Dataset:
 
     meta = load_meta(meta_path(path)) if meta_path(path).exists() else None
     flags = {key: meta[key] for key in ("split", "rct") if key in (meta or {})}
-    return Dataset(*columns, **flags, meta=meta)
+    try:
+        return Dataset(*columns, **flags, meta=meta)
+    except ConfigError as exc:  # the only ConfigErrors: a bad split or rct flag
+        raise DataFormatError(f"{meta_path(path)}: {exc}") from exc
 
 
 def _data_lines(path):

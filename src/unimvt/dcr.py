@@ -9,13 +9,13 @@ gives every expert's output as a (K, rows, out_dim) tensor. Slots run
 ``base0.., shared0.., treated0..``.
 
 Two softmax gates over the K slots weight every expert's output block
-side by side, producing one representation per downstream task. One
-stop-gradient on the stacked output gives a frozen copy; each task reads
-its off-task group's slots from that copy through a constant 0/1 slot mask
-(u0 stops the treated slots, ut the base slots), so the base loss never
-trains treated experts and vice versa, while the shared slots stay open in
-both directions. A Frobenius cross-product penalty pushes the three
-groups' weight matrices toward mutually orthogonal subspaces.
+side by side, producing one representation per downstream task. Each task
+reads the stacked output through a stop-gradient that is open on a slot
+mask and closed on its off-task group (u0 stops the treated slots, ut the
+base slots), so the base loss never trains treated experts and vice versa,
+while the shared slots stay open in both directions. A Frobenius
+cross-product penalty pushes the three groups' weight matrices toward
+mutually orthogonal subspaces.
 """
 from __future__ import annotations
 
@@ -118,35 +118,34 @@ def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> DcrOutput:
         return DcrOutput(u0=shared_out, ut=shared_out)
 
     experts = ad.mlp_forward(params.experts, x, tape)
-    frozen = tape.stop_gradient(experts)
-    group = np.repeat([BASE, SHARED, TREATED], params.experts_per_group)
-
-    def task(gate, stopped_group):
-        keep = (group != stopped_group).astype(np.float64).reshape(-1, 1, 1)
-        h = tape.add(tape.mul(experts, keep), tape.mul(frozen, 1.0 - keep))
-        return tape.gate_merge(gate, h)
-
+    group = np.repeat([BASE, SHARED, TREATED], params.experts_per_group).reshape(-1, 1, 1)
     g0 = tape.softmax(ad.mlp_forward(params.gate0, x, tape))
     gt = tape.softmax(ad.mlp_forward(params.gate_t, x, tape))
-    return DcrOutput(u0=task(g0, TREATED), ut=task(gt, BASE))
+    return DcrOutput(u0=tape.gate_merge(g0, tape.stop_gradient(experts, keep=group != TREATED)),
+                     ut=tape.gate_merge(gt, tape.stop_gradient(experts, keep=group != BASE)))
 
 
 def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:
-    """Sum over layers and cross-group pairs of ||W_i^T W_j||_F^2.
+    """Sum over layers and cross-group pairs i < j of ||A_i^T A_j||_F^2, where
+    A_g is group g's weight matrices of the layer side by side (biases
+    excluded), so every cross-group expert pair is covered.
 
-    Computed on weight matrices only (biases excluded). Each group's slots
-    are read side by side per layer, so one matrix product per (group pair,
-    layer) covers every cross-group expert pair: the Frobenius norm of the
-    blocked product equals the sum over expert-pair blocks.
+    With the Gram matrices G_g = A_g A_g^T, ||A_i^T A_j||_F^2 =
+    tr(A_j^T A_i A_i^T A_j) = <G_i, G_j>_F, so a layer's penalty is
+    sum_{i<j} <G_i, G_j>_F and its gradient for A_g is
+    2 (sum_h G_h - G_g) A_g. Each layer records one node with that vjp.
     """
     if not params.enabled:
         return tape.constant(0.0)
-    e = params.experts_per_group
-    blocks = [[tape.slot_columns(tape.param(layer.W), g * e, (g + 1) * e)
-               for layer in params.experts] for g in (BASE, SHARED, TREATED)]
     total = None
-    for gi, gj in ((BASE, SHARED), (BASE, TREATED), (SHARED, TREATED)):
-        for a, b in zip(blocks[gi], blocks[gj]):
-            term = tape.sum_all(tape.square(tape.matmul(tape.transpose(a), b)))
-            total = term if total is None else tape.add(total, term)
+    for layer in params.experts:
+        w = tape.param(layer.W)
+        a = w.value.reshape(3, -1, *w.shape[1:])  # (group, expert, fan_in, fan_out)
+        gram = (a @ a.swapaxes(-1, -2)).sum(axis=1)  # G_g: the sum of W W^T over group g
+        others = gram.sum(axis=0) - gram
+        value = sum(np.vdot(gram[i], gram[j])
+                    for i, j in ((BASE, SHARED), (BASE, TREATED), (SHARED, TREATED)))
+        grad = 2.0 * (others[:, None] @ a).reshape(w.shape)
+        term = tape.record(value, (w,), lambda g, grad=grad: (g * grad,))
+        total = term if total is None else tape.add(total, term)
     return total

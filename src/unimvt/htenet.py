@@ -27,7 +27,7 @@ from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_f
                      default_config)
 from .datagen import Dataset, dataset_arrays, feature_matrix
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, DataFormatError, UsageError
 
 TREAT_ENC_DIM = 2        # normalized intensity and its square
 UPLIFT_HEAD_INIT = 0.02  # initial uniform eta_hat, calibrated downstream by the X losses
@@ -302,14 +302,23 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     output is returned as eta_head.
 
     A NaN or infinite feature raises DataFormatError naming its row and
-    feature index.
+    feature index; so does a NaN or infinite q, naming its row, and a q that
+    is neither a scalar nor one value per row, naming its shape and the
+    row count.
     """
     X = feature_matrix(X)
     n = X.shape[0]
     if q is None:
         extrapolated = np.zeros(n, dtype=bool)
     else:
-        q = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,)).copy()
+        q = np.asarray(q, dtype=np.float64)
+        if q.ndim > 1 or q.size not in (1, n):
+            raise DataFormatError(f"q has shape {q.shape} for {n} rows; "
+                                  "expected a scalar or one value per row")
+        q = np.broadcast_to(q, (n,)).copy()
+        if not np.isfinite(q).all():
+            row = int(np.flatnonzero(~np.isfinite(q))[0])
+            raise DataFormatError(f"row {row}: q is {q[row]}, not finite")
         extrapolated = (q < model.hte.t_min) | (q > model.hte.t_max)
     fw = forward(model, X, ad.Tape(), lambda t_hat: t_hat if q is None else q.reshape(-1, 1))
     p0, t_hat, eta_head, _, p_cf, pt = (node.value.reshape(-1) for node in fw)

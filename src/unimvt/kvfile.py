@@ -1,6 +1,7 @@
 """The key=value text format of model files and dataset metadata sidecars.
 
-One ``key=value`` pair per line; blank lines and ``#`` comments are skipped.
+One ``key=value`` pair per line, each key at most once; blank lines and
+``#`` comments are skipped.
 A parameter tensor is one line ``param.<name>=<ndim> <dims...> <values...>``
 with every value finite and written as its shortest round-trip ``repr``, so
 a save/load round trip is bit-exact.
@@ -28,7 +29,10 @@ def read(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key] = value.strip()
     return out
 
 

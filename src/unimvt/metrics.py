@@ -6,6 +6,10 @@ stable ties), then measures, for each prefix of the ranking, the OLS slope of
 outcome on dose within that prefix. Area under phi -> slope(phi) * (phi * n)
 gives the rank-ordered sensitivity score; subtracting the global-slope baseline
 gives the gain over random targeting.
+
+Scores and probabilities must be finite, one per row: a NaN or infinite
+entry, or a count that differs from the labels or rows, raises
+MetricUndefinedError.
 """
 from __future__ import annotations
 
@@ -22,10 +26,22 @@ from .errors import ConfigError, MetricUndefinedError
 DEFAULT_GRID = 100
 
 
+def _finite_vector(values, n: int, what: str) -> np.ndarray:
+    """values as a float64 vector of n entries; another length, or a NaN or
+    infinite entry, raises MetricUndefinedError."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    if v.size != n:
+        raise MetricUndefinedError(f"{v.size} {what} values for {n} rows")
+    if not np.isfinite(v).all():
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise MetricUndefinedError(f"{what} at index {i} is {v[i]}, not finite")
+    return v
+
+
 def auc(labels, scores) -> float:
     """Probability that a random positive outranks a random negative; ties count 1/2."""
-    y = np.asarray(labels)
-    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels).reshape(-1)
+    s = _finite_vector(scores, y.size, "score")
     pos = y == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
@@ -36,8 +52,8 @@ def auc(labels, scores) -> float:
 
 def logloss(labels, probs) -> float:
     """Mean negative log-likelihood with probabilities clamped into (0, 1)."""
-    y = np.asarray(labels, dtype=np.float64)
-    p = np.clip(np.asarray(probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    p = np.clip(_finite_vector(probs, y.size, "probability"), PROB_EPS, 1.0 - PROB_EPS)
     return float(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean())
 
 
@@ -108,7 +124,7 @@ def cumulative_slope_curve(scores, data, k: int = DEFAULT_GRID) -> CumulativeSlo
         raise MetricUndefinedError("empty dataset")
     if k <= 0:
         raise ConfigError("grid size must be positive")
-    order = _stable_descending(scores)
+    order = _stable_descending(_finite_vector(scores, n, "score"))
     ts, ys = t[order], y[order]
 
     global_slope = prefix_slope(ts, ys, 1.0)
@@ -161,7 +177,7 @@ def pcoc(pred_probs, data, edges: Sequence[float]) -> list[tuple[str, float, int
         _, w, t, y, _, _ = dataset_arrays(data)
     else:
         w, t, y = (np.asarray(c) for c in data)
-    p = np.asarray(pred_probs, dtype=np.float64)
+    p = _finite_vector(pred_probs, len(w), "probability")
     edges = sorted(float(e) for e in edges)
     out = []
 

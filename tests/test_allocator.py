@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimvt import allocator as al
-from unimvt.errors import ConfigError
+from unimvt.errors import ConfigError, NumericError
 
 
 def pred(p0, eta):
@@ -136,3 +136,25 @@ def test_decide_rejects_unknown_mode():
 def test_decide_rejects_nonpositive_value():
     with pytest.raises(ConfigError):
         al.decide(pred(0.5, 0.1), al.AllocationGrid(1, 2, 1), 0.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["q_min", "q_max", "step"])
+def test_grid_rejects_a_nonfinite_field(field, bad):
+    fields = {"q_min": 0.5, "q_max": 2.0, "step": 0.5, field: bad}
+    with pytest.raises(ConfigError, match=field):
+        al.AllocationGrid(**fields)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("knob", ["value_per_click", "threshold"])
+def test_decide_rejects_a_nonfinite_knob(knob, bad):
+    knobs = {"value_per_click": 100.0, "threshold": 1.0, knob: bad}
+    with pytest.raises(ConfigError, match=knob):
+        al.decide(pred(0.1, 0.05), al.AllocationGrid(1, 3, 1), **knobs)
+
+
+@pytest.mark.parametrize("p0, eta", [(np.nan, 0.05), (np.inf, 0.05), (0.1, np.nan), (0.1, np.inf)])
+def test_decide_rejects_a_nonfinite_prediction(p0, eta):
+    with pytest.raises(NumericError, match="prediction is not finite"):
+        al.decide(pred(p0, eta), al.AllocationGrid(1, 3, 1), 100.0, 1.0)

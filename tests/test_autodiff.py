@@ -144,6 +144,16 @@ def test_stop_gradient_zero_grad():
     np.testing.assert_array_equal(x.grad, np.zeros((1, 3)))
 
 
+def test_stop_gradient_passes_the_gradient_only_where_keep_is_set():
+    x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
+    tape = ad.Tape()
+    out = tape.stop_gradient(tape.param(x), keep=np.array([True, False, True]))
+    np.testing.assert_array_equal(out.value, x.values)
+    tape.sum_all(tape.scale(out, 2.0))
+    ad.backward(tape)
+    np.testing.assert_array_equal(x.grad, [[2.0, 0.0, 2.0]])
+
+
 def test_stop_gradient_additive_path_stays_open():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
@@ -172,41 +182,71 @@ def test_sigmoid_strictly_inside_unit_interval(z):
     assert 0.0 < s.value[0, 0] < 1.0
 
 
+_rng = np.random.default_rng(4)
+FD_MASK = _rng.uniform(0.5, 1.5, size=(3, 4))
+FD_PROJ = _rng.standard_normal((4, 2))
+FD_MERGE_MASK = _rng.uniform(0.5, 1.5, size=(3, 6))
+FD_LABELS = _rng.integers(0, 2, size=(3, 4)).astype(float)
+# 0.4 w lies in [0.04, 0.8]; the offsets move some entries past 1 or below 0,
+# where the bridge's clamp binds, and the shifts bring those entries' output
+# back near 0.5, where central differences resolve its gradient
+FD_OFFSETS = np.zeros((3, 4))
+FD_OFFSETS[0, :2], FD_OFFSETS[1, 2:] = 1.0, -1.0
+FD_SHIFTS = -16.0 * FD_OFFSETS
+# open on slot 0 and on row 1 of slot 1 of the (2, 3, 3) stack, closed elsewhere
+FD_KEEP = np.zeros((2, 3, 1), dtype=bool)
+FD_KEEP[0], FD_KEEP[1, 1] = True, True
+
+# one finite-difference term per Tape primitive, keyed by its name; each
+# records the primitive on wn (3, 4) or on stacked = affine(wn, ws, bs) (2, 3, 3)
+PRIMITIVE_TERMS = {
+    "add": lambda tape, wn, stacked: tape.add(tape.square(wn), tape.scale(wn, 0.5)),
+    "sub": lambda tape, wn, stacked: tape.mul(FD_MASK, tape.sub(tape.square(wn), wn)),
+    "mul": lambda tape, wn, stacked: tape.mul(tape.sigmoid(wn), wn),
+    "scale": lambda tape, wn, stacked: tape.scale(tape.square(wn), -0.7),
+    "affine": lambda tape, wn, stacked: tape.square(stacked),
+    "relu": lambda tape, wn, stacked: tape.square(tape.relu(stacked)),
+    "sigmoid": lambda tape, wn, stacked: tape.mul(FD_MASK, tape.sigmoid(wn)),
+    "softmax": lambda tape, wn, stacked: tape.mul(FD_MASK, tape.softmax(wn)),
+    "absolute": lambda tape, wn, stacked: tape.absolute(tape.sub(wn, 1.0)),
+    "square": lambda tape, wn, stacked: tape.square(tape.sub(wn, 0.5)),
+    "bridge": lambda tape, wn, stacked: tape.square(
+        tape.bridge(tape.add(tape.scale(wn, 0.4), FD_OFFSETS),
+                    tape.add(tape.scale(wn, 0.3), FD_SHIFTS))),
+    "concat": lambda tape, wn, stacked: tape.mul(
+        np.linspace(0.5, 1.5, 8), tape.concat([tape.relu(wn), tape.scale(wn, 0.5)], axis=1)),
+    "gate_merge": lambda tape, wn, stacked: tape.mul(FD_MERGE_MASK, tape.gate_merge(
+        tape.softmax(tape.affine(wn, tape.constant(FD_PROJ), tape.constant(np.zeros(2)))),
+        tape.relu(stacked))),
+    "stop_gradient": lambda tape, wn, stacked: tape.mul(
+        tape.stop_gradient(stacked, keep=FD_KEEP), stacked),
+    "sum_all": lambda tape, wn, stacked: tape.sum_all(tape.square(wn)),
+    "binary_cross_entropy": lambda tape, wn, stacked: tape.binary_cross_entropy(
+        FD_LABELS, tape.sigmoid(tape.sub(wn, 1.0))),
+}
+
+
 def test_primitive_gradients_against_finite_differences():
     rng = np.random.default_rng(3)
     w = ad.ParamTensor("w", rng.uniform(0.1, 2.0, size=(3, 4)))
     ws = ad.ParamTensor("ws", rng.standard_normal((2, 4, 3)))
     bs = ad.ParamTensor("bs", rng.standard_normal((2, 1, 3)))
-    mask = rng.uniform(0.5, 1.5, size=(3, 4))
-    proj = rng.standard_normal((4, 2))
-    merge_mask = rng.uniform(0.5, 1.5, size=(3, 6))
-    # 0.4 w lies in [0.04, 0.8]; the offsets move some entries past 1 or below 0,
-    # where the bridge's clamp binds
-    offsets = np.zeros((3, 4))
-    offsets[0, :2], offsets[1, 2:] = 1.0, -1.0
 
-    def loss_fn(tape):
-        wn = tape.param(w)
-        stacked = tape.affine(wn, tape.param(ws), tape.param(bs))  # (2, 3, 3)
-        parts = [
-            tape.sum_all(tape.mul(mask, tape.sigmoid(wn))),
-            tape.sum_all(tape.softmax(wn)),
-            tape.sum_all(tape.absolute(tape.sub(wn, 1.0))),
-            tape.sum_all(tape.square(tape.bridge(tape.add(tape.scale(wn, 0.4), offsets),
-                                                 tape.scale(wn, 0.3)))),
-            tape.sum_all(tape.square(stacked)),
-            tape.sum_all(tape.mul(merge_mask, tape.gate_merge(tape.softmax(tape.matmul(wn, proj)),
-                                                              tape.relu(stacked)))),
-            tape.sum_all(tape.square(tape.slot_columns(tape.param(ws), 0, 2))),
-            tape.sum_all(tape.matmul(tape.transpose(wn), wn)),
-            tape.sum_all(tape.concat([tape.relu(wn), tape.scale(wn, 0.5)], axis=1)),
-        ]
-        total = parts[0]
-        for p in parts[1:]:
-            total = tape.add(total, p)
-        return total
+    def check(term):
+        def loss_fn(tape):
+            wn = tape.param(w)
+            return tape.sum_all(term(tape, wn, tape.affine(wn, tape.param(ws), tape.param(bs))))
 
-    assert ad.finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6) < 1e-6
+        return ad.finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6)
+
+    errors = {name: check(term) for name, term in PRIMITIVE_TERMS.items()}
+    assert max(errors.values()) < 1e-6, errors
+
+
+def test_every_primitive_has_a_finite_difference_term():
+    methods = {name for name, attr in vars(ad.Tape).items()
+               if callable(attr) and not name.startswith("_")}
+    assert set(PRIMITIVE_TERMS) == methods - {"record", "constant", "param"}
 
 
 # every primitive with more than one operand: (record, operand shapes)
@@ -214,7 +254,6 @@ MULTI_OPERAND = {
     "add": (lambda tape, a, b: tape.add(a, b), [(3, 4), (1, 4)]),
     "sub": (lambda tape, a, b: tape.sub(a, b), [(3, 4), (1, 4)]),
     "mul": (lambda tape, a, b: tape.mul(a, b), [(3, 4), (3, 1)]),
-    "matmul": (lambda tape, a, b: tape.matmul(a, b), [(3, 4), (4, 2)]),
     "affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (4, 2), (2,)]),
     "stacked affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (2, 4, 5), (2, 1, 5)]),
     "bridge": (lambda tape, p, shift: tape.bridge(p, shift), [(3, 1), (3, 1)]),
@@ -259,8 +298,11 @@ def test_only_a_node_that_reaches_a_parameter_is_live():
     on_constants = tape.mul(tape.constant(np.ones((2, 2))), 2.0)
     frozen = tape.stop_gradient(wn)
     mixed = tape.add(on_constants, wn)
+    partly_open = tape.stop_gradient(wn, keep=np.array([False, True]))
     assert wn.live and mixed.live and mixed.vjp is not None
-    for dead in (on_constants, frozen, tape.mul(frozen, on_constants)):
+    assert partly_open.live and partly_open.vjp is not None
+    for dead in (on_constants, frozen, tape.mul(frozen, on_constants),
+                 tape.stop_gradient(wn, keep=np.zeros((2, 2), dtype=bool))):
         assert not dead.live and dead.vjp is None
 
 

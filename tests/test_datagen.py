@@ -157,8 +157,21 @@ def test_bad_metadata_value_is_named(tmp_path, small_pair):
         dg.load_csv(path)
 
 
+@pytest.mark.parametrize("edited, reason", [("split=\x00rain", "unknown split"),
+                                            ("split=test", "test split must be RCT")])
+def test_bad_split_flag_is_a_data_format_error(tmp_path, small_pair, edited, reason):
+    train, _ = small_pair
+    path = tmp_path / "ds.csv"
+    dg.save_csv(train, path)
+    sidecar = dg.meta_path(path)
+    sidecar.write_text(sidecar.read_text().replace("split=train", edited))
+    with pytest.raises(DataFormatError, match=reason):
+        dg.load_csv(path)
+
+
 @pytest.mark.parametrize("damage, reason", [(b"garbage line\n", r"\.meta:\d+: expected key=value"),
-                                            (b"name=\xff\n", "cannot decode")])
+                                            (b"name=\xff\n", "cannot decode"),
+                                            (b"rct=True\n", r"\.meta:\d+: repeated key 'rct'")])
 def test_bad_sidecar_line_is_a_data_format_error(tmp_path, small_pair, damage, reason):
     train, _ = small_pair
     path = tmp_path / "ds.csv"

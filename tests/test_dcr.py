@@ -130,6 +130,36 @@ def test_orth_penalty_matches_naive_triple_loop():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def per_expert_pair_penalty(weights, experts_per_group):
+    """The penalty and its gradient, one cross-group expert pair at a time:
+    ||W_p^T W_q||_F^2 has gradient 2 W_q W_q^T W_p for W_p."""
+    value, grads = 0.0, []
+    for W in weights:
+        group = np.arange(W.shape[0]) // experts_per_group
+        grad = np.zeros_like(W)
+        for p in range(W.shape[0]):
+            for q in range(W.shape[0]):
+                if group[p] < group[q]:
+                    value += ((W[p].T @ W[q]) ** 2).sum()
+                if group[p] != group[q]:
+                    grad[p] += 2.0 * W[q] @ W[q].T @ W[p]
+        grads.append(grad)
+    return value, grads
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_orth_penalty_value_and_gradient_match_a_per_expert_pair_reference(seed):
+    params = seeded_params(seed)
+    tape = ad.Tape()
+    penalty = dcr.orth_penalty(params, tape)
+    ad.backward(tape)
+    want, want_grads = per_expert_pair_penalty([layer.W.values for layer in params.experts],
+                                               params.experts_per_group)
+    assert float(penalty.value) == pytest.approx(want, rel=1e-12)
+    for layer, grad in zip(params.experts, want_grads):
+        np.testing.assert_allclose(layer.W.grad, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
+
+
 def test_orth_penalty_nonnegative_and_differentiable():
     params = seeded_params(7)
 

@@ -254,3 +254,36 @@ def test_pcoc_matches_hand_aggregation():
     bins = dict((label, ratio) for label, ratio, _ in mt.pcoc(p, (w, t, y), edges=[0.5, 1.5, 2.5]))
     mask = (w == 1) & (t >= 0.5) & (t < 1.5)
     assert bins["[0.5,1.5)"] == pytest.approx(p[mask].mean() / y[mask].mean(), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# malformed scores
+# ---------------------------------------------------------------------------
+
+LABELS = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+DOSES = np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 1.0])
+
+# each metric, as a function of its 8 scores or probabilities
+SCORED = {
+    "auc": lambda s: mt.auc(LABELS, s),
+    "logloss": lambda s: mt.logloss(LABELS, s),
+    "cs_qini": lambda s: mt.cs_qini(s, (DOSES, LABELS)),
+    "pcoc": lambda s: mt.pcoc(s, ((DOSES > 0).astype(int), DOSES, LABELS), edges=[0.5, 2.5]),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("metric", SCORED)
+def test_metric_rejects_a_nonfinite_score(metric, bad):
+    scores = np.linspace(0.1, 0.9, 8)
+    SCORED[metric](scores)
+    scores[5] = bad
+    with pytest.raises(MetricUndefinedError, match="index 5 is"):
+        SCORED[metric](scores)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+@pytest.mark.parametrize("metric", SCORED)
+def test_metric_rejects_scores_of_another_length(metric, n):
+    with pytest.raises(MetricUndefinedError, match=f"{n} .* values for 8 rows"):
+        SCORED[metric](np.linspace(0.1, 0.9, n))

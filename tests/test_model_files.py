@@ -75,6 +75,17 @@ def test_stray_parameter_line_is_named(tmp_path):
         ht.load_model(path)
 
 
+@pytest.mark.parametrize("line", ["t_max=9.5", "param.intensity_head.l1.W=2 16 1 " + "0.5 " * 16],
+                         ids=["header", "param"])
+def test_repeated_key_is_named(tmp_path, line):
+    path = tmp_path / "model.txt"
+    lines = save(path)
+    path.write_text("\n".join(lines + [line]) + "\n")
+    key = line.partition("=")[0]
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:{len(lines) + 1}: repeated key {key!r}")):
+        ht.load_model(path)
+
+
 def test_per_expert_model_file_names_the_missing_stacked_tensor(tmp_path):
     # files that stored one tensor per DCR expert lack the stacked dcr.l{i} tensors
     path = tmp_path / "model.txt"
