@@ -502,8 +502,16 @@ def minibatch_adam(params: Sequence[ParamTensor], n_rows: int, batch_loss, train
     over rows 0..n_rows-1, each in a fresh ``rng`` permutation cut into
     batches of ``train.batch`` rows. ``batch_loss(rows, tape)`` records a
     batch's loss on a fresh tape and returns (scalar loss node, record); a
-    NaN or infinite loss raises NumericError naming its epoch and batch.
+    NaN or infinite loss raises NumericError naming its epoch and batch, and
+    fewer than one epoch or row a batch, or a rate that is not finite and
+    positive, raises ConfigError naming the key.
     Returns each epoch's list of batch records."""
+    if train.epochs < 1:
+        raise ConfigError(f"train.epochs must be at least 1, got {train.epochs}")
+    if train.batch < 1:
+        raise ConfigError(f"train.batch must be at least 1, got {train.batch}")
+    if not (math.isfinite(train.lr) and train.lr > 0):
+        raise ConfigError(f"train.lr must be finite and positive, got {train.lr}")
     state = OptimizerState.for_params(params, lr=train.lr)
     records = []
     for epoch in range(train.epochs):

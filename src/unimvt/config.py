@@ -1,11 +1,12 @@
 """Experiment configuration: dataclasses plus the flat key=value bridge.
 
 Flat keys follow ``section.field`` naming, e.g. ``loss.lambda_base``,
-``train.epochs``, ``ablate.xnet``, ``dcr.hidden``, ``net.tower_hidden``;
+``train.epochs``, ``ablate.dcr``, ``dcr.hidden``, ``net.tower_hidden``;
 model files record the keys that shape the network in this form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .dcr import DcrConfig
@@ -20,6 +21,10 @@ class NetConfig:
 
 @dataclass
 class LossWeights:
+    """Weights of the joint loss terms; a zero weight drops its term. The
+    uplift head's output reaches the loss only through the counterfactual
+    term, so ``lambda_x = 0`` leaves that head at its initialization."""
+
     lambda_base: float = 1.0
     lambda_treat: float = 1.0
     lambda_t: float = 0.1
@@ -28,8 +33,10 @@ class LossWeights:
 
     def validate(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigError(f"loss weight {f.name} must be nonnegative")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"loss weight {f.name} must be finite and nonnegative, "
+                                  f"got {value}")
 
 
 @dataclass
@@ -43,8 +50,6 @@ class TrainConfig:
 @dataclass
 class AblationConfig:
     dcr: bool = False
-    xnet: bool = False
-    treat_tower: bool = False
 
 
 @dataclass

@@ -12,11 +12,13 @@ and prediction alike, which differ only in the dose that gates the treatment
 tower. The joint loss adds the factual cross-entropies, the intensity
 regression, the counterfactual MSE terms and the expert orthogonality
 penalty; ``train`` runs it in the shared loop ``autodiff.minibatch_adam``.
+The uplift head reaches the joint loss only through the counterfactual
+terms, so ``loss.lambda_x = 0`` leaves it untrained at its initialization.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +41,7 @@ class HteParams:
     split before any optimization happens."""
 
     base_tower: list
-    treat_tower: list | None      # None when the treatment tower is ablated
+    treat_tower: list
     ta_gates: list                # one gate per treatment-tower hidden layer
     intensity_head: list
     uplift_head: list
@@ -49,17 +51,13 @@ class HteParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.t_min < self.t_max < np.inf):
             raise ConfigError(f"need 0 < t_min < t_max < inf, got [{self.t_min}, {self.t_max}]")
-        if self.treat_tower is not None and len(self.ta_gates) != len(self.treat_tower) - 1:
+        if len(self.ta_gates) != len(self.treat_tower) - 1:
             raise ConfigError("one TA-gate per treatment-tower hidden layer required")
 
     def parameters(self) -> list[ad.ParamTensor]:
-        out = list(ad.mlp_params(self.base_tower))
-        if self.treat_tower is not None:
-            out.extend(ad.mlp_params(self.treat_tower))
-            out.extend(ad.mlp_params(self.ta_gates))
-        out.extend(ad.mlp_params(self.intensity_head))
-        out.extend(ad.mlp_params(self.uplift_head))
-        return out
+        return [*ad.mlp_params(self.base_tower), *ad.mlp_params(self.treat_tower),
+                *ad.mlp_params(self.ta_gates), *ad.mlp_params(self.intensity_head),
+                *ad.mlp_params(self.uplift_head)]
 
 
 @dataclass
@@ -98,17 +96,14 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
     rep = dcr_params.output_dim
     tower_dims = (rep, *cfg.net.tower_hidden, 1)
     base_tower = ad.init_mlp(rng, "base_tower", tower_dims, out_activation="sigmoid")
-    if cfg.ablate.treat_tower:
-        treat_tower, ta_gates = None, []
-    else:
-        treat_tower = ad.init_mlp(rng, "treat_tower", tower_dims, out_activation="sigmoid")
-        ta_gates = [
-            ad.Layer(
-                ad.ParamTensor(f"ta_gate{i}.W", ad.glorot_uniform(rng, TREAT_ENC_DIM, width)),
-                ad.ParamTensor(f"ta_gate{i}.b", np.zeros(width)),
-            )
-            for i, width in enumerate(cfg.net.tower_hidden)
-        ]
+    treat_tower = ad.init_mlp(rng, "treat_tower", tower_dims, out_activation="sigmoid")
+    ta_gates = [
+        ad.Layer(
+            ad.ParamTensor(f"ta_gate{i}.W", ad.glorot_uniform(rng, TREAT_ENC_DIM, width)),
+            ad.ParamTensor(f"ta_gate{i}.b", np.zeros(width)),
+        )
+        for i, width in enumerate(cfg.net.tower_hidden)
+    ]
     head_dims = (rep, cfg.net.head_hidden, 1)
     intensity_head = ad.init_mlp(rng, "intensity_head", head_dims)
     uplift_head = ad.init_mlp(rng, "uplift_head", head_dims)
@@ -153,7 +148,7 @@ def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forw
     t_hat, the uplift head eta (a per-unit logit shift), tau = t_hat * eta,
     p_cf = bridge(p0, tau) and pt at the gate dose. ``gate_dose(t_hat)`` gives
     that dose, a node of tape or an array; it feeds the treatment tower's TA
-    gates or, with the tower ablated, the bridge from p0."""
+    gates."""
     hte = model.hte
     rep = dcr_forward(model.dcr, tape.constant(X), tape)
     p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape)
@@ -161,18 +156,14 @@ def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forw
     eta = uplift_head_forward(hte, rep.ut, tape)
     tau = tape.mul(t_hat, eta)
     p_cf = tape.bridge(p0, tau)
-    dose = gate_dose(t_hat)
-    if hte.treat_tower is None:
-        pt = tape.bridge(p0, tape.mul(dose, eta))
-    else:
-        # e_t, the dose min-max normalized by the t bounds and its square, feeds
-        # the TA gate after every hidden layer of the tower (never the output)
-        tn = tape.scale(tape.add(dose, -hte.t_min), 1.0 / (hte.t_max - hte.t_min))
-        e_t = tape.concat([tn, tape.square(tn)], axis=1)
-        h = rep.ut
-        for i, (layer, gate) in enumerate(zip(hte.treat_tower, hte.ta_gates)):
-            h = ta_gate(gate, e_t, tape.relu(ad.layer_affine(layer, h, tape, i)), tape)
-        pt = tape.sigmoid(ad.layer_affine(hte.treat_tower[-1], h, tape, len(hte.ta_gates)))
+    # e_t, the dose min-max normalized by the t bounds and its square, feeds
+    # the TA gate after every hidden layer of the tower (never the output)
+    tn = tape.scale(tape.add(gate_dose(t_hat), -hte.t_min), 1.0 / (hte.t_max - hte.t_min))
+    e_t = tape.concat([tn, tape.square(tn)], axis=1)
+    h = rep.ut
+    for i, (layer, gate) in enumerate(zip(hte.treat_tower, hte.ta_gates)):
+        h = ta_gate(gate, e_t, tape.relu(ad.layer_affine(layer, h, tape, i)), tape)
+    pt = tape.sigmoid(ad.layer_affine(hte.treat_tower[-1], h, tape, len(hte.ta_gates)))
     return Forward(p0, t_hat, eta, tau, p_cf, pt)
 
 
@@ -214,7 +205,7 @@ def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape
         accumulate("l_base",
                    tape.sum_all(tape.mul(ctrl_mask, tape.binary_cross_entropy(y_col, fw.p0))),
                    weights.lambda_base)
-    if weights.lambda_treat > 0 and model.hte.treat_tower is not None:
+    if weights.lambda_treat > 0:
         accumulate("l_treat",
                    tape.sum_all(tape.mul(w_col, tape.binary_cross_entropy(y_col, fw.pt))),
                    weights.lambda_treat)
@@ -227,7 +218,7 @@ def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape
         x_treat = tape.sum_all(tape.mul(w_col, tape.square(tape.sub(y_col, fw.p_cf))))
         x_base = tape.sum_all(tape.mul(ctrl_mask, tape.square(tape.sub(y_col, p_base_cf))))
         accumulate("l_x", tape.add(x_treat, x_base), weights.lambda_x)
-    if weights.lambda_o > 0 and model.dcr.enabled:
+    if weights.lambda_o > 0:
         accumulate("r_orth", orth_penalty(model.dcr, tape), weights.lambda_o)
 
     if total is None:
@@ -259,9 +250,7 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
 
     seed = cfg.train.seed
     model = build_model(cfg, X.shape[1], t_min, t_max, seed=seed)
-    weights = replace(cfg.loss)
-    if cfg.ablate.xnet:
-        weights = replace(weights, lambda_x=0.0)
+    weights = cfg.loss
     weights.validate()
 
     def batch_loss(rows, tape):
@@ -354,7 +343,7 @@ def predict(model: UniMvtModel, x, q: float | None = None) -> Prediction:
 # the config keys a model file records: those that shape the network
 _CONFIG_KEYS = ("dcr.experts_per_group", "dcr.hidden", "dcr.out_dim",
                 "net.tower_hidden", "net.head_hidden",
-                "ablate.dcr", "ablate.xnet", "ablate.treat_tower")
+                "ablate.dcr")
 
 
 def save_model(model: UniMvtModel, path) -> None:

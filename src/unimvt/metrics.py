@@ -7,9 +7,10 @@ outcome on dose within that prefix. Area under phi -> slope(phi) * (phi * n)
 gives the rank-ordered sensitivity score; subtracting the global-slope baseline
 gives the gain over random targeting.
 
-Scores and probabilities must be finite, one per row: a NaN or infinite
-entry, or a count that differs from the labels or rows, raises
-MetricUndefinedError.
+Scores and probabilities must be finite, one per row, and labels 0 or 1;
+the dose, treatment and outcome columns must be finite and of one length. A
+NaN or infinite entry, a label other than 0 or 1, or a count that differs
+from the labels or rows raises MetricUndefinedError naming the column.
 """
 from __future__ import annotations
 
@@ -38,9 +39,31 @@ def _finite_vector(values, n: int, what: str) -> np.ndarray:
     return v
 
 
+def _binary_labels(labels) -> np.ndarray:
+    """labels as a float64 vector; an entry other than 0 or 1 raises
+    MetricUndefinedError."""
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    bad = np.flatnonzero((y != 0.0) & (y != 1.0))
+    if bad.size:
+        raise MetricUndefinedError(f"label at index {bad[0]} is {y[bad[0]]}, not 0 or 1")
+    return y
+
+
+def _columns(cols, names) -> tuple[np.ndarray, ...]:
+    """The columns, named by ``names``, as float64 vectors of one length; a
+    column of another length than the first, or a NaN or infinite entry,
+    raises MetricUndefinedError naming the column."""
+    cols = [np.asarray(c, dtype=np.float64).reshape(-1) for c in cols]
+    for c, name in zip(cols, names):
+        if c.size != cols[0].size:
+            raise MetricUndefinedError(f"column {name} has {c.size} values, "
+                                       f"column {names[0]} has {cols[0].size}")
+    return tuple(_finite_vector(c, c.size, name) for c, name in zip(cols, names))
+
+
 def auc(labels, scores) -> float:
     """Probability that a random positive outranks a random negative; ties count 1/2."""
-    y = np.asarray(labels).reshape(-1)
+    y = _binary_labels(labels)
     s = _finite_vector(scores, y.size, "score")
     pos = y == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
@@ -52,18 +75,18 @@ def auc(labels, scores) -> float:
 
 def logloss(labels, probs) -> float:
     """Mean negative log-likelihood with probabilities clamped into (0, 1)."""
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    y = _binary_labels(labels)
     p = np.clip(_finite_vector(probs, y.size, "probability"), PROB_EPS, 1.0 - PROB_EPS)
     return float(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean())
 
 
 def _dose_outcome(data) -> tuple[np.ndarray, np.ndarray]:
-    """(t, y) as floats from a Dataset or from a (t, y) array pair."""
+    """(t, y) as float vectors from a Dataset or from a (t, y) array pair."""
     if isinstance(data, Dataset):
         _, _, t, y, _, _ = dataset_arrays(data)
     else:
         t, y = data
-    return np.asarray(t, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return _columns((t, y), ("t", "y"))
 
 
 def prefix_slope(t: np.ndarray, y: np.ndarray, phi: float) -> float | None:
@@ -176,7 +199,8 @@ def pcoc(pred_probs, data, edges: Sequence[float]) -> list[tuple[str, float, int
     if isinstance(data, Dataset):
         _, w, t, y, _, _ = dataset_arrays(data)
     else:
-        w, t, y = (np.asarray(c) for c in data)
+        w, t, y = data
+    w, t, y = _columns((w, t, y), ("w", "t", "y"))
     p = _finite_vector(pred_probs, len(w), "probability")
     edges = sorted(float(e) for e in edges)
     out = []

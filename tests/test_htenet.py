@@ -14,7 +14,8 @@ from unimvt import baselines
 from unimvt import datagen as dg
 from unimvt import dcr
 from unimvt import htenet as ht
-from unimvt.config import AblationConfig, ExperimentConfig, LossWeights, TrainConfig
+from unimvt.config import (AblationConfig, ExperimentConfig, LossWeights, TrainConfig,
+                           apply_overrides)
 from unimvt.dcr import DcrConfig
 from unimvt.errors import ConfigError, DataFormatError, NumericError, UsageError
 
@@ -389,20 +390,13 @@ def test_training_history_is_bit_identical_across_runs(small_syn):
     assert hist_a == hist_b
 
 
-def test_xnet_ablation_zeroes_loss_column(small_syn):
+@pytest.mark.parametrize("lam", [LossWeights(), LossWeights(lambda_x=0.0)])
+def test_history_total_is_weighted_sum_of_its_components(small_syn, lam):
     train_ds, _ = small_syn
-    cfg = ExperimentConfig(train=TrainConfig(epochs=2, batch=128, seed=5),
-                           ablate=AblationConfig(xnet=True))
+    cfg = ExperimentConfig(train=TrainConfig(epochs=2, batch=128, seed=3), loss=lam)
     _, hist = ht.train(train_ds, cfg)
-    assert all(rec["l_x"] == 0.0 for rec in hist)
-
-
-@pytest.mark.parametrize("ablate", [AblationConfig(), AblationConfig(xnet=True)])
-def test_history_total_is_weighted_sum_of_its_components(small_syn, ablate):
-    train_ds, _ = small_syn
-    cfg = ExperimentConfig(train=TrainConfig(epochs=2, batch=128, seed=3), ablate=ablate)
-    _, hist = ht.train(train_ds, cfg)
-    lam = replace(cfg.loss, lambda_x=0.0) if ablate.xnet else cfg.loss
+    if lam.lambda_x == 0.0:
+        assert all(rec["l_x"] == 0.0 for rec in hist)
     for rec in hist:
         want = (lam.lambda_base * rec["l_base"] + lam.lambda_treat * rec["l_treat"]
                 + lam.lambda_t * rec["l_t"] + lam.lambda_x * rec["l_x"]
@@ -416,6 +410,28 @@ def test_training_descends(small_syn):
     model, hist = ht.train(train_ds, cfg)
     assert hist[-1]["total"] < hist[0]["total"]
     assert hist[-1]["l_base"] < hist[0]["l_base"]
+
+
+@pytest.fixture(scope="module")
+def syn600():
+    return dg.generate(replace(dg.PRESETS["syn1"], n_train=600, n_test=10, seed=1))[0]
+
+
+@pytest.mark.parametrize("fit", [ht.train, baselines.train_slearner],
+                         ids=["unimvt", "slearner"])
+@pytest.mark.parametrize("key, value", [("train.batch", 0), ("train.batch", -5),
+                                        ("train.epochs", 0), ("train.epochs", -1),
+                                        ("train.lr", 0.0), ("train.lr", -1e-3),
+                                        ("train.lr", np.nan), ("train.lr", np.inf)])
+def test_training_names_a_bad_setting(syn600, fit, key, value):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        fit(syn600, apply_overrides(ExperimentConfig(), {key: value}))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_training_names_a_bad_loss_weight(syn600, bad):
+    with pytest.raises(ConfigError, match="loss weight lambda_t"):
+        ht.train(syn600, ExperimentConfig(loss=LossWeights(lambda_t=bad)))
 
 
 def test_training_without_treated_rows_fails():
@@ -488,10 +504,10 @@ def test_predict_names_the_nonfinite_feature():
         ht.predict(tiny_model(), x)
 
 
-@pytest.mark.parametrize("treat_tower", [False, True])
+@pytest.mark.parametrize("ablate_dcr", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, treat_tower):
-    model = tiny_model(ablate=AblationConfig(treat_tower=treat_tower))
+def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, ablate_dcr):
+    model = tiny_model(ablate=AblationConfig(dcr=ablate_dcr))
     q = np.full(4, 2.0)
     q[2] = bad
     with pytest.raises(DataFormatError, match="row 2: q"):
@@ -500,10 +516,10 @@ def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, treat_tower):
         ht.predict(model, np.ones(5), q=bad)
 
 
-@pytest.mark.parametrize("treat_tower", [False, True])
+@pytest.mark.parametrize("ablate_dcr", [False, True])
 @pytest.mark.parametrize("q", [np.full(3, 2.0), np.full((4, 1), 2.0)])
-def test_predict_batch_names_both_lengths_of_a_misshapen_q(q, treat_tower):
-    model = tiny_model(ablate=AblationConfig(treat_tower=treat_tower))
+def test_predict_batch_names_both_lengths_of_a_misshapen_q(q, ablate_dcr):
+    model = tiny_model(ablate=AblationConfig(dcr=ablate_dcr))
     with pytest.raises(DataFormatError, match=re.escape(f"q has shape {q.shape} for 4 rows")):
         ht.predict_batch(model, np.ones((4, 5)), q=q)
 
@@ -666,19 +682,21 @@ def test_batch_and_predict_leave_no_cyclic_garbage():
 # ablations in the loss path
 # ---------------------------------------------------------------------------
 
-def test_treat_tower_ablation_uses_counterfactual_bridge():
-    model = tiny_model(seed=4, ablate=AblationConfig(treat_tower=True))
-    assert model.hte.treat_tower is None
-    X, w, t, y = tiny_batch(seed=4)
+@pytest.mark.parametrize("ablate", [AblationConfig(), AblationConfig(dcr=True)],
+                         ids=["default", "ablate.dcr"])
+def test_every_parameter_trains_and_the_uplift_head_lives(ablate):
+    # a switch that leaves some parameter without gradient, or the uplift head
+    # constant, removes more than its component
+    train_ds, test_ds = dg.generate(replace(dg.PRESETS["syn3"], n_train=2000, n_test=500, seed=4))
+    cfg = ExperimentConfig(train=TrainConfig(epochs=1, seed=0), ablate=ablate)
+    model, _ = ht.train(train_ds, cfg)
+    X, w, t, y, _, _ = dg.dataset_arrays(train_ds)
     tape = ad.Tape()
-    total, comps = ht.joint_loss_arrays(X, w, t, y, model,
-                                        LossWeights(1, 1, 0.1, 0.5, 0), tape)
-    assert comps["l_treat"] == 0.0
-    assert comps["l_x"] > 0.0
-    # without the tower, pt_hat is the counterfactual bridge itself, so the
-    # additive identity pt = p0 + tau holds exactly at the imputed dose
-    pred = ht.predict(model, X[0])
-    assert pred.pt_hat == pytest.approx(pred.p0_hat + pred.tau_hat, abs=1e-12)
+    ht.joint_loss_arrays(X[:256], w[:256], t[:256], y[:256], model, cfg.loss, tape)
+    ad.backward(tape)
+    assert [p.name for p in model.parameters() if not np.any(p.grad)] == []
+    eta_head = ht.predict_batch(model, dg.dataset_arrays(test_ds)[0])["eta_head"]
+    assert eta_head.min() < eta_head.max()
 
 
 def test_dcr_ablation_trains(small_syn):

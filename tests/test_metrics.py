@@ -287,3 +287,53 @@ def test_metric_rejects_a_nonfinite_score(metric, bad):
 def test_metric_rejects_scores_of_another_length(metric, n):
     with pytest.raises(MetricUndefinedError, match=f"{n} .* values for 8 rows"):
         SCORED[metric](np.linspace(0.1, 0.9, n))
+
+
+# ---------------------------------------------------------------------------
+# malformed labels and columns
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan])
+@pytest.mark.parametrize("metric", ["auc", "logloss"])
+def test_metric_rejects_a_label_other_than_0_or_1(metric, bad):
+    labels = LABELS.astype(float)
+    labels[3] = bad
+    with pytest.raises(MetricUndefinedError, match=f"label at index 3 is {bad}, not 0 or 1"):
+        getattr(mt, metric)(labels, np.linspace(0.1, 0.9, 8))
+
+
+# each metric of dose columns, as a function of its 8 scores and its columns
+# named in order: cs_qini reads (t, y), pcoc (w, t, y)
+COLUMNS = {
+    "cs_qini": (lambda s, w, t, y: mt.cs_qini(s, (t, y)), "ty"),
+    "pcoc": (lambda s, w, t, y: mt.pcoc(s, (w, t, y), edges=[0.5, 2.5]), "wty"),
+}
+
+
+def base_columns():
+    return {"w": (DOSES > 0).astype(float), "t": DOSES.copy(), "y": LABELS.astype(float)}
+
+
+def call_with_columns(metric, **edited):
+    fn, _ = COLUMNS[metric]
+    return fn(np.linspace(0.1, 0.9, 8), **{**base_columns(), **edited})
+
+
+@pytest.mark.parametrize("n", [6, 10])
+@pytest.mark.parametrize("metric, name", [("cs_qini", "y"), ("pcoc", "t"), ("pcoc", "y")])
+def test_metric_rejects_a_column_of_another_length(metric, name, n):
+    call_with_columns(metric)
+    first = COLUMNS[metric][1][0]
+    column = np.resize(base_columns()[name], n)
+    with pytest.raises(MetricUndefinedError,
+                       match=f"column {name} has {n} values, column {first} has 8"):
+        call_with_columns(metric, **{name: column})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("metric, name", [(m, c) for m, (_, cols) in COLUMNS.items() for c in cols])
+def test_metric_rejects_a_nonfinite_column_entry(metric, name, bad):
+    column = base_columns()[name]
+    column[2] = bad
+    with pytest.raises(MetricUndefinedError, match=f"{name} at index 2 is {bad}, not finite"):
+        call_with_columns(metric, **{name: column})

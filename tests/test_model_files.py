@@ -4,6 +4,7 @@ parameter and an undecodable file fail loudly too."""
 
 import re
 
+import numpy as np
 import pytest
 
 from unimvt import htenet as ht
@@ -13,7 +14,7 @@ from unimvt.errors import ConfigError
 HEADER_KEYS = {
     "unimvt": ["kind", "input_dim", "t_min", "t_max", "dcr.experts_per_group", "dcr.hidden",
                "dcr.out_dim", "net.tower_hidden", "net.head_hidden",
-               "ablate.dcr", "ablate.xnet", "ablate.treat_tower"],
+               "ablate.dcr"],
 }
 
 
@@ -58,14 +59,17 @@ def test_corrupt_parameter_is_named(tmp_path):
             ht.load_model(path)
 
 
-def test_tower_lines_of_a_model_edited_to_ablate_the_tower_are_named(tmp_path):
-    # the header now builds no treatment tower, so its saved lines have no slot
+def test_file_with_the_deleted_ablation_keys_loads_unchanged(tmp_path):
+    # files saved before ablate.xnet and ablate.treat_tower were deleted carry
+    # their header lines; load_model reads only the keys it knows
     path = tmp_path / "model.txt"
-    lines = [line.replace("ablate.treat_tower=False", "ablate.treat_tower=True")
-             for line in save(path)]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match=re.escape("param.treat_tower.l0.W")):
-        ht.load_model(path)
+    lines = save(path)
+    X = np.random.default_rng(0).standard_normal((20, 3))
+    want = ht.predict_batch(ht.load_model(path), X)
+    path.write_text("\n".join(lines + ["ablate.xnet=False", "ablate.treat_tower=False"]) + "\n")
+    got = ht.predict_batch(ht.load_model(path), X)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key])
 
 
 def test_stray_parameter_line_is_named(tmp_path):
