@@ -32,6 +32,11 @@ other node is live when it has a vjp and at least one live parent. A node
 that is not live keeps no vjp, and a live node's vjp gives None for a dead
 operand, so ``backward`` computes gradients only along paths that reach a
 parameter.
+
+The hot kernels give the same values as the textbook forms without
+data-dependent selects, which are slow on random signs: ``relu`` is
+``np.fmax(a, 0)`` and the sigmoid's numerator is one ``np.maximum``; ``affine``
+adds its bias in place onto the fresh product unless that would downcast it.
 """
 from __future__ import annotations
 
@@ -47,9 +52,10 @@ PROB_EPS = 1e-7  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before 
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # dtype-preserving (works in extended precision), no overflow either side
+    # dtype-preserving (works in extended precision), no overflow either side;
+    # ex <= 1, so the maximum is exactly the numerator 1 (x >= 0) or ex
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.maximum(ex, x >= 0) / (1.0 + ex)
 
 
 class ParamTensor:
@@ -202,16 +208,22 @@ class Tape:
                 f"affine input width {xv.shape[-1]} does not match weight rows {wv.shape[-2]}"
             )
         lx, lw, lb = x.live, w.live, b.live
+        out, bv = xv @ wv, b.value
+        if np.can_cast(bv.dtype, out.dtype):  # in place only where b is not downcast
+            out += bv
+        else:
+            out = out + bv
         return self.record(
-            xv @ wv + b.value, (x, w, b),
+            out, (x, w, b),
             lambda g: (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape) if lx else None,
                        _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape) if lw else None,
                        g.sum(axis=-2, keepdims=g.ndim > 2) if lb else None),
         )
 
     def relu(self, a: Node) -> Node:
-        mask = a.value > 0.0
-        return self.record(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+        """max(a, 0), with NaN mapped to 0."""
+        av = a.value
+        return self.record(np.fmax(av, 0.0), (a,), lambda g: (g * (av > 0.0),))
 
     def sigmoid(self, a: Node) -> Node:
         s = _stable_sigmoid(a.value)
@@ -503,13 +515,15 @@ def minibatch_adam(params: Sequence[ParamTensor], n_rows: int, batch_loss, train
     batches of ``train.batch`` rows. ``batch_loss(rows, tape)`` records a
     batch's loss on a fresh tape and returns (scalar loss node, record); a
     NaN or infinite loss raises NumericError naming its epoch and batch, and
-    fewer than one epoch or row a batch, or a rate that is not finite and
-    positive, raises ConfigError naming the key.
+    an epoch or batch count that is not an integer of at least 1, or a rate
+    that is not finite and positive, raises ConfigError naming the key.
     Returns each epoch's list of batch records."""
-    if train.epochs < 1:
-        raise ConfigError(f"train.epochs must be at least 1, got {train.epochs}")
-    if train.batch < 1:
-        raise ConfigError(f"train.batch must be at least 1, got {train.batch}")
+    for key in ("epochs", "batch"):
+        value = getattr(train, key)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"train.{key} must be an integer, got {value!r}")
+        if value < 1:
+            raise ConfigError(f"train.{key} must be at least 1, got {value}")
     if not (math.isfinite(train.lr) and train.lr > 0):
         raise ConfigError(f"train.lr must be finite and positive, got {train.lr}")
     state = OptimizerState.for_params(params, lr=train.lr)

@@ -76,12 +76,16 @@ def _parse_value(current, raw: str, key: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(current, tuple):
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+    try:
+        if isinstance(current, tuple):
+            return tuple(int(v) for v in raw.split(",") if v.strip())
+        if isinstance(current, int):
+            return int(raw)
+        if isinstance(current, float):
+            return float(raw)
+    except ValueError:
+        kind = "integers" if isinstance(current, tuple) else type(current).__name__
+        raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
     return raw
 
 

@@ -182,6 +182,107 @@ def test_sigmoid_strictly_inside_unit_interval(z):
     assert 0.0 < s.value[0, 0] < 1.0
 
 
+# ---------------------------------------------------------------------------
+# the hot kernels against the select and copy forms they replaced
+# ---------------------------------------------------------------------------
+
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300, 0.3, -0.3,
+                  1e308, -1e308, np.inf, -np.inf, np.nan])
+# |x| > 708 underflows exp(-|x|) in either form; everything else must stay silent
+SIGMOID_EDGES = np.concatenate([EDGES, [36.0, -36.0, 709.5, -709.5, 711.0, -711.0,
+                                        745.2, -745.2, 800.0, -800.0]])
+
+
+def select_relu(a):
+    return np.where(a > 0, a, 0.0)
+
+
+def select_sigmoid(x):
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+def same_bits(got, want):
+    """Same dtype, shape, values, NaNs and signs of zero (longdouble pads its
+    storage with unset bytes, so raw bytes cannot be compared)."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def test_relu_equals_the_select_form_and_maps_nan_to_zero():
+    a = np.concatenate([EDGES, np.random.default_rng(0).standard_normal(49)]).reshape(8, 8)
+    g = np.random.default_rng(1).standard_normal(a.shape)
+    tape = ad.Tape()
+    node = tape.relu(tape.param(ad.ParamTensor("a", a)))
+    assert np.array_equal(node.value, select_relu(a)) and not np.signbit(node.value).any()
+    assert node.value.flat[EDGES.size - 1] == 0.0  # NaN
+    assert same_bits(node.vjp(g)[0], g * (a > 0))
+
+
+def test_sigmoid_equals_the_select_form_without_overflow():
+    x = SIGMOID_EDGES.reshape(5, 5)
+    with np.errstate(all="raise", under="ignore"):
+        want = select_sigmoid(x)
+        tape = ad.Tape()
+        got = tape.sigmoid(tape.constant(x)).value
+    assert same_bits(got, want)
+    assert np.isnan(got[np.isnan(x)]).all() and got[x == np.inf] == 1.0 and got[x == -np.inf] == 0.0
+
+
+def test_bridge_equals_the_select_form():
+    rng = np.random.default_rng(2)
+    p = np.concatenate([[0.0, 1e-9, ad.PROB_EPS, 0.5, 1.0 - ad.PROB_EPS, 1.0], rng.uniform(0, 1, 30)])
+    shift = np.concatenate([[0.0, -0.0, 800.0, -800.0, 1e308, -1e308], rng.standard_normal(30) * 20.0])
+    pc = np.clip(p, ad.PROB_EPS, 1.0 - ad.PROB_EPS)
+    with np.errstate(all="raise", under="ignore"):
+        tape = ad.Tape()
+        got = tape.bridge(tape.constant(p), tape.constant(shift)).value
+        want = select_sigmoid(np.log(pc) - np.log1p(-pc) + shift)
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("shapes", [[(5, 4), (4, 3), (3,)], [(5, 4), (2, 4, 3), (2, 1, 3)]],
+                         ids=["plain", "stacked"])
+def test_affine_adds_the_bias_as_before(shapes):
+    rng = np.random.default_rng(3)
+    x, w, b = (rng.standard_normal(s) for s in shapes)
+    tape = ad.Tape()
+    got = tape.affine(tape.constant(x), tape.constant(w), tape.constant(b)).value
+    assert same_bits(got, x @ w + b)
+
+
+def test_gate_merge_equals_the_transpose_form():
+    rng = np.random.default_rng(5)
+    k, n, d = 6, 7, 4
+    gate = ad.ParamTensor("gate", rng.uniform(0, 1, (n, k)))
+    experts = ad.ParamTensor("experts", rng.standard_normal((k, n, d)))
+    g = rng.standard_normal((n, k * d))
+    tape = ad.Tape()
+    node = tape.gate_merge(tape.param(gate), tape.param(experts))
+    weights = gate.values.T[:, :, None]
+    assert same_bits(node.value, (weights * experts.values).transpose(1, 0, 2).reshape(n, k * d))
+    g_gate, g_experts = node.vjp(g)
+    blocks = g.reshape(n, k, d).transpose(1, 0, 2)
+    assert same_bits(g_gate, (blocks * experts.values).sum(axis=2).T)
+    assert same_bits(g_experts, blocks * weights)
+
+
+def test_kernels_keep_extended_precision():
+    """finite_diff_check re-evaluates in longdouble; no kernel may drop it."""
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, 4))
+    w, b = rng.standard_normal((4, 2)), rng.standard_normal(2)
+    ld = np.longdouble
+    tape = ad.Tape()
+    for wv, bv in [(w.astype(ld), b.astype(ld)), (w, b.astype(ld))]:
+        out = tape.affine(tape.constant(x), tape.constant(wv), tape.constant(bv)).value
+        assert same_bits(out, x @ wv + bv)  # an in-place add would round b to float64
+    xl = x.astype(ld)
+    assert tape.relu(tape.constant(xl)).value.dtype == ld
+    assert same_bits(tape.sigmoid(tape.constant(xl)).value, select_sigmoid(xl))
+
+
 _rng = np.random.default_rng(4)
 FD_MASK = _rng.uniform(0.5, 1.5, size=(3, 4))
 FD_PROJ = _rng.standard_normal((4, 2))
@@ -461,6 +562,18 @@ def test_minibatch_adam_nonfinite_loss_names_epoch_and_batch():
         ad.minibatch_adam([w], 10, batch_loss, TrainConfig(epochs=2, batch=4),
                           np.random.default_rng(0))
     assert w.values[0, 0] == 1.0  # no step was taken
+
+
+@pytest.mark.parametrize("key, value", [("epochs", 1.5), ("batch", 2.0), ("epochs", "2"),
+                                        ("batch", True)])
+def test_minibatch_adam_names_a_count_that_is_not_an_integer(key, value):
+    w = ad.ParamTensor("w", np.ones((1, 1)))
+    train = TrainConfig(epochs=2, batch=4)
+    setattr(train, key, value)
+    with pytest.raises(ConfigError, match=f"train.{key} must be an integer"):
+        ad.minibatch_adam([w], 10, lambda rows, tape: (tape.sum_all(tape.param(w)), None),
+                          train, np.random.default_rng(0))
+    assert w.values[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
