@@ -3,11 +3,13 @@
 This is the substrate everything else is built on. The primitives are the
 ``Tape`` methods ``add``, ``sub``, ``mul``, ``scale``, ``affine`` (also over
 a stack of layers), ``relu``, ``sigmoid``, ``softmax``, ``absolute``,
-``square``, ``bridge`` (the fused counterfactual bridge), ``concat``,
-``gate_merge``, ``stop_gradient`` (optionally open on a mask), ``sum_all``
-and ``binary_cross_entropy``; ``Tape.record`` lets a caller add a node with
-its own vjp. Around them: dense layers, an Adam optimizer with the one
-minibatch training loop and a central-difference gradient checker.
+``square``, ``bridge`` (the fused counterfactual bridge), ``gate_merge``,
+``stop_gradient`` (optionally open on a mask), ``sum_all`` and
+``binary_cross_entropy``, plus ``mlp_forward``, which records a whole layer
+stack (also a stack of K same-shaped stacks) as one node with a hand-written
+vjp; ``Tape.record`` lets a caller add a node with its own vjp. Around them:
+dense layers, an Adam optimizer with the one minibatch training loop and a
+central-difference gradient checker.
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
@@ -19,19 +21,21 @@ reverse, so creation order doubles as the topological order.
 Who owns what: a ``ParamTensor`` holds its values and its accumulated
 gradient and outlives every tape; once an ``OptimizerState`` has packed it,
 both are views of that state's flat buffers, which own the memory. A
-``Tape`` owns its nodes. A ``Node`` holds its value, its parents, the vjp
-that maps its gradient to theirs, its tape's mark (a token, not the tape)
-and, for a parameter leaf, its ``ParamTensor``; it holds no gradient. The
-gradients of one ``backward`` call live in that call. References thus run
-one way, from a tape to its nodes and from a node to its parents, so a spent
-tape is freed by reference counting as soon as its last reference goes. The
-module holds no mutable state.
+parameter is a leaf of every tape, not a node of one: primitives take the
+``ParamTensor`` itself as an operand, and ``backward`` adds each gradient
+that reaches it into ``ParamTensor.grad`` as it arrives. A ``Tape`` owns its
+nodes. A ``Node`` holds its value, its parents (nodes of its tape and
+parameters), the vjp that maps its gradient to theirs and its tape's mark (a
+token, not the tape); it holds no gradient. The gradients of one
+``backward`` call live in that call. References thus run one way, from a
+tape to its nodes and from a node to its parents, so a spent tape is freed
+by reference counting as soon as its last reference goes. The module holds
+no mutable state.
 
-Liveness is decided as the tape records: a parameter leaf is live, and any
-other node is live when it has a vjp and at least one live parent. A node
-that is not live keeps no vjp, and a live node's vjp gives None for a dead
-operand, so ``backward`` computes gradients only along paths that reach a
-parameter.
+Liveness is decided as the tape records: a parameter is live, and a node is
+live when it has a vjp and at least one live parent. A node that is not live
+keeps no vjp, and a live node's vjp gives None for a dead operand, so
+``backward`` computes gradients only along paths that reach a parameter.
 
 The hot kernels give the same values as the textbook forms without
 data-dependent selects, which are slow on random signs: ``relu`` is
@@ -51,18 +55,40 @@ from .errors import ConfigError, NumericError, UsageError
 PROB_EPS = 1e-7  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before logs/logits
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # dtype-preserving (works in extended precision), no overflow either side;
     # ex <= 1, so the maximum is exactly the numerator 1 (x >= 0) or ex
     ex = np.exp(-np.abs(x))
     return np.maximum(ex, x >= 0) / (1.0 + ex)
 
 
+def affine_value(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """x @ W + b, the bias added in place onto the fresh product unless that
+    would downcast it (a longdouble b on a float64 product)."""
+    out = xv @ wv
+    if np.can_cast(bv.dtype, out.dtype):
+        out += bv
+    else:
+        out = out + bv
+    return out
+
+
+def affine_grads(g, xv, wv, lx=True, lw=True, lb=True) -> tuple:
+    """The vjp of x @ W + b for the output gradient g: the gradients of x, W
+    and b, each None where its flag says the operand is dead."""
+    return (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape) if lx else None,
+            _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape) if lw else None,
+            g.sum(axis=-2, keepdims=g.ndim > 2) if lb else None)
+
+
 class ParamTensor:
     """Trainable tensor with a persistent accumulated gradient; an
-    OptimizerState that packs it rebinds both as views of its buffers."""
+    OptimizerState that packs it rebinds both as views of its buffers. It is
+    an operand of any tape's primitives, always live and recorded on none."""
 
     __slots__ = ("name", "values", "grad")
+    live = True
+    mark = None
 
     def __init__(self, name: str, values) -> None:
         self.name = name
@@ -72,6 +98,11 @@ class ParamTensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
+
+    @property
+    def value(self) -> np.ndarray:
+        """The values, read as an operand's value."""
+        return self.values
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
@@ -83,19 +114,18 @@ class ParamTensor:
 class Node:
     """One tape entry: a value plus the recipe for pushing gradients to parents.
 
-    A node is live when a gradient through it can reach a ParamTensor: a
-    parameter leaf is, and any other node is when it has a vjp and a live
-    parent. Only a live node keeps its vjp; backward passes nothing through
-    a node without one, such as a closed stop-gradient.
+    A node is live when a gradient through it can reach a ParamTensor: when
+    it has a vjp and a live parent. Only a live node keeps its vjp; backward
+    passes nothing through a node without one, such as a closed
+    stop-gradient.
     """
 
-    __slots__ = ("value", "parents", "vjp", "param", "live", "mark")
+    __slots__ = ("value", "parents", "vjp", "live", "mark")
 
-    def __init__(self, value, parents, vjp, param, live, mark):
+    def __init__(self, value, parents, vjp, live, mark):
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.param = param
         self.live = live
         self.mark = mark  # the recording tape's mark, which is not the tape
 
@@ -118,8 +148,9 @@ class Tape:
     """Ordered record of forward primitives, replayed in reverse by backward().
 
     The primitives are its methods. Each records one node whose parents must
-    have been recorded on this tape (UsageError otherwise); the binary
-    arithmetic primitives also take arrays and scalars, recorded as constants.
+    be ParamTensors or nodes recorded on this tape (UsageError otherwise);
+    the binary arithmetic primitives also take arrays and scalars, recorded
+    as constants.
     A primitive with more than one operand reads their ``live`` flags when it
     records, and its vjp gives None, which backward skips, for a dead one.
     No vjp closes over the tape, so references run one way.
@@ -128,21 +159,20 @@ class Tape:
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self._mark = object()  # stamped on every node recorded here
-        self._param_nodes: dict[int, Node] = {}
 
     def record(self, value, parents=(), vjp=None) -> Node:
         mark = self._mark
         live = False
         for parent in parents:
-            if parent.mark is not mark:
-                raise UsageError("operand is not a node recorded on this tape")
+            if parent.mark is not mark and type(parent) is not ParamTensor:
+                raise UsageError("operand is neither a parameter nor a node recorded on this tape")
             if parent.live:
                 live = True
         value = np.asarray(value)
         if value.dtype.kind != "f":
             value = value.astype(np.float64)
         live = live and vjp is not None
-        node = Node(value, tuple(parents), vjp if live else None, None, live, mark)
+        node = Node(value, tuple(parents), vjp if live else None, live, mark)
         self.nodes.append(node)
         return node
 
@@ -150,17 +180,8 @@ class Tape:
         """A leaf that receives no gradient."""
         return self.record(values)
 
-    def param(self, p: ParamTensor) -> Node:
-        """Leaf bound to a ParamTensor; repeated use returns the same node."""
-        node = self._param_nodes.get(id(p))
-        if node is None:
-            node = Node(p.values, (), None, p, True, self._mark)
-            self.nodes.append(node)
-            self._param_nodes[id(p)] = node
-        return node
-
-    def _lift(self, x) -> Node:
-        return x if isinstance(x, Node) else self.constant(x)
+    def _lift(self, x):
+        return x if isinstance(x, (Node, ParamTensor)) else self.constant(x)
 
     # -- primitives ---------------------------------------------------------
 
@@ -198,7 +219,7 @@ class Tape:
         c = float(c)
         return self.record(a.value * c, (a,), lambda g: (g * c,))
 
-    def affine(self, x: Node, w: Node, b: Node) -> Node:
+    def affine(self, x, w, b) -> Node:
         """x @ W + b with b broadcast over rows. A weight with a leading stack
         axis, (K, in, out) with bias (K, 1, out), applies K layers at once and
         gives (K, rows, out); x is then (rows, in) or already stacked."""
@@ -208,17 +229,8 @@ class Tape:
                 f"affine input width {xv.shape[-1]} does not match weight rows {wv.shape[-2]}"
             )
         lx, lw, lb = x.live, w.live, b.live
-        out, bv = xv @ wv, b.value
-        if np.can_cast(bv.dtype, out.dtype):  # in place only where b is not downcast
-            out += bv
-        else:
-            out = out + bv
-        return self.record(
-            out, (x, w, b),
-            lambda g: (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape) if lx else None,
-                       _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape) if lw else None,
-                       g.sum(axis=-2, keepdims=g.ndim > 2) if lb else None),
-        )
+        return self.record(affine_value(xv, wv, b.value), (x, w, b),
+                           lambda g: affine_grads(g, xv, wv, lx, lw, lb))
 
     def relu(self, a: Node) -> Node:
         """max(a, 0), with NaN mapped to 0."""
@@ -226,7 +238,7 @@ class Tape:
         return self.record(np.fmax(av, 0.0), (a,), lambda g: (g * (av > 0.0),))
 
     def sigmoid(self, a: Node) -> Node:
-        s = _stable_sigmoid(a.value)
+        s = stable_sigmoid(a.value)
         return self.record(s, (a,), lambda g: (g * s * (1.0 - s),))
 
     def softmax(self, a: Node) -> Node:
@@ -256,7 +268,7 @@ class Tape:
         p, shift = self._lift(p), self._lift(shift)
         pv, sv = p.value, shift.value
         pc = np.clip(pv, PROB_EPS, 1.0 - PROB_EPS)
-        s = _stable_sigmoid(np.log(pc) - np.log1p(-pc) + sv)
+        s = stable_sigmoid(np.log(pc) - np.log1p(-pc) + sv)
         lp, ls = p.live, shift.live
 
         def vjp(g):  # the clamp mask is built here: prediction never needs it
@@ -268,17 +280,6 @@ class Tape:
             return gp, _unbroadcast(gz, np.shape(sv)) if ls else None
 
         return self.record(s, (p, shift), vjp)
-
-    def concat(self, nodes: Sequence[Node], axis: int = 1) -> Node:
-        cuts = np.cumsum([0] + [n.value.shape[axis] for n in nodes]).tolist()
-        lead = (slice(None),) * (axis % nodes[0].value.ndim)
-        live = [n.live for n in nodes]
-
-        def vjp(g):
-            return tuple(g[lead + (slice(start, stop),)] if keep else None
-                         for start, stop, keep in zip(cuts, cuts[1:], live))
-
-        return self.record(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), vjp)
 
     def gate_merge(self, gate: Node, experts: Node) -> Node:
         """Gate-weighted experts side by side: gate (rows, K) and stacked expert
@@ -300,7 +301,8 @@ class Tape:
     def stop_gradient(self, a: Node, keep=False) -> Node:
         """Forward identity whose backward passes g * keep, keep a boolean
         array broadcast against a; by default it passes nothing."""
-        return self.record(a.value, (a,), (lambda g: (g * keep,)) if np.any(keep) else None)
+        keep = np.asarray(keep)  # its any() costs a third of np.any's
+        return self.record(a.value, (a,), (lambda g: (g * keep,)) if keep.any() else None)
 
     def sum_all(self, a: Node) -> Node:
         shape = a.value.shape
@@ -326,9 +328,12 @@ def backward(tape: Tape) -> None:
 
     The tape must end in a scalar node (the loss). Each node is visited
     exactly once; a node without a vjp propagates nothing upstream, and a
-    vjp output of None (a dead operand) is skipped. The gradients live in this
-    call alone, each dropped once it has reached the node's parents; a stored
-    gradient is never changed in place, so vjp outputs are stored uncopied.
+    vjp output of None (a dead operand) is skipped. A vjp output for a
+    parameter is added into its ``grad`` at once, so a parameter's
+    contributions are summed in the order they arrive. The other gradients
+    live in this call alone, each dropped once it has reached the node's
+    parents; a stored gradient is never changed in place, so vjp outputs are
+    stored uncopied.
     """
     if not tape.nodes:
         raise UsageError("backward called before any forward computation")
@@ -338,19 +343,19 @@ def backward(tape: Tape) -> None:
     grads = {id(last): np.full_like(last.value, 1.0)}
     for node in reversed(tape.nodes):
         g = grads.pop(id(node), None)
-        if g is None:
+        if g is None or node.vjp is None:
             continue
-        if node.param is not None:
-            node.param.grad += g
-        if node.vjp is not None:
-            for parent, pg in zip(node.parents, node.vjp(g)):
-                if pg is None:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is None:
+                continue
+            if type(parent) is ParamTensor:
+                parent.grad += pg
+                continue
+            key = id(parent)
+            if key in grads:
+                grads[key] = grads[key] + pg
+            else:
+                grads[key] = pg
 
 
 # ---------------------------------------------------------------------------
@@ -402,32 +407,52 @@ def mlp_params(layers: Sequence[Layer]) -> list[ParamTensor]:
     return out
 
 
-def layer_affine(layer: Layer, x: Node, tape: Tape, index: int = 0) -> Node:
-    """The affine part of one layer, x @ W + b, on x, a node of tape; raises
+def checked_affine(layer: Layer, xv: np.ndarray, index: int) -> np.ndarray:
+    """The affine part of one layer, xv @ W + b, on the array xv; raises
+    ConfigError naming the layer when the input width does not match W, and
     NumericError naming the layer (its index and weight) when the output is
     non-finite. It checks the affine output because relu maps NaN to 0."""
-    h = tape.affine(x, tape.param(layer.W), tape.param(layer.b))
+    wv = layer.W.values
+    if xv.shape[-1] != wv.shape[-2]:
+        raise ConfigError(f"layer {index} expects input width {wv.shape[-2]}, got {xv.shape[-1]}")
+    out = affine_value(xv, wv, layer.b.values)
     # a non-finite entry poisons the sum, so one reduction guards the layer
-    if not math.isfinite(h.value.sum()):
+    if not math.isfinite(out.sum()):
         raise NumericError(f"non-finite activation after layer {index} ({layer.W.name})")
-    return h
+    return out
 
 
 def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
-    """Run a layer stack on x, a node of tape; raises NumericError naming the
-    layer when a layer's affine output is non-finite."""
-    h = x
+    """Run a layer stack on x, a node of tape, recorded as one node whose
+    parents are x and every layer's W and b. Stacked layers, weights
+    (K, in, out), run K stacks at once as ``Tape.affine`` does. Raises
+    ConfigError or NumericError naming the layer, as ``checked_affine``."""
+    hs = [x.value]  # the input, then every layer's output
     for i, layer in enumerate(layers):
-        if h.value.shape[-1] != layer.W.shape[-2]:
-            raise ConfigError(
-                f"layer {i} expects input width {layer.W.shape[-2]}, got {h.value.shape[-1]}"
-            )
-        h = layer_affine(layer, h, tape, i)
+        h = checked_affine(layer, hs[-1], i)
         if layer.activation == "relu":
-            h = tape.relu(h)
+            h = np.fmax(h, 0.0)
         elif layer.activation == "sigmoid":
-            h = tape.sigmoid(h)
-    return h
+            h = stable_sigmoid(h)
+        hs.append(h)
+    weights = [layer.W.values for layer in layers]
+    acts = [layer.activation for layer in layers]
+    lx = x.live
+
+    def vjp(g):
+        grads = []
+        for i in reversed(range(len(weights))):
+            out = hs[i + 1]
+            if acts[i] == "relu":
+                g = g * (out > 0.0)  # out > 0 exactly where the affine output is
+            elif acts[i] == "sigmoid":
+                g = g * out * (1.0 - out)
+            g, gw, gb = affine_grads(g, hs[i], weights[i], lx=i > 0 or lx)
+            grads += (gb, gw)
+        grads.append(g)
+        return grads[::-1]
+
+    return tape.record(hs[-1], (x, *mlp_params(layers)), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +601,13 @@ class _PinnedTape(Tape):
         return node
 
 
+def _relative_error(analytic, cd) -> float:
+    """The checker's relative error of one entry; inf where it is not finite."""
+    a, cd = float(analytic), float(cd)
+    rel = abs(a - cd) / max(abs(a), abs(cd), 1e-8)
+    return rel if math.isfinite(rel) else math.inf
+
+
 def finite_diff_check(
     loss_fn: Callable[[Tape], Node],
     params: Sequence[ParamTensor],
@@ -587,9 +619,11 @@ def finite_diff_check(
     that tape's methods, and return the scalar loss node; the checker calls
     it once per evaluation, each time with a fresh tape it builds itself.
     The relative error for one parameter entry is
-    |analytic - cd| / max(|analytic|, |cd|, 1e-8); the max over all entries of
+    |analytic - cd| / max(|analytic|, |cd|, 1e-8), and inf where that is not
+    finite (a NaN or infinite gradient or loss); the max over all entries of
     all params is returned. This routine never trusts the tape for the
-    reference values: it only re-evaluates the forward pass.
+    reference values: it only re-evaluates the forward pass. An ``eps`` that
+    is not finite and positive raises ConfigError.
 
     Stop-gradient outputs are replayed at their unperturbed values during the
     +-eps evaluations, outside their ``keep`` masks, so the check validates
@@ -602,8 +636,8 @@ def finite_diff_check(
     definition, same eps, just enough arithmetic headroom to resolve the
     difference. Genuine gradient bugs survive the re-evaluation unchanged.
     """
-    if eps <= 0:
-        raise ConfigError("finite difference step must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"finite difference step must be finite and positive, got {eps}")
     pinned: list[np.ndarray] = []
     for p in params:
         p.zero_grad()
@@ -628,9 +662,7 @@ def finite_diff_check(
             lp = float(loss_at(flat, i, orig + eps))
             lm = float(loss_at(flat, i, orig - eps))
             flat[i] = orig
-            cd = (lp - lm) / (2.0 * eps)
-            denom = max(abs(ref[i]), abs(cd), 1e-8)
-            rel = abs(ref[i] - cd) / denom
+            rel = _relative_error(ref[i], (lp - lm) / (2.0 * eps))
             if rel > 1e-7 and np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
                 recheck.append((p, i, ref[i]))
             else:
@@ -647,9 +679,7 @@ def finite_diff_check(
                 lp = loss_at(flat, i, orig + eps)
                 lm = loss_at(flat, i, orig - eps)
                 flat[i] = orig
-                cd = float((lp - lm) / np.longdouble(2.0 * eps))
-                denom = max(abs(a), abs(cd), 1e-8)
-                worst = max(worst, abs(a - cd) / denom)
+                worst = max(worst, _relative_error(a, float((lp - lm) / np.longdouble(2.0 * eps))))
         finally:
             for p in params:
                 p.values = originals[id(p)]

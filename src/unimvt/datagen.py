@@ -111,9 +111,12 @@ def dataset_arrays(ds: Dataset):
 
 
 def feature_matrix(X) -> np.ndarray:
-    """X as a 2-D float64 matrix to score; a NaN or infinite feature raises
-    DataFormatError naming its row and feature index."""
+    """X as a 2-D float64 matrix to score; an input of more than 2
+    dimensions raises DataFormatError naming its shape, and a NaN or
+    infinite feature one naming its row and feature index."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim > 2:
+        raise DataFormatError(f"features have shape {X.shape}; expected one row or a 2-D matrix")
     if not np.isfinite(X).all():
         row, feature = np.argwhere(~np.isfinite(X))[0]
         raise DataFormatError(f"row {row}: feature {feature} is {X[row, feature]}, not finite")

@@ -139,8 +139,8 @@ def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:
         return tape.constant(0.0)
     total = None
     for layer in params.experts:
-        w = tape.param(layer.W)
-        a = w.value.reshape(3, -1, *w.shape[1:])  # (group, expert, fan_in, fan_out)
+        w = layer.W
+        a = w.values.reshape(3, -1, *w.shape[1:])  # (group, expert, fan_in, fan_out)
         gram = (a @ a.swapaxes(-1, -2)).sum(axis=1)  # G_g: the sum of W W^T over group g
         others = gram.sum(axis=0) - gram
         value = sum(np.vdot(gram[i], gram[j])

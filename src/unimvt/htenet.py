@@ -3,7 +3,9 @@
 Two decoupled sigmoid towers sit on the disentangled representations: the
 base tower estimates the no-intervention click probability from u0, the
 treatment tower estimates the intervened probability from ut, with every
-hidden layer modulated by a treatment-aware gate 2*sigmoid(W e_t + b). An
+hidden layer modulated by a treatment-aware gate 2*sigmoid(W e_t + b). Each
+tower is one tape node: the base tower through ``autodiff.mlp_forward``, the
+TA-gated treatment tower, dose encoding included, through its own vjp. An
 intensity head (behind stop-gradient) imputes the dose a unit would have
 received; a ReLU uplift head outputs the nonnegative per-unit sensitivity.
 The counterfactual bridge ``Tape.bridge`` links the towers in logit space by
@@ -121,11 +123,48 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
 # forward pieces
 # ---------------------------------------------------------------------------
 
-def ta_gate(gate: ad.Layer, e_t: ad.Node, h: ad.Node, tape: ad.Tape) -> ad.Node:
-    """Scale hidden activations by a = 2*sigmoid(W e_t + b), elementwise in (0, 2);
-    a non-finite W e_t + b raises NumericError naming the gate."""
-    a = tape.scale(tape.sigmoid(ad.layer_affine(gate, e_t, tape)), 2.0)
-    return tape.mul(a, h)
+def treat_tower_forward(hte: HteParams, ut: ad.Node, dose: ad.Node, tape: ad.Tape) -> ad.Node:
+    """pt, the treatment tower on ut at the dose ``dose`` (a (rows, 1) node),
+    recorded as one node with its own vjp. The dose, min-max normalized by
+    the t bounds to tn, is encoded as e_t = [tn, tn^2]; hidden layer i gives
+    h = a_i * relu(h W_i + b_i) with the TA gate a_i = 2*sigmoid(e_t G_i + g_i)
+    elementwise in (0, 2), and the output is sigmoid(h W + b). A non-finite
+    affine output raises NumericError naming the layer (its index and
+    weight); gate i counts as layer i."""
+    c = 1.0 / (hte.t_max - hte.t_min)
+    tn = (dose.value + -hte.t_min) * c
+    e_t = np.concatenate([tn, tn * tn], axis=1)
+    hidden = list(zip(hte.treat_tower, hte.ta_gates))
+    hs, saved = [ut.value], []  # each hidden layer's input; its relu output, gate and sigmoid
+    for i, (layer, gate) in enumerate(hidden):
+        r = np.fmax(ad.checked_affine(layer, hs[-1], i), 0.0)
+        s = ad.stable_sigmoid(ad.checked_affine(gate, e_t, i))
+        a = s * 2.0
+        saved.append((r, a, s))
+        hs.append(a * r)
+    out = hte.treat_tower[-1]
+    pt = ad.stable_sigmoid(ad.checked_affine(out, hs[-1], len(hidden)))
+    weights = [layer.W.values for layer in hte.treat_tower]
+    gate_weights = [gate.W.values for gate in hte.ta_gates]
+    lu, ld = ut.live, dose.live
+
+    def vjp(g):
+        g, gw, gb = ad.affine_grads(g * pt * (1.0 - pt), hs[-1], weights[-1],
+                                    lx=bool(hidden) or lu)
+        grads, ge = [gw, gb], None
+        for i in reversed(range(len(hidden))):
+            r, a, s = saved[i]
+            gz, gg, ggb = ad.affine_grads(g * r * 2.0 * s * (1.0 - s), e_t, gate_weights[i], lx=ld)
+            if ld:
+                ge = gz if ge is None else ge + gz
+            # r > 0 exactly where the affine output is
+            g, gw, gb = ad.affine_grads(g * a * (r > 0.0), hs[i], weights[i], lx=i > 0 or lu)
+            grads += (gw, gb, gg, ggb)
+        gd = None if ge is None else (ge[:, 0:1] + 2.0 * ge[:, 1:2] * tn) * c
+        return (g, gd, *grads)
+
+    params = [p for layer, gate in reversed(hidden) for p in (layer.W, layer.b, gate.W, gate.b)]
+    return tape.record(pt, (ut, dose, out.W, out.b, *params), vjp)
 
 
 def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
@@ -147,7 +186,7 @@ def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forw
     """Record the network once on tape for the feature matrix X: the nodes p0,
     t_hat, the uplift head eta (a per-unit logit shift), tau = t_hat * eta,
     p_cf = bridge(p0, tau) and pt at the gate dose. ``gate_dose(t_hat)`` gives
-    that dose, a node of tape or an array; it feeds the treatment tower's TA
+    that dose, a (rows, 1) node of tape; it feeds the treatment tower's TA
     gates."""
     hte = model.hte
     rep = dcr_forward(model.dcr, tape.constant(X), tape)
@@ -156,14 +195,7 @@ def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forw
     eta = uplift_head_forward(hte, rep.ut, tape)
     tau = tape.mul(t_hat, eta)
     p_cf = tape.bridge(p0, tau)
-    # e_t, the dose min-max normalized by the t bounds and its square, feeds
-    # the TA gate after every hidden layer of the tower (never the output)
-    tn = tape.scale(tape.add(gate_dose(t_hat), -hte.t_min), 1.0 / (hte.t_max - hte.t_min))
-    e_t = tape.concat([tn, tape.square(tn)], axis=1)
-    h = rep.ut
-    for i, (layer, gate) in enumerate(zip(hte.treat_tower, hte.ta_gates)):
-        h = ta_gate(gate, e_t, tape.relu(ad.layer_affine(layer, h, tape, i)), tape)
-    pt = tape.sigmoid(ad.layer_affine(hte.treat_tower[-1], h, tape, len(hte.ta_gates)))
+    pt = treat_tower_forward(hte, rep.ut, gate_dose(t_hat), tape)
     return Forward(p0, t_hat, eta, tau, p_cf, pt)
 
 
@@ -309,7 +341,9 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
             row = int(np.flatnonzero(~np.isfinite(q))[0])
             raise DataFormatError(f"row {row}: q is {q[row]}, not finite")
         extrapolated = (q < model.hte.t_min) | (q > model.hte.t_max)
-    fw = forward(model, X, ad.Tape(), lambda t_hat: t_hat if q is None else q.reshape(-1, 1))
+    tape = ad.Tape()
+    dose = None if q is None else tape.constant(q.reshape(-1, 1))
+    fw = forward(model, X, tape, lambda t_hat: t_hat if dose is None else dose)
     p0, t_hat, eta_head, _, p_cf, pt = (node.value.reshape(-1) for node in fw)
     p0 = np.clip(p0, PROB_EPS, 1.0 - PROB_EPS)
     eta = np.maximum((p_cf - p0) / t_hat, 0.0)
@@ -325,7 +359,13 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
 
 
 def predict(model: UniMvtModel, x, q: float | None = None) -> Prediction:
-    out = predict_batch(model, np.atleast_2d(x), q=q)
+    """``predict_batch`` for one row x, a feature vector or a 1-row matrix;
+    any other row count raises DataFormatError naming it."""
+    X = np.atleast_2d(x)
+    if X.shape[0] != 1:
+        raise DataFormatError(f"predict scores one row, got {X.shape[0]} rows; "
+                              "use predict_batch for several")
+    out = predict_batch(model, X, q=q)
     return Prediction(
         p0_hat=float(out["p0_hat"][0]),
         pt_hat=float(out["pt_hat"][0]),

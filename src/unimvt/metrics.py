@@ -74,8 +74,11 @@ def auc(labels, scores) -> float:
 
 
 def logloss(labels, probs) -> float:
-    """Mean negative log-likelihood with probabilities clamped into (0, 1)."""
+    """Mean negative log-likelihood with probabilities clamped into (0, 1);
+    no rows raise MetricUndefinedError."""
     y = _binary_labels(labels)
+    if y.size == 0:
+        raise MetricUndefinedError("LogLoss needs at least one row")
     p = np.clip(_finite_vector(probs, y.size, "probability"), PROB_EPS, 1.0 - PROB_EPS)
     return float(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean())
 

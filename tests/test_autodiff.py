@@ -64,6 +64,72 @@ def test_mlp_nonfinite_activation_names_layer():
         ad.mlp_forward([layer], tape.constant(np.array([[1e9, 1e9]])), tape)
 
 
+def fused_mlp_case(stacked, activation, seed=0):
+    """Two layers of one activation on a (5, 4) input: plain weights, or a
+    stack of 3 same-shaped MLPs, the first layer reading the unstacked input."""
+    rng = np.random.default_rng(seed)
+    lead = (3,) if stacked else ()
+    dims = (4, 6, 2)
+    return [make_layer(f"l{i}", rng.standard_normal((*lead, fan_in, fan_out)),
+                       rng.standard_normal((*lead, 1, fan_out) if stacked else fan_out), activation)
+            for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))]
+
+
+def chain_of_primitives(layers, x, tape):
+    """The layer stack as one Tape primitive per affine and activation."""
+    for layer in layers:
+        x = tape.affine(x, layer.W, layer.b)
+        if layer.activation == "relu":
+            x = tape.relu(x)
+        elif layer.activation == "sigmoid":
+            x = tape.sigmoid(x)
+    return x
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "linear"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+def test_mlp_is_one_node_equal_to_the_chain_of_primitives(stacked, activation):
+    layers = fused_mlp_case(stacked, activation)
+    x = ad.ParamTensor("x", np.random.default_rng(1).standard_normal((5, 4)))
+    params = [x, *ad.mlp_params(layers)]
+    results = []
+    for record in (ad.mlp_forward, chain_of_primitives):
+        tape = ad.Tape()
+        inputs = tape.mul(x, 1.0)
+        before = len(tape.nodes)
+        out = record(layers, inputs, tape)
+        recorded = len(tape.nodes) - before
+        tape.sum_all(tape.mul(out, np.linspace(-1.0, 2.0, out.value.size).reshape(out.shape)))
+        ad.backward(tape)
+        results.append((out.value, [p.grad.copy() for p in params], recorded))
+        for p in params:
+            p.zero_grad()
+    (fused, fused_grads, fused_nodes), (chain, chain_grads, _) = results
+    assert fused_nodes == 1
+    assert np.array_equal(fused, chain)
+    for got, want in zip(fused_grads, chain_grads):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("live", [True, False], ids=["live input", "dead input"])
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "linear"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+def test_mlp_gradients_against_finite_differences(stacked, activation, live):
+    layers = fused_mlp_case(stacked, activation, seed=2)
+    x = ad.ParamTensor("x", np.random.default_rng(3).standard_normal((5, 4)))
+    weights = np.random.default_rng(4).uniform(0.5, 1.5, size=(3, 5, 2) if stacked else (5, 2))
+    nodes = []
+
+    def loss_fn(tape):
+        inputs = tape.mul(x, 1.0) if live else tape.constant(x.values)
+        nodes.append(ad.mlp_forward(layers, inputs, tape))
+        return tape.sum_all(tape.mul(nodes[-1], weights))
+
+    params = [x, *ad.mlp_params(layers)] if live else ad.mlp_params(layers)
+    assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
+    assert (nodes[0].vjp(np.ones_like(nodes[0].value))[0] is None) == (not live)
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
@@ -71,7 +137,7 @@ def test_mlp_nonfinite_activation_names_layer():
 def test_backward_square():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     tape = ad.Tape()
-    loss = tape.sum_all(tape.square(tape.param(w)))
+    loss = tape.sum_all(tape.square(w))
     ad.backward(tape)
     assert w.grad[0, 0] == 6.0
 
@@ -79,8 +145,7 @@ def test_backward_square():
 def test_backward_stop_gradient_kills_one_path():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     tape = ad.Tape()
-    wn = tape.param(w)
-    loss = tape.sum_all(tape.mul(tape.stop_gradient(wn), wn))
+    loss = tape.sum_all(tape.mul(tape.stop_gradient(w), w))
     ad.backward(tape)
     assert w.grad[0, 0] == 3.0  # not 6
 
@@ -93,7 +158,7 @@ def test_backward_before_forward_is_usage_error():
 def test_backward_requires_scalar_tail():
     w = ad.ParamTensor("w", np.ones((2, 2)))
     tape = ad.Tape()
-    tape.square(tape.param(w))
+    tape.square(w)
     with pytest.raises(UsageError):
         ad.backward(tape)
 
@@ -101,11 +166,20 @@ def test_backward_requires_scalar_tail():
 def test_operand_from_another_tape_is_usage_error():
     w = ad.ParamTensor("w", np.ones((1, 1)))
     tape, other = ad.Tape(), ad.Tape()
-    foreign = other.param(w)
+    foreign = other.square(w)
     with pytest.raises(UsageError):
-        tape.add(tape.param(w), foreign)
+        tape.add(w, foreign)
     with pytest.raises(UsageError):
         tape.relu(foreign)
+
+
+def test_a_parameter_is_a_leaf_of_every_tape():
+    w = ad.ParamTensor("w", np.array([[3.0]]))
+    for tape in (ad.Tape(), ad.Tape()):
+        tape.sum_all(tape.mul(w, w))
+        assert len(tape.nodes) == 2
+        ad.backward(tape)
+    assert w.grad[0, 0] == 12.0  # 2 * 2w, added into the one grad by both tapes
 
 
 def test_backward_two_layer_net_matches_finite_differences():
@@ -139,7 +213,7 @@ def test_stop_gradient_forward_identity():
 def test_stop_gradient_zero_grad():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
-    loss = tape.sum_all(tape.stop_gradient(tape.param(x)))
+    loss = tape.sum_all(tape.stop_gradient(x))
     ad.backward(tape)
     np.testing.assert_array_equal(x.grad, np.zeros((1, 3)))
 
@@ -147,7 +221,7 @@ def test_stop_gradient_zero_grad():
 def test_stop_gradient_passes_the_gradient_only_where_keep_is_set():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
-    out = tape.stop_gradient(tape.param(x), keep=np.array([True, False, True]))
+    out = tape.stop_gradient(x, keep=np.array([True, False, True]))
     np.testing.assert_array_equal(out.value, x.values)
     tape.sum_all(tape.scale(out, 2.0))
     ad.backward(tape)
@@ -157,8 +231,7 @@ def test_stop_gradient_passes_the_gradient_only_where_keep_is_set():
 def test_stop_gradient_additive_path_stays_open():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
-    xn = tape.param(x)
-    tape.sum_all(tape.add(xn, tape.stop_gradient(xn)))
+    tape.sum_all(tape.add(x, tape.stop_gradient(x)))
     ad.backward(tape)
     np.testing.assert_array_equal(x.grad, np.ones((1, 3)))
 
@@ -214,7 +287,7 @@ def test_relu_equals_the_select_form_and_maps_nan_to_zero():
     a = np.concatenate([EDGES, np.random.default_rng(0).standard_normal(49)]).reshape(8, 8)
     g = np.random.default_rng(1).standard_normal(a.shape)
     tape = ad.Tape()
-    node = tape.relu(tape.param(ad.ParamTensor("a", a)))
+    node = tape.relu(ad.ParamTensor("a", a))
     assert np.array_equal(node.value, select_relu(a)) and not np.signbit(node.value).any()
     assert node.value.flat[EDGES.size - 1] == 0.0  # NaN
     assert same_bits(node.vjp(g)[0], g * (a > 0))
@@ -259,7 +332,7 @@ def test_gate_merge_equals_the_transpose_form():
     experts = ad.ParamTensor("experts", rng.standard_normal((k, n, d)))
     g = rng.standard_normal((n, k * d))
     tape = ad.Tape()
-    node = tape.gate_merge(tape.param(gate), tape.param(experts))
+    node = tape.gate_merge(gate, experts)
     weights = gate.values.T[:, :, None]
     assert same_bits(node.value, (weights * experts.values).transpose(1, 0, 2).reshape(n, k * d))
     g_gate, g_experts = node.vjp(g)
@@ -314,8 +387,6 @@ PRIMITIVE_TERMS = {
     "bridge": lambda tape, wn, stacked: tape.square(
         tape.bridge(tape.add(tape.scale(wn, 0.4), FD_OFFSETS),
                     tape.add(tape.scale(wn, 0.3), FD_SHIFTS))),
-    "concat": lambda tape, wn, stacked: tape.mul(
-        np.linspace(0.5, 1.5, 8), tape.concat([tape.relu(wn), tape.scale(wn, 0.5)], axis=1)),
     "gate_merge": lambda tape, wn, stacked: tape.mul(FD_MERGE_MASK, tape.gate_merge(
         tape.softmax(tape.affine(wn, tape.constant(FD_PROJ), tape.constant(np.zeros(2)))),
         tape.relu(stacked))),
@@ -335,8 +406,7 @@ def test_primitive_gradients_against_finite_differences():
 
     def check(term):
         def loss_fn(tape):
-            wn = tape.param(w)
-            return tape.sum_all(term(tape, wn, tape.affine(wn, tape.param(ws), tape.param(bs))))
+            return tape.sum_all(term(tape, w, tape.affine(w, ws, bs)))
 
         return ad.finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6)
 
@@ -347,7 +417,7 @@ def test_primitive_gradients_against_finite_differences():
 def test_every_primitive_has_a_finite_difference_term():
     methods = {name for name, attr in vars(ad.Tape).items()
                if callable(attr) and not name.startswith("_")}
-    assert set(PRIMITIVE_TERMS) == methods - {"record", "constant", "param"}
+    assert set(PRIMITIVE_TERMS) == methods - {"record", "constant"}
 
 
 # every primitive with more than one operand: (record, operand shapes)
@@ -358,7 +428,6 @@ MULTI_OPERAND = {
     "affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (4, 2), (2,)]),
     "stacked affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (2, 4, 5), (2, 1, 5)]),
     "bridge": (lambda tape, p, shift: tape.bridge(p, shift), [(3, 1), (3, 1)]),
-    "concat": (lambda tape, *parts: tape.concat(parts, axis=1), [(3, 2), (3, 3), (3, 1)]),
     "gate_merge": (lambda tape, gate, experts: tape.gate_merge(gate, experts), [(3, 2), (2, 3, 4)]),
 }
 
@@ -371,7 +440,7 @@ def operand_gradients(name, constant):
     rng = np.random.default_rng(len(name))
     params = [ad.ParamTensor(f"x{i}", rng.uniform(0.1, 0.9, size=s)) for i, s in enumerate(shapes)]
     tape = ad.Tape()
-    out = record(tape, *(tape.constant(p.values) if i == constant else tape.param(p)
+    out = record(tape, *(tape.constant(p.values) if i == constant else p
                          for i, p in enumerate(params)))
     tape.sum_all(tape.mul(out, rng.standard_normal(out.value.shape)))
     ad.backward(tape)
@@ -395,15 +464,14 @@ def test_vjp_gives_none_for_a_constant_operand(name, k):
 def test_only_a_node_that_reaches_a_parameter_is_live():
     w = ad.ParamTensor("w", np.ones((2, 2)))
     tape = ad.Tape()
-    wn = tape.param(w)
     on_constants = tape.mul(tape.constant(np.ones((2, 2))), 2.0)
-    frozen = tape.stop_gradient(wn)
-    mixed = tape.add(on_constants, wn)
-    partly_open = tape.stop_gradient(wn, keep=np.array([False, True]))
-    assert wn.live and mixed.live and mixed.vjp is not None
+    frozen = tape.stop_gradient(w)
+    mixed = tape.add(on_constants, w)
+    partly_open = tape.stop_gradient(w, keep=np.array([False, True]))
+    assert w.live and mixed.live and mixed.vjp is not None
     assert partly_open.live and partly_open.vjp is not None
     for dead in (on_constants, frozen, tape.mul(frozen, on_constants),
-                 tape.stop_gradient(wn, keep=np.zeros((2, 2), dtype=bool))):
+                 tape.stop_gradient(w, keep=np.zeros((2, 2), dtype=bool))):
         assert not dead.live and dead.vjp is None
 
 
@@ -453,7 +521,7 @@ def test_optimizer_converges_on_quadratic_bowl():
     state = ad.OptimizerState.for_params([w], lr=0.05)
     for _ in range(500):
         tape = ad.Tape()
-        tape.sum_all(tape.square(tape.sub(tape.param(w), 2.0)))
+        tape.sum_all(tape.square(tape.sub(w, 2.0)))
         ad.backward(tape)
         ad.optimizer_step([w], state)
     assert abs(w.values[0, 0] - 2.0) < 0.01
@@ -541,7 +609,7 @@ def test_minibatch_adam_visits_every_row_once_per_epoch():
     w = ad.ParamTensor("w", np.array([[5.0]]))
 
     def batch_loss(rows, tape):
-        return tape.sum_all(tape.square(tape.param(w))), rows
+        return tape.sum_all(tape.square(w)), rows
 
     epochs = ad.minibatch_adam([w], 10, batch_loss, TrainConfig(epochs=2, batch=4, lr=0.1),
                                np.random.default_rng(0))
@@ -556,7 +624,7 @@ def test_minibatch_adam_nonfinite_loss_names_epoch_and_batch():
     w = ad.ParamTensor("w", np.ones((1, 1)))
 
     def batch_loss(rows, tape):
-        return tape.sum_all(tape.scale(tape.param(w), np.nan)), None
+        return tape.sum_all(tape.scale(w, np.nan)), None
 
     with pytest.raises(NumericError, match="non-finite loss at epoch 0 batch 0"):
         ad.minibatch_adam([w], 10, batch_loss, TrainConfig(epochs=2, batch=4),
@@ -571,7 +639,7 @@ def test_minibatch_adam_names_a_count_that_is_not_an_integer(key, value):
     train = TrainConfig(epochs=2, batch=4)
     setattr(train, key, value)
     with pytest.raises(ConfigError, match=f"train.{key} must be an integer"):
-        ad.minibatch_adam([w], 10, lambda rows, tape: (tape.sum_all(tape.param(w)), None),
+        ad.minibatch_adam([w], 10, lambda rows, tape: (tape.sum_all(w), None),
                           train, np.random.default_rng(0))
     assert w.values[0, 0] == 1.0
 
@@ -584,7 +652,7 @@ def test_finite_diff_exact_for_linear_loss():
     w = ad.ParamTensor("w", np.arange(6.0).reshape(2, 3))
 
     def loss_fn(tape):
-        return tape.sum_all(tape.param(w))
+        return tape.sum_all(w)
 
     assert ad.finite_diff_check(loss_fn, [w], eps=1e-5) < 1e-8
 
@@ -593,9 +661,8 @@ def test_finite_diff_detects_corrupted_gradient():
     w = ad.ParamTensor("w", np.array([[3.0]]))
 
     def loss_fn(tape):
-        wn = tape.param(w)
         # deliberately wrong vjp: doubles the true gradient of w**2
-        return tape.record(wn.value**2, (wn,), lambda g: (4.0 * g * wn.value,))
+        return tape.record(w.values**2, (w,), lambda g: (4.0 * g * w.values,))
 
     err = ad.finite_diff_check(lambda tape: tape.sum_all(loss_fn(tape)), [w], eps=1e-5)
     assert err > 0.3
@@ -605,6 +672,25 @@ def test_finite_diff_rejects_nonpositive_eps():
     w = ad.ParamTensor("w", np.ones((1, 1)))
     with pytest.raises(ConfigError):
         ad.finite_diff_check(lambda: None, [w], eps=0.0)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+def test_finite_diff_rejects_a_nonfinite_eps(eps):
+    w = ad.ParamTensor("w", np.ones((1, 1)))
+    with pytest.raises(ConfigError, match="finite and positive"):
+        ad.finite_diff_check(lambda tape: tape.sum_all(w), [w], eps=eps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_finite_diff_counts_a_nonfinite_gradient_as_infinitely_wrong(bad):
+    w = ad.ParamTensor("w", np.array([[3.0, 1.0]]))
+
+    def loss_fn(tape):
+        # the vjp is right on entry 1 and non-finite on entry 0
+        square = tape.record(w.values**2, (w,), lambda g: (g * 2.0 * w.values * [[bad, 1.0]],))
+        return tape.sum_all(square)
+
+    assert ad.finite_diff_check(loss_fn, [w], eps=1e-5) == np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -69,39 +69,78 @@ def test_build_model_draws_dcr_experts_one_mlp_at_a_time():
 
 
 # ---------------------------------------------------------------------------
-# TA-gate
+# treatment tower and its TA gates
 # ---------------------------------------------------------------------------
 
-def gate_layer(W, b):
-    return ad.Layer(ad.ParamTensor("g.W", W), ad.ParamTensor("g.b", b))
+def one_gate_tower(gate_W, gate_b):
+    """HteParams with only a one-hidden-layer treatment tower of width 3 on a
+    width-4 representation, t bounds [1, 3]."""
+    rng = np.random.default_rng(0)
+    tower = [ad.Layer(ad.ParamTensor("tw0.W", rng.standard_normal((4, 3))),
+                      ad.ParamTensor("tw0.b", rng.standard_normal(3)), "relu"),
+             ad.Layer(ad.ParamTensor("tw1.W", rng.standard_normal((3, 1))),
+                      ad.ParamTensor("tw1.b", rng.standard_normal(1)), "sigmoid")]
+    gate = ad.Layer(ad.ParamTensor("g.W", gate_W), ad.ParamTensor("g.b", gate_b))
+    return ht.HteParams([], tower, [gate], [], [], 1.0, 3.0)
+
+
+def tower_value(hte, ut, dose):
+    tape = ad.Tape()
+    return ht.treat_tower_forward(hte, tape.constant(ut), tape.constant(dose), tape).value
+
+
+UT = np.random.default_rng(9).standard_normal((5, 4))
+DOSES = np.array([[1.0], [1.7], [2.2], [3.0], [3.6]])
 
 
 def test_ta_gate_neutral_at_zero_params():
-    gate = gate_layer(np.zeros((2, 3)), np.zeros(3))
+    # a = 2*sigmoid(0) is exactly 1: the tower is its plain sigmoid MLP
+    hte = one_gate_tower(np.zeros((2, 3)), np.zeros(3))
     tape = ad.Tape()
-    h = tape.constant(np.array([[1.0, -2.0, 0.5]]))
-    e = tape.constant(np.array([[0.3, 0.09]]))
-    out = ht.ta_gate(gate, e, h, tape)
-    np.testing.assert_array_equal(out.value, h.value)
+    plain = ad.mlp_forward(hte.treat_tower, tape.constant(UT), tape).value
+    np.testing.assert_array_equal(tower_value(hte, UT, DOSES), plain)
 
 
 def test_ta_gate_saturates_to_two():
-    gate = gate_layer(np.zeros((2, 3)), np.full(3, 20.0))
-    tape = ad.Tape()
-    h = tape.constant(np.array([[1.0, -2.0, 0.5]]))
-    e = tape.constant(np.array([[0.3, 0.09]]))
-    out = ht.ta_gate(gate, e, h, tape)
-    np.testing.assert_allclose(out.value, 2.0 * h.value, atol=1e-8)
+    hte = one_gate_tower(np.zeros((2, 3)), np.full(3, 20.0))
+    hidden, out = hte.treat_tower
+    h = 2.0 * np.maximum(UT @ hidden.W.values + hidden.b.values, 0.0)
+    np.testing.assert_allclose(tower_value(hte, UT, DOSES),
+                               expit(h @ out.W.values + out.b.values), rtol=0, atol=1e-8)
 
 
 def test_ta_gate_matches_direct_scalar_evaluation():
     rng = np.random.default_rng(4)
-    W, b = rng.standard_normal((2, 3)), rng.standard_normal(3)
-    e_val = rng.standard_normal((1, 2))
-    gate = gate_layer(W, b)
-    tape = ad.Tape()
-    out = ht.ta_gate(gate, tape.constant(e_val), tape.constant(np.ones((1, 3))), tape)
-    np.testing.assert_allclose(out.value, 2.0 * expit(e_val @ W + b), atol=1e-14)
+    hte = one_gate_tower(rng.standard_normal((2, 3)), rng.standard_normal(3))
+    hidden, out = hte.treat_tower
+    gate = hte.ta_gates[0]
+    tn = (DOSES - 1.0) / 2.0
+    a = 2.0 * expit(np.hstack([tn, tn**2]) @ gate.W.values + gate.b.values)
+    h = a * np.maximum(UT @ hidden.W.values + hidden.b.values, 0.0)
+    np.testing.assert_allclose(tower_value(hte, UT, DOSES),
+                               expit(h @ out.W.values + out.b.values), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("live_dose", [True, False], ids=["live dose", "dead dose"])
+def test_treat_tower_gradients_against_finite_differences(live_dose):
+    model = tiny_model(seed=14)
+    hte = model.hte
+    rng = np.random.default_rng(14)
+    ut = ad.ParamTensor("ut", rng.standard_normal((6, model.dcr.output_dim)))
+    dose = ad.ParamTensor("dose", rng.uniform(0.8, 3.2, size=(6, 1)))
+    weights = rng.uniform(0.5, 1.5, size=(6, 1))
+    nodes = []
+
+    def loss_fn(tape):
+        d = tape.mul(dose, 1.0) if live_dose else tape.constant(dose.values)
+        nodes.append(ht.treat_tower_forward(hte, tape.mul(ut, 1.0), d, tape))
+        return tape.sum_all(tape.mul(nodes[-1], weights))
+
+    params = [ut, *ad.mlp_params(hte.treat_tower), *ad.mlp_params(hte.ta_gates)]
+    if live_dose:
+        params.append(dose)
+    assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
+    assert (nodes[0].vjp(np.ones((6, 1)))[1] is None) == (not live_dose)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +543,18 @@ def test_predict_names_the_nonfinite_feature():
         ht.predict(tiny_model(), x)
 
 
+@pytest.mark.parametrize("rows", [0, 3])
+def test_predict_names_a_row_count_other_than_one(rows):
+    with pytest.raises(DataFormatError, match=f"one row, got {rows} rows"):
+        ht.predict(tiny_model(), np.ones((rows, 5)))
+
+
+@pytest.mark.parametrize("score", [ht.predict, ht.predict_batch])
+def test_scoring_names_the_shape_of_features_with_more_than_two_dimensions(score):
+    with pytest.raises(DataFormatError, match=re.escape("shape (1, 4, 5)")):
+        score(tiny_model(), np.ones((1, 4, 5)))
+
+
 @pytest.mark.parametrize("ablate_dcr", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, ablate_dcr):
@@ -574,15 +625,15 @@ def test_eta_nonnegative_everywhere():
 # tape-node budget: node growth shows up here, not only as benchmark time
 # ---------------------------------------------------------------------------
 
-def test_default_training_batch_records_at_most_130_nodes():
+def test_default_training_batch_records_at_most_69_nodes():
     model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
     X, w, t, y = tiny_batch(seed=1, n=256, input_dim=8)
     tape = ad.Tape()
     ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), tape)
-    assert len(tape.nodes) <= 130
+    assert len(tape.nodes) <= 69
 
 
-def test_predict_records_at_most_83_nodes(monkeypatch):
+def test_predict_records_at_most_22_nodes(monkeypatch):
     model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
     tapes = []
 
@@ -594,7 +645,7 @@ def test_predict_records_at_most_83_nodes(monkeypatch):
     monkeypatch.setattr(ad, "Tape", CountingTape)
     ht.predict(model, np.ones(8))
     assert len(tapes) == 1
-    assert len(tapes[0].nodes) <= 83
+    assert len(tapes[0].nodes) <= 22
 
 
 class _Captured(Exception):
@@ -618,12 +669,15 @@ def first_batch_tape(monkeypatch, fit):
 
 def dead_gradients(tape) -> int:
     """Run backward with every vjp wrapped, counting the gradients it computes
-    into parents that reach no parameter (a parameter leaf reaches one; any
-    other node does through a vjp and a parent that reaches one)."""
+    into parents that reach no parameter (a parameter is one; a node reaches
+    one through a vjp and a parent that reaches one)."""
     reaches = set()
+
+    def reaches_one(parent):
+        return isinstance(parent, ad.ParamTensor) or id(parent) in reaches
+
     for node in tape.nodes:  # creation order is topological
-        if node.param is not None or (
-                node.vjp is not None and any(id(p) in reaches for p in node.parents)):
+        if node.vjp is not None and any(reaches_one(p) for p in node.parents):
             reaches.add(id(node))
     count = 0
 
@@ -631,7 +685,7 @@ def dead_gradients(tape) -> int:
         def wrapped(g):
             nonlocal count
             out = vjp(g)
-            count += sum(pg is not None and id(p) not in reaches for p, pg in zip(parents, out))
+            count += sum(pg is not None and not reaches_one(p) for p, pg in zip(parents, out))
             return out
         return wrapped
 

@@ -77,6 +77,11 @@ def test_auc_single_class_is_undefined():
         mt.auc([1, 1], [0.2, 0.3])
 
 
+def test_logloss_of_no_rows_is_undefined():
+    with pytest.raises(MetricUndefinedError, match="LogLoss needs at least one row"):
+        mt.logloss([], [])
+
+
 @given(st.lists(st.tuples(st.integers(0, 1), st.floats(-5, 5)), min_size=4, max_size=40))
 def test_auc_invariant_under_monotone_transform(pairs):
     y = np.array([a for a, _ in pairs])
