@@ -1,21 +1,23 @@
 """Tape-based reverse-mode autodiff over float64 numpy arrays.
 
 This is the substrate everything else is built on. The primitives are the
-``Tape`` methods ``add``, ``sub``, ``mul``, ``scale``, ``affine`` (also over
-a stack of layers), ``relu``, ``sigmoid``, ``softmax``, ``absolute``,
-``square``, ``bridge`` (the fused counterfactual bridge), ``gate_merge``,
-``stop_gradient`` (optionally open on a mask), ``sum_all`` and
-``binary_cross_entropy``, plus ``mlp_forward``, which records a whole layer
-stack (also a stack of K same-shaped stacks) as one node with a hand-written
-vjp; ``Tape.record`` lets a caller add a node with its own vjp. Around them:
-dense layers, an Adam optimizer with the one minibatch training loop and a
-central-difference gradient checker.
+``Tape`` methods ``add``, ``mul``, ``scale``, ``affine`` (also over a stack
+of layers), ``relu``, ``sigmoid``, ``softmax``, ``bridge`` (the fused
+counterfactual bridge), ``gate_merge``, ``stop_gradient`` (optionally open
+on a mask), ``sum_all`` and ``binary_cross_entropy``, plus ``mlp_forward``,
+which records a whole layer stack (also a stack of K same-shaped stacks) as
+one node with a hand-written vjp; ``Tape.record`` adds a node with the
+caller's vjp, built on the kernels ``affine_value``, ``affine_grads`` and
+``cross_entropy``. The library records no ``affine``, ``relu`` or
+``sigmoid`` node: they are the per-primitive reference for ``mlp_forward``.
+Around them: dense layers, an Adam optimizer with the one minibatch training
+loop and a central-difference gradient checker.
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
 ``(K, ...)`` stacks of K same-shaped layers' weights and outputs. A ``Tape``
 records every primitive in creation order through its methods
-(``tape.affine(x, W, b)``, ``tape.relu(h)``); ``backward`` replays it once in
+(``tape.mul(a, b)``, ``tape.softmax(h)``); ``backward`` replays it once in
 reverse, so creation order doubles as the topological order.
 
 Who owns what: a ``ParamTensor`` holds its values and its accumulated
@@ -79,6 +81,16 @@ def affine_grads(g, xv, wv, lx=True, lw=True, lb=True) -> tuple:
     return (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape) if lx else None,
             _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape) if lw else None,
             g.sum(axis=-2, keepdims=g.ndim > 2) if lb else None)
+
+
+def cross_entropy(y, pv: np.ndarray) -> tuple:
+    """-[y log p + (1-y) log(1-p)] per element of pv clamped into [PROB_EPS, 1 - PROB_EPS],
+    and its vjp in p: g (p - y) / (p (1 - p)) where the clamp does not bind, 0 where it does."""
+    yv = np.asarray(y, dtype=np.float64)
+    pc = np.clip(pv, PROB_EPS, 1.0 - PROB_EPS)
+    inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
+    value = -(yv * np.log(pc) + (1.0 - yv) * np.log1p(-pc))
+    return value, lambda g: g * inside * (pc - yv) / (pc * (1.0 - pc))
 
 
 class ParamTensor:
@@ -194,15 +206,6 @@ class Tape:
             lambda g: (_unbroadcast(g, sa) if la else None, _unbroadcast(g, sb) if lb else None),
         )
 
-    def sub(self, a, b) -> Node:
-        a, b = self._lift(a), self._lift(b)
-        sa, sb = np.shape(a.value), np.shape(b.value)
-        la, lb = a.live, b.live
-        return self.record(
-            a.value - b.value, (a, b),
-            lambda g: (_unbroadcast(g, sa) if la else None, _unbroadcast(-g, sb) if lb else None),
-        )
-
     def mul(self, a, b) -> Node:
         """Elementwise product with numpy broadcasting."""
         a, b = self._lift(a), self._lift(b)
@@ -253,14 +256,6 @@ class Tape:
 
         return self.record(s, (a,), vjp)
 
-    def absolute(self, a: Node) -> Node:
-        sign = np.sign(a.value)
-        return self.record(np.abs(a.value), (a,), lambda g: (g * sign,))
-
-    def square(self, a: Node) -> Node:
-        av = a.value
-        return self.record(av * av, (a,), lambda g: (2.0 * g * av,))
-
     def bridge(self, p, shift) -> Node:
         """The counterfactual bridge sigmoid(logit(p) + shift), p clamped into
         [PROB_EPS, 1 - PROB_EPS]. Fused primitive: one tape node; no gradient
@@ -309,18 +304,9 @@ class Tape:
         return self.record(a.value.sum(), (a,), lambda g: (np.full(shape, float(g)),))
 
     def binary_cross_entropy(self, y, p: Node) -> Node:
-        """Per-element -[y log p + (1-y) log(1-p)] with the standard probability clamp.
-
-        Fused primitive: one tape node, gradient (p - y) / (p (1 - p)) where the
-        clamp does not bind, zero where it does.
-        """
-        yv = np.asarray(y, dtype=np.float64)
-        pv = p.value
-        pc = np.clip(pv, PROB_EPS, 1.0 - PROB_EPS)
-        inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
-        value = -(yv * np.log(pc) + (1.0 - yv) * np.log1p(-pc))
-        return self.record(value, (p,),
-                           lambda g: (g * inside * (pc - yv) / (pc * (1.0 - pc)),))
+        """Per-element ``cross_entropy(y, p)``, fused into one tape node."""
+        value, vjp = cross_entropy(y, p.value)
+        return self.record(value, (p,), lambda g: (vjp(g),))
 
 
 def backward(tape: Tape) -> None:

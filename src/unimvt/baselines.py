@@ -47,7 +47,7 @@ class SLearnerModel:
     t_max: float
 
     def outcome_prob(self, X, t) -> np.ndarray:
-        X = feature_matrix(X)
+        X = feature_matrix(X, self.net[0].W.shape[0] - 1)  # the net's last input is the dose
         tn = np.broadcast_to(_normalize_t(t, self.t_min, self.t_max), (X.shape[0],))
         return _mlp_predict(self.net, np.column_stack([X, tn]))
 
@@ -67,16 +67,19 @@ class TLearnerModel:
     t_min: float
     t_max: float
 
+    def _features(self, X) -> np.ndarray:
+        return feature_matrix(X, self.control_net[0].W.shape[0])
+
     def base_ctr(self, X) -> np.ndarray:
-        return _mlp_predict(self.control_net, feature_matrix(X))
+        return _mlp_predict(self.control_net, self._features(X))
 
     def treated_prob(self, X, t) -> np.ndarray:
-        X = feature_matrix(X)
+        X = self._features(X)
         tn = np.broadcast_to(_normalize_t(t, self.t_min, self.t_max), (X.shape[0],))
         return _mlp_predict(self.treated_net, np.column_stack([X, tn]))
 
     def outcome_prob(self, X, t) -> np.ndarray:
-        X = feature_matrix(X)
+        X = self._features(X)
         t = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
         return np.where(t > 0, self.treated_prob(X, t), self.base_ctr(X))
 
@@ -99,7 +102,7 @@ def train_slearner(dataset: Dataset, cfg: ExperimentConfig) -> SLearnerModel:
     if X.shape[0] == 0:
         raise UsageError("training needs a nonempty dataset")
     t_min, t_max = _t_bounds(w, t)
-    rng = np.random.default_rng(cfg.train.seed)
+    rng = np.random.default_rng(cfg.train.checked_seed())
     dims = (X.shape[1] + 1, *cfg.net.tower_hidden, 1)
     net = ad.init_mlp(rng, "slearner", dims, out_activation="sigmoid")
     inputs = np.column_stack([X, _normalize_t(t, t_min, t_max)])
@@ -113,7 +116,7 @@ def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
     if not ctrl.any() or not trt.any():
         raise ConfigError("T-Learner needs both control and treated rows")
     t_min, t_max = _t_bounds(w, t)
-    rng = np.random.default_rng(cfg.train.seed)
+    rng = np.random.default_rng(cfg.train.checked_seed())
     control_net = ad.init_mlp(rng, "tlearner.control", (X.shape[1], *cfg.net.tower_hidden, 1),
                               out_activation="sigmoid")
     treated_net = ad.init_mlp(rng, "tlearner.treated", (X.shape[1] + 1, *cfg.net.tower_hidden, 1),

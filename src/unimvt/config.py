@@ -7,6 +7,7 @@ model files record the keys that shape the network in this form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .dcr import DcrConfig
@@ -45,6 +46,13 @@ class TrainConfig:
     batch: int = 256
     lr: float = 1e-3
     seed: int = 0
+
+    def checked_seed(self) -> int:
+        """``seed``, read by every trainer; ConfigError unless a nonnegative integer."""
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"train.seed must be a nonnegative integer, got {seed!r}")
+        return int(seed)
 
 
 @dataclass

@@ -110,13 +110,15 @@ def dataset_arrays(ds: Dataset):
     return ds.X, ds.w, ds.t, ds.y, ds.truth_p0, ds.truth_eta
 
 
-def feature_matrix(X) -> np.ndarray:
-    """X as a 2-D float64 matrix to score; an input of more than 2
-    dimensions raises DataFormatError naming its shape, and a NaN or
-    infinite feature one naming its row and feature index."""
+def feature_matrix(X, n_features: int) -> np.ndarray:
+    """X as a 2-D float64 matrix for a model of n_features features. DataFormatError
+    names the shape of an input of more than 2 dimensions, the feature count
+    of one not n_features wide, and the row and index of a non-finite feature."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.ndim > 2:
         raise DataFormatError(f"features have shape {X.shape}; expected one row or a 2-D matrix")
+    if X.shape[1] != n_features:
+        raise DataFormatError(f"got {X.shape[1]} features; the model takes {n_features}")
     if not np.isfinite(X).all():
         row, feature = np.argwhere(~np.isfinite(X))[0]
         raise DataFormatError(f"row {row}: feature {feature} is {X[row, feature]}, not finite")

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
 
 BASE, SHARED, TREATED = range(3)  # expert groups, in slot order
 
@@ -108,11 +107,6 @@ def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> DcrOutput:
     CONCAT(SG(base), shared, treated). Gate weights are softmax outputs over
     expert slots, applied as per-expert scalars on each output block.
     """
-    if x.value.shape[1] != params.input_dim:
-        raise ConfigError(
-            f"dcr input width {x.value.shape[1]} does not match configured {params.input_dim}"
-        )
-
     if not params.enabled:
         shared_out = ad.mlp_forward(params.shared_mlp, x, tape)
         return DcrOutput(u0=shared_out, ut=shared_out)

@@ -11,9 +11,10 @@ received; a ReLU uplift head outputs the nonnegative per-unit sensitivity.
 The counterfactual bridge ``Tape.bridge`` links the towers in logit space by
 shifting with t_hat * eta. One ``forward`` records the network for training
 and prediction alike, which differ only in the dose that gates the treatment
-tower. The joint loss adds the factual cross-entropies, the intensity
-regression, the counterfactual MSE terms and the expert orthogonality
-penalty; ``train`` runs it in the shared loop ``autodiff.minibatch_adam``.
+tower. The joint loss is one closed-form node for the factual
+cross-entropies, the intensity regression and the counterfactual MSE terms
+(``loss_terms``) plus the expert orthogonality penalty, its own node;
+``train`` runs it in the shared loop ``autodiff.minibatch_adam``.
 The uplift head reaches the joint loss only through the counterfactual
 terms, so ``loss.lambda_x = 0`` leaves it untrained at its initialization.
 """
@@ -107,8 +108,8 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
         for i, width in enumerate(cfg.net.tower_hidden)
     ]
     head_dims = (rep, cfg.net.head_hidden, 1)
-    intensity_head = ad.init_mlp(rng, "intensity_head", head_dims)
-    uplift_head = ad.init_mlp(rng, "uplift_head", head_dims)
+    intensity_head = ad.init_mlp(rng, "intensity_head", head_dims, out_activation="sigmoid")
+    uplift_head = ad.init_mlp(rng, "uplift_head", head_dims, out_activation="relu")
     # zero output weights with a small positive bias start the ReLU head alive
     # and uniform; a symmetric random start risks dying for good while the base
     # tower is still miscalibrated early in training
@@ -170,13 +171,8 @@ def treat_tower_forward(hte: HteParams, ut: ad.Node, dose: ad.Node, tape: ad.Tap
 def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
     """t_hat = sigmoid(MLP(SG(ut))) scaled into (t_min, t_max); no gradient
     reaches the representation layer from this head."""
-    z = ad.mlp_forward(hte.intensity_head, tape.stop_gradient(ut), tape)
-    return tape.add(tape.scale(tape.sigmoid(z), hte.t_max - hte.t_min), hte.t_min)
-
-
-def uplift_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
-    """eta_hat = ReLU(MLP(ut)) >= 0; nonnegativity is structural."""
-    return tape.relu(ad.mlp_forward(hte.uplift_head, ut, tape))
+    s = ad.mlp_forward(hte.intensity_head, tape.stop_gradient(ut), tape)  # sigmoid output
+    return tape.add(tape.scale(s, hte.t_max - hte.t_min), hte.t_min)
 
 
 Forward = namedtuple("Forward", "p0 t_hat eta tau p_cf pt")
@@ -192,7 +188,7 @@ def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forw
     rep = dcr_forward(model.dcr, tape.constant(X), tape)
     p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape)
     t_hat = intensity_head_forward(hte, rep.ut, tape)
-    eta = uplift_head_forward(hte, rep.ut, tape)
+    eta = ad.mlp_forward(hte.uplift_head, rep.ut, tape)  # a ReLU output: eta >= 0
     tau = tape.mul(t_hat, eta)
     p_cf = tape.bridge(p0, tau)
     pt = treat_tower_forward(hte, rep.ut, gate_dose(t_hat), tape)
@@ -208,54 +204,63 @@ LOSS_COMPONENTS = {"l_base": "lambda_base", "l_treat": "lambda_treat", "l_t": "l
                    "l_x": "lambda_x", "r_orth": "lambda_o"}
 
 
+def loss_terms(weights: LossWeights, y_col, w_col, t_col, p0, pt, t_hat, p_cf, p_base_cf,
+               tape: ad.Tape):
+    """The weighted sum of l_base (p0's cross-entropy, control rows), l_treat
+    (pt's, treated rows), l_t ((t - t_hat)^2 + |t - t_hat|, treated rows) and
+    l_x (squared errors of p_cf, treated rows, and p_base_cf, control rows) as
+    one node with a closed-form vjp. A zero weight drops its term: no value,
+    no parent, a component of 0.0. Returns (the node, None if every term is
+    dropped; the unweighted terms under every LOSS_COMPONENTS key)."""
+    ctrl_mask = 1.0 - w_col
+    parts = {}  # term -> its (operand, row mask, per-row loss, that loss's vjp in the operand)
+    if weights.lambda_base > 0:
+        parts["l_base"] = [(p0, ctrl_mask, *ad.cross_entropy(y_col, p0.value))]
+    if weights.lambda_treat > 0:
+        parts["l_treat"] = [(pt, w_col, *ad.cross_entropy(y_col, pt.value))]
+    if weights.lambda_t > 0:
+        err = t_col - t_hat.value
+        parts["l_t"] = [(t_hat, w_col, err * err + np.abs(err),
+                         lambda g: -(g * np.sign(err) + 2.0 * g * err))]
+    if weights.lambda_x > 0:
+        parts["l_x"] = [(p, mask, d * d, lambda g, d=d: -(2.0 * g * d))
+                        for p, mask, d in ((p_cf, w_col, y_col - p_cf.value),
+                                           (p_base_cf, ctrl_mask, y_col - p_base_cf.value))]
+    components = dict.fromkeys(LOSS_COMPONENTS, 0.0)
+    total, flat = None, []
+    for name, term in parts.items():
+        lam = getattr(weights, LOSS_COMPONENTS[name])
+        value = sum((mask * rows).sum() for _, mask, rows, _ in term)
+        components[name] = float(value)
+        total = value * lam if total is None else total + value * lam
+        flat += [(part, lam) for part in term]
+
+    def vjp(g):  # full(g lambda) * mask is a masked sum's gradient in its per-row loss
+        return [rows_vjp(np.full(mask.shape, float(g) * lam) * mask) if p.live else None
+                for (p, mask, _, rows_vjp), lam in flat]
+
+    return (tape.record(total, [part[0] for part, _ in flat], vjp) if flat else None), components
+
+
 def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape: ad.Tape):
-    """Joint loss over a batch: lambda-weighted sum of the factual
-    cross-entropies, intensity regression (squared plus absolute error),
-    counterfactual MSE and the orthogonality penalty. Returns (total node,
-    per-term unweighted sums)."""
+    """Joint loss over a batch, ``loss_terms`` plus the weighted orthogonality
+    penalty: (total node, per-term unweighted sums)."""
     if X.shape[0] == 0:
         raise UsageError("joint_loss needs a nonempty batch")
-    w_col = np.asarray(w, dtype=np.float64).reshape(-1, 1)
-    y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    t_col = np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    ctrl_mask = 1.0 - w_col
+    w_col, y_col, t_col = (np.asarray(a, dtype=np.float64).reshape(-1, 1) for a in (w, y, t))
 
     # the observed dose gates the treatment tower on treated rows, the imputed one on controls
     fw = forward(model, np.asarray(X, dtype=np.float64), tape,
-                 lambda t_hat: tape.add(tape.mul(ctrl_mask, t_hat), t_col))
-
-    components = dict.fromkeys(LOSS_COMPONENTS, 0.0)
-    total = None
-
-    def accumulate(name, node, lam):
-        nonlocal total
-        components[name] = float(node.value)
-        weighted = tape.scale(node, lam)
-        total = weighted if total is None else tape.add(total, weighted)
-
-    if weights.lambda_base > 0:
-        accumulate("l_base",
-                   tape.sum_all(tape.mul(ctrl_mask, tape.binary_cross_entropy(y_col, fw.p0))),
-                   weights.lambda_base)
-    if weights.lambda_treat > 0:
-        accumulate("l_treat",
-                   tape.sum_all(tape.mul(w_col, tape.binary_cross_entropy(y_col, fw.pt))),
-                   weights.lambda_treat)
-    if weights.lambda_t > 0:
-        err = tape.sub(t_col, fw.t_hat)
-        per_row = tape.add(tape.square(err), tape.absolute(err))
-        accumulate("l_t", tape.sum_all(tape.mul(w_col, per_row)), weights.lambda_t)
-    if weights.lambda_x > 0:
-        p_base_cf = tape.bridge(fw.pt, tape.scale(fw.tau, -1.0))
-        x_treat = tape.sum_all(tape.mul(w_col, tape.square(tape.sub(y_col, fw.p_cf))))
-        x_base = tape.sum_all(tape.mul(ctrl_mask, tape.square(tape.sub(y_col, p_base_cf))))
-        accumulate("l_x", tape.add(x_treat, x_base), weights.lambda_x)
+                 lambda t_hat: tape.add(tape.mul(1.0 - w_col, t_hat), t_col))
+    p_base_cf = tape.bridge(fw.pt, tape.scale(fw.tau, -1.0)) if weights.lambda_x > 0 else None
+    total, components = loss_terms(weights, y_col, w_col, t_col, fw.p0, fw.pt, fw.t_hat,
+                                   fw.p_cf, p_base_cf, tape)
     if weights.lambda_o > 0:
-        accumulate("r_orth", orth_penalty(model.dcr, tape), weights.lambda_o)
-
-    if total is None:
-        total = tape.constant(0.0)
-    return total, components
+        r_orth = orth_penalty(model.dcr, tape)
+        components["r_orth"] = float(r_orth.value)
+        weighted = tape.scale(r_orth, weights.lambda_o)
+        total = weighted if total is None else tape.add(total, weighted)
+    return (tape.constant(0.0) if total is None else total), components
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,7 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
         raise ConfigError("training data has no treated rows; t bounds undefined")
     t_min, t_max = float(t[treated].min()), float(t[treated].max())
 
-    seed = cfg.train.seed
+    seed = cfg.train.checked_seed()
     model = build_model(cfg, X.shape[1], t_min, t_max, seed=seed)
     weights = cfg.loss
     weights.validate()
@@ -327,7 +332,7 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     is neither a scalar nor one value per row, naming its shape and the
     row count.
     """
-    X = feature_matrix(X)
+    X = feature_matrix(X, model.dcr.input_dim)
     n = X.shape[0]
     if q is None:
         extrapolated = np.zeros(n, dtype=bool)

@@ -199,12 +199,13 @@ def test_uplift_head_clamps_negative_output():
     model.hte.uplift_head[-1].b.values[:] = -0.7
     tape = ad.Tape()
     ut = tape.constant(np.zeros((2, model.dcr.output_dim)))
-    eta = ht.uplift_head_forward(model.hte, ut, tape)
+    eta = ad.mlp_forward(model.hte.uplift_head, ut, tape)
     np.testing.assert_array_equal(eta.value, 0.0)
 
     model.hte.uplift_head[-1].b.values[:] = 0.03
     tape = ad.Tape()
-    eta = ht.uplift_head_forward(model.hte, tape.constant(np.zeros((2, model.dcr.output_dim))), tape)
+    eta = ad.mlp_forward(model.hte.uplift_head, tape.constant(np.zeros((2, model.dcr.output_dim))),
+                         tape)
     np.testing.assert_allclose(eta.value, 0.03, atol=1e-15)
 
 
@@ -277,9 +278,9 @@ def scalar_oracle_loss(model, X, w, t, y, weights):
 
     u0, ut = gated(dcrp.gate0), gated(dcrp.gate_t)
     p0 = mlp_np(hte.base_tower, u0).reshape(-1)
-    z = mlp_np(hte.intensity_head, ut).reshape(-1)
-    t_hat = expit(z) * (hte.t_max - hte.t_min) + hte.t_min
-    eta = np.maximum(mlp_np(hte.uplift_head, ut), 0.0).reshape(-1)
+    # the heads end in their sigmoid and ReLU, which mlp_np applies
+    t_hat = mlp_np(hte.intensity_head, ut).reshape(-1) * (hte.t_max - hte.t_min) + hte.t_min
+    eta = mlp_np(hte.uplift_head, ut).reshape(-1)
     tau = t_hat * eta
 
     t_mix = np.where(w == 1, t, t_hat)
@@ -343,6 +344,42 @@ def test_joint_loss_total_is_weighted_component_sum():
             + weights.lambda_t * comps["l_t"] + weights.lambda_x * comps["l_x"]
             + weights.lambda_o * comps["r_orth"])
     assert float(total.value) == pytest.approx(want, abs=1e-12)
+
+
+# the weights of the loss_terms node: each term alone, then all four at once
+LOSS_TERM_WEIGHTS = {"l_base": LossWeights(1.3, 0, 0, 0, 0),
+                     "l_treat": LossWeights(0, 0.7, 0, 0, 0),
+                     "l_t": LossWeights(0, 0, 0.4, 0, 0),
+                     "l_x": LossWeights(0, 0, 0, 0.9, 0),
+                     "all": LossWeights(1.3, 0.7, 0.4, 0.9, 0)}
+
+
+@pytest.mark.parametrize("terms", LOSS_TERM_WEIGHTS)
+def test_loss_terms_node_against_finite_differences(terms):
+    rng = np.random.default_rng(16)
+    n = 10
+    w_col = (np.arange(n) % 2).reshape(-1, 1).astype(float)
+    y_col = rng.integers(0, 2, size=(n, 1)).astype(float)
+    t_col = np.where(w_col == 1, rng.uniform(1.0, 3.0, size=(n, 1)), 0.0)
+    p0, pt, p_cf, p_base_cf = (ad.ParamTensor(name, rng.uniform(0.05, 0.95, size=(n, 1)))
+                               for name in ("p0", "pt", "p_cf", "p_base_cf"))
+    t_hat = ad.ParamTensor("t_hat", rng.uniform(1.0, 3.0, size=(n, 1)))
+    weights = LOSS_TERM_WEIGHTS[terms]
+    tapes = []
+
+    def loss_fn(tape):
+        tapes.append(tape)
+        node, _ = ht.loss_terms(weights, y_col, w_col, t_col, p0, pt, t_hat, p_cf, p_base_cf,
+                                tape)
+        return node
+
+    params = [p0, pt, t_hat, p_cf, p_base_cf]
+    assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
+    # one node, whose parents are the operands of the terms its weights keep
+    kept = {"l_base": [p0], "l_treat": [pt], "l_t": [t_hat], "l_x": [p_cf, p_base_cf],
+            "all": params}[terms]
+    assert len(tapes[0].nodes) == 1
+    assert list(tapes[0].nodes[0].parents) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +493,26 @@ def syn600():
     return dg.generate(replace(dg.PRESETS["syn1"], n_train=600, n_test=10, seed=1))[0]
 
 
-@pytest.mark.parametrize("fit", [ht.train, baselines.train_slearner],
-                         ids=["unimvt", "slearner"])
+@pytest.mark.parametrize("fit", [ht.train, baselines.train_slearner, baselines.train_tlearner],
+                         ids=["unimvt", "slearner", "tlearner"])
 @pytest.mark.parametrize("key, value", [("train.batch", 0), ("train.batch", -5),
                                         ("train.epochs", 0), ("train.epochs", -1),
                                         ("train.lr", 0.0), ("train.lr", -1e-3),
-                                        ("train.lr", np.nan), ("train.lr", np.inf)])
+                                        ("train.lr", np.nan), ("train.lr", np.inf),
+                                        ("train.seed", -1)])
 def test_training_names_a_bad_setting(syn600, fit, key, value):
     with pytest.raises(ConfigError, match=re.escape(key)):
         fit(syn600, apply_overrides(ExperimentConfig(), {key: value}))
+
+
+@pytest.mark.parametrize("fit", [ht.train, baselines.train_slearner, baselines.train_tlearner],
+                         ids=["unimvt", "slearner", "tlearner"])
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(2.0)])
+def test_training_names_a_seed_that_is_not_an_integer(syn600, fit, seed):
+    cfg = ExperimentConfig()
+    cfg.train.seed = seed
+    with pytest.raises(ConfigError, match=re.escape("train.seed")):
+        fit(syn600, cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
@@ -555,6 +603,36 @@ def test_scoring_names_the_shape_of_features_with_more_than_two_dimensions(score
         score(tiny_model(), np.ones((1, 4, 5)))
 
 
+def learners_on_five_features():
+    rng = np.random.default_rng(0)
+
+    def net(name, n_inputs):
+        return ad.init_mlp(rng, name, (n_inputs, 4, 1), out_activation="sigmoid")
+
+    # each learner's net that reads the dose takes it as one more input
+    return (baselines.SLearnerModel(net("s", 6), 1.0, 3.0),
+            baselines.TLearnerModel(net("c", 5), net("t", 6), 1.0, 3.0))
+
+
+# every scoring entry point, on a model that takes 5 features
+SCORE_FIVE_FEATURES = {
+    "predict_batch": lambda X: ht.predict_batch(tiny_model(), X),
+    "predict": lambda X: ht.predict(tiny_model(), X[0]),
+    "slearner.outcome_prob": lambda X: learners_on_five_features()[0].outcome_prob(X, 2.0),
+    "slearner.unit_uplift_scores": lambda X: learners_on_five_features()[0].unit_uplift_scores(X),
+    "tlearner.base_ctr": lambda X: learners_on_five_features()[1].base_ctr(X),
+    "tlearner.treated_prob": lambda X: learners_on_five_features()[1].treated_prob(X, 2.0),
+    "tlearner.unit_uplift_scores": lambda X: learners_on_five_features()[1].unit_uplift_scores(X),
+}
+
+
+@pytest.mark.parametrize("width", [4, 6])
+@pytest.mark.parametrize("entry", SCORE_FIVE_FEATURES)
+def test_scoring_names_the_feature_count_it_got_and_the_one_the_model_takes(entry, width):
+    with pytest.raises(DataFormatError, match=f"got {width} features; the model takes 5"):
+        SCORE_FIVE_FEATURES[entry](np.ones((3, width)))
+
+
 @pytest.mark.parametrize("ablate_dcr", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, ablate_dcr):
@@ -625,15 +703,15 @@ def test_eta_nonnegative_everywhere():
 # tape-node budget: node growth shows up here, not only as benchmark time
 # ---------------------------------------------------------------------------
 
-def test_default_training_batch_records_at_most_69_nodes():
+def test_default_training_batch_records_at_most_32_nodes():
     model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
     X, w, t, y = tiny_batch(seed=1, n=256, input_dim=8)
     tape = ad.Tape()
     ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), tape)
-    assert len(tape.nodes) <= 69
+    assert len(tape.nodes) <= 32
 
 
-def test_predict_records_at_most_22_nodes(monkeypatch):
+def test_predict_records_at_most_20_nodes(monkeypatch):
     model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
     tapes = []
 
@@ -645,7 +723,7 @@ def test_predict_records_at_most_22_nodes(monkeypatch):
     monkeypatch.setattr(ad, "Tape", CountingTape)
     ht.predict(model, np.ones(8))
     assert len(tapes) == 1
-    assert len(tapes[0].nodes) <= 22
+    assert len(tapes[0].nodes) <= 20
 
 
 class _Captured(Exception):
