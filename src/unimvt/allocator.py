@@ -13,7 +13,7 @@ the one mode ``decide`` accepts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ class AllocationGrid:
     q_min: float
     q_max: float
     step: float
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("q_min", "q_max", "step"):
@@ -36,10 +37,14 @@ class AllocationGrid:
             raise ConfigError("need 0 < q_min <= q_max")
         if self.step <= 0.0:
             raise ConfigError("grid step must be positive")
+        count = int(np.floor((self.q_max - self.q_min) / self.step + 1e-9)) + 1
+        values = self.q_min + self.step * np.arange(count)
+        values.flags.writeable = False
+        object.__setattr__(self, "_values", values)
 
     def values(self) -> np.ndarray:
-        count = int(np.floor((self.q_max - self.q_min) / self.step + 1e-9)) + 1
-        return self.q_min + self.step * np.arange(count)
+        """The candidate intensities q_min + step * i, built once, read-only."""
+        return self._values
 
 
 @dataclass

@@ -2,22 +2,23 @@
 
 This is the substrate everything else is built on. The primitives are the
 ``Tape`` methods ``add``, ``mul``, ``scale``, ``affine`` (also over a stack
-of layers), ``relu``, ``sigmoid``, ``softmax``, ``bridge`` (the fused
-counterfactual bridge), ``gate_merge``, ``stop_gradient`` (optionally open
-on a mask), ``sum_all`` and ``binary_cross_entropy``, plus ``mlp_forward``,
-which records a whole layer stack (also a stack of K same-shaped stacks) as
-one node with a hand-written vjp; ``Tape.record`` adds a node with the
-caller's vjp, built on the kernels ``affine_value``, ``affine_grads`` and
-``cross_entropy``. The library records no ``affine``, ``relu`` or
-``sigmoid`` node: they are the per-primitive reference for ``mlp_forward``.
-Around them: dense layers, an Adam optimizer with the one minibatch training
-loop and a central-difference gradient checker.
+of layers), ``relu``, ``sigmoid``, ``bridge`` (the fused counterfactual
+bridge), ``gate_merge`` (one task's gate-weighted experts, open to the
+experts' gradient on a slot mask), ``stop_gradient``, ``sum_all`` and
+``binary_cross_entropy``, plus ``mlp_forward``, which records a whole layer
+stack (also a stack of K same-shaped stacks) as one node with a hand-written
+vjp; ``Tape.record`` adds a node with the caller's vjp, built on the kernels
+``affine_value``, ``affine_grads`` and ``cross_entropy``. The library
+records no ``affine``, ``relu`` or ``sigmoid`` node: they are the
+per-primitive reference for ``mlp_forward``. Around them: dense layers, an
+Adam optimizer with the one minibatch training loop and a central-difference
+gradient checker.
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
 ``(K, ...)`` stacks of K same-shaped layers' weights and outputs. A ``Tape``
 records every primitive in creation order through its methods
-(``tape.mul(a, b)``, ``tape.softmax(h)``); ``backward`` replays it once in
+(``tape.mul(a, b)``, ``tape.relu(h)``); ``backward`` replays it once in
 reverse, so creation order doubles as the topological order.
 
 Who owns what: a ``ParamTensor`` holds its values and its accumulated
@@ -42,7 +43,8 @@ keeps no vjp, and a live node's vjp gives None for a dead operand, so
 The hot kernels give the same values as the textbook forms without
 data-dependent selects, which are slow on random signs: ``relu`` is
 ``np.fmax(a, 0)`` and the sigmoid's numerator is one ``np.maximum``; ``affine``
-adds its bias in place onto the fresh product unless that would downcast it.
+adds its bias in place onto the fresh product unless that would downcast it,
+and its bias gradient is the BLAS product ``ones(rows) @ g``.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ def affine_value(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """x @ W + b, the bias added in place onto the fresh product unless that
     would downcast it (a longdouble b on a float64 product)."""
     out = xv @ wv
-    if np.can_cast(bv.dtype, out.dtype):
+    if bv.dtype is out.dtype or np.can_cast(bv.dtype, out.dtype):
         out += bv
     else:
         out = out + bv
@@ -77,10 +79,13 @@ def affine_value(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
 
 def affine_grads(g, xv, wv, lx=True, lw=True, lb=True) -> tuple:
     """The vjp of x @ W + b for the output gradient g: the gradients of x, W
-    and b, each None where its flag says the operand is dead."""
+    and b, each None where its flag says the operand is dead. The bias
+    gradient sums g over its rows as one BLAS product, (K, 1, out) for a
+    stack."""
+    ones = np.ones((1, g.shape[-2]) if g.ndim > 2 else g.shape[-2])
     return (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape) if lx else None,
             _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape) if lw else None,
-            g.sum(axis=-2, keepdims=g.ndim > 2) if lb else None)
+            ones @ g if lb else None)
 
 
 def cross_entropy(y, pv: np.ndarray) -> tuple:
@@ -144,6 +149,13 @@ class Node:
     @property
     def shape(self) -> tuple[int, ...]:
         return np.shape(self.value)
+
+
+def _merged(weights: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Per-slot weights (K, rows, 1) times experts (K, rows, d), laid out as
+    (rows, K * d) with slot k's block in columns k*d .. (k+1)*d - 1."""
+    k, n, d = ev.shape
+    return (weights * ev).transpose(1, 0, 2).reshape(n, k * d)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -244,18 +256,6 @@ class Tape:
         s = stable_sigmoid(a.value)
         return self.record(s, (a,), lambda g: (g * s * (1.0 - s),))
 
-    def softmax(self, a: Node) -> Node:
-        """Row-wise softmax (max-shifted for stability)."""
-        z = a.value - a.value.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        s = e / e.sum(axis=1, keepdims=True)
-
-        def vjp(g):
-            inner = (g * s).sum(axis=1, keepdims=True)
-            return (s * (g - inner),)
-
-        return self.record(s, (a,), vjp)
-
     def bridge(self, p, shift) -> Node:
         """The counterfactual bridge sigmoid(logit(p) + shift), p clamped into
         [PROB_EPS, 1 - PROB_EPS]. Fused primitive: one tape node; no gradient
@@ -276,28 +276,34 @@ class Tape:
 
         return self.record(s, (p, shift), vjp)
 
-    def gate_merge(self, gate: Node, experts: Node) -> Node:
-        """Gate-weighted experts side by side: gate (rows, K) and stacked expert
-        outputs (K, rows, d) give the (rows, K * d) matrix whose block k is
-        gate[:, k:k+1] * experts[k]."""
+    def gate_merge(self, gates, task: int, experts, open) -> Node:
+        """Task ``task``'s gate-weighted experts side by side: the slot-major
+        gates (tasks, K, rows) and stacked expert outputs (K, rows, d) give the
+        (rows, K * d) matrix whose block k is gates[task, k][:, None] *
+        experts[k]. ``open``, one boolean per slot, is where the experts get a
+        gradient: a closed slot's is exactly 0, as if its block were read
+        through a stop-gradient."""
         ev = experts.value
         k, n, d = ev.shape
-        weights = gate.value.T[:, :, None]
-        lg, le = gate.live, experts.live
+        shape = gates.value.shape
+        weights = gates.value[task][:, :, None]
+        open = np.asarray(open)
+        lg, le = gates.live, experts.live and bool(open.any())
+        factor = weights * open[:, None, None] if le else None
 
         def vjp(g):
             blocks = g.reshape(n, k, d).transpose(1, 0, 2)
-            return ((blocks * ev).sum(axis=2).T if lg else None,
-                    blocks * weights if le else None)
+            gg = None
+            if lg:
+                gg = np.zeros(shape)
+                np.einsum("knd,knd->kn", blocks, ev, out=gg[task])
+            return gg, blocks * factor if le else None
 
-        return self.record((weights * ev).transpose(1, 0, 2).reshape(n, k * d),
-                           (gate, experts), vjp)
+        return self.record(_merged(weights, ev), (gates, experts), vjp if lg or le else None)
 
-    def stop_gradient(self, a: Node, keep=False) -> Node:
-        """Forward identity whose backward passes g * keep, keep a boolean
-        array broadcast against a; by default it passes nothing."""
-        keep = np.asarray(keep)  # its any() costs a third of np.any's
-        return self.record(a.value, (a,), (lambda g: (g * keep,)) if keep.any() else None)
+    def stop_gradient(self, a: Node) -> Node:
+        """Forward identity that passes no gradient."""
+        return self.record(a.value, (a,))
 
     def sum_all(self, a: Node) -> Node:
         shape = a.value.shape
@@ -558,16 +564,17 @@ def minibatch_adam(params: Sequence[ParamTensor], n_rows: int, batch_loss, train
 # ---------------------------------------------------------------------------
 
 class _PinnedTape(Tape):
-    """A tape whose stop-gradient outputs are pinned for the gradient checker.
+    """A tape whose stopped values are pinned for the gradient checker.
 
-    A stop-gradient makes the tape's gradient intentionally differ from the
-    true derivative of the forward function, so central differences of the
-    raw loss cannot match it. Built on an empty list, the tape appends a copy
-    of every stop-gradient output to it; built on the filled list, it outputs
-    the recorded values in order, except where the stop-gradient's ``keep``
-    mask lets the gradient through. Pinning them during the perturbed
-    evaluations turns the finite difference into the derivative the tape
-    actually defines.
+    A stop-gradient, and a closed slot of ``gate_merge``'s experts, make the
+    tape's gradient intentionally differ from the true derivative of the
+    forward function, so central differences of the raw loss cannot match
+    it. Built on an empty list, the tape appends a copy of every
+    stop-gradient output and every merge's expert operand to it; built on
+    the filled list, it reads the recorded values back in order: in place of
+    a stop-gradient's output, and in the closed slots of a merge's experts.
+    Pinning them during the perturbed evaluations turns the finite
+    difference into the derivative the tape actually defines.
     """
 
     def __init__(self, pinned: list) -> None:
@@ -576,14 +583,23 @@ class _PinnedTape(Tape):
         self._replaying = bool(pinned)
         self._used = 0
 
-    def stop_gradient(self, a: Node, keep=False) -> Node:
+    def _pin(self, value: np.ndarray) -> np.ndarray:
         if not self._replaying:
-            self._pinned.append(np.array(a.value, copy=True))
+            self._pinned.append(np.array(value, copy=True))
         elif self._used == len(self._pinned):
-            raise UsageError("stop-gradient replay saw more SG nodes than were recorded")
+            raise UsageError("replay saw more pinned values than were recorded")
         self._used += 1
-        node = super().stop_gradient(a, keep)
-        node.value = np.where(keep, a.value, self._pinned[self._used - 1])
+        return self._pinned[self._used - 1]
+
+    def stop_gradient(self, a: Node) -> Node:
+        node = super().stop_gradient(a)
+        node.value = self._pin(a.value)
+        return node
+
+    def gate_merge(self, gates, task: int, experts, open) -> Node:
+        node = super().gate_merge(gates, task, experts, open)
+        ev = np.where(np.asarray(open)[:, None, None], experts.value, self._pin(experts.value))
+        node.value = _merged(gates.value[task][:, :, None], ev)
         return node
 
 
@@ -611,9 +627,10 @@ def finite_diff_check(
     reference values: it only re-evaluates the forward pass. An ``eps`` that
     is not finite and positive raises ConfigError.
 
-    Stop-gradient outputs are replayed at their unperturbed values during the
-    +-eps evaluations, outside their ``keep`` masks, so the check validates
-    the derivative the tape defines: stopped SG inputs are constants.
+    Stop-gradient outputs, and the closed slots of ``gate_merge``'s experts,
+    are replayed at their unperturbed values during the +-eps evaluations, so
+    the check validates the derivative the tape defines: stopped values are
+    constants.
 
     Entries that disagree by more than 1e-7 may be quantization-limited in
     float64 (the +-eps loss change sits within a few ulp of the loss

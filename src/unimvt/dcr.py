@@ -9,21 +9,26 @@ gives every expert's output as a (K, rows, out_dim) tensor. Slots run
 ``base0.., shared0.., treated0..``.
 
 Two softmax gates over the K slots weight every expert's output block
-side by side, producing one representation per downstream task. Each task
-reads the stacked output through a stop-gradient that is open on a slot
-mask and closed on its off-task group (u0 stops the treated slots, ut the
-base slots), so the base loss never trains treated experts and vice versa,
-while the shared slots stay open in both directions. A Frobenius
-cross-product penalty pushes the three groups' weight matrices toward
-mutually orthogonal subspaces.
+side by side, producing one representation per downstream task. Both gates
+are one tape node: one GEMM gives their logits slot-major, (2, K, rows),
+and the softmax runs along the slot axis. Each task merges the stacked
+output through ``Tape.gate_merge``, whose slot mask closes the off-task
+group to the experts' gradient (u0 closes the treated slots, ut the base
+slots), so the base loss never trains treated experts and vice versa, while
+the shared slots stay open in both directions. A Frobenius cross-product
+penalty pushes the three groups' weight matrices toward mutually orthogonal
+subspaces.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
+from .errors import ConfigError, NumericError
 
 BASE, SHARED, TREATED = range(3)  # expert groups, in slot order
 
@@ -65,6 +70,13 @@ class DcrParams:
         n_slots, _, per_expert = self.experts[-1].W.shape
         return n_slots * per_expert
 
+    @cached_property
+    def slot_open(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per task, the slots whose experts its representation trains: u0
+        all but the treated ones, ut all but the base ones."""
+        group = np.arange(3 * self.experts_per_group) // self.experts_per_group
+        return group != TREATED, group != BASE
+
     def parameters(self) -> list[ad.ParamTensor]:
         if not self.enabled:
             return ad.mlp_params(self.shared_mlp)
@@ -99,6 +111,39 @@ def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig,
                      gate_t=ad.init_mlp(rng, "dcr.gate_t", (input_dim, n_slots)))
 
 
+def gates_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
+    """Both gates on x, a node of tape, as one node: the slot-major
+    (2, K, rows) softmax weights, gate0's in row 0 and gate_t's in row 1.
+    One GEMM gives every logit and the softmax runs along the slot axis. In
+    ``autodiff.checked_affine``'s words, an input width the gates do not take
+    raises ConfigError, and a non-finite logit NumericError naming its
+    gate's weight."""
+    (g0,), (gt,) = params.gate0, params.gate_t
+    xv = x.value
+    wt = np.concatenate([g0.W.values.T, gt.W.values.T])  # (2K, in)
+    if xv.shape[-1] != wt.shape[1]:
+        raise ConfigError(f"layer 0 expects input width {wt.shape[1]}, got {xv.shape[-1]}")
+    k = g0.W.shape[1]
+    z = wt @ xv.T
+    z += np.concatenate([g0.b.values, gt.b.values])[:, None]
+    if not math.isfinite(z.sum()):
+        bad = g0 if not math.isfinite(z[:k].sum()) else gt
+        raise NumericError(f"non-finite activation after layer 0 ({bad.W.name})")
+    z = z.reshape(2, k, -1)
+    z -= z.max(axis=1, keepdims=True)
+    s = np.exp(z, out=z)
+    s /= s.sum(axis=1, keepdims=True)
+    lx = x.live
+
+    def vjp(g):  # the softmax vjp along the slot axis, then one affine vjp for both gates
+        gz = (s * (g - (g * s).sum(axis=1, keepdims=True))).reshape(2 * k, -1)
+        gw = gz @ xv
+        gb = gz @ np.ones(gz.shape[1])
+        return gz.T @ wt if lx else None, gw[:k].T, gb[:k], gw[k:].T, gb[k:]
+
+    return tape.record(s, (x, g0.W, g0.b, gt.W, gt.b), vjp)
+
+
 def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> DcrOutput:
     """Produce the per-task representations for a batch of embedded features,
     x, a node of tape.
@@ -112,11 +157,10 @@ def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> DcrOutput:
         return DcrOutput(u0=shared_out, ut=shared_out)
 
     experts = ad.mlp_forward(params.experts, x, tape)
-    group = np.repeat([BASE, SHARED, TREATED], params.experts_per_group).reshape(-1, 1, 1)
-    g0 = tape.softmax(ad.mlp_forward(params.gate0, x, tape))
-    gt = tape.softmax(ad.mlp_forward(params.gate_t, x, tape))
-    return DcrOutput(u0=tape.gate_merge(g0, tape.stop_gradient(experts, keep=group != TREATED)),
-                     ut=tape.gate_merge(gt, tape.stop_gradient(experts, keep=group != BASE)))
+    gates = gates_forward(params, x, tape)
+    open0, open_t = params.slot_open
+    return DcrOutput(u0=tape.gate_merge(gates, 0, experts, open0),
+                     ut=tape.gate_merge(gates, 1, experts, open_t))
 
 
 def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:

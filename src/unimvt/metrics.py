@@ -148,8 +148,10 @@ def cumulative_slope_curve(scores, data, k: int = DEFAULT_GRID) -> CumulativeSlo
     n = t.shape[0]
     if n == 0:
         raise MetricUndefinedError("empty dataset")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ConfigError(f"grid size must be an integer, got {k!r}")
     if k <= 0:
-        raise ConfigError("grid size must be positive")
+        raise ConfigError(f"grid size must be positive, got {k}")
     order = _stable_descending(_finite_vector(scores, n, "score"))
     ts, ys = t[order], y[order]
 
@@ -196,8 +198,9 @@ def pcoc(pred_probs, data, edges: Sequence[float]) -> list[tuple[str, float, int
     on a (w, t, y) array triple.
 
     Control rows (w == 0) form their own bin; treated rows are grouped into
-    [edges[i], edges[i+1]) intervals. Bins without rows or without a positive
-    observation are omitted.
+    [edges[i], edges[i+1]) intervals, an infinite edge giving an open-ended
+    bin. Bins without rows or without a positive observation are omitted. A
+    NaN edge raises ConfigError naming its index.
     """
     if isinstance(data, Dataset):
         _, w, t, y, _, _ = dataset_arrays(data)
@@ -205,7 +208,11 @@ def pcoc(pred_probs, data, edges: Sequence[float]) -> list[tuple[str, float, int
         w, t, y = data
     w, t, y = _columns((w, t, y), ("w", "t", "y"))
     p = _finite_vector(pred_probs, len(w), "probability")
-    edges = sorted(float(e) for e in edges)
+    edges = [float(e) for e in edges]
+    nan = np.flatnonzero(np.isnan(edges))
+    if nan.size:
+        raise ConfigError(f"pcoc edge {nan[0]} is NaN")
+    edges = sorted(edges)
     out = []
 
     def emit(label, mask):

@@ -127,6 +127,18 @@ def test_grid_validation():
     np.testing.assert_allclose(grid.values(), [1.0, 1.5, 2.0, 2.5, 3.0])
 
 
+@pytest.mark.parametrize("q_min, q_max, step", [(1.0, 3.0, 0.5), (0.5, 4.0, 0.5), (0.3, 1.0, 0.1),
+                                                (2.0, 2.0, 1.0)])
+def test_grid_values_are_built_once_and_read_only(q_min, q_max, step):
+    grid = al.AllocationGrid(q_min, q_max, step)
+    qs = grid.values()
+    assert qs is grid.values()
+    assert not qs.flags.writeable
+    with pytest.raises(ValueError):
+        qs[0] = 0.0
+    np.testing.assert_array_equal(qs, q_min + step * np.arange(qs.size))
+
+
 def test_decide_rejects_unknown_mode():
     for mode in ("nonsense", "logit"):
         with pytest.raises(ConfigError):

@@ -218,16 +218,6 @@ def test_stop_gradient_zero_grad():
     np.testing.assert_array_equal(x.grad, np.zeros((1, 3)))
 
 
-def test_stop_gradient_passes_the_gradient_only_where_keep_is_set():
-    x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
-    tape = ad.Tape()
-    out = tape.stop_gradient(x, keep=np.array([True, False, True]))
-    np.testing.assert_array_equal(out.value, x.values)
-    tape.sum_all(tape.scale(out, 2.0))
-    ad.backward(tape)
-    np.testing.assert_array_equal(x.grad, [[2.0, 0.0, 2.0]])
-
-
 def test_stop_gradient_additive_path_stays_open():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
@@ -237,15 +227,8 @@ def test_stop_gradient_additive_path_stays_open():
 
 
 # ---------------------------------------------------------------------------
-# elementwise primitives and softmax
+# elementwise primitives
 # ---------------------------------------------------------------------------
-
-@given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
-def test_softmax_positive_and_normalized(logits):
-    tape = ad.Tape()
-    s = tape.softmax(tape.constant(np.array([logits])))
-    assert np.all(s.value > 0)
-    assert abs(s.value.sum() - 1.0) < 1e-12
 
 
 @given(st.floats(-30, 30))
@@ -325,20 +308,36 @@ def test_affine_adds_the_bias_as_before(shapes):
     assert same_bits(got, x @ w + b)
 
 
+@pytest.mark.parametrize("shape", [(256, 32), (6, 256, 16), (1, 8), (3, 1, 4)])
+def test_affine_bias_gradient_is_the_row_sum(shape):
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal(shape)
+    _, _, gb = ad.affine_grads(g, np.ones(shape[:-1] + (2,)), np.ones(shape[:-2] + (2, shape[-1])))
+    want = g.sum(axis=-2, keepdims=g.ndim > 2)  # (K, 1, out) for a stack, (out,) otherwise
+    assert gb.shape == want.shape
+    np.testing.assert_allclose(gb, want, rtol=1e-13, atol=1e-13)
+
+
 def test_gate_merge_equals_the_transpose_form():
     rng = np.random.default_rng(5)
-    k, n, d = 6, 7, 4
-    gate = ad.ParamTensor("gate", rng.uniform(0, 1, (n, k)))
+    k, n, d, task = 6, 7, 4, 1
+    gates = ad.ParamTensor("gates", rng.uniform(0, 1, (2, k, n)))
     experts = ad.ParamTensor("experts", rng.standard_normal((k, n, d)))
+    open_ = np.array([True, True, False, True, False, True])
     g = rng.standard_normal((n, k * d))
     tape = ad.Tape()
-    node = tape.gate_merge(gate, experts)
-    weights = gate.values.T[:, :, None]
+    node = tape.gate_merge(gates, task, experts, open_)
+    weights = gates.values[task][:, :, None]
     assert same_bits(node.value, (weights * experts.values).transpose(1, 0, 2).reshape(n, k * d))
-    g_gate, g_experts = node.vjp(g)
+    g_gates, g_experts = node.vjp(g)
     blocks = g.reshape(n, k, d).transpose(1, 0, 2)
-    assert same_bits(g_gate, (blocks * experts.values).sum(axis=2).T)
-    assert same_bits(g_experts, blocks * weights)
+    assert not np.any(g_gates[1 - task])
+    assert same_bits(g_gates[task], np.einsum("knd,knd->kn", blocks, experts.values))
+    np.testing.assert_allclose(g_gates[task], (blocks * experts.values).sum(axis=2),
+                               rtol=1e-13, atol=1e-13)
+    assert same_bits(g_experts, blocks * (weights * open_[:, None, None]))
+    np.testing.assert_array_equal(g_experts[~open_], 0.0)  # a closed slot gets an exact zero
+    assert same_bits(g_experts[open_], (blocks * weights)[open_])
 
 
 def test_kernels_keep_extended_precision():
@@ -358,18 +357,17 @@ def test_kernels_keep_extended_precision():
 
 _rng = np.random.default_rng(4)
 FD_MASK = _rng.uniform(0.5, 1.5, size=(3, 4))
-FD_PROJ = _rng.standard_normal((4, 2))
 FD_MERGE_MASK = _rng.uniform(0.5, 1.5, size=(3, 6))
 FD_LABELS = _rng.integers(0, 2, size=(3, 4)).astype(float)
+FD_EXPERT_W = _rng.standard_normal((3, 4, 2))  # three (4, 2) experts on wn
 # 0.4 w lies in [0.04, 0.8]; the offsets move some entries past 1 or below 0,
 # where the bridge's clamp binds, and the shifts bring those entries' output
 # back near 0.5, where central differences resolve its gradient
 FD_OFFSETS = np.zeros((3, 4))
 FD_OFFSETS[0, :2], FD_OFFSETS[1, 2:] = 1.0, -1.0
 FD_SHIFTS = -16.0 * FD_OFFSETS
-# open on slot 0 and on row 1 of slot 1 of the (2, 3, 3) stack, closed elsewhere
-FD_KEEP = np.zeros((2, 3, 1), dtype=bool)
-FD_KEEP[0], FD_KEEP[1, 1] = True, True
+# the merge's experts get a gradient in slots 0 and 2, none in slot 1
+FD_OPEN = np.array([True, False, True])
 
 
 def square(tape, a):
@@ -385,14 +383,14 @@ PRIMITIVE_TERMS = {
     "affine": lambda tape, wn, stacked: square(tape, stacked),
     "relu": lambda tape, wn, stacked: square(tape, tape.relu(stacked)),
     "sigmoid": lambda tape, wn, stacked: tape.mul(FD_MASK, tape.sigmoid(wn)),
-    "softmax": lambda tape, wn, stacked: tape.mul(FD_MASK, tape.softmax(wn)),
     "bridge": lambda tape, wn, stacked: square(tape, tape.bridge(
         tape.add(tape.scale(wn, 0.4), FD_OFFSETS), tape.add(tape.scale(wn, 0.3), FD_SHIFTS))),
+    # stacked (2, 3, 3) as the gates of two tasks over 3 slots and 3 rows
     "gate_merge": lambda tape, wn, stacked: tape.mul(FD_MERGE_MASK, tape.gate_merge(
-        tape.softmax(tape.affine(wn, tape.constant(FD_PROJ), tape.constant(np.zeros(2)))),
-        tape.relu(stacked))),
-    "stop_gradient": lambda tape, wn, stacked: tape.mul(
-        tape.stop_gradient(stacked, keep=FD_KEEP), stacked),
+        tape.sigmoid(stacked), 1,
+        tape.relu(tape.affine(wn, tape.constant(FD_EXPERT_W), tape.constant(np.zeros((3, 1, 2))))),
+        FD_OPEN)),
+    "stop_gradient": lambda tape, wn, stacked: tape.mul(tape.stop_gradient(stacked), stacked),
     "sum_all": lambda tape, wn, stacked: tape.sum_all(square(tape, wn)),
     "binary_cross_entropy": lambda tape, wn, stacked: tape.binary_cross_entropy(
         FD_LABELS, tape.sigmoid(tape.add(wn, -1.0))),
@@ -428,7 +426,8 @@ MULTI_OPERAND = {
     "affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (4, 2), (2,)]),
     "stacked affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (2, 4, 5), (2, 1, 5)]),
     "bridge": (lambda tape, p, shift: tape.bridge(p, shift), [(3, 1), (3, 1)]),
-    "gate_merge": (lambda tape, gate, experts: tape.gate_merge(gate, experts), [(3, 2), (2, 3, 4)]),
+    "gate_merge": (lambda tape, gates, experts: tape.gate_merge(gates, 1, experts, [True, False]),
+                   [(2, 2, 3), (2, 3, 4)]),
 }
 
 
@@ -467,11 +466,12 @@ def test_only_a_node_that_reaches_a_parameter_is_live():
     on_constants = tape.mul(tape.constant(np.ones((2, 2))), 2.0)
     frozen = tape.stop_gradient(w)
     mixed = tape.add(on_constants, w)
-    partly_open = tape.stop_gradient(w, keep=np.array([False, True]))
+    gates, experts = tape.constant(np.ones((1, 2, 2))), tape.mul(w, np.ones((2, 2, 1)))
+    partly_open = tape.gate_merge(gates, 0, experts, [False, True])
     assert w.live and mixed.live and mixed.vjp is not None
     assert partly_open.live and partly_open.vjp is not None
     for dead in (on_constants, frozen, tape.mul(frozen, on_constants),
-                 tape.stop_gradient(w, keep=np.zeros((2, 2), dtype=bool))):
+                 tape.gate_merge(gates, 0, experts, [False, False])):
         assert not dead.live and dead.vjp is None
 
 

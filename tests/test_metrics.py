@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimvt import metrics as mt
-from unimvt.errors import MetricUndefinedError
+from unimvt.errors import ConfigError, MetricUndefinedError
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,20 @@ def test_no_dose_variance_raises():
         mt.cumulative_slope_curve(np.zeros(5), (np.zeros(5), np.ones(5)), k=10)
 
 
+@pytest.mark.parametrize("k", [2.5, True, False, 5.0, "5", None, 0, -3])
+def test_a_grid_size_that_is_not_a_positive_integer_is_config_error(k):
+    t, y = np.array([0.0, 1.0, 2.0, 0.0]), np.array([0.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ConfigError, match="grid size"):
+        mt.cs_qini(np.arange(4.0), (t, y), k=k)
+    with pytest.raises(ConfigError, match="grid size"):
+        mt.cs_auuc(np.arange(4.0), (t, y), k=k)
+
+
+def test_a_numpy_integer_grid_size_works():
+    t, y = np.array([0.0, 1.0, 2.0, 0.0]), np.array([0.0, 1.0, 1.0, 1.0])
+    assert mt.cs_qini(np.arange(4.0), (t, y), k=np.int64(5)) == mt.cs_qini(np.arange(4.0), (t, y), k=5)
+
+
 def test_oracle_ranking_beats_random_on_synthetic_truth():
     from dataclasses import replace
     from unimvt import datagen as dg
@@ -247,6 +261,15 @@ def test_pcoc_omits_empty_and_clickless_bins():
     t = np.array([1.0, 1.0])
     y = np.array([0, 0])  # no clicks anywhere
     assert mt.pcoc(np.array([0.5, 0.5]), (w, t, y), edges=[0.5, 1.5, 2.5]) == []
+
+
+def test_pcoc_names_a_nan_edge_and_keeps_infinite_ones():
+    w, t, y = np.array([0, 1, 1, 1]), np.array([0.0, 1.0, 2.0, 3.0]), np.array([1, 1, 1, 1])
+    with pytest.raises(ConfigError, match="edge 1 is NaN"):
+        mt.pcoc(np.full(4, 0.5), (w, t, y), edges=[1.0, np.nan, 2.5])
+    bins = mt.pcoc(np.full(4, 0.5), (w, t, y), edges=[-np.inf, 2.0, np.inf])
+    assert [(label, count) for label, _, count in bins] == [("control", 1), ("[-inf,2)", 1),
+                                                            ("[2,inf)", 2)]
 
 
 def test_pcoc_matches_hand_aggregation():
