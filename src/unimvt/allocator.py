@@ -21,6 +21,9 @@ from .autodiff import PROB_EPS
 from .errors import ConfigError, NumericError
 
 MODES = ("additive",)
+# the most candidate intensities a grid may hold, checked before any is built
+# (the bench grid has 8)
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,13 @@ class AllocationGrid:
             raise ConfigError("need 0 < q_min <= q_max")
         if self.step <= 0.0:
             raise ConfigError("grid step must be positive")
-        count = int(np.floor((self.q_max - self.q_min) / self.step + 1e-9)) + 1
-        values = self.q_min + self.step * np.arange(count)
+        # counted in floats (inf for a step too small to divide by) before any value is built
+        count = np.floor(float(self.q_max - self.q_min) / float(self.step) + 1e-9) + 1
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"grid q_min={self.q_min}, q_max={self.q_max}, step={self.step} "
+                              f"has {count:.7g} points, more than MAX_GRID_POINTS = "
+                              f"{MAX_GRID_POINTS}")
+        values = self.q_min + self.step * np.arange(int(count))
         values.flags.writeable = False
         object.__setattr__(self, "_values", values)
 

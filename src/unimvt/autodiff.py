@@ -11,8 +11,9 @@ vjp; ``Tape.record`` adds a node with the caller's vjp, built on the kernels
 ``affine_value``, ``affine_grads`` and ``cross_entropy``. The library
 records no ``affine``, ``relu`` or ``sigmoid`` node: they are the
 per-primitive reference for ``mlp_forward``. Around them: dense layers, an
-Adam optimizer with the one minibatch training loop and a central-difference
-gradient checker.
+Adam optimizer with the one minibatch training loop, ``row_blocks`` (the
+``SCORE_ROWS``-row blocks that every scoring call records on fresh tapes)
+and a central-difference gradient checker.
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
@@ -57,6 +58,16 @@ import numpy as np
 from .errors import ConfigError, NumericError, UsageError
 
 PROB_EPS = 1e-7  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before logs/logits
+SCORE_ROWS = 256  # rows a scoring call records on one tape: the default train.batch
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Rows 0..n-1 in blocks of SCORE_ROWS, each scored on a fresh tape so
+    that a scoring call holds one block's tape; one block when n <= SCORE_ROWS,
+    n = 0 included."""
+    if n <= SCORE_ROWS:
+        return [slice(0, n)]
+    return [slice(start, start + SCORE_ROWS) for start in range(0, n, SCORE_ROWS)]
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -408,8 +419,9 @@ def checked_affine(layer: Layer, xv: np.ndarray, index: int) -> np.ndarray:
     if xv.shape[-1] != wv.shape[-2]:
         raise ConfigError(f"layer {index} expects input width {wv.shape[-2]}, got {xv.shape[-1]}")
     out = affine_value(xv, wv, layer.b.values)
-    # a non-finite entry poisons the sum, so one reduction guards the layer
-    if not math.isfinite(out.sum()):
+    # a non-finite entry poisons the sum, so one reduction guards the layer;
+    # np.add.reduce is ndarray.sum without its Python wrapper
+    if not math.isfinite(np.add.reduce(out, None)):
         raise NumericError(f"non-finite activation after layer {index} ({layer.W.name})")
     return out
 
@@ -496,7 +508,7 @@ def optimizer_step(params: Sequence[ParamTensor], state: OptimizerState) -> None
         raise UsageError("optimizer_step needs the parameters its state packed, in order")
     g = state.grad
     # a non-finite entry poisons the sum; a finite overflow is sorted out below
-    if not math.isfinite(g.sum()):
+    if not math.isfinite(np.add.reduce(g, None)):
         bad = np.flatnonzero(~np.isfinite(g))
         if bad.size:
             p = state.params[int(np.searchsorted(state.ends, bad[0], side="right"))]

@@ -22,9 +22,16 @@ def _normalize_t(t, t_min: float, t_max: float):
     return (np.asarray(t, dtype=np.float64) - t_min) / (t_max - t_min)
 
 
-def _mlp_predict(layers, inputs: np.ndarray) -> np.ndarray:
-    tape = ad.Tape()
-    return ad.mlp_forward(layers, tape.constant(inputs), tape).value.reshape(-1)
+def _mlp_predict(layers, X: np.ndarray, tn=None) -> np.ndarray:
+    """The net's output on the rows of X, with the per-row normalized dose tn
+    as its last input when given, scored in ``autodiff.row_blocks``: each
+    block's inputs are built and recorded on a fresh tape."""
+    out = []
+    for rows in ad.row_blocks(X.shape[0]):
+        inputs = X[rows] if tn is None else np.column_stack([X[rows], tn[rows]])
+        tape = ad.Tape()
+        out.append(ad.mlp_forward(layers, tape.constant(inputs), tape).value.reshape(-1))
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _fit_binary_mlp(layers, inputs, labels, cfg: ExperimentConfig, rng) -> None:
@@ -49,7 +56,7 @@ class SLearnerModel:
     def outcome_prob(self, X, t) -> np.ndarray:
         X = feature_matrix(X, self.net[0].W.shape[0] - 1)  # the net's last input is the dose
         tn = np.broadcast_to(_normalize_t(t, self.t_min, self.t_max), (X.shape[0],))
-        return _mlp_predict(self.net, np.column_stack([X, tn]))
+        return _mlp_predict(self.net, X, tn)
 
     def base_ctr(self, X) -> np.ndarray:
         return self.outcome_prob(X, 0.0)
@@ -76,7 +83,7 @@ class TLearnerModel:
     def treated_prob(self, X, t) -> np.ndarray:
         X = self._features(X)
         tn = np.broadcast_to(_normalize_t(t, self.t_min, self.t_max), (X.shape[0],))
-        return _mlp_predict(self.treated_net, np.column_stack([X, tn]))
+        return _mlp_predict(self.treated_net, X, tn)
 
     def outcome_prob(self, X, t) -> np.ndarray:
         X = self._features(X)

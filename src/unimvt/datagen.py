@@ -112,9 +112,16 @@ def dataset_arrays(ds: Dataset):
 
 def feature_matrix(X, n_features: int) -> np.ndarray:
     """X as a 2-D float64 matrix for a model of n_features features. DataFormatError
-    names the shape of an input of more than 2 dimensions, the feature count
-    of one not n_features wide, and the row and index of a non-finite feature."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    says that features must be numbers when X is complex or does not convert
+    to floats, and names the shape of an input of more than 2 dimensions, the
+    feature count of one not n_features wide, and the row and index of a
+    non-finite feature."""
+    if np.iscomplexobj(X):  # a float64 cast drops imaginary parts with only a warning
+        raise DataFormatError("features must be numbers: got complex values")
+    try:
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"features must be numbers: {exc}") from exc
     if X.ndim > 2:
         raise DataFormatError(f"features have shape {X.shape}; expected one row or a 2-D matrix")
     if X.shape[1] != n_features:

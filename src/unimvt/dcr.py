@@ -126,8 +126,8 @@ def gates_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
     k = g0.W.shape[1]
     z = wt @ xv.T
     z += np.concatenate([g0.b.values, gt.b.values])[:, None]
-    if not math.isfinite(z.sum()):
-        bad = g0 if not math.isfinite(z[:k].sum()) else gt
+    if not math.isfinite(np.add.reduce(z, None)):  # as checked_affine checks a layer
+        bad = g0 if not math.isfinite(np.add.reduce(z[:k], None)) else gt
         raise NumericError(f"non-finite activation after layer 0 ({bad.W.name})")
     z = z.reshape(2, k, -1)
     z -= z.max(axis=1, keepdims=True)

@@ -11,9 +11,11 @@ received; a ReLU uplift head outputs the nonnegative per-unit sensitivity.
 The counterfactual bridge ``Tape.bridge`` links the towers in logit space by
 shifting with t_hat * eta. One ``forward`` records the network for training
 and prediction alike, which differ only in the dose that gates the treatment
-tower. The joint loss is one closed-form node for the factual
-cross-entropies, the intensity regression and the counterfactual MSE terms
-(``loss_terms``) plus the expert orthogonality penalty, its own node;
+tower. Prediction records it in blocks of ``autodiff.SCORE_ROWS`` rows, each
+on a fresh tape, so scoring holds one block's tape whatever the row count.
+The joint loss is one closed-form node for the factual cross-entropies, the
+intensity regression and the counterfactual MSE terms (``loss_terms``) plus
+the expert orthogonality penalty, its own node;
 ``train`` runs it in the shared loop ``autodiff.minibatch_adam``.
 The uplift head reaches the joint loss only through the counterfactual
 terms, so ``loss.lambda_x = 0`` leaves it untrained at its initialization.
@@ -309,11 +311,25 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
 # prediction
 # ---------------------------------------------------------------------------
 
+def _score_block(model: UniMvtModel, X: np.ndarray, q) -> tuple:
+    """p0, t_hat, the uplift head, p_cf and pt on the rows of X, as 1-D
+    arrays read off one ``forward`` on a fresh tape, which is freed on
+    return; the treatment tower is gated at q (one dose per row) or, when q
+    is None, at t_hat."""
+    tape = ad.Tape()
+    dose = None if q is None else tape.constant(q.reshape(-1, 1))
+    fw = forward(model, X, tape, lambda t_hat: t_hat if dose is None else dose)
+    return tuple(node.value.reshape(-1) for node in (fw.p0, fw.t_hat, fw.eta, fw.p_cf, fw.pt))
+
+
 def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
-    """Vectorized prediction, read off one ``forward``. When q (scalar or
-    per-row array) is given, the treated probability and tau_hat are evaluated
-    at that intensity instead of the imputed t_hat; values outside
-    [t_min, t_max] set the extrapolated flag.
+    """Vectorized prediction, read off ``forward`` in blocks of
+    ``autodiff.SCORE_ROWS`` rows, each recorded on its own tape: a call holds
+    one block's tape at a time, so its memory does not grow with the row
+    count beyond the outputs themselves. When q (scalar or per-row array) is
+    given, the treated probability and tau_hat are evaluated at that
+    intensity instead of the imputed t_hat; values outside [t_min, t_max]
+    set the extrapolated flag.
 
     The uplift head learns a per-unit logit shift (that is how the
     counterfactual losses calibrate it); the reported unit uplift eta_hat is
@@ -346,10 +362,10 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
             row = int(np.flatnonzero(~np.isfinite(q))[0])
             raise DataFormatError(f"row {row}: q is {q[row]}, not finite")
         extrapolated = (q < model.hte.t_min) | (q > model.hte.t_max)
-    tape = ad.Tape()
-    dose = None if q is None else tape.constant(q.reshape(-1, 1))
-    fw = forward(model, X, tape, lambda t_hat: t_hat if dose is None else dose)
-    p0, t_hat, eta_head, _, p_cf, pt = (node.value.reshape(-1) for node in fw)
+    blocks = [_score_block(model, X[rows], None if q is None else q[rows])
+              for rows in ad.row_blocks(n)]
+    p0, t_hat, eta_head, p_cf, pt = (blocks[0] if len(blocks) == 1 else
+                                     (np.concatenate(field) for field in zip(*blocks)))
     # np.clip's values, NaN included, at half its per-call cost on one row
     p0 = np.minimum(np.maximum(p0, PROB_EPS), 1.0 - PROB_EPS)
     eta = np.maximum((p_cf - p0) / t_hat, 0.0)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 def read(path) -> dict[str, str]:
@@ -53,6 +53,10 @@ def field(kv: dict, key: str, parse=str):
 
 
 def param_line(p: ad.ParamTensor) -> str:
+    """The line of p; a NaN or infinite value raises NumericError naming the
+    line's key, since ``restore_params`` would refuse it."""
+    if not np.isfinite(p.values).all():
+        raise NumericError(f"param.{p.name} has a non-finite value; a model file holds finite ones")
     dims = " ".join(str(d) for d in p.values.shape)
     vals = " ".join(repr(float(v)) for v in p.values.reshape(-1))
     return f"param.{p.name}={p.values.ndim} {dims} {vals}"

@@ -1,5 +1,6 @@
 """Allocation engine: the additive decision rule vs brute force, monotonicity."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -125,6 +126,19 @@ def test_grid_validation():
         al.AllocationGrid(1.0, 2.0, 0.0)
     grid = al.AllocationGrid(1.0, 3.0, 0.5)
     np.testing.assert_allclose(grid.values(), [1.0, 1.5, 2.0, 2.5, 3.0])
+
+
+# counts above the cap only: the check runs before any value is built
+@pytest.mark.parametrize("q_min, q_max, step, count", [
+    (1.0, 2.0, 1e-6, "1000001"),      # the first count over the cap
+    (0.5, 4.0, 1e-12, "3.5e+12"),     # 25.5 TiB of values
+    (0.5, 4.0, 5e-324, "inf"),        # a step too small to divide by
+])
+def test_grid_names_a_point_count_above_the_cap(q_min, q_max, step, count):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"q_min={q_min}, q_max={q_max}, step={step} has {count} points, "
+            f"more than MAX_GRID_POINTS = {al.MAX_GRID_POINTS}")):
+        al.AllocationGrid(q_min, q_max, step)
 
 
 @pytest.mark.parametrize("q_min, q_max, step", [(1.0, 3.0, 0.5), (0.5, 4.0, 0.5), (0.3, 1.0, 0.1),

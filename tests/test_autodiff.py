@@ -19,6 +19,15 @@ def make_layer(name, W, b, activation="linear"):
 # mlp_forward
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n", [0, 1, ad.SCORE_ROWS, ad.SCORE_ROWS + 1, 3 * ad.SCORE_ROWS + 5])
+def test_row_blocks_cover_every_row_once_in_order(n):
+    blocks = ad.row_blocks(n)
+    rows = np.arange(n)
+    np.testing.assert_array_equal(np.concatenate([rows[b] for b in blocks]), rows)
+    assert len(blocks) == max(1, -(-n // ad.SCORE_ROWS))  # one block, empty ones included
+    assert all(rows[b].size <= ad.SCORE_ROWS for b in blocks)
+
+
 def test_mlp_identity_layer():
     layer = make_layer("l0", np.eye(2), np.zeros(2))
     tape = ad.Tape()

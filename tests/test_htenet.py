@@ -3,7 +3,9 @@ joint-loss oracle checks, stop-gradient blocking, training and serialization."""
 
 import gc
 import re
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -633,6 +635,14 @@ def test_scoring_names_the_feature_count_it_got_and_the_one_the_model_takes(entr
         SCORE_FIVE_FEATURES[entry](np.ones((3, width)))
 
 
+@pytest.mark.parametrize("bad", [[["a"] * 5] * 3, [[{}] * 5] * 3, [[1j] * 5] * 3],
+                         ids=["string", "dict", "complex"])
+@pytest.mark.parametrize("entry", SCORE_FIVE_FEATURES)
+def test_scoring_says_features_must_be_numbers(entry, bad):
+    with pytest.raises(DataFormatError, match="features must be numbers"):
+        SCORE_FIVE_FEATURES[entry](bad)
+
+
 @pytest.mark.parametrize("ablate_dcr", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, ablate_dcr):
@@ -733,6 +743,83 @@ def test_predict_records_at_most_15_nodes(monkeypatch):
     ht.predict(model, np.ones(8))
     assert len(tapes) == 1
     assert len(tapes[0].nodes) <= 15
+
+
+# ---------------------------------------------------------------------------
+# scoring in blocks of SCORE_ROWS rows
+# ---------------------------------------------------------------------------
+
+BLOCKED_ROWS = 2 * ad.SCORE_ROWS + 17  # two full blocks and a partial one
+PREDICT_BATCH_KEYS = {"p0_hat", "pt_hat", "t_hat", "eta_hat", "eta_head", "tau_hat",
+                      "extrapolated"}
+
+
+@pytest.mark.parametrize("ablate_dcr", [False, True])
+@pytest.mark.parametrize("per_row_q", [False, True], ids=["imputed dose", "per-row q"])
+def test_predict_batch_across_blocks_equals_predict_row_by_row(ablate_dcr, per_row_q):
+    model = tiny_model(ablate=AblationConfig(dcr=ablate_dcr))
+    X = np.random.default_rng(3).standard_normal((BLOCKED_ROWS, 5))
+    # a different q on every row, outside [t_min, t_max] = [1, 3] at both ends
+    # and across the second block boundary, so a q or a flag on the wrong row shows
+    q = np.linspace(0.5, 4.0, BLOCKED_ROWS) if per_row_q else None
+    out = ht.predict_batch(model, X, q=q)
+    assert set(out) == PREDICT_BATCH_KEYS
+    assert all(v.shape == (BLOCKED_ROWS,) for v in out.values())
+    for i in range(BLOCKED_ROWS):
+        qi = None if q is None else q[i]
+        row = ht.predict(model, X[i], q=qi)
+        for key in ("p0_hat", "pt_hat", "t_hat", "eta_hat", "tau_hat"):
+            assert abs(getattr(row, key) - out[key][i]) <= 1e-12, (i, key)
+        assert row.extrapolated == out["extrapolated"][i], i
+        eta_head = ht.predict_batch(model, X[i], q=qi)["eta_head"][0]
+        assert abs(eta_head - out["eta_head"][i]) <= 1e-12, i
+    if per_row_q:
+        np.testing.assert_array_equal(out["extrapolated"], (q < 1.0) | (q > 3.0))
+
+
+@pytest.mark.parametrize("q", [None, 2.0, np.zeros(0)], ids=["imputed dose", "scalar q", "no q"])
+def test_predict_batch_on_no_rows_returns_seven_empty_arrays(q):
+    out = ht.predict_batch(tiny_model(), np.zeros((0, 5)), q=q)
+    assert set(out) == PREDICT_BATCH_KEYS
+    assert all(v.shape == (0,) for v in out.values())
+
+
+def traced_peak(score, X) -> int:
+    """The tracemalloc peak of score(X), in bytes above what was allocated
+    before the call; a first call warms numpy's caches untraced."""
+    score(X)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        score(X)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def default_width_tlearner():
+    rng = np.random.default_rng(0)
+    hidden = ExperimentConfig().net.tower_hidden
+    return baselines.TLearnerModel(
+        ad.init_mlp(rng, "c", (8, *hidden, 1), out_activation="sigmoid"),
+        ad.init_mlp(rng, "t", (9, *hidden, 1), out_activation="sigmoid"), 1.0, 3.0)
+
+
+@pytest.mark.parametrize("entry", ["predict_batch", "tlearner.unit_uplift_scores"])
+def test_scoring_memory_does_not_grow_with_the_row_count(entry):
+    # a scoring call holds one block's tape: 16 blocks of rows peak under
+    # twice what one block does (a single tape for every row peaks ~15x)
+    if entry == "predict_batch":
+        model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
+        score = partial(ht.predict_batch, model)
+    else:
+        score = default_width_tlearner().unit_uplift_scores
+    X = np.random.default_rng(4).standard_normal((16 * ad.SCORE_ROWS, 8))
+    assert traced_peak(score, X) < 2 * traced_peak(score, X[:ad.SCORE_ROWS])
 
 
 class _Captured(Exception):
@@ -852,6 +939,21 @@ def test_dcr_ablation_trains(small_syn):
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_save_model_refuses_a_nonfinite_parameter_and_writes_no_file(tmp_path, bad):
+    model = tiny_model()
+    kept = tmp_path / "kept.txt"
+    ht.save_model(model, kept)
+    before = kept.read_bytes()
+    model.hte.base_tower[0].W.values[1, 2] = bad
+    path = tmp_path / "model.txt"
+    for target in (path, kept):
+        with pytest.raises(NumericError, match=re.escape("param.base_tower.l0.W")):
+            ht.save_model(model, target)
+    assert not path.exists()
+    assert kept.read_bytes() == before
+
 
 def test_model_save_load_round_trip(tmp_path, small_syn):
     train_ds, test_ds = small_syn
