@@ -41,11 +41,14 @@ live when it has a vjp and at least one live parent. A node that is not live
 keeps no vjp, and a live node's vjp gives None for a dead operand, so
 ``backward`` computes gradients only along paths that reach a parameter.
 
-The hot kernels give the same values as the textbook forms without
-data-dependent selects, which are slow on random signs: ``relu`` is
-``np.fmax(a, 0)`` and the sigmoid's numerator is one ``np.maximum``; ``affine``
-adds its bias in place onto the fresh product unless that would downcast it,
-and its bias gradient is the BLAS product ``ones(rows) @ g``.
+The hot kernels avoid data-dependent selects, which are slow on random
+signs, and per-call dispatch, which dominates one-row prediction: ``relu`` is
+``np.fmax(a, 0)``; the sigmoid is one ufunc, ``scipy.special.expit``, which
+keeps extended precision and stays silent at any input; ``affine`` adds its
+bias in place onto the fresh product unless that would downcast it, its bias
+gradient is the BLAS product ``ones(rows) @ g`` and its x gradient reads a
+contiguous copy of W^T; ``gate_merge`` builds its experts' gradient factor in
+its vjp, so prediction never pays for it.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigError, NumericError, UsageError
 
@@ -68,13 +72,6 @@ def row_blocks(n: int) -> list[slice]:
     if n <= SCORE_ROWS:
         return [slice(0, n)]
     return [slice(start, start + SCORE_ROWS) for start in range(0, n, SCORE_ROWS)]
-
-
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # dtype-preserving (works in extended precision), no overflow either side;
-    # ex <= 1, so the maximum is exactly the numerator 1 (x >= 0) or ex
-    ex = np.exp(-np.abs(x))
-    return np.maximum(ex, x >= 0) / (1.0 + ex)
 
 
 def affine_value(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -92,9 +89,10 @@ def affine_grads(g, xv, wv, lx=True, lw=True, lb=True) -> tuple:
     """The vjp of x @ W + b for the output gradient g: the gradients of x, W
     and b, each None where its flag says the operand is dead. The bias
     gradient sums g over its rows as one BLAS product, (K, 1, out) for a
-    stack."""
+    stack; the x gradient reads W^T as a contiguous copy."""
     ones = np.ones((1, g.shape[-2]) if g.ndim > 2 else g.shape[-2])
-    return (_unbroadcast(g @ wv.swapaxes(-1, -2), xv.shape) if lx else None,
+    # a contiguous W^T: numpy's stacked matmul on a transposed view skips BLAS
+    return (_unbroadcast(g @ np.ascontiguousarray(wv.swapaxes(-1, -2)), xv.shape) if lx else None,
             _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape) if lw else None,
             ones @ g if lb else None)
 
@@ -264,7 +262,7 @@ class Tape:
         return self.record(np.fmax(av, 0.0), (a,), lambda g: (g * (av > 0.0),))
 
     def sigmoid(self, a: Node) -> Node:
-        s = stable_sigmoid(a.value)
+        s = expit(a.value)
         return self.record(s, (a,), lambda g: (g * s * (1.0 - s),))
 
     def bridge(self, p, shift) -> Node:
@@ -273,8 +271,8 @@ class Tape:
         reaches p where the clamp binds."""
         p, shift = self._lift(p), self._lift(shift)
         pv, sv = p.value, shift.value
-        pc = np.clip(pv, PROB_EPS, 1.0 - PROB_EPS)
-        s = stable_sigmoid(np.log(pc) - np.log1p(-pc) + sv)
+        pc = np.minimum(np.maximum(pv, PROB_EPS), 1.0 - PROB_EPS)  # np.clip without its wrapper
+        s = expit(np.log(pc) - np.log1p(-pc) + sv)
         lp, ls = p.live, shift.live
 
         def vjp(g):  # the clamp mask is built here: prediction never needs it
@@ -299,16 +297,16 @@ class Tape:
         shape = gates.value.shape
         weights = gates.value[task][:, :, None]
         open = np.asarray(open)
-        lg, le = gates.live, experts.live and bool(open.any())
-        factor = weights * open[:, None, None] if le else None
+        # np.logical_or.reduce is open.any() without its Python wrapper
+        lg, le = gates.live, experts.live and bool(np.logical_or.reduce(open))
 
-        def vjp(g):
+        def vjp(g):  # the experts' factor is built here: prediction never needs it
             blocks = g.reshape(n, k, d).transpose(1, 0, 2)
             gg = None
             if lg:
                 gg = np.zeros(shape)
                 np.einsum("knd,knd->kn", blocks, ev, out=gg[task])
-            return gg, blocks * factor if le else None
+            return gg, blocks * (weights * open[:, None, None]) if le else None
 
         return self.record(_merged(weights, ev), (gates, experts), vjp if lg or le else None)
 
@@ -437,7 +435,7 @@ def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
         if layer.activation == "relu":
             h = np.fmax(h, 0.0)
         elif layer.activation == "sigmoid":
-            h = stable_sigmoid(h)
+            h = expit(h)
         hs.append(h)
     weights = [layer.W.values for layer in layers]
     acts = [layer.activation for layer in layers]

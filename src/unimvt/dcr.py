@@ -130,9 +130,9 @@ def gates_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
         bad = g0 if not math.isfinite(np.add.reduce(z[:k], None)) else gt
         raise NumericError(f"non-finite activation after layer 0 ({bad.W.name})")
     z = z.reshape(2, k, -1)
-    z -= z.max(axis=1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)  # ndarray.max and .sum without wrappers
     s = np.exp(z, out=z)
-    s /= s.sum(axis=1, keepdims=True)
+    s /= np.add.reduce(s, axis=1, keepdims=True)
     lx = x.live
 
     def vjp(g):  # the softmax vjp along the slot axis, then one affine vjp for both gates

@@ -5,9 +5,11 @@ base tower estimates the no-intervention click probability from u0, the
 treatment tower estimates the intervened probability from ut, with every
 hidden layer modulated by a treatment-aware gate 2*sigmoid(W e_t + b). Each
 tower is one tape node: the base tower through ``autodiff.mlp_forward``, the
-TA-gated treatment tower, dose encoding included, through its own vjp. An
-intensity head (behind stop-gradient) imputes the dose a unit would have
-received; a ReLU uplift head outputs the nonnegative per-unit sensitivity.
+TA-gated treatment tower, dose encoding included, through its own vjp, with
+the logits of all its TA gates computed by one GEMM. An intensity head
+(behind stop-gradient) imputes the dose a unit would have received, t_hat,
+its sigmoid output rescaled into [t_min, t_max] by one more node; a ReLU
+uplift head outputs the nonnegative per-unit sensitivity.
 The counterfactual bridge ``Tape.bridge`` links the towers in logit space by
 shifting with t_hat * eta. One ``forward`` records the network for training
 and prediction alike, which differ only in the dose that gates the treatment
@@ -22,10 +24,12 @@ terms, so ``loss.lambda_x = 0`` leaves it untrained at its initialization.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from . import kvfile
@@ -34,7 +38,7 @@ from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_f
                      default_config)
 from .datagen import Dataset, dataset_arrays, feature_matrix
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
-from .errors import ConfigError, DataFormatError, UsageError
+from .errors import ConfigError, DataFormatError, NumericError, UsageError
 
 TREAT_ENC_DIM = 2        # normalized intensity and its square
 UPLIFT_HEAD_INIT = 0.02  # initial uniform eta_hat, calibrated downstream by the X losses
@@ -131,50 +135,71 @@ def treat_tower_forward(hte: HteParams, ut: ad.Node, dose: ad.Node, tape: ad.Tap
     recorded as one node with its own vjp. The dose, min-max normalized by
     the t bounds to tn, is encoded as e_t = [tn, tn^2]; hidden layer i gives
     h = a_i * relu(h W_i + b_i) with the TA gate a_i = 2*sigmoid(e_t G_i + g_i)
-    elementwise in (0, 2), and the output is sigmoid(h W + b). A non-finite
+    elementwise in (0, 2), and the output is sigmoid(h W + b). Every gate's
+    logits come from one GEMM, e_t @ [G_0 | G_1 | ...] + [g_0 | g_1 | ...],
+    and its vjp gives every gate's gradients from one GEMM back. A non-finite
     affine output raises NumericError naming the layer (its index and
     weight); gate i counts as layer i."""
     c = 1.0 / (hte.t_max - hte.t_min)
     tn = (dose.value + -hte.t_min) * c
     e_t = np.concatenate([tn, tn * tn], axis=1)
-    hidden = list(zip(hte.treat_tower, hte.ta_gates))
-    hs, saved = [ut.value], []  # each hidden layer's input; its relu output, gate and sigmoid
-    for i, (layer, gate) in enumerate(hidden):
-        r = np.fmax(ad.checked_affine(layer, hs[-1], i), 0.0)
-        s = ad.stable_sigmoid(ad.checked_affine(gate, e_t, i))
-        a = s * 2.0
-        saved.append((r, a, s))
-        hs.append(a * r)
+    layers, gates = hte.treat_tower[:-1], hte.ta_gates
+    cols, start = [], 0  # gate i's columns of the joint logits
+    for gate in gates:
+        cols.append(slice(start, start + gate.W.shape[1]))
+        start = cols[-1].stop
+    if gates:
+        gate_w = np.concatenate([gate.W.values for gate in gates], axis=1)
+        z = ad.affine_value(e_t, gate_w, np.concatenate([gate.b.values for gate in gates]))
+        if not math.isfinite(np.add.reduce(z, None)):  # as checked_affine checks a layer
+            bad = next((i for i, col in enumerate(cols)  # the last if only the total overflowed
+                        if not math.isfinite(np.add.reduce(z[:, col], None))), len(gates) - 1)
+            raise NumericError(f"non-finite activation after layer {bad} ({gates[bad].W.name})")
+        s = expit(z)
+    hs, relus, gated = [ut.value], [], []  # each hidden layer's input; its relu output and gate
+    for i, layer in enumerate(layers):
+        relus.append(np.fmax(ad.checked_affine(layer, hs[-1], i), 0.0))
+        gated.append(s[:, cols[i]] * 2.0)
+        hs.append(gated[-1] * relus[-1])
     out = hte.treat_tower[-1]
-    pt = ad.stable_sigmoid(ad.checked_affine(out, hs[-1], len(hidden)))
+    pt = expit(ad.checked_affine(out, hs[-1], len(layers)))
     weights = [layer.W.values for layer in hte.treat_tower]
-    gate_weights = [gate.W.values for gate in hte.ta_gates]
     lu, ld = ut.live, dose.live
 
     def vjp(g):
         g, gw, gb = ad.affine_grads(g * pt * (1.0 - pt), hs[-1], weights[-1],
-                                    lx=bool(hidden) or lu)
-        grads, ge = [gw, gb], None
-        for i in reversed(range(len(hidden))):
-            r, a, s = saved[i]
-            gz, gg, ggb = ad.affine_grads(g * r * 2.0 * s * (1.0 - s), e_t, gate_weights[i], lx=ld)
-            if ld:
-                ge = gz if ge is None else ge + gz
+                                    lx=bool(layers) or lu)
+        grads = [gw, gb]
+        if not layers:
+            return (g, None, *grads)
+        gz = np.empty(z.shape)  # every gate's logit gradient, g * r * 2 s (1 - s)
+        for i in reversed(range(len(layers))):
+            r = relus[i]
+            gz[:, cols[i]] = g * r
             # r > 0 exactly where the affine output is
-            g, gw, gb = ad.affine_grads(g * a * (r > 0.0), hs[i], weights[i], lx=i > 0 or lu)
-            grads += (gw, gb, gg, ggb)
-        gd = None if ge is None else (ge[:, 0:1] + 2.0 * ge[:, 1:2] * tn) * c
+            g, gw, gb = ad.affine_grads(g * gated[i] * (r > 0.0), hs[i], weights[i],
+                                        lx=i > 0 or lu)
+            grads += (gw, gb)
+        gz *= 2.0
+        gz *= s
+        gz *= 1.0 - s
+        ge, gg, ggb = ad.affine_grads(gz, e_t, gate_w, lx=ld)
+        for col in cols:
+            grads += (gg[:, col], ggb[col])
+        gd = (ge[:, 0:1] + 2.0 * ge[:, 1:2] * tn) * c if ld else None
         return (g, gd, *grads)
 
-    params = [p for layer, gate in reversed(hidden) for p in (layer.W, layer.b, gate.W, gate.b)]
-    return tape.record(pt, (ut, dose, out.W, out.b, *params), vjp)
+    params = [p for layer in reversed(layers) for p in (layer.W, layer.b)]
+    return tape.record(pt, (ut, dose, out.W, out.b, *params, *ad.mlp_params(gates)), vjp)
 
 
 def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
-    """t_hat = sigmoid(MLP(SG(ut))) scaled into (t_min, t_max); no gradient
-    reaches the representation layer from this head."""
+    """t_hat = sigmoid(MLP(SG(ut))) scaled into (t_min, t_max), the affine
+    rescale recorded as one node; no gradient reaches the representation
+    layer from this head."""
     s = ad.mlp_forward(hte.intensity_head, tape.stop_gradient(ut), tape)  # sigmoid output
-    return tape.add(tape.scale(s, hte.t_max - hte.t_min), hte.t_min)
+    span = hte.t_max - hte.t_min
+    return tape.record(s.value * span + hte.t_min, (s,), lambda g: (g * span,))
 
 
 Forward = namedtuple("Forward", "p0 t_hat eta tau p_cf pt")
@@ -344,16 +369,23 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     output is returned as eta_head.
 
     A NaN or infinite feature raises DataFormatError naming its row and
-    feature index; so does a NaN or infinite q, naming its row, and a q that
-    is neither a scalar nor one value per row, naming its shape and the
-    row count.
+    feature index; so does a NaN or infinite q, naming its row, a q that is
+    neither a scalar nor one value per row, naming its shape and the row
+    count, and a q that is complex or does not convert to floats, saying
+    that q must be numbers.
     """
     X = feature_matrix(X, model.dcr.input_dim)
     n = X.shape[0]
     if q is None:
         extrapolated = np.zeros(n, dtype=bool)
     else:
-        q = np.asarray(q, dtype=np.float64)
+        q = np.asarray(q)
+        if q.dtype.kind == "c":  # a float64 cast drops imaginary parts with only a warning
+            raise DataFormatError("q must be numbers: got complex values")
+        try:
+            q = q.astype(np.float64, copy=False)
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"q must be numbers: {exc}") from exc
         if q.ndim > 1 or q.size not in (1, n):
             raise DataFormatError(f"q has shape {q.shape} for {n} rows; "
                                   "expected a scalar or one value per row")

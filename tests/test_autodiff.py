@@ -253,7 +253,7 @@ def test_sigmoid_strictly_inside_unit_interval(z):
 
 EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300, 0.3, -0.3,
                   1e308, -1e308, np.inf, -np.inf, np.nan])
-# |x| > 708 underflows exp(-|x|) in either form; everything else must stay silent
+# |x| > 708 underflows exp(-|x|); the sigmoid must stay silent at every one
 SIGMOID_EDGES = np.concatenate([EDGES, [36.0, -36.0, 709.5, -709.5, 711.0, -711.0,
                                         745.2, -745.2, 800.0, -800.0]])
 
@@ -275,6 +275,15 @@ def same_bits(got, want):
             and np.array_equal(np.signbit(got), np.signbit(want)))
 
 
+def assert_within_2_ulp_where_normal(got, want):
+    """got is within 2 ulp of want wherever want is a normal float: below
+    x = -709.78 expit gives 0 where the select form still gives a subnormal."""
+    normal = np.abs(want) >= np.finfo(want.dtype).tiny  # False at NaN
+    assert normal.any()
+    err = np.abs(got[normal] - want[normal])
+    assert (err <= 2 * np.spacing(np.abs(want[normal]))).all()
+
+
 def test_relu_equals_the_select_form_and_maps_nan_to_zero():
     a = np.concatenate([EDGES, np.random.default_rng(0).standard_normal(49)]).reshape(8, 8)
     g = np.random.default_rng(1).standard_normal(a.shape)
@@ -286,25 +295,35 @@ def test_relu_equals_the_select_form_and_maps_nan_to_zero():
 
 
 def test_sigmoid_equals_the_select_form_without_overflow():
+    """The sigmoid is scipy's expit bit for bit, silent at every edge, and
+    agrees with the select form to 2 ulp wherever that form is normal."""
     x = SIGMOID_EDGES.reshape(5, 5)
-    with np.errstate(all="raise", under="ignore"):
-        want = select_sigmoid(x)
+    with np.errstate(all="raise"):
         tape = ad.Tape()
         got = tape.sigmoid(tape.constant(x)).value
-    assert same_bits(got, want)
+    assert same_bits(got, expit(x))
     assert np.isnan(got[np.isnan(x)]).all() and got[x == np.inf] == 1.0 and got[x == -np.inf] == 0.0
+    dense = np.concatenate([x.reshape(-1), np.linspace(-720.0, 720.0, 14401),
+                            np.random.default_rng(7).standard_normal(1000) * 10.0])
+    with np.errstate(all="raise", under="ignore"):
+        want = select_sigmoid(dense)
+    assert_within_2_ulp_where_normal(tape.sigmoid(tape.constant(dense)).value, want)
 
 
 def test_bridge_equals_the_select_form():
+    """The bridge is expit of the clamped logit plus the shift, bit for bit,
+    and agrees with the select form to 2 ulp wherever that form is normal."""
     rng = np.random.default_rng(2)
     p = np.concatenate([[0.0, 1e-9, ad.PROB_EPS, 0.5, 1.0 - ad.PROB_EPS, 1.0], rng.uniform(0, 1, 30)])
     shift = np.concatenate([[0.0, -0.0, 800.0, -800.0, 1e308, -1e308], rng.standard_normal(30) * 20.0])
     pc = np.clip(p, ad.PROB_EPS, 1.0 - ad.PROB_EPS)
-    with np.errstate(all="raise", under="ignore"):
+    with np.errstate(all="raise"):
         tape = ad.Tape()
         got = tape.bridge(tape.constant(p), tape.constant(shift)).value
-        want = select_sigmoid(np.log(pc) - np.log1p(-pc) + shift)
-    assert same_bits(got, want)
+        z = np.log(pc) - np.log1p(-pc) + shift
+    assert same_bits(got, expit(z))
+    with np.errstate(all="raise", under="ignore"):
+        assert_within_2_ulp_where_normal(got, select_sigmoid(z))
 
 
 @pytest.mark.parametrize("shapes", [[(5, 4), (4, 3), (3,)], [(5, 4), (2, 4, 3), (2, 1, 3)]],
@@ -361,7 +380,9 @@ def test_kernels_keep_extended_precision():
         assert same_bits(out, x @ wv + bv)  # an in-place add would round b to float64
     xl = x.astype(ld)
     assert tape.relu(tape.constant(xl)).value.dtype == ld
-    assert same_bits(tape.sigmoid(tape.constant(xl)).value, select_sigmoid(xl))
+    got = tape.sigmoid(tape.constant(xl)).value
+    assert same_bits(got, expit(xl))  # longdouble in, longdouble out
+    assert_within_2_ulp_where_normal(got, select_sigmoid(xl))  # in longdouble's ulp
 
 
 _rng = np.random.default_rng(4)
