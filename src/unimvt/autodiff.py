@@ -1,25 +1,22 @@
 """Tape-based reverse-mode autodiff over float64 numpy arrays.
 
 This is the substrate everything else is built on. The primitives are the
-``Tape`` methods ``add``, ``mul``, ``scale``, ``affine`` (also over a stack
-of layers), ``relu``, ``sigmoid``, ``bridge`` (the fused counterfactual
-bridge), ``gate_merge`` (one task's gate-weighted experts, open to the
-experts' gradient on a slot mask), ``stop_gradient``, ``sum_all`` and
-``binary_cross_entropy``, plus ``mlp_forward``, which records a whole layer
-stack (also a stack of K same-shaped stacks) as one node with a hand-written
-vjp; ``Tape.record`` adds a node with the caller's vjp, built on the kernels
-``affine_value``, ``affine_grads`` and ``cross_entropy``. The library
-records no ``affine``, ``relu`` or ``sigmoid`` node: they are the
-per-primitive reference for ``mlp_forward``. Around them: dense layers, an
-Adam optimizer with the one minibatch training loop, ``row_blocks`` (the
-``SCORE_ROWS``-row blocks that every scoring call records on fresh tapes)
-and a central-difference gradient checker.
+``Tape`` methods ``add``, ``mul``, ``scale``, ``bridge`` (the fused
+counterfactual bridge), ``gate_merge`` (one task's gate-weighted experts,
+open to the experts' gradient on a slot mask), ``stop_gradient``,
+``sum_all`` and ``binary_cross_entropy``, plus ``mlp_forward``, which
+records a whole layer stack (also a stack of K same-shaped stacks) as one
+node with a hand-written vjp; ``Tape.record`` adds a node with the caller's
+vjp, built on the kernels ``affine_value``, ``affine_grads`` and
+``cross_entropy``. Around them: dense layers, an Adam optimizer with the one
+minibatch training loop and ``row_blocks`` (the ``SCORE_ROWS``-row blocks
+that every scoring call records on fresh tapes).
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
 ``(K, ...)`` stacks of K same-shaped layers' weights and outputs. A ``Tape``
 records every primitive in creation order through its methods
-(``tape.mul(a, b)``, ``tape.relu(h)``); ``backward`` replays it once in
+(``tape.mul(a, b)``, ``tape.sum_all(a)``); ``backward`` replays it once in
 reverse, so creation order doubles as the topological order.
 
 Who owns what: a ``ParamTensor`` holds its values and its accumulated
@@ -42,19 +39,21 @@ keeps no vjp, and a live node's vjp gives None for a dead operand, so
 ``backward`` computes gradients only along paths that reach a parameter.
 
 The hot kernels avoid data-dependent selects, which are slow on random
-signs, and per-call dispatch, which dominates one-row prediction: ``relu`` is
-``np.fmax(a, 0)``; the sigmoid is one ufunc, ``scipy.special.expit``, which
-keeps extended precision and stays silent at any input; ``affine`` adds its
-bias in place onto the fresh product unless that would downcast it, its bias
-gradient is the BLAS product ``ones(rows) @ g`` and its x gradient reads a
-contiguous copy of W^T; ``gate_merge`` builds its experts' gradient factor in
-its vjp, so prediction never pays for it.
+signs, and per-call dispatch, which dominates one-row prediction: the relu
+is ``np.fmax(a, 0)``; the sigmoid is one ufunc, ``scipy.special.expit``,
+which keeps extended precision and stays silent at any input;
+``affine_value`` adds the bias in place onto the fresh product unless that
+would downcast it; in ``affine_grads`` the bias gradient is the BLAS product
+``ones(rows) @ g`` and the x gradient reads a contiguous copy of W^T;
+``gate_merge`` builds its experts' gradient factor in its vjp, so prediction
+never pays for it.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -130,9 +129,6 @@ class ParamTensor:
         """The values, read as an operand's value."""
         return self.values
 
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
-
     def __repr__(self) -> str:
         return f"ParamTensor({self.name!r}, shape={self.values.shape})"
 
@@ -158,13 +154,6 @@ class Node:
     @property
     def shape(self) -> tuple[int, ...]:
         return np.shape(self.value)
-
-
-def _merged(weights: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Per-slot weights (K, rows, 1) times experts (K, rows, d), laid out as
-    (rows, K * d) with slot k's block in columns k*d .. (k+1)*d - 1."""
-    k, n, d = ev.shape
-    return (weights * ev).transpose(1, 0, 2).reshape(n, k * d)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -243,28 +232,6 @@ class Tape:
         c = float(c)
         return self.record(a.value * c, (a,), lambda g: (g * c,))
 
-    def affine(self, x, w, b) -> Node:
-        """x @ W + b with b broadcast over rows. A weight with a leading stack
-        axis, (K, in, out) with bias (K, 1, out), applies K layers at once and
-        gives (K, rows, out); x is then (rows, in) or already stacked."""
-        xv, wv = x.value, w.value
-        if xv.shape[-1] != wv.shape[-2]:
-            raise ConfigError(
-                f"affine input width {xv.shape[-1]} does not match weight rows {wv.shape[-2]}"
-            )
-        lx, lw, lb = x.live, w.live, b.live
-        return self.record(affine_value(xv, wv, b.value), (x, w, b),
-                           lambda g: affine_grads(g, xv, wv, lx, lw, lb))
-
-    def relu(self, a: Node) -> Node:
-        """max(a, 0), with NaN mapped to 0."""
-        av = a.value
-        return self.record(np.fmax(av, 0.0), (a,), lambda g: (g * (av > 0.0),))
-
-    def sigmoid(self, a: Node) -> Node:
-        s = expit(a.value)
-        return self.record(s, (a,), lambda g: (g * s * (1.0 - s),))
-
     def bridge(self, p, shift) -> Node:
         """The counterfactual bridge sigmoid(logit(p) + shift), p clamped into
         [PROB_EPS, 1 - PROB_EPS]. Fused primitive: one tape node; no gradient
@@ -308,7 +275,9 @@ class Tape:
                 np.einsum("knd,knd->kn", blocks, ev, out=gg[task])
             return gg, blocks * (weights * open[:, None, None]) if le else None
 
-        return self.record(_merged(weights, ev), (gates, experts), vjp if lg or le else None)
+        # slot k's block in columns k*d .. (k+1)*d - 1
+        return self.record((weights * ev).transpose(1, 0, 2).reshape(n, k * d), (gates, experts),
+                           vjp if lg or le else None)
 
     def stop_gradient(self, a: Node) -> Node:
         """Forward identity that passes no gradient."""
@@ -427,7 +396,8 @@ def checked_affine(layer: Layer, xv: np.ndarray, index: int) -> np.ndarray:
 def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
     """Run a layer stack on x, a node of tape, recorded as one node whose
     parents are x and every layer's W and b. Stacked layers, weights
-    (K, in, out), run K stacks at once as ``Tape.affine`` does. Raises
+    (K, in, out) with biases (K, 1, out), run K stacks at once and give
+    (K, rows, out); x is then (rows, in) or already stacked. Raises
     ConfigError or NumericError naming the layer, as ``checked_affine``."""
     hs = [x.value]  # the input, then every layer's output
     for i, layer in enumerate(layers):
@@ -467,13 +437,16 @@ ADAM_EPS = 1e-8
 
 
 class OptimizerState:
-    """Adam over the parameters it packs: ``for_params`` copies their values
-    and gradients into one flat float64 buffer each, in parameter order, and
+    """Adam over the parameters it packs: it copies their values and
+    gradients into one flat float64 buffer each, in parameter order, and
     rebinds every ``ParamTensor.values`` and ``.grad`` as a view of its block.
     The moments ``m`` and ``v`` are flat too, so one step is one vectorized
-    update."""
+    update. Parameter names must be unique (ConfigError otherwise)."""
 
-    def __init__(self, params: Sequence[ParamTensor], lr: float) -> None:
+    def __init__(self, params: Sequence[ParamTensor], lr: float = 1e-3) -> None:
+        names = [p.name for p in params]
+        if len(set(names)) != len(names):
+            raise ConfigError("parameter names must be unique for optimizer state")
         self.lr = lr
         self.step_count = 0
         self.params = tuple(params)
@@ -489,21 +462,11 @@ class OptimizerState:
             p.values = self.values[start:end].reshape(shape)
             p.grad = self.grad[start:end].reshape(shape)
 
-    @classmethod
-    def for_params(cls, params: Sequence[ParamTensor], lr: float = 1e-3) -> "OptimizerState":
-        names = [p.name for p in params]
-        if len(set(names)) != len(names):
-            raise ConfigError("parameter names must be unique for optimizer state")
-        return cls(params, lr)
 
-
-def optimizer_step(params: Sequence[ParamTensor], state: OptimizerState) -> None:
-    """One Adam update (bias-corrected) of the parameters ``state`` packed,
-    which ``params`` must be, in order (UsageError otherwise); gradients are
-    zeroed afterwards. A NaN or infinite gradient raises NumericError naming
-    the first such parameter before any value moves."""
-    if tuple(params) != state.params:
-        raise UsageError("optimizer_step needs the parameters its state packed, in order")
+def optimizer_step(state: OptimizerState) -> None:
+    """One Adam update (bias-corrected) of the parameters ``state`` packed;
+    gradients are zeroed afterwards. A NaN or infinite gradient raises
+    NumericError naming the first such parameter before any value moves."""
     g = state.grad
     # a non-finite entry poisons the sum; a finite overflow is sorted out below
     if not math.isfinite(np.add.reduce(g, None)):
@@ -543,17 +506,19 @@ def minibatch_adam(params: Sequence[ParamTensor], n_rows: int, batch_loss, train
     batch's loss on a fresh tape and returns (scalar loss node, record); a
     NaN or infinite loss raises NumericError naming its epoch and batch, and
     an epoch or batch count that is not an integer of at least 1, or a rate
-    that is not finite and positive, raises ConfigError naming the key.
-    Returns each epoch's list of batch records."""
+    that is not a finite and positive number (a bool is not one), raises
+    ConfigError naming the key. Returns each epoch's list of batch records."""
     for key in ("epochs", "batch"):
         value = getattr(train, key)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ConfigError(f"train.{key} must be an integer, got {value!r}")
         if value < 1:
             raise ConfigError(f"train.{key} must be at least 1, got {value}")
+    if isinstance(train.lr, bool) or not isinstance(train.lr, numbers.Real):
+        raise ConfigError(f"train.lr must be a number, got {train.lr!r}")
     if not (math.isfinite(train.lr) and train.lr > 0):
         raise ConfigError(f"train.lr must be finite and positive, got {train.lr}")
-    state = OptimizerState.for_params(params, lr=train.lr)
+    state = OptimizerState(params, lr=train.lr)
     records = []
     for epoch in range(train.epochs):
         perm = rng.permutation(n_rows)
@@ -564,136 +529,6 @@ def minibatch_adam(params: Sequence[ParamTensor], n_rows: int, batch_loss, train
             if not np.isfinite(loss.value):
                 raise NumericError(f"non-finite loss at epoch {epoch} batch {start // train.batch}")
             backward(tape)
-            optimizer_step(params, state)
+            optimizer_step(state)  # the module global, which a tracer may rebind
             records[-1].append(record)
     return records
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-class _PinnedTape(Tape):
-    """A tape whose stopped values are pinned for the gradient checker.
-
-    A stop-gradient, and a closed slot of ``gate_merge``'s experts, make the
-    tape's gradient intentionally differ from the true derivative of the
-    forward function, so central differences of the raw loss cannot match
-    it. Built on an empty list, the tape appends a copy of every
-    stop-gradient output and every merge's expert operand to it; built on
-    the filled list, it reads the recorded values back in order: in place of
-    a stop-gradient's output, and in the closed slots of a merge's experts.
-    Pinning them during the perturbed evaluations turns the finite
-    difference into the derivative the tape actually defines.
-    """
-
-    def __init__(self, pinned: list) -> None:
-        super().__init__()
-        self._pinned = pinned
-        self._replaying = bool(pinned)
-        self._used = 0
-
-    def _pin(self, value: np.ndarray) -> np.ndarray:
-        if not self._replaying:
-            self._pinned.append(np.array(value, copy=True))
-        elif self._used == len(self._pinned):
-            raise UsageError("replay saw more pinned values than were recorded")
-        self._used += 1
-        return self._pinned[self._used - 1]
-
-    def stop_gradient(self, a: Node) -> Node:
-        node = super().stop_gradient(a)
-        node.value = self._pin(a.value)
-        return node
-
-    def gate_merge(self, gates, task: int, experts, open) -> Node:
-        node = super().gate_merge(gates, task, experts, open)
-        ev = np.where(np.asarray(open)[:, None, None], experts.value, self._pin(experts.value))
-        node.value = _merged(gates.value[task][:, :, None], ev)
-        return node
-
-
-def _relative_error(analytic, cd) -> float:
-    """The checker's relative error of one entry; inf where it is not finite."""
-    a, cd = float(analytic), float(cd)
-    rel = abs(a - cd) / max(abs(a), abs(cd), 1e-8)
-    return rel if math.isfinite(rel) else math.inf
-
-
-def finite_diff_check(
-    loss_fn: Callable[[Tape], Node],
-    params: Sequence[ParamTensor],
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    ``loss_fn(tape)`` must build the loss on the tape it is given, through
-    that tape's methods, and return the scalar loss node; the checker calls
-    it once per evaluation, each time with a fresh tape it builds itself.
-    The relative error for one parameter entry is
-    |analytic - cd| / max(|analytic|, |cd|, 1e-8), and inf where that is not
-    finite (a NaN or infinite gradient or loss); the max over all entries of
-    all params is returned. This routine never trusts the tape for the
-    reference values: it only re-evaluates the forward pass. An ``eps`` that
-    is not finite and positive raises ConfigError.
-
-    Stop-gradient outputs, and the closed slots of ``gate_merge``'s experts,
-    are replayed at their unperturbed values during the +-eps evaluations, so
-    the check validates the derivative the tape defines: stopped values are
-    constants.
-
-    Entries that disagree by more than 1e-7 may be quantization-limited in
-    float64 (the +-eps loss change sits within a few ulp of the loss
-    magnitude, which caps the attainable agreement for tiny gradients) and
-    are re-evaluated with the parameters cast to extended precision: same
-    definition, same eps, just enough arithmetic headroom to resolve the
-    difference. Genuine gradient bugs survive the re-evaluation unchanged.
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"finite difference step must be finite and positive, got {eps}")
-    pinned: list[np.ndarray] = []
-    for p in params:
-        p.zero_grad()
-    tape = _PinnedTape(pinned)
-    loss_fn(tape)
-    backward(tape)
-    analytic = {p.name: p.grad.copy() for p in params}
-    for p in params:
-        p.zero_grad()
-
-    def loss_at(flat, i, value):
-        flat[i] = value
-        return loss_fn(_PinnedTape(pinned)).value
-
-    recheck: list = []
-    worst = 0.0
-    for p in params:
-        flat = p.values.reshape(-1)
-        ref = analytic[p.name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            lp = float(loss_at(flat, i, orig + eps))
-            lm = float(loss_at(flat, i, orig - eps))
-            flat[i] = orig
-            rel = _relative_error(ref[i], (lp - lm) / (2.0 * eps))
-            if rel > 1e-7 and np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
-                recheck.append((p, i, ref[i]))
-            else:
-                worst = max(worst, rel)
-
-    if recheck:
-        originals = {id(p): p.values for p in params}
-        for p in params:
-            p.values = p.values.astype(np.longdouble)
-        try:
-            for p, i, a in recheck:
-                flat = p.values.reshape(-1)
-                orig = flat[i]
-                lp = loss_at(flat, i, orig + eps)
-                lm = loss_at(flat, i, orig - eps)
-                flat[i] = orig
-                worst = max(worst, _relative_error(a, float((lp - lm) / np.longdouble(2.0 * eps))))
-        finally:
-            for p in params:
-                p.values = originals[id(p)]
-    return worst

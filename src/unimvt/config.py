@@ -33,8 +33,12 @@ class LossWeights:
     lambda_o: float = 1e-4
 
     def validate(self) -> None:
+        """ConfigError naming the weight unless each is a finite and
+        nonnegative number; a bool is not one."""
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"loss weight {f.name} must be a number, got {value!r}")
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"loss weight {f.name} must be finite and nonnegative, "
                                   f"got {value}")

@@ -110,18 +110,24 @@ def dataset_arrays(ds: Dataset):
     return ds.X, ds.w, ds.t, ds.y, ds.truth_p0, ds.truth_eta
 
 
+def float_array(values, what: str) -> np.ndarray:
+    """values as a float64 array; DataFormatError says that ``what`` must be
+    numbers when they are complex or do not convert to floats."""
+    if np.iscomplexobj(values):  # a float64 cast drops imaginary parts with only a warning
+        raise DataFormatError(f"{what} must be numbers: got complex values")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{what} must be numbers: {exc}") from exc
+
+
 def feature_matrix(X, n_features: int) -> np.ndarray:
     """X as a 2-D float64 matrix for a model of n_features features. DataFormatError
     says that features must be numbers when X is complex or does not convert
-    to floats, and names the shape of an input of more than 2 dimensions, the
-    feature count of one not n_features wide, and the row and index of a
-    non-finite feature."""
-    if np.iscomplexobj(X):  # a float64 cast drops imaginary parts with only a warning
-        raise DataFormatError("features must be numbers: got complex values")
-    try:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"features must be numbers: {exc}") from exc
+    to floats (``float_array``), and names the shape of an input of more than
+    2 dimensions, the feature count of one not n_features wide, and the row
+    and index of a non-finite feature."""
+    X = np.atleast_2d(float_array(X, "features"))
     if X.ndim > 2:
         raise DataFormatError(f"features have shape {X.shape}; expected one row or a 2-D matrix")
     if X.shape[1] != n_features:

@@ -16,8 +16,8 @@ output through ``Tape.gate_merge``, whose slot mask closes the off-task
 group to the experts' gradient (u0 closes the treated slots, ut the base
 slots), so the base loss never trains treated experts and vice versa, while
 the shared slots stay open in both directions. A Frobenius cross-product
-penalty pushes the three groups' weight matrices toward mutually orthogonal
-subspaces.
+penalty, one tape node over every layer, pushes the three groups' weight
+matrices toward mutually orthogonal subspaces.
 """
 from __future__ import annotations
 
@@ -171,19 +171,19 @@ def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:
     With the Gram matrices G_g = A_g A_g^T, ||A_i^T A_j||_F^2 =
     tr(A_j^T A_i A_i^T A_j) = <G_i, G_j>_F, so a layer's penalty is
     sum_{i<j} <G_i, G_j>_F and its gradient for A_g is
-    2 (sum_h G_h - G_g) A_g. Each layer records one node with that vjp.
+    2 (sum_h G_h - G_g) A_g. Every layer's term and gradient go into one
+    node, whose parents are the layers' stacked weights.
     """
     if not params.enabled:
         return tape.constant(0.0)
-    total = None
+    values, grads = [], []
     for layer in params.experts:
         w = layer.W
         a = w.values.reshape(3, -1, *w.shape[1:])  # (group, expert, fan_in, fan_out)
         gram = (a @ a.swapaxes(-1, -2)).sum(axis=1)  # G_g: the sum of W W^T over group g
         others = gram.sum(axis=0) - gram
-        value = sum(np.vdot(gram[i], gram[j])
-                    for i, j in ((BASE, SHARED), (BASE, TREATED), (SHARED, TREATED)))
-        grad = 2.0 * (others[:, None] @ a).reshape(w.shape)
-        term = tape.record(value, (w,), lambda g, grad=grad: (g * grad,))
-        total = term if total is None else tape.add(total, term)
-    return total
+        values.append(sum(np.vdot(gram[i], gram[j])
+                          for i, j in ((BASE, SHARED), (BASE, TREATED), (SHARED, TREATED))))
+        grads.append(2.0 * (others[:, None] @ a).reshape(w.shape))
+    return tape.record(sum(values), [layer.W for layer in params.experts],
+                       lambda g: [g * grad for grad in grads])

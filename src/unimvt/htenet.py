@@ -15,9 +15,9 @@ shifting with t_hat * eta. One ``forward`` records the network for training
 and prediction alike, which differ only in the dose that gates the treatment
 tower. Prediction records it in blocks of ``autodiff.SCORE_ROWS`` rows, each
 on a fresh tape, so scoring holds one block's tape whatever the row count.
-The joint loss is one closed-form node for the factual cross-entropies, the
-intensity regression and the counterfactual MSE terms (``loss_terms``) plus
-the expert orthogonality penalty, its own node;
+The joint loss is one closed-form node (``loss_terms``) over the factual
+cross-entropies, the intensity regression, the counterfactual MSE terms and
+the expert orthogonality penalty, which enters it as an operand;
 ``train`` runs it in the shared loop ``autodiff.minibatch_adam``.
 The uplift head reaches the joint loss only through the counterfactual
 terms, so ``loss.lambda_x = 0`` leaves it untrained at its initialization.
@@ -36,7 +36,7 @@ from . import kvfile
 from .autodiff import PROB_EPS
 from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_flat,
                      default_config)
-from .datagen import Dataset, dataset_arrays, feature_matrix
+from .datagen import Dataset, dataset_arrays, feature_matrix, float_array
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
 from .errors import ConfigError, DataFormatError, NumericError, UsageError
 
@@ -232,13 +232,14 @@ LOSS_COMPONENTS = {"l_base": "lambda_base", "l_treat": "lambda_treat", "l_t": "l
 
 
 def loss_terms(weights: LossWeights, y_col, w_col, t_col, p0, pt, t_hat, p_cf, p_base_cf,
-               tape: ad.Tape):
+               r_orth, tape: ad.Tape):
     """The weighted sum of l_base (p0's cross-entropy, control rows), l_treat
-    (pt's, treated rows), l_t ((t - t_hat)^2 + |t - t_hat|, treated rows) and
-    l_x (squared errors of p_cf, treated rows, and p_base_cf, control rows) as
-    one node with a closed-form vjp. A zero weight drops its term: no value,
-    no parent, a component of 0.0. Returns (the node, None if every term is
-    dropped; the unweighted terms under every LOSS_COMPONENTS key)."""
+    (pt's, treated rows), l_t ((t - t_hat)^2 + |t - t_hat|, treated rows),
+    l_x (squared errors of p_cf, treated rows, and p_base_cf, control rows)
+    and r_orth (the scalar penalty node, as it is) as one node with a
+    closed-form vjp. A zero weight drops its term: no value, no parent, a
+    component of 0.0. Returns (the node, None if every term is dropped; the
+    unweighted terms under every LOSS_COMPONENTS key)."""
     ctrl_mask = 1.0 - w_col
     parts = {}  # term -> its (operand, row mask, per-row loss, that loss's vjp in the operand)
     if weights.lambda_base > 0:
@@ -253,6 +254,8 @@ def loss_terms(weights: LossWeights, y_col, w_col, t_col, p0, pt, t_hat, p_cf, p
         parts["l_x"] = [(p, mask, d * d, lambda g, d=d: -(2.0 * g * d))
                         for p, mask, d in ((p_cf, w_col, y_col - p_cf.value),
                                            (p_base_cf, ctrl_mask, y_col - p_base_cf.value))]
+    if weights.lambda_o > 0:
+        parts["r_orth"] = [(r_orth, np.ones(()), r_orth.value, lambda g: g)]
     components = dict.fromkeys(LOSS_COMPONENTS, 0.0)
     total, flat = None, []
     for name, term in parts.items():
@@ -270,8 +273,8 @@ def loss_terms(weights: LossWeights, y_col, w_col, t_col, p0, pt, t_hat, p_cf, p
 
 
 def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape: ad.Tape):
-    """Joint loss over a batch, ``loss_terms`` plus the weighted orthogonality
-    penalty: (total node, per-term unweighted sums)."""
+    """Joint loss over a batch, ``loss_terms`` on the forward nodes and the
+    orthogonality penalty: (total node, per-term unweighted sums)."""
     if X.shape[0] == 0:
         raise UsageError("joint_loss needs a nonempty batch")
     w_col, y_col, t_col = (np.asarray(a, dtype=np.float64).reshape(-1, 1) for a in (w, y, t))
@@ -280,13 +283,10 @@ def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape
     fw = forward(model, np.asarray(X, dtype=np.float64), tape,
                  lambda t_hat: tape.add(tape.mul(1.0 - w_col, t_hat), t_col))
     p_base_cf = tape.bridge(fw.pt, tape.scale(fw.tau, -1.0)) if weights.lambda_x > 0 else None
+    # recorded after the forward nodes: backward adds its gradient into the expert weights first
+    r_orth = orth_penalty(model.dcr, tape) if weights.lambda_o > 0 else None
     total, components = loss_terms(weights, y_col, w_col, t_col, fw.p0, fw.pt, fw.t_hat,
-                                   fw.p_cf, p_base_cf, tape)
-    if weights.lambda_o > 0:
-        r_orth = orth_penalty(model.dcr, tape)
-        components["r_orth"] = float(r_orth.value)
-        weighted = tape.scale(r_orth, weights.lambda_o)
-        total = weighted if total is None else tape.add(total, weighted)
+                                   fw.p_cf, p_base_cf, r_orth, tape)
     return (tape.constant(0.0) if total is None else total), components
 
 
@@ -379,13 +379,7 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     if q is None:
         extrapolated = np.zeros(n, dtype=bool)
     else:
-        q = np.asarray(q)
-        if q.dtype.kind == "c":  # a float64 cast drops imaginary parts with only a warning
-            raise DataFormatError("q must be numbers: got complex values")
-        try:
-            q = q.astype(np.float64, copy=False)
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"q must be numbers: {exc}") from exc
+        q = float_array(q, "q")
         if q.ndim > 1 or q.size not in (1, n):
             raise DataFormatError(f"q has shape {q.shape} for {n} rows; "
                                   "expected a scalar or one value per row")

@@ -1,11 +1,15 @@
 """Tests for the reverse-mode tape: forward identities, gradient oracles,
 stop-gradient semantics, optimizer behaviour and the finite-difference checker."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logit
 
+import gradcheck
+from gradcheck import affine, finite_diff_check, relu, sigmoid
 from unimvt import autodiff as ad
 from unimvt.config import TrainConfig
 from unimvt.errors import ConfigError, NumericError, UsageError
@@ -85,13 +89,13 @@ def fused_mlp_case(stacked, activation, seed=0):
 
 
 def chain_of_primitives(layers, x, tape):
-    """The layer stack as one Tape primitive per affine and activation."""
+    """The layer stack as one reference node per affine and activation."""
     for layer in layers:
-        x = tape.affine(x, layer.W, layer.b)
+        x = affine(tape, x, layer.W, layer.b)
         if layer.activation == "relu":
-            x = tape.relu(x)
+            x = relu(tape, x)
         elif layer.activation == "sigmoid":
-            x = tape.sigmoid(x)
+            x = sigmoid(tape, x)
     return x
 
 
@@ -112,7 +116,7 @@ def test_mlp_is_one_node_equal_to_the_chain_of_primitives(stacked, activation):
         ad.backward(tape)
         results.append((out.value, [p.grad.copy() for p in params], recorded))
         for p in params:
-            p.zero_grad()
+            p.grad.fill(0.0)
     (fused, fused_grads, fused_nodes), (chain, chain_grads, _) = results
     assert fused_nodes == 1
     assert np.array_equal(fused, chain)
@@ -135,7 +139,7 @@ def test_mlp_gradients_against_finite_differences(stacked, activation, live):
         return tape.sum_all(tape.mul(nodes[-1], weights))
 
     params = [x, *ad.mlp_params(layers)] if live else ad.mlp_params(layers)
-    assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
+    assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
     assert (nodes[0].vjp(np.ones_like(nodes[0].value))[0] is None) == (not live)
 
 
@@ -179,7 +183,7 @@ def test_operand_from_another_tape_is_usage_error():
     with pytest.raises(UsageError):
         tape.add(w, foreign)
     with pytest.raises(UsageError):
-        tape.relu(foreign)
+        tape.sum_all(foreign)
 
 
 def test_a_parameter_is_a_leaf_of_every_tape():
@@ -205,7 +209,7 @@ def test_backward_two_layer_net_matches_finite_differences():
         p = ad.mlp_forward(layers, tape.constant(x), tape)
         return tape.sum_all(tape.binary_cross_entropy(y, p))
 
-    assert ad.finite_diff_check(loss_fn, params, eps=1e-5) < 1e-4
+    assert finite_diff_check(loss_fn, params, eps=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +244,19 @@ def test_stop_gradient_additive_path_stays_open():
 # ---------------------------------------------------------------------------
 
 
+def one_layer(activation, column):
+    """mlp_forward on a fresh tape over an (n, 1) column, a constant or a
+    ParamTensor whose gradient is wanted, through one layer of ``activation``
+    whose affine part, x @ [[1]] + [0], passes every finite entry through."""
+    tape = ad.Tape()
+    layer = make_layer("l0", np.ones((1, 1)), np.zeros(1), activation)
+    x = column if isinstance(column, ad.ParamTensor) else tape.constant(column)
+    return ad.mlp_forward([layer], x, tape)
+
+
 @given(st.floats(-30, 30))
 def test_sigmoid_strictly_inside_unit_interval(z):
-    tape = ad.Tape()
-    s = tape.sigmoid(tape.constant(np.array([[z]])))
+    s = one_layer("sigmoid", np.array([[z]]))
     assert 0.0 < s.value[0, 0] < 1.0
 
 
@@ -256,6 +269,9 @@ EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-3
 # |x| > 708 underflows exp(-|x|); the sigmoid must stay silent at every one
 SIGMOID_EDGES = np.concatenate([EDGES, [36.0, -36.0, 709.5, -709.5, 711.0, -711.0,
                                         745.2, -745.2, 800.0, -800.0]])
+# what a layer's activation can see: mlp_forward raises on a non-finite affine output
+FINITE_EDGES = EDGES[np.isfinite(EDGES)]
+FINITE_SIGMOID_EDGES = SIGMOID_EDGES[np.isfinite(SIGMOID_EDGES)]
 
 
 def select_relu(a):
@@ -284,30 +300,29 @@ def assert_within_2_ulp_where_normal(got, want):
     assert (err <= 2 * np.spacing(np.abs(want[normal]))).all()
 
 
-def test_relu_equals_the_select_form_and_maps_nan_to_zero():
-    a = np.concatenate([EDGES, np.random.default_rng(0).standard_normal(49)]).reshape(8, 8)
+def test_mlp_relu_equals_the_select_form():
+    a = np.concatenate([FINITE_EDGES, np.random.default_rng(0).standard_normal(54)]).reshape(-1, 1)
     g = np.random.default_rng(1).standard_normal(a.shape)
-    tape = ad.Tape()
-    node = tape.relu(ad.ParamTensor("a", a))
-    assert np.array_equal(node.value, select_relu(a)) and not np.signbit(node.value).any()
-    assert node.value.flat[EDGES.size - 1] == 0.0  # NaN
-    assert same_bits(node.vjp(g)[0], g * (a > 0))
+    node = one_layer("relu", ad.ParamTensor("a", a))
+    assert same_bits(node.value, select_relu(a)) and not np.signbit(node.value).any()
+    assert np.array_equal(node.vjp(g)[0], g * (a > 0))  # the input's gradient
 
 
 def test_sigmoid_equals_the_select_form_without_overflow():
-    """The sigmoid is scipy's expit bit for bit, silent at every edge, and
-    agrees with the select form to 2 ulp wherever that form is normal."""
-    x = SIGMOID_EDGES.reshape(5, 5)
+    """The sigmoid of a layer is scipy's expit bit for bit, silent at every
+    edge, and agrees with the select form to 2 ulp wherever that form is
+    normal."""
+    x = FINITE_SIGMOID_EDGES.reshape(-1, 1)
     with np.errstate(all="raise"):
-        tape = ad.Tape()
-        got = tape.sigmoid(tape.constant(x)).value
+        got = one_layer("sigmoid", x).value
     assert same_bits(got, expit(x))
-    assert np.isnan(got[np.isnan(x)]).all() and got[x == np.inf] == 1.0 and got[x == -np.inf] == 0.0
+    assert got[x == 800.0] == 1.0 and got[x == -800.0] == 0.0
     dense = np.concatenate([x.reshape(-1), np.linspace(-720.0, 720.0, 14401),
                             np.random.default_rng(7).standard_normal(1000) * 10.0])
     with np.errstate(all="raise", under="ignore"):
         want = select_sigmoid(dense)
-    assert_within_2_ulp_where_normal(tape.sigmoid(tape.constant(dense)).value, want)
+    assert_within_2_ulp_where_normal(one_layer("sigmoid", dense.reshape(-1, 1)).value,
+                                     want.reshape(-1, 1))
 
 
 def test_bridge_equals_the_select_form():
@@ -331,9 +346,7 @@ def test_bridge_equals_the_select_form():
 def test_affine_adds_the_bias_as_before(shapes):
     rng = np.random.default_rng(3)
     x, w, b = (rng.standard_normal(s) for s in shapes)
-    tape = ad.Tape()
-    got = tape.affine(tape.constant(x), tape.constant(w), tape.constant(b)).value
-    assert same_bits(got, x @ w + b)
+    assert same_bits(ad.affine_value(x, w, b), x @ w + b)
 
 
 @pytest.mark.parametrize("shape", [(256, 32), (6, 256, 16), (1, 8), (3, 1, 4)])
@@ -374,13 +387,12 @@ def test_kernels_keep_extended_precision():
     x = rng.standard_normal((3, 4))
     w, b = rng.standard_normal((4, 2)), rng.standard_normal(2)
     ld = np.longdouble
-    tape = ad.Tape()
     for wv, bv in [(w.astype(ld), b.astype(ld)), (w, b.astype(ld))]:
-        out = tape.affine(tape.constant(x), tape.constant(wv), tape.constant(bv)).value
-        assert same_bits(out, x @ wv + bv)  # an in-place add would round b to float64
-    xl = x.astype(ld)
-    assert tape.relu(tape.constant(xl)).value.dtype == ld
-    got = tape.sigmoid(tape.constant(xl)).value
+        # an in-place add would round b to float64
+        assert same_bits(ad.affine_value(x, wv, bv), x @ wv + bv)
+    xl = x.reshape(-1, 1).astype(ld)
+    assert one_layer("relu", xl).value.dtype == ld
+    got = one_layer("sigmoid", xl).value
     assert same_bits(got, expit(xl))  # longdouble in, longdouble out
     assert_within_2_ulp_where_normal(got, select_sigmoid(xl))  # in longdouble's ulp
 
@@ -404,26 +416,27 @@ def square(tape, a):
     return tape.mul(a, a)
 
 
-# one finite-difference term per Tape primitive, keyed by its name; each
-# records the primitive on wn (3, 4) or on stacked = affine(wn, ws, bs) (2, 3, 3)
+# one finite-difference term per Tape primitive and per gradcheck reference,
+# keyed by its name; each records it on wn (3, 4) or on
+# stacked = affine(wn, ws, bs) (2, 3, 3)
 PRIMITIVE_TERMS = {
     "add": lambda tape, wn, stacked: tape.add(square(tape, wn), tape.scale(wn, 0.5)),
-    "mul": lambda tape, wn, stacked: tape.mul(tape.sigmoid(wn), wn),
+    "mul": lambda tape, wn, stacked: tape.mul(sigmoid(tape, wn), wn),
     "scale": lambda tape, wn, stacked: tape.scale(square(tape, wn), -0.7),
     "affine": lambda tape, wn, stacked: square(tape, stacked),
-    "relu": lambda tape, wn, stacked: square(tape, tape.relu(stacked)),
-    "sigmoid": lambda tape, wn, stacked: tape.mul(FD_MASK, tape.sigmoid(wn)),
+    "relu": lambda tape, wn, stacked: square(tape, relu(tape, stacked)),
+    "sigmoid": lambda tape, wn, stacked: tape.mul(FD_MASK, sigmoid(tape, wn)),
     "bridge": lambda tape, wn, stacked: square(tape, tape.bridge(
         tape.add(tape.scale(wn, 0.4), FD_OFFSETS), tape.add(tape.scale(wn, 0.3), FD_SHIFTS))),
     # stacked (2, 3, 3) as the gates of two tasks over 3 slots and 3 rows
     "gate_merge": lambda tape, wn, stacked: tape.mul(FD_MERGE_MASK, tape.gate_merge(
-        tape.sigmoid(stacked), 1,
-        tape.relu(tape.affine(wn, tape.constant(FD_EXPERT_W), tape.constant(np.zeros((3, 1, 2))))),
+        sigmoid(tape, stacked), 1,
+        relu(tape, affine(tape, wn, tape.constant(FD_EXPERT_W), tape.constant(np.zeros((3, 1, 2))))),
         FD_OPEN)),
     "stop_gradient": lambda tape, wn, stacked: tape.mul(tape.stop_gradient(stacked), stacked),
     "sum_all": lambda tape, wn, stacked: tape.sum_all(square(tape, wn)),
     "binary_cross_entropy": lambda tape, wn, stacked: tape.binary_cross_entropy(
-        FD_LABELS, tape.sigmoid(tape.add(wn, -1.0))),
+        FD_LABELS, sigmoid(tape, tape.add(wn, -1.0))),
 }
 
 
@@ -435,9 +448,9 @@ def test_primitive_gradients_against_finite_differences():
 
     def check(term):
         def loss_fn(tape):
-            return tape.sum_all(term(tape, w, tape.affine(w, ws, bs)))
+            return tape.sum_all(term(tape, w, affine(tape, w, ws, bs)))
 
-        return ad.finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6)
+        return finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6)
 
     errors = {name: check(term) for name, term in PRIMITIVE_TERMS.items()}
     assert max(errors.values()) < 1e-6, errors
@@ -446,15 +459,18 @@ def test_primitive_gradients_against_finite_differences():
 def test_every_primitive_has_a_finite_difference_term():
     methods = {name for name, attr in vars(ad.Tape).items()
                if callable(attr) and not name.startswith("_")}
-    assert set(PRIMITIVE_TERMS) == methods - {"record", "constant"}
+    references = {name for name, attr in vars(gradcheck).items()
+                  if inspect.isfunction(attr) and attr.__module__ == gradcheck.__name__
+                  and not name.startswith("_")} - {"finite_diff_check"}
+    assert set(PRIMITIVE_TERMS) == (methods - {"record", "constant"}) | references
 
 
 # every primitive with more than one operand: (record, operand shapes)
 MULTI_OPERAND = {
     "add": (lambda tape, a, b: tape.add(a, b), [(3, 4), (1, 4)]),
     "mul": (lambda tape, a, b: tape.mul(a, b), [(3, 4), (3, 1)]),
-    "affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (4, 2), (2,)]),
-    "stacked affine": (lambda tape, x, w, b: tape.affine(x, w, b), [(3, 4), (2, 4, 5), (2, 1, 5)]),
+    "affine": (affine, [(3, 4), (4, 2), (2,)]),
+    "stacked affine": (affine, [(3, 4), (2, 4, 5), (2, 1, 5)]),
     "bridge": (lambda tape, p, shift: tape.bridge(p, shift), [(3, 1), (3, 1)]),
     "gate_merge": (lambda tape, gates, experts: tape.gate_merge(gates, 1, experts, [True, False]),
                    [(2, 2, 3), (2, 3, 4)]),
@@ -538,31 +554,31 @@ def test_bridge_matches_scalar_oracle(p, delta):
 
 def test_optimizer_zero_gradient_leaves_params_unchanged():
     p = ad.ParamTensor("p", np.array([[1.0, -2.0]]))
-    state = ad.OptimizerState.for_params([p])
+    state = ad.OptimizerState([p])
     before = p.values.copy()
-    ad.optimizer_step([p], state)
+    ad.optimizer_step(state)
     np.testing.assert_array_equal(p.values, before)
 
 
 def test_optimizer_constant_gradient_descends_monotonically():
     p = ad.ParamTensor("p", np.array([[5.0]]))
-    state = ad.OptimizerState.for_params([p], lr=0.01)
+    state = ad.OptimizerState([p], lr=0.01)
     values = [p.values[0, 0]]
     for _ in range(50):
         p.grad[:] = 2.0
-        ad.optimizer_step([p], state)
+        ad.optimizer_step(state)
         values.append(p.values[0, 0])
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_optimizer_converges_on_quadratic_bowl():
     w = ad.ParamTensor("w", np.array([[0.0]]))
-    state = ad.OptimizerState.for_params([w], lr=0.05)
+    state = ad.OptimizerState([w], lr=0.05)
     for _ in range(500):
         tape = ad.Tape()
         tape.sum_all(square(tape, tape.add(w, -2.0)))
         ad.backward(tape)
-        ad.optimizer_step([w], state)
+        ad.optimizer_step(state)
     assert abs(w.values[0, 0] - 2.0) < 0.01
 
 
@@ -570,7 +586,7 @@ def test_optimizer_nonfinite_gradient_names_parameter():
     p = ad.ParamTensor("tower.l0.W", np.ones((1, 1)))
     p.grad[:] = np.nan
     with pytest.raises(NumericError, match="tower.l0.W"):
-        ad.optimizer_step([p], ad.OptimizerState.for_params([p]))
+        ad.optimizer_step(ad.OptimizerState([p]))
 
 
 def reference_adam(values, grad_steps, lr):
@@ -601,11 +617,11 @@ def test_flat_adam_matches_the_per_tensor_update():
     start = [p.values.copy() for p in params]
     grad_steps = [[rng.standard_normal(p.shape) * 10.0**rng.integers(-4, 3) for p in params]
                   for _ in range(5)]
-    state = ad.OptimizerState.for_params(params, lr=0.01)
+    state = ad.OptimizerState(params, lr=0.01)
     for grads in grad_steps:
         for p, g in zip(params, grads):
             p.grad[...] = g
-        ad.optimizer_step(params, state)
+        ad.optimizer_step(state)
     for p, want in zip(params, reference_adam(start, grad_steps, lr=0.01)):
         assert np.array_equal(p.values, want)
         assert not np.any(p.grad)
@@ -613,30 +629,27 @@ def test_flat_adam_matches_the_per_tensor_update():
 
 def test_nonfinite_gradient_names_the_parameter_before_any_value_moves():
     params = three_params(np.random.default_rng(22))
-    state = ad.OptimizerState.for_params(params)
+    state = ad.OptimizerState(params)
     for p in params:
         p.grad[...] = 1.0
     params[1].grad[2] = np.nan
     before = [p.values.copy() for p in params]
     with pytest.raises(NumericError, match="'b'"):
-        ad.optimizer_step(params, state)
+        ad.optimizer_step(state)
     for p, values in zip(params, before):
         np.testing.assert_array_equal(p.values, values)
 
 
-def test_optimizer_step_needs_the_packed_parameters():
-    a, b, c = three_params(np.random.default_rng(23))
-    state = ad.OptimizerState.for_params([a, b])
-    ad.optimizer_step((a, b), state)  # the same parameters in another sequence
-    for other in ([a], [b, a], [a, b, c], [a, ad.ParamTensor("b", b.values)]):
-        with pytest.raises(UsageError):
-            ad.optimizer_step(other, state)
+def test_optimizer_state_refuses_duplicate_parameter_names():
+    a, b, _ = three_params(np.random.default_rng(23))
+    with pytest.raises(ConfigError, match="unique"):
+        ad.OptimizerState([a, b, ad.ParamTensor("a", a.values)])
 
 
 def test_optimizer_step_zeroes_gradients():
     p = ad.ParamTensor("p", np.ones((2, 2)))
     p.grad[:] = 1.0
-    ad.optimizer_step([p], ad.OptimizerState.for_params([p]))
+    ad.optimizer_step(ad.OptimizerState([p]))
     np.testing.assert_array_equal(p.grad, np.zeros((2, 2)))
 
 
@@ -693,7 +706,7 @@ def test_finite_diff_exact_for_linear_loss():
     def loss_fn(tape):
         return tape.sum_all(w)
 
-    assert ad.finite_diff_check(loss_fn, [w], eps=1e-5) < 1e-8
+    assert finite_diff_check(loss_fn, [w], eps=1e-5) < 1e-8
 
 
 def test_finite_diff_detects_corrupted_gradient():
@@ -703,21 +716,21 @@ def test_finite_diff_detects_corrupted_gradient():
         # deliberately wrong vjp: doubles the true gradient of w**2
         return tape.record(w.values**2, (w,), lambda g: (4.0 * g * w.values,))
 
-    err = ad.finite_diff_check(lambda tape: tape.sum_all(loss_fn(tape)), [w], eps=1e-5)
+    err = finite_diff_check(lambda tape: tape.sum_all(loss_fn(tape)), [w], eps=1e-5)
     assert err > 0.3
 
 
 def test_finite_diff_rejects_nonpositive_eps():
     w = ad.ParamTensor("w", np.ones((1, 1)))
     with pytest.raises(ConfigError):
-        ad.finite_diff_check(lambda: None, [w], eps=0.0)
+        finite_diff_check(lambda: None, [w], eps=0.0)
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
 def test_finite_diff_rejects_a_nonfinite_eps(eps):
     w = ad.ParamTensor("w", np.ones((1, 1)))
     with pytest.raises(ConfigError, match="finite and positive"):
-        ad.finite_diff_check(lambda tape: tape.sum_all(w), [w], eps=eps)
+        finite_diff_check(lambda tape: tape.sum_all(w), [w], eps=eps)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -729,7 +742,7 @@ def test_finite_diff_counts_a_nonfinite_gradient_as_infinitely_wrong(bad):
         square = tape.record(w.values**2, (w,), lambda g: (g * 2.0 * w.values * [[bad, 1.0]],))
         return tape.sum_all(square)
 
-    assert ad.finite_diff_check(loss_fn, [w], eps=1e-5) == np.inf
+    assert finite_diff_check(loss_fn, [w], eps=1e-5) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +757,7 @@ def test_seeded_init_and_steps_are_bit_reproducible():
             make_layer("l1", ad.glorot_uniform(rng, 4, 1), np.zeros(1), "sigmoid"),
         ]
         params = ad.mlp_params(layers)
-        state = ad.OptimizerState.for_params(params, lr=1e-3)
+        state = ad.OptimizerState(params, lr=1e-3)
         x = rng.standard_normal((16, 3))
         y = rng.integers(0, 2, size=(16, 1)).astype(float)
         for _ in range(5):
@@ -752,7 +765,7 @@ def test_seeded_init_and_steps_are_bit_reproducible():
             p = ad.mlp_forward(layers, tape.constant(x), tape)
             tape.sum_all(tape.binary_cross_entropy(y, p))
             ad.backward(tape)
-            ad.optimizer_step(params, state)
+            ad.optimizer_step(state)
         return np.concatenate([p.values.reshape(-1) for p in params])
 
     a, b = run(), run()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gradcheck import finite_diff_check
 from unimvt import autodiff as ad
 from unimvt import dcr
 from unimvt.errors import ConfigError
@@ -112,7 +113,7 @@ def test_gate_node_against_finite_differences():
         return tape.sum_all(tape.mul(mask, dcr.gates_forward(params, tape.constant(x), tape)))
 
     gate_params = ad.mlp_params(params.gate0) + ad.mlp_params(params.gate_t)
-    assert ad.finite_diff_check(loss_fn, gate_params, eps=1e-6) < 1e-6
+    assert finite_diff_check(loss_fn, gate_params, eps=1e-6) < 1e-6
 
 
 def test_both_representations_against_finite_differences():
@@ -127,7 +128,7 @@ def test_both_representations_against_finite_differences():
         out = dcr.dcr_forward(params, tape.constant(x), tape)
         return tape.sum_all(tape.add(tape.mul(m0, out.u0), tape.mul(mt, out.ut)))
 
-    assert ad.finite_diff_check(loss_fn, params.parameters(), eps=1e-6) < 1e-6
+    assert finite_diff_check(loss_fn, params.parameters(), eps=1e-6) < 1e-6
 
 
 def test_dimension_mismatch_is_config_error():
@@ -213,7 +214,7 @@ def test_orth_penalty_nonnegative_and_differentiable():
 
     assert float(loss_fn(ad.Tape()).value) >= 0.0
     weights = [layer.W for layer in params.experts]
-    assert ad.finite_diff_check(loss_fn, weights, eps=1e-6) < 1e-6
+    assert finite_diff_check(loss_fn, weights, eps=1e-6) < 1e-6
 
 
 # ---------------------------------------------------------------------------

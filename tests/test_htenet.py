@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
+from gradcheck import finite_diff_check
 from unimvt import autodiff as ad
 from unimvt import baselines
 from unimvt import datagen as dg
 from unimvt import dcr
 from unimvt import htenet as ht
-from unimvt.config import (AblationConfig, ExperimentConfig, LossWeights, TrainConfig,
-                           apply_overrides)
+from unimvt.config import AblationConfig, ExperimentConfig, LossWeights, TrainConfig
 from unimvt.dcr import DcrConfig
 from unimvt.errors import ConfigError, DataFormatError, NumericError, UsageError
 
@@ -141,7 +141,7 @@ def test_treat_tower_gradients_against_finite_differences(live_dose):
     params = [ut, *ad.mlp_params(hte.treat_tower), *ad.mlp_params(hte.ta_gates)]
     if live_dose:
         params.append(dose)
-    assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
+    assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
     assert (nodes[0].vjp(np.ones((6, 1)))[1] is None) == (not live_dose)
 
 
@@ -204,7 +204,7 @@ def test_intensity_head_against_finite_differences():
         return tape.sum_all(tape.mul(t_hat, weights))
 
     head = ad.mlp_params(model.hte.intensity_head)
-    assert ad.finite_diff_check(loss_fn, [ut, *head], eps=1e-6) < 1e-6
+    assert finite_diff_check(loss_fn, [ut, *head], eps=1e-6) < 1e-6
     tape = ad.Tape()
     loss_fn(tape)
     ad.backward(tape)
@@ -369,12 +369,13 @@ def test_joint_loss_total_is_weighted_component_sum():
     assert float(total.value) == pytest.approx(want, abs=1e-12)
 
 
-# the weights of the loss_terms node: each term alone, then all four at once
+# the weights of the loss_terms node: each term alone, then all five at once
 LOSS_TERM_WEIGHTS = {"l_base": LossWeights(1.3, 0, 0, 0, 0),
                      "l_treat": LossWeights(0, 0.7, 0, 0, 0),
                      "l_t": LossWeights(0, 0, 0.4, 0, 0),
                      "l_x": LossWeights(0, 0, 0, 0.9, 0),
-                     "all": LossWeights(1.3, 0.7, 0.4, 0.9, 0)}
+                     "r_orth": LossWeights(0, 0, 0, 0, 0.6),
+                     "all": LossWeights(1.3, 0.7, 0.4, 0.9, 0.6)}
 
 
 @pytest.mark.parametrize("terms", LOSS_TERM_WEIGHTS)
@@ -387,20 +388,21 @@ def test_loss_terms_node_against_finite_differences(terms):
     p0, pt, p_cf, p_base_cf = (ad.ParamTensor(name, rng.uniform(0.05, 0.95, size=(n, 1)))
                                for name in ("p0", "pt", "p_cf", "p_base_cf"))
     t_hat = ad.ParamTensor("t_hat", rng.uniform(1.0, 3.0, size=(n, 1)))
+    r_orth = ad.ParamTensor("r_orth", rng.uniform(0.5, 2.0))  # the penalty, a scalar
     weights = LOSS_TERM_WEIGHTS[terms]
     tapes = []
 
     def loss_fn(tape):
         tapes.append(tape)
         node, _ = ht.loss_terms(weights, y_col, w_col, t_col, p0, pt, t_hat, p_cf, p_base_cf,
-                                tape)
+                                r_orth, tape)
         return node
 
-    params = [p0, pt, t_hat, p_cf, p_base_cf]
-    assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
+    params = [p0, pt, t_hat, p_cf, p_base_cf, r_orth]
+    assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
     # one node, whose parents are the operands of the terms its weights keep
     kept = {"l_base": [p0], "l_treat": [pt], "l_t": [t_hat], "l_x": [p_cf, p_base_cf],
-            "all": params}[terms]
+            "r_orth": [r_orth], "all": params}[terms]
     assert len(tapes[0].nodes) == 1
     assert list(tapes[0].nodes[0].parents) == kept
 
@@ -467,7 +469,7 @@ def test_full_joint_loss_passes_gradient_check():
         total, _ = ht.joint_loss_arrays(X, w, t, y, model, weights, tape)
         return total
 
-    assert ad.finite_diff_check(loss_fn, params, eps=1e-5) < 1e-4
+    assert finite_diff_check(loss_fn, params, eps=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +524,13 @@ def syn600():
                                         ("train.epochs", 0), ("train.epochs", -1),
                                         ("train.lr", 0.0), ("train.lr", -1e-3),
                                         ("train.lr", np.nan), ("train.lr", np.inf),
-                                        ("train.seed", -1)])
+                                        ("train.lr", True), ("train.lr", "0.1"),
+                                        ("train.lr", None), ("train.seed", -1)])
 def test_training_names_a_bad_setting(syn600, fit, key, value):
+    cfg = ExperimentConfig()  # set as it is: a config file's parser would refuse a str
+    setattr(cfg.train, key.removeprefix("train."), value)
     with pytest.raises(ConfigError, match=re.escape(key)):
-        fit(syn600, apply_overrides(ExperimentConfig(), {key: value}))
+        fit(syn600, cfg)
 
 
 @pytest.mark.parametrize("fit", [ht.train, baselines.train_slearner, baselines.train_tlearner],
@@ -538,7 +543,7 @@ def test_training_names_a_seed_that_is_not_an_integer(syn600, fit, seed):
         fit(syn600, cfg)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, True, "0.1", None])
 def test_training_names_a_bad_loss_weight(syn600, bad):
     with pytest.raises(ConfigError, match="loss weight lambda_t"):
         ht.train(syn600, ExperimentConfig(loss=LossWeights(lambda_t=bad)))
@@ -754,12 +759,12 @@ def test_eta_nonnegative_everywhere():
 # tape-node budget: node growth shows up here, not only as benchmark time
 # ---------------------------------------------------------------------------
 
-def test_default_training_batch_records_at_most_25_nodes():
+def test_default_training_batch_records_at_most_21_nodes():
     model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
     X, w, t, y = tiny_batch(seed=1, n=256, input_dim=8)
     tape = ad.Tape()
     ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), tape)
-    assert len(tape.nodes) <= 25
+    assert len(tape.nodes) <= 21
 
 
 def test_predict_records_at_most_13_nodes(monkeypatch):
@@ -918,14 +923,14 @@ def test_training_batches_compute_no_dead_gradient(monkeypatch):
 def test_batch_and_predict_leave_no_cyclic_garbage():
     model = ht.build_model(ExperimentConfig(), input_dim=5, t_min=1.0, t_max=3.0)
     params = model.parameters()
-    state = ad.OptimizerState.for_params(params)
+    state = ad.OptimizerState(params)
     X, w, t, y = tiny_batch(seed=5, n=64)
 
     def batch():
         tape = ad.Tape()
         ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), tape)
         ad.backward(tape)
-        ad.optimizer_step(params, state)
+        ad.optimizer_step(state)
 
     gc.collect()
     gc.disable()

@@ -1,10 +1,12 @@
 """Every entry point named outside the package resolves to a callable: the
 console scripts of pyproject.toml and the functions the benchmark's tracer
-rebinds by name; a traced training gives the tracer what it reads; and the
-benchmark's serving loop runs on the library's decision API."""
+rebinds by name; a traced training gives the tracer what it reads; the
+benchmark's serving loop runs on the library's decision API; and the package
+ships only tape primitives it records."""
 
 import importlib
 import importlib.util
+import re
 import sys
 import tomllib
 from dataclasses import replace
@@ -13,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from unimvt import autodiff as ad
 from unimvt import datagen, htenet
 from unimvt.config import ExperimentConfig, TrainConfig
 
@@ -39,6 +42,16 @@ def test_traced_bindings_resolve_to_callables():
     for span, bindings in tracing.SPANS.items():
         for module, attr in bindings:
             assert callable(getattr(module, attr, None)), f"{span}: {module.__name__}.{attr}"
+
+
+def test_the_package_records_every_tape_primitive_it_ships():
+    # the gradient checker and the per-primitive references live in tests/gradcheck.py
+    source = "\n".join(path.read_text() for path in (ROOT / "src" / "unimvt").glob("*.py"))
+    primitives = {name for name, attr in vars(ad.Tape).items()
+                  if callable(attr) and not name.startswith("_")} - {"record", "constant"}
+    unused = {name for name in primitives if not re.search(rf"\.{name}\(", source)}
+    assert primitives and not unused, f"Tape primitives the package never records: {unused}"
+    assert not hasattr(ad, "finite_diff_check") and not hasattr(ad, "_PinnedTape")
 
 
 def test_traced_training_counts_tape_nodes():
