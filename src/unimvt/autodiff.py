@@ -1,10 +1,10 @@
 """Tape-based reverse-mode autodiff over float64 numpy arrays.
 
 This is the substrate everything else is built on. The primitives are the
-``Tape`` methods ``add``, ``mul``, ``scale``, ``bridge`` (the fused
-counterfactual bridge), ``gate_merge`` (one task's gate-weighted experts,
-open to the experts' gradient on a slot mask), ``stop_gradient``,
-``sum_all`` and ``binary_cross_entropy``, plus ``mlp_forward``, which
+``Tape`` methods ``bridge`` (the fused counterfactual bridge over p, t_hat
+and eta), ``gate_merge`` (one task's gate-weighted experts, open to the
+experts' gradient on a slot mask), ``stop_gradient``, ``sum_all`` and
+``binary_cross_entropy``, plus ``mlp_forward``, which
 records a whole layer stack (also a stack of K same-shaped stacks) as one
 node with a hand-written vjp; ``Tape.record`` adds a node with the caller's
 vjp, built on the kernels ``affine_value``, ``affine_grads`` and
@@ -16,8 +16,8 @@ Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
 ``(K, ...)`` stacks of K same-shaped layers' weights and outputs. A ``Tape``
 records every primitive in creation order through its methods
-(``tape.mul(a, b)``, ``tape.sum_all(a)``); ``backward`` replays it once in
-reverse, so creation order doubles as the topological order.
+(``tape.bridge(p, t_hat, eta)``, ``tape.sum_all(a)``); ``backward`` replays
+it once in reverse, so creation order doubles as the topological order.
 
 Who owns what: a ``ParamTensor`` holds its values and its accumulated
 gradient and outlives every tape; once an ``OptimizerState`` has packed it,
@@ -171,8 +171,7 @@ class Tape:
 
     The primitives are its methods. Each records one node whose parents must
     be ParamTensors or nodes recorded on this tape (UsageError otherwise);
-    the binary arithmetic primitives also take arrays and scalars, recorded
-    as constants.
+    an array enters as ``constant``.
     A primitive with more than one operand reads their ``live`` flags when it
     records, and its vjp gives None, which backward skips, for a dead one.
     No vjp closes over the tape, so references run one way.
@@ -202,45 +201,18 @@ class Tape:
         """A leaf that receives no gradient."""
         return self.record(values)
 
-    def _lift(self, x):
-        return x if isinstance(x, (Node, ParamTensor)) else self.constant(x)
-
     # -- primitives ---------------------------------------------------------
 
-    def add(self, a, b) -> Node:
-        a, b = self._lift(a), self._lift(b)
-        sa, sb = np.shape(a.value), np.shape(b.value)
-        la, lb = a.live, b.live
-        return self.record(
-            a.value + b.value, (a, b),
-            lambda g: (_unbroadcast(g, sa) if la else None, _unbroadcast(g, sb) if lb else None),
-        )
-
-    def mul(self, a, b) -> Node:
-        """Elementwise product with numpy broadcasting."""
-        a, b = self._lift(a), self._lift(b)
-        sa, sb = np.shape(a.value), np.shape(b.value)
-        av, bv = a.value, b.value
-        la, lb = a.live, b.live
-        return self.record(
-            av * bv, (a, b),
-            lambda g: (_unbroadcast(g * bv, sa) if la else None,
-                       _unbroadcast(g * av, sb) if lb else None),
-        )
-
-    def scale(self, a: Node, c: float) -> Node:
-        c = float(c)
-        return self.record(a.value * c, (a,), lambda g: (g * c,))
-
-    def bridge(self, p, shift) -> Node:
-        """The counterfactual bridge sigmoid(logit(p) + shift), p clamped into
-        [PROB_EPS, 1 - PROB_EPS]. Fused primitive: one tape node; no gradient
-        reaches p where the clamp binds."""
-        p, shift = self._lift(p), self._lift(shift)
-        pv, sv = p.value, shift.value
+    def bridge(self, p, t_hat, eta, sign: float = 1.0) -> Node:
+        """The counterfactual bridge sigmoid(logit(p) + sign * t_hat * eta),
+        p clamped into [PROB_EPS, 1 - PROB_EPS]. Fused primitive: one tape
+        node over the three operands; no gradient reaches p where the clamp
+        binds. The shift is (t_hat * eta) * sign and its gradient
+        (gz * sign) * eta, so a bridge at sign -1 negates both exactly."""
+        pv, tv, ev = p.value, t_hat.value, eta.value
         pc = np.minimum(np.maximum(pv, PROB_EPS), 1.0 - PROB_EPS)  # np.clip without its wrapper
-        s = expit(np.log(pc) - np.log1p(-pc) + sv)
-        lp, ls = p.live, shift.live
+        s = expit(np.log(pc) - np.log1p(-pc) + tv * ev * sign)
+        lp, lt, le = p.live, t_hat.live, eta.live
 
         def vjp(g):  # the clamp mask is built here: prediction never needs it
             gz = g * s * (1.0 - s)
@@ -248,9 +220,11 @@ class Tape:
             if lp:
                 inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
                 gp = _unbroadcast(gz * inside / (pc * (1.0 - pc)), np.shape(pv))
-            return gp, _unbroadcast(gz, np.shape(sv)) if ls else None
+            gs = gz * sign
+            return (gp, _unbroadcast(gs * ev, np.shape(tv)) if lt else None,
+                    _unbroadcast(gs * tv, np.shape(ev)) if le else None)
 
-        return self.record(s, (p, shift), vjp)
+        return self.record(s, (p, t_hat, eta), vjp)
 
     def gate_merge(self, gates, task: int, experts, open) -> Node:
         """Task ``task``'s gate-weighted experts side by side: the slot-major

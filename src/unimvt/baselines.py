@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_network
 from .datagen import Dataset, dataset_arrays, feature_matrix
 from .errors import ConfigError, UsageError
 
@@ -109,6 +109,7 @@ def train_slearner(dataset: Dataset, cfg: ExperimentConfig) -> SLearnerModel:
     if X.shape[0] == 0:
         raise UsageError("training needs a nonempty dataset")
     t_min, t_max = _t_bounds(w, t)
+    check_network(cfg, X.shape[1])
     rng = np.random.default_rng(cfg.train.checked_seed())
     dims = (X.shape[1] + 1, *cfg.net.tower_hidden, 1)
     net = ad.init_mlp(rng, "slearner", dims, out_activation="sigmoid")
@@ -123,6 +124,7 @@ def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
     if not ctrl.any() or not trt.any():
         raise ConfigError("T-Learner needs both control and treated rows")
     t_min, t_max = _t_bounds(w, t)
+    check_network(cfg, X.shape[1])
     rng = np.random.default_rng(cfg.train.checked_seed())
     control_net = ad.init_mlp(rng, "tlearner.control", (X.shape[1], *cfg.net.tower_hidden, 1),
                               out_activation="sigmoid")

@@ -77,6 +77,26 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
+def check_network(cfg: ExperimentConfig, input_dim: int) -> None:
+    """What every trainer checks before it builds a network: ConfigError
+    naming the key unless ``net.tower_hidden`` is a tuple (or list), input_dim,
+    the ``dcr`` widths, each ``net.tower_hidden`` width and ``net.head_hidden``
+    are integers of at least 1 (a bool is not one) and ``ablate.dcr`` is a
+    bool."""
+    hidden = cfg.net.tower_hidden
+    if not isinstance(hidden, (tuple, list)):
+        raise ConfigError(f"net.tower_hidden must be a tuple of widths, got {hidden!r}")
+    widths = [("input_dim", input_dim), ("dcr.experts_per_group", cfg.dcr.experts_per_group),
+              ("dcr.hidden", cfg.dcr.hidden), ("dcr.out_dim", cfg.dcr.out_dim),
+              *(("net.tower_hidden", width) for width in hidden),
+              ("net.head_hidden", cfg.net.head_hidden)]
+    for key, width in widths:
+        if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+            raise ConfigError(f"{key} must be an integer of at least 1, got {width!r}")
+    if not isinstance(cfg.ablate.dcr, bool):
+        raise ConfigError(f"ablate.dcr must be a bool, got {cfg.ablate.dcr!r}")
+
+
 _SECTIONS = ("dcr", "net", "loss", "train", "ablate")
 
 

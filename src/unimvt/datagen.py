@@ -13,6 +13,7 @@ feature width works in memory; the CSV format holds eight feature columns.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -172,8 +173,10 @@ class SynSpec:
             raise ConfigError("jitter too wide: doses could reach zero")
         if self.confounding_strength < 0:
             raise ConfigError("confounding_strength must be nonnegative")
-        if self.n_train <= 0 or self.n_test <= 0:
-            raise ConfigError("split sizes must be positive")
+        for name in ("n_train", "n_test"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1, got {n!r}")
 
 
 PRESETS = {

@@ -11,10 +11,13 @@ the logits of all its TA gates computed by one GEMM. An intensity head
 its sigmoid output rescaled into [t_min, t_max] by one more node; a ReLU
 uplift head outputs the nonnegative per-unit sensitivity.
 The counterfactual bridge ``Tape.bridge`` links the towers in logit space by
-shifting with t_hat * eta. One ``forward`` records the network for training
-and prediction alike, which differ only in the dose that gates the treatment
-tower. Prediction records it in blocks of ``autodiff.SCORE_ROWS`` rows, each
-on a fresh tape, so scoring holds one block's tape whatever the row count.
+shifting with t_hat * eta, one node over p, t_hat and eta: up from p0 to the
+treated counterfactual, and in training down from pt to the untreated one.
+The training gate dose (1 - w) t_hat + t is one node too. One ``forward``
+records the network for training and prediction alike, which differ only in
+the dose that gates the treatment tower. Prediction records it in blocks of
+``autodiff.SCORE_ROWS`` rows, each on a fresh tape, so scoring holds one
+block's tape whatever the row count.
 The joint loss is one closed-form node (``loss_terms``) over the factual
 cross-entropies, the intensity regression, the counterfactual MSE terms and
 the expert orthogonality penalty, which enters it as an operand;
@@ -34,8 +37,8 @@ from scipy.special import expit
 from . import autodiff as ad
 from . import kvfile
 from .autodiff import PROB_EPS
-from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_flat,
-                     default_config)
+from .config import (ExperimentConfig, LossWeights, apply_overrides, check_network,
+                     config_to_flat, default_config)
 from .datagen import Dataset, dataset_arrays, feature_matrix, float_array
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
 from .errors import ConfigError, DataFormatError, NumericError, UsageError
@@ -93,13 +96,7 @@ class Prediction:
 
 def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: float,
                 seed: int = 0) -> UniMvtModel:
-    widths = {"input_dim": input_dim, "dcr.experts_per_group": cfg.dcr.experts_per_group,
-              "dcr.hidden": cfg.dcr.hidden, "dcr.out_dim": cfg.dcr.out_dim,
-              "net.tower_hidden": min(cfg.net.tower_hidden, default=1),
-              "net.head_hidden": cfg.net.head_hidden}
-    for key, width in widths.items():
-        if width < 1:
-            raise ConfigError(f"{key} must be positive, got {width}")
+    check_network(cfg, input_dim)
     rng = np.random.default_rng(seed)
     dcr_params = init_dcr(rng, input_dim, cfg.dcr, cfg.ablate.dcr)
     rep = dcr_params.output_dim
@@ -202,13 +199,13 @@ def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Nod
     return tape.record(s.value * span + hte.t_min, (s,), lambda g: (g * span,))
 
 
-Forward = namedtuple("Forward", "p0 t_hat eta tau p_cf pt")
+Forward = namedtuple("Forward", "p0 t_hat eta p_cf pt")
 
 
 def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forward:
     """Record the network once on tape for the feature matrix X: the nodes p0,
-    t_hat, the uplift head eta (a per-unit logit shift), tau = t_hat * eta,
-    p_cf = bridge(p0, tau) and pt at the gate dose. ``gate_dose(t_hat)`` gives
+    t_hat, the uplift head eta (a per-unit logit shift), p_cf =
+    bridge(p0, t_hat, eta) and pt at the gate dose. ``gate_dose(t_hat)`` gives
     that dose, a (rows, 1) node of tape; it feeds the treatment tower's TA
     gates."""
     hte = model.hte
@@ -216,10 +213,9 @@ def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forw
     p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape)
     t_hat = intensity_head_forward(hte, rep.ut, tape)
     eta = ad.mlp_forward(hte.uplift_head, rep.ut, tape)  # a ReLU output: eta >= 0
-    tau = tape.mul(t_hat, eta)
-    p_cf = tape.bridge(p0, tau)
+    p_cf = tape.bridge(p0, t_hat, eta)
     pt = treat_tower_forward(hte, rep.ut, gate_dose(t_hat), tape)
-    return Forward(p0, t_hat, eta, tau, p_cf, pt)
+    return Forward(p0, t_hat, eta, p_cf, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +274,13 @@ def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape
     if X.shape[0] == 0:
         raise UsageError("joint_loss needs a nonempty batch")
     w_col, y_col, t_col = (np.asarray(a, dtype=np.float64).reshape(-1, 1) for a in (w, y, t))
+    ctrl = 1.0 - w_col
 
     # the observed dose gates the treatment tower on treated rows, the imputed one on controls
     fw = forward(model, np.asarray(X, dtype=np.float64), tape,
-                 lambda t_hat: tape.add(tape.mul(1.0 - w_col, t_hat), t_col))
-    p_base_cf = tape.bridge(fw.pt, tape.scale(fw.tau, -1.0)) if weights.lambda_x > 0 else None
+                 lambda t_hat: tape.record(ctrl * t_hat.value + t_col, (t_hat,),
+                                           lambda g: (g * ctrl,)))
+    p_base_cf = tape.bridge(fw.pt, fw.t_hat, fw.eta, -1.0) if weights.lambda_x > 0 else None
     # recorded after the forward nodes: backward adds its gradient into the expert weights first
     r_orth = orth_penalty(model.dcr, tape) if weights.lambda_o > 0 else None
     total, components = loss_terms(weights, y_col, w_col, t_col, fw.p0, fw.pt, fw.t_hat,
@@ -359,7 +357,7 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     The uplift head learns a per-unit logit shift (that is how the
     counterfactual losses calibrate it); the reported unit uplift eta_hat is
     the implied click-probability gain per unit of intensity, read off the
-    counterfactual node p_cf = bridge(p0, t_hat * head) that the X loss trains:
+    counterfactual node p_cf = bridge(p0, t_hat, head) that the X loss trains:
 
         eta_hat = (sigmoid(logit(p0_hat) + t_hat * head) - p0_hat) / t_hat
 
@@ -371,15 +369,17 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     A NaN or infinite feature raises DataFormatError naming its row and
     feature index; so does a NaN or infinite q, naming its row, a q that is
     neither a scalar nor one value per row, naming its shape and the row
-    count, and a q that is complex or does not convert to floats, saying
-    that q must be numbers.
+    count, and a q that is complex, boolean or does not convert to floats,
+    saying that q must be numbers.
     """
     X = feature_matrix(X, model.dcr.input_dim)
     n = X.shape[0]
     if q is None:
         extrapolated = np.zeros(n, dtype=bool)
     else:
-        q = float_array(q, "q")
+        q, raw = float_array(q, "q"), q
+        if np.asarray(raw).dtype == np.bool_:  # True would read as the dose 1.0
+            raise DataFormatError("q must be numbers: got booleans")
         if q.ndim > 1 or q.size not in (1, n):
             raise DataFormatError(f"q has shape {q.shape} for {n} rows; "
                                   "expected a scalar or one value per row")

@@ -1,10 +1,13 @@
 """Gradient checking for the tape, kept with the tests that use it: a
-central-difference checker and per-primitive references for the fused nodes.
+central-difference checker, per-primitive references for the fused nodes and
+the arithmetic that tests use as glue.
 
 ``affine``, ``relu`` and ``sigmoid`` record one layer step each through
 ``Tape.record`` on the library's own kernels (``affine_value`` and
 ``affine_grads``, ``np.fmax``, ``expit``). Chained, they are the reference
-that ``mlp_forward``'s one node must equal bit for bit.
+that ``mlp_forward``'s one node must equal bit for bit. ``add`` and ``mul``
+record elementwise arithmetic with numpy broadcasting; an operand that is
+neither a node nor a parameter enters as a constant.
 
 ``finite_diff_check`` compares a tape's gradients with central differences
 of the forward pass. A stop-gradient, and a closed slot of ``gate_merge``'s
@@ -25,6 +28,29 @@ from scipy.special import expit
 
 from unimvt import autodiff as ad
 from unimvt.errors import ConfigError, UsageError
+
+
+def _operand(tape: ad.Tape, x):
+    """x as an operand of tape: a node or parameter as it is, else a constant."""
+    return x if isinstance(x, (ad.Node, ad.ParamTensor)) else tape.constant(x)
+
+
+def add(tape: ad.Tape, a, b) -> ad.Node:
+    a, b = _operand(tape, a), _operand(tape, b)
+    sa, sb = np.shape(a.value), np.shape(b.value)
+    la, lb = a.live, b.live
+    return tape.record(a.value + b.value, (a, b),
+                       lambda g: (ad._unbroadcast(g, sa) if la else None,
+                                  ad._unbroadcast(g, sb) if lb else None))
+
+
+def mul(tape: ad.Tape, a, b) -> ad.Node:
+    a, b = _operand(tape, a), _operand(tape, b)
+    av, bv = a.value, b.value
+    la, lb = a.live, b.live
+    return tape.record(av * bv, (a, b),
+                       lambda g: (ad._unbroadcast(g * bv, np.shape(av)) if la else None,
+                                  ad._unbroadcast(g * av, np.shape(bv)) if lb else None))
 
 
 def affine(tape: ad.Tape, x, w, b) -> ad.Node:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logit
 
 import gradcheck
-from gradcheck import affine, finite_diff_check, relu, sigmoid
+from gradcheck import add, affine, finite_diff_check, mul, relu, sigmoid
 from unimvt import autodiff as ad
 from unimvt.config import TrainConfig
 from unimvt.errors import ConfigError, NumericError, UsageError
@@ -108,11 +108,11 @@ def test_mlp_is_one_node_equal_to_the_chain_of_primitives(stacked, activation):
     results = []
     for record in (ad.mlp_forward, chain_of_primitives):
         tape = ad.Tape()
-        inputs = tape.mul(x, 1.0)
+        inputs = mul(tape, x, 1.0)
         before = len(tape.nodes)
         out = record(layers, inputs, tape)
         recorded = len(tape.nodes) - before
-        tape.sum_all(tape.mul(out, np.linspace(-1.0, 2.0, out.value.size).reshape(out.shape)))
+        tape.sum_all(mul(tape, out, np.linspace(-1.0, 2.0, out.value.size).reshape(out.shape)))
         ad.backward(tape)
         results.append((out.value, [p.grad.copy() for p in params], recorded))
         for p in params:
@@ -134,9 +134,9 @@ def test_mlp_gradients_against_finite_differences(stacked, activation, live):
     nodes = []
 
     def loss_fn(tape):
-        inputs = tape.mul(x, 1.0) if live else tape.constant(x.values)
+        inputs = mul(tape, x, 1.0) if live else tape.constant(x.values)
         nodes.append(ad.mlp_forward(layers, inputs, tape))
-        return tape.sum_all(tape.mul(nodes[-1], weights))
+        return tape.sum_all(mul(tape, nodes[-1], weights))
 
     params = [x, *ad.mlp_params(layers)] if live else ad.mlp_params(layers)
     assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
@@ -150,7 +150,7 @@ def test_mlp_gradients_against_finite_differences(stacked, activation, live):
 def test_backward_square():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     tape = ad.Tape()
-    loss = tape.sum_all(tape.mul(w, w))
+    loss = tape.sum_all(mul(tape, w, w))
     ad.backward(tape)
     assert w.grad[0, 0] == 6.0
 
@@ -158,7 +158,7 @@ def test_backward_square():
 def test_backward_stop_gradient_kills_one_path():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     tape = ad.Tape()
-    loss = tape.sum_all(tape.mul(tape.stop_gradient(w), w))
+    loss = tape.sum_all(mul(tape, tape.stop_gradient(w), w))
     ad.backward(tape)
     assert w.grad[0, 0] == 3.0  # not 6
 
@@ -171,7 +171,7 @@ def test_backward_before_forward_is_usage_error():
 def test_backward_requires_scalar_tail():
     w = ad.ParamTensor("w", np.ones((2, 2)))
     tape = ad.Tape()
-    tape.mul(w, w)
+    mul(tape, w, w)
     with pytest.raises(UsageError):
         ad.backward(tape)
 
@@ -179,9 +179,9 @@ def test_backward_requires_scalar_tail():
 def test_operand_from_another_tape_is_usage_error():
     w = ad.ParamTensor("w", np.ones((1, 1)))
     tape, other = ad.Tape(), ad.Tape()
-    foreign = other.mul(w, w)
+    foreign = mul(other, w, w)
     with pytest.raises(UsageError):
-        tape.add(w, foreign)
+        add(tape, w, foreign)
     with pytest.raises(UsageError):
         tape.sum_all(foreign)
 
@@ -189,7 +189,7 @@ def test_operand_from_another_tape_is_usage_error():
 def test_a_parameter_is_a_leaf_of_every_tape():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     for tape in (ad.Tape(), ad.Tape()):
-        tape.sum_all(tape.mul(w, w))
+        tape.sum_all(mul(tape, w, w))
         assert len(tape.nodes) == 2
         ad.backward(tape)
     assert w.grad[0, 0] == 12.0  # 2 * 2w, added into the one grad by both tapes
@@ -234,7 +234,7 @@ def test_stop_gradient_zero_grad():
 def test_stop_gradient_additive_path_stays_open():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
-    tape.sum_all(tape.add(x, tape.stop_gradient(x)))
+    tape.sum_all(add(tape, x, tape.stop_gradient(x)))
     ad.backward(tape)
     np.testing.assert_array_equal(x.grad, np.ones((1, 3)))
 
@@ -334,7 +334,7 @@ def test_bridge_equals_the_select_form():
     pc = np.clip(p, ad.PROB_EPS, 1.0 - ad.PROB_EPS)
     with np.errstate(all="raise"):
         tape = ad.Tape()
-        got = tape.bridge(tape.constant(p), tape.constant(shift)).value
+        got = tape.bridge(tape.constant(p), tape.constant(shift), tape.constant(1.0)).value
         z = np.log(pc) - np.log1p(-pc) + shift
     assert same_bits(got, expit(z))
     with np.errstate(all="raise", under="ignore"):
@@ -403,40 +403,47 @@ FD_MERGE_MASK = _rng.uniform(0.5, 1.5, size=(3, 6))
 FD_LABELS = _rng.integers(0, 2, size=(3, 4)).astype(float)
 FD_EXPERT_W = _rng.standard_normal((3, 4, 2))  # three (4, 2) experts on wn
 # 0.4 w lies in [0.04, 0.8]; the offsets move some entries past 1 or below 0,
-# where the bridge's clamp binds, and the shifts bring those entries' output
-# back near 0.5, where central differences resolve its gradient
+# where the bridge's clamp binds
 FD_OFFSETS = np.zeros((3, 4))
 FD_OFFSETS[0, :2], FD_OFFSETS[1, 2:] = 1.0, -1.0
-FD_SHIFTS = -16.0 * FD_OFFSETS
 # the merge's experts get a gradient in slots 0 and 2, none in slot 1
 FD_OPEN = np.array([True, False, True])
 
 
 def square(tape, a):
-    return tape.mul(a, a)
+    return mul(tape, a, a)
+
+
+def bridge_term(tape, wn, sign):
+    """The bridge at ``sign`` with all three operands live on wn: p = 0.4 w +
+    FD_OFFSETS, t_hat = 1 + 0.3 w and eta = 0.2 w - 12 sign FD_OFFSETS. Where
+    the clamp binds, the shift, about -12 (1 + 0.3 w) FD_OFFSETS, brings the
+    output back inside (0.02, 0.98), where central differences resolve it."""
+    return tape.bridge(add(tape, mul(tape, wn, 0.4), FD_OFFSETS),
+                       add(tape, mul(tape, wn, 0.3), 1.0),
+                       add(tape, mul(tape, wn, 0.2), -12.0 * sign * FD_OFFSETS), sign)
 
 
 # one finite-difference term per Tape primitive and per gradcheck reference,
 # keyed by its name; each records it on wn (3, 4) or on
 # stacked = affine(wn, ws, bs) (2, 3, 3)
 PRIMITIVE_TERMS = {
-    "add": lambda tape, wn, stacked: tape.add(square(tape, wn), tape.scale(wn, 0.5)),
-    "mul": lambda tape, wn, stacked: tape.mul(sigmoid(tape, wn), wn),
-    "scale": lambda tape, wn, stacked: tape.scale(square(tape, wn), -0.7),
+    "add": lambda tape, wn, stacked: add(tape, square(tape, wn), mul(tape, wn, 0.5)),
+    "mul": lambda tape, wn, stacked: mul(tape, sigmoid(tape, wn), wn),
     "affine": lambda tape, wn, stacked: square(tape, stacked),
     "relu": lambda tape, wn, stacked: square(tape, relu(tape, stacked)),
-    "sigmoid": lambda tape, wn, stacked: tape.mul(FD_MASK, sigmoid(tape, wn)),
-    "bridge": lambda tape, wn, stacked: square(tape, tape.bridge(
-        tape.add(tape.scale(wn, 0.4), FD_OFFSETS), tape.add(tape.scale(wn, 0.3), FD_SHIFTS))),
+    "sigmoid": lambda tape, wn, stacked: mul(tape, FD_MASK, sigmoid(tape, wn)),
+    "bridge": lambda tape, wn, stacked: add(tape, square(tape, bridge_term(tape, wn, 1.0)),
+                                            bridge_term(tape, wn, -1.0)),
     # stacked (2, 3, 3) as the gates of two tasks over 3 slots and 3 rows
-    "gate_merge": lambda tape, wn, stacked: tape.mul(FD_MERGE_MASK, tape.gate_merge(
+    "gate_merge": lambda tape, wn, stacked: mul(tape, FD_MERGE_MASK, tape.gate_merge(
         sigmoid(tape, stacked), 1,
         relu(tape, affine(tape, wn, tape.constant(FD_EXPERT_W), tape.constant(np.zeros((3, 1, 2))))),
         FD_OPEN)),
-    "stop_gradient": lambda tape, wn, stacked: tape.mul(tape.stop_gradient(stacked), stacked),
+    "stop_gradient": lambda tape, wn, stacked: mul(tape, tape.stop_gradient(stacked), stacked),
     "sum_all": lambda tape, wn, stacked: tape.sum_all(square(tape, wn)),
     "binary_cross_entropy": lambda tape, wn, stacked: tape.binary_cross_entropy(
-        FD_LABELS, sigmoid(tape, tape.add(wn, -1.0))),
+        FD_LABELS, sigmoid(tape, add(tape, wn, -1.0))),
 }
 
 
@@ -467,11 +474,12 @@ def test_every_primitive_has_a_finite_difference_term():
 
 # every primitive with more than one operand: (record, operand shapes)
 MULTI_OPERAND = {
-    "add": (lambda tape, a, b: tape.add(a, b), [(3, 4), (1, 4)]),
-    "mul": (lambda tape, a, b: tape.mul(a, b), [(3, 4), (3, 1)]),
+    "add": (add, [(3, 4), (1, 4)]),
+    "mul": (mul, [(3, 4), (3, 1)]),
     "affine": (affine, [(3, 4), (4, 2), (2,)]),
     "stacked affine": (affine, [(3, 4), (2, 4, 5), (2, 1, 5)]),
-    "bridge": (lambda tape, p, shift: tape.bridge(p, shift), [(3, 1), (3, 1)]),
+    "bridge": (lambda tape, p, t_hat, eta: tape.bridge(p, t_hat, eta, -1.0),
+               [(3, 1), (3, 1), (3, 1)]),
     "gate_merge": (lambda tape, gates, experts: tape.gate_merge(gates, 1, experts, [True, False]),
                    [(2, 2, 3), (2, 3, 4)]),
 }
@@ -487,7 +495,7 @@ def operand_gradients(name, constant):
     tape = ad.Tape()
     out = record(tape, *(tape.constant(p.values) if i == constant else p
                          for i, p in enumerate(params)))
-    tape.sum_all(tape.mul(out, rng.standard_normal(out.value.shape)))
+    tape.sum_all(mul(tape, out, rng.standard_normal(out.value.shape)))
     ad.backward(tape)
     return out, [p.grad for p in params]
 
@@ -509,14 +517,14 @@ def test_vjp_gives_none_for_a_constant_operand(name, k):
 def test_only_a_node_that_reaches_a_parameter_is_live():
     w = ad.ParamTensor("w", np.ones((2, 2)))
     tape = ad.Tape()
-    on_constants = tape.mul(tape.constant(np.ones((2, 2))), 2.0)
+    on_constants = mul(tape, tape.constant(np.ones((2, 2))), 2.0)
     frozen = tape.stop_gradient(w)
-    mixed = tape.add(on_constants, w)
-    gates, experts = tape.constant(np.ones((1, 2, 2))), tape.mul(w, np.ones((2, 2, 1)))
+    mixed = add(tape, on_constants, w)
+    gates, experts = tape.constant(np.ones((1, 2, 2))), mul(tape, w, np.ones((2, 2, 1)))
     partly_open = tape.gate_merge(gates, 0, experts, [False, True])
     assert w.live and mixed.live and mixed.vjp is not None
     assert partly_open.live and partly_open.vjp is not None
-    for dead in (on_constants, frozen, tape.mul(frozen, on_constants),
+    for dead in (on_constants, frozen, mul(tape, frozen, on_constants),
                  tape.gate_merge(gates, 0, experts, [False, False])):
         assert not dead.live and dead.vjp is None
 
@@ -532,7 +540,7 @@ def test_cross_entropy_passes_no_gradient_where_the_clamp_binds():
 
 def bridge_value(p, shift):
     tape = ad.Tape()
-    return float(tape.bridge(tape.constant(p), shift).value)
+    return float(tape.bridge(tape.constant(p), tape.constant(shift), tape.constant(1.0)).value)
 
 
 def test_bridge_known_values():
@@ -546,6 +554,21 @@ def test_bridge_known_values():
 def test_bridge_matches_scalar_oracle(p, delta):
     want = 1.0 / (1.0 + np.exp(-(np.log(p / (1 - p)) + delta)))
     assert bridge_value(p, delta) == pytest.approx(want, abs=1e-12)
+
+
+def test_a_bridge_at_sign_minus_one_is_the_bridge_of_the_negated_eta():
+    rng = np.random.default_rng(8)
+    p, t_hat, eta = (rng.uniform(0.1, 0.9, size=(4, 1)) for _ in range(3))
+    g = rng.standard_normal((4, 1))
+    parts = []
+    for e, sign in ((eta, -1.0), (-eta, 1.0)):
+        tape = ad.Tape()
+        node = tape.bridge(*(ad.ParamTensor(name, v) for name, v in
+                             (("p", p), ("t_hat", t_hat), ("eta", e))), sign)
+        parts.append((node.value, *node.vjp(g)))
+    (value, gp, gt, ge), (value_neg, gp_neg, gt_neg, ge_neg) = parts
+    for got, want in ((value, value_neg), (gp, gp_neg), (gt, gt_neg), (ge, -ge_neg)):
+        assert same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +599,7 @@ def test_optimizer_converges_on_quadratic_bowl():
     state = ad.OptimizerState([w], lr=0.05)
     for _ in range(500):
         tape = ad.Tape()
-        tape.sum_all(square(tape, tape.add(w, -2.0)))
+        tape.sum_all(square(tape, add(tape, w, -2.0)))
         ad.backward(tape)
         ad.optimizer_step(state)
     assert abs(w.values[0, 0] - 2.0) < 0.01
@@ -661,7 +684,7 @@ def test_minibatch_adam_visits_every_row_once_per_epoch():
     w = ad.ParamTensor("w", np.array([[5.0]]))
 
     def batch_loss(rows, tape):
-        return tape.sum_all(tape.mul(w, w)), rows
+        return tape.sum_all(mul(tape, w, w)), rows
 
     epochs = ad.minibatch_adam([w], 10, batch_loss, TrainConfig(epochs=2, batch=4, lr=0.1),
                                np.random.default_rng(0))
@@ -676,7 +699,7 @@ def test_minibatch_adam_nonfinite_loss_names_epoch_and_batch():
     w = ad.ParamTensor("w", np.ones((1, 1)))
 
     def batch_loss(rows, tape):
-        return tape.sum_all(tape.scale(w, np.nan)), None
+        return tape.sum_all(mul(tape, w, np.nan)), None
 
     with pytest.raises(NumericError, match="non-finite loss at epoch 0 batch 0"):
         ad.minibatch_adam([w], 10, batch_loss, TrainConfig(epochs=2, batch=4),

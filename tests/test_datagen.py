@@ -205,6 +205,13 @@ def test_spec_validation_errors():
         replace(SMALL, coupon_ratio=1.2).validate()
 
 
+@pytest.mark.parametrize("field", ["n_train", "n_test"])
+@pytest.mark.parametrize("value", [500.5, 500.0, True, "500", 0, -3])
+def test_spec_names_a_split_size_that_is_not_a_positive_integer(field, value):
+    with pytest.raises(ConfigError, match=field):
+        dg.generate(replace(SMALL, **{field: value}))
+
+
 def test_unreachable_ctr_target_fails_bracketing():
     with pytest.raises(ConfigError, match="bracket"):
         dg.generate(replace(SMALL, n_train=500, n_test=100, target_avg_ctr=0.005))

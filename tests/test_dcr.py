@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gradcheck import finite_diff_check
+from gradcheck import add, finite_diff_check, mul
 from unimvt import autodiff as ad
 from unimvt import dcr
 from unimvt.errors import ConfigError
@@ -110,7 +110,7 @@ def test_gate_node_against_finite_differences():
     x, mask = rng.standard_normal((5, 4)), rng.uniform(0.5, 1.5, size=(2, 6, 5))
 
     def loss_fn(tape):
-        return tape.sum_all(tape.mul(mask, dcr.gates_forward(params, tape.constant(x), tape)))
+        return tape.sum_all(mul(tape, mask, dcr.gates_forward(params, tape.constant(x), tape)))
 
     gate_params = ad.mlp_params(params.gate0) + ad.mlp_params(params.gate_t)
     assert finite_diff_check(loss_fn, gate_params, eps=1e-6) < 1e-6
@@ -126,7 +126,7 @@ def test_both_representations_against_finite_differences():
 
     def loss_fn(tape):
         out = dcr.dcr_forward(params, tape.constant(x), tape)
-        return tape.sum_all(tape.add(tape.mul(m0, out.u0), tape.mul(mt, out.ut)))
+        return tape.sum_all(add(tape, mul(tape, m0, out.u0), mul(tape, mt, out.ut)))
 
     assert finite_diff_check(loss_fn, params.parameters(), eps=1e-6) < 1e-6
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, mul
 from unimvt import autodiff as ad
 from unimvt import baselines
 from unimvt import datagen as dg
@@ -134,9 +134,9 @@ def test_treat_tower_gradients_against_finite_differences(live_dose):
     nodes = []
 
     def loss_fn(tape):
-        d = tape.mul(dose, 1.0) if live_dose else tape.constant(dose.values)
-        nodes.append(ht.treat_tower_forward(hte, tape.mul(ut, 1.0), d, tape))
-        return tape.sum_all(tape.mul(nodes[-1], weights))
+        d = mul(tape, dose, 1.0) if live_dose else tape.constant(dose.values)
+        nodes.append(ht.treat_tower_forward(hte, mul(tape, ut, 1.0), d, tape))
+        return tape.sum_all(mul(tape, nodes[-1], weights))
 
     params = [ut, *ad.mlp_params(hte.treat_tower), *ad.mlp_params(hte.ta_gates)]
     if live_dose:
@@ -200,8 +200,8 @@ def test_intensity_head_against_finite_differences():
     weights = rng.uniform(0.5, 1.5, size=(6, 1))
 
     def loss_fn(tape):
-        t_hat = ht.intensity_head_forward(model.hte, tape.mul(ut, 1.0), tape)
-        return tape.sum_all(tape.mul(t_hat, weights))
+        t_hat = ht.intensity_head_forward(model.hte, mul(tape, ut, 1.0), tape)
+        return tape.sum_all(mul(tape, t_hat, weights))
 
     head = ad.mlp_params(model.hte.intensity_head)
     assert finite_diff_check(loss_fn, [ut, *head], eps=1e-6) < 1e-6
@@ -543,6 +543,40 @@ def test_training_names_a_seed_that_is_not_an_integer(syn600, fit, seed):
         fit(syn600, cfg)
 
 
+# each network width, and the trainers that read it
+WIDTH_READERS = {"dcr.experts_per_group": ["unimvt"], "dcr.hidden": ["unimvt"],
+                 "dcr.out_dim": ["unimvt"], "net.head_hidden": ["unimvt"],
+                 "net.tower_hidden": ["unimvt", "slearner", "tlearner"]}
+TRAINERS = {"unimvt": ht.train, "slearner": baselines.train_slearner,
+            "tlearner": baselines.train_tlearner}
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 2.5])
+@pytest.mark.parametrize("key, fit", [(key, fit) for key, fits in WIDTH_READERS.items()
+                                      for fit in fits])
+def test_training_names_a_width_that_is_not_a_positive_integer(syn600, key, fit, value):
+    cfg = ExperimentConfig()
+    section, name = key.split(".")
+    setattr(getattr(cfg, section), name, (8, value) if name == "tower_hidden" else value)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        TRAINERS[fit](syn600, cfg)
+
+
+@pytest.mark.parametrize("fit", TRAINERS)
+def test_training_names_tower_widths_that_are_not_a_tuple(syn600, fit):
+    cfg = ExperimentConfig()
+    cfg.net.tower_hidden = 32
+    with pytest.raises(ConfigError, match=re.escape("net.tower_hidden")):
+        TRAINERS[fit](syn600, cfg)
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_training_names_an_ablation_switch_that_is_not_a_bool(syn600, value):
+    cfg = ExperimentConfig(ablate=AblationConfig(dcr=value))
+    with pytest.raises(ConfigError, match=re.escape("ablate.dcr")):
+        ht.train(syn600, cfg)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, True, "0.1", None])
 def test_training_names_a_bad_loss_weight(syn600, bad):
     with pytest.raises(ConfigError, match="loss weight lambda_t"):
@@ -578,7 +612,7 @@ def test_predict_with_zero_q_gives_zero_tau():
 
 
 def test_uplifted_probability_monotone_in_q():
-    # the uplift-path probability bridge(p0, q*eta) = sigmoid(logit(p0) + q*eta)
+    # the uplift-path probability bridge(p0, q, eta) = sigmoid(logit(p0) + q*eta)
     # is nondecreasing in q because eta >= 0 structurally; equality holds iff eta == 0
     model = tiny_model(seed=6)
     rng = np.random.default_rng(6)
@@ -586,8 +620,9 @@ def test_uplifted_probability_monotone_in_q():
     out = ht.predict_batch(model, X)
     tape = ad.Tape()
     p0 = tape.constant(out["p0_hat"])
-    lo = tape.bridge(p0, 1.2 * out["eta_hat"]).value
-    hi = tape.bridge(p0, 2.8 * out["eta_hat"]).value
+    eta = tape.constant(out["eta_hat"])
+    lo = tape.bridge(p0, tape.constant(1.2), eta).value
+    hi = tape.bridge(p0, tape.constant(2.8), eta).value
     assert np.all(lo <= hi)
     positive = out["eta_hat"] > 0
     assert np.all(lo[positive] < hi[positive])
@@ -681,12 +716,18 @@ def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, ablate_dcr):
         ht.predict(model, np.ones(5), q=bad)
 
 
-@pytest.mark.parametrize("q", [["a"] * 4, "x", [1j] * 4, np.full(4, 2.0 + 1.0j)],
-                         ids=["strings", "string", "complex list", "complex array"])
+@pytest.mark.parametrize("q", [["a"] * 4, "x", [1j] * 4, np.full(4, 2.0 + 1.0j),
+                               True, np.bool_(False), [True, False, True, True], np.ones(4, bool)],
+                         ids=["strings", "string", "complex list", "complex array",
+                              "bool", "numpy bool", "bool list", "bool array"])
 def test_predict_batch_says_q_must_be_numbers(q):
-    # a complex array would otherwise lose its imaginary part with only a warning
+    # a complex array would otherwise lose its imaginary part with only a
+    # warning, and a bool would read as the dose 0.0 or 1.0
     with pytest.raises(DataFormatError, match="q must be numbers"):
         ht.predict_batch(tiny_model(), np.ones((4, 5)), q=q)
+    if np.ndim(q) == 0:
+        with pytest.raises(DataFormatError, match="q must be numbers"):
+            ht.predict(tiny_model(), np.ones(5), q=q)
 
 
 @pytest.mark.parametrize("ablate_dcr", [False, True])
@@ -759,15 +800,23 @@ def test_eta_nonnegative_everywhere():
 # tape-node budget: node growth shows up here, not only as benchmark time
 # ---------------------------------------------------------------------------
 
-def test_default_training_batch_records_at_most_21_nodes():
-    model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
+def training_batch_nodes(ablate):
+    model = ht.build_model(ExperimentConfig(ablate=ablate), input_dim=8, t_min=1.0, t_max=3.0)
     X, w, t, y = tiny_batch(seed=1, n=256, input_dim=8)
     tape = ad.Tape()
     ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), tape)
-    assert len(tape.nodes) <= 21
+    return len(tape.nodes)
 
 
-def test_predict_records_at_most_13_nodes(monkeypatch):
+def test_default_training_batch_records_at_most_16_nodes():
+    assert training_batch_nodes(AblationConfig()) <= 16
+
+
+def test_ablate_dcr_training_batch_records_at_most_13_nodes():
+    assert training_batch_nodes(AblationConfig(dcr=True)) <= 13
+
+
+def test_predict_records_at_most_12_nodes(monkeypatch):
     model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
     tapes = []
 
@@ -779,7 +828,7 @@ def test_predict_records_at_most_13_nodes(monkeypatch):
     monkeypatch.setattr(ad, "Tape", CountingTape)
     ht.predict(model, np.ones(8))
     assert len(tapes) == 1
-    assert len(tapes[0].nodes) <= 13
+    assert len(tapes[0].nodes) <= 12
 
 
 # ---------------------------------------------------------------------------
