@@ -12,6 +12,15 @@ vjp, built on the kernels ``affine_value``, ``affine_grads`` and
 minibatch training loop and ``row_blocks`` (the ``SCORE_ROWS``-row blocks
 that every scoring call records on fresh tapes).
 
+``Tape.record(value, parents, vjp)`` keeps a float ndarray value as it is,
+uncopied, so its caller hands it over and does not change it afterwards;
+any other value becomes a float array (float64 unless it already has a
+float dtype). ``gate_merge``'s slot mask is a boolean array of one entry per
+slot, or None when no slot is open; a call does not test it, so the DCR
+fixes its masks once per model (``dcr.DcrParams.slot_open``). A vjp may
+read its layers' weights when it runs: ``backward`` runs before the
+optimizer moves them.
+
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
 ``(K, ...)`` stacks of K same-shaped layers' weights and outputs. A ``Tape``
@@ -45,8 +54,9 @@ which keeps extended precision and stays silent at any input;
 ``affine_value`` adds the bias in place onto the fresh product unless that
 would downcast it; in ``affine_grads`` the bias gradient is the BLAS product
 ``ones(rows) @ g`` and the x gradient reads a contiguous copy of W^T;
-``gate_merge`` builds its experts' gradient factor in its vjp, so prediction
-never pays for it.
+``gate_merge`` writes its gate-weighted blocks into its output in one pass
+and builds its experts' gradient factor in its vjp, so prediction never
+pays for it.
 """
 from __future__ import annotations
 
@@ -157,7 +167,10 @@ class Node:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcasted gradient back down to the original operand shape."""
+    """Sum a broadcasted gradient back down to the original operand shape;
+    a gradient that already has it is returned as it is."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -189,9 +202,10 @@ class Tape:
                 raise UsageError("operand is neither a parameter nor a node recorded on this tape")
             if parent.live:
                 live = True
-        value = np.asarray(value)
-        if value.dtype.kind != "f":
-            value = value.astype(np.float64)
+        if type(value) is not np.ndarray or value.dtype.kind != "f":
+            value = np.asarray(value)
+            if value.dtype.kind != "f":
+                value = value.astype(np.float64)
         live = live and vjp is not None
         node = Node(value, tuple(parents), vjp if live else None, live, mark)
         self.nodes.append(node)
@@ -230,16 +244,17 @@ class Tape:
         """Task ``task``'s gate-weighted experts side by side: the slot-major
         gates (tasks, K, rows) and stacked expert outputs (K, rows, d) give the
         (rows, K * d) matrix whose block k is gates[task, k][:, None] *
-        experts[k]. ``open``, one boolean per slot, is where the experts get a
-        gradient: a closed slot's is exactly 0, as if its block were read
-        through a stop-gradient."""
+        experts[k], each block written into it once. ``open``, a boolean
+        array of one entry per slot, is where the experts get a gradient: a
+        closed slot's is exactly 0, as if its block were read through a
+        stop-gradient. None opens no slot, and the node then passes the
+        experts no gradient at all; the mask is not tested per call, so a
+        caller fixes it once (``dcr.DcrParams.slot_open``)."""
         ev = experts.value
         k, n, d = ev.shape
         shape = gates.value.shape
         weights = gates.value[task][:, :, None]
-        open = np.asarray(open)
-        # np.logical_or.reduce is open.any() without its Python wrapper
-        lg, le = gates.live, experts.live and bool(np.logical_or.reduce(open))
+        lg, le = gates.live, experts.live and open is not None
 
         def vjp(g):  # the experts' factor is built here: prediction never needs it
             blocks = g.reshape(n, k, d).transpose(1, 0, 2)
@@ -249,9 +264,10 @@ class Tape:
                 np.einsum("knd,knd->kn", blocks, ev, out=gg[task])
             return gg, blocks * (weights * open[:, None, None]) if le else None
 
-        # slot k's block in columns k*d .. (k+1)*d - 1
-        return self.record((weights * ev).transpose(1, 0, 2).reshape(n, k * d), (gates, experts),
-                           vjp if lg or le else None)
+        # slot k's block in columns k*d .. (k+1)*d - 1: the product is written
+        # row-major in (n, k, d), so the reshape copies nothing
+        out = np.multiply(weights.transpose(1, 0, 2), ev.transpose(1, 0, 2), order="C")
+        return self.record(out.reshape(n, k * d), (gates, experts), vjp if lg or le else None)
 
     def stop_gradient(self, a: Node) -> Node:
         """Forward identity that passes no gradient."""
@@ -374,6 +390,7 @@ def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
     (K, rows, out); x is then (rows, in) or already stacked. Raises
     ConfigError or NumericError naming the layer, as ``checked_affine``."""
     hs = [x.value]  # the input, then every layer's output
+    parents = [x]
     for i, layer in enumerate(layers):
         h = checked_affine(layer, hs[-1], i)
         if layer.activation == "relu":
@@ -381,24 +398,23 @@ def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
         elif layer.activation == "sigmoid":
             h = expit(h)
         hs.append(h)
-    weights = [layer.W.values for layer in layers]
-    acts = [layer.activation for layer in layers]
+        parents += (layer.W, layer.b)
     lx = x.live
 
     def vjp(g):
         grads = []
-        for i in reversed(range(len(weights))):
-            out = hs[i + 1]
-            if acts[i] == "relu":
+        for i in reversed(range(len(layers))):
+            layer, out = layers[i], hs[i + 1]
+            if layer.activation == "relu":
                 g = g * (out > 0.0)  # out > 0 exactly where the affine output is
-            elif acts[i] == "sigmoid":
+            elif layer.activation == "sigmoid":
                 g = g * out * (1.0 - out)
-            g, gw, gb = affine_grads(g, hs[i], weights[i], lx=i > 0 or lx)
+            g, gw, gb = affine_grads(g, hs[i], layer.W.values, lx=i > 0 or lx)
             grads += (gb, gw)
         grads.append(g)
         return grads[::-1]
 
-    return tape.record(hs[-1], (x, *mlp_params(layers)), vjp)
+    return tape.record(hs[-1], parents, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ExperimentConfig, check_network
-from .datagen import Dataset, dataset_arrays, feature_matrix
+from .datagen import Dataset, dataset_arrays, feature_matrix, float_array
 from .errors import ConfigError, UsageError
 
 
 def _normalize_t(t, t_min: float, t_max: float):
-    return (np.asarray(t, dtype=np.float64) - t_min) / (t_max - t_min)
+    """The dose t min-max normalized by [t_min, t_max]; DataFormatError says
+    that t must be numbers when ``datagen.float_array`` refuses it."""
+    return (float_array(t, "t") - t_min) / (t_max - t_min)
 
 
 def _mlp_predict(layers, X: np.ndarray, tn=None) -> np.ndarray:
@@ -87,7 +89,7 @@ class TLearnerModel:
 
     def outcome_prob(self, X, t) -> np.ndarray:
         X = self._features(X)
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
+        t = np.broadcast_to(float_array(t, "t"), (X.shape[0],))
         return np.where(t > 0, self.treated_prob(X, t), self.base_ctr(X))
 
     def unit_uplift_scores(self, X) -> np.ndarray:

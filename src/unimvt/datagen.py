@@ -113,11 +113,24 @@ def dataset_arrays(ds: Dataset):
 
 def float_array(values, what: str) -> np.ndarray:
     """values as a float64 array; DataFormatError says that ``what`` must be
-    numbers when they are complex or do not convert to floats."""
-    if np.iscomplexobj(values):  # a float64 cast drops imaginary parts with only a warning
+    numbers when they are strings (a str or bytes scalar, an array of them
+    or an object array holding one), complex, or do not convert to floats.
+    A float ndarray, the per-decision input, costs a dtype test and its cast."""
+    if type(values) is np.ndarray and values.dtype.kind == "f":
+        return np.asarray(values, dtype=np.float64)
+    if isinstance(values, (str, bytes)):  # a float64 cast would parse '2.0' as a number
+        raise DataFormatError(f"{what} must be numbers: got strings")
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{what} must be numbers: {exc}") from exc
+    kind = array.dtype.kind
+    if kind in "US" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in array.flat)):
+        raise DataFormatError(f"{what} must be numbers: got strings")
+    if kind == "c":  # a float64 cast drops imaginary parts with only a warning
         raise DataFormatError(f"{what} must be numbers: got complex values")
     try:
-        return np.asarray(values, dtype=np.float64)
+        return array.astype(np.float64)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{what} must be numbers: {exc}") from exc
 
@@ -133,7 +146,7 @@ def feature_matrix(X, n_features: int) -> np.ndarray:
         raise DataFormatError(f"features have shape {X.shape}; expected one row or a 2-D matrix")
     if X.shape[1] != n_features:
         raise DataFormatError(f"got {X.shape[1]} features; the model takes {n_features}")
-    if not np.isfinite(X).all():
+    if not np.logical_and.reduce(np.isfinite(X), None):  # ndarray.all without its wrapper
         row, feature = np.argwhere(~np.isfinite(X))[0]
         raise DataFormatError(f"row {row}: feature {feature} is {X[row, feature]}, not finite")
     return X

@@ -9,15 +9,18 @@ gives every expert's output as a (K, rows, out_dim) tensor. Slots run
 ``base0.., shared0.., treated0..``.
 
 Two softmax gates over the K slots weight every expert's output block
-side by side, producing one representation per downstream task. Both gates
-are one tape node: one GEMM gives their logits slot-major, (2, K, rows),
-and the softmax runs along the slot axis. Each task merges the stacked
-output through ``Tape.gate_merge``, whose slot mask closes the off-task
-group to the experts' gradient (u0 closes the treated slots, ut the base
-slots), so the base loss never trains treated experts and vice versa, while
-the shared slots stay open in both directions. A Frobenius cross-product
-penalty, one tape node over every layer, pushes the three groups' weight
-matrices toward mutually orthogonal subspaces.
+side by side, producing one representation per downstream task. The two
+gates are one gate bank, one parameter tensor each for the weights
+(input_dim, 2K) and the biases (2K,), gate0's columns first and gate_t's
+after them, and one tape node: one GEMM of the bank gives their logits
+slot-major, (2, K, rows), and the softmax runs along the slot axis. Each
+task merges the stacked output through ``Tape.gate_merge``, whose slot mask,
+fixed once per parameter bundle, closes the off-task group to the experts'
+gradient (u0 closes the treated slots, ut the base slots), so the base loss
+never trains treated experts and vice versa, while the shared slots stay
+open in both directions. A Frobenius cross-product penalty, one tape node
+over every layer, pushes the three groups' weight matrices toward mutually
+orthogonal subspaces.
 """
 from __future__ import annotations
 
@@ -44,15 +47,16 @@ class DcrConfig:
 class DcrParams:
     """Parameter bundle for the representation layer.
 
-    ``experts`` holds one stacked layer per depth. Under the ``ablate.dcr``
-    ablation only ``shared_mlp`` is populated and both task representations
-    collapse to its output.
+    ``experts`` holds one stacked layer per depth and ``gates`` the gate
+    bank, one linear layer of 2K outputs: gate0's logits in columns 0..K-1,
+    gate_t's in K..2K-1. Under the ``ablate.dcr`` ablation only
+    ``shared_mlp`` is populated and both task representations collapse to
+    its output.
     """
 
     input_dim: int
     experts: list = field(default_factory=list)
-    gate0: list = field(default_factory=list)
-    gate_t: list = field(default_factory=list)
+    gates: ad.Layer | None = None
     shared_mlp: list | None = None
 
     @property
@@ -73,14 +77,16 @@ class DcrParams:
     @cached_property
     def slot_open(self) -> tuple[np.ndarray, np.ndarray]:
         """Per task, the slots whose experts its representation trains: u0
-        all but the treated ones, ut all but the base ones."""
+        all but the treated ones, ut all but the base ones. Both open the
+        shared slots, so neither mask is all closed (``Tape.gate_merge``'s
+        None)."""
         group = np.arange(3 * self.experts_per_group) // self.experts_per_group
         return group != TREATED, group != BASE
 
     def parameters(self) -> list[ad.ParamTensor]:
         if not self.enabled:
             return ad.mlp_params(self.shared_mlp)
-        return ad.mlp_params(self.experts) + ad.mlp_params(self.gate0) + ad.mlp_params(self.gate_t)
+        return [*ad.mlp_params(self.experts), self.gates.W, self.gates.b]
 
 
 @dataclass
@@ -106,42 +112,43 @@ def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig,
                  "relu" if i < len(dims) - 2 else "linear")
         for i, weights in enumerate(zip(*draws))
     ]
-    return DcrParams(input_dim=input_dim, experts=experts,
-                     gate0=ad.init_mlp(rng, "dcr.gate0", (input_dim, n_slots)),
-                     gate_t=ad.init_mlp(rng, "dcr.gate_t", (input_dim, n_slots)))
+    # drawn gate by gate, gate0 then gate_t: the order of one linear layer per gate
+    gate_w = np.concatenate([ad.glorot_uniform(rng, input_dim, n_slots) for _ in range(2)], axis=1)
+    gates = ad.Layer(ad.ParamTensor("dcr.gates.W", gate_w),
+                     ad.ParamTensor("dcr.gates.b", np.zeros(2 * n_slots)))
+    return DcrParams(input_dim=input_dim, experts=experts, gates=gates)
 
 
 def gates_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
     """Both gates on x, a node of tape, as one node: the slot-major
     (2, K, rows) softmax weights, gate0's in row 0 and gate_t's in row 1.
-    One GEMM gives every logit and the softmax runs along the slot axis. In
+    One GEMM of the gate bank gives every logit and the softmax runs along
+    the slot axis; the vjp gives the bank's whole gradients. In
     ``autodiff.checked_affine``'s words, an input width the gates do not take
-    raises ConfigError, and a non-finite logit NumericError naming its
-    gate's weight."""
-    (g0,), (gt,) = params.gate0, params.gate_t
+    raises ConfigError, and a non-finite logit NumericError naming the
+    bank's weight and the gate."""
+    bank = params.gates
     xv = x.value
-    wt = np.concatenate([g0.W.values.T, gt.W.values.T])  # (2K, in)
+    wt = bank.W.values.T  # (2K, in), a view the GEMM reads transposed: logits come out slot-major
     if xv.shape[-1] != wt.shape[1]:
         raise ConfigError(f"layer 0 expects input width {wt.shape[1]}, got {xv.shape[-1]}")
-    k = g0.W.shape[1]
+    k = wt.shape[0] // 2
     z = wt @ xv.T
-    z += np.concatenate([g0.b.values, gt.b.values])[:, None]
+    z += bank.b.values[:, None]
     if not math.isfinite(np.add.reduce(z, None)):  # as checked_affine checks a layer
-        bad = g0 if not math.isfinite(np.add.reduce(z[:k], None)) else gt
-        raise NumericError(f"non-finite activation after layer 0 ({bad.W.name})")
+        gate = "gate0" if not math.isfinite(np.add.reduce(z[:k], None)) else "gate_t"
+        raise NumericError(f"non-finite activation after layer 0 ({bank.W.name}, {gate})")
     z = z.reshape(2, k, -1)
     z -= np.maximum.reduce(z, axis=1, keepdims=True)  # ndarray.max and .sum without wrappers
     s = np.exp(z, out=z)
     s /= np.add.reduce(s, axis=1, keepdims=True)
     lx = x.live
 
-    def vjp(g):  # the softmax vjp along the slot axis, then one affine vjp for both gates
+    def vjp(g):  # the softmax vjp along the slot axis, then one affine vjp for the bank
         gz = (s * (g - (g * s).sum(axis=1, keepdims=True))).reshape(2 * k, -1)
-        gw = gz @ xv
-        gb = gz @ np.ones(gz.shape[1])
-        return gz.T @ wt if lx else None, gw[:k].T, gb[:k], gw[k:].T, gb[k:]
+        return gz.T @ wt if lx else None, (gz @ xv).T, gz @ np.ones(gz.shape[1])
 
-    return tape.record(s, (x, g0.W, g0.b, gt.W, gt.b), vjp)
+    return tape.record(s, (x, bank.W, bank.b), vjp)
 
 
 def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> DcrOutput:

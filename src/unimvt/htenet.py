@@ -3,10 +3,13 @@
 Two decoupled sigmoid towers sit on the disentangled representations: the
 base tower estimates the no-intervention click probability from u0, the
 treatment tower estimates the intervened probability from ut, with every
-hidden layer modulated by a treatment-aware gate 2*sigmoid(W e_t + b). Each
+hidden layer modulated by a treatment-aware gate 2*sigmoid(W e_t + b). The
+TA gates are one gate bank, a (2, sum of tower widths) weight and its bias,
+in which hidden layer i's gate is the block of columns its width gives. Each
 tower is one tape node: the base tower through ``autodiff.mlp_forward``, the
 TA-gated treatment tower, dose encoding included, through its own vjp, with
-the logits of all its TA gates computed by one GEMM. An intensity head
+the logits of all its TA gates computed by one GEMM of the bank and their
+gradients by one GEMM back. An intensity head
 (behind stop-gradient) imputes the dose a unit would have received, t_hat,
 its sigmoid output rescaled into [t_min, t_max] by one more node; a ReLU
 uplift head outputs the nonnegative per-unit sensitivity.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -54,7 +58,7 @@ class HteParams:
 
     base_tower: list
     treat_tower: list
-    ta_gates: list                # one gate per treatment-tower hidden layer
+    ta_gates: ad.Layer            # the TA gate bank: one block of columns per hidden layer
     intensity_head: list
     uplift_head: list
     t_min: float
@@ -63,12 +67,22 @@ class HteParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.t_min < self.t_max < np.inf):
             raise ConfigError(f"need 0 < t_min < t_max < inf, got [{self.t_min}, {self.t_max}]")
-        if len(self.ta_gates) != len(self.treat_tower) - 1:
-            raise ConfigError("one TA-gate per treatment-tower hidden layer required")
+        width = sum(layer.W.shape[1] for layer in self.treat_tower[:-1])
+        if self.ta_gates.W.shape != (TREAT_ENC_DIM, width) or self.ta_gates.b.shape != (width,):
+            raise ConfigError("the TA gate bank needs one column per treatment-tower hidden unit")
+
+    @cached_property
+    def ta_cols(self) -> tuple[slice, ...]:
+        """Hidden layer i's columns of the TA gate bank, from the tower widths."""
+        cols, start = [], 0
+        for layer in self.treat_tower[:-1]:
+            cols.append(slice(start, start + layer.W.shape[1]))
+            start = cols[-1].stop
+        return tuple(cols)
 
     def parameters(self) -> list[ad.ParamTensor]:
         return [*ad.mlp_params(self.base_tower), *ad.mlp_params(self.treat_tower),
-                *ad.mlp_params(self.ta_gates), *ad.mlp_params(self.intensity_head),
+                self.ta_gates.W, self.ta_gates.b, *ad.mlp_params(self.intensity_head),
                 *ad.mlp_params(self.uplift_head)]
 
 
@@ -103,13 +117,11 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
     tower_dims = (rep, *cfg.net.tower_hidden, 1)
     base_tower = ad.init_mlp(rng, "base_tower", tower_dims, out_activation="sigmoid")
     treat_tower = ad.init_mlp(rng, "treat_tower", tower_dims, out_activation="sigmoid")
-    ta_gates = [
-        ad.Layer(
-            ad.ParamTensor(f"ta_gate{i}.W", ad.glorot_uniform(rng, TREAT_ENC_DIM, width)),
-            ad.ParamTensor(f"ta_gate{i}.b", np.zeros(width)),
-        )
-        for i, width in enumerate(cfg.net.tower_hidden)
-    ]
+    # drawn gate by gate: the order of one linear layer per hidden layer
+    draws = [ad.glorot_uniform(rng, TREAT_ENC_DIM, width) for width in cfg.net.tower_hidden]
+    gate_w = np.concatenate(draws, axis=1) if draws else np.zeros((TREAT_ENC_DIM, 0))
+    ta_gates = ad.Layer(ad.ParamTensor("ta_gates.W", gate_w),
+                        ad.ParamTensor("ta_gates.b", np.zeros(gate_w.shape[1])))
     head_dims = (rep, cfg.net.head_hidden, 1)
     intensity_head = ad.init_mlp(rng, "intensity_head", head_dims, out_activation="sigmoid")
     uplift_head = ad.init_mlp(rng, "uplift_head", head_dims, out_activation="relu")
@@ -132,62 +144,55 @@ def treat_tower_forward(hte: HteParams, ut: ad.Node, dose: ad.Node, tape: ad.Tap
     recorded as one node with its own vjp. The dose, min-max normalized by
     the t bounds to tn, is encoded as e_t = [tn, tn^2]; hidden layer i gives
     h = a_i * relu(h W_i + b_i) with the TA gate a_i = 2*sigmoid(e_t G_i + g_i)
-    elementwise in (0, 2), and the output is sigmoid(h W + b). Every gate's
-    logits come from one GEMM, e_t @ [G_0 | G_1 | ...] + [g_0 | g_1 | ...],
-    and its vjp gives every gate's gradients from one GEMM back. A non-finite
-    affine output raises NumericError naming the layer (its index and
-    weight); gate i counts as layer i."""
+    elementwise in (0, 2), and the output is sigmoid(h W + b). G_i and g_i
+    are layer i's columns of the TA gate bank (``HteParams.ta_cols``), so
+    every gate's logits come from one GEMM, e_t @ G + g, and the vjp gives
+    the bank's whole gradients from one GEMM back. A non-finite affine
+    output raises NumericError naming the layer (its index and weight); gate
+    i counts as layer i, named by the bank's weight and its index."""
     c = 1.0 / (hte.t_max - hte.t_min)
     tn = (dose.value + -hte.t_min) * c
     e_t = np.concatenate([tn, tn * tn], axis=1)
-    layers, gates = hte.treat_tower[:-1], hte.ta_gates
-    cols, start = [], 0  # gate i's columns of the joint logits
-    for gate in gates:
-        cols.append(slice(start, start + gate.W.shape[1]))
-        start = cols[-1].stop
-    if gates:
-        gate_w = np.concatenate([gate.W.values for gate in gates], axis=1)
-        z = ad.affine_value(e_t, gate_w, np.concatenate([gate.b.values for gate in gates]))
-        if not math.isfinite(np.add.reduce(z, None)):  # as checked_affine checks a layer
-            bad = next((i for i, col in enumerate(cols)  # the last if only the total overflowed
-                        if not math.isfinite(np.add.reduce(z[:, col], None))), len(gates) - 1)
-            raise NumericError(f"non-finite activation after layer {bad} ({gates[bad].W.name})")
-        s = expit(z)
-    hs, relus, gated = [ut.value], [], []  # each hidden layer's input; its relu output and gate
+    *layers, out = hte.treat_tower
+    bank, cols = hte.ta_gates, hte.ta_cols
+    z = ad.affine_value(e_t, bank.W.values, bank.b.values)
+    if not math.isfinite(np.add.reduce(z, None)):  # as checked_affine checks a layer
+        bad = next((i for i, col in enumerate(cols)  # the last if only the total overflowed
+                    if not math.isfinite(np.add.reduce(z[:, col], None))), len(cols) - 1)
+        raise NumericError(f"non-finite activation after layer {bad} ({bank.W.name}, gate {bad})")
+    s = expit(z)
+    a = s * 2.0  # every gate a_i, in its columns
+    parents = [ut, dose, out.W, out.b, bank.W, bank.b]
+    hs, relus = [ut.value], []  # each hidden layer's input; its relu output
     for i, layer in enumerate(layers):
         relus.append(np.fmax(ad.checked_affine(layer, hs[-1], i), 0.0))
-        gated.append(s[:, cols[i]] * 2.0)
-        hs.append(gated[-1] * relus[-1])
-    out = hte.treat_tower[-1]
+        hs.append(a[:, cols[i]] * relus[-1])
+        parents += (layer.W, layer.b)
     pt = expit(ad.checked_affine(out, hs[-1], len(layers)))
-    weights = [layer.W.values for layer in hte.treat_tower]
     lu, ld = ut.live, dose.live
 
     def vjp(g):
-        g, gw, gb = ad.affine_grads(g * pt * (1.0 - pt), hs[-1], weights[-1],
+        g, gw, gb = ad.affine_grads(g * pt * (1.0 - pt), hs[-1], out.W.values,
                                     lx=bool(layers) or lu)
-        grads = [gw, gb]
         if not layers:
-            return (g, None, *grads)
+            return g, None, gw, gb, None, None
         gz = np.empty(z.shape)  # every gate's logit gradient, g * r * 2 s (1 - s)
+        grads = []  # the hidden layers' (b, W) gradients, last layer first
         for i in reversed(range(len(layers))):
             r = relus[i]
             gz[:, cols[i]] = g * r
             # r > 0 exactly where the affine output is
-            g, gw, gb = ad.affine_grads(g * gated[i] * (r > 0.0), hs[i], weights[i],
-                                        lx=i > 0 or lu)
-            grads += (gw, gb)
+            g, gw_i, gb_i = ad.affine_grads(g * a[:, cols[i]] * (r > 0.0), hs[i],
+                                            layers[i].W.values, lx=i > 0 or lu)
+            grads += (gb_i, gw_i)
         gz *= 2.0
         gz *= s
         gz *= 1.0 - s
-        ge, gg, ggb = ad.affine_grads(gz, e_t, gate_w, lx=ld)
-        for col in cols:
-            grads += (gg[:, col], ggb[col])
+        ge, gg, ggb = ad.affine_grads(gz, e_t, bank.W.values, lx=ld)
         gd = (ge[:, 0:1] + 2.0 * ge[:, 1:2] * tn) * c if ld else None
-        return (g, gd, *grads)
+        return (g, gd, gw, gb, gg, ggb, *grads[::-1])
 
-    params = [p for layer in reversed(layers) for p in (layer.W, layer.b)]
-    return tape.record(pt, (ut, dose, out.W, out.b, *params, *ad.mlp_params(gates)), vjp)
+    return tape.record(pt, parents, vjp)
 
 
 def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:

@@ -103,7 +103,8 @@ class _PinnedTape(ad.Tape):
 
     def gate_merge(self, gates, task: int, experts, open) -> ad.Node:
         node = super().gate_merge(gates, task, experts, open)
-        ev = np.where(np.asarray(open)[:, None, None], experts.value, self._pin(experts.value))
+        pinned = self._pin(experts.value)
+        ev = pinned if open is None else np.where(open[:, None, None], experts.value, pinned)
         k, n, d = ev.shape
         # gate_merge's layout: slot k's block in columns k*d .. (k+1)*d - 1
         node.value = (gates.value[task][:, :, None] * ev).transpose(1, 0, 2).reshape(n, k * d)

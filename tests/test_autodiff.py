@@ -381,6 +381,23 @@ def test_gate_merge_equals_the_transpose_form():
     assert same_bits(g_experts[open_], (blocks * weights)[open_])
 
 
+@pytest.mark.parametrize("open_", [None, np.zeros(3, bool)], ids=["None", "all closed"])
+def test_gate_merge_with_no_open_slot_gives_the_experts_no_gradient(open_):
+    # None opens no slot, and the experts get no gradient; an all-closed
+    # mask, which gate_merge does not test for, gives them exact zeros
+    rng = np.random.default_rng(8)
+    gates = ad.ParamTensor("gates", rng.uniform(0, 1, (2, 3, 4)))
+    w = ad.ParamTensor("w", rng.standard_normal((3, 4, 2)))
+    tape = ad.Tape()
+    node = tape.gate_merge(gates, 0, mul(tape, w, 1.0), open_)
+    tape.sum_all(mul(tape, node, rng.standard_normal((4, 6))))
+    ad.backward(tape)
+    np.testing.assert_array_equal(w.grad, 0.0)
+    assert np.any(gates.grad[0]) and not np.any(gates.grad[1])
+    assert same_bits(node.value, (gates.values[0][:, :, None] * w.values).transpose(1, 0, 2)
+                     .reshape(4, 6))
+
+
 def test_kernels_keep_extended_precision():
     """finite_diff_check re-evaluates in longdouble; no kernel may drop it."""
     rng = np.random.default_rng(6)
@@ -480,7 +497,8 @@ MULTI_OPERAND = {
     "stacked affine": (affine, [(3, 4), (2, 4, 5), (2, 1, 5)]),
     "bridge": (lambda tape, p, t_hat, eta: tape.bridge(p, t_hat, eta, -1.0),
                [(3, 1), (3, 1), (3, 1)]),
-    "gate_merge": (lambda tape, gates, experts: tape.gate_merge(gates, 1, experts, [True, False]),
+    "gate_merge": (lambda tape, gates, experts: tape.gate_merge(gates, 1, experts,
+                                                                np.array([True, False])),
                    [(2, 2, 3), (2, 3, 4)]),
 }
 
@@ -521,11 +539,11 @@ def test_only_a_node_that_reaches_a_parameter_is_live():
     frozen = tape.stop_gradient(w)
     mixed = add(tape, on_constants, w)
     gates, experts = tape.constant(np.ones((1, 2, 2))), mul(tape, w, np.ones((2, 2, 1)))
-    partly_open = tape.gate_merge(gates, 0, experts, [False, True])
+    partly_open = tape.gate_merge(gates, 0, experts, np.array([False, True]))
     assert w.live and mixed.live and mixed.vjp is not None
     assert partly_open.live and partly_open.vjp is not None
     for dead in (on_constants, frozen, mul(tape, frozen, on_constants),
-                 tape.gate_merge(gates, 0, experts, [False, False])):
+                 tape.gate_merge(gates, 0, experts, None)):
         assert not dead.live and dead.vjp is None
 
 

@@ -10,9 +10,10 @@ from unimvt import dcr
 from unimvt.errors import ConfigError
 
 
-def zero_gate(name, in_dim, n_experts):
-    return [ad.Layer(ad.ParamTensor(f"{name}.W", np.zeros((in_dim, n_experts))),
-                     ad.ParamTensor(f"{name}.b", np.zeros(n_experts)), "linear")]
+def zero_gates(in_dim, n_experts):
+    """A gate bank of zeros: gate0's n_experts columns, then gate_t's."""
+    return ad.Layer(ad.ParamTensor("dcr.gates.W", np.zeros((in_dim, 2 * n_experts))),
+                    ad.ParamTensor("dcr.gates.b", np.zeros(2 * n_experts)), "linear")
 
 
 def single_layer_params(Wb, Ws, Wt):
@@ -20,8 +21,7 @@ def single_layer_params(Wb, Ws, Wt):
     W = np.stack([Wb, Ws, Wt])
     layer = ad.Layer(ad.ParamTensor("dcr.l0.W", W),
                      ad.ParamTensor("dcr.l0.b", np.zeros((3, 1, W.shape[2]))), "linear")
-    return dcr.DcrParams(input_dim=W.shape[1], experts=[layer],
-                         gate0=zero_gate("g0", W.shape[1], 3), gate_t=zero_gate("gt", W.shape[1], 3))
+    return dcr.DcrParams(input_dim=W.shape[1], experts=[layer], gates=zero_gates(W.shape[1], 3))
 
 
 def one_expert_identity_params(dim=2):
@@ -86,8 +86,10 @@ def test_gate_weights_sum_to_one():
     assert g.value.shape == (2, 6, 5)
     assert np.all(g.value > 0)
     np.testing.assert_allclose(g.value.sum(axis=1), 1.0, atol=1e-12)
-    for row, gate in enumerate((params.gate0, params.gate_t)):  # row-wise softmax of each gate
-        logits = x.value @ gate[0].W.values + gate[0].b.values
+    bank = params.gates
+    for row in range(2):  # row-wise softmax of each gate, on its block of the bank's columns
+        cols = slice(6 * row, 6 * (row + 1))
+        logits = x.value @ bank.W.values[:, cols] + bank.b.values[cols]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(g.value[row].T, e / e.sum(axis=1, keepdims=True),
                                    rtol=1e-13, atol=0)
@@ -96,8 +98,8 @@ def test_gate_weights_sum_to_one():
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
 def test_gates_positive_and_normalized(logits):
     k = len(logits)
-    params = dcr.DcrParams(input_dim=1, gate0=zero_gate("g0", 1, k), gate_t=zero_gate("gt", 1, k))
-    params.gate_t[0].W.values[0] = logits
+    params = dcr.DcrParams(input_dim=1, gates=zero_gates(1, k))
+    params.gates.W.values[0, k:] = logits  # gate_t's columns
     tape = ad.Tape()
     g = dcr.gates_forward(params, tape.constant(np.ones((1, 1))), tape).value
     assert np.all(g > 0)
@@ -105,15 +107,18 @@ def test_gates_positive_and_normalized(logits):
 
 
 def test_gate_node_against_finite_differences():
+    # the fused bank's W and b, each gate's columns with a bias of its own
     params = seeded_params(4)
     rng = np.random.default_rng(4)
     x, mask = rng.standard_normal((5, 4)), rng.uniform(0.5, 1.5, size=(2, 6, 5))
+    params.gates.b.values[:] = rng.normal(0.0, 0.5, size=12)
 
     def loss_fn(tape):
         return tape.sum_all(mul(tape, mask, dcr.gates_forward(params, tape.constant(x), tape)))
 
-    gate_params = ad.mlp_params(params.gate0) + ad.mlp_params(params.gate_t)
-    assert finite_diff_check(loss_fn, gate_params, eps=1e-6) < 1e-6
+    assert params.parameters()[-2:] == [params.gates.W, params.gates.b]
+    assert params.gates.W.shape == (4, 12) and params.gates.b.shape == (12,)
+    assert finite_diff_check(loss_fn, [params.gates.W, params.gates.b], eps=1e-6) < 1e-6
 
 
 def test_both_representations_against_finite_differences():

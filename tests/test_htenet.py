@@ -63,10 +63,36 @@ def test_build_model_draws_dcr_experts_one_mlp_at_a_time():
     for i, layer in enumerate(model.dcr.experts):
         np.testing.assert_array_equal(layer.W.values, np.stack([e[i].W.values for e in experts]))
         assert np.all(layer.b.values == 0.0)
-    for gate in (model.dcr.gate0, model.dcr.gate_t):
-        np.testing.assert_array_equal(gate[0].W.values, ad.glorot_uniform(rng, 5, n_slots))
+    # the gate bank holds gate0's draw, then gate_t's, side by side
+    bank = model.dcr.gates
+    assert bank.W.shape == (5, 2 * n_slots) and bank.b.shape == (2 * n_slots,)
+    for cols in (slice(0, n_slots), slice(n_slots, 2 * n_slots)):
+        np.testing.assert_array_equal(bank.W.values[:, cols], ad.glorot_uniform(rng, 5, n_slots))
+    assert np.all(bank.b.values == 0.0)
     tower = ad.init_mlp(rng, "base_tower", (model.dcr.output_dim, *cfg.net.tower_hidden, 1))
     for got, want in zip(model.hte.base_tower, tower):
+        np.testing.assert_array_equal(got.W.values, want.W.values)
+
+
+@pytest.mark.parametrize("tower_hidden", [(32, 32), (8, 5, 3)], ids=["32-32", "8-5-3"])
+def test_build_model_draws_the_ta_gate_bank_one_gate_at_a_time(tower_hidden):
+    # the bank holds the draws of one (2, width) gate per hidden layer in
+    # layer order, and the intensity head's draws follow them unchanged
+    cfg = ExperimentConfig()
+    cfg.net.tower_hidden = tower_hidden
+    model = ht.build_model(cfg, input_dim=5, t_min=1.0, t_max=3.0, seed=6)
+    rng = np.random.default_rng(6)
+    rep = dcr.init_dcr(rng, 5, cfg.dcr, False).output_dim
+    for name in ("base_tower", "treat_tower"):
+        ad.init_mlp(rng, name, (rep, *tower_hidden, 1))
+    bank, cols = model.hte.ta_gates, model.hte.ta_cols
+    assert bank.W.shape == (2, sum(tower_hidden)) and bank.b.shape == (sum(tower_hidden),)
+    assert [col.stop - col.start for col in cols] == list(tower_hidden)
+    for col, width in zip(cols, tower_hidden):
+        np.testing.assert_array_equal(bank.W.values[:, col], ad.glorot_uniform(rng, 2, width))
+    assert np.all(bank.b.values == 0.0)
+    head = ad.init_mlp(rng, "intensity_head", (rep, cfg.net.head_hidden, 1))
+    for got, want in zip(model.hte.intensity_head, head):
         np.testing.assert_array_equal(got.W.values, want.W.values)
 
 
@@ -83,7 +109,7 @@ def one_gate_tower(gate_W, gate_b):
              ad.Layer(ad.ParamTensor("tw1.W", rng.standard_normal((3, 1))),
                       ad.ParamTensor("tw1.b", rng.standard_normal(1)), "sigmoid")]
     gate = ad.Layer(ad.ParamTensor("g.W", gate_W), ad.ParamTensor("g.b", gate_b))
-    return ht.HteParams([], tower, [gate], [], [], 1.0, 3.0)
+    return ht.HteParams([], tower, gate, [], [], 1.0, 3.0)
 
 
 def tower_value(hte, ut, dose):
@@ -115,7 +141,7 @@ def test_ta_gate_matches_direct_scalar_evaluation():
     rng = np.random.default_rng(4)
     hte = one_gate_tower(rng.standard_normal((2, 3)), rng.standard_normal(3))
     hidden, out = hte.treat_tower
-    gate = hte.ta_gates[0]
+    gate = hte.ta_gates
     tn = (DOSES - 1.0) / 2.0
     a = 2.0 * expit(np.hstack([tn, tn**2]) @ gate.W.values + gate.b.values)
     h = a * np.maximum(UT @ hidden.W.values + hidden.b.values, 0.0)
@@ -125,9 +151,11 @@ def test_ta_gate_matches_direct_scalar_evaluation():
 
 @pytest.mark.parametrize("live_dose", [True, False], ids=["live dose", "dead dose"])
 def test_treat_tower_gradients_against_finite_differences(live_dose):
+    # the TA gate bank's W and b, each gate's columns with a bias of its own
     model = tiny_model(seed=14)
     hte = model.hte
     rng = np.random.default_rng(14)
+    hte.ta_gates.b.values[:] = rng.normal(0.0, 0.5, size=hte.ta_gates.b.shape)
     ut = ad.ParamTensor("ut", rng.standard_normal((6, model.dcr.output_dim)))
     dose = ad.ParamTensor("dose", rng.uniform(0.8, 3.2, size=(6, 1)))
     weights = rng.uniform(0.5, 1.5, size=(6, 1))
@@ -138,7 +166,8 @@ def test_treat_tower_gradients_against_finite_differences(live_dose):
         nodes.append(ht.treat_tower_forward(hte, mul(tape, ut, 1.0), d, tape))
         return tape.sum_all(mul(tape, nodes[-1], weights))
 
-    params = [ut, *ad.mlp_params(hte.treat_tower), *ad.mlp_params(hte.ta_gates)]
+    assert hte.ta_gates.W.shape == (2, 16) and hte.ta_gates.b.shape == (16,)
+    params = [ut, *ad.mlp_params(hte.treat_tower), hte.ta_gates.W, hte.ta_gates.b]
     if live_dose:
         params.append(dose)
     assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
@@ -290,8 +319,8 @@ def scalar_oracle_loss(model, X, w, t, y, weights):
                          ad.ParamTensor("b", layer.b.values[k, 0]), layer.activation)
                 for layer in dcrp.experts] for k in range(n_slots)]
     outs = [mlp_np(e, X) for e in experts]
-    def gated(gate_layers):
-        logits = mlp_np(gate_layers, X)
+    def gated(cols):  # one gate's columns of the DCR gate bank
+        logits = X @ dcrp.gates.W.values[:, cols] + dcrp.gates.b.values[cols]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         gw = e / e.sum(axis=1, keepdims=True)
         blocks = []
@@ -299,7 +328,7 @@ def scalar_oracle_loss(model, X, w, t, y, weights):
             blocks.append(gw[:, slot : slot + 1] * out)
         return np.concatenate(blocks, axis=1)
 
-    u0, ut = gated(dcrp.gate0), gated(dcrp.gate_t)
+    u0, ut = gated(slice(0, n_slots)), gated(slice(n_slots, 2 * n_slots))
     p0 = mlp_np(hte.base_tower, u0).reshape(-1)
     # the heads end in their sigmoid and ReLU, which mlp_np applies
     t_hat = mlp_np(hte.intensity_head, ut).reshape(-1) * (hte.t_max - hte.t_min) + hte.t_min
@@ -312,7 +341,8 @@ def scalar_oracle_loss(model, X, w, t, y, weights):
     h = ut
     for i, layer in enumerate(hte.treat_tower[:-1]):
         h = np.maximum(h @ layer.W.values + layer.b.values, 0.0)
-        a = 2.0 * expit(e_t @ hte.ta_gates[i].W.values + hte.ta_gates[i].b.values)
+        col = hte.ta_cols[i]
+        a = 2.0 * expit(e_t @ hte.ta_gates.W.values[:, col] + hte.ta_gates.b.values[col])
         h = a * h
     pt = expit(h @ hte.treat_tower[-1].W.values + hte.treat_tower[-1].b.values).reshape(-1)
 
@@ -696,12 +726,41 @@ def test_scoring_names_the_feature_count_it_got_and_the_one_the_model_takes(entr
         SCORE_FIVE_FEATURES[entry](np.ones((3, width)))
 
 
-@pytest.mark.parametrize("bad", [[["a"] * 5] * 3, [[{}] * 5] * 3, [[1j] * 5] * 3],
-                         ids=["string", "dict", "complex"])
+@pytest.mark.parametrize("bad, said", [([["a"] * 5] * 3, ": got strings"), ([[{}] * 5] * 3, ""),
+                                       ([[1j] * 5] * 3, ": got complex values"),
+                                       ([["1"] * 5] * 3, ": got strings"), ("1.0", ": got strings"),
+                                       (np.full((3, 5), b"1.0"), ": got strings"),
+                                       (np.array([[1.0] * 4 + ["1"]] * 3, dtype=object),
+                                        ": got strings")],
+                         ids=["string", "dict", "complex", "numeric strings", "string scalar",
+                              "bytes array", "object array holding a string"])
 @pytest.mark.parametrize("entry", SCORE_FIVE_FEATURES)
-def test_scoring_says_features_must_be_numbers(entry, bad):
-    with pytest.raises(DataFormatError, match="features must be numbers"):
+def test_scoring_says_features_must_be_numbers(entry, bad, said):
+    # a string that numpy would parse as a float is still not a number
+    with pytest.raises(DataFormatError, match="features must be numbers" + said):
         SCORE_FIVE_FEATURES[entry](bad)
+
+
+# every S-/T-Learner entry point that takes a dose, on a model that takes 5 features
+DOSE_ENTRIES = {
+    "slearner.outcome_prob": lambda t: learners_on_five_features()[0].outcome_prob(
+        np.ones((3, 5)), t),
+    "tlearner.treated_prob": lambda t: learners_on_five_features()[1].treated_prob(
+        np.ones((3, 5)), t),
+    "tlearner.outcome_prob": lambda t: learners_on_five_features()[1].outcome_prob(
+        np.ones((3, 5)), t),
+}
+
+
+@pytest.mark.parametrize("t", ["2.0", b"2.0", ["2.0"] * 3, np.full(3, b"2"),
+                               np.array([2.0, "2.0", 2.0], dtype=object)],
+                         ids=["string", "bytes", "string list", "bytes array",
+                              "object array holding a string"])
+@pytest.mark.parametrize("entry", DOSE_ENTRIES)
+def test_learners_say_the_dose_must_be_numbers(entry, t):
+    with pytest.raises(DataFormatError, match="t must be numbers: got strings"):
+        DOSE_ENTRIES[entry](t)
+    assert DOSE_ENTRIES[entry](2.0).shape == (3,)
 
 
 @pytest.mark.parametrize("ablate_dcr", [False, True])
@@ -717,12 +776,17 @@ def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, ablate_dcr):
 
 
 @pytest.mark.parametrize("q", [["a"] * 4, "x", [1j] * 4, np.full(4, 2.0 + 1.0j),
-                               True, np.bool_(False), [True, False, True, True], np.ones(4, bool)],
+                               True, np.bool_(False), [True, False, True, True], np.ones(4, bool),
+                               "2.0", b"2.0", np.str_("2.0"), ["2.0"] * 4, np.full(4, "2.0"),
+                               np.full(4, b"2.0"), np.array([2.0, "2.0", 2.0, 2.0], dtype=object)],
                          ids=["strings", "string", "complex list", "complex array",
-                              "bool", "numpy bool", "bool list", "bool array"])
+                              "bool", "numpy bool", "bool list", "bool array",
+                              "numeric string", "bytes", "numpy string", "numeric strings",
+                              "string array", "bytes array", "object array holding a string"])
 def test_predict_batch_says_q_must_be_numbers(q):
     # a complex array would otherwise lose its imaginary part with only a
-    # warning, and a bool would read as the dose 0.0 or 1.0
+    # warning, a bool would read as the dose 0.0 or 1.0 and a numeric string
+    # as the number it spells
     with pytest.raises(DataFormatError, match="q must be numbers"):
         ht.predict_batch(tiny_model(), np.ones((4, 5)), q=q)
     if np.ndim(q) == 0:
@@ -746,24 +810,33 @@ def test_predict_names_the_layer_of_a_nan_weight():
         ht.predict(model, np.ones(5))
 
 
-@pytest.mark.parametrize("part, name", [("treat_tower", "treat_tower.l0.W"),
-                                        ("ta_gates", "ta_gate0.W"),
-                                        ("ta_gates", "ta_gate1.W")])
-def test_predict_names_a_nan_weight_of_the_treatment_tower(part, name):
-    # both gates' logits come from one GEMM; the error still names the gate
-    layer = int(re.search(r"\d", name).group())
+def test_predict_names_a_nan_weight_of_the_treatment_tower():
     model = tiny_model()
-    getattr(model.hte, part)[layer].W.values[0, 0] = np.nan
-    with pytest.raises(NumericError, match=f"layer {layer} \\({name}\\)"):
+    model.hte.treat_tower[0].W.values[0, 0] = np.nan
+    with pytest.raises(NumericError, match=re.escape("layer 0 (treat_tower.l0.W)")):
         ht.predict(model, np.ones(5))
 
 
-@pytest.mark.parametrize("name", ["dcr.gate0.l0.W", "dcr.gate_t.l0.W", "dcr.l0.W"])
-def test_predict_names_a_nan_weight_of_the_representation_layer(name):
+@pytest.mark.parametrize("gate", [0, 1])
+def test_predict_names_the_fused_tensor_and_the_gate_of_a_nan_ta_gate_weight(gate):
+    # every gate's logits come from one GEMM of the bank; the error names the
+    # bank's weight and the gate, whose index is its hidden layer's
     model = tiny_model()
-    weight = next(p for p in model.dcr.parameters() if p.name == name)
-    weight.values.reshape(-1)[0] = np.nan
-    with pytest.raises(NumericError, match=f"layer 0 \\({name}\\)"):
+    model.hte.ta_gates.W.values[1, model.hte.ta_cols[gate].start] = np.nan
+    with pytest.raises(NumericError, match=re.escape(f"layer {gate} (ta_gates.W, gate {gate})")):
+        ht.predict(model, np.ones(5))
+
+
+@pytest.mark.parametrize("column, name", [(0, "dcr.gates.W, gate0"), (5, "dcr.gates.W, gate_t"),
+                                          (None, "dcr.l0.W")], ids=["gate0", "gate_t", "expert"])
+def test_predict_names_a_nan_weight_of_the_representation_layer(column, name):
+    # the tiny DCR has 3 slots: gate0's columns are 0..2 of the bank, gate_t's 3..5
+    model = tiny_model()
+    if column is None:
+        model.dcr.experts[0].W.values.reshape(-1)[0] = np.nan
+    else:
+        model.dcr.gates.W.values[2, column] = np.nan
+    with pytest.raises(NumericError, match=re.escape(f"layer 0 ({name})")):
         ht.predict(model, np.ones(5))
 
 

@@ -99,6 +99,45 @@ def test_per_expert_model_file_names_the_missing_stacked_tensor(tmp_path):
         ht.load_model(path)
 
 
+def per_gate_lines(lines, bank, gates):
+    """lines as a file saved when every gate was a tensor of its own holds
+    them: the bank's W and b lines leave, and each gate's equal share of the
+    bank's columns is appended as gates[i]'s lines."""
+    kv = dict(line.partition("=")[::2] for line in lines)
+    out = [line for line in lines if not line.startswith(f"param.{bank}.")]
+    widths = [int(kv[f"param.{bank}.b"].split()[1]) // len(gates)] * len(gates)
+    for suffix in ("W", "b"):
+        fields = kv[f"param.{bank}.{suffix}"].split()
+        ndim = int(fields[0])
+        values = np.array(fields[1 + ndim:]).reshape([int(d) for d in fields[1:1 + ndim]])
+        start = 0
+        for gate, width in zip(gates, widths):
+            part = values[..., start:start + width]
+            start += width
+            dims = " ".join(str(d) for d in part.shape)
+            out.append(f"param.{gate}.{suffix}={part.ndim} {dims} {' '.join(part.reshape(-1))}")
+    return out
+
+
+@pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
+def test_per_gate_model_file_names_its_stray_gate_line(tmp_path, ablate_dcr):
+    # files saved before the gate banks hold dcr.gate0, dcr.gate_t and
+    # ta_gate{i} tensors; the first of them in file order is named
+    path = tmp_path / "model.txt"
+    cfg = ExperimentConfig()
+    cfg.ablate.dcr = ablate_dcr
+    ht.save_model(ht.build_model(cfg, input_dim=3, t_min=1.0, t_max=2.0), path)
+    lines = path.read_text().splitlines()
+    if not ablate_dcr:
+        lines = per_gate_lines(lines, "dcr.gates", ["dcr.gate0.l0", "dcr.gate_t.l0"])
+    lines = per_gate_lines(lines, "ta_gates", ["ta_gate0", "ta_gate1"])  # after the DCR's
+    path.write_text("\n".join(lines) + "\n")
+    stray = "param.ta_gate0.W" if ablate_dcr else "param.dcr.gate0.l0.W"
+    with pytest.raises(ConfigError, match=re.escape(f"model file has {stray!r}, which the network "
+                                                    "has no slot for")):
+        ht.load_model(path)
+
+
 def test_undecodable_model_file_is_named(tmp_path):
     path = tmp_path / "model.txt"
     save(path)
