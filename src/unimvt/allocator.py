@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import PROB_EPS
+from .config import _real
 from .errors import ConfigError, NumericError
 
 MODES = ("additive",)
@@ -28,18 +29,21 @@ MAX_GRID_POINTS = 1_000_000
 
 @dataclass(frozen=True)
 class AllocationGrid:
+    """Candidate intensities q_min + step * i up to q_max. ConfigError names a
+    field that is not a finite number (a bool or str is not one), breaks
+    0 < q_min <= q_max or step > 0, or gives over MAX_GRID_POINTS points."""
+
     q_min: float
     q_max: float
     step: float
     _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("q_min", "q_max", "step"):
-            _require_finite(name, getattr(self, name))
-        if not (0.0 < self.q_min <= self.q_max):
-            raise ConfigError("need 0 < q_min <= q_max")
-        if self.step <= 0.0:
-            raise ConfigError("grid step must be positive")
+        _real(self.q_min, "q_min", 0.0, above=True)
+        _real(self.q_max, "q_max")
+        _real(self.step, "step", 0.0, above=True)
+        if self.q_min > self.q_max:
+            raise ConfigError(f"need q_min <= q_max, got {self.q_min} > {self.q_max}")
         # counted in floats (inf for a step too small to divide by) before any value is built
         count = np.floor(float(self.q_max - self.q_min) / float(self.step) + 1e-9) + 1
         if count > MAX_GRID_POINTS:
@@ -64,11 +68,6 @@ class AllocationDecision:
     net_gain: float          # value * uplift - cost at the best candidate
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
-
-
 def _click_prob(p0: float, eta: float, q, mode: str):
     if mode not in MODES:
         raise ConfigError(f"unknown decision mode {mode!r}")
@@ -78,12 +77,12 @@ def _click_prob(p0: float, eta: float, q, mode: str):
 def decide(prediction, grid: AllocationGrid, value_per_click: float,
            threshold: float, mode: str = "additive") -> AllocationDecision:
     """Pick q* = argmax net gain over the grid (ties go to the cheapest q);
-    issue iff ratio(q*) >= threshold and net_gain(q*) > 0. A NaN or infinite
-    knob raises ConfigError, a NaN or infinite prediction NumericError."""
-    _require_finite("value_per_click", value_per_click)
-    _require_finite("threshold", threshold)
-    if value_per_click <= 0:
-        raise ConfigError("value_per_click must be positive")
+    issue iff ratio(q*) >= threshold and net_gain(q*) > 0. ConfigError names
+    value_per_click unless it is a finite number above 0, and threshold
+    unless it is a finite number (a bool, a string or NaN is not one); a NaN
+    or infinite prediction raises NumericError."""
+    _real(value_per_click, "value_per_click", 0.0, above=True)
+    _real(threshold, "threshold")
     qs = grid.values()
     if qs.size == 0:
         raise ConfigError("allocation grid is empty")

@@ -61,7 +61,6 @@ pays for it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -494,20 +493,8 @@ def minibatch_adam(params: Sequence[ParamTensor], n_rows: int, batch_loss, train
     over rows 0..n_rows-1, each in a fresh ``rng`` permutation cut into
     batches of ``train.batch`` rows. ``batch_loss(rows, tape)`` records a
     batch's loss on a fresh tape and returns (scalar loss node, record); a
-    NaN or infinite loss raises NumericError naming its epoch and batch, and
-    an epoch or batch count that is not an integer of at least 1, or a rate
-    that is not a finite and positive number (a bool is not one), raises
-    ConfigError naming the key. Returns each epoch's list of batch records."""
-    for key in ("epochs", "batch"):
-        value = getattr(train, key)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"train.{key} must be an integer, got {value!r}")
-        if value < 1:
-            raise ConfigError(f"train.{key} must be at least 1, got {value}")
-    if isinstance(train.lr, bool) or not isinstance(train.lr, numbers.Real):
-        raise ConfigError(f"train.lr must be a number, got {train.lr!r}")
-    if not (math.isfinite(train.lr) and train.lr > 0):
-        raise ConfigError(f"train.lr must be finite and positive, got {train.lr}")
+    NaN or infinite loss raises NumericError naming its epoch and batch.
+    Returns each epoch's list of batch records."""
     state = OptimizerState(params, lr=train.lr)
     records = []
     for epoch in range(train.epochs):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import ExperimentConfig, check_network
+from .config import ExperimentConfig, validate
 from .datagen import Dataset, dataset_arrays, feature_matrix, float_array
 from .errors import ConfigError, UsageError
 
@@ -111,8 +111,8 @@ def train_slearner(dataset: Dataset, cfg: ExperimentConfig) -> SLearnerModel:
     if X.shape[0] == 0:
         raise UsageError("training needs a nonempty dataset")
     t_min, t_max = _t_bounds(w, t)
-    check_network(cfg, X.shape[1])
-    rng = np.random.default_rng(cfg.train.checked_seed())
+    validate(cfg, X.shape[1])
+    rng = np.random.default_rng(cfg.train.seed)
     dims = (X.shape[1] + 1, *cfg.net.tower_hidden, 1)
     net = ad.init_mlp(rng, "slearner", dims, out_activation="sigmoid")
     inputs = np.column_stack([X, _normalize_t(t, t_min, t_max)])
@@ -126,8 +126,8 @@ def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
     if not ctrl.any() or not trt.any():
         raise ConfigError("T-Learner needs both control and treated rows")
     t_min, t_max = _t_bounds(w, t)
-    check_network(cfg, X.shape[1])
-    rng = np.random.default_rng(cfg.train.checked_seed())
+    validate(cfg, X.shape[1])
+    rng = np.random.default_rng(cfg.train.seed)
     control_net = ad.init_mlp(rng, "tlearner.control", (X.shape[1], *cfg.net.tower_hidden, 1),
                               out_activation="sigmoid")
     treated_net = ad.init_mlp(rng, "tlearner.treated", (X.shape[1] + 1, *cfg.net.tower_hidden, 1),

@@ -3,6 +3,11 @@
 Flat keys follow ``section.field`` naming, e.g. ``loss.lambda_base``,
 ``train.epochs``, ``ablate.dcr``, ``dcr.hidden``, ``net.tower_hidden``;
 model files record the keys that shape the network in this form.
+
+Every knob of the package is checked here, by two package-internal helpers
+that refuse a bool and any non-number with a ConfigError naming the knob:
+``_integer`` and ``_real`` (finite). ``validate`` runs them over a config;
+``SynSpec``, the allocation grid, ``decide`` and the metrics' k call them.
 """
 from __future__ import annotations
 
@@ -12,6 +17,27 @@ from dataclasses import dataclass, field, fields
 
 from .dcr import DcrConfig
 from .errors import ConfigError
+
+
+def _integer(value, key: str, least: int = 1) -> None:
+    """ConfigError naming key unless value is an integer of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{key} must be an integer of at least {least}, got {value}")
+
+
+def _real(value, key: str, least: float | None = None, *, above: bool = False) -> None:
+    """ConfigError naming key unless value is a finite real number, and at
+    least ``least`` (above it when ``above``) when one is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    # an int is finite however large, where math.isfinite would overflow
+    if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    if least is not None and (value <= least if above else value < least):
+        raise ConfigError(f"{key} must be {'above' if above else 'at least'} {least}, "
+                          f"got {value}")
 
 
 @dataclass
@@ -32,17 +58,6 @@ class LossWeights:
     lambda_x: float = 0.5
     lambda_o: float = 1e-4
 
-    def validate(self) -> None:
-        """ConfigError naming the weight unless each is a finite and
-        nonnegative number; a bool is not one."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"loss weight {f.name} must be a number, got {value!r}")
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"loss weight {f.name} must be finite and nonnegative, "
-                                  f"got {value}")
-
 
 @dataclass
 class TrainConfig:
@@ -50,13 +65,6 @@ class TrainConfig:
     batch: int = 256
     lr: float = 1e-3
     seed: int = 0
-
-    def checked_seed(self) -> int:
-        """``seed``, read by every trainer; ConfigError unless a nonnegative integer."""
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ConfigError(f"train.seed must be a nonnegative integer, got {seed!r}")
-        return int(seed)
 
 
 @dataclass
@@ -77,27 +85,32 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def check_network(cfg: ExperimentConfig, input_dim: int) -> None:
-    """What every trainer checks before it builds a network: ConfigError
-    naming the key unless ``net.tower_hidden`` is a tuple (or list), input_dim,
-    the ``dcr`` widths, each ``net.tower_hidden`` width and ``net.head_hidden``
-    are integers of at least 1 (a bool is not one) and ``ablate.dcr`` is a
-    bool."""
-    hidden = cfg.net.tower_hidden
-    if not isinstance(hidden, (tuple, list)):
-        raise ConfigError(f"net.tower_hidden must be a tuple of widths, got {hidden!r}")
-    widths = [("input_dim", input_dim), ("dcr.experts_per_group", cfg.dcr.experts_per_group),
-              ("dcr.hidden", cfg.dcr.hidden), ("dcr.out_dim", cfg.dcr.out_dim),
-              *(("net.tower_hidden", width) for width in hidden),
-              ("net.head_hidden", cfg.net.head_hidden)]
-    for key, width in widths:
-        if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
-            raise ConfigError(f"{key} must be an integer of at least 1, got {width!r}")
-    if not isinstance(cfg.ablate.dcr, bool):
-        raise ConfigError(f"ablate.dcr must be a bool, got {cfg.ablate.dcr!r}")
-
-
 _SECTIONS = ("dcr", "net", "loss", "train", "ablate")
+
+
+def validate(cfg: ExperimentConfig, input_dim: int) -> None:
+    """What every trainer checks before any work: ConfigError naming the key
+    unless input_dim is an integer of at least 1 and each key holds a value
+    of its default's kind: a bool; a tuple or list of integers of at least 1;
+    an integer of at least 1 (0 for ``train.seed``); a finite number of at
+    least 0 (above it for ``train.lr``)."""
+    _integer(input_dim, "input_dim")
+    for section in _SECTIONS:
+        obj = getattr(cfg, section)
+        for f in fields(obj):
+            key, value = f"{section}.{f.name}", getattr(obj, f.name)
+            if isinstance(f.default, bool):
+                if not isinstance(value, bool):
+                    raise ConfigError(f"{key} must be a bool, got {value!r}")
+            elif isinstance(f.default, tuple):
+                if not isinstance(value, (tuple, list)):
+                    raise ConfigError(f"{key} must be a tuple of widths, got {value!r}")
+                for width in value:
+                    _integer(width, key)
+            elif isinstance(f.default, int):
+                _integer(value, key, least=0 if key == "train.seed" else 1)
+            else:
+                _real(value, key, 0.0, above=key == "train.lr")
 
 
 def _parse_value(current, raw: str, key: str):

@@ -13,7 +13,6 @@ feature width works in memory; the CSV format holds eight feature columns.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -24,6 +23,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from . import kvfile
+from .config import _integer, _real
 from .errors import ConfigError, DataFormatError
 
 N_FEATURES = 8
@@ -168,28 +168,30 @@ class SynSpec:
     seed: int
 
     def validate(self) -> None:
+        """ConfigError naming the field unless the split sizes are integers of
+        at least 1, seed one of at least 0, and every other number, each mode
+        and mode weight included, a finite number (not a bool) in its range."""
+        for name in ("n_train", "n_test"):
+            _integer(getattr(self, name), name)
+        _integer(self.seed, "seed", least=0)
         if not self.modes:
             raise ConfigError("modes must be nonempty")
         if len(self.mode_weights) != len(self.modes):
             raise ConfigError("one weight per mode required")
-        if any(m <= 0 for m in self.modes):
-            raise ConfigError("modes must be positive")
-        if any(w < 0 for w in self.mode_weights) or abs(sum(self.mode_weights) - 1.0) > 1e-9:
-            raise ConfigError("mode weights must be nonnegative and sum to 1")
-        if not (0.0 < self.coupon_ratio < 1.0):
-            raise ConfigError("coupon_ratio must lie in (0, 1)")
-        if not (0.0 < self.target_avg_ctr < 1.0):
-            raise ConfigError("target_avg_ctr must lie in (0, 1)")
-        if self.mode_jitter_sd <= 0:
-            raise ConfigError("mode_jitter_sd must be positive")
+        for mode in self.modes:
+            _real(mode, "modes", 0.0, above=True)
+        for weight in self.mode_weights:
+            _real(weight, "mode_weights", 0.0)
+        if abs(sum(self.mode_weights) - 1.0) > 1e-9:
+            raise ConfigError("mode_weights must sum to 1")
+        for name in ("coupon_ratio", "target_avg_ctr"):
+            _real(getattr(self, name), name, 0.0, above=True)
+            if not getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1)")
+        _real(self.mode_jitter_sd, "mode_jitter_sd", 0.0, above=True)
         if min(self.modes) - JITTER_TRUNC * self.mode_jitter_sd <= 0:
             raise ConfigError("jitter too wide: doses could reach zero")
-        if self.confounding_strength < 0:
-            raise ConfigError("confounding_strength must be nonnegative")
-        for name in ("n_train", "n_test"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-                raise ConfigError(f"{name} must be an integer of at least 1, got {n!r}")
+        _real(self.confounding_strength, "confounding_strength", 0.0)
 
 
 PRESETS = {

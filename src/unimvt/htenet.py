@@ -41,8 +41,8 @@ from scipy.special import expit
 from . import autodiff as ad
 from . import kvfile
 from .autodiff import PROB_EPS
-from .config import (ExperimentConfig, LossWeights, apply_overrides, check_network,
-                     config_to_flat, default_config)
+from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_flat,
+                     default_config, validate)
 from .datagen import Dataset, dataset_arrays, feature_matrix, float_array
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
 from .errors import ConfigError, DataFormatError, NumericError, UsageError
@@ -110,7 +110,7 @@ class Prediction:
 
 def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: float,
                 seed: int = 0) -> UniMvtModel:
-    check_network(cfg, input_dim)
+    validate(cfg, input_dim)
     rng = np.random.default_rng(seed)
     dcr_params = init_dcr(rng, input_dim, cfg.dcr, cfg.ablate.dcr)
     rep = dcr_params.output_dim
@@ -315,16 +315,14 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
         raise ConfigError("training data has no treated rows; t bounds undefined")
     t_min, t_max = float(t[treated].min()), float(t[treated].max())
 
-    seed = cfg.train.checked_seed()
-    model = build_model(cfg, X.shape[1], t_min, t_max, seed=seed)
+    model = build_model(cfg, X.shape[1], t_min, t_max, seed=cfg.train.seed)
     weights = cfg.loss
-    weights.validate()
 
     def batch_loss(rows, tape):
         return joint_loss_arrays(X[rows], w[rows], t[rows], y[rows], model, weights, tape)
 
     n = X.shape[0]
-    rng = np.random.default_rng(seed + 1)  # shuffle stream separate from init
+    rng = np.random.default_rng(cfg.train.seed + 1)  # shuffle stream separate from init
     epochs = ad.minibatch_adam(model.parameters(), n, batch_loss, cfg.train, rng)
     history = []
     for epoch, batches in enumerate(epochs):
@@ -374,8 +372,8 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     A NaN or infinite feature raises DataFormatError naming its row and
     feature index; so does a NaN or infinite q, naming its row, a q that is
     neither a scalar nor one value per row, naming its shape and the row
-    count, and a q that is complex, boolean or does not convert to floats,
-    saying that q must be numbers.
+    count, and a q that is complex, is or holds a bool or does not convert
+    to floats, saying that q must be numbers.
     """
     X = feature_matrix(X, model.dcr.input_dim)
     n = X.shape[0]
@@ -383,7 +381,9 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
         extrapolated = np.zeros(n, dtype=bool)
     else:
         q, raw = float_array(q, "q"), q
-        if np.asarray(raw).dtype == np.bool_:  # True would read as the dose 1.0
+        # True would read as the dose 1.0, in a list that mixes it with floats too
+        if (type(raw) is not np.ndarray or raw.dtype.kind in "bO") and any(
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(raw, dtype=object).flat):
             raise DataFormatError("q must be numbers: got booleans")
         if q.ndim > 1 or q.size not in (1, n):
             raise DataFormatError(f"q has shape {q.shape} for {n} rows; "

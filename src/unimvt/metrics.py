@@ -21,6 +21,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .autodiff import PROB_EPS
+from .config import _integer
 from .datagen import Dataset, dataset_arrays
 from .errors import ConfigError, MetricUndefinedError
 
@@ -148,10 +149,7 @@ def cumulative_slope_curve(scores, data, k: int = DEFAULT_GRID) -> CumulativeSlo
     n = t.shape[0]
     if n == 0:
         raise MetricUndefinedError("empty dataset")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ConfigError(f"grid size must be an integer, got {k!r}")
-    if k <= 0:
-        raise ConfigError(f"grid size must be positive, got {k}")
+    _integer(k, "grid size k")
     order = _stable_descending(_finite_vector(scores, n, "score"))
     ts, ys = t[order], y[order]
 

@@ -164,7 +164,7 @@ def test_decide_rejects_nonpositive_value():
         al.decide(pred(0.5, 0.1), al.AllocationGrid(1, 2, 1), 0.0, 0.5)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "0.5"])
 @pytest.mark.parametrize("field", ["q_min", "q_max", "step"])
 def test_grid_rejects_a_nonfinite_field(field, bad):
     fields = {"q_min": 0.5, "q_max": 2.0, "step": 0.5, field: bad}
@@ -172,7 +172,7 @@ def test_grid_rejects_a_nonfinite_field(field, bad):
         al.AllocationGrid(**fields)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "60"])
 @pytest.mark.parametrize("knob", ["value_per_click", "threshold"])
 def test_decide_rejects_a_nonfinite_knob(knob, bad):
     knobs = {"value_per_click": 100.0, "threshold": 1.0, knob: bad}

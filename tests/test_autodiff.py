@@ -725,18 +725,6 @@ def test_minibatch_adam_nonfinite_loss_names_epoch_and_batch():
     assert w.values[0, 0] == 1.0  # no step was taken
 
 
-@pytest.mark.parametrize("key, value", [("epochs", 1.5), ("batch", 2.0), ("epochs", "2"),
-                                        ("batch", True)])
-def test_minibatch_adam_names_a_count_that_is_not_an_integer(key, value):
-    w = ad.ParamTensor("w", np.ones((1, 1)))
-    train = TrainConfig(epochs=2, batch=4)
-    setattr(train, key, value)
-    with pytest.raises(ConfigError, match=f"train.{key} must be an integer"):
-        ad.minibatch_adam([w], 10, lambda rows, tape: (tape.sum_all(w), None),
-                          train, np.random.default_rng(0))
-    assert w.values[0, 0] == 1.0
-
-
 # ---------------------------------------------------------------------------
 # finite_diff_check
 # ---------------------------------------------------------------------------

@@ -1,11 +1,55 @@
-"""Tests for the flat key=value bridge of the experiment configuration."""
+"""Tests for the flat key=value bridge of the experiment configuration and
+for ``validate``, the one check of every key."""
 
+import math
 import re
 
 import pytest
 
-from unimvt.config import apply_overrides, config_to_flat, default_config
+from unimvt.config import apply_overrides, config_to_flat, default_config, validate
 from unimvt.errors import ConfigError
+
+# bad values of each key kind, the kind read off the default value
+BAD_VALUES = {bool: [1, 0, None, "yes"],
+              tuple: [None, "32", 32, (32, True), (32, 0), (32, 1.5)],
+              int: [None, "2", True, 1.5, 2.0, -1],
+              float: [None, "0.1", True, math.nan, math.inf, -1.0]}
+
+
+def _bad_settings():
+    for key in config_to_flat(default_config()):
+        section, name = key.split(".")
+        kind = type(getattr(getattr(default_config(), section), name))
+        for bad in BAD_VALUES[kind]:
+            yield key, bad
+
+
+def test_the_default_config_is_valid():
+    validate(default_config(), 8)
+
+
+@pytest.mark.parametrize("key, bad", list(_bad_settings()))
+def test_validate_names_each_key_set_to_a_bad_value(key, bad):
+    cfg = default_config()
+    section, name = key.split(".")
+    setattr(getattr(cfg, section), name, bad)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        validate(cfg, 8)
+
+
+@pytest.mark.parametrize("key, value", [("train.seed", 0), ("train.lr", 5), ("loss.lambda_o", 0),
+                                        ("net.tower_hidden", [4, 2]), ("net.tower_hidden", ())])
+def test_validate_takes_the_edge_of_each_range(key, value):
+    cfg = default_config()
+    section, name = key.split(".")
+    setattr(getattr(cfg, section), name, value)
+    validate(cfg, 8)
+
+
+@pytest.mark.parametrize("input_dim", [0, True, 8.0, None])
+def test_validate_names_a_bad_input_width(input_dim):
+    with pytest.raises(ConfigError, match="input_dim"):
+        validate(default_config(), input_dim)
 
 
 @pytest.mark.parametrize("key, raw", [("train.epochs", "1.5"), ("train.lr", "abc"),

@@ -212,6 +212,18 @@ def test_spec_names_a_split_size_that_is_not_a_positive_integer(field, value):
         dg.generate(replace(SMALL, **{field: value}))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("seed", True), ("seed", -1), ("seed", 1.5), ("seed", "9"),
+    ("confounding_strength", np.nan), ("confounding_strength", np.inf),
+    ("confounding_strength", True), ("mode_weights", (np.nan, 0.25, 0.25, 0.25)),
+    ("mode_weights", (True, 0.0, 0.0, 0.0)), ("modes", (np.nan, 1.6, 2.4, 4.0)),
+    ("modes", (1.0, 1.6, 2.4, np.inf)), ("modes", ("1.0", 1.6, 2.4, 4.0)),
+    ("coupon_ratio", np.nan), ("target_avg_ctr", "0.2"), ("mode_jitter_sd", np.nan)])
+def test_spec_names_a_field_that_is_not_a_finite_number(field, bad):
+    with pytest.raises(ConfigError, match=field):
+        dg.generate(replace(SMALL_MULTI, n_train=200, n_test=50, **{field: bad}))
+
+
 def test_unreachable_ctr_target_fails_bracketing():
     with pytest.raises(ConfigError, match="bracket"):
         dg.generate(replace(SMALL, n_train=500, n_test=100, target_avg_ctr=0.005))

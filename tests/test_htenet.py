@@ -555,7 +555,9 @@ def syn600():
                                         ("train.lr", 0.0), ("train.lr", -1e-3),
                                         ("train.lr", np.nan), ("train.lr", np.inf),
                                         ("train.lr", True), ("train.lr", "0.1"),
-                                        ("train.lr", None), ("train.seed", -1)])
+                                        ("train.lr", None), ("train.seed", -1),
+                                        ("train.epochs", 1.5), ("train.batch", 2.0),
+                                        ("train.epochs", "2"), ("train.batch", True)])
 def test_training_names_a_bad_setting(syn600, fit, key, value):
     cfg = ExperimentConfig()  # set as it is: a config file's parser would refuse a str
     setattr(cfg.train, key.removeprefix("train."), value)
@@ -609,7 +611,7 @@ def test_training_names_an_ablation_switch_that_is_not_a_bool(syn600, value):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, True, "0.1", None])
 def test_training_names_a_bad_loss_weight(syn600, bad):
-    with pytest.raises(ConfigError, match="loss weight lambda_t"):
+    with pytest.raises(ConfigError, match=re.escape("loss.lambda_t")):
         ht.train(syn600, ExperimentConfig(loss=LossWeights(lambda_t=bad)))
 
 
@@ -778,11 +780,13 @@ def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, ablate_dcr):
 @pytest.mark.parametrize("q", [["a"] * 4, "x", [1j] * 4, np.full(4, 2.0 + 1.0j),
                                True, np.bool_(False), [True, False, True, True], np.ones(4, bool),
                                "2.0", b"2.0", np.str_("2.0"), ["2.0"] * 4, np.full(4, "2.0"),
-                               np.full(4, b"2.0"), np.array([2.0, "2.0", 2.0, 2.0], dtype=object)],
+                               np.full(4, b"2.0"), np.array([2.0, "2.0", 2.0, 2.0], dtype=object),
+                               [True, 2.0, 2.0, 2.0], np.array([2.0, True, 2.0, 2.0], dtype=object)],
                          ids=["strings", "string", "complex list", "complex array",
                               "bool", "numpy bool", "bool list", "bool array",
                               "numeric string", "bytes", "numpy string", "numeric strings",
-                              "string array", "bytes array", "object array holding a string"])
+                              "string array", "bytes array", "object array holding a string",
+                              "list mixing a bool", "object array holding a bool"])
 def test_predict_batch_says_q_must_be_numbers(q):
     # a complex array would otherwise lose its imaginary part with only a
     # warning, a bool would read as the dose 0.0 or 1.0 and a numeric string

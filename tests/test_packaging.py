@@ -1,12 +1,14 @@
 """Every entry point named outside the package resolves to a callable: the
 console scripts of pyproject.toml and the functions the benchmark's tracer
 rebinds by name; a traced training gives the tracer what it reads; the
-benchmark's serving loop runs on the library's decision API; and the package
-ships only tape primitives it records."""
+benchmark's serving loop runs on the library's decision API; the package
+ships only tape primitives it records; and each module imports on its own."""
 
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from dataclasses import replace
@@ -75,3 +77,21 @@ def test_benchmark_serving_loop_runs_on_the_library(monkeypatch, tmp_path):
     workload.check_decisions(res)
     assert workload.failures == [] and workload.ops.failed == 0
     assert res["issue"].any() and not res["issue"].all()
+
+
+def test_every_module_imports_on_its_own():
+    # one fresh import per module, so a cycle that pytest's shared import
+    # order would hide shows as an ImportError
+    modules = sorted(path.stem for path in (ROOT / "src" / "unimvt").glob("*.py"))
+    script = "\n".join([
+        "import importlib, sys",
+        f"for name in {modules!r}:",
+        "    for loaded in [m for m in sys.modules if m.split('.')[0] == 'unimvt']:",
+        "        del sys.modules[loaded]",
+        "    importlib.import_module('unimvt.' + name if name != '__init__' else 'unimvt')",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
