@@ -21,7 +21,6 @@ from .autodiff import PROB_EPS
 from .config import _real
 from .errors import ConfigError, NumericError
 
-MODES = ("additive",)
 # the most candidate intensities a grid may hold, checked before any is built
 # (the bench grid has 8)
 MAX_GRID_POINTS = 1_000_000
@@ -68,19 +67,15 @@ class AllocationDecision:
     net_gain: float          # value * uplift - cost at the best candidate
 
 
-def _click_prob(p0: float, eta: float, q, mode: str):
-    if mode not in MODES:
-        raise ConfigError(f"unknown decision mode {mode!r}")
-    return np.minimum(p0 + eta * q, 1.0 - PROB_EPS)
-
-
 def decide(prediction, grid: AllocationGrid, value_per_click: float,
            threshold: float, mode: str = "additive") -> AllocationDecision:
     """Pick q* = argmax net gain over the grid (ties go to the cheapest q);
     issue iff ratio(q*) >= threshold and net_gain(q*) > 0. ConfigError names
-    value_per_click unless it is a finite number above 0, and threshold
-    unless it is a finite number (a bool, a string or NaN is not one); a NaN
-    or infinite prediction raises NumericError."""
+    value_per_click unless it is a finite number above 0, threshold unless it
+    is a finite number (a bool, a string or NaN is not one), and any mode but
+    ``additive``; a NaN or infinite prediction raises NumericError."""
+    if mode != "additive":
+        raise ConfigError(f"unknown decision mode {mode!r}")
     _real(value_per_click, "value_per_click", 0.0, above=True)
     _real(threshold, "threshold")
     qs = grid.values()
@@ -89,7 +84,7 @@ def decide(prediction, grid: AllocationGrid, value_per_click: float,
     p0, eta = float(prediction.p0_hat), float(prediction.eta_hat)
     if not (math.isfinite(p0) and math.isfinite(eta)):
         raise NumericError(f"prediction is not finite: p0_hat={p0}, eta_hat={eta}")
-    uplift = _click_prob(p0, eta, qs, mode) - p0
+    uplift = np.minimum(p0 + eta * qs, 1.0 - PROB_EPS) - p0
     net_gain = value_per_click * uplift - qs
     best = int(net_gain.argmax())  # the first maximum, so ties go to the cheapest q
     q_star, uplift, net_gain = qs.item(best), uplift.item(best), net_gain.item(best)

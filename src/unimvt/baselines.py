@@ -4,7 +4,8 @@ Both reuse the tower sizes and optimizer of the main model so comparisons
 isolate architecture rather than capacity. Intensity enters as an extra
 input feature, min-max normalized by the same treated-support bounds the
 main model uses; unit uplift is read off by contrasting normalized intensity
-1 (the raw treated maximum t_max) against no treatment.
+1 (the raw treated maximum t_max) against no treatment. A dose is checked
+as the main model's q is, by ``datagen.dose_vector``; its errors call it t.
 """
 from __future__ import annotations
 
@@ -14,14 +15,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ExperimentConfig, validate
-from .datagen import Dataset, dataset_arrays, feature_matrix, float_array
+from .datagen import Dataset, dataset_arrays, dose_vector, feature_matrix
 from .errors import ConfigError, UsageError
 
 
-def _normalize_t(t, t_min: float, t_max: float):
-    """The dose t min-max normalized by [t_min, t_max]; DataFormatError says
-    that t must be numbers when ``datagen.float_array`` refuses it."""
-    return (float_array(t, "t") - t_min) / (t_max - t_min)
+def _normalize_t(t, n: int, t_min: float, t_max: float) -> np.ndarray:
+    """The dose t of n rows, checked by ``datagen.dose_vector``, min-max
+    normalized by [t_min, t_max]."""
+    return (dose_vector(t, n, "t") - t_min) / (t_max - t_min)
 
 
 def _mlp_predict(layers, X: np.ndarray, tn=None) -> np.ndarray:
@@ -57,8 +58,7 @@ class SLearnerModel:
 
     def outcome_prob(self, X, t) -> np.ndarray:
         X = feature_matrix(X, self.net[0].W.shape[0] - 1)  # the net's last input is the dose
-        tn = np.broadcast_to(_normalize_t(t, self.t_min, self.t_max), (X.shape[0],))
-        return _mlp_predict(self.net, X, tn)
+        return _mlp_predict(self.net, X, _normalize_t(t, len(X), self.t_min, self.t_max))
 
     def base_ctr(self, X) -> np.ndarray:
         return self.outcome_prob(X, 0.0)
@@ -84,12 +84,11 @@ class TLearnerModel:
 
     def treated_prob(self, X, t) -> np.ndarray:
         X = self._features(X)
-        tn = np.broadcast_to(_normalize_t(t, self.t_min, self.t_max), (X.shape[0],))
-        return _mlp_predict(self.treated_net, X, tn)
+        return _mlp_predict(self.treated_net, X, _normalize_t(t, len(X), self.t_min, self.t_max))
 
     def outcome_prob(self, X, t) -> np.ndarray:
         X = self._features(X)
-        t = np.broadcast_to(float_array(t, "t"), (X.shape[0],))
+        t = dose_vector(t, len(X), "t")
         return np.where(t > 0, self.treated_prob(X, t), self.base_ctr(X))
 
     def unit_uplift_scores(self, X) -> np.ndarray:
@@ -115,7 +114,7 @@ def train_slearner(dataset: Dataset, cfg: ExperimentConfig) -> SLearnerModel:
     rng = np.random.default_rng(cfg.train.seed)
     dims = (X.shape[1] + 1, *cfg.net.tower_hidden, 1)
     net = ad.init_mlp(rng, "slearner", dims, out_activation="sigmoid")
-    inputs = np.column_stack([X, _normalize_t(t, t_min, t_max)])
+    inputs = np.column_stack([X, _normalize_t(t, X.shape[0], t_min, t_max)])
     _fit_binary_mlp(net, inputs, y, cfg, rng)
     return SLearnerModel(net, t_min, t_max)
 
@@ -133,6 +132,6 @@ def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
     treated_net = ad.init_mlp(rng, "tlearner.treated", (X.shape[1] + 1, *cfg.net.tower_hidden, 1),
                               out_activation="sigmoid")
     _fit_binary_mlp(control_net, X[ctrl], y[ctrl], cfg, rng)
-    treated_inputs = np.column_stack([X[trt], _normalize_t(t[trt], t_min, t_max)])
+    treated_inputs = np.column_stack([X[trt], _normalize_t(t[trt], int(trt.sum()), t_min, t_max)])
     _fit_binary_mlp(treated_net, treated_inputs, y[trt], cfg, rng)
     return TLearnerModel(control_net, treated_net, t_min, t_max)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 from .dcr import DcrConfig
@@ -28,11 +29,14 @@ def _integer(value, key: str, least: int = 1) -> None:
 
 
 def _real(value, key: str, least: float | None = None, *, above: bool = False) -> None:
-    """ConfigError naming key unless value is a finite real number, and at
-    least ``least`` (above it when ``above``) when one is given."""
+    """ConfigError naming key unless value is a finite real number (an int
+    within the float range), and at least ``least`` (above it when ``above``)
+    when one is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    # an int is finite however large, where math.isfinite would overflow
+    # an int beyond the float range would overflow math.isfinite and every float op
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{key} must lie in the float range, got an integer beyond it")
     if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
         raise ConfigError(f"{key} must be finite, got {value}")
     if least is not None and (value <= least if above else value < least):

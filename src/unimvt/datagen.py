@@ -152,6 +152,26 @@ def feature_matrix(X, n_features: int) -> np.ndarray:
     return X
 
 
+def dose_vector(values, n: int, what: str) -> np.ndarray:
+    """values as n float64 doses, a scalar repeated on every row. DataFormatError
+    says that ``what`` must be numbers when ``float_array`` refuses values or
+    they are or hold a bool, names their shape and n when they are neither a
+    scalar nor n values, and names the row of a NaN or infinite dose."""
+    doses = float_array(values, what)
+    # True would read as the dose 1.0, in a list that mixes it with floats too
+    if (type(values) is not np.ndarray or values.dtype.kind in "bO") and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+        raise DataFormatError(f"{what} must be numbers: got booleans")
+    if doses.ndim > 1 or doses.size not in (1, n):
+        raise DataFormatError(f"{what} has shape {doses.shape} for {n} rows; "
+                              "expected a scalar or one value per row")
+    doses = np.broadcast_to(doses, (n,)).copy()
+    if not np.isfinite(doses).all():
+        row = int(np.flatnonzero(~np.isfinite(doses))[0])
+        raise DataFormatError(f"row {row}: {what} is {doses[row]}, not finite")
+    return doses
+
+
 @dataclass(frozen=True)
 class SynSpec:
     """Recipe for one synthetic benchmark."""
@@ -174,7 +194,7 @@ class SynSpec:
         for name in ("n_train", "n_test"):
             _integer(getattr(self, name), name)
         _integer(self.seed, "seed", least=0)
-        if not self.modes:
+        if len(self.modes) == 0:
             raise ConfigError("modes must be nonempty")
         if len(self.mode_weights) != len(self.modes):
             raise ConfigError("one weight per mode required")

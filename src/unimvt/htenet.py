@@ -41,9 +41,9 @@ from scipy.special import expit
 from . import autodiff as ad
 from . import kvfile
 from .autodiff import PROB_EPS
-from .config import (ExperimentConfig, LossWeights, apply_overrides, config_to_flat,
-                     default_config, validate)
-from .datagen import Dataset, dataset_arrays, feature_matrix, float_array
+from .config import (ExperimentConfig, LossWeights, _integer, apply_overrides,
+                     config_to_flat, default_config, validate)
+from .datagen import Dataset, dataset_arrays, dose_vector, feature_matrix
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
 from .errors import ConfigError, DataFormatError, NumericError, UsageError
 
@@ -111,6 +111,7 @@ class Prediction:
 def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: float,
                 seed: int = 0) -> UniMvtModel:
     validate(cfg, input_dim)
+    _integer(seed, "seed", least=0)
     rng = np.random.default_rng(seed)
     dcr_params = init_dcr(rng, input_dim, cfg.dcr, cfg.ablate.dcr)
     rep = dcr_params.output_dim
@@ -370,28 +371,14 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     output is returned as eta_head.
 
     A NaN or infinite feature raises DataFormatError naming its row and
-    feature index; so does a NaN or infinite q, naming its row, a q that is
-    neither a scalar nor one value per row, naming its shape and the row
-    count, and a q that is complex, is or holds a bool or does not convert
-    to floats, saying that q must be numbers.
+    feature index; q is refused as ``datagen.dose_vector`` says.
     """
     X = feature_matrix(X, model.dcr.input_dim)
     n = X.shape[0]
     if q is None:
         extrapolated = np.zeros(n, dtype=bool)
     else:
-        q, raw = float_array(q, "q"), q
-        # True would read as the dose 1.0, in a list that mixes it with floats too
-        if (type(raw) is not np.ndarray or raw.dtype.kind in "bO") and any(
-                isinstance(v, (bool, np.bool_)) for v in np.asarray(raw, dtype=object).flat):
-            raise DataFormatError("q must be numbers: got booleans")
-        if q.ndim > 1 or q.size not in (1, n):
-            raise DataFormatError(f"q has shape {q.shape} for {n} rows; "
-                                  "expected a scalar or one value per row")
-        q = np.broadcast_to(q, (n,)).copy()
-        if not np.isfinite(q).all():
-            row = int(np.flatnonzero(~np.isfinite(q))[0])
-            raise DataFormatError(f"row {row}: q is {q[row]}, not finite")
+        q = dose_vector(q, n, "q")
         extrapolated = (q < model.hte.t_min) | (q > model.hte.t_max)
     blocks = [_score_block(model, X[rows], None if q is None else q[rows])
               for rows in ad.row_blocks(n)]

@@ -4,6 +4,7 @@ for ``validate``, the one check of every key."""
 import math
 import re
 
+import numpy as np
 import pytest
 
 from unimvt.config import apply_overrides, config_to_flat, default_config, validate
@@ -13,7 +14,7 @@ from unimvt.errors import ConfigError
 BAD_VALUES = {bool: [1, 0, None, "yes"],
               tuple: [None, "32", 32, (32, True), (32, 0), (32, 1.5)],
               int: [None, "2", True, 1.5, 2.0, -1],
-              float: [None, "0.1", True, math.nan, math.inf, -1.0]}
+              float: [None, "0.1", True, math.nan, math.inf, -1.0, 10**400]}
 
 
 def _bad_settings():
@@ -28,7 +29,8 @@ def test_the_default_config_is_valid():
     validate(default_config(), 8)
 
 
-@pytest.mark.parametrize("key, bad", list(_bad_settings()))
+@pytest.mark.parametrize("key, bad", list(_bad_settings()),
+                         ids=lambda v: "10**400" if v == 10**400 else None)
 def test_validate_names_each_key_set_to_a_bad_value(key, bad):
     cfg = default_config()
     section, name = key.split(".")
@@ -38,6 +40,7 @@ def test_validate_names_each_key_set_to_a_bad_value(key, bad):
 
 
 @pytest.mark.parametrize("key, value", [("train.seed", 0), ("train.lr", 5), ("loss.lambda_o", 0),
+                                        ("train.lr", np.float32(1e-3)),
                                         ("net.tower_hidden", [4, 2]), ("net.tower_hidden", ())])
 def test_validate_takes_the_edge_of_each_range(key, value):
     cfg = default_config()

@@ -224,6 +224,17 @@ def test_spec_names_a_field_that_is_not_a_finite_number(field, bad):
         dg.generate(replace(SMALL_MULTI, n_train=200, n_test=50, **{field: bad}))
 
 
+def test_array_modes_generate_what_tuple_modes_do(tmp_path):
+    spec = replace(SMALL_MULTI, n_train=2000, n_test=200)
+    arrays = replace(spec, modes=np.array(spec.modes), mode_weights=np.array(spec.mode_weights))
+    for want, got in zip(dg.generate(spec), dg.generate(arrays)):
+        for column in ("X", "w", "t", "y", "truth_p0", "truth_eta"):
+            np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
+        assert got.meta == want.meta
+        dg.save_csv(got, tmp_path / "arrays.csv")
+        assert dg.load_csv(tmp_path / "arrays.csv").meta == want.meta
+
+
 def test_unreachable_ctr_target_fails_bracketing():
     with pytest.raises(ConfigError, match="bracket"):
         dg.generate(replace(SMALL, n_train=500, n_test=100, target_avg_ctr=0.005))

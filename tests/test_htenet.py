@@ -246,6 +246,13 @@ def test_bad_t_bounds_rejected():
         ht.build_model(tiny_config(), input_dim=5, t_min=3.0, t_max=3.0)
 
 
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "3"])
+def test_build_model_names_a_seed_that_is_not_an_integer_of_at_least_0(seed):
+    # True would otherwise build the network of seed 1
+    with pytest.raises(ConfigError, match="seed"):
+        tiny_model(seed=seed)
+
+
 def test_uplift_head_clamps_negative_output():
     model = zeroed_head_model()
     model.hte.uplift_head[-1].b.values[:] = -0.7
@@ -743,18 +750,27 @@ def test_scoring_says_features_must_be_numbers(entry, bad, said):
         SCORE_FIVE_FEATURES[entry](bad)
 
 
-# every S-/T-Learner entry point that takes a dose, on a model that takes 5 features
+# every S-/T-Learner entry point that takes a dose, scoring 4 rows on a model
+# that takes 5 features
 DOSE_ENTRIES = {
     "slearner.outcome_prob": lambda t: learners_on_five_features()[0].outcome_prob(
-        np.ones((3, 5)), t),
+        np.ones((4, 5)), t),
     "tlearner.treated_prob": lambda t: learners_on_five_features()[1].treated_prob(
-        np.ones((3, 5)), t),
+        np.ones((4, 5)), t),
     "tlearner.outcome_prob": lambda t: learners_on_five_features()[1].outcome_prob(
-        np.ones((3, 5)), t),
+        np.ones((4, 5)), t),
 }
 
 
-@pytest.mark.parametrize("t", ["2.0", b"2.0", ["2.0"] * 3, np.full(3, b"2"),
+def dose_scorers(model):
+    """(the name its errors give the dose, a scorer of 4 rows) for every
+    batch entry point that takes a dose: predict_batch on model, which calls
+    it q, and each of DOSE_ENTRIES, which call it t."""
+    return [("q", lambda q: ht.predict_batch(model, np.ones((4, 5)), q=q)),
+            *(("t", score) for score in DOSE_ENTRIES.values())]
+
+
+@pytest.mark.parametrize("t", ["2.0", b"2.0", ["2.0"] * 4, np.full(4, b"2"),
                                np.array([2.0, "2.0", 2.0], dtype=object)],
                          ids=["string", "bytes", "string list", "bytes array",
                               "object array holding a string"])
@@ -762,17 +778,19 @@ DOSE_ENTRIES = {
 def test_learners_say_the_dose_must_be_numbers(entry, t):
     with pytest.raises(DataFormatError, match="t must be numbers: got strings"):
         DOSE_ENTRIES[entry](t)
-    assert DOSE_ENTRIES[entry](2.0).shape == (3,)
+    assert DOSE_ENTRIES[entry](2.0).shape == (4,)
 
 
 @pytest.mark.parametrize("ablate_dcr", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, ablate_dcr):
+    # every entry that takes a dose says the same
     model = tiny_model(ablate=AblationConfig(dcr=ablate_dcr))
     q = np.full(4, 2.0)
     q[2] = bad
-    with pytest.raises(DataFormatError, match="row 2: q"):
-        ht.predict_batch(model, np.ones((4, 5)), q=q)
+    for name, score in dose_scorers(model):
+        with pytest.raises(DataFormatError, match=f"row 2: {name} is {bad}, not finite"):
+            score(q)
     with pytest.raises(DataFormatError, match="row 0: q"):
         ht.predict(model, np.ones(5), q=bad)
 
@@ -788,11 +806,12 @@ def test_predict_batch_names_the_row_of_a_nonfinite_q(bad, ablate_dcr):
                               "string array", "bytes array", "object array holding a string",
                               "list mixing a bool", "object array holding a bool"])
 def test_predict_batch_says_q_must_be_numbers(q):
-    # a complex array would otherwise lose its imaginary part with only a
-    # warning, a bool would read as the dose 0.0 or 1.0 and a numeric string
-    # as the number it spells
-    with pytest.raises(DataFormatError, match="q must be numbers"):
-        ht.predict_batch(tiny_model(), np.ones((4, 5)), q=q)
+    # in every entry that takes a dose, a complex array would otherwise lose
+    # its imaginary part with only a warning, a bool would read as the dose
+    # 0.0 or 1.0 and a numeric string as the number it spells
+    for name, score in dose_scorers(tiny_model()):
+        with pytest.raises(DataFormatError, match=f"{name} must be numbers"):
+            score(q)
     if np.ndim(q) == 0:
         with pytest.raises(DataFormatError, match="q must be numbers"):
             ht.predict(tiny_model(), np.ones(5), q=q)
@@ -801,9 +820,12 @@ def test_predict_batch_says_q_must_be_numbers(q):
 @pytest.mark.parametrize("ablate_dcr", [False, True])
 @pytest.mark.parametrize("q", [np.full(3, 2.0), np.full((4, 1), 2.0)])
 def test_predict_batch_names_both_lengths_of_a_misshapen_q(q, ablate_dcr):
+    # every entry that takes a dose says the same
     model = tiny_model(ablate=AblationConfig(dcr=ablate_dcr))
-    with pytest.raises(DataFormatError, match=re.escape(f"q has shape {q.shape} for 4 rows")):
-        ht.predict_batch(model, np.ones((4, 5)), q=q)
+    for name, score in dose_scorers(model):
+        shape = re.escape(f"{name} has shape {q.shape} for 4 rows")
+        with pytest.raises(DataFormatError, match=shape):
+            score(q)
 
 
 def test_predict_names_the_layer_of_a_nan_weight():

@@ -2,8 +2,10 @@
 console scripts of pyproject.toml and the functions the benchmark's tracer
 rebinds by name; a traced training gives the tracer what it reads; the
 benchmark's serving loop runs on the library's decision API; the package
-ships only tape primitives it records; and each module imports on its own."""
+ships only tape primitives it records; each module imports on its own; and
+no module imports a name it never reads."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -95,3 +97,17 @@ def test_every_module_imports_on_its_own():
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the unused-import rule of a linter, which the project does not depend on
+    for path in sorted((ROOT / "src" / "unimvt").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, f"{path.name} never reads {sorted(imported - read)}"
