@@ -13,13 +13,14 @@ the one mode ``decide`` accepts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import PROB_EPS
 from .config import _real
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError
 
 # the most candidate intensities a grid may hold, checked before any is built
 # (the bench grid has 8)
@@ -67,13 +68,29 @@ class AllocationDecision:
     net_gain: float          # value * uplift - cost at the best candidate
 
 
+def _prediction_field(value, name: str) -> float:
+    """value as a float; DataFormatError names the field unless value is a
+    real number within the float range (a bool, str, bytes, array, list or
+    complex is not one). A float, what ``predict`` returns, costs a type test."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataFormatError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataFormatError(f"{name} must lie in the float range, got "
+                              f"{type(value).__name__} beyond it") from None
+
+
 def decide(prediction, grid: AllocationGrid, value_per_click: float,
            threshold: float, mode: str = "additive") -> AllocationDecision:
     """Pick q* = argmax net gain over the grid (ties go to the cheapest q);
     issue iff ratio(q*) >= threshold and net_gain(q*) > 0. ConfigError names
     value_per_click unless it is a finite number above 0, threshold unless it
     is a finite number (a bool, a string or NaN is not one), and any mode but
-    ``additive``; a NaN or infinite prediction raises NumericError."""
+    ``additive``. DataFormatError names p0_hat or eta_hat when it is not a
+    real number, and a NaN or infinite one raises NumericError."""
     if mode != "additive":
         raise ConfigError(f"unknown decision mode {mode!r}")
     _real(value_per_click, "value_per_click", 0.0, above=True)
@@ -81,7 +98,8 @@ def decide(prediction, grid: AllocationGrid, value_per_click: float,
     qs = grid.values()
     if qs.size == 0:
         raise ConfigError("allocation grid is empty")
-    p0, eta = float(prediction.p0_hat), float(prediction.eta_hat)
+    p0 = _prediction_field(prediction.p0_hat, "p0_hat")
+    eta = _prediction_field(prediction.eta_hat, "eta_hat")
     if not (math.isfinite(p0) and math.isfinite(eta)):
         raise NumericError(f"prediction is not finite: p0_hat={p0}, eta_hat={eta}")
     uplift = np.minimum(p0 + eta * qs, 1.0 - PROB_EPS) - p0

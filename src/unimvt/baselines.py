@@ -6,6 +6,8 @@ input feature, min-max normalized by the same treated-support bounds the
 main model uses; unit uplift is read off by contrasting normalized intensity
 1 (the raw treated maximum t_max) against no treatment. A dose is checked
 as the main model's q is, by ``datagen.dose_vector``; its errors call it t.
+Each public scoring entry checks X and its dose once, then hands the checked
+arrays to private scorers, which check nothing.
 """
 from __future__ import annotations
 
@@ -19,10 +21,9 @@ from .datagen import Dataset, dataset_arrays, dose_vector, feature_matrix
 from .errors import ConfigError, UsageError
 
 
-def _normalize_t(t, n: int, t_min: float, t_max: float) -> np.ndarray:
-    """The dose t of n rows, checked by ``datagen.dose_vector``, min-max
-    normalized by [t_min, t_max]."""
-    return (dose_vector(t, n, "t") - t_min) / (t_max - t_min)
+def _normalize_t(t: np.ndarray, t_min: float, t_max: float) -> np.ndarray:
+    """Checked doses t min-max normalized by [t_min, t_max]."""
+    return (t - t_min) / (t_max - t_min)
 
 
 def _mlp_predict(layers, X: np.ndarray, tn=None) -> np.ndarray:
@@ -56,15 +57,23 @@ class SLearnerModel:
     t_min: float
     t_max: float
 
+    def _features(self, X) -> np.ndarray:
+        return feature_matrix(X, self.net[0].W.shape[0] - 1)  # the net's last input is the dose
+
+    def _prob(self, X: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _mlp_predict(self.net, X, _normalize_t(t, self.t_min, self.t_max))
+
     def outcome_prob(self, X, t) -> np.ndarray:
-        X = feature_matrix(X, self.net[0].W.shape[0] - 1)  # the net's last input is the dose
-        return _mlp_predict(self.net, X, _normalize_t(t, len(X), self.t_min, self.t_max))
+        X = self._features(X)
+        return self._prob(X, dose_vector(t, len(X), "t"))
 
     def base_ctr(self, X) -> np.ndarray:
-        return self.outcome_prob(X, 0.0)
+        X = self._features(X)
+        return self._prob(X, np.zeros(len(X)))
 
     def unit_uplift_scores(self, X) -> np.ndarray:
-        return self.outcome_prob(X, self.t_max) - self.outcome_prob(X, 0.0)
+        X = self._features(X)
+        return self._prob(X, np.full(len(X), self.t_max)) - self._prob(X, np.zeros(len(X)))
 
 
 @dataclass
@@ -79,20 +88,24 @@ class TLearnerModel:
     def _features(self, X) -> np.ndarray:
         return feature_matrix(X, self.control_net[0].W.shape[0])
 
+    def _treated(self, X: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _mlp_predict(self.treated_net, X, _normalize_t(t, self.t_min, self.t_max))
+
     def base_ctr(self, X) -> np.ndarray:
         return _mlp_predict(self.control_net, self._features(X))
 
     def treated_prob(self, X, t) -> np.ndarray:
         X = self._features(X)
-        return _mlp_predict(self.treated_net, X, _normalize_t(t, len(X), self.t_min, self.t_max))
+        return self._treated(X, dose_vector(t, len(X), "t"))
 
     def outcome_prob(self, X, t) -> np.ndarray:
         X = self._features(X)
         t = dose_vector(t, len(X), "t")
-        return np.where(t > 0, self.treated_prob(X, t), self.base_ctr(X))
+        return np.where(t > 0, self._treated(X, t), _mlp_predict(self.control_net, X))
 
     def unit_uplift_scores(self, X) -> np.ndarray:
-        return self.treated_prob(X, self.t_max) - self.base_ctr(X)
+        X = self._features(X)
+        return self._treated(X, np.full(len(X), self.t_max)) - _mlp_predict(self.control_net, X)
 
 
 def _t_bounds(w, t) -> tuple[float, float]:
@@ -114,7 +127,7 @@ def train_slearner(dataset: Dataset, cfg: ExperimentConfig) -> SLearnerModel:
     rng = np.random.default_rng(cfg.train.seed)
     dims = (X.shape[1] + 1, *cfg.net.tower_hidden, 1)
     net = ad.init_mlp(rng, "slearner", dims, out_activation="sigmoid")
-    inputs = np.column_stack([X, _normalize_t(t, X.shape[0], t_min, t_max)])
+    inputs = np.column_stack([X, _normalize_t(t, t_min, t_max)])
     _fit_binary_mlp(net, inputs, y, cfg, rng)
     return SLearnerModel(net, t_min, t_max)
 
@@ -132,6 +145,6 @@ def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
     treated_net = ad.init_mlp(rng, "tlearner.treated", (X.shape[1] + 1, *cfg.net.tower_hidden, 1),
                               out_activation="sigmoid")
     _fit_binary_mlp(control_net, X[ctrl], y[ctrl], cfg, rng)
-    treated_inputs = np.column_stack([X[trt], _normalize_t(t[trt], int(trt.sum()), t_min, t_max)])
+    treated_inputs = np.column_stack([X[trt], _normalize_t(t[trt], t_min, t_max)])
     _fit_binary_mlp(treated_net, treated_inputs, y[trt], cfg, rng)
     return TLearnerModel(control_net, treated_net, t_min, t_max)

@@ -31,13 +31,20 @@ def _integer(value, key: str, least: int = 1) -> None:
 def _real(value, key: str, least: float | None = None, *, above: bool = False) -> None:
     """ConfigError naming key unless value is a finite real number (an int
     within the float range), and at least ``least`` (above it when ``above``)
-    when one is given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    # an int beyond the float range would overflow math.isfinite and every float op
-    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
-        raise ConfigError(f"{key} must lie in the float range, got an integer beyond it")
-    if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+    when one is given. An exact float, what callers pass, costs a type test
+    before its finiteness and range tests; any other type is first checked
+    to be a real number that is not a bool."""
+    if type(value) is float:
+        finite = math.isfinite(value)
+    else:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        integral = isinstance(value, numbers.Integral)
+        # an int beyond the float range would overflow math.isfinite and every float op
+        if integral and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{key} must lie in the float range, got an integer beyond it")
+        finite = integral or math.isfinite(value)
+    if not finite:
         raise ConfigError(f"{key} must be finite, got {value}")
     if least is not None and (value <= least if above else value < least):
         raise ConfigError(f"{key} must be {'above' if above else 'at least'} {least}, "

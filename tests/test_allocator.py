@@ -1,6 +1,7 @@
 """Allocation engine: the additive decision rule vs brute force, monotonicity."""
 
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimvt import allocator as al
-from unimvt.errors import ConfigError, NumericError
+from unimvt.errors import ConfigError, DataFormatError, NumericError
 
 # an integer no float holds, which a float operation would raise OverflowError on
 BEYOND_FLOATS = pytest.param(10**400, id="10**400")
+# real numbers float() raises OverflowError on, an int and a Fraction
+OVERFLOWING = [BEYOND_FLOATS, pytest.param(Fraction(10**400), id="Fraction(10**400)")]
 
 
 def pred(p0, eta):
@@ -181,6 +184,39 @@ def test_decide_rejects_a_nonfinite_knob(knob, bad):
     knobs = {"value_per_click": 100.0, "threshold": 1.0, knob: bad}
     with pytest.raises(ConfigError, match=knob):
         al.decide(pred(0.1, 0.05), al.AllocationGrid(1, 3, 1), **knobs)
+
+
+# prediction fields that are not real numbers: float() would parse a numeric
+# string or bytes, read a bool as 0.0 or 1.0, and raise a bare TypeError on an
+# array of one value, a list or a complex
+NOT_A_PREDICTION = ["0.2", b"0.2", np.str_("0.2"), True, np.True_, np.False_, np.array([0.2]),
+                    np.array(0.2), [0.2], 0.2 + 0j, None, *OVERFLOWING]
+
+
+@pytest.mark.parametrize("field", ["p0_hat", "eta_hat"])
+@pytest.mark.parametrize("bad", NOT_A_PREDICTION)
+def test_decide_names_a_prediction_field_that_is_not_a_number(field, bad):
+    fields = {"p0_hat": 0.2, "eta_hat": 0.05, field: bad}
+    with pytest.raises(DataFormatError, match=f"^{field} must (be a number|lie in the float range)"):
+        al.decide(SimpleNamespace(**fields), al.AllocationGrid(1, 4, 1), 60.0, 1.5)
+
+
+@pytest.mark.parametrize("field", ["p0_hat", "eta_hat"])
+@pytest.mark.parametrize("big", OVERFLOWING)
+def test_decide_names_the_type_of_a_prediction_field_beyond_the_float_range(field, big):
+    fields = {"p0_hat": 0.2, "eta_hat": 0.05, field: big}
+    message = f"{field} must lie in the float range, got {type(big).__name__} beyond it"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        al.decide(SimpleNamespace(**fields), al.AllocationGrid(1, 4, 1), 60.0, 1.5)
+
+
+@pytest.mark.parametrize("p0, eta", [(np.float64(0.2), np.float64(0.05)),
+                                     (np.float32(0.2), np.float32(0.05)), (0, 1)],
+                         ids=["float64", "float32", "int"])
+def test_decide_reads_a_real_prediction_field_as_its_float(p0, eta):
+    grid = al.AllocationGrid(0.5, 4.0, 0.5)
+    assert (al.decide(pred(p0, eta), grid, 60.0, 1.5)
+            == al.decide(pred(float(p0), float(eta)), grid, 60.0, 1.5))
 
 
 @pytest.mark.parametrize("p0, eta", [(np.nan, 0.05), (np.inf, 0.05), (0.1, np.nan), (0.1, np.inf)])

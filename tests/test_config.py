@@ -7,14 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from unimvt.config import apply_overrides, config_to_flat, default_config, validate
+from unimvt.config import _real, apply_overrides, config_to_flat, default_config, validate
 from unimvt.errors import ConfigError
 
 # bad values of each key kind, the kind read off the default value
 BAD_VALUES = {bool: [1, 0, None, "yes"],
               tuple: [None, "32", 32, (32, True), (32, 0), (32, 1.5)],
               int: [None, "2", True, 1.5, 2.0, -1],
-              float: [None, "0.1", True, math.nan, math.inf, -1.0, 10**400]}
+              float: [None, "0.1", True, math.nan, math.inf, -math.inf, -1.0, 10**400]}
 
 
 def _bad_settings():
@@ -47,6 +47,42 @@ def test_validate_takes_the_edge_of_each_range(key, value):
     section, name = key.split(".")
     setattr(getattr(cfg, section), name, value)
     validate(cfg, 8)
+
+
+# _real on the edges of a float knob: (value, least, above, the whole message);
+# an exact float takes a shorter path than a numpy scalar or an int, and both
+# give the same message
+REAL_EDGES = [
+    (math.nan, None, False, "k must be finite, got nan"),
+    (math.inf, None, False, "k must be finite, got inf"),
+    (-math.inf, None, False, "k must be finite, got -inf"),
+    (math.nan, 0.0, True, "k must be finite, got nan"),
+    (-math.inf, 0.0, False, "k must be finite, got -inf"),
+    (0.0, 0.0, True, "k must be above 0.0, got 0.0"),
+    (-0.0, 0.0, True, "k must be above 0.0, got -0.0"),
+    (-1e-300, 0.0, False, "k must be at least 0.0, got -1e-300"),
+    (np.float64(math.nan), None, False, "k must be finite, got nan"),
+    (np.float64(0.0), 0.0, True, "k must be above 0.0, got 0.0"),
+    (np.float32(-math.inf), None, False, "k must be finite, got -inf"),
+    (np.float32(0.0), 0.0, True, "k must be above 0.0, got 0.0"),
+    (0, 0.0, True, "k must be above 0.0, got 0"),
+    (True, None, False, "k must be a number, got True"),
+    ("1.0", None, False, "k must be a number, got '1.0'"),
+    pytest.param(10**400, None, False, "k must lie in the float range, got an integer beyond it",
+                 id="10**400"),
+]
+
+
+@pytest.mark.parametrize("value, least, above, message", REAL_EDGES)
+def test_real_says_why_an_edge_value_is_refused(value, least, above, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _real(value, "k", least, above=above)
+
+
+@pytest.mark.parametrize("value, above", [(0.0, False), (5e-324, True), (np.float64(0.0), False),
+                                          (np.float32(1e-3), True), (0, False), (10**300, True)])
+def test_real_takes_the_bound_itself_and_values_beyond_it(value, above):
+    _real(value, "k", 0.0, above=above)
 
 
 @pytest.mark.parametrize("input_dim", [0, True, 8.0, None])

@@ -828,6 +828,66 @@ def test_predict_batch_names_both_lengths_of_a_misshapen_q(q, ablate_dcr):
             score(q)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan), np.float32(-np.inf)],
+                         ids=["nan", "inf", "-inf", "float64 nan", "float32 -inf"])
+def test_every_dose_entry_names_row_0_for_a_nonfinite_scalar_dose(bad):
+    # a scalar dose is broadcast to every row, and its error still names row 0
+    for name, score in dose_scorers(tiny_model()):
+        with pytest.raises(DataFormatError, match=f"^row 0: {name} is {bad}, not finite$"):
+            score(bad)
+
+
+@pytest.mark.parametrize("dose", [np.float64(2.0), np.float32(2.0), 2, np.array(2.0), np.full(4, 2.0)],
+                         ids=["float64", "float32", "int", "0-d array", "per-row array"])
+def test_every_dose_entry_scores_a_scalar_dose_of_any_type_alike(dose):
+    for _, score in dose_scorers(tiny_model()):
+        want, got = score(2.0), score(dose)
+        if isinstance(want, dict):
+            assert want.keys() == got.keys()
+            want, got = list(want.values()), list(got.values())
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("dose", [np.nan, np.float64(np.inf), 2.0, np.float32(np.nan), np.array(2.0)],
+                         ids=["nan", "float64 inf", "float", "float32 nan", "0-d array"])
+def test_dose_vector_of_no_rows_is_empty_whatever_the_scalar(dose):
+    doses = dg.dose_vector(dose, 0, "q")
+    assert doses.shape == (0,) and doses.dtype == np.float64
+
+
+# every public scoring entry, on 4 rows of 5 features
+SCORING_ENTRIES = {
+    "slearner.base_ctr": lambda X: learners_on_five_features()[0].base_ctr(X),
+    "slearner.outcome_prob": lambda X: learners_on_five_features()[0].outcome_prob(X, 2.0),
+    "slearner.unit_uplift_scores": lambda X: learners_on_five_features()[0].unit_uplift_scores(X),
+    "tlearner.base_ctr": lambda X: learners_on_five_features()[1].base_ctr(X),
+    "tlearner.treated_prob": lambda X: learners_on_five_features()[1].treated_prob(X, 2.0),
+    "tlearner.outcome_prob": lambda X: learners_on_five_features()[1].outcome_prob(X, 2.0),
+    "tlearner.unit_uplift_scores": lambda X: learners_on_five_features()[1].unit_uplift_scores(X),
+    "predict": lambda X: ht.predict(tiny_model(), X[0], q=2.0),
+    "predict_batch": lambda X: ht.predict_batch(tiny_model(), X, q=2.0),
+    "predict_batch without q": lambda X: ht.predict_batch(tiny_model(), X),
+}
+
+
+@pytest.mark.parametrize("entry", SCORING_ENTRIES)
+def test_every_scoring_entry_checks_its_features_once_and_its_dose_at_most_once(entry,
+                                                                             monkeypatch):
+    calls = {"X": 0, "dose": 0}
+
+    def counting(check, kind):
+        def counted(*args):
+            calls[kind] += 1
+            return check(*args)
+        return counted
+
+    for module in (baselines, ht):
+        monkeypatch.setattr(module, "feature_matrix", counting(dg.feature_matrix, "X"))
+        monkeypatch.setattr(module, "dose_vector", counting(dg.dose_vector, "dose"))
+    SCORING_ENTRIES[entry](np.ones((4, 5)))
+    assert calls["X"] == 1 and calls["dose"] <= 1, calls
+
+
 def test_predict_names_the_layer_of_a_nan_weight():
     # relu maps NaN to 0, so only a check before the activation sees this weight
     model = tiny_model()
