@@ -29,11 +29,11 @@ def _integer(value, key: str, least: int = 1) -> None:
 
 
 def _real(value, key: str, least: float | None = None, *, above: bool = False) -> None:
-    """ConfigError naming key unless value is a finite real number (an int
-    within the float range), and at least ``least`` (above it when ``above``)
-    when one is given. An exact float, what callers pass, costs a type test
-    before its finiteness and range tests; any other type is first checked
-    to be a real number that is not a bool."""
+    """ConfigError naming key unless value is a finite real number (an int or
+    a Fraction within the float range), and at least ``least`` (above it when
+    ``above``) when one is given. An exact float, what callers pass, costs a
+    type test before its finiteness and range tests; any other type is first
+    checked to be a real number that is not a bool."""
     if type(value) is float:
         finite = math.isfinite(value)
     else:
@@ -43,7 +43,11 @@ def _real(value, key: str, least: float | None = None, *, above: bool = False) -
         # an int beyond the float range would overflow math.isfinite and every float op
         if integral and abs(value) > sys.float_info.max:
             raise ConfigError(f"{key} must lie in the float range, got an integer beyond it")
-        finite = integral or math.isfinite(value)
+        try:
+            finite = integral or math.isfinite(value)
+        except OverflowError:  # a Fraction beyond the float range
+            raise ConfigError(f"{key} must lie in the float range, got "
+                              f"{type(value).__name__} beyond it") from None
     if not finite:
         raise ConfigError(f"{key} must be finite, got {value}")
     if least is not None and (value <= least if above else value < least):

@@ -2,15 +2,18 @@
 uplift metrics for multi-valued treatments.
 
 The cumulative-slope curve sorts samples by predicted unit uplift (descending,
-stable ties), then measures, for each prefix of the ranking, the OLS slope of
-outcome on dose within that prefix. Area under phi -> slope(phi) * (phi * n)
-gives the rank-ordered sensitivity score; subtracting the global-slope baseline
-gives the gain over random targeting.
+stable ties), then measures, for each prefix of the ranking whose doses
+differ, the OLS slope of outcome on dose within that prefix; the whole
+ranking, the last prefix, gives the global slope. Area under phi -> slope(phi)
+* (phi * n) gives the rank-ordered sensitivity score; subtracting the
+global-slope baseline gives the gain over random targeting.
 
-Scores and probabilities must be finite, one per row, and labels 0 or 1;
-the dose, treatment and outcome columns must be finite and of one length. A
-NaN or infinite entry, a label other than 0 or 1, or a count that differs
-from the labels or rows raises MetricUndefinedError naming the column.
+Every input must hold numbers, bools reading as 0 or 1: a string or complex
+one raises DataFormatError. Scores and probabilities must be finite, one per
+row, and labels 0 or 1; the dose, treatment and outcome columns must be finite
+and of one length. A NaN or infinite entry, a label other than 0 or 1, or a
+count that differs from the labels or rows raises MetricUndefinedError naming
+the column.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from scipy.stats import rankdata
 
 from .autodiff import PROB_EPS
 from .config import _integer
-from .datagen import Dataset, dataset_arrays
+from .datagen import Dataset, dataset_arrays, float_array
 from .errors import ConfigError, MetricUndefinedError
 
 DEFAULT_GRID = 100
@@ -30,8 +33,9 @@ DEFAULT_GRID = 100
 
 def _finite_vector(values, n: int, what: str) -> np.ndarray:
     """values as a float64 vector of n entries; another length, or a NaN or
-    infinite entry, raises MetricUndefinedError."""
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    infinite entry, raises MetricUndefinedError, and values that are not
+    numbers DataFormatError (``datagen.float_array``)."""
+    v = float_array(values, f"{what} values").reshape(-1)
     if v.size != n:
         raise MetricUndefinedError(f"{v.size} {what} values for {n} rows")
     if not np.isfinite(v).all():
@@ -43,7 +47,7 @@ def _finite_vector(values, n: int, what: str) -> np.ndarray:
 def _binary_labels(labels) -> np.ndarray:
     """labels as a float64 vector; an entry other than 0 or 1 raises
     MetricUndefinedError."""
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    y = float_array(labels, "labels").reshape(-1)
     bad = np.flatnonzero((y != 0.0) & (y != 1.0))
     if bad.size:
         raise MetricUndefinedError(f"label at index {bad[0]} is {y[bad[0]]}, not 0 or 1")
@@ -54,7 +58,7 @@ def _columns(cols, names) -> tuple[np.ndarray, ...]:
     """The columns, named by ``names``, as float64 vectors of one length; a
     column of another length than the first, or a NaN or infinite entry,
     raises MetricUndefinedError naming the column."""
-    cols = [np.asarray(c, dtype=np.float64).reshape(-1) for c in cols]
+    cols = [float_array(c, f"column {name}").reshape(-1) for c, name in zip(cols, names)]
     for c, name in zip(cols, names):
         if c.size != cols[0].size:
             raise MetricUndefinedError(f"column {name} has {c.size} values, "
@@ -93,26 +97,6 @@ def _dose_outcome(data) -> tuple[np.ndarray, np.ndarray]:
     return _columns((t, y), ("t", "y"))
 
 
-def prefix_slope(t: np.ndarray, y: np.ndarray, phi: float) -> float | None:
-    """OLS slope (with intercept) of y on t over the first ceil(phi*n) rows.
-
-    Inputs must already be sorted by predicted uplift, descending. Returns
-    None when the prefix has no dose variance.
-    """
-    n = t.shape[0]
-    m = min(max(int(np.ceil(phi * n - 1e-12)), 1), n)
-    tp, yp = t[:m], y[:m]
-    var = ((tp - tp.mean()) ** 2).sum()
-    if var <= 0.0:
-        return None
-    cov = ((tp - tp.mean()) * (yp - yp.mean())).sum()
-    return float(cov / var)
-
-
-def _stable_descending(scores: np.ndarray) -> np.ndarray:
-    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-
-
 @dataclass
 class CumulativeSlopeCurve:
     """Prefix-slope curve on a k/K grid, with the trapezoid areas derived from it."""
@@ -143,44 +127,30 @@ class CumulativeSlopeCurve:
 
 
 def cumulative_slope_curve(scores, data, k: int = DEFAULT_GRID) -> CumulativeSlopeCurve:
-    """Build the curve: sort by score descending (stable), evaluate prefix slopes
-    at phi = 1/K .. K/K, skipping prefixes without dose variance."""
+    """Build the curve: sort by score descending (stable) and take, from one
+    pass over prefix sums, the slope of every prefix of ceil(j*n/K) rows,
+    j = 1..K. A prefix counts only when its doses differ; the last one, all
+    n rows, gives the global slope, and MetricUndefinedError says so when
+    the whole ranking has one dose."""
     t, y = _dose_outcome(data)
     n = t.shape[0]
     if n == 0:
         raise MetricUndefinedError("empty dataset")
     _integer(k, "grid size k")
-    order = _stable_descending(_finite_vector(scores, n, "score"))
+    order = np.argsort(-_finite_vector(scores, n, "score"), kind="stable")
     ts, ys = t[order], y[order]
-
-    global_slope = prefix_slope(ts, ys, 1.0)
-    if global_slope is None:
+    j = np.arange(1, k + 1)
+    m = (j * n + k - 1) // k  # integer ceil of j*n/k, so m = n at j = K
+    ct, cy = np.cumsum(ts)[m - 1], np.cumsum(ys)[m - 1]
+    var = np.cumsum(ts * ts)[m - 1] - ct ** 2 / m
+    cov = np.cumsum(ts * ys)[m - 1] - ct * cy / m
+    # exact: var alone reads the rounding of a one-dose prefix such as 0.7s as variance
+    defined = (np.maximum.accumulate(ts)[m - 1] > np.minimum.accumulate(ts)[m - 1]) & (var > 0.0)
+    if not defined[-1]:
         raise MetricUndefinedError("dataset has no dose variance (needs treated and control rows)")
-
-    # prefix sums give every slope in one pass
-    ct = np.cumsum(ts)
-    cy = np.cumsum(ys)
-    ctt = np.cumsum(ts * ts)
-    cty = np.cumsum(ts * ys)
-    phis, betas, defined_js = [], [], []
-    for j in range(1, k + 1):
-        m = (j * n + k - 1) // k  # integer ceil of j*n/k
-        var = ctt[m - 1] - ct[m - 1] ** 2 / m
-        if var <= 0.0:
-            continue
-        cov = cty[m - 1] - ct[m - 1] * cy[m - 1] / m
-        phis.append(j / k)
-        betas.append(cov / var)
-        defined_js.append(j)
-    if not phis:
-        raise MetricUndefinedError("no prefix has dose variance")
-    return CumulativeSlopeCurve(
-        phis=np.array(phis),
-        betas=np.array(betas),
-        beta_global=float(global_slope),
-        n=n,
-        include_origin=defined_js[0] == 1,
-    )
+    betas = cov[defined] / var[defined]
+    return CumulativeSlopeCurve(phis=j[defined] / k, betas=betas, beta_global=float(betas[-1]),
+                                n=n, include_origin=bool(defined[0]))
 
 
 def cs_auuc(scores, data, k: int = DEFAULT_GRID) -> float:
@@ -206,11 +176,11 @@ def pcoc(pred_probs, data, edges: Sequence[float]) -> list[tuple[str, float, int
         w, t, y = data
     w, t, y = _columns((w, t, y), ("w", "t", "y"))
     p = _finite_vector(pred_probs, len(w), "probability")
-    edges = [float(e) for e in edges]
+    edges = float_array(edges, "pcoc edges").reshape(-1)
     nan = np.flatnonzero(np.isnan(edges))
     if nan.size:
         raise ConfigError(f"pcoc edge {nan[0]} is NaN")
-    edges = sorted(edges)
+    edges = np.sort(edges).tolist()
     out = []
 
     def emit(label, mask):

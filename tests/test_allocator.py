@@ -15,6 +15,7 @@ from unimvt.errors import ConfigError, DataFormatError, NumericError
 BEYOND_FLOATS = pytest.param(10**400, id="10**400")
 # real numbers float() raises OverflowError on, an int and a Fraction
 OVERFLOWING = [BEYOND_FLOATS, pytest.param(Fraction(10**400), id="Fraction(10**400)")]
+NEGATIVE_FRACTION = pytest.param(Fraction(-10**400), id="Fraction(-10**400)")
 
 
 def pred(p0, eta):
@@ -170,7 +171,8 @@ def test_decide_rejects_nonpositive_value():
         al.decide(pred(0.5, 0.1), al.AllocationGrid(1, 2, 1), 0.0, 0.5)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "0.5", BEYOND_FLOATS])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "0.5", *OVERFLOWING,
+                                 NEGATIVE_FRACTION])
 @pytest.mark.parametrize("field", ["q_min", "q_max", "step"])
 def test_grid_rejects_a_nonfinite_field(field, bad):
     fields = {"q_min": 0.5, "q_max": 2.0, "step": 0.5, field: bad}
@@ -178,7 +180,8 @@ def test_grid_rejects_a_nonfinite_field(field, bad):
         al.AllocationGrid(**fields)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "60", BEYOND_FLOATS])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "60", *OVERFLOWING,
+                                 NEGATIVE_FRACTION])
 @pytest.mark.parametrize("knob", ["value_per_click", "threshold"])
 def test_decide_rejects_a_nonfinite_knob(knob, bad):
     knobs = {"value_per_click": 100.0, "threshold": 1.0, knob: bad}

@@ -3,6 +3,7 @@ for ``validate``, the one check of every key."""
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,10 @@ REAL_EDGES = [
     ("1.0", None, False, "k must be a number, got '1.0'"),
     pytest.param(10**400, None, False, "k must lie in the float range, got an integer beyond it",
                  id="10**400"),
+    pytest.param(Fraction(10**400), None, False, "k must lie in the float range, got Fraction "
+                 "beyond it", id="Fraction(10**400)"),
+    pytest.param(Fraction(-10**400), 0.0, False, "k must lie in the float range, got Fraction "
+                 "beyond it", id="Fraction(-10**400)"),
 ]
 
 
@@ -80,7 +85,8 @@ def test_real_says_why_an_edge_value_is_refused(value, least, above, message):
 
 
 @pytest.mark.parametrize("value, above", [(0.0, False), (5e-324, True), (np.float64(0.0), False),
-                                          (np.float32(1e-3), True), (0, False), (10**300, True)])
+                                          (np.float32(1e-3), True), (0, False), (10**300, True),
+                                          (Fraction(1, 3), True), (Fraction(10**300), True)])
 def test_real_takes_the_bound_itself_and_values_beyond_it(value, above):
     _real(value, "k", 0.0, above=above)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimvt import metrics as mt
-from unimvt.errors import ConfigError, MetricUndefinedError
+from unimvt.errors import ConfigError, DataFormatError, MetricUndefinedError
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +22,7 @@ def oracle_curve(scores, t, y, k):
     for j in range(1, k + 1):
         m = int(np.ceil(j * n / k - 1e-9))
         tp, yp = ts[:m], ys[:m]
-        if np.var(tp) <= 0:
+        if np.ptp(tp) == 0:  # np.var([0.7] * 3) is 1.2e-32, not 0
             continue
         beta = np.cov(tp, yp, bias=True)[0, 1] / np.var(tp)
         pts.append((j / k, beta, j))
@@ -50,8 +50,8 @@ def oracle_areas(scores, t, y, k):
 
 
 def random_dataset(rng, n):
-    t = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.choice([1.0, 2.0, 3.0], size=n))
-    if np.var(t) <= 0:  # force mixed doses
+    t = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.choice([0.7, 1.0, 2.0, 3.0], size=n))
+    if np.ptp(t) == 0:  # force mixed doses
         t[0], t[1] = 0.0, 2.0
     y = rng.integers(0, 2, size=n).astype(float)
     scores = rng.normal(size=n)
@@ -111,28 +111,32 @@ def test_logloss_matches_scalar_recomputation():
 
 
 # ---------------------------------------------------------------------------
-# prefix slopes
+# global slope: the curve's last prefix, all n rows
 # ---------------------------------------------------------------------------
 
-def test_prefix_slope_two_point_line():
-    assert mt.prefix_slope(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0) == 1.0
+def global_slope(t, y):
+    return mt.cumulative_slope_curve(np.zeros(len(t)), (t, y), k=1).beta_global
 
 
-def test_prefix_slope_constant_outcome_is_zero():
-    assert mt.prefix_slope(np.array([0.0, 1.0, 2.0]), np.ones(3), 1.0) == 0.0
+def test_global_slope_two_point_line():
+    assert global_slope(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 1.0
 
 
-def test_prefix_slope_no_dose_variance_is_undefined():
-    assert mt.prefix_slope(np.zeros(4), np.ones(4), 1.0) is None
+def test_global_slope_constant_outcome_is_zero():
+    assert global_slope(np.array([0.0, 1.0, 2.0]), np.ones(3)) == 0.0
 
 
-def test_prefix_slope_matches_cov_var_oracle():
+def test_global_slope_no_dose_variance_is_undefined():
+    with pytest.raises(MetricUndefinedError, match="no dose variance"):
+        global_slope(np.zeros(4), np.ones(4))
+
+
+def test_global_slope_matches_cov_var_oracle():
     rng = np.random.default_rng(5)
     t = rng.choice([0.0, 1.0, 2.5], size=20)
     y = rng.uniform(size=20)
-    got = mt.prefix_slope(t, y, 1.0)
     want = np.cov(t, y, bias=True)[0, 1] / np.var(t)
-    assert got == pytest.approx(want, abs=1e-12)
+    assert global_slope(t, y) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +205,36 @@ def test_all_control_prefix_is_skipped():
     assert not curve.include_origin
     assert curve.phis[0] > 0.5
     assert np.isfinite(curve.auuc())
+
+
+def polyfit_qini(scores, t, y, k):
+    """CS-Qini from an np.polyfit slope per prefix whose doses differ."""
+    order = np.argsort(-np.asarray(scores, float), kind="stable")
+    ts, ys = t[order], y[order]
+    n = len(ts)
+    g = np.polyfit(ts, ys, 1)[0]
+    xs, vs = [], []
+    for j in range(1, k + 1):
+        m = -(-j * n // k)
+        if np.ptp(ts[:m]) > 0:
+            xs.append(j / k)
+            vs.append((np.polyfit(ts[:m], ys[:m], 1)[0] - g) * j / k * n)
+    if xs[0] == 1 / k:
+        xs, vs = [0.0] + xs, [0.0] + vs
+    return oracle_trapz(xs, vs)
+
+
+@pytest.mark.parametrize("dose", [0.1, 0.7, 1.3, 2.2, 2.9])
+def test_a_prefix_of_one_non_dyadic_dose_has_no_slope(dose):
+    # 7 treated rows at one dose ranked above 7 controls: the first 7 of 14
+    # prefixes hold one dose, whose prefix-sum variance is rounding, not 0
+    t = np.array([dose] * 7 + [0.0] * 7)
+    y = np.array([1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0], float)
+    scores = np.arange(14, 0, -1.0)
+    curve = mt.cumulative_slope_curve(scores, (t, y), k=14)
+    assert curve.phis.tolist() == [j / 14 for j in range(8, 15)]
+    assert mt.cs_qini(scores, (t, y), k=14) == pytest.approx(polyfit_qini(scores, t, y, 14),
+                                                             abs=1e-12)
 
 
 def test_no_dose_variance_raises():
@@ -315,6 +349,52 @@ def test_metric_rejects_a_nonfinite_score(metric, bad):
 def test_metric_rejects_scores_of_another_length(metric, n):
     with pytest.raises(MetricUndefinedError, match=f"{n} .* values for 8 rows"):
         SCORED[metric](np.linspace(0.1, 0.9, n))
+
+
+def pcoc_of(probs=np.full(8, 0.5), w=DOSES > 0, edges=(0.5, 2.5)):
+    return mt.pcoc(probs, (w, DOSES, LABELS), edges=edges)
+
+
+# each metric fed one input that is not numbers: (what the message names, call)
+NOT_NUMBERS = {
+    "auc string labels": ("labels", lambda: mt.auc(["1", "0", "1", "0"],
+                                                   ["0.9", "0.1", "0.8", "0.3"])),
+    "auc string scores": ("score values", lambda: mt.auc(LABELS, LABELS.astype(str))),
+    "auc complex scores": ("score values", lambda: mt.auc(LABELS, LABELS + 0.5j)),
+    "logloss string labels": ("labels", lambda: mt.logloss(["1", "0"], [0.5, 0.2])),
+    "logloss string probabilities": ("probability values",
+                                     lambda: mt.logloss([1, 0], ["0.5", "0.2"])),
+    "logloss complex probabilities": ("probability values",
+                                      lambda: mt.logloss([1, 0], [0.5j, 0.2])),
+    "cs_auuc string scores": ("score values",
+                              lambda: mt.cs_auuc(DOSES.astype(str), (DOSES, LABELS))),
+    "cs_auuc complex dose": ("column t", lambda: mt.cs_auuc(DOSES, (DOSES + 1j, LABELS))),
+    "cs_qini string scores": ("score values",
+                              lambda: mt.cs_qini(list("87654321"), (DOSES, LABELS))),
+    "cs_qini string outcome": ("column y",
+                               lambda: mt.cs_qini(DOSES, (DOSES, LABELS.astype(str)))),
+    "cs_qini complex scores": ("score values", lambda: mt.cs_qini(DOSES * 1j, (DOSES, LABELS))),
+    "pcoc string edges": ("pcoc edges", lambda: pcoc_of(edges=["0", "5"])),
+    "pcoc complex edge": ("pcoc edges", lambda: pcoc_of(edges=[0.5, 2.5 + 1j])),
+    "pcoc complex probabilities": ("probability values", lambda: pcoc_of(probs=np.full(8, 0.5j))),
+    "pcoc string treatment": ("column w", lambda: pcoc_of(w=(DOSES > 0).astype(str))),
+}
+
+
+@pytest.mark.parametrize("case", NOT_NUMBERS)
+def test_metric_names_an_input_that_is_not_numbers(case):
+    what, call = NOT_NUMBERS[case]
+    with pytest.raises(DataFormatError, match=f"^{what} must be numbers: got (strings|complex)"):
+        call()
+
+
+def test_metric_reads_bools_as_0_and_1():
+    y = LABELS.astype(bool)
+    assert mt.auc(y, np.linspace(0.1, 0.9, 8)) == mt.auc(LABELS, np.linspace(0.1, 0.9, 8))
+    assert mt.logloss(y, np.full(8, 0.3)) == mt.logloss(LABELS, np.full(8, 0.3))
+    assert mt.cs_qini(DOSES, (DOSES, y)) == mt.cs_qini(DOSES, (DOSES, LABELS))
+    assert mt.pcoc(np.full(8, 0.5), (DOSES > 0, DOSES, y), edges=[0.5, 2.5]) == pcoc_of()
+    assert pcoc_of(w=DOSES > 0) == pcoc_of(w=(DOSES > 0).astype(int))
 
 
 # ---------------------------------------------------------------------------
