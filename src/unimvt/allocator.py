@@ -29,9 +29,10 @@ MAX_GRID_POINTS = 1_000_000
 
 @dataclass(frozen=True)
 class AllocationGrid:
-    """Candidate intensities q_min + step * i up to q_max. ConfigError names a
-    field that is not a finite number (a bool or str is not one), breaks
-    0 < q_min <= q_max or step > 0, or gives over MAX_GRID_POINTS points."""
+    """Candidate intensities q_min + step * i up to q_max: at least one point,
+    q_min itself. ConfigError names a field that is not a finite number (a
+    bool or str is not one), breaks 0 < q_min <= q_max or step > 0, or gives
+    over MAX_GRID_POINTS points."""
 
     q_min: float
     q_max: float
@@ -96,8 +97,6 @@ def decide(prediction, grid: AllocationGrid, value_per_click: float,
     _real(value_per_click, "value_per_click", 0.0, above=True)
     _real(threshold, "threshold")
     qs = grid.values()
-    if qs.size == 0:
-        raise ConfigError("allocation grid is empty")
     p0 = _prediction_field(prediction.p0_hat, "p0_hat")
     eta = _prediction_field(prediction.eta_hat, "eta_hat")
     if not (math.isfinite(p0) and math.isfinite(eta)):

@@ -2,15 +2,15 @@
 
 This is the substrate everything else is built on. The primitives are the
 ``Tape`` methods ``bridge`` (the fused counterfactual bridge over p, t_hat
-and eta), ``gate_merge`` (one task's gate-weighted experts, open to the
-experts' gradient on a slot mask), ``stop_gradient``, ``sum_all`` and
-``binary_cross_entropy``, plus ``mlp_forward``, which
-records a whole layer stack (also a stack of K same-shaped stacks) as one
-node with a hand-written vjp; ``Tape.record`` adds a node with the caller's
-vjp, built on the kernels ``affine_value``, ``affine_grads`` and
-``cross_entropy``. Around them: dense layers, an Adam optimizer with the one
-minibatch training loop and ``row_blocks`` (the ``SCORE_ROWS``-row blocks
-that every scoring call records on fresh tapes).
+and eta) and ``gate_merge`` (one task's gate-weighted experts, open to the
+experts' gradient on a slot mask), plus ``mlp_forward``, which records a
+whole layer stack (also a stack of K same-shaped stacks) as one node with a
+hand-written vjp. There is no general arithmetic: any other step, a loss
+included, is one ``Tape.record`` node with the caller's vjp on the kernels
+``affine_value``, ``affine_grads`` and ``cross_entropy``, and an array that
+passes no gradient is a ``Tape.constant``. Around them: dense layers, an
+Adam optimizer with the one minibatch training loop and ``row_blocks`` (the
+``SCORE_ROWS``-row blocks that every scoring call records on fresh tapes).
 
 ``Tape.record(value, parents, vjp)`` keeps a float ndarray value as it is,
 uncopied, so its caller hands it over and does not change it afterwards;
@@ -24,9 +24,9 @@ optimizer moves them.
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
 ``(K, ...)`` stacks of K same-shaped layers' weights and outputs. A ``Tape``
-records every primitive in creation order through its methods
-(``tape.bridge(p, t_hat, eta)``, ``tape.sum_all(a)``); ``backward`` replays
-it once in reverse, so creation order doubles as the topological order.
+records every node in creation order through its methods (``tape.bridge(p,
+t_hat, eta)``, ``tape.record(value, parents, vjp)``); ``backward`` replays it
+once in reverse, so creation order doubles as the topological order.
 
 Who owns what: a ``ParamTensor`` holds its values and its accumulated
 gradient and outlives every tape; once an ``OptimizerState`` has packed it,
@@ -147,8 +147,7 @@ class Node:
 
     A node is live when a gradient through it can reach a ParamTensor: when
     it has a vjp and a live parent. Only a live node keeps its vjp; backward
-    passes nothing through a node without one, such as a closed
-    stop-gradient.
+    passes nothing through a node without one, such as a constant.
     """
 
     __slots__ = ("value", "parents", "vjp", "live", "mark")
@@ -267,19 +266,6 @@ class Tape:
         # row-major in (n, k, d), so the reshape copies nothing
         out = np.multiply(weights.transpose(1, 0, 2), ev.transpose(1, 0, 2), order="C")
         return self.record(out.reshape(n, k * d), (gates, experts), vjp if lg or le else None)
-
-    def stop_gradient(self, a: Node) -> Node:
-        """Forward identity that passes no gradient."""
-        return self.record(a.value, (a,))
-
-    def sum_all(self, a: Node) -> Node:
-        shape = a.value.shape
-        return self.record(a.value.sum(), (a,), lambda g: (np.full(shape, float(g)),))
-
-    def binary_cross_entropy(self, y, p: Node) -> Node:
-        """Per-element ``cross_entropy(y, p)``, fused into one tape node."""
-        value, vjp = cross_entropy(y, p.value)
-        return self.record(value, (p,), lambda g: (vjp(g),))
 
 
 def backward(tape: Tape) -> None:

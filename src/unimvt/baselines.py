@@ -39,12 +39,14 @@ def _mlp_predict(layers, X: np.ndarray, tn=None) -> np.ndarray:
 
 
 def _fit_binary_mlp(layers, inputs, labels, cfg: ExperimentConfig, rng) -> None:
-    """Cross-entropy minimization with the shared minibatch-Adam loop."""
+    """Cross-entropy minimization with the shared minibatch-Adam loop, one loss node a batch."""
     y_col = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
 
     def batch_loss(rows, tape):
         p = ad.mlp_forward(layers, tape.constant(inputs[rows]), tape)
-        return tape.sum_all(tape.binary_cross_entropy(y_col[rows], p)), None
+        value, vjp = ad.cross_entropy(y_col[rows], p.value)
+        loss = tape.record(value.sum(), (p,), lambda g: (vjp(np.full(value.shape, float(g))),))
+        return loss, None
 
     ad.minibatch_adam(ad.mlp_params(layers), inputs.shape[0], batch_loss, cfg.train, rng)
 

@@ -297,7 +297,8 @@ def generate(spec: SynSpec) -> tuple[Dataset, Dataset]:
     functions are calibrated once against the train split (propensity
     intercept to the coupon ratio, sensitivity scale to the mean-uplift
     target, CTR intercept to the observed-CTR target) and then reused
-    verbatim for the RCT test split.
+    verbatim for the RCT test split. A train split that draws no treated
+    row raises ConfigError naming the spec, n_train and coupon_ratio.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -317,9 +318,12 @@ def generate(spec: SynSpec) -> tuple[Dataset, Dataset]:
         lambda e: expit(score + e).mean() - spec.coupon_ratio
     )
     w_train = (rng.uniform(size=spec.n_train) < expit(score + coefs.intercept_propensity)).astype(int)
+    treated = w_train == 1
+    if not treated.any():  # the sensitivity scale below divides by the treated mean dose
+        raise ConfigError(f"{spec.name}: the train split drew no treated row at "
+                          f"n_train={spec.n_train}, coupon_ratio={spec.coupon_ratio}")
 
     t_train = np.zeros(spec.n_train)
-    treated = w_train == 1
     t_train[treated] = _draw_doses(rng, spec, score[treated], confounded=True)
 
     mean_sens = expit(X_train @ coefs.coef_sensitivity).mean()

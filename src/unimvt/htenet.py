@@ -9,18 +9,19 @@ in which hidden layer i's gate is the block of columns its width gives. Each
 tower is one tape node: the base tower through ``autodiff.mlp_forward``, the
 TA-gated treatment tower, dose encoding included, through its own vjp, with
 the logits of all its TA gates computed by one GEMM of the bank and their
-gradients by one GEMM back. An intensity head
-(behind stop-gradient) imputes the dose a unit would have received, t_hat,
-its sigmoid output rescaled into [t_min, t_max] by one more node; a ReLU
-uplift head outputs the nonnegative per-unit sensitivity.
+gradients by one GEMM back. An intensity head, which reads the
+representation as a constant, imputes the dose a unit would have received,
+t_hat, its sigmoid output rescaled into [t_min, t_max] by one more node; a
+ReLU uplift head outputs the nonnegative per-unit sensitivity.
 The counterfactual bridge ``Tape.bridge`` links the towers in logit space by
 shifting with t_hat * eta, one node over p, t_hat and eta: up from p0 to the
 treated counterfactual, and in training down from pt to the untreated one.
-The training gate dose (1 - w) t_hat + t is one node too. One ``forward``
-records the network for training and prediction alike, which differ only in
-the dose that gates the treatment tower. Prediction records it in blocks of
-``autodiff.SCORE_ROWS`` rows, each on a fresh tape, so scoring holds one
-block's tape whatever the row count.
+One ``forward`` records the network for training and prediction alike,
+which differ only in two arrays of data, imputed and dose, that gate the
+treatment tower at imputed * t_hat + dose: training passes (1 - w, t), scoring
+(1, 0) to gate at t_hat or (0, q) to gate at q. Prediction records it in
+blocks of ``autodiff.SCORE_ROWS`` rows, each on a fresh tape, so scoring
+holds one block's tape whatever the row count.
 The joint loss is one closed-form node (``loss_terms``) over the factual
 cross-entropies, the intensity regression, the counterfactual MSE terms and
 the expert orthogonality penalty, which enters it as an operand;
@@ -140,10 +141,12 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
 # forward pieces
 # ---------------------------------------------------------------------------
 
-def treat_tower_forward(hte: HteParams, ut: ad.Node, dose: ad.Node, tape: ad.Tape) -> ad.Node:
-    """pt, the treatment tower on ut at the dose ``dose`` (a (rows, 1) node),
-    recorded as one node with its own vjp. The dose, min-max normalized by
-    the t bounds to tn, is encoded as e_t = [tn, tn^2]; hidden layer i gives
+def treat_tower_forward(hte: HteParams, ut: ad.Node, t_hat: ad.Node, imputed, dose,
+                        tape: ad.Tape) -> ad.Node:
+    """pt, the treatment tower on ut at the gate dose imputed * t_hat + dose
+    (imputed and dose are arrays), recorded as one node with its own vjp, which
+    gives t_hat the dose's gradient times imputed. The dose, min-max normalized
+    by the t bounds to tn, is encoded as e_t = [tn, tn^2]; hidden layer i gives
     h = a_i * relu(h W_i + b_i) with the TA gate a_i = 2*sigmoid(e_t G_i + g_i)
     elementwise in (0, 2), and the output is sigmoid(h W + b). G_i and g_i
     are layer i's columns of the TA gate bank (``HteParams.ta_cols``), so
@@ -152,7 +155,7 @@ def treat_tower_forward(hte: HteParams, ut: ad.Node, dose: ad.Node, tape: ad.Tap
     output raises NumericError naming the layer (its index and weight); gate
     i counts as layer i, named by the bank's weight and its index."""
     c = 1.0 / (hte.t_max - hte.t_min)
-    tn = (dose.value + -hte.t_min) * c
+    tn = (imputed * t_hat.value + dose + -hte.t_min) * c
     e_t = np.concatenate([tn, tn * tn], axis=1)
     *layers, out = hte.treat_tower
     bank, cols = hte.ta_gates, hte.ta_cols
@@ -163,14 +166,14 @@ def treat_tower_forward(hte: HteParams, ut: ad.Node, dose: ad.Node, tape: ad.Tap
         raise NumericError(f"non-finite activation after layer {bad} ({bank.W.name}, gate {bad})")
     s = expit(z)
     a = s * 2.0  # every gate a_i, in its columns
-    parents = [ut, dose, out.W, out.b, bank.W, bank.b]
+    parents = [ut, t_hat, out.W, out.b, bank.W, bank.b]
     hs, relus = [ut.value], []  # each hidden layer's input; its relu output
     for i, layer in enumerate(layers):
         relus.append(np.fmax(ad.checked_affine(layer, hs[-1], i), 0.0))
         hs.append(a[:, cols[i]] * relus[-1])
         parents += (layer.W, layer.b)
     pt = expit(ad.checked_affine(out, hs[-1], len(layers)))
-    lu, ld = ut.live, dose.live
+    lu, ld = ut.live, t_hat.live
 
     def vjp(g):
         g, gw, gb = ad.affine_grads(g * pt * (1.0 - pt), hs[-1], out.W.values,
@@ -190,17 +193,17 @@ def treat_tower_forward(hte: HteParams, ut: ad.Node, dose: ad.Node, tape: ad.Tap
         gz *= s
         gz *= 1.0 - s
         ge, gg, ggb = ad.affine_grads(gz, e_t, bank.W.values, lx=ld)
-        gd = (ge[:, 0:1] + 2.0 * ge[:, 1:2] * tn) * c if ld else None
+        gd = (ge[:, 0:1] + 2.0 * ge[:, 1:2] * tn) * c * imputed if ld else None
         return (g, gd, gw, gb, gg, ggb, *grads[::-1])
 
     return tape.record(pt, parents, vjp)
 
 
 def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
-    """t_hat = sigmoid(MLP(SG(ut))) scaled into (t_min, t_max), the affine
-    rescale recorded as one node; no gradient reaches the representation
-    layer from this head."""
-    s = ad.mlp_forward(hte.intensity_head, tape.stop_gradient(ut), tape)  # sigmoid output
+    """t_hat = sigmoid(MLP(ut)) scaled into (t_min, t_max), the affine
+    rescale recorded as one node; the head reads ut's value as a constant,
+    so no gradient reaches the representation layer from it."""
+    s = ad.mlp_forward(hte.intensity_head, tape.constant(ut.value), tape)  # sigmoid output
     span = hte.t_max - hte.t_min
     return tape.record(s.value * span + hte.t_min, (s,), lambda g: (g * span,))
 
@@ -208,19 +211,18 @@ def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Nod
 Forward = namedtuple("Forward", "p0 t_hat eta p_cf pt")
 
 
-def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, gate_dose) -> Forward:
+def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, imputed, dose) -> Forward:
     """Record the network once on tape for the feature matrix X: the nodes p0,
     t_hat, the uplift head eta (a per-unit logit shift), p_cf =
-    bridge(p0, t_hat, eta) and pt at the gate dose. ``gate_dose(t_hat)`` gives
-    that dose, a (rows, 1) node of tape; it feeds the treatment tower's TA
-    gates."""
+    bridge(p0, t_hat, eta) and pt, the treatment tower gated at
+    imputed * t_hat + dose (``treat_tower_forward``)."""
     hte = model.hte
     rep = dcr_forward(model.dcr, tape.constant(X), tape)
     p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape)
     t_hat = intensity_head_forward(hte, rep.ut, tape)
     eta = ad.mlp_forward(hte.uplift_head, rep.ut, tape)  # a ReLU output: eta >= 0
     p_cf = tape.bridge(p0, t_hat, eta)
-    pt = treat_tower_forward(hte, rep.ut, gate_dose(t_hat), tape)
+    pt = treat_tower_forward(hte, rep.ut, t_hat, imputed, dose, tape)
     return Forward(p0, t_hat, eta, p_cf, pt)
 
 
@@ -280,12 +282,9 @@ def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape
     if X.shape[0] == 0:
         raise UsageError("joint_loss needs a nonempty batch")
     w_col, y_col, t_col = (np.asarray(a, dtype=np.float64).reshape(-1, 1) for a in (w, y, t))
-    ctrl = 1.0 - w_col
 
     # the observed dose gates the treatment tower on treated rows, the imputed one on controls
-    fw = forward(model, np.asarray(X, dtype=np.float64), tape,
-                 lambda t_hat: tape.record(ctrl * t_hat.value + t_col, (t_hat,),
-                                           lambda g: (g * ctrl,)))
+    fw = forward(model, np.asarray(X, dtype=np.float64), tape, 1.0 - w_col, t_col)
     p_base_cf = tape.bridge(fw.pt, fw.t_hat, fw.eta, -1.0) if weights.lambda_x > 0 else None
     # recorded after the forward nodes: backward adds its gradient into the expert weights first
     r_orth = orth_penalty(model.dcr, tape) if weights.lambda_o > 0 else None
@@ -344,8 +343,7 @@ def _score_block(model: UniMvtModel, X: np.ndarray, q) -> tuple:
     return; the treatment tower is gated at q (one dose per row) or, when q
     is None, at t_hat."""
     tape = ad.Tape()
-    dose = None if q is None else tape.constant(q.reshape(-1, 1))
-    fw = forward(model, X, tape, lambda t_hat: t_hat if dose is None else dose)
+    fw = forward(model, X, tape, *((1.0, 0.0) if q is None else (0.0, q.reshape(-1, 1))))
     return tuple(node.value.reshape(-1) for node in (fw.p0, fw.t_hat, fw.eta, fw.p_cf, fw.pt))
 
 

@@ -7,16 +7,19 @@ the arithmetic that tests use as glue.
 ``affine_grads``, ``np.fmax``, ``expit``). Chained, they are the reference
 that ``mlp_forward``'s one node must equal bit for bit. ``add`` and ``mul``
 record elementwise arithmetic with numpy broadcasting; an operand that is
-neither a node nor a parameter enters as a constant.
+neither a node nor a parameter enters as a constant. ``total`` sums a node
+to a scalar loss, and ``binary_cross_entropy`` records ``cross_entropy``
+per element, so ``total(binary_cross_entropy(...))`` is the two-node loss
+that the S-/T-Learners' one loss node must equal.
 
 ``finite_diff_check`` compares a tape's gradients with central differences
-of the forward pass. A stop-gradient, and a closed slot of ``gate_merge``'s
-experts, make the tape's gradient differ on purpose from the true derivative
-of the forward function: the tape treats the stopped value as a constant,
-while a perturbed re-evaluation moves it too. So the checker pins stopped
-values: it records them on the unperturbed pass and reads them back on every
-perturbed one, and the finite difference becomes the derivative the tape
-actually defines.
+of the forward pass. A constant read off a parameter's value, and a closed
+slot of ``gate_merge``'s experts, make the tape's gradient differ on purpose
+from the true derivative of the forward function: the tape treats the value
+as fixed, while a perturbed re-evaluation moves it too. So the checker pins
+every constant and every merge's experts: it records them on the
+unperturbed pass and reads them back on every perturbed one, and the finite
+difference becomes the derivative the tape actually defines.
 """
 from __future__ import annotations
 
@@ -53,6 +56,18 @@ def mul(tape: ad.Tape, a, b) -> ad.Node:
                                   ad._unbroadcast(g * av, np.shape(bv)) if lb else None))
 
 
+def total(tape: ad.Tape, a) -> ad.Node:
+    """The sum of every entry of a, as a 0-D node."""
+    shape = a.value.shape
+    return tape.record(a.value.sum(), (a,), lambda g: (np.full(shape, float(g)),))
+
+
+def binary_cross_entropy(tape: ad.Tape, y, p) -> ad.Node:
+    """``cross_entropy(y, p)`` per element of the node p."""
+    value, vjp = ad.cross_entropy(y, p.value)
+    return tape.record(value, (p,), lambda g: (vjp(g),))
+
+
 def affine(tape: ad.Tape, x, w, b) -> ad.Node:
     """x @ W + b with b broadcast over rows; a (K, in, out) weight with bias
     (K, 1, out) applies K layers at once, as in ``mlp_forward``."""
@@ -74,12 +89,12 @@ def sigmoid(tape: ad.Tape, a) -> ad.Node:
 
 
 class _PinnedTape(ad.Tape):
-    """A tape whose stopped values are pinned for the gradient checker.
+    """A tape whose constants are pinned for the gradient checker.
 
-    Built on an empty list, the tape appends a copy of every stop-gradient
-    output and every merge's expert operand to it; built on the filled list,
-    it reads the recorded values back in order: in place of a stop-gradient's
-    output, and in the closed slots of a merge's experts.
+    Built on an empty list, the tape appends a copy of every constant and
+    every merge's expert operand to it; built on the filled list, it reads
+    the recorded values back in order: in place of a constant's value, and
+    in the closed slots of a merge's experts.
     """
 
     def __init__(self, pinned: list) -> None:
@@ -96,9 +111,9 @@ class _PinnedTape(ad.Tape):
         self._used += 1
         return self._pinned[self._used - 1]
 
-    def stop_gradient(self, a: ad.Node) -> ad.Node:
-        node = super().stop_gradient(a)
-        node.value = self._pin(a.value)
+    def constant(self, values) -> ad.Node:
+        node = super().constant(values)
+        node.value = self._pin(node.value)
         return node
 
     def gate_merge(self, gates, task: int, experts, open) -> ad.Node:
@@ -135,10 +150,10 @@ def finite_diff_check(
     reference values: it only re-evaluates the forward pass. An ``eps`` that
     is not finite and positive raises ConfigError.
 
-    Stop-gradient outputs, and the closed slots of ``gate_merge``'s experts,
-    are replayed at their unperturbed values during the +-eps evaluations, so
-    the check validates the derivative the tape defines: stopped values are
-    constants.
+    Constants, and the closed slots of ``gate_merge``'s experts, are
+    replayed at their unperturbed values during the +-eps evaluations, so
+    the check validates the derivative the tape defines, in which a constant
+    read off a parameter's value stays fixed.
 
     Entries that disagree by more than 1e-7 may be quantization-limited in
     float64 (the +-eps loss change sits within a few ulp of the loss

@@ -124,6 +124,17 @@ def test_decide_tie_breaks_to_cheapest_q():
     assert not decision.issue
 
 
+@pytest.mark.parametrize("eta, issue", [(0.05, True), (0.0, False)])
+def test_a_one_point_grid_issues_at_its_point_or_withholds(eta, issue):
+    # q_min = q_max gives one point, so decide always has a candidate
+    grid = al.AllocationGrid(2.0, 2.0, 0.5)
+    np.testing.assert_array_equal(grid.values(), [2.0])
+    decision = al.decide(pred(0.1, eta), grid, 100.0, 1.0)
+    assert (decision.issue, decision.q_star) == (issue, 2.0 if issue else 0.0)
+    assert (decision.issue, decision.q_star, decision.expected_uplift, decision.ratio,
+            decision.net_gain) == brute_force_decision(pred(0.1, eta), grid, 100.0, 1.0)
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         al.AllocationGrid(0.0, 1.0, 0.5)

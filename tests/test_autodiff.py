@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logit
 
 import gradcheck
-from gradcheck import add, affine, finite_diff_check, mul, relu, sigmoid
+from gradcheck import (add, affine, binary_cross_entropy, finite_diff_check, mul, relu,
+                       sigmoid, total)
 from unimvt import autodiff as ad
 from unimvt.config import TrainConfig
 from unimvt.errors import ConfigError, NumericError, UsageError
@@ -112,7 +113,7 @@ def test_mlp_is_one_node_equal_to_the_chain_of_primitives(stacked, activation):
         before = len(tape.nodes)
         out = record(layers, inputs, tape)
         recorded = len(tape.nodes) - before
-        tape.sum_all(mul(tape, out, np.linspace(-1.0, 2.0, out.value.size).reshape(out.shape)))
+        total(tape, mul(tape, out, np.linspace(-1.0, 2.0, out.value.size).reshape(out.shape)))
         ad.backward(tape)
         results.append((out.value, [p.grad.copy() for p in params], recorded))
         for p in params:
@@ -136,7 +137,7 @@ def test_mlp_gradients_against_finite_differences(stacked, activation, live):
     def loss_fn(tape):
         inputs = mul(tape, x, 1.0) if live else tape.constant(x.values)
         nodes.append(ad.mlp_forward(layers, inputs, tape))
-        return tape.sum_all(mul(tape, nodes[-1], weights))
+        return total(tape, mul(tape, nodes[-1], weights))
 
     params = [x, *ad.mlp_params(layers)] if live else ad.mlp_params(layers)
     assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
@@ -150,7 +151,7 @@ def test_mlp_gradients_against_finite_differences(stacked, activation, live):
 def test_backward_square():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     tape = ad.Tape()
-    loss = tape.sum_all(mul(tape, w, w))
+    loss = total(tape, mul(tape, w, w))
     ad.backward(tape)
     assert w.grad[0, 0] == 6.0
 
@@ -158,7 +159,7 @@ def test_backward_square():
 def test_backward_stop_gradient_kills_one_path():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     tape = ad.Tape()
-    loss = tape.sum_all(mul(tape, tape.stop_gradient(w), w))
+    loss = total(tape, mul(tape, tape.constant(w.value), w))
     ad.backward(tape)
     assert w.grad[0, 0] == 3.0  # not 6
 
@@ -183,13 +184,13 @@ def test_operand_from_another_tape_is_usage_error():
     with pytest.raises(UsageError):
         add(tape, w, foreign)
     with pytest.raises(UsageError):
-        tape.sum_all(foreign)
+        total(tape, foreign)
 
 
 def test_a_parameter_is_a_leaf_of_every_tape():
     w = ad.ParamTensor("w", np.array([[3.0]]))
     for tape in (ad.Tape(), ad.Tape()):
-        tape.sum_all(mul(tape, w, w))
+        total(tape, mul(tape, w, w))
         assert len(tape.nodes) == 2
         ad.backward(tape)
     assert w.grad[0, 0] == 12.0  # 2 * 2w, added into the one grad by both tapes
@@ -207,26 +208,26 @@ def test_backward_two_layer_net_matches_finite_differences():
 
     def loss_fn(tape):
         p = ad.mlp_forward(layers, tape.constant(x), tape)
-        return tape.sum_all(tape.binary_cross_entropy(y, p))
+        return total(tape, binary_cross_entropy(tape, y, p))
 
     assert finite_diff_check(loss_fn, params, eps=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
-# stop_gradient
+# stop-gradient: a constant read off a value passes that value no gradient
 # ---------------------------------------------------------------------------
 
 def test_stop_gradient_forward_identity():
     tape = ad.Tape()
     x = tape.constant(np.array([[1.5, -2.0]]))
-    out = tape.stop_gradient(x)
+    out = tape.constant(x.value)
     np.testing.assert_array_equal(out.value, [[1.5, -2.0]])
 
 
 def test_stop_gradient_zero_grad():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
-    loss = tape.sum_all(tape.stop_gradient(x))
+    loss = total(tape, tape.constant(x.value))
     ad.backward(tape)
     np.testing.assert_array_equal(x.grad, np.zeros((1, 3)))
 
@@ -234,7 +235,7 @@ def test_stop_gradient_zero_grad():
 def test_stop_gradient_additive_path_stays_open():
     x = ad.ParamTensor("x", np.array([[1.0, 2.0, 3.0]]))
     tape = ad.Tape()
-    tape.sum_all(add(tape, x, tape.stop_gradient(x)))
+    total(tape, add(tape, x, tape.constant(x.value)))
     ad.backward(tape)
     np.testing.assert_array_equal(x.grad, np.ones((1, 3)))
 
@@ -390,7 +391,7 @@ def test_gate_merge_with_no_open_slot_gives_the_experts_no_gradient(open_):
     w = ad.ParamTensor("w", rng.standard_normal((3, 4, 2)))
     tape = ad.Tape()
     node = tape.gate_merge(gates, 0, mul(tape, w, 1.0), open_)
-    tape.sum_all(mul(tape, node, rng.standard_normal((4, 6))))
+    total(tape, mul(tape, node, rng.standard_normal((4, 6))))
     ad.backward(tape)
     np.testing.assert_array_equal(w.grad, 0.0)
     assert np.any(gates.grad[0]) and not np.any(gates.grad[1])
@@ -457,10 +458,9 @@ PRIMITIVE_TERMS = {
         sigmoid(tape, stacked), 1,
         relu(tape, affine(tape, wn, tape.constant(FD_EXPERT_W), tape.constant(np.zeros((3, 1, 2))))),
         FD_OPEN)),
-    "stop_gradient": lambda tape, wn, stacked: mul(tape, tape.stop_gradient(stacked), stacked),
-    "sum_all": lambda tape, wn, stacked: tape.sum_all(square(tape, wn)),
-    "binary_cross_entropy": lambda tape, wn, stacked: tape.binary_cross_entropy(
-        FD_LABELS, sigmoid(tape, add(tape, wn, -1.0))),
+    "total": lambda tape, wn, stacked: total(tape, square(tape, wn)),
+    "binary_cross_entropy": lambda tape, wn, stacked: binary_cross_entropy(
+        tape, FD_LABELS, sigmoid(tape, add(tape, wn, -1.0))),
 }
 
 
@@ -472,7 +472,7 @@ def test_primitive_gradients_against_finite_differences():
 
     def check(term):
         def loss_fn(tape):
-            return tape.sum_all(term(tape, w, affine(tape, w, ws, bs)))
+            return total(tape, term(tape, w, affine(tape, w, ws, bs)))
 
         return finite_diff_check(loss_fn, [w, ws, bs], eps=1e-6)
 
@@ -513,7 +513,7 @@ def operand_gradients(name, constant):
     tape = ad.Tape()
     out = record(tape, *(tape.constant(p.values) if i == constant else p
                          for i, p in enumerate(params)))
-    tape.sum_all(mul(tape, out, rng.standard_normal(out.value.shape)))
+    total(tape, mul(tape, out, rng.standard_normal(out.value.shape)))
     ad.backward(tape)
     return out, [p.grad for p in params]
 
@@ -536,7 +536,7 @@ def test_only_a_node_that_reaches_a_parameter_is_live():
     w = ad.ParamTensor("w", np.ones((2, 2)))
     tape = ad.Tape()
     on_constants = mul(tape, tape.constant(np.ones((2, 2))), 2.0)
-    frozen = tape.stop_gradient(w)
+    frozen = tape.constant(w.value)
     mixed = add(tape, on_constants, w)
     gates, experts = tape.constant(np.ones((1, 2, 2))), mul(tape, w, np.ones((2, 2, 1)))
     partly_open = tape.gate_merge(gates, 0, experts, np.array([False, True]))
@@ -617,7 +617,7 @@ def test_optimizer_converges_on_quadratic_bowl():
     state = ad.OptimizerState([w], lr=0.05)
     for _ in range(500):
         tape = ad.Tape()
-        tape.sum_all(square(tape, add(tape, w, -2.0)))
+        total(tape, square(tape, add(tape, w, -2.0)))
         ad.backward(tape)
         ad.optimizer_step(state)
     assert abs(w.values[0, 0] - 2.0) < 0.01
@@ -702,7 +702,7 @@ def test_minibatch_adam_visits_every_row_once_per_epoch():
     w = ad.ParamTensor("w", np.array([[5.0]]))
 
     def batch_loss(rows, tape):
-        return tape.sum_all(mul(tape, w, w)), rows
+        return total(tape, mul(tape, w, w)), rows
 
     epochs = ad.minibatch_adam([w], 10, batch_loss, TrainConfig(epochs=2, batch=4, lr=0.1),
                                np.random.default_rng(0))
@@ -717,7 +717,7 @@ def test_minibatch_adam_nonfinite_loss_names_epoch_and_batch():
     w = ad.ParamTensor("w", np.ones((1, 1)))
 
     def batch_loss(rows, tape):
-        return tape.sum_all(mul(tape, w, np.nan)), None
+        return total(tape, mul(tape, w, np.nan)), None
 
     with pytest.raises(NumericError, match="non-finite loss at epoch 0 batch 0"):
         ad.minibatch_adam([w], 10, batch_loss, TrainConfig(epochs=2, batch=4),
@@ -733,7 +733,7 @@ def test_finite_diff_exact_for_linear_loss():
     w = ad.ParamTensor("w", np.arange(6.0).reshape(2, 3))
 
     def loss_fn(tape):
-        return tape.sum_all(w)
+        return total(tape, w)
 
     assert finite_diff_check(loss_fn, [w], eps=1e-5) < 1e-8
 
@@ -745,7 +745,7 @@ def test_finite_diff_detects_corrupted_gradient():
         # deliberately wrong vjp: doubles the true gradient of w**2
         return tape.record(w.values**2, (w,), lambda g: (4.0 * g * w.values,))
 
-    err = finite_diff_check(lambda tape: tape.sum_all(loss_fn(tape)), [w], eps=1e-5)
+    err = finite_diff_check(lambda tape: total(tape, loss_fn(tape)), [w], eps=1e-5)
     assert err > 0.3
 
 
@@ -759,7 +759,7 @@ def test_finite_diff_rejects_nonpositive_eps():
 def test_finite_diff_rejects_a_nonfinite_eps(eps):
     w = ad.ParamTensor("w", np.ones((1, 1)))
     with pytest.raises(ConfigError, match="finite and positive"):
-        finite_diff_check(lambda tape: tape.sum_all(w), [w], eps=eps)
+        finite_diff_check(lambda tape: total(tape, w), [w], eps=eps)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -769,7 +769,7 @@ def test_finite_diff_counts_a_nonfinite_gradient_as_infinitely_wrong(bad):
     def loss_fn(tape):
         # the vjp is right on entry 1 and non-finite on entry 0
         square = tape.record(w.values**2, (w,), lambda g: (g * 2.0 * w.values * [[bad, 1.0]],))
-        return tape.sum_all(square)
+        return total(tape, square)
 
     assert finite_diff_check(loss_fn, [w], eps=1e-5) == np.inf
 
@@ -792,7 +792,7 @@ def test_seeded_init_and_steps_are_bit_reproducible():
         for _ in range(5):
             tape = ad.Tape()
             p = ad.mlp_forward(layers, tape.constant(x), tape)
-            tape.sum_all(tape.binary_cross_entropy(y, p))
+            total(tape, binary_cross_entropy(tape, y, p))
             ad.backward(tape)
             ad.optimizer_step(state)
         return np.concatenate([p.values.reshape(-1) for p in params])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from gradcheck import binary_cross_entropy, finite_diff_check, total
 from unimvt import autodiff as ad
 from unimvt import baselines as bl
 from unimvt import datagen as dg
@@ -153,3 +154,62 @@ def test_scoring_names_the_nonfinite_feature(entry, bad):
     X[2, 3] = bad
     with pytest.raises(DataFormatError, match="row 2: feature 3"):
         SCORING[entry](*untrained_learners(), X)
+
+
+# ---------------------------------------------------------------------------
+# the training loss: one tape node a batch
+# ---------------------------------------------------------------------------
+
+def tiny_fit_case():
+    """A (5, 4, 1) sigmoid net, seeded, and 40 rows of 5 inputs with labels."""
+    rng = np.random.default_rng(17)
+    net = ad.init_mlp(rng, "net", (5, 4, 1), out_activation="sigmoid")
+    return net, rng.standard_normal((40, 5)), rng.integers(0, 2, size=40)
+
+
+def fit_batch_loss(monkeypatch, net, inputs, labels):
+    """The batch loss that ``_fit_binary_mlp`` hands the training loop, taken
+    before any step."""
+    captured = []
+    monkeypatch.setattr(ad, "minibatch_adam", lambda params, n, batch_loss, train, rng:
+                        captured.append(batch_loss))
+    bl._fit_binary_mlp(net, inputs, labels, quick_cfg(), np.random.default_rng(0))
+    return captured[0]
+
+
+def test_a_learner_batch_records_at_most_3_nodes(monkeypatch):
+    batch_loss = fit_batch_loss(monkeypatch, *tiny_fit_case())
+    tape = ad.Tape()
+    loss, _ = batch_loss(np.arange(16), tape)
+    assert loss is tape.nodes[-1] and loss.value.shape == ()
+    assert len(tape.nodes) <= 3
+
+
+def test_the_one_node_loss_against_finite_differences(monkeypatch):
+    net, inputs, labels = tiny_fit_case()
+    batch_loss = fit_batch_loss(monkeypatch, net, inputs, labels)
+    rows = np.arange(3, 19)
+    assert finite_diff_check(lambda tape: batch_loss(rows, tape)[0], ad.mlp_params(net),
+                             eps=1e-6) < 1e-6
+
+
+def test_fit_binary_mlp_trains_as_the_two_node_reference_loss():
+    # one epoch of four batches; the reference sums per-element cross-entropy
+    # nodes, the loss the learners trained on before it became one node
+    cfg = ExperimentConfig(train=TrainConfig(epochs=1, batch=10, seed=0))
+    fitted, inputs, labels = tiny_fit_case()
+    reference = tiny_fit_case()[0]
+    start = [p.values.copy() for p in ad.mlp_params(fitted)]
+    bl._fit_binary_mlp(fitted, inputs, labels, cfg, np.random.default_rng(5))
+    y_col = labels.reshape(-1, 1).astype(np.float64)
+
+    def reference_loss(rows, tape):
+        p = ad.mlp_forward(reference, tape.constant(inputs[rows]), tape)
+        return total(tape, binary_cross_entropy(tape, y_col[rows], p)), None
+
+    ad.minibatch_adam(ad.mlp_params(reference), len(inputs), reference_loss, cfg.train,
+                      np.random.default_rng(5))
+    for got, want, before in zip(ad.mlp_params(fitted), ad.mlp_params(reference), start):
+        assert not np.array_equal(got.values, before)
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)

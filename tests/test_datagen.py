@@ -240,6 +240,16 @@ def test_unreachable_ctr_target_fails_bracketing():
         dg.generate(replace(SMALL, n_train=500, n_test=100, target_avg_ctr=0.005))
 
 
+@pytest.mark.parametrize("seed", [1, 18, 23, 29, 33])
+def test_a_train_split_with_no_treated_row_is_named(seed):
+    # at these seeds the four syn1 train rows draw no coupon; the sensitivity
+    # scale would divide by the mean of no dose
+    spec = replace(dg.PRESETS["syn1"], n_train=4, n_test=4, seed=seed)
+    with pytest.raises(ConfigError, match=r"syn1: .*no treated row at n_train=4, "
+                                          r"coupon_ratio=0\.3"):
+        dg.generate(spec)
+
+
 # ---------------------------------------------------------------------------
 # column invariants
 # ---------------------------------------------------------------------------

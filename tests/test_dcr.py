@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gradcheck import add, finite_diff_check, mul
+from gradcheck import add, finite_diff_check, mul, total
 from unimvt import autodiff as ad
 from unimvt import dcr
 from unimvt.errors import ConfigError
@@ -56,7 +56,7 @@ def backward_of(task, seed, data_seed):
     rng = np.random.default_rng(data_seed)
     tape = ad.Tape()
     out = dcr.dcr_forward(params, tape.constant(rng.standard_normal((6, 4))), tape)
-    tape.sum_all(getattr(out, task))
+    total(tape, getattr(out, task))
     ad.backward(tape)
     return params
 
@@ -114,7 +114,7 @@ def test_gate_node_against_finite_differences():
     params.gates.b.values[:] = rng.normal(0.0, 0.5, size=12)
 
     def loss_fn(tape):
-        return tape.sum_all(mul(tape, mask, dcr.gates_forward(params, tape.constant(x), tape)))
+        return total(tape, mul(tape, mask, dcr.gates_forward(params, tape.constant(x), tape)))
 
     assert params.parameters()[-2:] == [params.gates.W, params.gates.b]
     assert params.gates.W.shape == (4, 12) and params.gates.b.shape == (12,)
@@ -131,7 +131,7 @@ def test_both_representations_against_finite_differences():
 
     def loss_fn(tape):
         out = dcr.dcr_forward(params, tape.constant(x), tape)
-        return tape.sum_all(add(tape, mul(tape, m0, out.u0), mul(tape, mt, out.ut)))
+        return total(tape, add(tape, mul(tape, m0, out.u0), mul(tape, mt, out.ut)))
 
     assert finite_diff_check(loss_fn, params.parameters(), eps=1e-6) < 1e-6
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from gradcheck import finite_diff_check, mul
+from gradcheck import finite_diff_check, mul, total
 from unimvt import autodiff as ad
 from unimvt import baselines
 from unimvt import datagen as dg
@@ -114,7 +114,8 @@ def one_gate_tower(gate_W, gate_b):
 
 def tower_value(hte, ut, dose):
     tape = ad.Tape()
-    return ht.treat_tower_forward(hte, tape.constant(ut), tape.constant(dose), tape).value
+    return ht.treat_tower_forward(hte, tape.constant(ut), tape.constant(dose), 1.0, 0.0,
+                                  tape).value
 
 
 UT = np.random.default_rng(9).standard_normal((5, 4))
@@ -159,12 +160,16 @@ def test_treat_tower_gradients_against_finite_differences(live_dose):
     ut = ad.ParamTensor("ut", rng.standard_normal((6, model.dcr.output_dim)))
     dose = ad.ParamTensor("dose", rng.uniform(0.8, 3.2, size=(6, 1)))
     weights = rng.uniform(0.5, 1.5, size=(6, 1))
+    # as in training: rows 1 and 4 are treated and gate at their observed
+    # dose, the others at the imputed one
+    imputed = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
+    observed = (1.0 - imputed) * rng.uniform(0.8, 3.2, size=(6, 1))
     nodes = []
 
     def loss_fn(tape):
         d = mul(tape, dose, 1.0) if live_dose else tape.constant(dose.values)
-        nodes.append(ht.treat_tower_forward(hte, mul(tape, ut, 1.0), d, tape))
-        return tape.sum_all(mul(tape, nodes[-1], weights))
+        nodes.append(ht.treat_tower_forward(hte, mul(tape, ut, 1.0), d, imputed, observed, tape))
+        return total(tape, mul(tape, nodes[-1], weights))
 
     assert hte.ta_gates.W.shape == (2, 16) and hte.ta_gates.b.shape == (16,)
     params = [ut, *ad.mlp_params(hte.treat_tower), hte.ta_gates.W, hte.ta_gates.b]
@@ -213,7 +218,7 @@ def test_intensity_head_blocks_gradients_to_dcr():
 
     rep = dcr_forward(model.dcr, rep_in, tape)
     t_hat = ht.intensity_head_forward(model.hte, rep.ut, tape)
-    tape.sum_all(t_hat)
+    total(tape, t_hat)
     ad.backward(tape)
     for p in model.dcr.parameters():
         assert np.all(p.grad == 0.0)
@@ -221,8 +226,8 @@ def test_intensity_head_blocks_gradients_to_dcr():
 
 
 def test_intensity_head_against_finite_differences():
-    # the rescale into [t_min, t_max] is one node; ut is live, but the
-    # stop-gradient in front of the head passes it exactly nothing
+    # the rescale into [t_min, t_max] is one node; ut is live, but the head
+    # reads its value as a constant, which passes it exactly nothing
     model = tiny_model(seed=6)
     rng = np.random.default_rng(6)
     ut = ad.ParamTensor("ut", rng.standard_normal((6, model.dcr.output_dim)))
@@ -230,7 +235,7 @@ def test_intensity_head_against_finite_differences():
 
     def loss_fn(tape):
         t_hat = ht.intensity_head_forward(model.hte, mul(tape, ut, 1.0), tape)
-        return tape.sum_all(mul(tape, t_hat, weights))
+        return total(tape, mul(tape, t_hat, weights))
 
     head = ad.mlp_params(model.hte.intensity_head)
     assert finite_diff_check(loss_fn, [ut, *head], eps=1e-6) < 1e-6
@@ -967,16 +972,17 @@ def training_batch_nodes(ablate):
     return len(tape.nodes)
 
 
-def test_default_training_batch_records_at_most_16_nodes():
-    assert training_batch_nodes(AblationConfig()) <= 16
+def test_default_training_batch_records_at_most_15_nodes():
+    assert training_batch_nodes(AblationConfig()) <= 15
 
 
-def test_ablate_dcr_training_batch_records_at_most_13_nodes():
-    assert training_batch_nodes(AblationConfig(dcr=True)) <= 13
+def test_ablate_dcr_training_batch_records_at_most_12_nodes():
+    assert training_batch_nodes(AblationConfig(dcr=True)) <= 12
 
 
-def test_predict_records_at_most_12_nodes(monkeypatch):
-    model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
+def predict_nodes(monkeypatch, ablate, q=None):
+    """The nodes one ``predict`` records, on the one tape it builds."""
+    model = ht.build_model(ExperimentConfig(ablate=ablate), input_dim=8, t_min=1.0, t_max=3.0)
     tapes = []
 
     class CountingTape(ad.Tape):
@@ -985,9 +991,20 @@ def test_predict_records_at_most_12_nodes(monkeypatch):
             tapes.append(self)
 
     monkeypatch.setattr(ad, "Tape", CountingTape)
-    ht.predict(model, np.ones(8))
+    ht.predict(model, np.ones(8), q=q)
     assert len(tapes) == 1
-    assert len(tapes[0].nodes) <= 12
+    return len(tapes[0].nodes)
+
+
+def test_predict_records_at_most_12_nodes(monkeypatch):
+    assert predict_nodes(monkeypatch, AblationConfig()) <= 12
+
+
+@pytest.mark.parametrize("ablate, budget", [(AblationConfig(), 12), (AblationConfig(dcr=True), 9)],
+                         ids=["default", "ablate.dcr"])
+def test_predict_at_a_dose_records_no_more_nodes_than_without(monkeypatch, ablate, budget):
+    # the dose is data: gating at q adds no node to the tape
+    assert predict_nodes(monkeypatch, ablate, q=2.0) <= budget
 
 
 # ---------------------------------------------------------------------------
