@@ -4,7 +4,10 @@ Both reuse the tower sizes and optimizer of the main model so comparisons
 isolate architecture rather than capacity. Intensity enters as an extra
 input feature, min-max normalized by the same treated-support bounds the
 main model uses; unit uplift is read off by contrasting normalized intensity
-1 (the raw treated maximum t_max) against no treatment. A dose is checked
+1 (the raw treated maximum t_max) against no treatment, so
+``unit_uplift_scores`` is f(x, t_max) - f(x, 0), a gain over the whole dose
+that reads per unit of dose, as the main model's eta_hat does, only after
+dividing by t_max. A dose is checked
 as the main model's q is, by ``datagen.dose_vector``; its errors call it t.
 Each public scoring entry checks X and its dose once, then hands the checked
 arrays to private scorers, which check nothing.

@@ -2,7 +2,7 @@
 
 Flat keys follow ``section.field`` naming, e.g. ``loss.lambda_base``,
 ``train.epochs``, ``ablate.dcr``, ``dcr.hidden``, ``net.tower_hidden``;
-model files record the keys that shape the network in this form.
+model files record every key in this form, and each key's kind is its default's.
 
 Every knob of the package is checked here, by two package-internal helpers
 that refuse a bool and any non-number with a ConfigError naming the knob:
@@ -100,7 +100,12 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-_SECTIONS = ("dcr", "net", "loss", "train", "ablate")
+def _walk(cfg: ExperimentConfig):
+    """(flat key, default, section object, field name) of every config key, in order."""
+    for section in fields(ExperimentConfig):
+        obj = getattr(cfg, section.name)
+        for f in fields(section.default_factory):
+            yield f"{section.name}.{f.name}", f.default, obj, f.name
 
 
 def validate(cfg: ExperimentConfig, input_dim: int) -> None:
@@ -110,66 +115,58 @@ def validate(cfg: ExperimentConfig, input_dim: int) -> None:
     an integer of at least 1 (0 for ``train.seed``); a finite number of at
     least 0 (above it for ``train.lr``)."""
     _integer(input_dim, "input_dim")
-    for section in _SECTIONS:
-        obj = getattr(cfg, section)
-        for f in fields(obj):
-            key, value = f"{section}.{f.name}", getattr(obj, f.name)
-            if isinstance(f.default, bool):
-                if not isinstance(value, bool):
-                    raise ConfigError(f"{key} must be a bool, got {value!r}")
-            elif isinstance(f.default, tuple):
-                if not isinstance(value, (tuple, list)):
-                    raise ConfigError(f"{key} must be a tuple of widths, got {value!r}")
-                for width in value:
-                    _integer(width, key)
-            elif isinstance(f.default, int):
-                _integer(value, key, least=0 if key == "train.seed" else 1)
-            else:
-                _real(value, key, 0.0, above=key == "train.lr")
+    for key, default, obj, name in _walk(cfg):
+        value = getattr(obj, name)
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{key} must be a bool, got {value!r}")
+        elif isinstance(default, tuple):
+            if not isinstance(value, (tuple, list)):
+                raise ConfigError(f"{key} must be a tuple of widths, got {value!r}")
+            for width in value:
+                _integer(width, key)
+        elif isinstance(default, int):
+            _integer(value, key, least=0 if key == "train.seed" else 1)
+        else:
+            _real(value, key, 0.0, above=key == "train.lr")
 
 
-def _parse_value(current, raw: str, key: str):
+def _parse_value(default, raw: str, key: str):
     raw = raw.strip()
-    if isinstance(current, bool):
+    if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        if isinstance(current, tuple):
+        if isinstance(default, tuple):
             return tuple(int(v) for v in raw.split(",") if v.strip())
-        if isinstance(current, int):
-            return int(raw)
-        if isinstance(current, float):
-            return float(raw)
+        return type(default)(raw)  # an int or a float
     except ValueError:
-        kind = "integers" if isinstance(current, tuple) else type(current).__name__
+        kind = "integers" if isinstance(default, tuple) else type(default).__name__
         raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
-    return raw
 
 
 def apply_overrides(cfg: ExperimentConfig, flat: dict) -> ExperimentConfig:
     """Apply flat key=value overrides in place; unknown keys raise ConfigError."""
+    keys = {key: rest for key, *rest in _walk(cfg)}
     for key, raw in flat.items():
-        section, _, name = key.partition(".")
-        if section not in _SECTIONS or not name:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
-        obj = getattr(cfg, section)
-        if not hasattr(obj, name):
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(obj, name, _parse_value(getattr(obj, name), str(raw), key))
+        default, obj, name = keys[key]
+        setattr(obj, name, _parse_value(default, str(raw), key))
     return cfg
 
 
 def config_to_flat(cfg: ExperimentConfig) -> dict:
-    """Flatten a config to key=value strings (deterministic content for manifests)."""
+    """Flatten a config to key=value strings that ``apply_overrides`` reads back."""
     flat = {}
-    for section in _SECTIONS:
-        obj = getattr(cfg, section)
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            flat[f"{section}.{f.name}"] = str(value)
+    for key, default, obj, name in _walk(cfg):
+        value = getattr(obj, name)
+        if isinstance(default, tuple):
+            value = ",".join(str(v) for v in value)
+        elif isinstance(default, float):
+            value = float(value)
+        flat[key] = str(value)
     return flat

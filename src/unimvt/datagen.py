@@ -156,7 +156,7 @@ def dose_vector(values, n: int, what: str) -> np.ndarray:
     """values as n float64 doses, a scalar repeated on every row. DataFormatError
     says that ``what`` must be numbers when ``float_array`` refuses values or
     they are or hold a bool, names their shape and n when they are neither a
-    scalar nor n values, and names the row of a NaN or infinite dose."""
+    scalar nor n values, and names the row of a NaN, infinite or negative dose."""
     doses = float_array(values, what)
     # True would read as the dose 1.0, in a list that mixes it with floats too
     if (type(values) is not np.ndarray or values.dtype.kind in "bO") and any(
@@ -169,6 +169,9 @@ def dose_vector(values, n: int, what: str) -> np.ndarray:
     if not np.isfinite(doses).all():
         row = int(np.flatnonzero(~np.isfinite(doses))[0])
         raise DataFormatError(f"row {row}: {what} is {doses[row]}, not finite")
+    if (doses < 0.0).any():  # 0 is the control dose; -0.0 reads as it
+        row = int(np.flatnonzero(doses < 0.0)[0])
+        raise DataFormatError(f"row {row}: {what} is {doses[row]}, below 0")
     return doses
 
 
@@ -459,6 +462,7 @@ def load_csv(path) -> Dataset:
     path = Path(path)
     with open(path, errors="replace") as fh:
         first = fh.readline()
+        has_rows = any(line.rstrip("\r\n") for line in fh)  # as _data_lines counts rows
     if not first:
         raise DataFormatError(f"{path}: empty file")
     header = first.rstrip("\r\n").split(",")
@@ -471,7 +475,9 @@ def load_csv(path) -> Dataset:
     dtype = np.dtype([("X", np.float64, (N_FEATURES,)), ("w", np.int64), ("t", np.float64),
                       ("y", np.int64)] + [(name, np.float64) for name in extra])
     try:
-        rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
+        # a header alone is a dataset of no rows, which np.loadtxt warns of
+        rows = (np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
+                if has_rows else np.empty(0, dtype))
     except ValueError as exc:  # a UnicodeDecodeError too
         raise _parse_error(path, dtype, exc) from exc
     truth = (rows["truth_p0"], rows["truth_eta"]) if extra else (None, None)

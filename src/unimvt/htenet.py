@@ -310,10 +310,11 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
     X, w, t, y, _, _ = dataset_arrays(dataset)
     if X.shape[0] == 0:
         raise UsageError("training needs a nonempty dataset")
-    treated = w == 1
-    if not treated.any():
-        raise ConfigError("training data has no treated rows; t bounds undefined")
-    t_min, t_max = float(t[treated].min()), float(t[treated].max())
+    doses = np.unique(t[w == 1])
+    if doses.size < 2:  # no treated row, or one dose on every one
+        raise ConfigError("training needs treated rows at two distinct doses to fix the t "
+                          f"bounds; its treated rows have the doses {doses.tolist()}")
+    t_min, t_max = float(doses[0]), float(doses[-1])
 
     model = build_model(cfg, X.shape[1], t_min, t_max, seed=cfg.train.seed)
     weights = cfg.loss
@@ -363,10 +364,10 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
 
         eta_hat = (sigmoid(logit(p0_hat) + t_hat * head) - p0_hat) / t_hat
 
-    which puts it in the same units as the ground-truth sensitivity and the
-    meta-learner baselines, and is what allocator.decide reads: the click
-    probability at intensity q is p0_hat + q * eta_hat there. The raw head
-    output is returned as eta_head.
+    in the units of the ground-truth sensitivity (the meta-learners' scores
+    are a gain over the dose t_max, per unit only once divided by it), and is
+    what allocator.decide reads: the click probability at intensity q is
+    p0_hat + q * eta_hat there. The raw head output is returned as eta_head.
 
     A NaN or infinite feature raises DataFormatError naming its row and
     feature index; q is refused as ``datagen.dose_vector`` says.
@@ -418,29 +419,23 @@ def predict(model: UniMvtModel, x, q: float | None = None) -> Prediction:
 # serialization
 # ---------------------------------------------------------------------------
 
-# the config keys a model file records: those that shape the network
-_CONFIG_KEYS = ("dcr.experts_per_group", "dcr.hidden", "dcr.out_dim",
-                "net.tower_hidden", "net.head_hidden",
-                "ablate.dcr")
-
-
 def save_model(model: UniMvtModel, path) -> None:
-    flat = config_to_flat(model.cfg)
     lines = ["kind=unimvt", f"input_dim={model.dcr.input_dim}",
              f"t_min={model.hte.t_min!r}", f"t_max={model.hte.t_max!r}"]
-    lines.extend(f"{key}={flat[key]}" for key in _CONFIG_KEYS)
+    lines.extend(f"{key}={text}" for key, text in config_to_flat(model.cfg).items())
     lines.extend(kvfile.param_line(p) for p in model.parameters())
     kvfile.write(path, lines)
 
 
 def load_model(path) -> UniMvtModel:
+    """The saved model, whole config included; a ConfigError names a missing,
+    bad or stray line."""
     kv = kvfile.read(path)
     if kv.get("kind") != "unimvt":
         raise ConfigError(f"not a unimvt model file: kind={kv.get('kind')!r}")
-    cfg = default_config()
-    for key in _CONFIG_KEYS:
-        kvfile.field(kv, key, lambda raw: apply_overrides(cfg, {key: raw}))
+    header = ["kind", "input_dim", "t_min", "t_max", *config_to_flat(default_config())]
+    cfg = apply_overrides(default_config(), {key: kvfile.field(kv, key) for key in header[4:]})
     model = build_model(cfg, kvfile.field(kv, "input_dim", int),
                         kvfile.field(kv, "t_min", float), kvfile.field(kv, "t_max", float))
-    kvfile.restore_params(kv, model.parameters())
+    kvfile.restore_params(kv, model.parameters(), header)
     return model

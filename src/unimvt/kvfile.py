@@ -74,11 +74,11 @@ def _parse_array(raw: str, shape: tuple[int, ...]) -> np.ndarray:
     return values
 
 
-def restore_params(kv: dict, params) -> None:
-    """Fill params from their lines; the first parameter line that names
-    none of them raises a ConfigError naming it."""
-    names = {f"param.{p.name}" for p in params}
-    stray = next((key for key in kv if key.startswith("param.") and key not in names), None)
+def restore_params(kv: dict, params, header) -> None:
+    """Fill params from their lines; the first line that is neither one of
+    the header keys nor a parameter's raises a ConfigError naming it."""
+    known = {*header, *(f"param.{p.name}" for p in params)}
+    stray = next((key for key in kv if key not in known), None)
     if stray is not None:
         raise ConfigError(f"model file has {stray!r}, which the network has no slot for")
     for p in params:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from unimvt.config import _real, apply_overrides, config_to_flat, default_config, validate
 from unimvt.errors import ConfigError
@@ -109,3 +110,44 @@ def test_overrides_round_trip_through_the_flat_form():
                                              "net.tower_hidden": "8,4", "ablate.dcr": "yes"})
     assert (cfg.train.epochs, cfg.train.lr, cfg.net.tower_hidden, cfg.ablate.dcr) == (3, 0.01, (8, 4), True)
     assert apply_overrides(default_config(), config_to_flat(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key", ["dcr.__doc__", "dcr.__class__", "train.__dict__", "dcr.__init__",
+                                 "dcr", "dcr.", "nope.hidden", "dcr.hidden.x", "ablate.xnet"])
+def test_apply_overrides_refuses_any_name_but_a_config_key(key):
+    with pytest.raises(ConfigError, match=f"^unknown config key {re.escape(repr(key))}$"):
+        apply_overrides(default_config(), {key: "1"})
+
+
+def test_an_override_parses_by_the_default_kind_not_the_current_value():
+    cfg = default_config()
+    cfg.train.lr, cfg.net.tower_hidden = 5, [8, 8]  # an int and a list, both valid
+    apply_overrides(cfg, {"train.lr": "0.01", "net.tower_hidden": "4"})
+    assert (cfg.train.lr, cfg.net.tower_hidden) == (0.01, (4,))
+
+
+WIDTHS = st.lists(st.integers(1, 512), max_size=3)
+# each kind's values, as a trainer may hold them: a width list or tuple,
+# possibly empty; a Python or numpy integer; a float, a float32 or an integer
+VALUES = {bool: st.booleans(),
+          tuple: WIDTHS | WIDTHS.map(tuple),
+          int: st.integers(0, 10**12) | st.integers(0, 10**12).map(np.int64),
+          float: (st.floats(0.0, allow_infinity=False)
+                  | st.floats(0.0, allow_infinity=False, width=32).map(np.float32)
+                  | st.integers(0, 10**30))}
+
+
+@st.composite
+def configs(draw):
+    cfg = default_config()
+    for key in config_to_flat(cfg):
+        section, name = key.split(".")
+        obj = getattr(cfg, section)
+        setattr(obj, name, draw(VALUES[type(getattr(obj, name))]))
+    return cfg
+
+
+@given(cfg=configs())
+def test_the_flat_form_reads_back_to_itself(cfg):
+    flat = config_to_flat(cfg)
+    assert config_to_flat(apply_overrides(default_config(), flat)) == flat

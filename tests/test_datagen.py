@@ -105,6 +105,23 @@ def test_csv_round_trip(tmp_path, small_pair):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("truth", [False, True])
+def test_csv_round_trip_of_no_rows(tmp_path, truth):
+    # the file holds only the header, which np.loadtxt would warn of
+    columns = [np.zeros(0)] * 2 if truth else [None, None]
+    ds = dg.Dataset(np.zeros((0, dg.N_FEATURES)), np.zeros(0, int), np.zeros(0),
+                    np.zeros(0, int), *columns)
+    path = tmp_path / "empty.csv"
+    dg.save_csv(ds, path)
+    loaded = dg.load_csv(path)
+    assert len(loaded) == 0 and loaded.has_truth == truth
+    for a, b in zip(dg.dataset_arrays(ds), dg.dataset_arrays(loaded)):
+        if a is None:
+            assert b is None
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape
+
+
 def test_csv_round_trip_preserves_split_flags(tmp_path, small_pair):
     _, test = small_pair
     path = tmp_path / "test.csv"

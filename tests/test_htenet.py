@@ -17,7 +17,8 @@ from unimvt import baselines
 from unimvt import datagen as dg
 from unimvt import dcr
 from unimvt import htenet as ht
-from unimvt.config import AblationConfig, ExperimentConfig, LossWeights, TrainConfig
+from unimvt.config import (AblationConfig, ExperimentConfig, LossWeights, TrainConfig,
+                           config_to_flat)
 from unimvt.dcr import DcrConfig
 from unimvt.errors import ConfigError, DataFormatError, NumericError, UsageError
 
@@ -633,6 +634,15 @@ def test_training_without_treated_rows_fails():
         ht.train(ds, ExperimentConfig())
 
 
+def test_training_names_the_one_dose_of_its_treated_rows(syn600):
+    # HteParams would blame the bounds it was given, [2.0, 2.0]
+    X, w, t, y, _, _ = dg.dataset_arrays(syn600)
+    one_dose = dg.Dataset(X, w, np.where(w == 1, 2.0, t), y)
+    with pytest.raises(ConfigError, match=re.escape("two distinct doses to fix the t bounds; "
+                                                    "its treated rows have the doses [2.0]")):
+        ht.train(one_dose, ExperimentConfig())
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -840,6 +850,28 @@ def test_every_dose_entry_names_row_0_for_a_nonfinite_scalar_dose(bad):
     for name, score in dose_scorers(tiny_model()):
         with pytest.raises(DataFormatError, match=f"^row 0: {name} is {bad}, not finite$"):
             score(bad)
+
+
+@pytest.mark.parametrize("dose, row", [(-3.0, 0), (np.array([2.0, 0.0, -1e-300, 2.0]), 2)],
+                         ids=["scalar", "per-row array"])
+def test_every_dose_entry_names_the_row_of_a_negative_dose(dose, row):
+    # a negative dose would otherwise be scored as an extrapolation
+    for name, score in dose_scorers(tiny_model()):
+        with pytest.raises(DataFormatError, match=f"^row {row}: {name} is {np.min(dose)}, below 0$"):
+            score(dose)
+    with pytest.raises(DataFormatError, match="^row 0: q is -3.0, below 0$"):
+        ht.predict(tiny_model(), np.ones(5), q=-3.0)
+
+
+@pytest.mark.parametrize("dose", [0.0, -0.0, 0, np.full(4, -0.0)],
+                         ids=["0.0", "-0.0", "int 0", "per-row -0.0"])
+def test_every_dose_entry_scores_the_control_dose(dose):
+    # 0 is the T-Learner's control dose, and -0.0 equals it
+    for _, score in dose_scorers(tiny_model()):
+        want, got = score(0.0), score(dose)
+        if isinstance(want, dict):
+            want, got = list(want.values()), list(got.values())
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 @pytest.mark.parametrize("dose", [np.float64(2.0), np.float32(2.0), 2, np.array(2.0), np.full(4, 2.0)],
@@ -1231,3 +1263,27 @@ def test_model_save_load_round_trip(tmp_path, small_syn):
         np.testing.assert_array_equal(a[key], b[key])
     assert loaded.hte.t_min == model.hte.t_min
     assert loaded.hte.t_max == model.hte.t_max
+
+
+@pytest.mark.parametrize("overrides", [{}, {"net.tower_hidden": [8, 8], "dcr.hidden": 8},
+                                       {"train.epochs": 1, "train.batch": 100, "train.lr": 0.002,
+                                        "train.seed": 7, "loss.lambda_t": 0.3, "loss.lambda_o": 0,
+                                        "ablate.dcr": True}],
+                         ids=["default", "list widths", "train and loss keys"])
+def test_a_saved_model_reloads_with_its_whole_config(tmp_path, small_syn, overrides):
+    train_ds, test_ds = small_syn
+    cfg = ExperimentConfig(train=TrainConfig(epochs=1))
+    for key, value in overrides.items():
+        section, name = key.split(".")
+        setattr(getattr(cfg, section), name, value)
+    model, _ = ht.train(train_ds, cfg)
+    path = tmp_path / "model.txt"
+    ht.save_model(model, path)
+    loaded = ht.load_model(path)
+    assert config_to_flat(loaded.cfg) == config_to_flat(model.cfg)
+    X = dg.dataset_arrays(test_ds)[0][:32]
+    for q in (None, 2.0, np.linspace(0.0, 4.0, 32)):
+        want, got = ht.predict_batch(model, X, q=q), ht.predict_batch(loaded, X, q=q)
+        assert want.keys() == got.keys()
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], strict=True)

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from unimvt import htenet as ht
-from unimvt.config import ExperimentConfig
+from unimvt.config import ExperimentConfig, config_to_flat, default_config
 from unimvt.errors import ConfigError
 
 HEADER_KEYS = {
-    "unimvt": ["kind", "input_dim", "t_min", "t_max", "dcr.experts_per_group", "dcr.hidden",
-               "dcr.out_dim", "net.tower_hidden", "net.head_hidden",
-               "ablate.dcr"],
+    "unimvt": ["kind", "input_dim", "t_min", "t_max", *config_to_flat(default_config())],
 }
 
 
@@ -59,17 +57,28 @@ def test_corrupt_parameter_is_named(tmp_path):
             ht.load_model(path)
 
 
-def test_file_with_the_deleted_ablation_keys_loads_unchanged(tmp_path):
+def test_file_with_the_deleted_ablation_keys_is_refused(tmp_path):
     # files saved before ablate.xnet and ablate.treat_tower were deleted carry
-    # their header lines; load_model reads only the keys it knows
+    # their header lines but no loss.* or train.* ones, so the first missing
+    # key is named; with every key present, the first deleted one is
     path = tmp_path / "model.txt"
-    lines = save(path)
-    X = np.random.default_rng(0).standard_normal((20, 3))
-    want = ht.predict_batch(ht.load_model(path), X)
-    path.write_text("\n".join(lines + ["ablate.xnet=False", "ablate.treat_tower=False"]) + "\n")
-    got = ht.predict_batch(ht.load_model(path), X)
-    for key in want:
-        np.testing.assert_array_equal(got[key], want[key])
+    lines = save(path) + ["ablate.xnet=False", "ablate.treat_tower=False"]
+    old = [line for line in lines if not line.startswith(("loss.", "train."))]
+    for edited, named in ((old, "model file is missing 'loss.lambda_base'"),
+                          (lines, "model file has 'ablate.xnet', which the network has no slot for")):
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+            ht.load_model(path)
+
+
+@pytest.mark.parametrize("line", ["net.tower_hiden=4,4", "loss.lambda=0.5", "kinds=unimvt",
+                                  "dcr.__doc__=x"])
+def test_stray_header_line_is_named(tmp_path, line):
+    # a mistyped key would otherwise leave its key at the default unnoticed
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(save(path) + [line]) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(repr(line.partition("=")[0]))):
+        ht.load_model(path)
 
 
 def test_stray_parameter_line_is_named(tmp_path):
