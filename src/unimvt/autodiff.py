@@ -1,32 +1,37 @@
 """Tape-based reverse-mode autodiff over float64 numpy arrays.
 
 This is the substrate everything else is built on. The primitives are the
-``Tape`` methods ``bridge`` (the fused counterfactual bridge over p, t_hat
-and eta) and ``gate_merge`` (one task's gate-weighted experts, open to the
-experts' gradient on a slot mask), plus ``mlp_forward``, which records a
-whole layer stack (also a stack of K same-shaped stacks) as one node with a
-hand-written vjp. There is no general arithmetic: any other step, a loss
-included, is one ``Tape.record`` node with the caller's vjp on the kernels
-``affine_value``, ``affine_grads`` and ``cross_entropy``, and an array that
-passes no gradient is a ``Tape.constant``. Around them: dense layers, an
-Adam optimizer with the one minibatch training loop and ``row_blocks`` (the
+``Tape`` method ``gate_merge`` (every task's gate-weighted experts in one
+node, open to the experts' gradient on a per-task slot mask) and
+``mlp_forward``, which records a whole layer stack (also a stack of K
+same-shaped stacks) as one node with a hand-written vjp. There is no general
+arithmetic: any other step, a fused network or a loss, is one
+``Tape.record`` node with the caller's vjp on the kernels ``affine_value``,
+``affine_grads``, ``cross_entropy`` and ``bridge`` (the counterfactual
+bridge over p, t_hat and eta), each of the last two returning a value and
+its vjp. An array that passes no gradient is a ``Tape.constant``, or, read
+inside a fused node, goes through ``Tape.detach``, which records nothing but
+lets a gradient checker replay it. Around them: dense layers
+(``init_stacked_mlp`` draws K same-shaped stacks as one), an Adam optimizer
+with the one minibatch training loop and ``row_blocks`` (the
 ``SCORE_ROWS``-row blocks that every scoring call records on fresh tapes).
 
 ``Tape.record(value, parents, vjp)`` keeps a float ndarray value as it is,
 uncopied, so its caller hands it over and does not change it afterwards;
 any other value becomes a float array (float64 unless it already has a
-float dtype). ``gate_merge``'s slot mask is a boolean array of one entry per
-slot, or None when no slot is open; a call does not test it, so the DCR
-fixes its masks once per model (``dcr.DcrParams.slot_open``). A vjp may
-read its layers' weights when it runs: ``backward`` runs before the
-optimizer moves them.
+float dtype). ``gate_merge``'s slot mask is a boolean (tasks, K) array, or
+None when no slot is open; a call does not test it, so the DCR fixes its
+mask once per model (``dcr.DcrParams.slot_open``). A vjp may read its
+layers' weights when it runs: ``backward`` runs before the optimizer moves
+them.
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
 ``(K, ...)`` stacks of K same-shaped layers' weights and outputs. A ``Tape``
-records every node in creation order through its methods (``tape.bridge(p,
-t_hat, eta)``, ``tape.record(value, parents, vjp)``); ``backward`` replays it
-once in reverse, so creation order doubles as the topological order.
+records every node in creation order through its methods
+(``tape.gate_merge(gates, experts, open)``, ``tape.record(value, parents,
+vjp)``); ``backward`` replays it once in reverse, so creation order doubles
+as the topological order.
 
 Who owns what: a ``ParamTensor`` holds its values and its accumulated
 gradient and outlives every tape; once an ``OptimizerState`` has packed it,
@@ -113,6 +118,25 @@ def cross_entropy(y, pv: np.ndarray) -> tuple:
     inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
     value = -(yv * np.log(pc) + (1.0 - yv) * np.log1p(-pc))
     return value, lambda g: g * inside * (pc - yv) / (pc * (1.0 - pc))
+
+
+def bridge(pv, tv, ev, sign: float = 1.0) -> tuple:
+    """The counterfactual bridge sigmoid(logit(p) + sign * t_hat * eta) on the
+    arrays pv, tv and ev, p clamped into [PROB_EPS, 1 - PROB_EPS], and its
+    vjp: the gradients of p, t_hat and eta, each in the broadcast shape; no
+    gradient reaches p where the clamp binds. The shift is (t_hat * eta) *
+    sign and its gradient (gz * sign) * eta, so a bridge at sign -1 negates
+    both exactly."""
+    pc = np.minimum(np.maximum(pv, PROB_EPS), 1.0 - PROB_EPS)  # np.clip without its wrapper
+    s = expit(np.log(pc) - np.log1p(-pc) + tv * ev * sign)
+
+    def vjp(g):  # the clamp mask is built here: prediction never needs it
+        gz = g * s * (1.0 - s)
+        inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
+        gs = gz * sign
+        return gz * inside / (pc * (1.0 - pc)), gs * ev, gs * tv
+
+    return s, vjp
 
 
 class ParamTensor:
@@ -213,59 +237,50 @@ class Tape:
         """A leaf that receives no gradient."""
         return self.record(values)
 
+    def detach(self, values):
+        """values as read through a stop-gradient inside the node about to be
+        recorded: the values themselves, recording nothing. A fused node
+        reads such an input this way so that a gradient checker's tape, which
+        replays every constant at its unperturbed value, can replay it too."""
+        return values
+
     # -- primitives ---------------------------------------------------------
 
-    def bridge(self, p, t_hat, eta, sign: float = 1.0) -> Node:
-        """The counterfactual bridge sigmoid(logit(p) + sign * t_hat * eta),
-        p clamped into [PROB_EPS, 1 - PROB_EPS]. Fused primitive: one tape
-        node over the three operands; no gradient reaches p where the clamp
-        binds. The shift is (t_hat * eta) * sign and its gradient
-        (gz * sign) * eta, so a bridge at sign -1 negates both exactly."""
-        pv, tv, ev = p.value, t_hat.value, eta.value
-        pc = np.minimum(np.maximum(pv, PROB_EPS), 1.0 - PROB_EPS)  # np.clip without its wrapper
-        s = expit(np.log(pc) - np.log1p(-pc) + tv * ev * sign)
-        lp, lt, le = p.live, t_hat.live, eta.live
-
-        def vjp(g):  # the clamp mask is built here: prediction never needs it
-            gz = g * s * (1.0 - s)
-            gp = None
-            if lp:
-                inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
-                gp = _unbroadcast(gz * inside / (pc * (1.0 - pc)), np.shape(pv))
-            gs = gz * sign
-            return (gp, _unbroadcast(gs * ev, np.shape(tv)) if lt else None,
-                    _unbroadcast(gs * tv, np.shape(ev)) if le else None)
-
-        return self.record(s, (p, t_hat, eta), vjp)
-
-    def gate_merge(self, gates, task: int, experts, open) -> Node:
-        """Task ``task``'s gate-weighted experts side by side: the slot-major
+    def gate_merge(self, gates, experts, open) -> Node:
+        """Every task's gate-weighted experts side by side: the slot-major
         gates (tasks, K, rows) and stacked expert outputs (K, rows, d) give the
-        (rows, K * d) matrix whose block k is gates[task, k][:, None] *
-        experts[k], each block written into it once. ``open``, a boolean
-        array of one entry per slot, is where the experts get a gradient: a
-        closed slot's is exactly 0, as if its block were read through a
+        (tasks, rows, K * d) stack whose task t, block k is gates[t, k][:, None]
+        * experts[k], written in one pass. ``open``, a boolean (tasks, K)
+        array, is where the experts get a gradient from each task: a closed
+        slot's is exactly 0, as if its block were read through a
         stop-gradient. None opens no slot, and the node then passes the
         experts no gradient at all; the mask is not tested per call, so a
-        caller fixes it once (``dcr.DcrParams.slot_open``)."""
+        caller fixes it once (``dcr.DcrParams.slot_open``). The experts'
+        gradient adds the tasks' parts last task first."""
         ev = experts.value
         k, n, d = ev.shape
         shape = gates.value.shape
-        weights = gates.value[task][:, :, None]
+        weights = gates.value[:, :, :, None]  # (tasks, K, rows, 1)
         lg, le = gates.live, experts.live and open is not None
 
         def vjp(g):  # the experts' factor is built here: prediction never needs it
-            blocks = g.reshape(n, k, d).transpose(1, 0, 2)
-            gg = None
+            blocks = g.reshape(shape[0], n, k, d).transpose(0, 2, 1, 3)
+            gg = ge = None
             if lg:
-                gg = np.zeros(shape)
-                np.einsum("knd,knd->kn", blocks, ev, out=gg[task])
-            return gg, blocks * (weights * open[:, None, None]) if le else None
+                gg = np.empty(shape)
+                for task in range(shape[0]):
+                    np.einsum("knd,knd->kn", blocks[task], ev, out=gg[task])
+            if le:
+                for task in reversed(range(shape[0])):
+                    part = blocks[task] * (weights[task] * open[task][:, None, None])
+                    ge = part if ge is None else ge + part
+            return gg, ge
 
-        # slot k's block in columns k*d .. (k+1)*d - 1: the product is written
-        # row-major in (n, k, d), so the reshape copies nothing
-        out = np.multiply(weights.transpose(1, 0, 2), ev.transpose(1, 0, 2), order="C")
-        return self.record(out.reshape(n, k * d), (gates, experts), vjp if lg or le else None)
+        # task t, slot k's block in columns k*d .. (k+1)*d - 1 of row block t:
+        # the product is written row-major in (tasks, n, k, d), so the reshape copies nothing
+        out = np.multiply(weights.transpose(0, 2, 1, 3), ev.transpose(1, 0, 2), order="C")
+        return self.record(out.reshape(shape[0], n, k * d), (gates, experts),
+                           vjp if lg or le else None)
 
 
 def backward(tape: Tape) -> None:
@@ -345,6 +360,19 @@ def init_mlp(rng: np.random.Generator, name: str, dims: Sequence[int],
     return layers
 
 
+def init_stacked_mlp(rng: np.random.Generator, name: str, dims: Sequence[int], k: int,
+                     out_activation: str = "linear") -> list[Layer]:
+    """k same-shaped ``init_mlp`` stacks as one stack of layers, weights (k,
+    in, out) and biases (k, 1, out): stack j's slice holds the draws the j-th
+    of k ``init_mlp`` calls in a row would take, layer by layer."""
+    draws = [[glorot_uniform(rng, fan_in, fan_out) for fan_in, fan_out in zip(dims, dims[1:])]
+             for _ in range(k)]
+    return [Layer(ParamTensor(f"{name}.l{i}.W", np.stack(weights)),
+                  ParamTensor(f"{name}.l{i}.b", np.zeros((k, 1, dims[i + 1]))),
+                  out_activation if i == len(dims) - 2 else "relu")
+            for i, weights in enumerate(zip(*draws))]
+
+
 def mlp_params(layers: Sequence[Layer]) -> list[ParamTensor]:
     out = []
     for layer in layers:
@@ -352,11 +380,14 @@ def mlp_params(layers: Sequence[Layer]) -> list[ParamTensor]:
     return out
 
 
-def checked_affine(layer: Layer, xv: np.ndarray, index: int) -> np.ndarray:
+def checked_affine(layer: Layer, xv: np.ndarray, index: int,
+                   parts: Sequence[str] = ()) -> np.ndarray:
     """The affine part of one layer, xv @ W + b, on the array xv; raises
     ConfigError naming the layer when the input width does not match W, and
     NumericError naming the layer (its index and weight) when the output is
-    non-finite. It checks the affine output because relu maps NaN to 0."""
+    non-finite, and for a stacked layer whose slices ``parts`` names, the
+    first slice with a non-finite output (the last if only the total
+    overflowed). It checks the affine output because relu maps NaN to 0."""
     wv = layer.W.values
     if xv.shape[-1] != wv.shape[-2]:
         raise ConfigError(f"layer {index} expects input width {wv.shape[-2]}, got {xv.shape[-1]}")
@@ -364,7 +395,11 @@ def checked_affine(layer: Layer, xv: np.ndarray, index: int) -> np.ndarray:
     # a non-finite entry poisons the sum, so one reduction guards the layer;
     # np.add.reduce is ndarray.sum without its Python wrapper
     if not math.isfinite(np.add.reduce(out, None)):
-        raise NumericError(f"non-finite activation after layer {index} ({layer.W.name})")
+        where = layer.W.name
+        if parts:
+            where += ", " + next((part for part, o in zip(parts, out)
+                                  if not math.isfinite(np.add.reduce(o, None))), parts[-1])
+        raise NumericError(f"non-finite activation after layer {index} ({where})")
     return out
 
 

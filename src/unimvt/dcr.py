@@ -13,14 +13,16 @@ side by side, producing one representation per downstream task. The two
 gates are one gate bank, one parameter tensor each for the weights
 (input_dim, 2K) and the biases (2K,), gate0's columns first and gate_t's
 after them, and one tape node: one GEMM of the bank gives their logits
-slot-major, (2, K, rows), and the softmax runs along the slot axis. Each
-task merges the stacked output through ``Tape.gate_merge``, whose slot mask,
-fixed once per parameter bundle, closes the off-task group to the experts'
-gradient (u0 closes the treated slots, ut the base slots), so the base loss
-never trains treated experts and vice versa, while the shared slots stay
-open in both directions. A Frobenius cross-product penalty, one tape node
-over every layer, pushes the three groups' weight matrices toward mutually
-orthogonal subspaces.
+slot-major, (2, K, rows), and the softmax runs along the slot axis. One
+``Tape.gate_merge`` node merges the stacked output for both tasks into the
+(2, rows, K * out_dim) stack [u0, ut], the representation node the HTE net
+reads. Its (2, K) slot mask, fixed once per parameter bundle, closes the
+off-task group to the experts' gradient (u0 closes the treated slots, ut
+the base slots), so the base loss never trains treated experts and vice
+versa, while the shared slots stay open in both directions. Under
+``ablate.dcr`` one shared MLP's (rows, K * out_dim) output stands for both.
+A Frobenius cross-product penalty, one tape node over every layer, pushes
+the three groups' weight matrices toward mutually orthogonal subspaces.
 """
 from __future__ import annotations
 
@@ -75,24 +77,17 @@ class DcrParams:
         return n_slots * per_expert
 
     @cached_property
-    def slot_open(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per task, the slots whose experts its representation trains: u0
-        all but the treated ones, ut all but the base ones. Both open the
-        shared slots, so neither mask is all closed (``Tape.gate_merge``'s
-        None)."""
+    def slot_open(self) -> np.ndarray:
+        """Per task, the slots whose experts its representation trains, as
+        the (2, K) mask of ``Tape.gate_merge``: u0 (row 0) all but the treated
+        ones, ut (row 1) all but the base ones. Both open the shared slots."""
         group = np.arange(3 * self.experts_per_group) // self.experts_per_group
-        return group != TREATED, group != BASE
+        return np.stack([group != TREATED, group != BASE])
 
     def parameters(self) -> list[ad.ParamTensor]:
         if not self.enabled:
             return ad.mlp_params(self.shared_mlp)
         return [*ad.mlp_params(self.experts), self.gates.W, self.gates.b]
-
-
-@dataclass
-class DcrOutput:
-    u0: ad.Node
-    ut: ad.Node
 
 
 def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig,
@@ -102,16 +97,8 @@ def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig,
         # degenerate path keeps the downstream tower width unchanged
         shared = ad.init_mlp(rng, "dcr.shared_mlp", (input_dim, cfg.hidden, n_slots * cfg.out_dim))
         return DcrParams(input_dim=input_dim, shared_mlp=shared)
-    dims = (input_dim, cfg.hidden, cfg.out_dim)
     # drawn expert by expert, layer by layer: the order of one MLP per expert
-    draws = [[ad.glorot_uniform(rng, fan_in, fan_out) for fan_in, fan_out in zip(dims, dims[1:])]
-             for _ in range(n_slots)]
-    experts = [
-        ad.Layer(ad.ParamTensor(f"dcr.l{i}.W", np.stack(weights)),
-                 ad.ParamTensor(f"dcr.l{i}.b", np.zeros((n_slots, 1, dims[i + 1]))),
-                 "relu" if i < len(dims) - 2 else "linear")
-        for i, weights in enumerate(zip(*draws))
-    ]
+    experts = ad.init_stacked_mlp(rng, "dcr", (input_dim, cfg.hidden, cfg.out_dim), n_slots)
     # drawn gate by gate, gate0 then gate_t: the order of one linear layer per gate
     gate_w = np.concatenate([ad.glorot_uniform(rng, input_dim, n_slots) for _ in range(2)], axis=1)
     gates = ad.Layer(ad.ParamTensor("dcr.gates.W", gate_w),
@@ -151,23 +138,20 @@ def gates_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
     return tape.record(s, (x, bank.W, bank.b), vjp)
 
 
-def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> DcrOutput:
-    """Produce the per-task representations for a batch of embedded features,
-    x, a node of tape.
-
-    u0 weights CONCAT(base, shared, SG(treated)); ut weights
-    CONCAT(SG(base), shared, treated). Gate weights are softmax outputs over
-    expert slots, applied as per-expert scalars on each output block.
+def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
+    """Both task representations of a batch of embedded features x, a node
+    of tape, as one node: the (2, rows, K * out_dim) stack [u0, ut] of one
+    ``Tape.gate_merge``. u0 weights CONCAT(base, shared, SG(treated)); ut
+    weights CONCAT(SG(base), shared, treated). Gate weights are softmax
+    outputs over expert slots, applied as per-expert scalars on each output
+    block. Under ``ablate.dcr`` the node is the shared MLP's (rows, out)
+    output, which stands for both.
     """
     if not params.enabled:
-        shared_out = ad.mlp_forward(params.shared_mlp, x, tape)
-        return DcrOutput(u0=shared_out, ut=shared_out)
-
+        return ad.mlp_forward(params.shared_mlp, x, tape)
     experts = ad.mlp_forward(params.experts, x, tape)
     gates = gates_forward(params, x, tape)
-    open0, open_t = params.slot_open
-    return DcrOutput(u0=tape.gate_merge(gates, 0, experts, open0),
-                     ut=tape.gate_merge(gates, 1, experts, open_t))
+    return tape.gate_merge(gates, experts, params.slot_open)
 
 
 def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:

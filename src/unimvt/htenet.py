@@ -2,37 +2,45 @@
 
 Two decoupled sigmoid towers sit on the disentangled representations: the
 base tower estimates the no-intervention click probability from u0, the
-treatment tower estimates the intervened probability from ut, with every
-hidden layer modulated by a treatment-aware gate 2*sigmoid(W e_t + b). The
-TA gates are one gate bank, a (2, sum of tower widths) weight and its bias,
-in which hidden layer i's gate is the block of columns its width gives. Each
-tower is one tape node: the base tower through ``autodiff.mlp_forward``, the
-TA-gated treatment tower, dose encoding included, through its own vjp, with
-the logits of all its TA gates computed by one GEMM of the bank and their
-gradients by one GEMM back. An intensity head, which reads the
-representation as a constant, imputes the dose a unit would have received,
-t_hat, its sigmoid output rescaled into [t_min, t_max] by one more node; a
-ReLU uplift head outputs the nonnegative per-unit sensitivity.
-The counterfactual bridge ``Tape.bridge`` links the towers in logit space by
-shifting with t_hat * eta, one node over p, t_hat and eta: up from p0 to the
-treated counterfactual, and in training down from pt to the untreated one.
-One ``forward`` records the network for training and prediction alike,
-which differ only in two arrays of data, imputed and dose, that gate the
-treatment tower at imputed * t_hat + dose: training passes (1 - w, t), scoring
-(1, 0) to gate at t_hat or (0, q) to gate at q. Prediction records it in
-blocks of ``autodiff.SCORE_ROWS`` rows, each on a fresh tape, so scoring
-holds one block's tape whatever the row count.
-The joint loss is one closed-form node (``loss_terms``) over the factual
-cross-entropies, the intensity regression, the counterfactual MSE terms and
-the expert orthogonality penalty, which enters it as an operand;
-``train`` runs it in the shared loop ``autodiff.minibatch_adam``.
-The uplift head reaches the joint loss only through the counterfactual
-terms, so ``loss.lambda_x = 0`` leaves it untrained at its initialization.
+treatment tower the intervened probability from ut, with every hidden layer
+modulated by a treatment-aware gate 2*sigmoid(W e_t + b). An intensity head,
+which reads the representation as a constant, imputes the dose a unit would
+have received, t_hat, its sigmoid output rescaled into [t_min, t_max]; a
+ReLU uplift head outputs the nonnegative per-unit sensitivity eta. The
+counterfactual bridge (``autodiff.bridge``) links the towers in logit space
+by shifting with t_hat * eta: up from p0 to the treated counterfactual p_cf,
+and in training down from pt to the untreated one.
+
+The two towers are same-shaped MLPs, and so are the two heads, so each pair
+is one stack of layers, a (2, in, out) weight and a (2, 1, out) bias per
+layer: slice 0 holds the base tower and the intensity head, slice 1 the
+treatment tower and the uplift head. The TA gates are one gate bank, a
+(2, sum of tower widths) weight and its bias, in which hidden layer i's gate
+is the block of columns its width gives; they multiply slice 1 alone. The
+whole net is one tape node, ``hte_forward``: its value is the (rows, 5)
+matrix of columns p0, t_hat, eta, p_cf and pt, its hand-written vjp takes
+one (rows, 5) gradient, and a forward runs one stacked GEMM per tower layer
+(3 by default), 2 for the heads and 1 for the gates. The towers' first
+layer reads no dose and runs before any gate.
+
+One ``forward`` records the representation and that node for training and
+prediction alike, which differ only in two arrays of data, imputed and dose,
+that gate the treatment tower at imputed * t_hat + dose: training passes
+(1 - w, t), scoring (1, 0) to gate at t_hat or (0, q) to gate at q.
+Prediction records it in blocks of ``autodiff.SCORE_ROWS`` rows, each on a
+fresh tape, so scoring holds one block's tape whatever the row count.
+The joint loss is one closed-form node (``loss_terms``) over the HTE node
+and the expert orthogonality penalty: the factual cross-entropies, the
+intensity regression, the counterfactual MSE terms (the downward bridge
+among them) and the penalty; ``train`` runs it in the shared loop
+``autodiff.minibatch_adam``. The uplift head reaches the joint loss only
+through the counterfactual terms, so ``loss.lambda_x = 0`` leaves it
+untrained at its initialization. A model file holds the stacked tensors, and
+one that holds a tensor per tower and head is refused by name.
 """
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,25 +58,29 @@ from .errors import ConfigError, DataFormatError, NumericError, UsageError
 
 TREAT_ENC_DIM = 2        # normalized intensity and its square
 UPLIFT_HEAD_INIT = 0.02  # initial uniform eta_hat, calibrated downstream by the X losses
+TOWER_SLICES = ("base tower", "treatment tower")  # the stacked towers' slices, in order
+HEAD_SLICES = ("intensity head", "uplift head")   # the stacked heads' slices, in order
+P0, T_HAT, ETA, P_CF, PT = range(5)  # the columns of hte_forward's node
 
 
 @dataclass
 class HteParams:
     """Towers, gates and heads; t bounds are fixed from the treated training
-    split before any optimization happens."""
+    split before any optimization happens. ``towers`` stacks the base tower
+    (slice 0) and the treatment tower (slice 1), ``heads`` the intensity head
+    (slice 0) and the uplift head (slice 1): each layer is one (2, in, out)
+    weight with a (2, 1, out) bias."""
 
-    base_tower: list
-    treat_tower: list
+    towers: list
     ta_gates: ad.Layer            # the TA gate bank: one block of columns per hidden layer
-    intensity_head: list
-    uplift_head: list
+    heads: list
     t_min: float
     t_max: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.t_min < self.t_max < np.inf):
             raise ConfigError(f"need 0 < t_min < t_max < inf, got [{self.t_min}, {self.t_max}]")
-        width = sum(layer.W.shape[1] for layer in self.treat_tower[:-1])
+        width = sum(layer.W.shape[-1] for layer in self.towers[:-1])
         if self.ta_gates.W.shape != (TREAT_ENC_DIM, width) or self.ta_gates.b.shape != (width,):
             raise ConfigError("the TA gate bank needs one column per treatment-tower hidden unit")
 
@@ -76,15 +88,14 @@ class HteParams:
     def ta_cols(self) -> tuple[slice, ...]:
         """Hidden layer i's columns of the TA gate bank, from the tower widths."""
         cols, start = [], 0
-        for layer in self.treat_tower[:-1]:
-            cols.append(slice(start, start + layer.W.shape[1]))
+        for layer in self.towers[:-1]:
+            cols.append(slice(start, start + layer.W.shape[-1]))
             start = cols[-1].stop
         return tuple(cols)
 
     def parameters(self) -> list[ad.ParamTensor]:
-        return [*ad.mlp_params(self.base_tower), *ad.mlp_params(self.treat_tower),
-                self.ta_gates.W, self.ta_gates.b, *ad.mlp_params(self.intensity_head),
-                *ad.mlp_params(self.uplift_head)]
+        return [*ad.mlp_params(self.towers), self.ta_gates.W, self.ta_gates.b,
+                *ad.mlp_params(self.heads)]
 
 
 @dataclass
@@ -116,49 +127,73 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
     rng = np.random.default_rng(seed)
     dcr_params = init_dcr(rng, input_dim, cfg.dcr, cfg.ablate.dcr)
     rep = dcr_params.output_dim
-    tower_dims = (rep, *cfg.net.tower_hidden, 1)
-    base_tower = ad.init_mlp(rng, "base_tower", tower_dims, out_activation="sigmoid")
-    treat_tower = ad.init_mlp(rng, "treat_tower", tower_dims, out_activation="sigmoid")
-    # drawn gate by gate: the order of one linear layer per hidden layer
+    # drawn base tower, treatment tower, TA gates, intensity head, uplift head:
+    # the order of one MLP per tower and head and one linear layer per gate
+    towers = ad.init_stacked_mlp(rng, "towers", (rep, *cfg.net.tower_hidden, 1), 2,
+                                 out_activation="sigmoid")
     draws = [ad.glorot_uniform(rng, TREAT_ENC_DIM, width) for width in cfg.net.tower_hidden]
     gate_w = np.concatenate(draws, axis=1) if draws else np.zeros((TREAT_ENC_DIM, 0))
     ta_gates = ad.Layer(ad.ParamTensor("ta_gates.W", gate_w),
                         ad.ParamTensor("ta_gates.b", np.zeros(gate_w.shape[1])))
-    head_dims = (rep, cfg.net.head_hidden, 1)
-    intensity_head = ad.init_mlp(rng, "intensity_head", head_dims, out_activation="sigmoid")
-    uplift_head = ad.init_mlp(rng, "uplift_head", head_dims, out_activation="relu")
+    # the last layer's activation is per slice: a sigmoid, then a ReLU
+    heads = ad.init_stacked_mlp(rng, "heads", (rep, cfg.net.head_hidden, 1), 2)
     # zero output weights with a small positive bias start the ReLU head alive
     # and uniform; a symmetric random start risks dying for good while the base
     # tower is still miscalibrated early in training
-    uplift_head[-1].W.values[:] = 0.0
-    uplift_head[-1].b.values[:] = UPLIFT_HEAD_INIT
-    hte = HteParams(base_tower, treat_tower, ta_gates, intensity_head, uplift_head,
-                    float(t_min), float(t_max))
+    heads[-1].W.values[1] = 0.0
+    heads[-1].b.values[1] = UPLIFT_HEAD_INIT
+    hte = HteParams(towers, ta_gates, heads, float(t_min), float(t_max))
     return UniMvtModel(cfg=cfg, dcr=dcr_params, hte=hte)
 
 
 # ---------------------------------------------------------------------------
-# forward pieces
+# the HTE net, one tape node
 # ---------------------------------------------------------------------------
 
-def treat_tower_forward(hte: HteParams, ut: ad.Node, t_hat: ad.Node, imputed, dose,
-                        tape: ad.Tape) -> ad.Node:
-    """pt, the treatment tower on ut at the gate dose imputed * t_hat + dose
-    (imputed and dose are arrays), recorded as one node with its own vjp, which
-    gives t_hat the dose's gradient times imputed. The dose, min-max normalized
-    by the t bounds to tn, is encoded as e_t = [tn, tn^2]; hidden layer i gives
-    h = a_i * relu(h W_i + b_i) with the TA gate a_i = 2*sigmoid(e_t G_i + g_i)
-    elementwise in (0, 2), and the output is sigmoid(h W + b). G_i and g_i
-    are layer i's columns of the TA gate bank (``HteParams.ta_cols``), so
-    every gate's logits come from one GEMM, e_t @ G + g, and the vjp gives
-    the bank's whole gradients from one GEMM back. A non-finite affine
-    output raises NumericError naming the layer (its index and weight); gate
-    i counts as layer i, named by the bank's weight and its index."""
-    c = 1.0 / (hte.t_max - hte.t_min)
-    tn = (imputed * t_hat.value + dose + -hte.t_min) * c
+def hte_forward(hte: HteParams, reps: ad.Node, imputed, dose, tape: ad.Tape) -> ad.Node:
+    """The whole HTE net on the representation node reps, recorded as one
+    node with its own vjp. Its value is the (rows, 5) matrix of columns P0,
+    T_HAT, ETA, P_CF and PT:
+    - p0 and pt, the base and treatment towers (sigmoid MLPs) on u0 and ut,
+      run as one stack; every hidden layer of the treatment tower is gated,
+      h = a_i * relu(h W_i + b_i), by the TA gate a_i = 2*sigmoid(e_t G_i +
+      g_i), elementwise in (0, 2), at the dose imputed * t_hat + dose
+      (imputed and dose are arrays), min-max normalized by the t bounds to
+      tn and encoded as e_t = [tn, tn^2];
+    - t_hat, the intensity head's sigmoid rescaled into (t_min, t_max), and
+      eta, the uplift head's ReLU output, run as one stack on ut; the
+      intensity head reads ut as a constant, so no gradient reaches the
+      representation from it;
+    - p_cf, the counterfactual bridge(p0, t_hat, eta) (``autodiff.bridge``).
+    reps is the (2, rows, d) stack [u0, ut] of ``dcr_forward``, or under
+    ``ablate.dcr`` one (rows, d) representation that stands for both. The
+    towers' first layer does not read the dose and runs before any gate.
+    G_i and g_i are layer i's columns of the TA gate bank
+    (``HteParams.ta_cols``), so every gate's logits come from one GEMM and
+    the bank's gradients from one GEMM back. The vjp gives t_hat the gate
+    dose's gradient times imputed, and adds each shared operand's gradients
+    in a fixed order: ut's treatment tower then uplift head (then, under
+    ``ablate.dcr``, the base tower), t_hat's node gradient then treatment
+    tower then bridge, p0's and eta's node gradient then bridge. A width
+    the layer does not take raises ConfigError, a non-finite affine output
+    NumericError naming the layer (its index, weight and slice); gate i
+    counts as layer i, named by the bank's weight and its index."""
+    rv = reps.value
+    ut = rv[1] if rv.ndim == 3 else rv
+    towers, heads, bank, cols = hte.towers, hte.heads, hte.ta_gates, hte.ta_cols
+    out = ad.checked_affine(towers[0], rv, 0, TOWER_SLICES)  # reads no dose
+    ux = tape.detach(ut)  # the intensity head's input, ut read as a constant
+    # the heads' input: ut for both, unless a gradient checker replays the detached one
+    hx = ut if ux is ut else np.stack([ux, ut])
+    hh = np.fmax(ad.checked_affine(heads[0], hx, 0, HEAD_SLICES), 0.0)
+    ho = ad.checked_affine(heads[1], hh, 1, HEAD_SLICES)
+    si = expit(ho[0])
+    eta = np.fmax(ho[1], 0.0)
+    span = hte.t_max - hte.t_min
+    t_hat = si * span + hte.t_min
+    c = 1.0 / span
+    tn = (imputed * t_hat + dose + -hte.t_min) * c
     e_t = np.concatenate([tn, tn * tn], axis=1)
-    *layers, out = hte.treat_tower
-    bank, cols = hte.ta_gates, hte.ta_cols
     z = ad.affine_value(e_t, bank.W.values, bank.b.values)
     if not math.isfinite(np.add.reduce(z, None)):  # as checked_affine checks a layer
         bad = next((i for i, col in enumerate(cols)  # the last if only the total overflowed
@@ -166,64 +201,68 @@ def treat_tower_forward(hte: HteParams, ut: ad.Node, t_hat: ad.Node, imputed, do
         raise NumericError(f"non-finite activation after layer {bad} ({bank.W.name}, gate {bad})")
     s = expit(z)
     a = s * 2.0  # every gate a_i, in its columns
-    parents = [ut, t_hat, out.W, out.b, bank.W, bank.b]
-    hs, relus = [ut.value], []  # each hidden layer's input; its relu output
-    for i, layer in enumerate(layers):
-        relus.append(np.fmax(ad.checked_affine(layer, hs[-1], i), 0.0))
-        hs.append(a[:, cols[i]] * relus[-1])
-        parents += (layer.W, layer.b)
-    pt = expit(ad.checked_affine(out, hs[-1], len(layers)))
-    lu, ld = ut.live, t_hat.live
+    hs, relus = [rv], []  # each tower layer's input; each hidden layer's relu output
+    for i, col in enumerate(cols):
+        relus.append(np.fmax(out, 0.0))
+        h = relus[i].copy()
+        h[1] *= a[:, col]  # the gates multiply the treatment tower alone
+        hs.append(h)
+        out = ad.checked_affine(towers[i + 1], h, i + 1, TOWER_SLICES)
+    p = expit(out)  # p0 and pt
+    p_cf, bridge_vjp = ad.bridge(p[0], t_hat, eta)
+    parents = [reps, *hte.parameters()]
+    live = reps.live
 
     def vjp(g):
-        g, gw, gb = ad.affine_grads(g * pt * (1.0 - pt), hs[-1], out.W.values,
-                                    lx=bool(layers) or lu)
-        if not layers:
-            return g, None, gw, gb, None, None
+        gp, gt, ge = bridge_vjp(g[:, P_CF:P_CF + 1])
+        gy = np.empty(p.shape)  # the towers' sigmoid outputs, p0's gradient then pt's
+        np.add(g[:, P0:P0 + 1], gp, out=gy[0])
+        gy[1] = g[:, PT:PT + 1]
+        gy *= p
+        gy *= 1.0 - p
+        grads = [None] * (2 * len(towers))  # every tower layer's W and b gradients
         gz = np.empty(z.shape)  # every gate's logit gradient, g * r * 2 s (1 - s)
-        grads = []  # the hidden layers' (b, W) gradients, last layer first
-        for i in reversed(range(len(layers))):
+        for i in reversed(range(len(cols))):
+            gy, grads[2 * i + 2], grads[2 * i + 3] = ad.affine_grads(gy, hs[i + 1],
+                                                                     towers[i + 1].W.values)
             r = relus[i]
-            gz[:, cols[i]] = g * r
-            # r > 0 exactly where the affine output is
-            g, gw_i, gb_i = ad.affine_grads(g * a[:, cols[i]] * (r > 0.0), hs[i],
-                                            layers[i].W.values, lx=i > 0 or lu)
-            grads += (gb_i, gw_i)
+            gz[:, cols[i]] = gy[1] * r[1]
+            gy[1] *= a[:, cols[i]]
+            gy *= r > 0.0  # r > 0 exactly where the affine output is
+        _, grads[0], grads[1] = ad.affine_grads(gy, rv, towers[0].W.values, lx=False)
         gz *= 2.0
         gz *= s
         gz *= 1.0 - s
-        ge, gg, ggb = ad.affine_grads(gz, e_t, bank.W.values, lx=ld)
-        gd = (ge[:, 0:1] + 2.0 * ge[:, 1:2] * tn) * c * imputed if ld else None
-        return (g, gd, gw, gb, gg, ggb, *grads[::-1])
+        ge_t, gg, ggb = ad.affine_grads(gz, e_t, bank.W.values)
+        gd = (ge_t[:, 0:1] + 2.0 * ge_t[:, 1:2] * tn) * c * imputed
+        gh = np.empty(ho.shape)  # the heads' outputs: t_hat's gradient through its
+        np.multiply(g[:, T_HAT:T_HAT + 1] + gd + gt, span, out=gh[0])  # rescale
+        gh[0] *= si
+        gh[0] *= 1.0 - si
+        np.add(g[:, ETA:ETA + 1], ge, out=gh[1])
+        gh[1] *= eta > 0.0
+        gh, gw1, gb1 = ad.affine_grads(gh, hh, heads[1].W.values)
+        gh *= hh > 0.0
+        _, gw0, gb0 = ad.affine_grads(gh, hx, heads[0].W.values, lx=False)
+        gx = None
+        if live:  # the towers' x gradient, then the uplift head's into ut
+            gx = gy @ np.ascontiguousarray(towers[0].W.values.swapaxes(-1, -2))
+            gu = gh[1] @ np.ascontiguousarray(heads[0].W.values[1].T)
+            if rv.ndim == 3:
+                gx[1] += gu
+            else:
+                gx = gx[1] + gu + gx[0]
+        return (gx, *grads, gg, ggb, gw0, gb0, gw1, gb1)
 
-    return tape.record(pt, parents, vjp)
+    return tape.record(np.concatenate([p[0], t_hat, eta, p_cf, p[1]], axis=1), parents, vjp)
 
 
-def intensity_head_forward(hte: HteParams, ut: ad.Node, tape: ad.Tape) -> ad.Node:
-    """t_hat = sigmoid(MLP(ut)) scaled into (t_min, t_max), the affine
-    rescale recorded as one node; the head reads ut's value as a constant,
-    so no gradient reaches the representation layer from it."""
-    s = ad.mlp_forward(hte.intensity_head, tape.constant(ut.value), tape)  # sigmoid output
-    span = hte.t_max - hte.t_min
-    return tape.record(s.value * span + hte.t_min, (s,), lambda g: (g * span,))
-
-
-Forward = namedtuple("Forward", "p0 t_hat eta p_cf pt")
-
-
-def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, imputed, dose) -> Forward:
-    """Record the network once on tape for the feature matrix X: the nodes p0,
-    t_hat, the uplift head eta (a per-unit logit shift), p_cf =
-    bridge(p0, t_hat, eta) and pt, the treatment tower gated at
-    imputed * t_hat + dose (``treat_tower_forward``)."""
-    hte = model.hte
-    rep = dcr_forward(model.dcr, tape.constant(X), tape)
-    p0 = ad.mlp_forward(hte.base_tower, rep.u0, tape)
-    t_hat = intensity_head_forward(hte, rep.ut, tape)
-    eta = ad.mlp_forward(hte.uplift_head, rep.ut, tape)  # a ReLU output: eta >= 0
-    p_cf = tape.bridge(p0, t_hat, eta)
-    pt = treat_tower_forward(hte, rep.ut, t_hat, imputed, dose, tape)
-    return Forward(p0, t_hat, eta, p_cf, pt)
+def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, imputed, dose) -> ad.Node:
+    """Record the network once on tape for the feature matrix X: the
+    representation (``dcr_forward``), then the HTE node (``hte_forward``),
+    which is returned, its treatment tower gated at imputed * t_hat + dose."""
+    return hte_forward(model.hte, dcr_forward(model.dcr, tape.constant(X), tape), imputed, dose,
+                       tape)
 
 
 # ---------------------------------------------------------------------------
@@ -235,61 +274,79 @@ LOSS_COMPONENTS = {"l_base": "lambda_base", "l_treat": "lambda_treat", "l_t": "l
                    "l_x": "lambda_x", "r_orth": "lambda_o"}
 
 
-def loss_terms(weights: LossWeights, y_col, w_col, t_col, p0, pt, t_hat, p_cf, p_base_cf,
-               r_orth, tape: ad.Tape):
+def loss_terms(weights: LossWeights, y_col, w_col, t_col, hte: ad.Node, r_orth, tape: ad.Tape):
     """The weighted sum of l_base (p0's cross-entropy, control rows), l_treat
     (pt's, treated rows), l_t ((t - t_hat)^2 + |t - t_hat|, treated rows),
-    l_x (squared errors of p_cf, treated rows, and p_base_cf, control rows)
-    and r_orth (the scalar penalty node, as it is) as one node with a
-    closed-form vjp. A zero weight drops its term: no value, no parent, a
-    component of 0.0. Returns (the node, None if every term is dropped; the
-    unweighted terms under every LOSS_COMPONENTS key)."""
+    l_x (squared errors of p_cf, treated rows, and of p_base_cf =
+    bridge(pt, t_hat, eta, -1), control rows) and r_orth (the scalar penalty
+    node, as it is) as one node over the HTE node's columns and r_orth, with
+    a closed-form vjp that gives the HTE node one (rows, 5) gradient, the
+    bridge's after the terms' own. A zero weight drops its term: no value,
+    a component of 0.0, and r_orth's no parent. Returns (the node, None if
+    every term is dropped; the unweighted terms under every
+    LOSS_COMPONENTS key)."""
+    hv = hte.value
+    p0, t_hat, eta, p_cf, pt = (hv[:, j:j + 1] for j in range(5))
     ctrl_mask = 1.0 - w_col
-    parts = {}  # term -> its (operand, row mask, per-row loss, that loss's vjp in the operand)
+
+    def into(col, rows_vjp):  # a per-row loss's vjp, as [(column, its gradient)]
+        return lambda g: [(col, rows_vjp(g))]
+
+    parts = {}  # term -> its [(row mask, per-row loss, vjp: row gradient -> [(column, gradient)])]
     if weights.lambda_base > 0:
-        parts["l_base"] = [(p0, ctrl_mask, *ad.cross_entropy(y_col, p0.value))]
+        value, rows_vjp = ad.cross_entropy(y_col, p0)
+        parts["l_base"] = [(ctrl_mask, value, into(P0, rows_vjp))]
     if weights.lambda_treat > 0:
-        parts["l_treat"] = [(pt, w_col, *ad.cross_entropy(y_col, pt.value))]
+        value, rows_vjp = ad.cross_entropy(y_col, pt)
+        parts["l_treat"] = [(w_col, value, into(PT, rows_vjp))]
     if weights.lambda_t > 0:
-        err = t_col - t_hat.value
-        parts["l_t"] = [(t_hat, w_col, err * err + np.abs(err),
-                         lambda g: -(g * np.sign(err) + 2.0 * g * err))]
+        err = t_col - t_hat
+        parts["l_t"] = [(w_col, err * err + np.abs(err),
+                         into(T_HAT, lambda g: -(g * np.sign(err) + 2.0 * g * err)))]
     if weights.lambda_x > 0:
-        parts["l_x"] = [(p, mask, d * d, lambda g, d=d: -(2.0 * g * d))
-                        for p, mask, d in ((p_cf, w_col, y_col - p_cf.value),
-                                           (p_base_cf, ctrl_mask, y_col - p_base_cf.value))]
+        p_base_cf, bridge_vjp = ad.bridge(pt, t_hat, eta, -1.0)
+        d_cf, d_base = y_col - p_cf, y_col - p_base_cf
+        parts["l_x"] = [(w_col, d_cf * d_cf, into(P_CF, lambda g: -(2.0 * g * d_cf))),
+                        (ctrl_mask, d_base * d_base,
+                         lambda g: zip((PT, T_HAT, ETA), bridge_vjp(-(2.0 * g * d_base))))]
     if weights.lambda_o > 0:
-        parts["r_orth"] = [(r_orth, np.ones(()), r_orth.value, lambda g: g)]
+        parts["r_orth"] = [(np.ones(()), r_orth.value, into(None, lambda g: g))]
     components = dict.fromkeys(LOSS_COMPONENTS, 0.0)
     total, flat = None, []
     for name, term in parts.items():
         lam = getattr(weights, LOSS_COMPONENTS[name])
-        value = sum((mask * rows).sum() for _, mask, rows, _ in term)
+        value = sum((mask * rows).sum() for mask, rows, _ in term)
         components[name] = float(value)
         total = value * lam if total is None else total + value * lam
         flat += [(part, lam) for part in term]
+    parents = [hte] * (len(parts) > ("r_orth" in parts)) + [r_orth] * ("r_orth" in parts)
+    lh = hte.live
 
     def vjp(g):  # full(g lambda) * mask is a masked sum's gradient in its per-row loss
-        return [rows_vjp(np.full(mask.shape, float(g) * lam) * mask) if p.live else None
-                for (p, mask, _, rows_vjp), lam in flat]
+        gh, go = np.zeros(hv.shape) if lh else None, None
+        for (mask, _, rows_vjp), lam in flat:
+            for col, grad in rows_vjp(np.full(mask.shape, float(g) * lam) * mask):
+                if col is None:
+                    go = grad
+                elif lh:
+                    gh[:, col:col + 1] += grad
+        return [gh if parent is hte else go for parent in parents]
 
-    return (tape.record(total, [part[0] for part, _ in flat], vjp) if flat else None), components
+    return (tape.record(total, parents, vjp) if flat else None), components
 
 
 def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape: ad.Tape):
-    """Joint loss over a batch, ``loss_terms`` on the forward nodes and the
+    """Joint loss over a batch, ``loss_terms`` on the HTE node and the
     orthogonality penalty: (total node, per-term unweighted sums)."""
     if X.shape[0] == 0:
         raise UsageError("joint_loss needs a nonempty batch")
     w_col, y_col, t_col = (np.asarray(a, dtype=np.float64).reshape(-1, 1) for a in (w, y, t))
 
     # the observed dose gates the treatment tower on treated rows, the imputed one on controls
-    fw = forward(model, np.asarray(X, dtype=np.float64), tape, 1.0 - w_col, t_col)
-    p_base_cf = tape.bridge(fw.pt, fw.t_hat, fw.eta, -1.0) if weights.lambda_x > 0 else None
+    hte = forward(model, np.asarray(X, dtype=np.float64), tape, 1.0 - w_col, t_col)
     # recorded after the forward nodes: backward adds its gradient into the expert weights first
     r_orth = orth_penalty(model.dcr, tape) if weights.lambda_o > 0 else None
-    total, components = loss_terms(weights, y_col, w_col, t_col, fw.p0, fw.pt, fw.t_hat,
-                                   fw.p_cf, p_base_cf, r_orth, tape)
+    total, components = loss_terms(weights, y_col, w_col, t_col, hte, r_orth, tape)
     return (tape.constant(0.0) if total is None else total), components
 
 
@@ -338,14 +395,12 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
 # prediction
 # ---------------------------------------------------------------------------
 
-def _score_block(model: UniMvtModel, X: np.ndarray, q) -> tuple:
-    """p0, t_hat, the uplift head, p_cf and pt on the rows of X, as 1-D
-    arrays read off one ``forward`` on a fresh tape, which is freed on
-    return; the treatment tower is gated at q (one dose per row) or, when q
-    is None, at t_hat."""
+def _score_block(model: UniMvtModel, X: np.ndarray, q) -> np.ndarray:
+    """The HTE node's (rows, 5) value on the rows of X, read off one
+    ``forward`` on a fresh tape, which is freed on return; the treatment
+    tower is gated at q (one dose per row) or, when q is None, at t_hat."""
     tape = ad.Tape()
-    fw = forward(model, X, tape, *((1.0, 0.0) if q is None else (0.0, q.reshape(-1, 1))))
-    return tuple(node.value.reshape(-1) for node in (fw.p0, fw.t_hat, fw.eta, fw.p_cf, fw.pt))
+    return forward(model, X, tape, *((1.0, 0.0) if q is None else (0.0, q.reshape(-1, 1)))).value
 
 
 def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
@@ -381,8 +436,9 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
         extrapolated = (q < model.hte.t_min) | (q > model.hte.t_max)
     blocks = [_score_block(model, X[rows], None if q is None else q[rows])
               for rows in ad.row_blocks(n)]
-    p0, t_hat, eta_head, p_cf, pt = (blocks[0] if len(blocks) == 1 else
-                                     (np.concatenate(field) for field in zip(*blocks)))
+    # hte_forward's columns, each as one contiguous array
+    p0, t_hat, eta_head, p_cf, pt = np.ascontiguousarray(
+        (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).T)
     # np.clip's values, NaN included, at half its per-call cost on one row
     p0 = np.minimum(np.maximum(p0, PROB_EPS), 1.0 - PROB_EPS)
     eta = np.maximum((p_cf - p0) / t_hat, 0.0)
@@ -420,6 +476,10 @@ def predict(model: UniMvtModel, x, q: float | None = None) -> Prediction:
 # ---------------------------------------------------------------------------
 
 def save_model(model: UniMvtModel, path) -> None:
+    """Write the model file; a config that ``load_model`` would refuse raises
+    ConfigError naming its key, and a non-finite parameter NumericError
+    naming its line, before any file is written."""
+    validate(model.cfg, model.dcr.input_dim)
     lines = ["kind=unimvt", f"input_dim={model.dcr.input_dim}",
              f"t_min={model.hte.t_min!r}", f"t_max={model.hte.t_max!r}"]
     lines.extend(f"{key}={text}" for key, text in config_to_flat(model.cfg).items())

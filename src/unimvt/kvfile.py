@@ -75,11 +75,16 @@ def _parse_array(raw: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def restore_params(kv: dict, params, header) -> None:
-    """Fill params from their lines; the first line that is neither one of
-    the header keys nor a parameter's raises a ConfigError naming it."""
+    """Fill params from their lines. A ConfigError names the first parameter
+    without a line and the first line that is neither one of the header
+    keys nor a parameter's, whichever there are, so a file of an older
+    layout names both the tensor it lacks and the one it holds instead."""
     known = {*header, *(f"param.{p.name}" for p in params)}
+    missing = next((f"param.{p.name}" for p in params if f"param.{p.name}" not in kv), None)
     stray = next((key for key in kv if key not in known), None)
-    if stray is not None:
-        raise ConfigError(f"model file has {stray!r}, which the network has no slot for")
+    if missing or stray:
+        raise ConfigError("; ".join(
+            ([f"model file is missing {missing!r}"] if missing else [])
+            + ([f"model file has {stray!r}, which the network has no slot for"] if stray else [])))
     for p in params:
         p.values[...] = field(kv, f"param.{p.name}", lambda raw: _parse_array(raw, p.shape))

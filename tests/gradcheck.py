@@ -10,14 +10,19 @@ record elementwise arithmetic with numpy broadcasting; an operand that is
 neither a node nor a parameter enters as a constant. ``total`` sums a node
 to a scalar loss, and ``binary_cross_entropy`` records ``cross_entropy``
 per element, so ``total(binary_cross_entropy(...))`` is the two-node loss
-that the S-/T-Learners' one loss node must equal.
+that the S-/T-Learners' one loss node must equal. ``bridge`` records the
+``autodiff.bridge`` kernel as a node of its own, so the kernel can be
+checked alone, and ``hte_reference`` is the HTE net layer by layer in plain
+numpy, from the unstacked slices, that ``htenet.hte_forward``'s one node
+must equal.
 
 ``finite_diff_check`` compares a tape's gradients with central differences
-of the forward pass. A constant read off a parameter's value, and a closed
-slot of ``gate_merge``'s experts, make the tape's gradient differ on purpose
-from the true derivative of the forward function: the tape treats the value
-as fixed, while a perturbed re-evaluation moves it too. So the checker pins
-every constant and every merge's experts: it records them on the
+of the forward pass. A constant or a ``Tape.detach`` read off a
+parameter's value, and a closed slot of ``gate_merge``'s experts, make the
+tape's gradient differ on purpose from the true derivative of the forward
+function: the tape treats the value as fixed, while a perturbed
+re-evaluation moves it too. So the checker pins every constant, every
+detached value and every merge's experts: it records them on the
 unperturbed pass and reads them back on every perturbed one, and the finite
 difference becomes the derivative the tape actually defines.
 """
@@ -68,6 +73,19 @@ def binary_cross_entropy(tape: ad.Tape, y, p) -> ad.Node:
     return tape.record(value, (p,), lambda g: (vjp(g),))
 
 
+def bridge(tape: ad.Tape, p, t_hat, eta, sign: float = 1.0) -> ad.Node:
+    """``autodiff.bridge`` on the nodes p, t_hat and eta, broadcast, each
+    operand's gradient summed back to its shape."""
+    value, vjp = ad.bridge(p.value, t_hat.value, eta.value, sign)
+    operands = (p, t_hat, eta)
+
+    def node_vjp(g):
+        return [ad._unbroadcast(grad, np.shape(x.value)) if x.live else None
+                for x, grad in zip(operands, vjp(g))]
+
+    return tape.record(value, operands, node_vjp)
+
+
 def affine(tape: ad.Tape, x, w, b) -> ad.Node:
     """x @ W + b with b broadcast over rows; a (K, in, out) weight with bias
     (K, 1, out) applies K layers at once, as in ``mlp_forward``."""
@@ -91,10 +109,11 @@ def sigmoid(tape: ad.Tape, a) -> ad.Node:
 class _PinnedTape(ad.Tape):
     """A tape whose constants are pinned for the gradient checker.
 
-    Built on an empty list, the tape appends a copy of every constant and
-    every merge's expert operand to it; built on the filled list, it reads
-    the recorded values back in order: in place of a constant's value, and
-    in the closed slots of a merge's experts.
+    Built on an empty list, the tape appends a copy of every constant, every
+    value read through ``detach`` and every merge's expert operand to it;
+    built on the filled list, it reads the recorded values back in order: in
+    place of a constant's or a detached value, and in the closed slots of a
+    merge's experts.
     """
 
     def __init__(self, pinned: list) -> None:
@@ -116,13 +135,19 @@ class _PinnedTape(ad.Tape):
         node.value = self._pin(node.value)
         return node
 
-    def gate_merge(self, gates, task: int, experts, open) -> ad.Node:
-        node = super().gate_merge(gates, task, experts, open)
+    def detach(self, values):
+        return self._pin(values)
+
+    def gate_merge(self, gates, experts, open) -> ad.Node:
+        node = super().gate_merge(gates, experts, open)
         pinned = self._pin(experts.value)
-        ev = pinned if open is None else np.where(open[:, None, None], experts.value, pinned)
-        k, n, d = ev.shape
-        # gate_merge's layout: slot k's block in columns k*d .. (k+1)*d - 1
-        node.value = (gates.value[task][:, :, None] * ev).transpose(1, 0, 2).reshape(n, k * d)
+        tasks = gates.value.shape[0]
+        ev = (np.broadcast_to(pinned, (tasks, *pinned.shape)) if open is None else
+              np.where(open[:, :, None, None], experts.value, pinned))
+        _, k, n, d = ev.shape
+        # gate_merge's layout: task t, slot k's block in columns k*d .. (k+1)*d - 1 of row block t
+        node.value = ((gates.value[:, :, :, None] * ev).transpose(0, 2, 1, 3)
+                      .reshape(tasks, n, k * d))
         return node
 
 
@@ -150,8 +175,8 @@ def finite_diff_check(
     reference values: it only re-evaluates the forward pass. An ``eps`` that
     is not finite and positive raises ConfigError.
 
-    Constants, and the closed slots of ``gate_merge``'s experts, are
-    replayed at their unperturbed values during the +-eps evaluations, so
+    Constants, detached values and the closed slots of ``gate_merge``'s
+    experts are replayed at their unperturbed values during the +-eps evaluations, so
     the check validates the derivative the tape defines, in which a constant
     read off a parameter's value stays fixed.
 
@@ -210,3 +235,41 @@ def finite_diff_check(
             for p in params:
                 p.values = originals[id(p)]
     return worst
+
+
+def hte_reference(hte, reps: np.ndarray, imputed, dose) -> np.ndarray:
+    """``htenet.hte_forward``'s (rows, 5) value, P0, T_HAT, ETA, P_CF and PT,
+    computed layer by layer from the unstacked slices on a tape of its own:
+    each tower and head a chain of ``affine``, ``relu`` and ``sigmoid`` steps
+    on its own (in, out) weight and (out,) bias, each TA gate one ``affine``
+    on its columns of the bank, the bridge ``autodiff.bridge``. reps is the
+    (2, rows, d) array [u0, ut], or one (rows, d) array that stands for both."""
+    tape = ad.Tape()
+    u0, ut = (reps[0], reps[1]) if reps.ndim == 3 else (reps, reps)
+
+    def layer(x, stacked, k):  # slice k of a stacked layer
+        return affine(tape, x, tape.constant(stacked.W.values[k]),
+                      tape.constant(stacked.b.values[k, 0]))
+
+    def hidden(x, stacked, k):
+        return relu(tape, layer(x, stacked, k))
+
+    towers, heads, bank = hte.towers, hte.heads, hte.ta_gates
+    h = tape.constant(u0)
+    for stacked in towers[:-1]:
+        h = hidden(h, stacked, 0)
+    p0 = sigmoid(tape, layer(h, towers[-1], 0)).value
+    ut_node = tape.constant(ut)
+    intensity = sigmoid(tape, layer(hidden(ut_node, heads[0], 0), heads[1], 0)).value
+    eta = relu(tape, layer(hidden(ut_node, heads[0], 1), heads[1], 1)).value
+    t_hat = intensity * (hte.t_max - hte.t_min) + hte.t_min
+    tn = (imputed * t_hat + dose + -hte.t_min) * (1.0 / (hte.t_max - hte.t_min))
+    e_t = tape.constant(np.concatenate([tn, tn * tn], axis=1))
+    h = ut_node
+    for stacked, col in zip(towers[:-1], hte.ta_cols):
+        gate = sigmoid(tape, affine(tape, e_t, tape.constant(bank.W.values[:, col]),
+                                    tape.constant(bank.b.values[col])))
+        h = mul(tape, mul(tape, gate, 2.0), hidden(h, stacked, 1))
+    pt = sigmoid(tape, layer(h, towers[-1], 1)).value
+    p_cf, _ = ad.bridge(p0, t_hat, eta)
+    return np.concatenate([p0, t_hat, eta, p_cf, pt], axis=1)

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logit
 
 import gradcheck
-from gradcheck import (add, affine, binary_cross_entropy, finite_diff_check, mul, relu,
-                       sigmoid, total)
+from gradcheck import (add, affine, binary_cross_entropy, bridge, finite_diff_check, mul,
+                       relu, sigmoid, total)
 from unimvt import autodiff as ad
 from unimvt.config import TrainConfig
 from unimvt.errors import ConfigError, NumericError, UsageError
@@ -334,8 +334,7 @@ def test_bridge_equals_the_select_form():
     shift = np.concatenate([[0.0, -0.0, 800.0, -800.0, 1e308, -1e308], rng.standard_normal(30) * 20.0])
     pc = np.clip(p, ad.PROB_EPS, 1.0 - ad.PROB_EPS)
     with np.errstate(all="raise"):
-        tape = ad.Tape()
-        got = tape.bridge(tape.constant(p), tape.constant(shift), tape.constant(1.0)).value
+        got, _ = ad.bridge(p, shift, 1.0)
         z = np.log(pc) - np.log1p(-pc) + shift
     assert same_bits(got, expit(z))
     with np.errstate(all="raise", under="ignore"):
@@ -361,28 +360,34 @@ def test_affine_bias_gradient_is_the_row_sum(shape):
 
 
 def test_gate_merge_equals_the_transpose_form():
+    # each task's block of the value and gradients equals a merge of that
+    # task alone; the experts' gradient adds the tasks' parts last task first
     rng = np.random.default_rng(5)
-    k, n, d, task = 6, 7, 4, 1
+    k, n, d = 6, 7, 4
     gates = ad.ParamTensor("gates", rng.uniform(0, 1, (2, k, n)))
     experts = ad.ParamTensor("experts", rng.standard_normal((k, n, d)))
-    open_ = np.array([True, True, False, True, False, True])
-    g = rng.standard_normal((n, k * d))
+    open_ = np.array([[True, True, False, True, False, True],
+                      [False, True, True, False, True, True]])
+    g = rng.standard_normal((2, n, k * d))
     tape = ad.Tape()
-    node = tape.gate_merge(gates, task, experts, open_)
-    weights = gates.values[task][:, :, None]
-    assert same_bits(node.value, (weights * experts.values).transpose(1, 0, 2).reshape(n, k * d))
+    node = tape.gate_merge(gates, experts, open_)
     g_gates, g_experts = node.vjp(g)
-    blocks = g.reshape(n, k, d).transpose(1, 0, 2)
-    assert not np.any(g_gates[1 - task])
-    assert same_bits(g_gates[task], np.einsum("knd,knd->kn", blocks, experts.values))
-    np.testing.assert_allclose(g_gates[task], (blocks * experts.values).sum(axis=2),
-                               rtol=1e-13, atol=1e-13)
-    assert same_bits(g_experts, blocks * (weights * open_[:, None, None]))
-    np.testing.assert_array_equal(g_experts[~open_], 0.0)  # a closed slot gets an exact zero
-    assert same_bits(g_experts[open_], (blocks * weights)[open_])
+    parts = []
+    for task in range(2):
+        weights = gates.values[task][:, :, None]
+        assert same_bits(node.value[task],
+                         (weights * experts.values).transpose(1, 0, 2).reshape(n, k * d))
+        blocks = g[task].reshape(n, k, d).transpose(1, 0, 2)
+        assert same_bits(g_gates[task], np.einsum("knd,knd->kn", blocks, experts.values))
+        np.testing.assert_allclose(g_gates[task], (blocks * experts.values).sum(axis=2),
+                                   rtol=1e-13, atol=1e-13)
+        parts.append(blocks * (weights * open_[task][:, None, None]))
+        # a closed slot gets an exact zero from its task
+        np.testing.assert_array_equal(parts[-1][~open_[task]], 0.0)
+    assert same_bits(g_experts, parts[1] + parts[0])
 
 
-@pytest.mark.parametrize("open_", [None, np.zeros(3, bool)], ids=["None", "all closed"])
+@pytest.mark.parametrize("open_", [None, np.zeros((2, 3), bool)], ids=["None", "all closed"])
 def test_gate_merge_with_no_open_slot_gives_the_experts_no_gradient(open_):
     # None opens no slot, and the experts get no gradient; an all-closed
     # mask, which gate_merge does not test for, gives them exact zeros
@@ -390,13 +395,13 @@ def test_gate_merge_with_no_open_slot_gives_the_experts_no_gradient(open_):
     gates = ad.ParamTensor("gates", rng.uniform(0, 1, (2, 3, 4)))
     w = ad.ParamTensor("w", rng.standard_normal((3, 4, 2)))
     tape = ad.Tape()
-    node = tape.gate_merge(gates, 0, mul(tape, w, 1.0), open_)
-    total(tape, mul(tape, node, rng.standard_normal((4, 6))))
+    node = tape.gate_merge(gates, mul(tape, w, 1.0), open_)
+    total(tape, mul(tape, node, rng.standard_normal((2, 4, 6))))
     ad.backward(tape)
     np.testing.assert_array_equal(w.grad, 0.0)
-    assert np.any(gates.grad[0]) and not np.any(gates.grad[1])
-    assert same_bits(node.value, (gates.values[0][:, :, None] * w.values).transpose(1, 0, 2)
-                     .reshape(4, 6))
+    assert np.all(gates.grad != 0.0)
+    assert same_bits(node.value, (gates.values[:, :, :, None] * w.values).transpose(0, 2, 1, 3)
+                     .reshape(2, 4, 6))
 
 
 def test_kernels_keep_extended_precision():
@@ -417,15 +422,15 @@ def test_kernels_keep_extended_precision():
 
 _rng = np.random.default_rng(4)
 FD_MASK = _rng.uniform(0.5, 1.5, size=(3, 4))
-FD_MERGE_MASK = _rng.uniform(0.5, 1.5, size=(3, 6))
+FD_MERGE_MASK = _rng.uniform(0.5, 1.5, size=(2, 3, 6))
 FD_LABELS = _rng.integers(0, 2, size=(3, 4)).astype(float)
 FD_EXPERT_W = _rng.standard_normal((3, 4, 2))  # three (4, 2) experts on wn
 # 0.4 w lies in [0.04, 0.8]; the offsets move some entries past 1 or below 0,
 # where the bridge's clamp binds
 FD_OFFSETS = np.zeros((3, 4))
 FD_OFFSETS[0, :2], FD_OFFSETS[1, 2:] = 1.0, -1.0
-# the merge's experts get a gradient in slots 0 and 2, none in slot 1
-FD_OPEN = np.array([True, False, True])
+# the merge's experts get a gradient from task 0 in slots 0 and 2, from task 1 in slots 1 and 2
+FD_OPEN = np.array([[True, False, True], [False, True, True]])
 
 
 def square(tape, a):
@@ -437,9 +442,17 @@ def bridge_term(tape, wn, sign):
     FD_OFFSETS, t_hat = 1 + 0.3 w and eta = 0.2 w - 12 sign FD_OFFSETS. Where
     the clamp binds, the shift, about -12 (1 + 0.3 w) FD_OFFSETS, brings the
     output back inside (0.02, 0.98), where central differences resolve it."""
-    return tape.bridge(add(tape, mul(tape, wn, 0.4), FD_OFFSETS),
-                       add(tape, mul(tape, wn, 0.3), 1.0),
-                       add(tape, mul(tape, wn, 0.2), -12.0 * sign * FD_OFFSETS), sign)
+    return bridge(tape, add(tape, mul(tape, wn, 0.4), FD_OFFSETS),
+                  add(tape, mul(tape, wn, 0.3), 1.0),
+                  add(tape, mul(tape, wn, 0.2), -12.0 * sign * FD_OFFSETS), sign)
+
+
+def detached_square(tape, wn):
+    """wn * wn with its left factor read through ``Tape.detach``: the tape's
+    gradient is that factor, which only a checker that replays detached
+    values at their unperturbed value reads as the derivative."""
+    frozen = tape.detach(wn.value)
+    return tape.record(frozen * wn.value, (wn,), lambda g: (g * frozen,))
 
 
 # one finite-difference term per Tape primitive and per gradcheck reference,
@@ -455,9 +468,10 @@ PRIMITIVE_TERMS = {
                                             bridge_term(tape, wn, -1.0)),
     # stacked (2, 3, 3) as the gates of two tasks over 3 slots and 3 rows
     "gate_merge": lambda tape, wn, stacked: mul(tape, FD_MERGE_MASK, tape.gate_merge(
-        sigmoid(tape, stacked), 1,
+        sigmoid(tape, stacked),
         relu(tape, affine(tape, wn, tape.constant(FD_EXPERT_W), tape.constant(np.zeros((3, 1, 2))))),
         FD_OPEN)),
+    "detach": lambda tape, wn, stacked: detached_square(tape, wn),
     "total": lambda tape, wn, stacked: total(tape, square(tape, wn)),
     "binary_cross_entropy": lambda tape, wn, stacked: binary_cross_entropy(
         tape, FD_LABELS, sigmoid(tape, add(tape, wn, -1.0))),
@@ -485,7 +499,7 @@ def test_every_primitive_has_a_finite_difference_term():
                if callable(attr) and not name.startswith("_")}
     references = {name for name, attr in vars(gradcheck).items()
                   if inspect.isfunction(attr) and attr.__module__ == gradcheck.__name__
-                  and not name.startswith("_")} - {"finite_diff_check"}
+                  and not name.startswith("_")} - {"finite_diff_check", "hte_reference"}
     assert set(PRIMITIVE_TERMS) == (methods - {"record", "constant"}) | references
 
 
@@ -495,11 +509,10 @@ MULTI_OPERAND = {
     "mul": (mul, [(3, 4), (3, 1)]),
     "affine": (affine, [(3, 4), (4, 2), (2,)]),
     "stacked affine": (affine, [(3, 4), (2, 4, 5), (2, 1, 5)]),
-    "bridge": (lambda tape, p, t_hat, eta: tape.bridge(p, t_hat, eta, -1.0),
+    "bridge": (lambda tape, p, t_hat, eta: bridge(tape, p, t_hat, eta, -1.0),
                [(3, 1), (3, 1), (3, 1)]),
-    "gate_merge": (lambda tape, gates, experts: tape.gate_merge(gates, 1, experts,
-                                                                np.array([True, False])),
-                   [(2, 2, 3), (2, 3, 4)]),
+    "gate_merge": (lambda tape, gates, experts: tape.gate_merge(
+        gates, experts, np.array([[False, False], [True, False]])), [(2, 2, 3), (2, 3, 4)]),
 }
 
 
@@ -539,11 +552,11 @@ def test_only_a_node_that_reaches_a_parameter_is_live():
     frozen = tape.constant(w.value)
     mixed = add(tape, on_constants, w)
     gates, experts = tape.constant(np.ones((1, 2, 2))), mul(tape, w, np.ones((2, 2, 1)))
-    partly_open = tape.gate_merge(gates, 0, experts, np.array([False, True]))
+    partly_open = tape.gate_merge(gates, experts, np.array([[False, True]]))
     assert w.live and mixed.live and mixed.vjp is not None
     assert partly_open.live and partly_open.vjp is not None
     for dead in (on_constants, frozen, mul(tape, frozen, on_constants),
-                 tape.gate_merge(gates, 0, experts, None)):
+                 tape.gate_merge(gates, experts, None)):
         assert not dead.live and dead.vjp is None
 
 
@@ -557,8 +570,7 @@ def test_cross_entropy_passes_no_gradient_where_the_clamp_binds():
 
 
 def bridge_value(p, shift):
-    tape = ad.Tape()
-    return float(tape.bridge(tape.constant(p), tape.constant(shift), tape.constant(1.0)).value)
+    return float(ad.bridge(np.float64(p), np.float64(shift), 1.0)[0])
 
 
 def test_bridge_known_values():
@@ -580,10 +592,8 @@ def test_a_bridge_at_sign_minus_one_is_the_bridge_of_the_negated_eta():
     g = rng.standard_normal((4, 1))
     parts = []
     for e, sign in ((eta, -1.0), (-eta, 1.0)):
-        tape = ad.Tape()
-        node = tape.bridge(*(ad.ParamTensor(name, v) for name, v in
-                             (("p", p), ("t_hat", t_hat), ("eta", e))), sign)
-        parts.append((node.value, *node.vjp(g)))
+        value, vjp = ad.bridge(p, t_hat, e, sign)
+        parts.append((value, *vjp(g)))
     (value, gp, gt, ge), (value_neg, gp_neg, gt_neg, ge_neg) = parts
     for got, want in ((value, value_neg), (gp, gp_neg), (gt, gt_neg), (ge, -ge_neg)):
         assert same_bits(got, want)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from gradcheck import finite_diff_check, mul, total
+from gradcheck import finite_diff_check, hte_reference, mul, total
 from unimvt import autodiff as ad
 from unimvt import baselines
 from unimvt import datagen as dg
@@ -71,8 +71,8 @@ def test_build_model_draws_dcr_experts_one_mlp_at_a_time():
         np.testing.assert_array_equal(bank.W.values[:, cols], ad.glorot_uniform(rng, 5, n_slots))
     assert np.all(bank.b.values == 0.0)
     tower = ad.init_mlp(rng, "base_tower", (model.dcr.output_dim, *cfg.net.tower_hidden, 1))
-    for got, want in zip(model.hte.base_tower, tower):
-        np.testing.assert_array_equal(got.W.values, want.W.values)
+    for got, want in zip(model.hte.towers, tower):  # the base tower is slice 0
+        np.testing.assert_array_equal(got.W.values[0], want.W.values)
 
 
 @pytest.mark.parametrize("tower_hidden", [(32, 32), (8, 5, 3)], ids=["32-32", "8-5-3"])
@@ -93,30 +93,73 @@ def test_build_model_draws_the_ta_gate_bank_one_gate_at_a_time(tower_hidden):
         np.testing.assert_array_equal(bank.W.values[:, col], ad.glorot_uniform(rng, 2, width))
     assert np.all(bank.b.values == 0.0)
     head = ad.init_mlp(rng, "intensity_head", (rep, cfg.net.head_hidden, 1))
-    for got, want in zip(model.hte.intensity_head, head):
-        np.testing.assert_array_equal(got.W.values, want.W.values)
+    for got, want in zip(model.hte.heads, head):  # the intensity head is slice 0
+        np.testing.assert_array_equal(got.W.values[0], want.W.values)
+
+
+@pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
+def test_build_model_stacks_one_mlp_per_tower_and_head_in_their_draw_order(ablate_dcr):
+    # slice 0 of the towers holds the base tower's draws and slice 1 the
+    # treatment tower's; the heads hold the intensity head's, then the uplift
+    # head's with its zero output weights and 0.02 output bias
+    cfg = ExperimentConfig(ablate=AblationConfig(dcr=ablate_dcr))
+    model = ht.build_model(cfg, input_dim=5, t_min=1.0, t_max=3.0, seed=7)
+    rng = np.random.default_rng(7)
+    rep = dcr.init_dcr(rng, 5, cfg.dcr, ablate_dcr).output_dim
+    towers = [ad.init_mlp(rng, name, (rep, *cfg.net.tower_hidden, 1), out_activation="sigmoid")
+              for name in ("base_tower", "treat_tower")]
+    ad.init_mlp(rng, "ta_gates", (2, sum(cfg.net.tower_hidden)))  # draws the bank's share
+    heads = [ad.init_mlp(rng, name, (rep, cfg.net.head_hidden, 1))
+             for name in ("intensity_head", "uplift_head")]
+    heads[1][-1].W.values[:] = 0.0
+    heads[1][-1].b.values[:] = ht.UPLIFT_HEAD_INIT
+    for stacked, mlps in ((model.hte.towers, towers), (model.hte.heads, heads)):
+        assert len(stacked) == len(mlps[0])
+        for i, layer in enumerate(stacked):
+            for k, mlp in enumerate(mlps):
+                np.testing.assert_array_equal(layer.W.values[k], mlp[i].W.values, strict=True)
+                np.testing.assert_array_equal(layer.b.values[k, 0], mlp[i].b.values, strict=True)
+    assert [p.name for p in model.hte.parameters()] == [
+        "towers.l0.W", "towers.l0.b", "towers.l1.W", "towers.l1.b", "towers.l2.W", "towers.l2.b",
+        "ta_gates.W", "ta_gates.b", "heads.l0.W", "heads.l0.b", "heads.l1.W", "heads.l1.b"]
+    assert len(model.parameters()) == 12 + len(model.dcr.parameters())
 
 
 # ---------------------------------------------------------------------------
 # treatment tower and its TA gates
 # ---------------------------------------------------------------------------
 
+def stacked(name, rng, *dims):
+    """Two random same-shaped layer stacks as one: a (2, in, out) weight and
+    (2, 1, out) bias per layer, every hidden layer a relu."""
+    return [ad.Layer(ad.ParamTensor(f"{name}.l{i}.W", rng.standard_normal((2, fan_in, fan_out))),
+                     ad.ParamTensor(f"{name}.l{i}.b", rng.standard_normal((2, 1, fan_out))),
+                     "relu" if i < len(dims) - 2 else "linear")
+            for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))]
+
+
 def one_gate_tower(gate_W, gate_b):
-    """HteParams with only a one-hidden-layer treatment tower of width 3 on a
-    width-4 representation, t bounds [1, 3]."""
+    """HteParams whose towers have one hidden layer of width 3 on a width-4
+    representation, with heads of width 2, t bounds [1, 3]."""
     rng = np.random.default_rng(0)
-    tower = [ad.Layer(ad.ParamTensor("tw0.W", rng.standard_normal((4, 3))),
-                      ad.ParamTensor("tw0.b", rng.standard_normal(3)), "relu"),
-             ad.Layer(ad.ParamTensor("tw1.W", rng.standard_normal((3, 1))),
-                      ad.ParamTensor("tw1.b", rng.standard_normal(1)), "sigmoid")]
     gate = ad.Layer(ad.ParamTensor("g.W", gate_W), ad.ParamTensor("g.b", gate_b))
-    return ht.HteParams([], tower, gate, [], [], 1.0, 3.0)
+    return ht.HteParams(stacked("tw", rng, 4, 3, 1), gate, stacked("hd", rng, 4, 2, 1), 1.0, 3.0)
+
+
+def node_value(hte, reps, imputed, dose):
+    """The HTE node's (rows, 5) value on the representation reps."""
+    tape = ad.Tape()
+    return ht.hte_forward(hte, tape.constant(reps), imputed, dose, tape).value
 
 
 def tower_value(hte, ut, dose):
-    tape = ad.Tape()
-    return ht.treat_tower_forward(hte, tape.constant(ut), tape.constant(dose), 1.0, 0.0,
-                                  tape).value
+    """pt, the treatment tower's column, on ut gated at dose."""
+    return node_value(hte, np.stack([np.zeros_like(ut), ut]), 0.0, dose)[:, ht.PT:]
+
+
+def treat_slice(layer):
+    """The treatment tower's (in, out) weight and (out,) bias of a stacked layer."""
+    return layer.W.values[1], layer.b.values[1, 0]
 
 
 UT = np.random.default_rng(9).standard_normal((5, 4))
@@ -127,57 +170,120 @@ def test_ta_gate_neutral_at_zero_params():
     # a = 2*sigmoid(0) is exactly 1: the tower is its plain sigmoid MLP
     hte = one_gate_tower(np.zeros((2, 3)), np.zeros(3))
     tape = ad.Tape()
-    plain = ad.mlp_forward(hte.treat_tower, tape.constant(UT), tape).value
+    plain_tower = [ad.Layer(ad.ParamTensor(f"t{i}.W", layer.W.values[1]),
+                            ad.ParamTensor(f"t{i}.b", layer.b.values[1, 0]), act)
+                   for i, (layer, act) in enumerate(zip(hte.towers, ("relu", "sigmoid")))]
+    plain = ad.mlp_forward(plain_tower, tape.constant(UT), tape).value
     np.testing.assert_array_equal(tower_value(hte, UT, DOSES), plain)
 
 
 def test_ta_gate_saturates_to_two():
     hte = one_gate_tower(np.zeros((2, 3)), np.full(3, 20.0))
-    hidden, out = hte.treat_tower
-    h = 2.0 * np.maximum(UT @ hidden.W.values + hidden.b.values, 0.0)
-    np.testing.assert_allclose(tower_value(hte, UT, DOSES),
-                               expit(h @ out.W.values + out.b.values), rtol=0, atol=1e-8)
+    (w0, b0), (w1, b1) = map(treat_slice, hte.towers)
+    h = 2.0 * np.maximum(UT @ w0 + b0, 0.0)
+    np.testing.assert_allclose(tower_value(hte, UT, DOSES), expit(h @ w1 + b1), rtol=0, atol=1e-8)
 
 
 def test_ta_gate_matches_direct_scalar_evaluation():
     rng = np.random.default_rng(4)
     hte = one_gate_tower(rng.standard_normal((2, 3)), rng.standard_normal(3))
-    hidden, out = hte.treat_tower
+    (w0, b0), (w1, b1) = map(treat_slice, hte.towers)
     gate = hte.ta_gates
     tn = (DOSES - 1.0) / 2.0
     a = 2.0 * expit(np.hstack([tn, tn**2]) @ gate.W.values + gate.b.values)
-    h = a * np.maximum(UT @ hidden.W.values + hidden.b.values, 0.0)
-    np.testing.assert_allclose(tower_value(hte, UT, DOSES),
-                               expit(h @ out.W.values + out.b.values), rtol=0, atol=1e-14)
+    h = a * np.maximum(UT @ w0 + b0, 0.0)
+    np.testing.assert_allclose(tower_value(hte, UT, DOSES), expit(h @ w1 + b1), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("live_dose", [True, False], ids=["live dose", "dead dose"])
-def test_treat_tower_gradients_against_finite_differences(live_dose):
-    # the TA gate bank's W and b, each gate's columns with a bias of its own
-    model = tiny_model(seed=14)
+def test_the_gates_multiply_the_treatment_tower_alone():
+    # the base tower's column does not move with the dose; the treatment
+    # tower's does, and under ablate.dcr both read the one representation
+    rng = np.random.default_rng(5)
+    hte = one_gate_tower(rng.standard_normal((2, 3)), rng.standard_normal(3))
+    for reps in (np.stack([rng.standard_normal((5, 4)), UT]), UT):
+        lo, hi = node_value(hte, reps, 0.0, np.full((5, 1), 1.2)), node_value(hte, reps, 0.0, 2.8)
+        np.testing.assert_array_equal(lo[:, :ht.PT], hi[:, :ht.PT])
+        assert np.any(lo[:, ht.PT] != hi[:, ht.PT])
+
+
+# the treatment tower's gating, (imputed, dose): as training passes it,
+# (1 - w, t), rows 1 and 4 treated; as scoring passes it, (1, 0) at t_hat
+# and (0, q) at q
+GATINGS = ["training", "scoring at t_hat", "scoring at q"]
+
+
+def gating(name, rng, n):
+    treated = np.isin(np.arange(n), [1, 4]).reshape(-1, 1).astype(float)
+    return {"training": (1.0 - treated, treated * rng.uniform(0.8, 3.2, size=(n, 1))),
+            "scoring at t_hat": (1.0, 0.0),
+            "scoring at q": (0.0, rng.uniform(0.8, 3.2, size=(n, 1)))}[name]
+
+
+def hte_node_case(ablate_dcr, seed=14, n=6):
+    """A tiny model whose HTE biases, TA gate biases and uplift output weights
+    are off their starts, and a representation parameter for it: (2, n, d)
+    [u0, ut], or (n, d) under ablate.dcr."""
+    model = tiny_model(seed=seed, ablate=AblationConfig(dcr=ablate_dcr))
     hte = model.hte
-    rng = np.random.default_rng(14)
-    hte.ta_gates.b.values[:] = rng.normal(0.0, 0.5, size=hte.ta_gates.b.shape)
-    ut = ad.ParamTensor("ut", rng.standard_normal((6, model.dcr.output_dim)))
-    dose = ad.ParamTensor("dose", rng.uniform(0.8, 3.2, size=(6, 1)))
-    weights = rng.uniform(0.5, 1.5, size=(6, 1))
-    # as in training: rows 1 and 4 are treated and gate at their observed
-    # dose, the others at the imputed one
-    imputed = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
-    observed = (1.0 - imputed) * rng.uniform(0.8, 3.2, size=(6, 1))
-    nodes = []
+    rng = np.random.default_rng(seed)
+    for layer in (*hte.towers, *hte.heads, hte.ta_gates):
+        layer.b.values[:] = rng.normal(0.0, 0.3, size=layer.b.shape)
+    hte.heads[-1].W.values[1] = rng.normal(0.0, 0.5, size=hte.heads[-1].W.shape[1:])
+    rep = model.dcr.output_dim
+    reps = ad.ParamTensor("reps", rng.standard_normal((n, rep) if ablate_dcr else (2, n, rep)))
+    return hte, reps, rng
+
+
+@pytest.mark.parametrize("gating_name", GATINGS)
+@pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
+def test_hte_node_against_finite_differences(ablate_dcr, gating_name):
+    # every column weighted; the checker replays the intensity head's
+    # detached ut, so a gradient leaking into ut from that head fails it
+    hte, reps, rng = hte_node_case(ablate_dcr)
+    imputed, dose = gating(gating_name, rng, 6)
+    weights = rng.uniform(0.5, 1.5, size=(6, 5))
 
     def loss_fn(tape):
-        d = mul(tape, dose, 1.0) if live_dose else tape.constant(dose.values)
-        nodes.append(ht.treat_tower_forward(hte, mul(tape, ut, 1.0), d, imputed, observed, tape))
-        return total(tape, mul(tape, nodes[-1], weights))
+        node = ht.hte_forward(hte, mul(tape, reps, 1.0), imputed, dose, tape)
+        return total(tape, mul(tape, node, weights))
 
-    assert hte.ta_gates.W.shape == (2, 16) and hte.ta_gates.b.shape == (16,)
-    params = [ut, *ad.mlp_params(hte.treat_tower), hte.ta_gates.W, hte.ta_gates.b]
-    if live_dose:
-        params.append(dose)
-    assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
-    assert (nodes[0].vjp(np.ones((6, 1)))[1] is None) == (not live_dose)
+    assert finite_diff_check(loss_fn, [reps, *hte.parameters()], eps=1e-6) < 1e-6
+
+
+@pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
+def test_no_gradient_reaches_the_representation_from_the_intensity_head(ablate_dcr):
+    # t_hat alone, with the tower gated at q: only the intensity head trains
+    hte, reps, rng = hte_node_case(ablate_dcr)
+    dose = rng.uniform(0.8, 3.2, size=(6, 1))
+    weights = np.zeros((6, 5))
+    weights[:, ht.T_HAT] = rng.uniform(0.5, 1.5, size=6)
+
+    def loss_fn(tape):
+        node = ht.hte_forward(hte, mul(tape, reps, 1.0), 0.0, dose, tape)
+        return total(tape, mul(tape, node, weights))
+
+    assert finite_diff_check(loss_fn, [reps, *ad.mlp_params(hte.heads)], eps=1e-6) < 1e-6
+    tape = ad.Tape()
+    loss_fn(tape)
+    ad.backward(tape)
+    assert np.all(reps.grad == 0.0)
+    for p in ad.mlp_params(hte.heads):
+        assert np.any(p.grad[0] != 0.0) and np.all(p.grad[1] == 0.0)
+    assert all(np.all(p.grad == 0.0) for p in (*ad.mlp_params(hte.towers), hte.ta_gates.W))
+
+
+@pytest.mark.parametrize("gating_name", GATINGS)
+@pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
+def test_hte_node_equals_the_per_layer_reference_on_every_column(ablate_dcr, gating_name):
+    # the reference runs each tower and head on its own unstacked slice, so a
+    # base tower reading ut, or a gate on the base tower, shows here
+    hte, reps, rng = hte_node_case(ablate_dcr, seed=21, n=64)
+    imputed, dose = gating(gating_name, rng, 64)
+    got = node_value(hte, reps.values, imputed, dose)
+    want = hte_reference(hte, reps.values, imputed, dose)
+    assert got.shape == want.shape == (64, 5)
+    for col in range(5):
+        np.testing.assert_allclose(got[:, col], want[:, col], rtol=0, atol=1e-15, err_msg=str(col))
 
 
 # ---------------------------------------------------------------------------
@@ -186,65 +292,41 @@ def test_treat_tower_gradients_against_finite_differences(live_dose):
 
 def zeroed_head_model(**kw):
     model = tiny_model(**kw)
-    for head in (model.hte.intensity_head, model.hte.uplift_head):
-        head[-1].W.values[:] = 0.0
-        head[-1].b.values[:] = 0.0
+    model.hte.heads[-1].W.values[:] = 0.0  # both heads' output layers
+    model.hte.heads[-1].b.values[:] = 0.0
     return model
+
+
+def head_value(model, column, rows=3, seed=0):
+    """One column of the HTE node on a random (2, rows, d) representation."""
+    reps = np.random.default_rng(seed).standard_normal((2, rows, model.dcr.output_dim))
+    return node_value(model.hte, reps, 1.0, 0.0)[:, column]
 
 
 def test_intensity_head_midpoint_at_zero_logit():
     model = zeroed_head_model()
-    tape = ad.Tape()
-    ut = tape.constant(np.random.default_rng(0).standard_normal((3, model.dcr.output_dim)))
-    t_hat = ht.intensity_head_forward(model.hte, ut, tape)
-    np.testing.assert_allclose(t_hat.value, 2.0, atol=1e-12)  # midpoint of [1, 3]
+    np.testing.assert_allclose(head_value(model, ht.T_HAT), 2.0, atol=1e-12)  # midpoint of [1, 3]
 
 
 def test_intensity_head_saturation():
     model = zeroed_head_model()
-    model.hte.intensity_head[-1].b.values[:] = 30.0
-    tape = ad.Tape()
-    ut = tape.constant(np.zeros((1, model.dcr.output_dim)))
-    t_hat = ht.intensity_head_forward(model.hte, ut, tape)
-    assert abs(t_hat.value[0, 0] - 3.0) < 1e-8
-    assert t_hat.value[0, 0] < 3.0  # strictly inside
+    model.hte.heads[-1].b.values[0] = 30.0
+    t_hat = head_value(model, ht.T_HAT, rows=1)
+    assert abs(t_hat[0] - 3.0) < 1e-8
+    assert t_hat[0] < 3.0  # strictly inside
 
 
 def test_intensity_head_blocks_gradients_to_dcr():
     model = tiny_model(seed=3)
     X, w, t, y = tiny_batch(3)
     tape = ad.Tape()
-    rep_in = tape.constant(X)
-    from unimvt.dcr import dcr_forward
-
-    rep = dcr_forward(model.dcr, rep_in, tape)
-    t_hat = ht.intensity_head_forward(model.hte, rep.ut, tape)
-    total(tape, t_hat)
+    rep = dcr.dcr_forward(model.dcr, tape.constant(X), tape)
+    t_hat_only = np.arange(5) == ht.T_HAT
+    total(tape, mul(tape, t_hat_only, ht.hte_forward(model.hte, rep, 1.0, 0.0, tape)))
     ad.backward(tape)
     for p in model.dcr.parameters():
         assert np.all(p.grad == 0.0)
-    assert any(np.any(p.grad != 0.0) for p in ad.mlp_params(model.hte.intensity_head))
-
-
-def test_intensity_head_against_finite_differences():
-    # the rescale into [t_min, t_max] is one node; ut is live, but the head
-    # reads its value as a constant, which passes it exactly nothing
-    model = tiny_model(seed=6)
-    rng = np.random.default_rng(6)
-    ut = ad.ParamTensor("ut", rng.standard_normal((6, model.dcr.output_dim)))
-    weights = rng.uniform(0.5, 1.5, size=(6, 1))
-
-    def loss_fn(tape):
-        t_hat = ht.intensity_head_forward(model.hte, mul(tape, ut, 1.0), tape)
-        return total(tape, mul(tape, t_hat, weights))
-
-    head = ad.mlp_params(model.hte.intensity_head)
-    assert finite_diff_check(loss_fn, [ut, *head], eps=1e-6) < 1e-6
-    tape = ad.Tape()
-    loss_fn(tape)
-    ad.backward(tape)
-    assert np.all(ut.grad == 0.0)
-    assert all(np.any(p.grad != 0.0) for p in head)
+    assert all(np.any(p.grad[0] != 0.0) for p in ad.mlp_params(model.hte.heads))
 
 
 def test_bad_t_bounds_rejected():
@@ -261,17 +343,10 @@ def test_build_model_names_a_seed_that_is_not_an_integer_of_at_least_0(seed):
 
 def test_uplift_head_clamps_negative_output():
     model = zeroed_head_model()
-    model.hte.uplift_head[-1].b.values[:] = -0.7
-    tape = ad.Tape()
-    ut = tape.constant(np.zeros((2, model.dcr.output_dim)))
-    eta = ad.mlp_forward(model.hte.uplift_head, ut, tape)
-    np.testing.assert_array_equal(eta.value, 0.0)
-
-    model.hte.uplift_head[-1].b.values[:] = 0.03
-    tape = ad.Tape()
-    eta = ad.mlp_forward(model.hte.uplift_head, tape.constant(np.zeros((2, model.dcr.output_dim))),
-                         tape)
-    np.testing.assert_allclose(eta.value, 0.03, atol=1e-15)
+    model.hte.heads[-1].b.values[1] = -0.7
+    np.testing.assert_array_equal(head_value(model, ht.ETA, rows=2), 0.0)
+    model.hte.heads[-1].b.values[1] = 0.03
+    np.testing.assert_allclose(head_value(model, ht.ETA, rows=2), 0.03, atol=1e-15)
 
 
 def test_tau_is_product_of_intensity_and_unit_uplift():
@@ -297,8 +372,8 @@ def test_joint_loss_all_zero_weights():
 
 def test_joint_loss_single_control_row_is_ln2():
     model = tiny_model()
-    model.hte.base_tower[-1].W.values[:] = 0.0
-    model.hte.base_tower[-1].b.values[:] = 0.0  # p0 = sigmoid(0) = 0.5
+    model.hte.towers[-1].W.values[0] = 0.0  # the base tower's output layer
+    model.hte.towers[-1].b.values[0] = 0.0  # p0 = sigmoid(0) = 0.5
     weights = LossWeights(1.0, 0, 0, 0, 0)
     tape = ad.Tape()
     total, comps = ht.joint_loss_arrays(np.zeros((1, 5)), np.array([0]), np.array([0.0]),
@@ -316,20 +391,21 @@ def test_joint_loss_empty_batch_is_usage_error():
 
 def scalar_oracle_loss(model, X, w, t, y, weights):
     """Independent recomputation of every loss term with plain numpy forward math."""
-    def mlp_np(layers, h):
-        for layer in layers:
-            h = h @ layer.W.values + layer.b.values
-            if layer.activation == "relu":
-                h = np.maximum(h, 0.0)
-            elif layer.activation == "sigmoid":
-                h = expit(h)
+    def mlp_np(layers, h, k=None, out=lambda h: h):
+        """The stack's slice k (every slice of a DCR layer when k is None);
+        a relu after each hidden layer, ``out`` after the last."""
+        for i, layer in enumerate(layers):
+            w, b = (layer.W.values, layer.b.values) if k is None else (layer.W.values[k],
+                                                                       layer.b.values[k, 0])
+            h = h @ w + b
+            h = np.maximum(h, 0.0) if i < len(layers) - 1 else out(h)
         return h
 
     hte, dcrp = model.hte, model.dcr
     n_slots = dcrp.experts[0].W.shape[0]
     # slot k of the stacked DCR layers, read back as one expert's MLP
     experts = [[ad.Layer(ad.ParamTensor("W", layer.W.values[k]),
-                         ad.ParamTensor("b", layer.b.values[k, 0]), layer.activation)
+                         ad.ParamTensor("b", layer.b.values[k, 0]))
                 for layer in dcrp.experts] for k in range(n_slots)]
     outs = [mlp_np(e, X) for e in experts]
     def gated(cols):  # one gate's columns of the DCR gate bank
@@ -342,22 +418,23 @@ def scalar_oracle_loss(model, X, w, t, y, weights):
         return np.concatenate(blocks, axis=1)
 
     u0, ut = gated(slice(0, n_slots)), gated(slice(n_slots, 2 * n_slots))
-    p0 = mlp_np(hte.base_tower, u0).reshape(-1)
-    # the heads end in their sigmoid and ReLU, which mlp_np applies
-    t_hat = mlp_np(hte.intensity_head, ut).reshape(-1) * (hte.t_max - hte.t_min) + hte.t_min
-    eta = mlp_np(hte.uplift_head, ut).reshape(-1)
+    p0 = mlp_np(hte.towers, u0, 0, expit).reshape(-1)  # the base tower
+    # the intensity head ends in a sigmoid, the uplift head in a ReLU
+    t_hat = (mlp_np(hte.heads, ut, 0, expit).reshape(-1) * (hte.t_max - hte.t_min)
+             + hte.t_min)
+    eta = mlp_np(hte.heads, ut, 1, lambda h: np.maximum(h, 0.0)).reshape(-1)
     tau = t_hat * eta
 
     t_mix = np.where(w == 1, t, t_hat)
     tn = (t_mix - hte.t_min) / (hte.t_max - hte.t_min)
     e_t = np.stack([tn, tn**2], axis=1)
     h = ut
-    for i, layer in enumerate(hte.treat_tower[:-1]):
-        h = np.maximum(h @ layer.W.values + layer.b.values, 0.0)
+    for i, layer in enumerate(hte.towers[:-1]):  # the treatment tower
+        h = np.maximum(h @ layer.W.values[1] + layer.b.values[1, 0], 0.0)
         col = hte.ta_cols[i]
         a = 2.0 * expit(e_t @ hte.ta_gates.W.values[:, col] + hte.ta_gates.b.values[col])
         h = a * h
-    pt = expit(h @ hte.treat_tower[-1].W.values + hte.treat_tower[-1].b.values).reshape(-1)
+    pt = expit(h @ hte.towers[-1].W.values[1] + hte.towers[-1].b.values[1, 0]).reshape(-1)
 
     def bce(yv, pv):
         pv = np.clip(pv, 1e-7, 1 - 1e-7)
@@ -421,33 +498,41 @@ LOSS_TERM_WEIGHTS = {"l_base": LossWeights(1.3, 0, 0, 0, 0),
                      "all": LossWeights(1.3, 0.7, 0.4, 0.9, 0.6)}
 
 
+# the columns of the HTE node that each term's gradient reaches
+TERM_COLUMNS = {"l_base": [ht.P0], "l_treat": [ht.PT], "l_t": [ht.T_HAT],
+                "l_x": [ht.P_CF, ht.PT, ht.T_HAT, ht.ETA], "r_orth": []}
+
+
 @pytest.mark.parametrize("terms", LOSS_TERM_WEIGHTS)
 def test_loss_terms_node_against_finite_differences(terms):
+    # the HTE node's columns p0, t_hat, eta, p_cf and pt as one parameter;
+    # l_x reaches pt, t_hat and eta through the bridge to p_base_cf
     rng = np.random.default_rng(16)
     n = 10
     w_col = (np.arange(n) % 2).reshape(-1, 1).astype(float)
     y_col = rng.integers(0, 2, size=(n, 1)).astype(float)
     t_col = np.where(w_col == 1, rng.uniform(1.0, 3.0, size=(n, 1)), 0.0)
-    p0, pt, p_cf, p_base_cf = (ad.ParamTensor(name, rng.uniform(0.05, 0.95, size=(n, 1)))
-                               for name in ("p0", "pt", "p_cf", "p_base_cf"))
-    t_hat = ad.ParamTensor("t_hat", rng.uniform(1.0, 3.0, size=(n, 1)))
+    columns = rng.uniform(0.05, 0.95, size=(n, 5))
+    columns[:, ht.T_HAT] = rng.uniform(1.0, 3.0, size=n)
+    columns[:, ht.ETA] = rng.uniform(0.0, 0.5, size=n)
+    hte = ad.ParamTensor("hte", columns)
     r_orth = ad.ParamTensor("r_orth", rng.uniform(0.5, 2.0))  # the penalty, a scalar
     weights = LOSS_TERM_WEIGHTS[terms]
     tapes = []
 
     def loss_fn(tape):
         tapes.append(tape)
-        node, _ = ht.loss_terms(weights, y_col, w_col, t_col, p0, pt, t_hat, p_cf, p_base_cf,
-                                r_orth, tape)
+        node, _ = ht.loss_terms(weights, y_col, w_col, t_col, hte, r_orth, tape)
         return node
 
-    params = [p0, pt, t_hat, p_cf, p_base_cf, r_orth]
-    assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
-    # one node, whose parents are the operands of the terms its weights keep
-    kept = {"l_base": [p0], "l_treat": [pt], "l_t": [t_hat], "l_x": [p_cf, p_base_cf],
-            "r_orth": [r_orth], "all": params}[terms]
+    assert finite_diff_check(loss_fn, [hte, r_orth], eps=1e-6) < 1e-6
+    # one node, whose parents are the HTE node, unless only r_orth is kept, and r_orth if it is
+    kept = {"r_orth": [r_orth], "all": [hte, r_orth]}.get(terms, [hte])
     assert len(tapes[0].nodes) == 1
     assert list(tapes[0].nodes[0].parents) == kept
+    ad.backward(tapes[0])
+    reached = set().union(*TERM_COLUMNS.values()) if terms == "all" else set(TERM_COLUMNS[terms])
+    assert {col for col in range(5) if np.any(hte.grad[:, col])} == reached
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +582,20 @@ def test_intensity_loss_never_trains_dcr_or_uplift_head(seed):
     ad.backward(tape)
     for p in model.dcr.parameters():
         assert np.all(p.grad == 0.0)
-    for p in ad.mlp_params(model.hte.uplift_head):
-        assert np.all(p.grad == 0.0)
-    assert any(np.any(p.grad != 0.0) for p in ad.mlp_params(model.hte.intensity_head))
+    for p in ad.mlp_params(model.hte.heads):  # the intensity head, then the uplift head
+        assert np.any(p.grad[0] != 0.0) and np.all(p.grad[1] == 0.0)
 
 
-def test_full_joint_loss_passes_gradient_check():
+FULL_LOSS_WEIGHTS = LossWeights(1.0, 1.0, 0.1, 0.5, 1e-2)
+
+
+@pytest.mark.parametrize("dropped", [None, *ht.LOSS_COMPONENTS.values()],
+                         ids=["every weight", *ht.LOSS_COMPONENTS.values()])
+def test_full_joint_loss_passes_gradient_check(dropped):
+    # every weight on, then each set to 0 in turn: the term-drop path
     model = tiny_model(seed=13)
     X, w, t, y = tiny_batch(seed=13, n=12)
-    weights = LossWeights(1.0, 1.0, 0.1, 0.5, 1e-2)
+    weights = replace(FULL_LOSS_WEIGHTS, **({dropped: 0.0} if dropped else {}))
     params = model.parameters()
 
     def loss_fn(tape):
@@ -649,10 +739,10 @@ def test_training_names_the_one_dose_of_its_treated_rows(syn600):
 
 def test_predict_untrained_zeroed_final_layers():
     model = tiny_model(seed=1)
-    model.hte.base_tower[-1].W.values[:] = 0.0
-    model.hte.base_tower[-1].b.values[:] = 0.0
-    model.hte.uplift_head[-1].W.values[:] = 0.0
-    model.hte.uplift_head[-1].b.values[:] = 0.0
+    model.hte.towers[-1].W.values[0] = 0.0  # the base tower's output layer
+    model.hte.towers[-1].b.values[0] = 0.0
+    model.hte.heads[-1].W.values[1] = 0.0  # the uplift head's
+    model.hte.heads[-1].b.values[1] = 0.0
     pred = ht.predict(model, np.ones(5))
     assert pred.p0_hat == 0.5
     assert pred.eta_hat == 0.0
@@ -672,11 +762,9 @@ def test_uplifted_probability_monotone_in_q():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((40, 5))
     out = ht.predict_batch(model, X)
-    tape = ad.Tape()
-    p0 = tape.constant(out["p0_hat"])
-    eta = tape.constant(out["eta_hat"])
-    lo = tape.bridge(p0, tape.constant(1.2), eta).value
-    hi = tape.bridge(p0, tape.constant(2.8), eta).value
+    p0, eta = out["p0_hat"], out["eta_hat"]
+    lo, _ = ad.bridge(p0, 1.2, eta)
+    hi, _ = ad.bridge(p0, 2.8, eta)
     assert np.all(lo <= hi)
     positive = out["eta_hat"] > 0
     assert np.all(lo[positive] < hi[positive])
@@ -928,15 +1016,23 @@ def test_every_scoring_entry_checks_its_features_once_and_its_dose_at_most_once(
 def test_predict_names_the_layer_of_a_nan_weight():
     # relu maps NaN to 0, so only a check before the activation sees this weight
     model = tiny_model()
-    model.hte.base_tower[0].W.values[0, 0] = np.nan
-    with pytest.raises(NumericError, match="layer 0"):
+    model.hte.towers[0].W.values[0, 0, 0] = np.nan
+    with pytest.raises(NumericError, match=re.escape("layer 0 (towers.l0.W, base tower)")):
         ht.predict(model, np.ones(5))
 
 
-def test_predict_names_a_nan_weight_of_the_treatment_tower():
+@pytest.mark.parametrize("stack, layer, part", [
+    ("towers", 0, "treatment tower"), ("towers", 1, "base tower"), ("towers", 2, "treatment tower"),
+    ("heads", 0, "intensity head"), ("heads", 0, "uplift head"), ("heads", 1, "intensity head"),
+    ("heads", 1, "uplift head")])
+@pytest.mark.parametrize("tensor", ["W", "b"])
+def test_predict_names_the_layer_and_the_slice_of_a_nan_tower_or_head_parameter(stack, layer,
+                                                                                 part, tensor):
     model = tiny_model()
-    model.hte.treat_tower[0].W.values[0, 0] = np.nan
-    with pytest.raises(NumericError, match=re.escape("layer 0 (treat_tower.l0.W)")):
+    slices = ht.TOWER_SLICES if stack == "towers" else ht.HEAD_SLICES
+    getattr(getattr(model.hte, stack)[layer], tensor).values[slices.index(part)].flat[0] = np.nan
+    # a NaN bias reaches the check as the NaN weight does; the error names the weight
+    with pytest.raises(NumericError, match=re.escape(f"layer {layer} ({stack}.l{layer}.W, {part})")):
         ht.predict(model, np.ones(5))
 
 
@@ -968,8 +1064,8 @@ def test_eta_hat_is_the_counterfactual_gain_per_unit_of_imputed_dose():
     # the bridge's log difference differ in the last bits
     model = tiny_model(seed=5)
     rng = np.random.default_rng(5)
-    head = model.hte.uplift_head[-1]
-    head.W.values[:] = rng.normal(0.0, 0.5, size=head.W.shape)  # ReLU zeros some rows
+    head = model.hte.heads[-1]  # the uplift head is slice 1
+    head.W.values[1] = rng.normal(0.0, 0.5, size=head.W.shape[1:])  # ReLU zeros some rows
     out = ht.predict_batch(model, rng.standard_normal((200, 5)))
     p0, t_hat = out["p0_hat"], out["t_hat"]
     want = (expit(logit(p0) + t_hat * out["eta_head"]) - p0) / t_hat
@@ -1004,12 +1100,18 @@ def training_batch_nodes(ablate):
     return len(tape.nodes)
 
 
-def test_default_training_batch_records_at_most_15_nodes():
-    assert training_batch_nodes(AblationConfig()) <= 15
+def test_default_training_batch_records_at_most_7_nodes():
+    # the features, the experts, the gates, the merge, the HTE node, r_orth and the loss
+    assert training_batch_nodes(AblationConfig()) <= 7
 
 
-def test_ablate_dcr_training_batch_records_at_most_12_nodes():
-    assert training_batch_nodes(AblationConfig(dcr=True)) <= 12
+def test_ablate_dcr_training_batch_records_at_most_5_nodes():
+    assert training_batch_nodes(AblationConfig(dcr=True)) <= 5
+
+
+def test_a_default_model_has_18_parameter_tensors():
+    model = ht.build_model(ExperimentConfig(), input_dim=8, t_min=1.0, t_max=3.0)
+    assert len(model.parameters()) == 18
 
 
 def predict_nodes(monkeypatch, ablate, q=None):
@@ -1028,11 +1130,16 @@ def predict_nodes(monkeypatch, ablate, q=None):
     return len(tapes[0].nodes)
 
 
-def test_predict_records_at_most_12_nodes(monkeypatch):
-    assert predict_nodes(monkeypatch, AblationConfig()) <= 12
+def test_predict_records_at_most_5_nodes(monkeypatch):
+    assert predict_nodes(monkeypatch, AblationConfig()) <= 5
 
 
-@pytest.mark.parametrize("ablate, budget", [(AblationConfig(), 12), (AblationConfig(dcr=True), 9)],
+def test_ablate_dcr_predict_records_at_most_3_nodes(monkeypatch):
+    # the features, the shared MLP and the HTE node
+    assert predict_nodes(monkeypatch, AblationConfig(dcr=True)) <= 3
+
+
+@pytest.mark.parametrize("ablate, budget", [(AblationConfig(), 5), (AblationConfig(dcr=True), 3)],
                          ids=["default", "ablate.dcr"])
 def test_predict_at_a_dose_records_no_more_nodes_than_without(monkeypatch, ablate, budget):
     # the dose is data: gating at q adds no node to the tape
@@ -1240,10 +1347,10 @@ def test_save_model_refuses_a_nonfinite_parameter_and_writes_no_file(tmp_path, b
     kept = tmp_path / "kept.txt"
     ht.save_model(model, kept)
     before = kept.read_bytes()
-    model.hte.base_tower[0].W.values[1, 2] = bad
+    model.hte.towers[0].W.values[0, 1, 2] = bad
     path = tmp_path / "model.txt"
     for target in (path, kept):
-        with pytest.raises(NumericError, match=re.escape("param.base_tower.l0.W")):
+        with pytest.raises(NumericError, match=re.escape("param.towers.l0.W")):
             ht.save_model(model, target)
     assert not path.exists()
     assert kept.read_bytes() == before

@@ -43,14 +43,14 @@ def test_missing_or_corrupt_header_key_is_named(tmp_path, kind, key):
 def test_corrupt_parameter_is_named(tmp_path):
     path = tmp_path / "model.txt"
     lines = save(path)
-    name = "param.intensity_head.l1.W"  # a 16 x 1 matrix
+    name = "param.heads.l1.W"  # the two heads' 16 x 1 output weights, stacked
     others = [line for line in lines if not line.startswith(f"{name}=")]
     assert len(others) == len(lines) - 1
-    values = ["0.5"] * 15
-    for replacement in ([], [f"{name}="], [f"{name}=2 16 1 0.5"], [f"{name}=2 16 abc"],
-                        [f"{name}=2 1 16 " + " ".join(["0.5"] * 16)],
-                        [f"{name}=2 16 1 " + " ".join(values + ["nan"])],
-                        [f"{name}=2 16 1 " + " ".join(["inf"] + values)]):
+    values = ["0.5"] * 31
+    for replacement in ([], [f"{name}="], [f"{name}=3 2 16 1 0.5"], [f"{name}=3 2 16 abc"],
+                        [f"{name}=3 2 1 16 " + " ".join(["0.5"] * 32)],
+                        [f"{name}=3 2 16 1 " + " ".join(values + ["nan"])],
+                        [f"{name}=3 2 16 1 " + " ".join(["inf"] + values)]):
         edited = others + replacement
         path.write_text("\n".join(edited) + "\n")
         with pytest.raises(ConfigError, match=re.escape(name)):
@@ -88,7 +88,7 @@ def test_stray_parameter_line_is_named(tmp_path):
         ht.load_model(path)
 
 
-@pytest.mark.parametrize("line", ["t_max=9.5", "param.intensity_head.l1.W=2 16 1 " + "0.5 " * 16],
+@pytest.mark.parametrize("line", ["t_max=9.5", "param.heads.l1.W=3 2 16 1 " + "0.5 " * 32],
                          ids=["header", "param"])
 def test_repeated_key_is_named(tmp_path, line):
     path = tmp_path / "model.txt"
@@ -106,6 +106,65 @@ def test_per_expert_model_file_names_the_missing_stacked_tensor(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=re.escape("param.dcr.l0.W")):
         ht.load_model(path)
+
+
+# each stacked tensor of the HTE net -> the per-tower or per-head tensors its slices were
+PER_SLICE_NAMES = {"towers": ("base_tower", "treat_tower"), "heads": ("intensity_head", "uplift_head")}
+
+
+def per_slice_lines(lines):
+    """lines as a file saved when every tower and head was a tensor of its
+    own holds them: each stacked group's lines give way, where its first one
+    stood, to every layer of its slice 0 under that slice's name, then every
+    layer of slice 1, each bias a vector."""
+    out, groups = [], {}  # a group -> the lines of each of its slices
+    for line in lines:
+        key, _, raw = line.partition("=")
+        group, _, rest = key.removeprefix("param.").partition(".")
+        if not key.startswith("param.") or group not in PER_SLICE_NAMES:
+            out.append(line)
+            continue
+        if group not in groups:
+            groups[group] = ([], [])
+            out.append(groups[group])
+        fields = raw.split()
+        ndim = int(fields[0])
+        values = np.array(fields[1 + ndim:]).reshape([int(d) for d in fields[1:1 + ndim]])
+        for name, part, slice_lines in zip(PER_SLICE_NAMES[group], values, groups[group]):
+            part = part.reshape(-1) if rest.endswith(".b") else part
+            dims = " ".join(str(d) for d in part.shape)
+            slice_lines.append(f"param.{name}.{rest}={part.ndim} {dims} {' '.join(part.reshape(-1))}")
+    return [line for entry in out for line in ([entry] if isinstance(entry, str) else
+                                               entry[0] + entry[1])]
+
+
+@pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
+def test_per_tower_model_file_names_the_missing_stacked_tensor(tmp_path, ablate_dcr):
+    # files saved before the towers and heads were stacked hold one tensor
+    # per tower and head; the first stacked tensor they lack is named, and
+    # so is the first per-tower line, which the network has no slot for
+    path = tmp_path / "model.txt"
+    cfg = ExperimentConfig()
+    cfg.ablate.dcr = ablate_dcr
+    ht.save_model(ht.build_model(cfg, input_dim=3, t_min=1.0, t_max=2.0), path)
+    lines = per_slice_lines(path.read_text().splitlines())
+    assert sum(line.startswith("param.") for line in lines) == (26 if ablate_dcr else 28)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            "model file is missing 'param.towers.l0.W'; model file has "
+            "'param.base_tower.l0.W', which the network has no slot for") + "$"):
+        ht.load_model(path)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 10**400], ids=["negative", "beyond the float range"])
+def test_save_model_refuses_a_config_that_load_model_would_and_writes_no_file(tmp_path, bad):
+    # set after build_model, as a caller may; the file would not load back
+    model = ht.build_model(ExperimentConfig(), input_dim=3, t_min=1.0, t_max=2.0)
+    model.cfg.loss.lambda_t = bad
+    path = tmp_path / "model.txt"
+    with pytest.raises(ConfigError, match=re.escape("loss.lambda_t")):
+        ht.save_model(model, path)
+    assert not path.exists()
 
 
 def per_gate_lines(lines, bank, gates):
