@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import PROB_EPS
+from .autodiff import PROB_HI
 from .config import _real
 from .errors import ConfigError, DataFormatError, NumericError
 
@@ -101,7 +101,7 @@ def decide(prediction, grid: AllocationGrid, value_per_click: float,
     eta = _prediction_field(prediction.eta_hat, "eta_hat")
     if not (math.isfinite(p0) and math.isfinite(eta)):
         raise NumericError(f"prediction is not finite: p0_hat={p0}, eta_hat={eta}")
-    uplift = np.minimum(p0 + eta * qs, 1.0 - PROB_EPS) - p0
+    uplift = np.minimum(p0 + eta * qs, PROB_HI) - p0
     net_gain = value_per_click * uplift - qs
     best = int(net_gain.argmax())  # the first maximum, so ties go to the cheapest q
     q_star, uplift, net_gain = qs.item(best), uplift.item(best), net_gain.item(best)

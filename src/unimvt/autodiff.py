@@ -54,14 +54,23 @@ keeps no vjp, and a live node's vjp gives None for a dead operand, so
 
 The hot kernels avoid data-dependent selects, which are slow on random
 signs, and per-call dispatch, which dominates one-row prediction: the relu
-is ``np.fmax(a, 0)``; the sigmoid is one ufunc, ``scipy.special.expit``,
+is ``np.fmax(a, ZERO)``; the sigmoid is one ufunc, ``scipy.special.expit``,
 which keeps extended precision and stays silent at any input;
 ``affine_value`` adds the bias in place onto the fresh product unless that
 would downcast it; in ``affine_grads`` the bias gradient is the BLAS product
 ``ones(rows) @ g`` and the x gradient reads a contiguous copy of W^T;
 ``gate_merge`` writes its gate-weighted blocks into its output in one pass
 and builds its experts' gradient factor in its vjp, so prediction never
-pays for it.
+pays for it. Their constant operands are the read-only 0-d float64 arrays
+``ZERO``, ``TWO``, ``PROB_LO`` and ``PROB_HI`` (and a model's own, such as
+``htenet.HteParams.t_bounds``), because a ufunc converts a Python float
+operand on every call; a 0-d float64 array promotes as that float does, so
+float64 stays float64 and a longdouble operand stays longdouble. Each
+layer's finiteness guard, ``nonfinite``, is one ``np.vdot(out, out)``: a
+finite sum of squares means that every entry and their plain sum are
+finite, and only when it is not does the plain sum decide, so a guard
+raises on exactly the outputs whose sum is not finite.
+``datagen.feature_matrix`` runs the same vdot before its entry scan.
 """
 from __future__ import annotations
 
@@ -76,6 +85,27 @@ from .errors import ConfigError, NumericError, UsageError
 
 PROB_EPS = 1e-7  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before logs/logits
 SCORE_ROWS = 256  # rows a scoring call records on one tape: the default train.batch
+
+
+def const(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array, a hot kernel's constant operand."""
+    array = np.array(value, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+ZERO, TWO = const(0.0), const(2.0)
+PROB_LO, PROB_HI = const(PROB_EPS), const(1.0 - PROB_EPS)  # the probability clamp's bounds
+
+
+def nonfinite(out: np.ndarray) -> bool:
+    """Whether the plain sum of out is not finite, the test of every layer's
+    guard: true when an entry is NaN or infinite, or when only the total
+    overflows. One vdot decides when it is finite, since a finite sum of
+    squares means that every entry and their sum are finite; only when it is
+    not does the sum itself decide (np.add.reduce is ndarray.sum without its
+    Python wrapper)."""
+    return not math.isfinite(np.vdot(out, out)) and not math.isfinite(np.add.reduce(out, None))
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -114,8 +144,8 @@ def cross_entropy(y, pv: np.ndarray) -> tuple:
     """-[y log p + (1-y) log(1-p)] per element of pv clamped into [PROB_EPS, 1 - PROB_EPS],
     and its vjp in p: g (p - y) / (p (1 - p)) where the clamp does not bind, 0 where it does."""
     yv = np.asarray(y, dtype=np.float64)
-    pc = np.clip(pv, PROB_EPS, 1.0 - PROB_EPS)
-    inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
+    pc = np.clip(pv, PROB_LO, PROB_HI)
+    inside = (pv > PROB_LO) & (pv < PROB_HI)
     value = -(yv * np.log(pc) + (1.0 - yv) * np.log1p(-pc))
     return value, lambda g: g * inside * (pc - yv) / (pc * (1.0 - pc))
 
@@ -127,12 +157,12 @@ def bridge(pv, tv, ev, sign: float = 1.0) -> tuple:
     gradient reaches p where the clamp binds. The shift is (t_hat * eta) *
     sign and its gradient (gz * sign) * eta, so a bridge at sign -1 negates
     both exactly."""
-    pc = np.minimum(np.maximum(pv, PROB_EPS), 1.0 - PROB_EPS)  # np.clip without its wrapper
+    pc = np.minimum(np.maximum(pv, PROB_LO), PROB_HI)  # np.clip without its wrapper
     s = expit(np.log(pc) - np.log1p(-pc) + tv * ev * sign)
 
     def vjp(g):  # the clamp mask is built here: prediction never needs it
         gz = g * s * (1.0 - s)
-        inside = (pv > PROB_EPS) & (pv < 1.0 - PROB_EPS)
+        inside = (pv > PROB_LO) & (pv < PROB_HI)
         gs = gz * sign
         return gz * inside / (pc * (1.0 - pc)), gs * ev, gs * tv
 
@@ -392,9 +422,7 @@ def checked_affine(layer: Layer, xv: np.ndarray, index: int,
     if xv.shape[-1] != wv.shape[-2]:
         raise ConfigError(f"layer {index} expects input width {wv.shape[-2]}, got {xv.shape[-1]}")
     out = affine_value(xv, wv, layer.b.values)
-    # a non-finite entry poisons the sum, so one reduction guards the layer;
-    # np.add.reduce is ndarray.sum without its Python wrapper
-    if not math.isfinite(np.add.reduce(out, None)):
+    if nonfinite(out):  # a non-finite entry poisons the sum
         where = layer.W.name
         if parts:
             where += ", " + next((part for part, o in zip(parts, out)
@@ -414,7 +442,7 @@ def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
     for i, layer in enumerate(layers):
         h = checked_affine(layer, hs[-1], i)
         if layer.activation == "relu":
-            h = np.fmax(h, 0.0)
+            h = np.fmax(h, ZERO)
         elif layer.activation == "sigmoid":
             h = expit(h)
         hs.append(h)
@@ -426,7 +454,7 @@ def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
         for i in reversed(range(len(layers))):
             layer, out = layers[i], hs[i + 1]
             if layer.activation == "relu":
-                g = g * (out > 0.0)  # out > 0 exactly where the affine output is
+                g = g * (out > ZERO)  # out > 0 exactly where the affine output is
             elif layer.activation == "sigmoid":
                 g = g * out * (1.0 - out)
             g, gw, gb = affine_grads(g, hs[i], layer.W.values, lx=i > 0 or lx)

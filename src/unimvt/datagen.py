@@ -13,6 +13,7 @@ feature width works in memory; the CSV format holds eight feature columns.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -146,7 +147,10 @@ def feature_matrix(X, n_features: int) -> np.ndarray:
         raise DataFormatError(f"features have shape {X.shape}; expected one row or a 2-D matrix")
     if X.shape[1] != n_features:
         raise DataFormatError(f"got {X.shape[1]} features; the model takes {n_features}")
-    if not np.logical_and.reduce(np.isfinite(X), None):  # ndarray.all without its wrapper
+    # a finite sum of squares, as autodiff.nonfinite reads it, means every
+    # feature is finite; only when it is not does the entry scan decide
+    # (np.logical_and.reduce is ndarray.all without its wrapper)
+    if not math.isfinite(np.vdot(X, X)) and not np.logical_and.reduce(np.isfinite(X), None):
         row, feature = np.argwhere(~np.isfinite(X))[0]
         raise DataFormatError(f"row {row}: feature {feature} is {X[row, feature]}, not finite")
     return X

@@ -122,7 +122,7 @@ def gates_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
     k = wt.shape[0] // 2
     z = wt @ xv.T
     z += bank.b.values[:, None]
-    if not math.isfinite(np.add.reduce(z, None)):  # as checked_affine checks a layer
+    if ad.nonfinite(z):  # as checked_affine checks a layer
         gate = "gate0" if not math.isfinite(np.add.reduce(z[:k], None)) else "gate_t"
         raise NumericError(f"non-finite activation after layer 0 ({bank.W.name}, {gate})")
     z = z.reshape(2, k, -1)
@@ -171,10 +171,12 @@ def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:
     for layer in params.experts:
         w = layer.W
         a = w.values.reshape(3, -1, *w.shape[1:])  # (group, expert, fan_in, fan_out)
-        gram = (a @ a.swapaxes(-1, -2)).sum(axis=1)  # G_g: the sum of W W^T over group g
+        # G_g: the sum of W W^T over group g; on a contiguous W^T the stacked
+        # product runs on BLAS, where a transposed view takes numpy's own loop
+        gram = (a @ np.ascontiguousarray(a.swapaxes(-1, -2))).sum(axis=1)
         others = gram.sum(axis=0) - gram
         values.append(sum(np.vdot(gram[i], gram[j])
                           for i, j in ((BASE, SHARED), (BASE, TREATED), (SHARED, TREATED))))
-        grads.append(2.0 * (others[:, None] @ a).reshape(w.shape))
+        grads.append(ad.TWO * (others[:, None] @ a).reshape(w.shape))
     return tape.record(sum(values), [layer.W for layer in params.experts],
                        lambda g: [g * grad for grad in grads])

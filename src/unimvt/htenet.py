@@ -26,7 +26,8 @@ layer reads no dose and runs before any gate.
 One ``forward`` records the representation and that node for training and
 prediction alike, which differ only in two arrays of data, imputed and dose,
 that gate the treatment tower at imputed * t_hat + dose: training passes
-(1 - w, t), scoring (1, 0) to gate at t_hat or (0, q) to gate at q.
+(1 - w, t), scoring (0, q) to gate at q, or no dose to gate at t_hat
+itself.
 Prediction records it in blocks of ``autodiff.SCORE_ROWS`` rows, each on a
 fresh tape, so scoring holds one block's tape whatever the row count.
 The joint loss is one closed-form node (``loss_terms``) over the HTE node
@@ -49,7 +50,6 @@ from scipy.special import expit
 
 from . import autodiff as ad
 from . import kvfile
-from .autodiff import PROB_EPS
 from .config import (ExperimentConfig, LossWeights, _integer, apply_overrides,
                      config_to_flat, default_config, validate)
 from .datagen import Dataset, dataset_arrays, dose_vector, feature_matrix
@@ -93,9 +93,21 @@ class HteParams:
             start = cols[-1].stop
         return tuple(cols)
 
+    @cached_property
+    def params(self) -> tuple[ad.ParamTensor, ...]:
+        """The parameters, built once: every forward lists them as its node's parents."""
+        return (*ad.mlp_params(self.towers), self.ta_gates.W, self.ta_gates.b,
+                *ad.mlp_params(self.heads))
+
+    @cached_property
+    def t_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t_max - t_min, t_min, 1 / (t_max - t_min)) as 0-d float64 arrays, the
+        rescale's and the dose normalization's operands, built once."""
+        span = self.t_max - self.t_min
+        return ad.const(span), ad.const(self.t_min), ad.const(1.0 / span)
+
     def parameters(self) -> list[ad.ParamTensor]:
-        return [*ad.mlp_params(self.towers), self.ta_gates.W, self.ta_gates.b,
-                *ad.mlp_params(self.heads)]
+        return list(self.params)
 
 
 @dataclass
@@ -158,7 +170,8 @@ def hte_forward(hte: HteParams, reps: ad.Node, imputed, dose, tape: ad.Tape) -> 
       run as one stack; every hidden layer of the treatment tower is gated,
       h = a_i * relu(h W_i + b_i), by the TA gate a_i = 2*sigmoid(e_t G_i +
       g_i), elementwise in (0, 2), at the dose imputed * t_hat + dose
-      (imputed and dose are arrays), min-max normalized by the t bounds to
+      (imputed and dose are arrays), or at t_hat itself when dose is None
+      (imputed is then not read), min-max normalized by the t bounds to
       tn and encoded as e_t = [tn, tn^2];
     - t_hat, the intensity head's sigmoid rescaled into (t_min, t_max), and
       eta, the uplift head's ReLU output, run as one stack on ut; the
@@ -181,36 +194,34 @@ def hte_forward(hte: HteParams, reps: ad.Node, imputed, dose, tape: ad.Tape) -> 
     rv = reps.value
     ut = rv[1] if rv.ndim == 3 else rv
     towers, heads, bank, cols = hte.towers, hte.heads, hte.ta_gates, hte.ta_cols
+    span, t_min, c = hte.t_bounds
     out = ad.checked_affine(towers[0], rv, 0, TOWER_SLICES)  # reads no dose
     ux = tape.detach(ut)  # the intensity head's input, ut read as a constant
     # the heads' input: ut for both, unless a gradient checker replays the detached one
     hx = ut if ux is ut else np.stack([ux, ut])
-    hh = np.fmax(ad.checked_affine(heads[0], hx, 0, HEAD_SLICES), 0.0)
+    hh = np.fmax(ad.checked_affine(heads[0], hx, 0, HEAD_SLICES), ad.ZERO)
     ho = ad.checked_affine(heads[1], hh, 1, HEAD_SLICES)
     si = expit(ho[0])
-    eta = np.fmax(ho[1], 0.0)
-    span = hte.t_max - hte.t_min
-    t_hat = si * span + hte.t_min
-    c = 1.0 / span
-    tn = (imputed * t_hat + dose + -hte.t_min) * c
+    eta = np.fmax(ho[1], ad.ZERO)
+    t_hat = si * span + t_min
+    tn = ((t_hat if dose is None else imputed * t_hat + dose) - t_min) * c
     e_t = np.concatenate([tn, tn * tn], axis=1)
     z = ad.affine_value(e_t, bank.W.values, bank.b.values)
-    if not math.isfinite(np.add.reduce(z, None)):  # as checked_affine checks a layer
+    if ad.nonfinite(z):  # as checked_affine checks a layer
         bad = next((i for i, col in enumerate(cols)  # the last if only the total overflowed
                     if not math.isfinite(np.add.reduce(z[:, col], None))), len(cols) - 1)
         raise NumericError(f"non-finite activation after layer {bad} ({bank.W.name}, gate {bad})")
     s = expit(z)
-    a = s * 2.0  # every gate a_i, in its columns
+    a = s * ad.TWO  # every gate a_i, in its columns
     hs, relus = [rv], []  # each tower layer's input; each hidden layer's relu output
     for i, col in enumerate(cols):
-        relus.append(np.fmax(out, 0.0))
+        relus.append(np.fmax(out, ad.ZERO))
         h = relus[i].copy()
         h[1] *= a[:, col]  # the gates multiply the treatment tower alone
         hs.append(h)
         out = ad.checked_affine(towers[i + 1], h, i + 1, TOWER_SLICES)
     p = expit(out)  # p0 and pt
     p_cf, bridge_vjp = ad.bridge(p[0], t_hat, eta)
-    parents = [reps, *hte.parameters()]
     live = reps.live
 
     def vjp(g):
@@ -228,21 +239,23 @@ def hte_forward(hte: HteParams, reps: ad.Node, imputed, dose, tape: ad.Tape) -> 
             r = relus[i]
             gz[:, cols[i]] = gy[1] * r[1]
             gy[1] *= a[:, cols[i]]
-            gy *= r > 0.0  # r > 0 exactly where the affine output is
+            gy *= r > ad.ZERO  # r > 0 exactly where the affine output is
         _, grads[0], grads[1] = ad.affine_grads(gy, rv, towers[0].W.values, lx=False)
-        gz *= 2.0
+        gz *= ad.TWO
         gz *= s
         gz *= 1.0 - s
         ge_t, gg, ggb = ad.affine_grads(gz, e_t, bank.W.values)
-        gd = (ge_t[:, 0:1] + 2.0 * ge_t[:, 1:2] * tn) * c * imputed
+        gd = (ge_t[:, 0:1] + ad.TWO * ge_t[:, 1:2] * tn) * c
+        if dose is not None:  # at t_hat itself, imputed is 1
+            gd = gd * imputed
         gh = np.empty(ho.shape)  # the heads' outputs: t_hat's gradient through its
         np.multiply(g[:, T_HAT:T_HAT + 1] + gd + gt, span, out=gh[0])  # rescale
         gh[0] *= si
         gh[0] *= 1.0 - si
         np.add(g[:, ETA:ETA + 1], ge, out=gh[1])
-        gh[1] *= eta > 0.0
+        gh[1] *= eta > ad.ZERO
         gh, gw1, gb1 = ad.affine_grads(gh, hh, heads[1].W.values)
-        gh *= hh > 0.0
+        gh *= hh > ad.ZERO
         _, gw0, gb0 = ad.affine_grads(gh, hx, heads[0].W.values, lx=False)
         gx = None
         if live:  # the towers' x gradient, then the uplift head's into ut
@@ -254,13 +267,15 @@ def hte_forward(hte: HteParams, reps: ad.Node, imputed, dose, tape: ad.Tape) -> 
                 gx = gx[1] + gu + gx[0]
         return (gx, *grads, gg, ggb, gw0, gb0, gw1, gb1)
 
-    return tape.record(np.concatenate([p[0], t_hat, eta, p_cf, p[1]], axis=1), parents, vjp)
+    return tape.record(np.concatenate([p[0], t_hat, eta, p_cf, p[1]], axis=1),
+                       (reps, *hte.params), vjp)
 
 
 def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, imputed, dose) -> ad.Node:
     """Record the network once on tape for the feature matrix X: the
     representation (``dcr_forward``), then the HTE node (``hte_forward``),
-    which is returned, its treatment tower gated at imputed * t_hat + dose."""
+    which is returned, its treatment tower gated at imputed * t_hat + dose,
+    or at t_hat when dose is None."""
     return hte_forward(model.hte, dcr_forward(model.dcr, tape.constant(X), tape), imputed, dose,
                        tape)
 
@@ -302,13 +317,13 @@ def loss_terms(weights: LossWeights, y_col, w_col, t_col, hte: ad.Node, r_orth, 
     if weights.lambda_t > 0:
         err = t_col - t_hat
         parts["l_t"] = [(w_col, err * err + np.abs(err),
-                         into(T_HAT, lambda g: -(g * np.sign(err) + 2.0 * g * err)))]
+                         into(T_HAT, lambda g: -(g * np.sign(err) + ad.TWO * g * err)))]
     if weights.lambda_x > 0:
         p_base_cf, bridge_vjp = ad.bridge(pt, t_hat, eta, -1.0)
         d_cf, d_base = y_col - p_cf, y_col - p_base_cf
-        parts["l_x"] = [(w_col, d_cf * d_cf, into(P_CF, lambda g: -(2.0 * g * d_cf))),
+        parts["l_x"] = [(w_col, d_cf * d_cf, into(P_CF, lambda g: -(ad.TWO * g * d_cf))),
                         (ctrl_mask, d_base * d_base,
-                         lambda g: zip((PT, T_HAT, ETA), bridge_vjp(-(2.0 * g * d_base))))]
+                         lambda g: zip((PT, T_HAT, ETA), bridge_vjp(-(ad.TWO * g * d_base))))]
     if weights.lambda_o > 0:
         parts["r_orth"] = [(np.ones(()), r_orth.value, into(None, lambda g: g))]
     components = dict.fromkeys(LOSS_COMPONENTS, 0.0)
@@ -400,7 +415,7 @@ def _score_block(model: UniMvtModel, X: np.ndarray, q) -> np.ndarray:
     ``forward`` on a fresh tape, which is freed on return; the treatment
     tower is gated at q (one dose per row) or, when q is None, at t_hat."""
     tape = ad.Tape()
-    return forward(model, X, tape, *((1.0, 0.0) if q is None else (0.0, q.reshape(-1, 1)))).value
+    return forward(model, X, tape, *((None, None) if q is None else (0.0, q.reshape(-1, 1)))).value
 
 
 def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
@@ -437,14 +452,15 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     blocks = [_score_block(model, X[rows], None if q is None else q[rows])
               for rows in ad.row_blocks(n)]
     # hte_forward's columns, each as one contiguous array
-    p0, t_hat, eta_head, p_cf, pt = np.ascontiguousarray(
-        (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).T)
-    # np.clip's values, NaN included, at half its per-call cost on one row
-    p0 = np.minimum(np.maximum(p0, PROB_EPS), 1.0 - PROB_EPS)
-    eta = np.maximum((p_cf - p0) / t_hat, 0.0)
+    cols = np.ascontiguousarray((blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).T)
+    _, t_hat, eta_head, p_cf, _ = cols
+    # p0 and pt, rows P0 and PT read as one strided view, clamped in one pair
+    # of calls: np.clip's values, NaN included, at half its per-call cost on one row
+    p0, pt = np.minimum(np.maximum(cols[P0::PT - P0], ad.PROB_LO), ad.PROB_HI)
+    eta = np.maximum((p_cf - p0) / t_hat, ad.ZERO)
     return {
         "p0_hat": p0,
-        "pt_hat": np.minimum(np.maximum(pt, PROB_EPS), 1.0 - PROB_EPS),
+        "pt_hat": pt,
         "t_hat": t_hat,
         "eta_hat": eta,
         "eta_head": eta_head,
@@ -462,12 +478,12 @@ def predict(model: UniMvtModel, x, q: float | None = None) -> Prediction:
                               "use predict_batch for several")
     out = predict_batch(model, X, q=q)
     return Prediction(
-        p0_hat=float(out["p0_hat"][0]),
-        pt_hat=float(out["pt_hat"][0]),
-        t_hat=float(out["t_hat"][0]),
-        eta_hat=float(out["eta_hat"][0]),
-        tau_hat=float(out["tau_hat"][0]),
-        extrapolated=bool(out["extrapolated"][0]),
+        p0_hat=out["p0_hat"].item(0),
+        pt_hat=out["pt_hat"].item(0),
+        t_hat=out["t_hat"].item(0),
+        eta_hat=out["eta_hat"].item(0),
+        tau_hat=out["tau_hat"].item(0),
+        extrapolated=out["extrapolated"].item(0),
     )
 
 

@@ -25,6 +25,9 @@ re-evaluation moves it too. So the checker pins every constant, every
 detached value and every merge's experts: it records them on the
 unperturbed pass and reads them back on every perturbed one, and the finite
 difference becomes the derivative the tape actually defines.
+
+``GUARD_CASES`` are the outputs that the tests of the layers' finiteness
+guards feed to each guard.
 """
 from __future__ import annotations
 
@@ -36,6 +39,23 @@ from scipy.special import expit
 
 from unimvt import autodiff as ad
 from unimvt.errors import ConfigError, UsageError
+
+
+# name -> (first slice's row, second slice's row, the slice whose non-finite
+# sum the guard names, or None when it passes): a guard sees GUARD_ROWS such
+# rows. It names the first slice whose sum is not finite, or the last when
+# only the total overflows. Entries of 1e200 are finite but overflow the
+# guard's vdot; entries of 1e308 overflow the plain sum, which raises though
+# every entry is finite.
+GUARD_ROWS = 2
+GUARD_CASES = {
+    "1e200": ([1e200, -1e200, 1e200], [1e200, 1e200, 1e200], None),
+    "nan": ([0.0, 0.0, 0.0], [1.0, np.nan, 1.0], 1),
+    "inf": ([np.inf, 0.0, 0.0], [0.0, 0.0, 0.0], 0),
+    "-inf": ([0.0, 0.0, 0.0], [0.0, -np.inf, 0.0], 1),
+    "1e308": ([0.0, 0.0, 0.0], [1e308, 1e308, 1e308], 1),
+    "only the total overflows": ([3e307, 3e307, 0.0], [3e307, 3e307, 0.0], 1),
+}
 
 
 def _operand(tape: ad.Tape, x):

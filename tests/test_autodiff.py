@@ -2,6 +2,7 @@
 stop-gradient semantics, optimizer behaviour and the finite-difference checker."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logit
 
 import gradcheck
-from gradcheck import (add, affine, binary_cross_entropy, bridge, finite_diff_check, mul,
-                       relu, sigmoid, total)
+from gradcheck import (GUARD_CASES, GUARD_ROWS, add, affine, binary_cross_entropy, bridge,
+                       finite_diff_check, mul, relu, sigmoid, total)
 from unimvt import autodiff as ad
 from unimvt.config import TrainConfig
 from unimvt.errors import ConfigError, NumericError, UsageError
@@ -76,6 +77,29 @@ def test_mlp_nonfinite_activation_names_layer():
     tape = ad.Tape()
     with pytest.raises(NumericError, match="layer 0"):
         ad.mlp_forward([layer], tape.constant(np.array([[1e9, 1e9]])), tape)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", GUARD_CASES)
+@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+def test_layer_guard_raises_exactly_where_the_plain_sum_is_not_finite(stacked, case):
+    # zero weights on zero inputs: the output is the bias, row for row
+    first, second, named = GUARD_CASES[case]
+    x = np.zeros((GUARD_ROWS, 4))
+    if stacked:
+        layer = make_layer("l0", np.zeros((2, 4, 3)), np.array([[first], [second]]))
+        parts = ("a", "b")
+        want = np.repeat(layer.b.values, GUARD_ROWS, axis=1)
+    else:  # the two slices' entries side by side in one row
+        layer = make_layer("l0", np.zeros((4, 6)), np.array(first + second))
+        parts = ()
+        want = np.repeat(layer.b.values[None], GUARD_ROWS, axis=0)
+    if named is None:
+        np.testing.assert_array_equal(ad.checked_affine(layer, x, 3, parts), want)
+        return
+    where = f"l0.W, {parts[named]}" if parts else "l0.W"
+    with pytest.raises(NumericError, match=re.escape(f"after layer 3 ({where})") + "$"):
+        ad.checked_affine(layer, x, 3, parts)
 
 
 def fused_mlp_case(stacked, activation, seed=0):

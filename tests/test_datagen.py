@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradcheck import GUARD_CASES, GUARD_ROWS
 from unimvt import datagen as dg
 from unimvt import kvfile
 from unimvt.errors import ConfigError, DataFormatError
@@ -392,3 +393,19 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, data, n, truth):
             assert b is None
         else:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", GUARD_CASES)
+def test_feature_check_refuses_exactly_the_nonfinite_features(case):
+    # the entry scan decides, not the guard's vdot or a sum: features of
+    # 1e200, whose vdot overflows, and of 1e308, whose sum overflows, pass
+    first, second, _ = GUARD_CASES[case]
+    X = np.array([first + second] * GUARD_ROWS)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size == 0:
+        np.testing.assert_array_equal(dg.feature_matrix(X, 6), X)
+        return
+    row, feature = bad[0]
+    said = f"row {row}: feature {feature} is {X[row, feature]}, not finite"
+    with pytest.raises(DataFormatError, match=re.escape(said) + "$"):
+        dg.feature_matrix(X, 6)

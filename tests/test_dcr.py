@@ -1,13 +1,15 @@
 """Representation layer: gating algebra, stop-gradient wiring, orthogonality penalty."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gradcheck import finite_diff_check, mul, total
+from gradcheck import GUARD_CASES, GUARD_ROWS, finite_diff_check, mul, total
 from unimvt import autodiff as ad
 from unimvt import dcr
-from unimvt.errors import ConfigError
+from unimvt.errors import ConfigError, NumericError
 
 
 def zero_gates(in_dim, n_experts):
@@ -95,6 +97,25 @@ def test_gate_weights_sum_to_one():
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(g.value[row].T, e / e.sum(axis=1, keepdims=True),
                                    rtol=1e-13, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", GUARD_CASES)
+def test_gate_bank_guard_raises_exactly_where_the_plain_sum_is_not_finite(case):
+    # zero weights: every row's logits are the bank's bias, gate0's then gate_t's
+    gate0, gate_t, named = GUARD_CASES[case]
+    params = dcr.DcrParams(input_dim=1, gates=zero_gates(1, 3))
+    params.gates.b.values[:] = gate0 + gate_t
+    tape = ad.Tape()
+    x = tape.constant(np.zeros((GUARD_ROWS, 1)))
+    if named is None:
+        g = dcr.gates_forward(params, x, tape).value
+        np.testing.assert_allclose(g.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        return
+    gate = ("gate0", "gate_t")[named]
+    with pytest.raises(NumericError,
+                       match=re.escape(f"after layer 0 (dcr.gates.W, {gate})") + "$"):
+        dcr.gates_forward(params, x, tape)
 
 
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))

@@ -2,8 +2,11 @@
 joint-loss oracle checks, stop-gradient blocking, training and serialization."""
 
 import gc
+import os
 import re
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -11,12 +14,13 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from gradcheck import finite_diff_check, hte_reference, mul, total
+from gradcheck import GUARD_CASES, GUARD_ROWS, finite_diff_check, hte_reference, mul, total
 from unimvt import autodiff as ad
 from unimvt import baselines
 from unimvt import datagen as dg
 from unimvt import dcr
 from unimvt import htenet as ht
+from unimvt.allocator import AllocationGrid, decide
 from unimvt.config import (AblationConfig, ExperimentConfig, LossWeights, TrainConfig,
                            config_to_flat)
 from unimvt.dcr import DcrConfig
@@ -207,7 +211,7 @@ def test_the_gates_multiply_the_treatment_tower_alone():
 
 
 # the treatment tower's gating, (imputed, dose): as training passes it,
-# (1 - w, t), rows 1 and 4 treated; as scoring passes it, (1, 0) at t_hat
+# (1 - w, t), rows 1 and 4 treated; as scoring passes it, no dose at t_hat
 # and (0, q) at q
 GATINGS = ["training", "scoring at t_hat", "scoring at q"]
 
@@ -215,7 +219,7 @@ GATINGS = ["training", "scoring at t_hat", "scoring at q"]
 def gating(name, rng, n):
     treated = np.isin(np.arange(n), [1, 4]).reshape(-1, 1).astype(float)
     return {"training": (1.0 - treated, treated * rng.uniform(0.8, 3.2, size=(n, 1))),
-            "scoring at t_hat": (1.0, 0.0),
+            "scoring at t_hat": (None, None),
             "scoring at q": (0.0, rng.uniform(0.8, 3.2, size=(n, 1)))}[name]
 
 
@@ -280,10 +284,18 @@ def test_hte_node_equals_the_per_layer_reference_on_every_column(ablate_dcr, gat
     hte, reps, rng = hte_node_case(ablate_dcr, seed=21, n=64)
     imputed, dose = gating(gating_name, rng, 64)
     got = node_value(hte, reps.values, imputed, dose)
-    want = hte_reference(hte, reps.values, imputed, dose)
+    # the reference gates at imputed * t_hat + dose, so no dose is 1 * t_hat + 0
+    want = hte_reference(hte, reps.values, *((1.0, 0.0) if dose is None else (imputed, dose)))
     assert got.shape == want.shape == (64, 5)
     for col in range(5):
         np.testing.assert_allclose(got[:, col], want[:, col], rtol=0, atol=1e-15, err_msg=str(col))
+
+
+@pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
+def test_no_dose_gates_at_exactly_1_times_t_hat_plus_0(ablate_dcr):
+    hte, reps, _ = hte_node_case(ablate_dcr, seed=22, n=64)
+    assert np.array_equal(node_value(hte, reps.values, None, None),
+                          node_value(hte, reps.values, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -980,6 +992,14 @@ def test_dose_vector_of_no_rows_is_empty_whatever_the_scalar(dose):
     assert doses.shape == (0,) and doses.dtype == np.float64
 
 
+@pytest.mark.parametrize("q", [np.array([1.0, 2.0, 3.0]), np.array([2.0]), [1.0, 2.0, 3.0]],
+                         ids=["per-row array", "one-element array", "list"])
+def test_dose_vector_never_aliases_its_input(q):
+    doses = dg.dose_vector(q, 3, "q")
+    doses += 1.0
+    assert not np.shares_memory(doses, q) and np.all(np.asarray(q) <= 3.0)
+
+
 # every public scoring entry, on 4 rows of 5 features
 SCORING_ENTRIES = {
     "slearner.base_ctr": lambda X: learners_on_five_features()[0].base_ctr(X),
@@ -1044,6 +1064,28 @@ def test_predict_names_the_fused_tensor_and_the_gate_of_a_nan_ta_gate_weight(gat
     model.hte.ta_gates.W.values[1, model.hte.ta_cols[gate].start] = np.nan
     with pytest.raises(NumericError, match=re.escape(f"layer {gate} (ta_gates.W, gate {gate})")):
         ht.predict(model, np.ones(5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("q", [None, 2.0], ids=["at t_hat", "at q"])
+@pytest.mark.parametrize("case", GUARD_CASES)
+def test_ta_gate_bank_guard_raises_exactly_where_the_plain_sum_is_not_finite(case, q):
+    # zero weights: every row's gate logits are the bank's bias; gate i's
+    # first three columns hold the case's row i, its other columns 0
+    model = tiny_model()
+    bank = model.hte.ta_gates
+    bank.W.values[:] = 0.0
+    bank.b.values[:] = 0.0
+    named = GUARD_CASES[case][2]
+    for col, row in zip(model.hte.ta_cols, GUARD_CASES[case][:2]):
+        bank.b.values[col.start:col.start + 3] = row
+    X = np.ones((GUARD_ROWS, 5))
+    if named is None:
+        assert np.all(np.isfinite(ht.predict_batch(model, X, q=q)["pt_hat"]))
+        return
+    with pytest.raises(NumericError,
+                       match=re.escape(f"after layer {named} (ta_gates.W, gate {named})") + "$"):
+        ht.predict_batch(model, X, q=q)
 
 
 @pytest.mark.parametrize("column, name", [(0, "dcr.gates.W, gate0"), (5, "dcr.gates.W, gate_t"),
@@ -1146,6 +1188,41 @@ def test_predict_at_a_dose_records_no_more_nodes_than_without(monkeypatch, ablat
     assert predict_nodes(monkeypatch, ablate, q=2.0) <= budget
 
 
+def library_calls(fn) -> Counter:
+    """The Python-level calls that fn() makes into the files of the unimvt
+    package, by function name, as ``sys.setprofile`` sees them: C functions,
+    numpy's included, do not count."""
+    package = os.path.dirname(ht.__file__) + os.sep
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls[frame.f_code.co_name] += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(old)
+    return calls
+
+
+@pytest.mark.parametrize("q, budget", [(None, 58), (2.0, 62)], ids=["at t_hat", "at q"])
+def test_one_decision_keeps_its_budget_of_calls_into_the_library(q, budget):
+    # one predict and one decide on a model with 3 tower layers; a per-call
+    # rebuild of per-model state, such as its parameter list, shows here
+    model = tiny_model()
+    grid = AllocationGrid(0.5, 4.0, 0.5)
+
+    def decision():
+        return decide(ht.predict(model, np.ones(5), q=q), grid, 60.0, 1.5)
+
+    decision()  # per-model state is built on first use
+    calls = library_calls(decision)
+    assert sum(calls.values()) <= budget, calls
+
+
 # ---------------------------------------------------------------------------
 # scoring in blocks of SCORE_ROWS rows
 # ---------------------------------------------------------------------------
@@ -1176,6 +1253,22 @@ def test_predict_batch_across_blocks_equals_predict_row_by_row(ablate_dcr, per_r
         assert abs(eta_head - out["eta_head"][i]) <= 1e-12, i
     if per_row_q:
         np.testing.assert_array_equal(out["extrapolated"], (q < 1.0) | (q > 3.0))
+
+
+@pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
+def test_predict_batch_at_q_equal_to_t_hat_equals_predict_batch_without_q(ablate_dcr):
+    # without q the tower is gated at t_hat itself, with q at 0 * t_hat + q:
+    # the same dose, so the same bits on every key
+    model = tiny_model(seed=14, ablate=AblationConfig(dcr=ablate_dcr))
+    rng = np.random.default_rng(14)
+    for layer in (*model.hte.towers, *model.hte.heads, model.hte.ta_gates):
+        layer.b.values[:] = rng.normal(0.0, 0.3, size=layer.b.shape)
+    X = rng.standard_normal((BLOCKED_ROWS, 5))
+    want = ht.predict_batch(model, X)
+    got = ht.predict_batch(model, X, q=want["t_hat"])
+    assert np.ptp(want["t_hat"]) > 0.1 and got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(got[key], value), key
 
 
 @pytest.mark.parametrize("q", [None, 2.0, np.zeros(0)], ids=["imputed dose", "scalar q", "no q"])
