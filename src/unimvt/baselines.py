@@ -1,16 +1,16 @@
 """S-Learner and T-Learner reference models for multi-valued treatments.
 
 Both reuse the tower sizes and optimizer of the main model so comparisons
-isolate architecture rather than capacity. Intensity enters as an extra
-input feature, min-max normalized by the same treated-support bounds the
-main model uses; unit uplift is read off by contrasting normalized intensity
-1 (the raw treated maximum t_max) against no treatment, so
-``unit_uplift_scores`` is f(x, t_max) - f(x, 0), a gain over the whole dose
-that reads per unit of dose, as the main model's eta_hat does, only after
-dividing by t_max. A dose is checked
-as the main model's q is, by ``datagen.dose_vector``; its errors call it t.
-Each public scoring entry checks X and its dose once, then hands the checked
-arrays to private scorers, which check nothing.
+isolate architecture rather than capacity, and both take the treated support
+(t_min, t_max) of their training split from ``datagen.treated_support``, as the
+main model does. Intensity enters as an extra input feature, min-max normalized
+by that support; unit uplift is read off by contrasting normalized intensity 1
+(the raw treated maximum t_max) against no treatment, so ``unit_uplift_scores``
+is f(x, t_max) - f(x, 0), a gain over the whole dose that reads per unit of
+dose, as the main model's eta_hat does, only after dividing by t_max. A dose is
+checked as the main model's q is, by ``datagen.dose_vector``; its errors call
+it t. Each public scoring entry checks X and its dose once, then hands the
+checked arrays to private scorers, which check nothing.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ExperimentConfig, validate
-from .datagen import Dataset, dataset_arrays, dose_vector, feature_matrix
-from .errors import ConfigError, UsageError
+from .datagen import Dataset, dataset_arrays, dose_vector, feature_matrix, treated_support
+from .errors import ConfigError
 
 
 def _normalize_t(t: np.ndarray, t_min: float, t_max: float) -> np.ndarray:
@@ -113,21 +113,9 @@ class TLearnerModel:
         return self._treated(X, np.full(len(X), self.t_max)) - _mlp_predict(self.control_net, X)
 
 
-def _t_bounds(w, t) -> tuple[float, float]:
-    treated = w == 1
-    if treated.any():
-        lo, hi = float(t[treated].min()), float(t[treated].max())
-        if lo < hi:
-            return lo, hi
-        return lo - 0.5, lo + 0.5  # degenerate single-dose support
-    return 0.0, 1.0  # all-control data: raw intensity passes through
-
-
 def train_slearner(dataset: Dataset, cfg: ExperimentConfig) -> SLearnerModel:
     X, w, t, y, _, _ = dataset_arrays(dataset)
-    if X.shape[0] == 0:
-        raise UsageError("training needs a nonempty dataset")
-    t_min, t_max = _t_bounds(w, t)
+    t_min, t_max = treated_support(w, t)
     validate(cfg, X.shape[1])
     rng = np.random.default_rng(cfg.train.seed)
     dims = (X.shape[1] + 1, *cfg.net.tower_hidden, 1)
@@ -139,10 +127,10 @@ def train_slearner(dataset: Dataset, cfg: ExperimentConfig) -> SLearnerModel:
 
 def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
     X, w, t, y, _, _ = dataset_arrays(dataset)
+    t_min, t_max = treated_support(w, t)
     ctrl, trt = w == 0, w == 1
-    if not ctrl.any() or not trt.any():
-        raise ConfigError("T-Learner needs both control and treated rows")
-    t_min, t_max = _t_bounds(w, t)
+    if not ctrl.any():
+        raise ConfigError("T-Learner needs control rows to fit its control net")
     validate(cfg, X.shape[1])
     rng = np.random.default_rng(cfg.train.seed)
     control_net = ad.init_mlp(rng, "tlearner.control", (X.shape[1], *cfg.net.tower_hidden, 1),

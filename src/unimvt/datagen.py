@@ -25,7 +25,7 @@ from scipy.stats import norm
 
 from . import kvfile
 from .config import _integer, _real
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, UsageError
 
 N_FEATURES = 8
 FEATURE_CORR = 0.5          # Toeplitz covariance: Sigma_ij = FEATURE_CORR ** |i-j|
@@ -177,6 +177,20 @@ def dose_vector(values, n: int, what: str) -> np.ndarray:
         row = int(np.flatnonzero(doses < 0.0)[0])
         raise DataFormatError(f"row {row}: {what} is {doses[row]}, below 0")
     return doses
+
+
+def treated_support(w: np.ndarray, t: np.ndarray) -> tuple[float, float]:
+    """(t_min, t_max), the least and greatest treated dose of a training split's
+    columns w and t. UsageError refuses a split with no rows, and ConfigError
+    one whose treated rows hold fewer than two distinct doses, listing them."""
+    if len(w) == 0:
+        raise UsageError("training needs a nonempty dataset")
+    doses = t[w == 1]  # no treated row reads as the bounds (inf, -inf)
+    t_min, t_max = float(doses.min(initial=np.inf)), float(doses.max(initial=-np.inf))
+    if t_min < t_max:
+        return t_min, t_max
+    raise ConfigError("training needs treated rows at two distinct doses to fix the t "
+                      f"bounds; its treated rows have the doses {np.unique(doses).tolist()}")
 
 
 @dataclass(frozen=True)

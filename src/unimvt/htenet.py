@@ -52,7 +52,7 @@ from . import autodiff as ad
 from . import kvfile
 from .config import (ExperimentConfig, LossWeights, _integer, apply_overrides,
                      config_to_flat, default_config, validate)
-from .datagen import Dataset, dataset_arrays, dose_vector, feature_matrix
+from .datagen import Dataset, dataset_arrays, dose_vector, feature_matrix, treated_support
 from .dcr import DcrParams, dcr_forward, init_dcr, orth_penalty
 from .errors import ConfigError, DataFormatError, NumericError, UsageError
 
@@ -376,19 +376,13 @@ def train(dataset: Dataset, cfg: ExperimentConfig):
     which does not grow with the batch, is a per-batch mean) and their total
     under the loss weights in effect.
 
+    The t bounds are ``datagen.treated_support`` of the split, as the meta-learners'.
+
     Deterministic in (cfg, seed): parameter init, batch shuffling and every
     update derive from one seeded generator.
     """
     X, w, t, y, _, _ = dataset_arrays(dataset)
-    if X.shape[0] == 0:
-        raise UsageError("training needs a nonempty dataset")
-    doses = np.unique(t[w == 1])
-    if doses.size < 2:  # no treated row, or one dose on every one
-        raise ConfigError("training needs treated rows at two distinct doses to fix the t "
-                          f"bounds; its treated rows have the doses {doses.tolist()}")
-    t_min, t_max = float(doses[0]), float(doses[-1])
-
-    model = build_model(cfg, X.shape[1], t_min, t_max, seed=cfg.train.seed)
+    model = build_model(cfg, X.shape[1], *treated_support(w, t), seed=cfg.train.seed)
     weights = cfg.loss
 
     def batch_loss(rows, tape):
@@ -442,7 +436,11 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     A NaN or infinite feature raises DataFormatError naming its row and
     feature index; q is refused as ``datagen.dose_vector`` says.
     """
-    X = feature_matrix(X, model.dcr.input_dim)
+    return _predictions(model, feature_matrix(X, model.dcr.input_dim), q)
+
+
+def _predictions(model: UniMvtModel, X: np.ndarray, q) -> dict:
+    """``predict_batch``'s outputs on the checked feature matrix X and unchecked q."""
     n = X.shape[0]
     if q is None:
         extrapolated = np.zeros(n, dtype=bool)
@@ -472,11 +470,11 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
 def predict(model: UniMvtModel, x, q: float | None = None) -> Prediction:
     """``predict_batch`` for one row x, a feature vector or a 1-row matrix;
     any other row count raises DataFormatError naming it."""
-    X = np.atleast_2d(x)
+    X = feature_matrix(x, model.dcr.input_dim)
     if X.shape[0] != 1:
         raise DataFormatError(f"predict scores one row, got {X.shape[0]} rows; "
                               "use predict_batch for several")
-    out = predict_batch(model, X, q=q)
+    out = _predictions(model, X, q)
     return Prediction(
         p0_hat=out["p0_hat"].item(0),
         pt_hat=out["pt_hat"].item(0),

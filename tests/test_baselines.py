@@ -33,18 +33,27 @@ def all_control_dataset(n=400, seed=0):
     return dg.Dataset(X, np.zeros(n, dtype=int), np.zeros(n), y)
 
 
-def test_slearner_all_control_matches_plain_ctr_net():
-    ds = all_control_dataset()
+def with_doses(ds, doses):
+    """ds's rows at the given per-row doses; a row at dose 0 is a control row."""
+    X, _, _, y, _, _ = dg.dataset_arrays(ds)
+    return dg.Dataset(X, (doses > 0).astype(int), doses, y)
+
+
+def test_slearner_matches_a_net_trained_by_hand_on_its_normalized_doses():
+    ds = with_doses(all_control_dataset(), np.resize([0.0, 1.0, 0.0, 3.0], 400))
     cfg = quick_cfg(seed=4)
     model = bl.train_slearner(ds, cfg)
-    X = dg.dataset_arrays(ds)[0]
+    X, _, t, y, _, _ = dg.dataset_arrays(ds)
+    assert (model.t_min, model.t_max) == (1.0, 3.0)
 
-    # oracle: identical net trained on the same (x, t=0) inputs by hand
+    # oracle: identical net trained by hand on x and the dose min-max normalized by [1, 3]
     rng = np.random.default_rng(4)
     net = ad.init_mlp(rng, "slearner", (5, 16, 16, 1), out_activation="sigmoid")
-    inputs = np.column_stack([X, np.zeros(len(X))])
-    bl._fit_binary_mlp(net, inputs, dg.dataset_arrays(ds)[3], cfg, rng)
-    np.testing.assert_array_equal(model.base_ctr(X), bl._mlp_predict(net, inputs))
+    inputs = np.column_stack([X, (t - 1.0) / 2.0])
+    bl._fit_binary_mlp(net, inputs, y, cfg, rng)
+    np.testing.assert_array_equal(model.outcome_prob(X, t), bl._mlp_predict(net, inputs))
+    at_zero = np.column_stack([X, np.full(len(X), -0.5)])  # the control dose 0, normalized
+    np.testing.assert_array_equal(model.base_ctr(X), bl._mlp_predict(net, at_zero))
 
 
 def test_slearner_seed_reproducibility(small_syn):
@@ -71,8 +80,9 @@ def test_tlearner_null_effect_on_duplicated_rows():
     n = 1200
     X = rng.standard_normal((n, 4))
     y = (rng.uniform(size=n) < expit(X[:, 0])).astype(int)
-    ds = dg.Dataset(np.vstack([X, X]), np.repeat([0, 1], n), np.repeat([0.0, 1.0], n),
-                    np.concatenate([y, y]))
+    # the treated copies alternate between the doses 1 and 2, which fix the support
+    ds = dg.Dataset(np.vstack([X, X]), np.repeat([0, 1], n),
+                    np.concatenate([np.zeros(n), np.resize([1.0, 2.0], n)]), np.concatenate([y, y]))
     means = []
     for seed in (1, 2):
         cfg = quick_cfg(seed=seed, epochs=10)
@@ -82,8 +92,11 @@ def test_tlearner_null_effect_on_duplicated_rows():
 
 
 def test_tlearner_requires_both_groups():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="two distinct doses"):  # the shared support rule
         bl.train_tlearner(all_control_dataset(), quick_cfg())
+    with pytest.raises(ConfigError, match="T-Learner needs control rows"):
+        bl.train_tlearner(with_doses(all_control_dataset(), np.resize([1.0, 3.0], 400)),
+                          quick_cfg())
 
 
 def test_unit_uplift_zero_for_zeroed_final_layer(small_syn):

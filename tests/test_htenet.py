@@ -730,19 +730,28 @@ def test_training_names_a_bad_loss_weight(syn600, bad):
         ht.train(syn600, ExperimentConfig(loss=LossWeights(lambda_t=bad)))
 
 
-def test_training_without_treated_rows_fails():
-    ds = dg.Dataset(np.zeros((10, 5)), np.zeros(10, dtype=int), np.zeros(10), np.zeros(10, dtype=int))
-    with pytest.raises(ConfigError):
-        ht.train(ds, ExperimentConfig())
-
-
-def test_training_names_the_one_dose_of_its_treated_rows(syn600):
+NO_SUPPORT = "training needs treated rows at two distinct doses to fix the t bounds; "
+# training splits that fix no treated support: each one's columns from syn600's
+# (X, w, t, y), and the exception class and message that every arm raises on it
+DEGENERATE_SPLITS = {
+    "empty": (lambda X, w, t, y: (X[:0], w[:0], t[:0], y[:0]),
+              UsageError, "training needs a nonempty dataset"),
+    "all control": (lambda X, w, t, y: (X[w == 0], w[w == 0], t[w == 0], y[w == 0]),
+                    ConfigError, NO_SUPPORT + "its treated rows have the doses []"),
     # HteParams would blame the bounds it was given, [2.0, 2.0]
-    X, w, t, y, _, _ = dg.dataset_arrays(syn600)
-    one_dose = dg.Dataset(X, w, np.where(w == 1, 2.0, t), y)
-    with pytest.raises(ConfigError, match=re.escape("two distinct doses to fix the t bounds; "
-                                                    "its treated rows have the doses [2.0]")):
-        ht.train(one_dose, ExperimentConfig())
+    "one treated dose": (lambda X, w, t, y: (X, w, np.where(w == 1, 2.0, t), y),
+                         ConfigError, NO_SUPPORT + "its treated rows have the doses [2.0]"),
+}
+
+
+@pytest.mark.parametrize("fit", TRAINERS)
+@pytest.mark.parametrize("split", DEGENERATE_SPLITS)
+def test_every_arm_refuses_a_split_without_a_treated_support_alike(syn600, split, fit):
+    columns, error, message = DEGENERATE_SPLITS[split]
+    ds = dg.Dataset(*columns(*dg.dataset_arrays(syn600)[:4]))
+    with pytest.raises(error) as raised:
+        TRAINERS[fit](ds, ExperimentConfig())
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
