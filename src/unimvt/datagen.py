@@ -142,8 +142,10 @@ def feature_matrix(X, n_features: int) -> np.ndarray:
     to floats (``float_array``), and names the shape of an input of more than
     2 dimensions, the feature count of one not n_features wide, and the row
     and index of a non-finite feature."""
-    X = np.atleast_2d(float_array(X, "features"))
-    if X.ndim > 2:
+    X = float_array(X, "features")
+    if X.ndim < 2:  # a scalar or one row, as np.atleast_2d shapes it without its wrapper
+        X = X.reshape(1, -1)
+    elif X.ndim > 2:
         raise DataFormatError(f"features have shape {X.shape}; expected one row or a 2-D matrix")
     if X.shape[1] != n_features:
         raise DataFormatError(f"got {X.shape[1]} features; the model takes {n_features}")

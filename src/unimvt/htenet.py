@@ -30,6 +30,9 @@ that gate the treatment tower at imputed * t_hat + dose: training passes
 itself.
 Prediction records it in blocks of ``autodiff.SCORE_ROWS`` rows, each on a
 fresh tape, so scoring holds one block's tape whatever the row count.
+``predict`` scores its one row as one such block and reads it as five
+floats, finished with ``predict_batch``'s clamp and eta_hat formula in
+Python arithmetic, bit-equal to a one-row ``predict_batch``.
 The joint loss is one closed-form node (``loss_terms``) over the HTE node
 and the expert orthogonality penalty: the factual cross-entropies, the
 intensity regression, the counterfactual MSE terms (the downward bridge
@@ -436,11 +439,7 @@ def predict_batch(model: UniMvtModel, X: np.ndarray, q=None) -> dict:
     A NaN or infinite feature raises DataFormatError naming its row and
     feature index; q is refused as ``datagen.dose_vector`` says.
     """
-    return _predictions(model, feature_matrix(X, model.dcr.input_dim), q)
-
-
-def _predictions(model: UniMvtModel, X: np.ndarray, q) -> dict:
-    """``predict_batch``'s outputs on the checked feature matrix X and unchecked q."""
+    X = feature_matrix(X, model.dcr.input_dim)
     n = X.shape[0]
     if q is None:
         extrapolated = np.zeros(n, dtype=bool)
@@ -469,20 +468,27 @@ def _predictions(model: UniMvtModel, X: np.ndarray, q) -> dict:
 
 def predict(model: UniMvtModel, x, q: float | None = None) -> Prediction:
     """``predict_batch`` for one row x, a feature vector or a 1-row matrix;
-    any other row count raises DataFormatError naming it."""
+    any other row count raises DataFormatError naming it, and q is refused as
+    ``datagen.dose_vector`` says. The row is scored as one block
+    (``_score_block``), then read as five Python floats and finished with
+    ``predict_batch``'s clamp, eta_hat formula and extrapolation test, one
+    IEEE double operation for each of its ufunc calls, so every field equals
+    a one-row ``predict_batch`` bit for bit."""
     X = feature_matrix(x, model.dcr.input_dim)
     if X.shape[0] != 1:
         raise DataFormatError(f"predict scores one row, got {X.shape[0]} rows; "
                               "use predict_batch for several")
-    out = _predictions(model, X, q)
-    return Prediction(
-        p0_hat=out["p0_hat"].item(0),
-        pt_hat=out["pt_hat"].item(0),
-        t_hat=out["t_hat"].item(0),
-        eta_hat=out["eta_hat"].item(0),
-        tau_hat=out["tau_hat"].item(0),
-        extrapolated=out["extrapolated"].item(0),
-    )
+    if q is not None:
+        q = dose_vector(q, 1, "q")
+    [(p0, t_hat, _, p_cf, pt)] = _score_block(model, X, q).tolist()
+    lo, hi = ad.PROB_EPS, 1.0 - ad.PROB_EPS
+    p0, pt = min(max(p0, lo), hi), min(max(pt, lo), hi)
+    # 0.0 first: np.maximum's value, +0.0 for a -0.0 gain (a gain is never NaN)
+    eta = max(0.0, (p_cf - p0) / t_hat)
+    dose = t_hat if q is None else q.item(0)
+    hte = model.hte
+    return Prediction(p0_hat=p0, pt_hat=pt, t_hat=t_hat, eta_hat=eta, tau_hat=dose * eta,
+                      extrapolated=q is not None and not hte.t_min <= dose <= hte.t_max)
 
 
 # ---------------------------------------------------------------------------

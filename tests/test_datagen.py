@@ -409,3 +409,22 @@ def test_feature_check_refuses_exactly_the_nonfinite_features(case):
     said = f"row {row}: feature {feature} is {X[row, feature]}, not finite"
     with pytest.raises(DataFormatError, match=re.escape(said) + "$"):
         dg.feature_matrix(X, 6)
+
+
+@pytest.mark.parametrize("x, shape", [
+    (2.5, (1, 1)),
+    (np.array(2.5), (1, 1)),
+    (np.arange(6.0), (1, 6)),
+    ([0, 1, 2, 3, 4, 5], (1, 6)),
+    ([[0, 1, 2, 3, 4, 5]], (1, 6)),
+], ids=["scalar", "0-d array", "1-D row", "list row", "one-row nested list"])
+def test_feature_matrix_shapes_a_scalar_or_a_vector_as_one_row(x, shape):
+    # the shapes np.atleast_2d gives, float64 and in order
+    X = dg.feature_matrix(x, shape[1])
+    assert X.shape == shape == np.atleast_2d(x).shape and X.dtype == np.float64
+    np.testing.assert_array_equal(X.ravel(), np.ravel(x))
+
+
+def test_feature_matrix_names_the_width_of_an_empty_vector():
+    with pytest.raises(DataFormatError, match=re.escape("got 0 features; the model takes 6") + "$"):
+        dg.feature_matrix(np.zeros(0), 6)

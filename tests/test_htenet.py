@@ -1217,7 +1217,7 @@ def library_calls(fn) -> Counter:
     return calls
 
 
-@pytest.mark.parametrize("q, budget", [(None, 58), (2.0, 62)], ids=["at t_hat", "at q"])
+@pytest.mark.parametrize("q, budget", [(None, 55), (2.0, 59)], ids=["at t_hat", "at q"])
 def test_one_decision_keeps_its_budget_of_calls_into_the_library(q, budget):
     # one predict and one decide on a model with 3 tower layers; a per-call
     # rebuild of per-model state, such as its parameter list, shows here
@@ -1262,6 +1262,37 @@ def test_predict_batch_across_blocks_equals_predict_row_by_row(ablate_dcr, per_r
         assert abs(eta_head - out["eta_head"][i]) <= 1e-12, i
     if per_row_q:
         np.testing.assert_array_equal(out["extrapolated"], (q < 1.0) | (q > 3.0))
+
+
+PREDICTION_FIELDS = ("p0_hat", "pt_hat", "t_hat", "eta_hat", "tau_hat", "extrapolated")
+# q in each form predict takes, against [t_min, t_max] = [1, 3]: none, zero
+# of either sign, inside, at both bounds, below and above (some not exact
+# in float32), as an int, a float32, a list and a one-value array
+ROW_DOSES = [None, 0, 0.0, -0.0, 1.0, 2.2, 3.0, 0.3, 3.3, 2, np.float32(1.5), [2.5],
+             np.array([0.25]), np.array([3.5], dtype=np.float32), np.array([2])]
+
+
+@pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
+@pytest.mark.parametrize("last_bias", [None, (60.0, -60.0), (-60.0, 60.0)],
+                         ids=["as drawn", "p0 high, pt low", "p0 low, pt high"])
+def test_predict_equals_a_one_row_predict_batch_bit_for_bit(ablate_dcr, last_bias):
+    # predict finishes its row in Python floats; each step must be the
+    # double operation of predict_batch's ufunc, so every field has its bits
+    model = tiny_model(seed=9, ablate=AblationConfig(dcr=ablate_dcr))
+    if last_bias is not None:  # each tower's output saturates, so each clamp binds
+        model.hte.towers[-1].b.values[:, 0, 0] = last_bias
+    X = np.random.default_rng(9).standard_normal((6, 5))
+    lo, hi = ad.PROB_EPS, 1.0 - ad.PROB_EPS
+    for x in X:
+        for q in ROW_DOSES:
+            got, want = ht.predict(model, x, q=q), ht.predict_batch(model, x[None], q=q)
+            for key in PREDICTION_FIELDS:
+                value = getattr(got, key)
+                assert type(value) is (bool if key == "extrapolated" else float), key
+                assert value == want[key][0], (q, key, value, want[key])
+                assert np.array(value).tobytes() == want[key].tobytes(), (q, key)
+            if last_bias is not None:
+                assert (got.p0_hat, got.pt_hat) == ((hi, lo) if last_bias[0] > 0 else (lo, hi))
 
 
 @pytest.mark.parametrize("ablate_dcr", [False, True], ids=["default", "ablate.dcr"])
