@@ -11,19 +11,19 @@ arithmetic: any other step, a fused network or a loss, is one
 bridge over p, t_hat and eta), each of the last two returning a value and
 its vjp. An array that passes no gradient is a ``Tape.constant``, or, read
 inside a fused node, goes through ``Tape.detach``, which records nothing but
-lets a gradient checker replay it. Around them: dense layers
-(``init_stacked_mlp`` draws K same-shaped stacks as one), an Adam optimizer
-with the one minibatch training loop and ``row_blocks`` (the
+lets a gradient checker replay it. Around them: dense layers, weights
+alone, which ``mlp_forward`` runs with a relu between them and the last left
+linear (``init_stacked_mlp`` draws K same-shaped stacks as one), an Adam
+optimizer with the one minibatch training loop and ``row_blocks`` (the
 ``SCORE_ROWS``-row blocks that every scoring call records on fresh tapes).
 
 ``Tape.record(value, parents, vjp)`` keeps a float ndarray value as it is,
 uncopied, so its caller hands it over and does not change it afterwards;
 any other value becomes a float array (float64 unless it already has a
-float dtype). ``gate_merge``'s slot mask is a boolean (tasks, K) array, or
-None when no slot is open; a call does not test it, so the DCR fixes its
-mask once per model (``dcr.DcrParams.slot_open``). A vjp may read its
-layers' weights when it runs: ``backward`` runs before the optimizer moves
-them.
+float dtype). ``gate_merge``'s slot mask is a boolean (tasks, K) array; a
+call does not test it, so the DCR fixes its mask once per model
+(``dcr.DcrParams.slot_open``). A vjp may read its layers' weights when it
+runs: ``backward`` runs before the optimizer moves them.
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
@@ -283,15 +283,14 @@ class Tape:
         * experts[k], written in one pass. ``open``, a boolean (tasks, K)
         array, is where the experts get a gradient from each task: a closed
         slot's is exactly 0, as if its block were read through a
-        stop-gradient. None opens no slot, and the node then passes the
-        experts no gradient at all; the mask is not tested per call, so a
-        caller fixes it once (``dcr.DcrParams.slot_open``). The experts'
-        gradient adds the tasks' parts last task first."""
+        stop-gradient. The mask is not tested per call, so a caller fixes it
+        once (``dcr.DcrParams.slot_open``). The experts' gradient adds the
+        tasks' parts last task first."""
         ev = experts.value
         k, n, d = ev.shape
         shape = gates.value.shape
         weights = gates.value[:, :, :, None]  # (tasks, K, rows, 1)
-        lg, le = gates.live, experts.live and open is not None
+        lg, le = gates.live, experts.live
 
         def vjp(g):  # the experts' factor is built here: prediction never needs it
             blocks = g.reshape(shape[0], n, k, d).transpose(0, 2, 1, 3)
@@ -352,20 +351,12 @@ def backward(tape: Tape) -> None:
 # dense layers
 # ---------------------------------------------------------------------------
 
-_ACTIVATIONS = ("linear", "relu", "sigmoid")
-
-
 @dataclass
 class Layer:
-    """One affine layer with an optional activation."""
+    """One affine layer, x @ W + b: its weights alone, with no activation."""
 
     W: ParamTensor
     b: ParamTensor
-    activation: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -373,33 +364,23 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_mlp(rng: np.random.Generator, name: str, dims: Sequence[int],
-             out_activation: str = "linear") -> list[Layer]:
-    """Stack of affine layers with glorot-uniform weights and zero biases;
-    every hidden layer is a relu."""
-    layers = []
-    for i in range(len(dims) - 1):
-        act = out_activation if i == len(dims) - 2 else "relu"
-        layers.append(
-            Layer(
-                ParamTensor(f"{name}.l{i}.W", glorot_uniform(rng, dims[i], dims[i + 1])),
-                ParamTensor(f"{name}.l{i}.b", np.zeros(dims[i + 1])),
-                act,
-            )
-        )
-    return layers
+def init_mlp(rng: np.random.Generator, name: str, dims: Sequence[int]) -> list[Layer]:
+    """Stack of affine layers with glorot-uniform weights, drawn layer by
+    layer, and zero biases, for ``mlp_forward``."""
+    return [Layer(ParamTensor(f"{name}.l{i}.W", glorot_uniform(rng, fan_in, fan_out)),
+                  ParamTensor(f"{name}.l{i}.b", np.zeros(fan_out)))
+            for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))]
 
 
-def init_stacked_mlp(rng: np.random.Generator, name: str, dims: Sequence[int], k: int,
-                     out_activation: str = "linear") -> list[Layer]:
+def init_stacked_mlp(rng: np.random.Generator, name: str, dims: Sequence[int],
+                     k: int) -> list[Layer]:
     """k same-shaped ``init_mlp`` stacks as one stack of layers, weights (k,
     in, out) and biases (k, 1, out): stack j's slice holds the draws the j-th
     of k ``init_mlp`` calls in a row would take, layer by layer."""
     draws = [[glorot_uniform(rng, fan_in, fan_out) for fan_in, fan_out in zip(dims, dims[1:])]
              for _ in range(k)]
     return [Layer(ParamTensor(f"{name}.l{i}.W", np.stack(weights)),
-                  ParamTensor(f"{name}.l{i}.b", np.zeros((k, 1, dims[i + 1]))),
-                  out_activation if i == len(dims) - 2 else "relu")
+                  ParamTensor(f"{name}.l{i}.b", np.zeros((k, 1, dims[i + 1]))))
             for i, weights in enumerate(zip(*draws))]
 
 
@@ -432,32 +413,25 @@ def checked_affine(layer: Layer, xv: np.ndarray, index: int,
 
 
 def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
-    """Run a layer stack on x, a node of tape, recorded as one node whose
-    parents are x and every layer's W and b. Stacked layers, weights
-    (K, in, out) with biases (K, 1, out), run K stacks at once and give
-    (K, rows, out); x is then (rows, in) or already stacked. Raises
-    ConfigError or NumericError naming the layer, as ``checked_affine``."""
+    """Run a layer stack on x, a node of tape, as one node whose parents are x
+    and every layer's W and b, with a relu between layers and the last linear.
+    Stacked layers, weights (K, in, out) with biases (K, 1, out), run K stacks
+    at once and give (K, rows, out); x is then (rows, in) or already stacked.
+    Raises ConfigError or NumericError naming the layer, as ``checked_affine``."""
     hs = [x.value]  # the input, then every layer's output
     parents = [x]
     for i, layer in enumerate(layers):
         h = checked_affine(layer, hs[-1], i)
-        if layer.activation == "relu":
-            h = np.fmax(h, ZERO)
-        elif layer.activation == "sigmoid":
-            h = expit(h)
-        hs.append(h)
+        hs.append(np.fmax(h, ZERO) if i < len(layers) - 1 else h)
         parents += (layer.W, layer.b)
     lx = x.live
 
     def vjp(g):
         grads = []
         for i in reversed(range(len(layers))):
-            layer, out = layers[i], hs[i + 1]
-            if layer.activation == "relu":
-                g = g * (out > ZERO)  # out > 0 exactly where the affine output is
-            elif layer.activation == "sigmoid":
-                g = g * out * (1.0 - out)
-            g, gw, gb = affine_grads(g, hs[i], layer.W.values, lx=i > 0 or lx)
+            if i < len(layers) - 1:
+                g = g * (hs[i + 1] > ZERO)  # out > 0 exactly where the affine output is
+            g, gw, gb = affine_grads(g, hs[i], layers[i].W.values, lx=i > 0 or lx)
             grads += (gb, gw)
         grads.append(g)
         return grads[::-1]

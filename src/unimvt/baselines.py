@@ -10,13 +10,15 @@ is f(x, t_max) - f(x, 0), a gain over the whole dose that reads per unit of
 dose, as the main model's eta_hat does, only after dividing by t_max. A dose is
 checked as the main model's q is, by ``datagen.dose_vector``; its errors call
 it t. Each public scoring entry checks X and its dose once, then hands the
-checked arrays to private scorers, which check nothing.
+checked arrays to private scorers, which check nothing. The nets output logits,
+read through ``expit`` in ``_mlp_predict`` and in the one loss node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .config import ExperimentConfig, validate
@@ -30,25 +32,28 @@ def _normalize_t(t: np.ndarray, t_min: float, t_max: float) -> np.ndarray:
 
 
 def _mlp_predict(layers, X: np.ndarray, tn=None) -> np.ndarray:
-    """The net's output on the rows of X, with the per-row normalized dose tn
-    as its last input when given, scored in ``autodiff.row_blocks``: each
-    block's inputs are built and recorded on a fresh tape."""
+    """expit of the net's logits on the rows of X, with the per-row normalized
+    dose tn as its last input when given, scored in ``autodiff.row_blocks``:
+    each block's inputs are built and recorded on a fresh tape."""
     out = []
     for rows in ad.row_blocks(X.shape[0]):
         inputs = X[rows] if tn is None else np.column_stack([X[rows], tn[rows]])
         tape = ad.Tape()
-        out.append(ad.mlp_forward(layers, tape.constant(inputs), tape).value.reshape(-1))
+        out.append(expit(ad.mlp_forward(layers, tape.constant(inputs), tape).value.reshape(-1)))
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _fit_binary_mlp(layers, inputs, labels, cfg: ExperimentConfig, rng) -> None:
-    """Cross-entropy minimization with the shared minibatch-Adam loop, one loss node a batch."""
+    """Cross-entropy minimization with the shared minibatch-Adam loop, one loss
+    node a batch on the logits z: p = expit(z), its vjp times p (1 - p)."""
     y_col = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
 
     def batch_loss(rows, tape):
-        p = ad.mlp_forward(layers, tape.constant(inputs[rows]), tape)
-        value, vjp = ad.cross_entropy(y_col[rows], p.value)
-        loss = tape.record(value.sum(), (p,), lambda g: (vjp(np.full(value.shape, float(g))),))
+        z = ad.mlp_forward(layers, tape.constant(inputs[rows]), tape)
+        p = expit(z.value)
+        value, vjp = ad.cross_entropy(y_col[rows], p)
+        loss = tape.record(value.sum(), (z,),
+                           lambda g: (vjp(np.full(value.shape, float(g))) * p * (1.0 - p),))
         return loss, None
 
     ad.minibatch_adam(ad.mlp_params(layers), inputs.shape[0], batch_loss, cfg.train, rng)
@@ -119,7 +124,7 @@ def train_slearner(dataset: Dataset, cfg: ExperimentConfig) -> SLearnerModel:
     validate(cfg, X.shape[1])
     rng = np.random.default_rng(cfg.train.seed)
     dims = (X.shape[1] + 1, *cfg.net.tower_hidden, 1)
-    net = ad.init_mlp(rng, "slearner", dims, out_activation="sigmoid")
+    net = ad.init_mlp(rng, "slearner", dims)
     inputs = np.column_stack([X, _normalize_t(t, t_min, t_max)])
     _fit_binary_mlp(net, inputs, y, cfg, rng)
     return SLearnerModel(net, t_min, t_max)
@@ -133,10 +138,8 @@ def train_tlearner(dataset: Dataset, cfg: ExperimentConfig) -> TLearnerModel:
         raise ConfigError("T-Learner needs control rows to fit its control net")
     validate(cfg, X.shape[1])
     rng = np.random.default_rng(cfg.train.seed)
-    control_net = ad.init_mlp(rng, "tlearner.control", (X.shape[1], *cfg.net.tower_hidden, 1),
-                              out_activation="sigmoid")
-    treated_net = ad.init_mlp(rng, "tlearner.treated", (X.shape[1] + 1, *cfg.net.tower_hidden, 1),
-                              out_activation="sigmoid")
+    control_net = ad.init_mlp(rng, "tlearner.control", (X.shape[1], *cfg.net.tower_hidden, 1))
+    treated_net = ad.init_mlp(rng, "tlearner.treated", (X.shape[1] + 1, *cfg.net.tower_hidden, 1))
     _fit_binary_mlp(control_net, X[ctrl], y[ctrl], cfg, rng)
     treated_inputs = np.column_stack([X[trt], _normalize_t(t[trt], t_min, t_max)])
     _fit_binary_mlp(treated_net, treated_inputs, y[trt], cfg, rng)

@@ -44,6 +44,7 @@ one that holds a tensor per tower and head is refused by name.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -139,18 +140,18 @@ def build_model(cfg: ExperimentConfig, input_dim: int, t_min: float, t_max: floa
                 seed: int = 0) -> UniMvtModel:
     validate(cfg, input_dim)
     _integer(seed, "seed", least=0)
+    cfg = copy.deepcopy(cfg)  # the model's own, its widths as they reload
+    cfg.net.tower_hidden = tuple(cfg.net.tower_hidden)
     rng = np.random.default_rng(seed)
     dcr_params = init_dcr(rng, input_dim, cfg.dcr, cfg.ablate.dcr)
     rep = dcr_params.output_dim
     # drawn base tower, treatment tower, TA gates, intensity head, uplift head:
     # the order of one MLP per tower and head and one linear layer per gate
-    towers = ad.init_stacked_mlp(rng, "towers", (rep, *cfg.net.tower_hidden, 1), 2,
-                                 out_activation="sigmoid")
+    towers = ad.init_stacked_mlp(rng, "towers", (rep, *cfg.net.tower_hidden, 1), 2)
     draws = [ad.glorot_uniform(rng, TREAT_ENC_DIM, width) for width in cfg.net.tower_hidden]
     gate_w = np.concatenate(draws, axis=1) if draws else np.zeros((TREAT_ENC_DIM, 0))
     ta_gates = ad.Layer(ad.ParamTensor("ta_gates.W", gate_w),
                         ad.ParamTensor("ta_gates.b", np.zeros(gate_w.shape[1])))
-    # the last layer's activation is per slice: a sigmoid, then a ReLU
     heads = ad.init_stacked_mlp(rng, "heads", (rep, cfg.net.head_hidden, 1), 2)
     # zero output weights with a small positive bias start the ReLU head alive
     # and uniform; a symmetric random start risks dying for good while the base

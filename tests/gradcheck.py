@@ -160,10 +160,8 @@ class _PinnedTape(ad.Tape):
 
     def gate_merge(self, gates, experts, open) -> ad.Node:
         node = super().gate_merge(gates, experts, open)
-        pinned = self._pin(experts.value)
+        ev = np.where(open[:, :, None, None], experts.value, self._pin(experts.value))
         tasks = gates.value.shape[0]
-        ev = (np.broadcast_to(pinned, (tasks, *pinned.shape)) if open is None else
-              np.where(open[:, :, None, None], experts.value, pinned))
         _, k, n, d = ev.shape
         # gate_merge's layout: task t, slot k's block in columns k*d .. (k+1)*d - 1 of row block t
         node.value = ((gates.value[:, :, :, None] * ev).transpose(0, 2, 1, 3)

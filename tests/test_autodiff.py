@@ -13,12 +13,13 @@ import gradcheck
 from gradcheck import (GUARD_CASES, GUARD_ROWS, add, affine, binary_cross_entropy, bridge,
                        finite_diff_check, mul, relu, sigmoid, total)
 from unimvt import autodiff as ad
+from unimvt.baselines import _mlp_predict
 from unimvt.config import TrainConfig
 from unimvt.errors import ConfigError, NumericError, UsageError
 
 
-def make_layer(name, W, b, activation="linear"):
-    return ad.Layer(ad.ParamTensor(f"{name}.W", W), ad.ParamTensor(f"{name}.b", b), activation)
+def make_layer(name, W, b):
+    return ad.Layer(ad.ParamTensor(f"{name}.W", W), ad.ParamTensor(f"{name}.b", b))
 
 
 # ---------------------------------------------------------------------------
@@ -42,17 +43,15 @@ def test_mlp_identity_layer():
 
 
 def test_mlp_sigmoid_at_zero():
-    layer = make_layer("l0", np.array([[1.0], [1.0]]), np.zeros(1), "sigmoid")
-    tape = ad.Tape()
-    out = ad.mlp_forward([layer], tape.constant(np.array([[0.0, 0.0]])), tape)
-    assert out.value[0, 0] == 0.5
+    layer = make_layer("l0", np.array([[1.0], [1.0]]), np.zeros(1))
+    assert _mlp_predict([layer], np.array([[0.0, 0.0]]))[0] == 0.5
 
 
 def test_mlp_matches_straight_line_matrix_eval():
     rng = np.random.default_rng(7)
     W1, b1 = rng.standard_normal((4, 5)), rng.standard_normal(5)
     W2, b2 = rng.standard_normal((5, 3)), rng.standard_normal(3)
-    layers = [make_layer("l0", W1, b1, "relu"), make_layer("l1", W2, b2)]
+    layers = [make_layer("l0", W1, b1), make_layer("l1", W2, b2)]
     x = rng.standard_normal((6, 4))
 
     tape = ad.Tape()
@@ -102,32 +101,29 @@ def test_layer_guard_raises_exactly_where_the_plain_sum_is_not_finite(stacked, c
         ad.checked_affine(layer, x, 3, parts)
 
 
-def fused_mlp_case(stacked, activation, seed=0):
-    """Two layers of one activation on a (5, 4) input: plain weights, or a
+def fused_mlp_case(stacked, depth, seed=0):
+    """depth layers from a (5, 4) input to 2 outputs: plain weights, or a
     stack of 3 same-shaped MLPs, the first layer reading the unstacked input."""
     rng = np.random.default_rng(seed)
     lead = (3,) if stacked else ()
-    dims = (4, 6, 2)
+    dims = (4, *(6, 5)[:depth - 1], 2)
     return [make_layer(f"l{i}", rng.standard_normal((*lead, fan_in, fan_out)),
-                       rng.standard_normal((*lead, 1, fan_out) if stacked else fan_out), activation)
+                       rng.standard_normal((*lead, 1, fan_out) if stacked else fan_out))
             for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))]
 
 
 def chain_of_primitives(layers, x, tape):
-    """The layer stack as one reference node per affine and activation."""
-    for layer in layers:
-        x = affine(tape, x, layer.W, layer.b)
-        if layer.activation == "relu":
-            x = relu(tape, x)
-        elif layer.activation == "sigmoid":
-            x = sigmoid(tape, x)
+    """The layer stack as one reference node per affine and per relu, a relu
+    between layers only."""
+    for i, layer in enumerate(layers):
+        x = affine(tape, x if i == 0 else relu(tape, x), layer.W, layer.b)
     return x
 
 
-@pytest.mark.parametrize("activation", ["relu", "sigmoid", "linear"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
-def test_mlp_is_one_node_equal_to_the_chain_of_primitives(stacked, activation):
-    layers = fused_mlp_case(stacked, activation)
+def test_mlp_is_one_node_equal_to_the_chain_of_primitives(stacked, depth):
+    layers = fused_mlp_case(stacked, depth)
     x = ad.ParamTensor("x", np.random.default_rng(1).standard_normal((5, 4)))
     params = [x, *ad.mlp_params(layers)]
     results = []
@@ -150,10 +146,10 @@ def test_mlp_is_one_node_equal_to_the_chain_of_primitives(stacked, activation):
 
 
 @pytest.mark.parametrize("live", [True, False], ids=["live input", "dead input"])
-@pytest.mark.parametrize("activation", ["relu", "sigmoid", "linear"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
-def test_mlp_gradients_against_finite_differences(stacked, activation, live):
-    layers = fused_mlp_case(stacked, activation, seed=2)
+def test_mlp_gradients_against_finite_differences(stacked, depth, live):
+    layers = fused_mlp_case(stacked, depth, seed=2)
     x = ad.ParamTensor("x", np.random.default_rng(3).standard_normal((5, 4)))
     weights = np.random.default_rng(4).uniform(0.5, 1.5, size=(3, 5, 2) if stacked else (5, 2))
     nodes = []
@@ -223,15 +219,15 @@ def test_a_parameter_is_a_leaf_of_every_tape():
 def test_backward_two_layer_net_matches_finite_differences():
     rng = np.random.default_rng(11)
     layers = [
-        make_layer("l0", ad.glorot_uniform(rng, 3, 4), np.zeros(4), "relu"),
-        make_layer("l1", ad.glorot_uniform(rng, 4, 1), np.zeros(1), "sigmoid"),
+        make_layer("l0", ad.glorot_uniform(rng, 3, 4), np.zeros(4)),
+        make_layer("l1", ad.glorot_uniform(rng, 4, 1), np.zeros(1)),
     ]
     x = rng.standard_normal((8, 3))
     y = rng.integers(0, 2, size=(8, 1)).astype(float)
     params = ad.mlp_params(layers)
 
     def loss_fn(tape):
-        p = ad.mlp_forward(layers, tape.constant(x), tape)
+        p = sigmoid(tape, ad.mlp_forward(layers, tape.constant(x), tape))
         return total(tape, binary_cross_entropy(tape, y, p))
 
     assert finite_diff_check(loss_fn, params, eps=1e-5) < 1e-4
@@ -269,20 +265,31 @@ def test_stop_gradient_additive_path_stays_open():
 # ---------------------------------------------------------------------------
 
 
-def one_layer(activation, column):
+def identity_layer(name):
+    """A (1, 1) layer whose affine part, x @ [[1]] + [0], passes every finite
+    entry through."""
+    return make_layer(name, np.ones((1, 1)), np.zeros(1))
+
+
+def relu_net(column):
     """mlp_forward on a fresh tape over an (n, 1) column, a constant or a
-    ParamTensor whose gradient is wanted, through one layer of ``activation``
-    whose affine part, x @ [[1]] + [0], passes every finite entry through."""
+    ParamTensor whose gradient is wanted, through two identity layers, so
+    through the relu between them."""
     tape = ad.Tape()
-    layer = make_layer("l0", np.ones((1, 1)), np.zeros(1), activation)
     x = column if isinstance(column, ad.ParamTensor) else tape.constant(column)
-    return ad.mlp_forward([layer], x, tape)
+    return ad.mlp_forward([identity_layer("l0"), identity_layer("l1")], x, tape)
+
+
+def sigmoid_net(column):
+    """The S-/T-Learners' probability, ``baselines._mlp_predict``, of a
+    one-layer identity net on an (n, 1) column, as a column."""
+    return _mlp_predict([identity_layer("l0")], column).reshape(-1, 1)
 
 
 @given(st.floats(-30, 30))
 def test_sigmoid_strictly_inside_unit_interval(z):
-    s = one_layer("sigmoid", np.array([[z]]))
-    assert 0.0 < s.value[0, 0] < 1.0
+    s = sigmoid_net(np.array([[z]]))
+    assert 0.0 < s[0, 0] < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +301,7 @@ EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-3
 # |x| > 708 underflows exp(-|x|); the sigmoid must stay silent at every one
 SIGMOID_EDGES = np.concatenate([EDGES, [36.0, -36.0, 709.5, -709.5, 711.0, -711.0,
                                         745.2, -745.2, 800.0, -800.0]])
-# what a layer's activation can see: mlp_forward raises on a non-finite affine output
+# what a relu or a learner's expit can see: mlp_forward raises on a non-finite affine output
 FINITE_EDGES = EDGES[np.isfinite(EDGES)]
 FINITE_SIGMOID_EDGES = SIGMOID_EDGES[np.isfinite(SIGMOID_EDGES)]
 
@@ -328,26 +335,25 @@ def assert_within_2_ulp_where_normal(got, want):
 def test_mlp_relu_equals_the_select_form():
     a = np.concatenate([FINITE_EDGES, np.random.default_rng(0).standard_normal(54)]).reshape(-1, 1)
     g = np.random.default_rng(1).standard_normal(a.shape)
-    node = one_layer("relu", ad.ParamTensor("a", a))
+    node = relu_net(ad.ParamTensor("a", a))
     assert same_bits(node.value, select_relu(a)) and not np.signbit(node.value).any()
     assert np.array_equal(node.vjp(g)[0], g * (a > 0))  # the input's gradient
 
 
 def test_sigmoid_equals_the_select_form_without_overflow():
-    """The sigmoid of a layer is scipy's expit bit for bit, silent at every
-    edge, and agrees with the select form to 2 ulp wherever that form is
-    normal."""
+    """The learners' sigmoid of a logit is scipy's expit bit for bit, silent
+    at every edge, and agrees with the select form to 2 ulp wherever that
+    form is normal."""
     x = FINITE_SIGMOID_EDGES.reshape(-1, 1)
     with np.errstate(all="raise"):
-        got = one_layer("sigmoid", x).value
+        got = sigmoid_net(x)
     assert same_bits(got, expit(x))
     assert got[x == 800.0] == 1.0 and got[x == -800.0] == 0.0
     dense = np.concatenate([x.reshape(-1), np.linspace(-720.0, 720.0, 14401),
                             np.random.default_rng(7).standard_normal(1000) * 10.0])
     with np.errstate(all="raise", under="ignore"):
         want = select_sigmoid(dense)
-    assert_within_2_ulp_where_normal(one_layer("sigmoid", dense.reshape(-1, 1)).value,
-                                     want.reshape(-1, 1))
+    assert_within_2_ulp_where_normal(sigmoid_net(dense.reshape(-1, 1)), want.reshape(-1, 1))
 
 
 def test_bridge_equals_the_select_form():
@@ -411,15 +417,14 @@ def test_gate_merge_equals_the_transpose_form():
     assert same_bits(g_experts, parts[1] + parts[0])
 
 
-@pytest.mark.parametrize("open_", [None, np.zeros((2, 3), bool)], ids=["None", "all closed"])
-def test_gate_merge_with_no_open_slot_gives_the_experts_no_gradient(open_):
-    # None opens no slot, and the experts get no gradient; an all-closed
-    # mask, which gate_merge does not test for, gives them exact zeros
+def test_gate_merge_with_no_open_slot_gives_the_experts_no_gradient():
+    # an all-closed mask, which gate_merge does not test for, gives the
+    # experts exact zeros
     rng = np.random.default_rng(8)
     gates = ad.ParamTensor("gates", rng.uniform(0, 1, (2, 3, 4)))
     w = ad.ParamTensor("w", rng.standard_normal((3, 4, 2)))
     tape = ad.Tape()
-    node = tape.gate_merge(gates, mul(tape, w, 1.0), open_)
+    node = tape.gate_merge(gates, mul(tape, w, 1.0), np.zeros((2, 3), bool))
     total(tape, mul(tape, node, rng.standard_normal((2, 4, 6))))
     ad.backward(tape)
     np.testing.assert_array_equal(w.grad, 0.0)
@@ -438,8 +443,8 @@ def test_kernels_keep_extended_precision():
         # an in-place add would round b to float64
         assert same_bits(ad.affine_value(x, wv, bv), x @ wv + bv)
     xl = x.reshape(-1, 1).astype(ld)
-    assert one_layer("relu", xl).value.dtype == ld
-    got = one_layer("sigmoid", xl).value
+    assert relu_net(xl).value.dtype == ld
+    got = sigmoid_net(xl)
     assert same_bits(got, expit(xl))  # longdouble in, longdouble out
     assert_within_2_ulp_where_normal(got, select_sigmoid(xl))  # in longdouble's ulp
 
@@ -580,7 +585,7 @@ def test_only_a_node_that_reaches_a_parameter_is_live():
     assert w.live and mixed.live and mixed.vjp is not None
     assert partly_open.live and partly_open.vjp is not None
     for dead in (on_constants, frozen, mul(tape, frozen, on_constants),
-                 tape.gate_merge(gates, experts, None)):
+                 tape.gate_merge(gates, tape.constant(np.ones((2, 2, 1))), np.ones((1, 2), bool))):
         assert not dead.live and dead.vjp is None
 
 
@@ -816,8 +821,8 @@ def test_seeded_init_and_steps_are_bit_reproducible():
     def run():
         rng = np.random.default_rng(42)
         layers = [
-            make_layer("l0", ad.glorot_uniform(rng, 3, 4), np.zeros(4), "relu"),
-            make_layer("l1", ad.glorot_uniform(rng, 4, 1), np.zeros(1), "sigmoid"),
+            make_layer("l0", ad.glorot_uniform(rng, 3, 4), np.zeros(4)),
+            make_layer("l1", ad.glorot_uniform(rng, 4, 1), np.zeros(1)),
         ]
         params = ad.mlp_params(layers)
         state = ad.OptimizerState(params, lr=1e-3)
@@ -825,7 +830,7 @@ def test_seeded_init_and_steps_are_bit_reproducible():
         y = rng.integers(0, 2, size=(16, 1)).astype(float)
         for _ in range(5):
             tape = ad.Tape()
-            p = ad.mlp_forward(layers, tape.constant(x), tape)
+            p = sigmoid(tape, ad.mlp_forward(layers, tape.constant(x), tape))
             total(tape, binary_cross_entropy(tape, y, p))
             ad.backward(tape)
             ad.optimizer_step(state)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from gradcheck import binary_cross_entropy, finite_diff_check, total
+from gradcheck import binary_cross_entropy, finite_diff_check, sigmoid, total
 from unimvt import autodiff as ad
 from unimvt import baselines as bl
 from unimvt import datagen as dg
@@ -48,7 +48,7 @@ def test_slearner_matches_a_net_trained_by_hand_on_its_normalized_doses():
 
     # oracle: identical net trained by hand on x and the dose min-max normalized by [1, 3]
     rng = np.random.default_rng(4)
-    net = ad.init_mlp(rng, "slearner", (5, 16, 16, 1), out_activation="sigmoid")
+    net = ad.init_mlp(rng, "slearner", (5, 16, 16, 1))
     inputs = np.column_stack([X, (t - 1.0) / 2.0])
     bl._fit_binary_mlp(net, inputs, y, cfg, rng)
     np.testing.assert_array_equal(model.outcome_prob(X, t), bl._mlp_predict(net, inputs))
@@ -111,11 +111,28 @@ def test_unit_uplift_hand_built_sigmoid_of_t():
     # f(x, t) = sigmoid(t_normalized); with bounds [0, 1] normalization is identity
     W = np.zeros((3, 1))
     W[2, 0] = 1.0  # only the intensity feature
-    net = [ad.Layer(ad.ParamTensor("s.W", W), ad.ParamTensor("s.b", np.zeros(1)), "sigmoid")]
+    net = [ad.Layer(ad.ParamTensor("s.W", W), ad.ParamTensor("s.b", np.zeros(1)))]
     model = bl.SLearnerModel(net, t_min=0.0, t_max=1.0)
     got = model.unit_uplift_scores(np.array([0.4, -1.0]))[0]
     assert got == pytest.approx(expit(1.0) - expit(0.0), abs=1e-12)
     assert got == pytest.approx(0.23105857863, abs=1e-9)
+
+
+def logit_of(net, inputs):
+    """The net's mlp_forward output on inputs, one tape, as a vector."""
+    tape = ad.Tape()
+    return ad.mlp_forward(net, tape.constant(inputs), tape).value.reshape(-1)
+
+
+def test_base_ctr_is_expit_of_the_net_output_bit_for_bit(small_syn):
+    # the nets output logits; a learner reads them through expit itself
+    train_ds, test_ds = small_syn
+    X = dg.dataset_arrays(test_ds)[0][:200]  # one scoring block, as logit_of scores
+    cfg = quick_cfg(seed=6, epochs=1)
+    s, t = bl.train_slearner(train_ds, cfg), bl.train_tlearner(train_ds, cfg)
+    at_zero = np.column_stack([X, np.full(len(X), -s.t_min / (s.t_max - s.t_min))])
+    assert np.array_equal(s.base_ctr(X), expit(logit_of(s.net, at_zero)))
+    assert np.array_equal(t.base_ctr(X), expit(logit_of(t.control_net, X)))
 
 
 def test_unit_uplift_matches_two_call_evaluation(small_syn):
@@ -131,9 +148,9 @@ def test_tlearner_unit_uplift_reads_the_top_of_the_treated_support():
     # unit uplift contrasts normalized intensity 1 (raw 2.8) with no treatment
     W = np.zeros((3, 1))
     W[2, 0] = 1.0
-    treated = [ad.Layer(ad.ParamTensor("t.W", W), ad.ParamTensor("t.b", np.zeros(1)), "sigmoid")]
-    control = [ad.Layer(ad.ParamTensor("c.W", np.zeros((2, 1))), ad.ParamTensor("c.b", np.zeros(1)),
-                        "sigmoid")]
+    treated = [ad.Layer(ad.ParamTensor("t.W", W), ad.ParamTensor("t.b", np.zeros(1)))]
+    control = [ad.Layer(ad.ParamTensor("c.W", np.zeros((2, 1))),
+                        ad.ParamTensor("c.b", np.zeros(1)))]
     model = bl.TLearnerModel(control, treated, t_min=2.2, t_max=2.8)
     got = model.unit_uplift_scores(np.array([0.4, -1.0]))[0]
     assert got == pytest.approx(expit(1.0) - 0.5, abs=1e-12)
@@ -143,7 +160,7 @@ def untrained_learners():
     rng = np.random.default_rng(0)
 
     def net(name, n_inputs):
-        return ad.init_mlp(rng, name, (n_inputs, 4, 1), out_activation="sigmoid")
+        return ad.init_mlp(rng, name, (n_inputs, 4, 1))
 
     return (bl.SLearnerModel(net("s", 6), 1.0, 3.0),
             bl.TLearnerModel(net("c", 5), net("t", 6), 1.0, 3.0))
@@ -174,9 +191,9 @@ def test_scoring_names_the_nonfinite_feature(entry, bad):
 # ---------------------------------------------------------------------------
 
 def tiny_fit_case():
-    """A (5, 4, 1) sigmoid net, seeded, and 40 rows of 5 inputs with labels."""
+    """A (5, 4, 1) logit net, seeded, and 40 rows of 5 inputs with labels."""
     rng = np.random.default_rng(17)
-    net = ad.init_mlp(rng, "net", (5, 4, 1), out_activation="sigmoid")
+    net = ad.init_mlp(rng, "net", (5, 4, 1))
     return net, rng.standard_normal((40, 5)), rng.integers(0, 2, size=40)
 
 
@@ -199,6 +216,8 @@ def test_a_learner_batch_records_at_most_3_nodes(monkeypatch):
 
 
 def test_the_one_node_loss_against_finite_differences(monkeypatch):
+    # the node reads the net's logits, so this checks the sigmoid's
+    # derivative inside its vjp along with the cross-entropy's
     net, inputs, labels = tiny_fit_case()
     batch_loss = fit_batch_loss(monkeypatch, net, inputs, labels)
     rows = np.arange(3, 19)
@@ -217,7 +236,7 @@ def test_fit_binary_mlp_trains_as_the_two_node_reference_loss():
     y_col = labels.reshape(-1, 1).astype(np.float64)
 
     def reference_loss(rows, tape):
-        p = ad.mlp_forward(reference, tape.constant(inputs[rows]), tape)
+        p = sigmoid(tape, ad.mlp_forward(reference, tape.constant(inputs[rows]), tape))
         return total(tape, binary_cross_entropy(tape, y_col[rows], p)), None
 
     ad.minibatch_adam(ad.mlp_params(reference), len(inputs), reference_loss, cfg.train,

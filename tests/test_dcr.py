@@ -15,14 +15,14 @@ from unimvt.errors import ConfigError, NumericError
 def zero_gates(in_dim, n_experts):
     """A gate bank of zeros: gate0's n_experts columns, then gate_t's."""
     return ad.Layer(ad.ParamTensor("dcr.gates.W", np.zeros((in_dim, 2 * n_experts))),
-                    ad.ParamTensor("dcr.gates.b", np.zeros(2 * n_experts)), "linear")
+                    ad.ParamTensor("dcr.gates.b", np.zeros(2 * n_experts)))
 
 
 def single_layer_params(Wb, Ws, Wt):
     """One linear expert per group, stacked in slot order base, shared, treated."""
     W = np.stack([Wb, Ws, Wt])
     layer = ad.Layer(ad.ParamTensor("dcr.l0.W", W),
-                     ad.ParamTensor("dcr.l0.b", np.zeros((3, 1, W.shape[2]))), "linear")
+                     ad.ParamTensor("dcr.l0.b", np.zeros((3, 1, W.shape[2]))))
     return dcr.DcrParams(input_dim=W.shape[1], experts=[layer], gates=zero_gates(W.shape[1], 3))
 
 

@@ -110,7 +110,7 @@ def test_build_model_stacks_one_mlp_per_tower_and_head_in_their_draw_order(ablat
     model = ht.build_model(cfg, input_dim=5, t_min=1.0, t_max=3.0, seed=7)
     rng = np.random.default_rng(7)
     rep = dcr.init_dcr(rng, 5, cfg.dcr, ablate_dcr).output_dim
-    towers = [ad.init_mlp(rng, name, (rep, *cfg.net.tower_hidden, 1), out_activation="sigmoid")
+    towers = [ad.init_mlp(rng, name, (rep, *cfg.net.tower_hidden, 1))
               for name in ("base_tower", "treat_tower")]
     ad.init_mlp(rng, "ta_gates", (2, sum(cfg.net.tower_hidden)))  # draws the bank's share
     heads = [ad.init_mlp(rng, name, (rep, cfg.net.head_hidden, 1))
@@ -135,10 +135,9 @@ def test_build_model_stacks_one_mlp_per_tower_and_head_in_their_draw_order(ablat
 
 def stacked(name, rng, *dims):
     """Two random same-shaped layer stacks as one: a (2, in, out) weight and
-    (2, 1, out) bias per layer, every hidden layer a relu."""
+    (2, 1, out) bias per layer."""
     return [ad.Layer(ad.ParamTensor(f"{name}.l{i}.W", rng.standard_normal((2, fan_in, fan_out))),
-                     ad.ParamTensor(f"{name}.l{i}.b", rng.standard_normal((2, 1, fan_out))),
-                     "relu" if i < len(dims) - 2 else "linear")
+                     ad.ParamTensor(f"{name}.l{i}.b", rng.standard_normal((2, 1, fan_out))))
             for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))]
 
 
@@ -171,13 +170,13 @@ DOSES = np.array([[1.0], [1.7], [2.2], [3.0], [3.6]])
 
 
 def test_ta_gate_neutral_at_zero_params():
-    # a = 2*sigmoid(0) is exactly 1: the tower is its plain sigmoid MLP
+    # a = 2*sigmoid(0) is exactly 1: the tower is its plain MLP read through a sigmoid
     hte = one_gate_tower(np.zeros((2, 3)), np.zeros(3))
     tape = ad.Tape()
     plain_tower = [ad.Layer(ad.ParamTensor(f"t{i}.W", layer.W.values[1]),
-                            ad.ParamTensor(f"t{i}.b", layer.b.values[1, 0]), act)
-                   for i, (layer, act) in enumerate(zip(hte.towers, ("relu", "sigmoid")))]
-    plain = ad.mlp_forward(plain_tower, tape.constant(UT), tape).value
+                            ad.ParamTensor(f"t{i}.b", layer.b.values[1, 0]))
+                   for i, layer in enumerate(hte.towers)]
+    plain = expit(ad.mlp_forward(plain_tower, tape.constant(UT), tape).value)
     np.testing.assert_array_equal(tower_value(hte, UT, DOSES), plain)
 
 
@@ -833,7 +832,7 @@ def learners_on_five_features():
     rng = np.random.default_rng(0)
 
     def net(name, n_inputs):
-        return ad.init_mlp(rng, name, (n_inputs, 4, 1), out_activation="sigmoid")
+        return ad.init_mlp(rng, name, (n_inputs, 4, 1))
 
     # each learner's net that reads the dose takes it as one more input
     return (baselines.SLearnerModel(net("s", 6), 1.0, 3.0),
@@ -1339,8 +1338,7 @@ def default_width_tlearner():
     rng = np.random.default_rng(0)
     hidden = ExperimentConfig().net.tower_hidden
     return baselines.TLearnerModel(
-        ad.init_mlp(rng, "c", (8, *hidden, 1), out_activation="sigmoid"),
-        ad.init_mlp(rng, "t", (9, *hidden, 1), out_activation="sigmoid"), 1.0, 3.0)
+        ad.init_mlp(rng, "c", (8, *hidden, 1)), ad.init_mlp(rng, "t", (9, *hidden, 1)), 1.0, 3.0)
 
 
 @pytest.mark.parametrize("entry", ["predict_batch", "tlearner.unit_uplift_scores"])

@@ -3,12 +3,14 @@ the key, when it is missing, corrupt, non-finite or out of range; a corrupt
 parameter and an undecodable file fail loudly too."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from unimvt import datagen as dg
 from unimvt import htenet as ht
-from unimvt.config import ExperimentConfig, config_to_flat, default_config
+from unimvt.config import ExperimentConfig, TrainConfig, config_to_flat, default_config
 from unimvt.errors import ConfigError
 
 HEADER_KEYS = {
@@ -165,6 +167,40 @@ def test_save_model_refuses_a_config_that_load_model_would_and_writes_no_file(tm
     with pytest.raises(ConfigError, match=re.escape("loss.lambda_t")):
         ht.save_model(model, path)
     assert not path.exists()
+
+
+CALLER_EDITS = {
+    "dcr.hidden": lambda cfg: setattr(cfg.dcr, "hidden", 8),
+    "loss.lambda_x": lambda cfg: setattr(cfg.loss, "lambda_x", 0.25),
+    "train.epochs": lambda cfg: setattr(cfg.train, "epochs", 7),
+}
+
+
+@pytest.mark.parametrize("key", CALLER_EDITS)
+def test_a_trained_model_keeps_its_config_when_the_caller_changes_theirs(tmp_path, key):
+    # the model holds a copy: the file reloads with the config it trained under
+    cfg = ExperimentConfig(train=TrainConfig(epochs=1, batch=64, seed=3))
+    cfg.dcr.hidden = 4
+    ds, _ = dg.generate(replace(dg.PRESETS["syn1"], n_train=200, n_test=20, seed=5))
+    model, _ = ht.train(ds, cfg)
+    trained_under = config_to_flat(cfg)
+    CALLER_EDITS[key](cfg)
+    assert model.cfg is not cfg and config_to_flat(cfg) != trained_under
+    ht.save_model(model, tmp_path / "model.txt")
+    loaded = ht.load_model(tmp_path / "model.txt")
+    assert config_to_flat(loaded.cfg) == trained_under
+    for got, want in zip(loaded.parameters(), model.parameters()):
+        np.testing.assert_array_equal(got.values, want.values, strict=True)
+
+
+def test_list_tower_widths_reload_as_the_model_config(tmp_path):
+    # validate takes a list of widths; the model keeps them as the tuple a file reloads as
+    cfg = ExperimentConfig()
+    cfg.net.tower_hidden = [8, 4]
+    model = ht.build_model(cfg, input_dim=3, t_min=1.0, t_max=2.0)
+    assert model.cfg.net.tower_hidden == (8, 4) and cfg.net.tower_hidden == [8, 4]
+    ht.save_model(model, tmp_path / "model.txt")
+    assert ht.load_model(tmp_path / "model.txt").cfg == model.cfg
 
 
 def per_gate_lines(lines, bank, gates):
