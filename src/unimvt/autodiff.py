@@ -1,43 +1,39 @@
 """Tape-based reverse-mode autodiff over float64 numpy arrays.
 
-This is the substrate everything else is built on. The primitives are the
-``Tape`` method ``gate_merge`` (every task's gate-weighted experts in one
-node, open to the experts' gradient on a per-task slot mask) and
-``mlp_forward``, which records a whole layer stack (also a stack of K
-same-shaped stacks) as one node with a hand-written vjp. There is no general
-arithmetic: any other step, a fused network or a loss, is one
-``Tape.record`` node with the caller's vjp on the kernels ``affine_value``,
-``affine_grads``, ``cross_entropy`` and ``bridge`` (the counterfactual
-bridge over p, t_hat and eta), each of the last two returning a value and
-its vjp. An array that passes no gradient is a ``Tape.constant``, or, read
-inside a fused node, goes through ``Tape.detach``, which records nothing but
-lets a gradient checker replay it. Around them: dense layers, weights
-alone, which ``mlp_forward`` runs with a relu between them and the last left
-linear (``init_stacked_mlp`` draws K same-shaped stacks as one), an Adam
-optimizer with the one minibatch training loop and ``row_blocks`` (the
-``SCORE_ROWS``-row blocks that every scoring call records on fresh tapes).
+This is the substrate everything else is built on. A ``Tape`` has three
+methods, ``record``, ``constant`` and ``detach``, and no arithmetic of its
+own: every step, a fused network or a loss, is one ``Tape.record`` node
+with the caller's vjp, built on kernels that return a value and its vjp:
+``mlp`` (a whole layer stack, also a stack of K same-shaped stacks, which
+``mlp_forward`` records as one node), ``cross_entropy`` and ``bridge`` (the
+counterfactual bridge over p, t_hat and eta), around the affine pair
+``affine_value`` and ``affine_grads``. An array that passes no gradient is
+a ``Tape.constant``, or, read inside a fused node, goes through
+``Tape.detach``, which records nothing but lets a gradient checker replay
+it. Around them: dense layers, weights alone, which ``mlp`` runs with a
+relu between them and the last left linear (``init_stacked_mlp`` draws K
+same-shaped stacks as one), an Adam optimizer with the one minibatch
+training loop and ``row_blocks`` (the ``SCORE_ROWS``-row blocks that every
+scoring call scores in turn).
 
 ``Tape.record(value, parents, vjp)`` keeps a float ndarray value as it is,
 uncopied, so its caller hands it over and does not change it afterwards;
 any other value becomes a float array (float64 unless it already has a
-float dtype). ``gate_merge``'s slot mask is a boolean (tasks, K) array; a
-call does not test it, so the DCR fixes its mask once per model
-(``dcr.DcrParams.slot_open``). A vjp may read its layers' weights when it
-runs: ``backward`` runs before the optimizer moves them.
+float dtype). A vjp may read its layers' weights when it runs: ``backward``
+runs before the optimizer moves them.
 
 Values are numpy float64 arrays, either 2-D ``(rows, cols)`` matrices
 (row = sample), 1-D bias vectors, 0-D scalars (loss values), or 3-D
 ``(K, ...)`` stacks of K same-shaped layers' weights and outputs. A ``Tape``
-records every node in creation order through its methods
-(``tape.gate_merge(gates, experts, open)``, ``tape.record(value, parents,
+records every node in creation order (``tape.record(value, parents,
 vjp)``); ``backward`` replays it once in reverse, so creation order doubles
 as the topological order.
 
 Who owns what: a ``ParamTensor`` holds its values and its accumulated
 gradient and outlives every tape; once an ``OptimizerState`` has packed it,
 both are views of that state's flat buffers, which own the memory. A
-parameter is a leaf of every tape, not a node of one: primitives take the
-``ParamTensor`` itself as an operand, and ``backward`` adds each gradient
+parameter is a leaf of every tape, not a node of one: a node takes the
+``ParamTensor`` itself as a parent, and ``backward`` adds each gradient
 that reaches it into ``ParamTensor.grad`` as it arrives. A ``Tape`` owns its
 nodes. A ``Node`` holds its value, its parents (nodes of its tape and
 parameters), the vjp that maps its gradient to theirs and its tape's mark (a
@@ -58,11 +54,9 @@ is ``np.fmax(a, ZERO)``; the sigmoid is one ufunc, ``scipy.special.expit``,
 which keeps extended precision and stays silent at any input;
 ``affine_value`` adds the bias in place onto the fresh product unless that
 would downcast it; in ``affine_grads`` the bias gradient is the BLAS product
-``ones(rows) @ g`` and the x gradient reads a contiguous copy of W^T;
-``gate_merge`` writes its gate-weighted blocks into its output in one pass
-and builds its experts' gradient factor in its vjp, so prediction never
-pays for it. Their constant operands are the read-only 0-d float64 arrays
-``ZERO``, ``TWO``, ``PROB_LO`` and ``PROB_HI`` (and a model's own, such as
+``ones(rows) @ g`` and the x gradient reads a contiguous copy of W^T.
+Their constant operands are the read-only 0-d float64 arrays ``ZERO``,
+``TWO``, ``PROB_LO`` and ``PROB_HI`` (and a model's own, such as
 ``htenet.HteParams.t_bounds``), because a ufunc converts a Python float
 operand on every call; a 0-d float64 array promotes as that float does, so
 float64 stays float64 and a longdouble operand stays longdouble. Each
@@ -232,13 +226,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tape:
-    """Ordered record of forward primitives, replayed in reverse by backward().
+    """Ordered record of fused nodes, replayed in reverse by backward().
 
-    The primitives are its methods. Each records one node whose parents must
-    be ParamTensors or nodes recorded on this tape (UsageError otherwise);
-    an array enters as ``constant``.
-    A primitive with more than one operand reads their ``live`` flags when it
-    records, and its vjp gives None, which backward skips, for a dead one.
+    ``record`` appends one node whose parents must be ParamTensors or nodes
+    recorded on this tape (UsageError otherwise); an array enters as
+    ``constant``. A node's vjp reads its operands' ``live`` flags when it is
+    built and gives None, which backward skips, for a dead one.
     No vjp closes over the tape, so references run one way.
     """
 
@@ -273,43 +266,6 @@ class Tape:
         reads such an input this way so that a gradient checker's tape, which
         replays every constant at its unperturbed value, can replay it too."""
         return values
-
-    # -- primitives ---------------------------------------------------------
-
-    def gate_merge(self, gates, experts, open) -> Node:
-        """Every task's gate-weighted experts side by side: the slot-major
-        gates (tasks, K, rows) and stacked expert outputs (K, rows, d) give the
-        (tasks, rows, K * d) stack whose task t, block k is gates[t, k][:, None]
-        * experts[k], written in one pass. ``open``, a boolean (tasks, K)
-        array, is where the experts get a gradient from each task: a closed
-        slot's is exactly 0, as if its block were read through a
-        stop-gradient. The mask is not tested per call, so a caller fixes it
-        once (``dcr.DcrParams.slot_open``). The experts' gradient adds the
-        tasks' parts last task first."""
-        ev = experts.value
-        k, n, d = ev.shape
-        shape = gates.value.shape
-        weights = gates.value[:, :, :, None]  # (tasks, K, rows, 1)
-        lg, le = gates.live, experts.live
-
-        def vjp(g):  # the experts' factor is built here: prediction never needs it
-            blocks = g.reshape(shape[0], n, k, d).transpose(0, 2, 1, 3)
-            gg = ge = None
-            if lg:
-                gg = np.empty(shape)
-                for task in range(shape[0]):
-                    np.einsum("knd,knd->kn", blocks[task], ev, out=gg[task])
-            if le:
-                for task in reversed(range(shape[0])):
-                    part = blocks[task] * (weights[task] * open[task][:, None, None])
-                    ge = part if ge is None else ge + part
-            return gg, ge
-
-        # task t, slot k's block in columns k*d .. (k+1)*d - 1 of row block t:
-        # the product is written row-major in (tasks, n, k, d), so the reshape copies nothing
-        out = np.multiply(weights.transpose(0, 2, 1, 3), ev.transpose(1, 0, 2), order="C")
-        return self.record(out.reshape(shape[0], n, k * d), (gates, experts),
-                           vjp if lg or le else None)
 
 
 def backward(tape: Tape) -> None:
@@ -412,19 +368,17 @@ def checked_affine(layer: Layer, xv: np.ndarray, index: int,
     return out
 
 
-def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
-    """Run a layer stack on x, a node of tape, as one node whose parents are x
-    and every layer's W and b, with a relu between layers and the last linear.
-    Stacked layers, weights (K, in, out) with biases (K, 1, out), run K stacks
-    at once and give (K, rows, out); x is then (rows, in) or already stacked.
-    Raises ConfigError or NumericError naming the layer, as ``checked_affine``."""
-    hs = [x.value]  # the input, then every layer's output
-    parents = [x]
+def mlp(layers: Sequence[Layer], xv: np.ndarray, lx: bool) -> tuple:
+    """A layer stack on the array xv, with a relu between layers and the last
+    linear, and its vjp: x's gradient (None unless lx), then every layer's W
+    and b gradients. Stacked layers, weights (K, in, out) with biases (K, 1,
+    out), run K stacks at once and give (K, rows, out); xv is then (rows, in)
+    or already stacked. Raises ConfigError or NumericError naming the layer,
+    as ``checked_affine``."""
+    hs = [xv]  # the input, then every layer's output
     for i, layer in enumerate(layers):
         h = checked_affine(layer, hs[-1], i)
         hs.append(np.fmax(h, ZERO) if i < len(layers) - 1 else h)
-        parents += (layer.W, layer.b)
-    lx = x.live
 
     def vjp(g):
         grads = []
@@ -436,7 +390,14 @@ def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
         grads.append(g)
         return grads[::-1]
 
-    return tape.record(hs[-1], parents, vjp)
+    return hs[-1], vjp
+
+
+def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
+    """``mlp`` on x, a node of tape, as one node whose parents are x and every
+    layer's W and b."""
+    value, vjp = mlp(layers, x.value, x.live)
+    return tape.record(value, (x, *mlp_params(layers)), vjp)
 
 
 # ---------------------------------------------------------------------------

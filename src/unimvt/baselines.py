@@ -34,29 +34,33 @@ def _normalize_t(t: np.ndarray, t_min: float, t_max: float) -> np.ndarray:
 def _mlp_predict(layers, X: np.ndarray, tn=None) -> np.ndarray:
     """expit of the net's logits on the rows of X, with the per-row normalized
     dose tn as its last input when given, scored in ``autodiff.row_blocks``:
-    each block's inputs are built and recorded on a fresh tape."""
+    each block's inputs are built and run through ``autodiff.mlp`` in turn."""
     out = []
     for rows in ad.row_blocks(X.shape[0]):
         inputs = X[rows] if tn is None else np.column_stack([X[rows], tn[rows]])
-        tape = ad.Tape()
-        out.append(expit(ad.mlp_forward(layers, tape.constant(inputs), tape).value.reshape(-1)))
+        out.append(expit(ad.mlp(layers, inputs, lx=False)[0].reshape(-1)))
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _fit_binary_mlp(layers, inputs, labels, cfg: ExperimentConfig, rng) -> None:
     """Cross-entropy minimization with the shared minibatch-Adam loop, one loss
-    node a batch on the logits z: p = expit(z), its vjp times p (1 - p)."""
+    node a batch whose parents are the net's weights: on the logits z of
+    ``autodiff.mlp``, p = expit(z), and the cross-entropy's vjp times
+    p (1 - p) goes back through the net's vjp."""
     y_col = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+    params = ad.mlp_params(layers)
 
     def batch_loss(rows, tape):
-        z = ad.mlp_forward(layers, tape.constant(inputs[rows]), tape)
-        p = expit(z.value)
+        z, net_vjp = ad.mlp(layers, inputs[rows], lx=False)
+        p = expit(z)
         value, vjp = ad.cross_entropy(y_col[rows], p)
-        loss = tape.record(value.sum(), (z,),
-                           lambda g: (vjp(np.full(value.shape, float(g))) * p * (1.0 - p),))
-        return loss, None
 
-    ad.minibatch_adam(ad.mlp_params(layers), inputs.shape[0], batch_loss, cfg.train, rng)
+        def loss_vjp(g):  # the cross-entropy's vjp through the sigmoid, then the net's
+            return net_vjp(vjp(np.full(value.shape, float(g))) * p * (1.0 - p))[1:]
+
+        return tape.record(value.sum(), params, loss_vjp), None
+
+    ad.minibatch_adam(params, inputs.shape[0], batch_loss, cfg.train, rng)
 
 
 @dataclass

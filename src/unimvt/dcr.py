@@ -12,15 +12,16 @@ Two softmax gates over the K slots weight every expert's output block
 side by side, producing one representation per downstream task. The two
 gates are one gate bank, one parameter tensor each for the weights
 (input_dim, 2K) and the biases (2K,), gate0's columns first and gate_t's
-after them, and one tape node: one GEMM of the bank gives their logits
-slot-major, (2, K, rows), and the softmax runs along the slot axis. One
-``Tape.gate_merge`` node merges the stacked output for both tasks into the
-(2, rows, K * out_dim) stack [u0, ut], the representation node the HTE net
-reads. Its (2, K) slot mask, fixed once per parameter bundle, closes the
-off-task group to the experts' gradient (u0 closes the treated slots, ut
-the base slots), so the base loss never trains treated experts and vice
-versa, while the shared slots stay open in both directions. Under
-``ablate.dcr`` one shared MLP's (rows, K * out_dim) output stands for both.
+after them: one GEMM of the bank gives their logits slot-major, (2, K,
+rows), and the softmax runs along the slot axis (``gates``). The stacked
+experts, the gate bank and the merge of both tasks are one tape node,
+``dcr_forward``, whose value is the (2, rows, K * out_dim) stack [u0, ut]
+that the HTE net reads. Its (2, K) slot mask, fixed once per parameter
+bundle, closes the off-task group to the experts' gradient (u0 closes the
+treated slots, ut the base slots), so the base loss never trains treated
+experts and vice versa, while the shared slots stay open in both
+directions. Under ``ablate.dcr`` one shared MLP's (rows, K * out_dim)
+output, one ``autodiff.mlp_forward`` node, stands for both.
 A Frobenius cross-product penalty, one tape node over every layer, pushes
 the three groups' weight matrices toward mutually orthogonal subspaces.
 """
@@ -79,15 +80,20 @@ class DcrParams:
     @cached_property
     def slot_open(self) -> np.ndarray:
         """Per task, the slots whose experts its representation trains, as
-        the (2, K) mask of ``Tape.gate_merge``: u0 (row 0) all but the treated
-        ones, ut (row 1) all but the base ones. Both open the shared slots."""
+        ``dcr_forward``'s (2, K) mask: u0 (row 0) all but the treated ones,
+        ut (row 1) all but the base ones. Both open the shared slots."""
         group = np.arange(3 * self.experts_per_group) // self.experts_per_group
         return np.stack([group != TREATED, group != BASE])
 
-    def parameters(self) -> list[ad.ParamTensor]:
+    @cached_property
+    def params(self) -> tuple[ad.ParamTensor, ...]:
+        """The parameters, built once: every forward lists them as its node's parents."""
         if not self.enabled:
-            return ad.mlp_params(self.shared_mlp)
-        return [*ad.mlp_params(self.experts), self.gates.W, self.gates.b]
+            return tuple(ad.mlp_params(self.shared_mlp))
+        return (*ad.mlp_params(self.experts), self.gates.W, self.gates.b)
+
+    def parameters(self) -> list[ad.ParamTensor]:
+        return list(self.params)
 
 
 def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig,
@@ -106,16 +112,15 @@ def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig,
     return DcrParams(input_dim=input_dim, experts=experts, gates=gates)
 
 
-def gates_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
-    """Both gates on x, a node of tape, as one node: the slot-major
-    (2, K, rows) softmax weights, gate0's in row 0 and gate_t's in row 1.
-    One GEMM of the gate bank gives every logit and the softmax runs along
-    the slot axis; the vjp gives the bank's whole gradients. In
-    ``autodiff.checked_affine``'s words, an input width the gates do not take
-    raises ConfigError, and a non-finite logit NumericError naming the
-    bank's weight and the gate."""
+def gates(params: DcrParams, xv: np.ndarray, lx: bool) -> tuple:
+    """Both gates on the array xv: the slot-major (2, K, rows) softmax
+    weights, gate0's in row 0 and gate_t's in row 1, and their vjp, which
+    gives x's gradient (None unless lx) and the bank's whole W and b
+    gradients. One GEMM of the gate bank gives every logit and the softmax
+    runs along the slot axis. In ``autodiff.checked_affine``'s words, an
+    input width the gates do not take raises ConfigError, and a non-finite
+    logit NumericError naming the bank's weight and the gate."""
     bank = params.gates
-    xv = x.value
     wt = bank.W.values.T  # (2K, in), a view the GEMM reads transposed: logits come out slot-major
     if xv.shape[-1] != wt.shape[1]:
         raise ConfigError(f"layer 0 expects input width {wt.shape[1]}, got {xv.shape[-1]}")
@@ -129,29 +134,55 @@ def gates_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
     z -= np.maximum.reduce(z, axis=1, keepdims=True)  # ndarray.max and .sum without wrappers
     s = np.exp(z, out=z)
     s /= np.add.reduce(s, axis=1, keepdims=True)
-    lx = x.live
 
     def vjp(g):  # the softmax vjp along the slot axis, then one affine vjp for the bank
         gz = (s * (g - (g * s).sum(axis=1, keepdims=True))).reshape(2 * k, -1)
         return gz.T @ wt if lx else None, (gz @ xv).T, gz @ np.ones(gz.shape[1])
 
-    return tape.record(s, (x, bank.W, bank.b), vjp)
+    return s, vjp
 
 
 def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
     """Both task representations of a batch of embedded features x, a node
-    of tape, as one node: the (2, rows, K * out_dim) stack [u0, ut] of one
-    ``Tape.gate_merge``. u0 weights CONCAT(base, shared, SG(treated)); ut
-    weights CONCAT(SG(base), shared, treated). Gate weights are softmax
-    outputs over expert slots, applied as per-expert scalars on each output
-    block. Under ``ablate.dcr`` the node is the shared MLP's (rows, out)
+    of tape, as one node whose parents are x, every expert layer's W and b
+    and the gate bank's W and b: the (2, rows, K * out_dim) stack [u0, ut].
+    u0 weights CONCAT(base, shared, SG(treated)); ut weights CONCAT(SG(base),
+    shared, treated): task t, slot k's block is gate t's softmax weight
+    times expert k's output, and the closed slots of ``slot_open`` read the
+    experts through ``Tape.detach``. The vjp gives the gates their factor
+    task by task and the experts theirs last task first, then runs the gate
+    bank's vjp and the experts'; x's gradient is the gates' part plus the
+    experts'. Under ``ablate.dcr`` the node is the shared MLP's (rows, out)
     output, which stands for both.
     """
     if not params.enabled:
         return ad.mlp_forward(params.shared_mlp, x, tape)
-    experts = ad.mlp_forward(params.experts, x, tape)
-    gates = gates_forward(params, x, tape)
-    return tape.gate_merge(gates, experts, params.slot_open)
+    xv, lx = x.value, x.live
+    ev, experts_vjp = ad.mlp(params.experts, xv, lx)  # (K, rows, d)
+    s, gates_vjp = gates(params, xv, lx)  # (2, K, rows)
+    k, n, d = ev.shape
+    weights = s[:, :, :, None]  # (2, K, rows, 1)
+    open_ = params.slot_open
+    frozen = tape.detach(ev)  # the closed slots' experts, read as a constant
+    # every slot reads ev, unless a gradient checker replays the detached one
+    merged = ev if frozen is ev else np.where(open_[:, :, None, None], ev, frozen)
+
+    def vjp(g):  # the experts' factor is built here: prediction never needs it
+        blocks = g.reshape(2, n, k, d).transpose(0, 2, 1, 3)
+        gg = np.empty(s.shape)
+        for task in range(2):
+            np.einsum("knd,knd->kn", blocks[task], ev, out=gg[task])
+        # the experts' factor adds the tasks' parts last task first; a closed slot's is 0
+        ge = (blocks[1] * (weights[1] * open_[1][:, None, None])
+              + blocks[0] * (weights[0] * open_[0][:, None, None]))
+        gx, *bank_grads = gates_vjp(gg)
+        ex, *expert_grads = experts_vjp(ge)
+        return (gx + ex if lx else None, *expert_grads, *bank_grads)
+
+    # task t, slot k's block in columns k*d .. (k+1)*d - 1 of row block t:
+    # the product is written row-major in (tasks, n, k, d), so the reshape copies nothing
+    out = np.multiply(weights.transpose(0, 2, 1, 3), merged.swapaxes(-3, -2), order="C")
+    return tape.record(out.reshape(2, n, k * d), (x, *params.params), vjp)
 
 
 def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:

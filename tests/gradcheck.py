@@ -18,13 +18,13 @@ must equal.
 
 ``finite_diff_check`` compares a tape's gradients with central differences
 of the forward pass. A constant or a ``Tape.detach`` read off a
-parameter's value, and a closed slot of ``gate_merge``'s experts, make the
-tape's gradient differ on purpose from the true derivative of the forward
-function: the tape treats the value as fixed, while a perturbed
-re-evaluation moves it too. So the checker pins every constant, every
-detached value and every merge's experts: it records them on the
-unperturbed pass and reads them back on every perturbed one, and the finite
-difference becomes the derivative the tape actually defines.
+parameter's value, such as the closed slots of the DCR node's experts,
+makes the tape's gradient differ on purpose from the true derivative of the
+forward function: the tape treats the value as fixed, while a perturbed
+re-evaluation moves it too. So the checker pins constants and detached
+values, and only those: it records them on the unperturbed pass and reads
+them back on every perturbed one, and the finite difference becomes the
+derivative the tape actually defines.
 
 ``GUARD_CASES`` are the outputs that the tests of the layers' finiteness
 guards feed to each guard.
@@ -129,11 +129,9 @@ def sigmoid(tape: ad.Tape, a) -> ad.Node:
 class _PinnedTape(ad.Tape):
     """A tape whose constants are pinned for the gradient checker.
 
-    Built on an empty list, the tape appends a copy of every constant, every
-    value read through ``detach`` and every merge's expert operand to it;
-    built on the filled list, it reads the recorded values back in order: in
-    place of a constant's or a detached value, and in the closed slots of a
-    merge's experts.
+    Built on an empty list, the tape appends a copy of every constant and
+    every value read through ``detach`` to it; built on the filled list, it
+    reads the recorded values back in order, in their place.
     """
 
     def __init__(self, pinned: list) -> None:
@@ -157,16 +155,6 @@ class _PinnedTape(ad.Tape):
 
     def detach(self, values):
         return self._pin(values)
-
-    def gate_merge(self, gates, experts, open) -> ad.Node:
-        node = super().gate_merge(gates, experts, open)
-        ev = np.where(open[:, :, None, None], experts.value, self._pin(experts.value))
-        tasks = gates.value.shape[0]
-        _, k, n, d = ev.shape
-        # gate_merge's layout: task t, slot k's block in columns k*d .. (k+1)*d - 1 of row block t
-        node.value = ((gates.value[:, :, :, None] * ev).transpose(0, 2, 1, 3)
-                      .reshape(tasks, n, k * d))
-        return node
 
 
 def _relative_error(analytic, cd) -> float:
@@ -193,10 +181,10 @@ def finite_diff_check(
     reference values: it only re-evaluates the forward pass. An ``eps`` that
     is not finite and positive raises ConfigError.
 
-    Constants, detached values and the closed slots of ``gate_merge``'s
-    experts are replayed at their unperturbed values during the +-eps evaluations, so
-    the check validates the derivative the tape defines, in which a constant
-    read off a parameter's value stays fixed.
+    Constants and detached values, and only those, are replayed at their
+    unperturbed values during the +-eps evaluations, so the check validates
+    the derivative the tape defines, in which a constant read off a
+    parameter's value stays fixed.
 
     Entries that disagree by more than 1e-7 may be quantization-limited in
     float64 (the +-eps loss change sits within a few ulp of the loss

@@ -389,50 +389,6 @@ def test_affine_bias_gradient_is_the_row_sum(shape):
     np.testing.assert_allclose(gb, want, rtol=1e-13, atol=1e-13)
 
 
-def test_gate_merge_equals_the_transpose_form():
-    # each task's block of the value and gradients equals a merge of that
-    # task alone; the experts' gradient adds the tasks' parts last task first
-    rng = np.random.default_rng(5)
-    k, n, d = 6, 7, 4
-    gates = ad.ParamTensor("gates", rng.uniform(0, 1, (2, k, n)))
-    experts = ad.ParamTensor("experts", rng.standard_normal((k, n, d)))
-    open_ = np.array([[True, True, False, True, False, True],
-                      [False, True, True, False, True, True]])
-    g = rng.standard_normal((2, n, k * d))
-    tape = ad.Tape()
-    node = tape.gate_merge(gates, experts, open_)
-    g_gates, g_experts = node.vjp(g)
-    parts = []
-    for task in range(2):
-        weights = gates.values[task][:, :, None]
-        assert same_bits(node.value[task],
-                         (weights * experts.values).transpose(1, 0, 2).reshape(n, k * d))
-        blocks = g[task].reshape(n, k, d).transpose(1, 0, 2)
-        assert same_bits(g_gates[task], np.einsum("knd,knd->kn", blocks, experts.values))
-        np.testing.assert_allclose(g_gates[task], (blocks * experts.values).sum(axis=2),
-                                   rtol=1e-13, atol=1e-13)
-        parts.append(blocks * (weights * open_[task][:, None, None]))
-        # a closed slot gets an exact zero from its task
-        np.testing.assert_array_equal(parts[-1][~open_[task]], 0.0)
-    assert same_bits(g_experts, parts[1] + parts[0])
-
-
-def test_gate_merge_with_no_open_slot_gives_the_experts_no_gradient():
-    # an all-closed mask, which gate_merge does not test for, gives the
-    # experts exact zeros
-    rng = np.random.default_rng(8)
-    gates = ad.ParamTensor("gates", rng.uniform(0, 1, (2, 3, 4)))
-    w = ad.ParamTensor("w", rng.standard_normal((3, 4, 2)))
-    tape = ad.Tape()
-    node = tape.gate_merge(gates, mul(tape, w, 1.0), np.zeros((2, 3), bool))
-    total(tape, mul(tape, node, rng.standard_normal((2, 4, 6))))
-    ad.backward(tape)
-    np.testing.assert_array_equal(w.grad, 0.0)
-    assert np.all(gates.grad != 0.0)
-    assert same_bits(node.value, (gates.values[:, :, :, None] * w.values).transpose(0, 2, 1, 3)
-                     .reshape(2, 4, 6))
-
-
 def test_kernels_keep_extended_precision():
     """finite_diff_check re-evaluates in longdouble; no kernel may drop it."""
     rng = np.random.default_rng(6)
@@ -451,15 +407,11 @@ def test_kernels_keep_extended_precision():
 
 _rng = np.random.default_rng(4)
 FD_MASK = _rng.uniform(0.5, 1.5, size=(3, 4))
-FD_MERGE_MASK = _rng.uniform(0.5, 1.5, size=(2, 3, 6))
 FD_LABELS = _rng.integers(0, 2, size=(3, 4)).astype(float)
-FD_EXPERT_W = _rng.standard_normal((3, 4, 2))  # three (4, 2) experts on wn
 # 0.4 w lies in [0.04, 0.8]; the offsets move some entries past 1 or below 0,
 # where the bridge's clamp binds
 FD_OFFSETS = np.zeros((3, 4))
 FD_OFFSETS[0, :2], FD_OFFSETS[1, 2:] = 1.0, -1.0
-# the merge's experts get a gradient from task 0 in slots 0 and 2, from task 1 in slots 1 and 2
-FD_OPEN = np.array([[True, False, True], [False, True, True]])
 
 
 def square(tape, a):
@@ -484,8 +436,8 @@ def detached_square(tape, wn):
     return tape.record(frozen * wn.value, (wn,), lambda g: (g * frozen,))
 
 
-# one finite-difference term per Tape primitive and per gradcheck reference,
-# keyed by its name; each records it on wn (3, 4) or on
+# one finite-difference term per Tape method but record and constant and per
+# gradcheck reference, keyed by its name; each records it on wn (3, 4) or on
 # stacked = affine(wn, ws, bs) (2, 3, 3)
 PRIMITIVE_TERMS = {
     "add": lambda tape, wn, stacked: add(tape, square(tape, wn), mul(tape, wn, 0.5)),
@@ -495,11 +447,6 @@ PRIMITIVE_TERMS = {
     "sigmoid": lambda tape, wn, stacked: mul(tape, FD_MASK, sigmoid(tape, wn)),
     "bridge": lambda tape, wn, stacked: add(tape, square(tape, bridge_term(tape, wn, 1.0)),
                                             bridge_term(tape, wn, -1.0)),
-    # stacked (2, 3, 3) as the gates of two tasks over 3 slots and 3 rows
-    "gate_merge": lambda tape, wn, stacked: mul(tape, FD_MERGE_MASK, tape.gate_merge(
-        sigmoid(tape, stacked),
-        relu(tape, affine(tape, wn, tape.constant(FD_EXPERT_W), tape.constant(np.zeros((3, 1, 2))))),
-        FD_OPEN)),
     "detach": lambda tape, wn, stacked: detached_square(tape, wn),
     "total": lambda tape, wn, stacked: total(tape, square(tape, wn)),
     "binary_cross_entropy": lambda tape, wn, stacked: binary_cross_entropy(
@@ -529,6 +476,7 @@ def test_every_primitive_has_a_finite_difference_term():
     references = {name for name, attr in vars(gradcheck).items()
                   if inspect.isfunction(attr) and attr.__module__ == gradcheck.__name__
                   and not name.startswith("_")} - {"finite_diff_check", "hte_reference"}
+    assert methods == {"record", "constant", "detach"}
     assert set(PRIMITIVE_TERMS) == (methods - {"record", "constant"}) | references
 
 
@@ -540,8 +488,6 @@ MULTI_OPERAND = {
     "stacked affine": (affine, [(3, 4), (2, 4, 5), (2, 1, 5)]),
     "bridge": (lambda tape, p, t_hat, eta: bridge(tape, p, t_hat, eta, -1.0),
                [(3, 1), (3, 1), (3, 1)]),
-    "gate_merge": (lambda tape, gates, experts: tape.gate_merge(
-        gates, experts, np.array([[False, False], [True, False]])), [(2, 2, 3), (2, 3, 4)]),
 }
 
 
@@ -580,13 +526,37 @@ def test_only_a_node_that_reaches_a_parameter_is_live():
     on_constants = mul(tape, tape.constant(np.ones((2, 2))), 2.0)
     frozen = tape.constant(w.value)
     mixed = add(tape, on_constants, w)
-    gates, experts = tape.constant(np.ones((1, 2, 2))), mul(tape, w, np.ones((2, 2, 1)))
-    partly_open = tape.gate_merge(gates, experts, np.array([[False, True]]))
     assert w.live and mixed.live and mixed.vjp is not None
-    assert partly_open.live and partly_open.vjp is not None
-    for dead in (on_constants, frozen, mul(tape, frozen, on_constants),
-                 tape.gate_merge(gates, tape.constant(np.ones((2, 2, 1))), np.ones((1, 2), bool))):
+    for dead in (on_constants, frozen, mul(tape, frozen, on_constants)):
         assert not dead.live and dead.vjp is None
+    # a layer stack is live through its weights; its vjp gives x a gradient only on a live x
+    layers = [make_layer("l0", np.ones((2, 3)), np.zeros(3))]
+    g = np.ones((2, 3))
+    on_a_constant, on_a_live_x = (ad.mlp_forward(layers, x, tape) for x in (frozen, mixed))
+    assert on_a_constant.live and on_a_constant.vjp(g)[0] is None
+    assert on_a_live_x.live and on_a_live_x.vjp(g)[0] is not None
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+def test_mlp_kernel_is_the_node_mlp_forward_records(stacked):
+    # the same value and vjp, bit for bit; on lx=False x's gradient is None
+    # and the layers' are unchanged
+    rng = np.random.default_rng(9)
+    k = (2,) if stacked else ()
+    layers = [make_layer(f"l{i}", rng.standard_normal((*k, fan_in, fan_out)),
+                         rng.standard_normal((*k, 1, fan_out) if stacked else (fan_out,)))
+              for i, (fan_in, fan_out) in enumerate([(4, 3), (3, 2)])]
+    x = ad.ParamTensor("x", rng.standard_normal((5, 4)))
+    g = rng.standard_normal((*k, 5, 2))
+    node = ad.mlp_forward(layers, x, ad.Tape())
+    assert node.parents == (x, *ad.mlp_params(layers))
+    for lx in (True, False):
+        value, vjp = ad.mlp(layers, x.values, lx)
+        assert value.tobytes() == node.value.tobytes() and value.shape == node.value.shape
+        got, want = vjp(g), node.vjp(g)
+        assert (got[0] is None) == (not lx) and len(got) == len(want) == 5
+        for a, b in zip(got[0 if lx else 1:], want[0 if lx else 1:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_cross_entropy_passes_no_gradient_where_the_clamp_binds():

@@ -186,6 +186,13 @@ def test_scoring_names_the_nonfinite_feature(entry, bad):
         SCORING[entry](*untrained_learners(), X)
 
 
+@pytest.mark.parametrize("entry", SCORING)
+def test_scoring_builds_no_tape(monkeypatch, entry):
+    # the learners score through the autodiff.mlp kernel: no tape, no node
+    monkeypatch.setattr(ad, "Tape", lambda: pytest.fail("scoring built a tape"))
+    assert SCORING[entry](*untrained_learners(), np.ones((4, 5))).shape == (4,)
+
+
 # ---------------------------------------------------------------------------
 # the training loss: one tape node a batch
 # ---------------------------------------------------------------------------
@@ -207,12 +214,13 @@ def fit_batch_loss(monkeypatch, net, inputs, labels):
     return captured[0]
 
 
-def test_a_learner_batch_records_at_most_3_nodes(monkeypatch):
+def test_a_learner_batch_records_at_most_1_node(monkeypatch):
+    # the loss, whose parents are the net's weights
     batch_loss = fit_batch_loss(monkeypatch, *tiny_fit_case())
     tape = ad.Tape()
     loss, _ = batch_loss(np.arange(16), tape)
     assert loss is tape.nodes[-1] and loss.value.shape == ()
-    assert len(tape.nodes) <= 3
+    assert len(tape.nodes) <= 1
 
 
 def test_the_one_node_loss_against_finite_differences(monkeypatch):

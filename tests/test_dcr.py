@@ -1,4 +1,5 @@
-"""Representation layer: gating algebra, stop-gradient wiring, orthogonality penalty."""
+"""Representation layer: gating algebra, the one DCR node and its stop-gradient wiring,
+orthogonality penalty."""
 
 import re
 
@@ -81,21 +82,69 @@ def test_gradient_blocking_ut_vs_base_but_shared_open(seed):
         assert all(np.any(g != 0.0) for g in slot_grads(params, group))
 
 
+def byte_equal(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_dcr_node_equals_the_per_task_transpose_form():
+    # each task's block of the value is a merge of that task alone; the
+    # experts' gradient adds the tasks' parts last task first, a closed slot
+    # getting an exact 0 from its task; on a live x, x's gradient is the
+    # gates' part plus the experts'
+    params = seeded_params(5)
+    rng = np.random.default_rng(5)
+    k, n, d = 6, 7, 5
+    x = ad.ParamTensor("x", rng.standard_normal((n, 4)))
+    node = dcr.dcr_forward(params, x, ad.Tape())
+    ev, experts_vjp = ad.mlp(params.experts, x.values, True)
+    s, gates_vjp = dcr.gates(params, x.values, True)
+    g = rng.standard_normal((2, n, k * d))
+    gg, parts = np.empty(s.shape), []
+    for task in range(2):
+        weights = s[task][:, :, None]
+        assert byte_equal(node.value[task], (weights * ev).transpose(1, 0, 2).reshape(n, k * d))
+        blocks = g[task].reshape(n, k, d).transpose(1, 0, 2)
+        gg[task] = np.einsum("knd,knd->kn", blocks, ev)
+        np.testing.assert_allclose(gg[task], (blocks * ev).sum(axis=2), rtol=1e-13, atol=1e-13)
+        parts.append(blocks * (weights * params.slot_open[task][:, None, None]))
+        np.testing.assert_array_equal(parts[-1][~params.slot_open[task]], 0.0)
+    gx_gates, *bank_grads = gates_vjp(gg)
+    gx_experts, *expert_grads = experts_vjp(parts[1] + parts[0])
+    want = [gx_gates + gx_experts, *expert_grads, *bank_grads]
+    got = node.vjp(g)
+    assert node.parents == (x, *params.parameters()) and len(got) == len(want)
+    assert all(byte_equal(a, b) for a, b in zip(got, want))
+
+
+def test_dcr_node_gives_a_constant_x_no_gradient():
+    # on a constant x the vjp gives x None and every parameter the gradient
+    # it gets on a live x, bit for bit
+    params = seeded_params(6)
+    rng = np.random.default_rng(6)
+    xv, g = rng.standard_normal((7, 4)), rng.standard_normal((2, 7, 30))
+    tape = ad.Tape()
+    on_a_constant = dcr.dcr_forward(params, tape.constant(xv), tape)
+    on_a_live_x = dcr.dcr_forward(params, ad.ParamTensor("x", xv), ad.Tape())
+    assert on_a_constant.live and byte_equal(on_a_constant.value, on_a_live_x.value)
+    got, want = on_a_constant.vjp(g), on_a_live_x.vjp(g)
+    assert got[0] is None and want[0] is not None and len(got) == len(want)
+    assert all(byte_equal(a, b) for a, b in zip(got[1:], want[1:]))
+
+
 def test_gate_weights_sum_to_one():
     params = seeded_params(3)
     rng = np.random.default_rng(3)
-    tape = ad.Tape()
-    x = tape.constant(rng.standard_normal((5, 4)))
-    g = dcr.gates_forward(params, x, tape)
-    assert g.value.shape == (2, 6, 5)
-    assert np.all(g.value > 0)
-    np.testing.assert_allclose(g.value.sum(axis=1), 1.0, atol=1e-12)
+    x = rng.standard_normal((5, 4))
+    g, _ = dcr.gates(params, x, False)
+    assert g.shape == (2, 6, 5)
+    assert np.all(g > 0)
+    np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
     bank = params.gates
     for row in range(2):  # row-wise softmax of each gate, on its block of the bank's columns
         cols = slice(6 * row, 6 * (row + 1))
-        logits = x.value @ bank.W.values[:, cols] + bank.b.values[cols]
+        logits = x @ bank.W.values[:, cols] + bank.b.values[cols]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        np.testing.assert_allclose(g.value[row].T, e / e.sum(axis=1, keepdims=True),
+        np.testing.assert_allclose(g[row].T, e / e.sum(axis=1, keepdims=True),
                                    rtol=1e-13, atol=0)
 
 
@@ -106,16 +155,15 @@ def test_gate_bank_guard_raises_exactly_where_the_plain_sum_is_not_finite(case):
     gate0, gate_t, named = GUARD_CASES[case]
     params = dcr.DcrParams(input_dim=1, gates=zero_gates(1, 3))
     params.gates.b.values[:] = gate0 + gate_t
-    tape = ad.Tape()
-    x = tape.constant(np.zeros((GUARD_ROWS, 1)))
+    x = np.zeros((GUARD_ROWS, 1))
     if named is None:
-        g = dcr.gates_forward(params, x, tape).value
+        g, _ = dcr.gates(params, x, False)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         return
     gate = ("gate0", "gate_t")[named]
     with pytest.raises(NumericError,
                        match=re.escape(f"after layer 0 (dcr.gates.W, {gate})") + "$"):
-        dcr.gates_forward(params, x, tape)
+        dcr.gates(params, x, False)
 
 
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
@@ -123,21 +171,23 @@ def test_gates_positive_and_normalized(logits):
     k = len(logits)
     params = dcr.DcrParams(input_dim=1, gates=zero_gates(1, k))
     params.gates.W.values[0, k:] = logits  # gate_t's columns
-    tape = ad.Tape()
-    g = dcr.gates_forward(params, tape.constant(np.ones((1, 1))), tape).value
+    g, _ = dcr.gates(params, np.ones((1, 1)), False)
     assert np.all(g > 0)
     assert abs(g[0].sum() - 1.0) < 1e-12 and abs(g[1].sum() - 1.0) < 1e-12
 
 
-def test_gate_node_against_finite_differences():
-    # the fused bank's W and b, each gate's columns with a bias of its own
+def test_gate_bank_against_finite_differences():
+    # the fused bank's W and b, each gate's columns with a bias of its own,
+    # through a node of the gates kernel on a constant x
     params = seeded_params(4)
     rng = np.random.default_rng(4)
     x, mask = rng.standard_normal((5, 4)), rng.uniform(0.5, 1.5, size=(2, 6, 5))
     params.gates.b.values[:] = rng.normal(0.0, 0.5, size=12)
 
     def loss_fn(tape):
-        return total(tape, mul(tape, mask, dcr.gates_forward(params, tape.constant(x), tape)))
+        s, vjp = dcr.gates(params, x, False)
+        gates = tape.record(s, (tape.constant(x), params.gates.W, params.gates.b), vjp)
+        return total(tape, mul(tape, mask, gates))
 
     assert params.parameters()[-2:] == [params.gates.W, params.gates.b]
     assert params.gates.W.shape == (4, 12) and params.gates.b.shape == (12,)
@@ -145,8 +195,8 @@ def test_gate_node_against_finite_differences():
 
 
 def test_both_representations_against_finite_differences():
-    # the closed slots of each merge are pinned by the checker, so the check
-    # validates the blocked gradient the tape defines
+    # the closed slots read the experts through Tape.detach, which the checker
+    # pins, so the check validates the blocked gradient the tape defines
     params = seeded_params(5)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 4))

@@ -1150,9 +1150,9 @@ def training_batch_nodes(ablate):
     return len(tape.nodes)
 
 
-def test_default_training_batch_records_at_most_7_nodes():
-    # the features, the experts, the gates, the merge, the HTE node, r_orth and the loss
-    assert training_batch_nodes(AblationConfig()) <= 7
+def test_default_training_batch_records_at_most_5_nodes():
+    # the features, the DCR node, the HTE node, r_orth and the loss
+    assert training_batch_nodes(AblationConfig()) <= 5
 
 
 def test_ablate_dcr_training_batch_records_at_most_5_nodes():
@@ -1180,8 +1180,9 @@ def predict_nodes(monkeypatch, ablate, q=None):
     return len(tapes[0].nodes)
 
 
-def test_predict_records_at_most_5_nodes(monkeypatch):
-    assert predict_nodes(monkeypatch, AblationConfig()) <= 5
+def test_predict_records_at_most_3_nodes(monkeypatch):
+    # the features, the DCR node and the HTE node
+    assert predict_nodes(monkeypatch, AblationConfig()) <= 3
 
 
 def test_ablate_dcr_predict_records_at_most_3_nodes(monkeypatch):
@@ -1189,7 +1190,7 @@ def test_ablate_dcr_predict_records_at_most_3_nodes(monkeypatch):
     assert predict_nodes(monkeypatch, AblationConfig(dcr=True)) <= 3
 
 
-@pytest.mark.parametrize("ablate, budget", [(AblationConfig(), 5), (AblationConfig(dcr=True), 3)],
+@pytest.mark.parametrize("ablate, budget", [(AblationConfig(), 3), (AblationConfig(dcr=True), 3)],
                          ids=["default", "ablate.dcr"])
 def test_predict_at_a_dose_records_no_more_nodes_than_without(monkeypatch, ablate, budget):
     # the dose is data: gating at q adds no node to the tape
@@ -1216,7 +1217,7 @@ def library_calls(fn) -> Counter:
     return calls
 
 
-@pytest.mark.parametrize("q, budget", [(None, 55), (2.0, 59)], ids=["at t_hat", "at q"])
+@pytest.mark.parametrize("q, budget", [(None, 51), (2.0, 55)], ids=["at t_hat", "at q"])
 def test_one_decision_keeps_its_budget_of_calls_into_the_library(q, budget):
     # one predict and one decide on a model with 3 tower layers; a per-call
     # rebuild of per-model state, such as its parameter list, shows here
