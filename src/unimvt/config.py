@@ -63,9 +63,11 @@ class NetConfig:
 
 @dataclass
 class LossWeights:
-    """Weights of the joint loss terms; a zero weight drops its term. The
-    uplift head's output reaches the loss only through the counterfactual
-    term, so ``lambda_x = 0`` leaves that head at its initialization."""
+    """Weights of the joint loss terms. A zero weight drops its term: the
+    term is not computed, its component reads 0.0 and it gives no gradient;
+    with every weight 0 the loss is a dead node of value 0.0. The uplift
+    head's output reaches the loss only through the counterfactual term, so
+    ``lambda_x = 0`` leaves that head at its initialization."""
 
     lambda_base: float = 1.0
     lambda_treat: float = 1.0

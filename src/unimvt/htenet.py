@@ -33,14 +33,16 @@ fresh tape, so scoring holds one block's tape whatever the row count.
 ``predict`` scores its one row as one such block and reads it as five
 floats, finished with ``predict_batch``'s clamp and eta_hat formula in
 Python arithmetic, bit-equal to a one-row ``predict_batch``.
-The joint loss is one closed-form node (``loss_terms``) over the HTE node
-and the expert orthogonality penalty: the factual cross-entropies, the
-intensity regression, the counterfactual MSE terms (the downward bridge
-among them) and the penalty; ``train`` runs it in the shared loop
-``autodiff.minibatch_adam``. The uplift head reaches the joint loss only
-through the counterfactual terms, so ``loss.lambda_x = 0`` leaves it
-untrained at its initialization. A model file holds the stacked tensors, and
-one that holds a tensor per tower and head is refused by name.
+The joint loss is one kernel, ``loss_terms``, recorded as one node over the
+HTE node and the expert orthogonality penalty: the factual cross-entropies,
+the intensity regression, the counterfactual MSE terms (the downward bridge
+among them) and the penalty. Its closed-form vjp writes each of the HTE
+node's five gradient columns once and gives the penalty g * lambda_o, None
+when it is dead; ``train`` runs it in ``autodiff.minibatch_adam``. The
+uplift head reaches the joint loss only through the counterfactual terms,
+so ``loss.lambda_x = 0`` leaves it untrained at its initialization. A model
+file holds the stacked tensors, and one that holds a tensor per tower and
+head is refused by name.
 """
 from __future__ import annotations
 
@@ -298,60 +300,58 @@ def loss_terms(weights: LossWeights, y_col, w_col, t_col, hte: ad.Node, r_orth, 
     (pt's, treated rows), l_t ((t - t_hat)^2 + |t - t_hat|, treated rows),
     l_x (squared errors of p_cf, treated rows, and of p_base_cf =
     bridge(pt, t_hat, eta, -1), control rows) and r_orth (the scalar penalty
-    node, as it is) as one node over the HTE node's columns and r_orth, with
-    a closed-form vjp that gives the HTE node one (rows, 5) gradient, the
-    bridge's after the terms' own. A zero weight drops its term: no value,
-    a component of 0.0, and r_orth's no parent. Returns (the node, None if
-    every term is dropped; the unweighted terms under every
-    LOSS_COMPONENTS key)."""
+    node, as it is) as one node over the HTE node and r_orth. A zero weight
+    drops its term: no value, a component of 0.0, no gradient; with every
+    weight 0 the node is dead, of value 0.0 and without parents. The
+    closed-form vjp fills one zeroed (rows, 5) gradient column by column, PT
+    and T_HAT the term's own part, then the downward bridge's; r_orth's
+    gradient is g * lambda_o, and a dead operand's None. Returns (the node;
+    the unweighted terms under every LOSS_COMPONENTS key)."""
+    lb, ltr, lt, lx, lo = (getattr(weights, lam) for lam in LOSS_COMPONENTS.values())
     hv = hte.value
     p0, t_hat, eta, p_cf, pt = (hv[:, j:j + 1] for j in range(5))
-    ctrl_mask = 1.0 - w_col
-
-    def into(col, rows_vjp):  # a per-row loss's vjp, as [(column, its gradient)]
-        return lambda g: [(col, rows_vjp(g))]
-
-    parts = {}  # term -> its [(row mask, per-row loss, vjp: row gradient -> [(column, gradient)])]
-    if weights.lambda_base > 0:
-        value, rows_vjp = ad.cross_entropy(y_col, p0)
-        parts["l_base"] = [(ctrl_mask, value, into(P0, rows_vjp))]
-    if weights.lambda_treat > 0:
-        value, rows_vjp = ad.cross_entropy(y_col, pt)
-        parts["l_treat"] = [(w_col, value, into(PT, rows_vjp))]
-    if weights.lambda_t > 0:
+    ctrl = 1.0 - w_col
+    comps = dict.fromkeys(LOSS_COMPONENTS, 0.0)
+    if lb > 0:
+        rows, base_vjp = ad.cross_entropy(y_col, p0)
+        comps["l_base"] = (ctrl * rows).sum()
+    if ltr > 0:
+        rows, treat_vjp = ad.cross_entropy(y_col, pt)
+        comps["l_treat"] = (w_col * rows).sum()
+    if lt > 0:
         err = t_col - t_hat
-        parts["l_t"] = [(w_col, err * err + np.abs(err),
-                         into(T_HAT, lambda g: -(g * np.sign(err) + ad.TWO * g * err)))]
-    if weights.lambda_x > 0:
+        comps["l_t"] = (w_col * (err * err + np.abs(err))).sum()
+    if lx > 0:
         p_base_cf, bridge_vjp = ad.bridge(pt, t_hat, eta, -1.0)
         d_cf, d_base = y_col - p_cf, y_col - p_base_cf
-        parts["l_x"] = [(w_col, d_cf * d_cf, into(P_CF, lambda g: -(ad.TWO * g * d_cf))),
-                        (ctrl_mask, d_base * d_base,
-                         lambda g: zip((PT, T_HAT, ETA), bridge_vjp(-(ad.TWO * g * d_base))))]
-    if weights.lambda_o > 0:
-        parts["r_orth"] = [(np.ones(()), r_orth.value, into(None, lambda g: g))]
-    components = dict.fromkeys(LOSS_COMPONENTS, 0.0)
-    total, flat = None, []
-    for name, term in parts.items():
-        lam = getattr(weights, LOSS_COMPONENTS[name])
-        value = sum((mask * rows).sum() for mask, rows, _ in term)
-        components[name] = float(value)
-        total = value * lam if total is None else total + value * lam
-        flat += [(part, lam) for part in term]
-    parents = [hte] * (len(parts) > ("r_orth" in parts)) + [r_orth] * ("r_orth" in parts)
-    lh = hte.live
+        comps["l_x"] = (w_col * (d_cf * d_cf)).sum() + (ctrl * (d_base * d_base)).sum()
+    if lo > 0:
+        comps["r_orth"] = r_orth.value
+    total = sum(getattr(weights, lam) * comps[k] for k, lam in LOSS_COMPONENTS.items())
+    parents = [hte] * (lb > 0 or ltr > 0 or lt > 0 or lx > 0) + [r_orth] * (lo > 0)
+    lh, lr = hte.live, lo > 0 and r_orth.live
 
-    def vjp(g):  # full(g lambda) * mask is a masked sum's gradient in its per-row loss
-        gh, go = np.zeros(hv.shape) if lh else None, None
-        for (mask, _, rows_vjp), lam in flat:
-            for col, grad in rows_vjp(np.full(mask.shape, float(g) * lam) * mask):
-                if col is None:
-                    go = grad
-                elif lh:
-                    gh[:, col:col + 1] += grad
-        return [gh if parent is hte else go for parent in parents]
+    def vjp(g):  # (g lambda) * mask is a masked sum's gradient in its per-row loss
+        g, gh = float(g), None
+        if lh:
+            gh = np.zeros(hv.shape)
+            gp = gt = ge = 0.0  # the downward bridge's parts of PT, T_HAT and ETA
+            if lx > 0:
+                gh[:, P_CF:P_CF + 1] += -(ad.TWO * ((g * lx) * w_col) * d_cf)
+                gp, gt, ge = bridge_vjp(-(ad.TWO * ((g * lx) * ctrl) * d_base))
+            if lb > 0:
+                gh[:, P0:P0 + 1] += base_vjp((g * lb) * ctrl)
+            if ltr > 0:
+                gp = treat_vjp((g * ltr) * w_col) + gp
+            if lt > 0:
+                gl = (g * lt) * w_col
+                gt = -(gl * np.sign(err) + ad.TWO * gl * err) + gt
+            gh[:, PT:PT + 1] += gp
+            gh[:, T_HAT:T_HAT + 1] += gt
+            gh[:, ETA:ETA + 1] += ge
+        return [gh if parent is hte else (g * lo if lr else None) for parent in parents]
 
-    return (tape.record(total, parents, vjp) if flat else None), components
+    return tape.record(total, parents, vjp), {k: float(v) for k, v in comps.items()}
 
 
 def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape: ad.Tape):
@@ -365,8 +365,7 @@ def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape
     hte = forward(model, np.asarray(X, dtype=np.float64), tape, 1.0 - w_col, t_col)
     # recorded after the forward nodes: backward adds its gradient into the expert weights first
     r_orth = orth_penalty(model.dcr, tape) if weights.lambda_o > 0 else None
-    total, components = loss_terms(weights, y_col, w_col, t_col, hte, r_orth, tape)
-    return (tape.constant(0.0) if total is None else total), components
+    return loss_terms(weights, y_col, w_col, t_col, hte, r_orth, tape)
 
 
 # ---------------------------------------------------------------------------

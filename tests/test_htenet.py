@@ -500,24 +500,24 @@ def test_joint_loss_total_is_weighted_component_sum():
     assert float(total.value) == pytest.approx(want, abs=1e-12)
 
 
-# the weights of the loss_terms node: each term alone, then all five at once
+# the weights of the loss_terms node: each term alone, all five at once, then none
 LOSS_TERM_WEIGHTS = {"l_base": LossWeights(1.3, 0, 0, 0, 0),
                      "l_treat": LossWeights(0, 0.7, 0, 0, 0),
                      "l_t": LossWeights(0, 0, 0.4, 0, 0),
                      "l_x": LossWeights(0, 0, 0, 0.9, 0),
                      "r_orth": LossWeights(0, 0, 0, 0, 0.6),
-                     "all": LossWeights(1.3, 0.7, 0.4, 0.9, 0.6)}
+                     "all": LossWeights(1.3, 0.7, 0.4, 0.9, 0.6),
+                     "none": LossWeights(0, 0, 0, 0, 0)}
 
 
 # the columns of the HTE node that each term's gradient reaches
 TERM_COLUMNS = {"l_base": [ht.P0], "l_treat": [ht.PT], "l_t": [ht.T_HAT],
-                "l_x": [ht.P_CF, ht.PT, ht.T_HAT, ht.ETA], "r_orth": []}
+                "l_x": [ht.P_CF, ht.PT, ht.T_HAT, ht.ETA], "r_orth": [], "none": []}
 
 
-@pytest.mark.parametrize("terms", LOSS_TERM_WEIGHTS)
-def test_loss_terms_node_against_finite_differences(terms):
-    # the HTE node's columns p0, t_hat, eta, p_cf and pt as one parameter;
-    # l_x reaches pt, t_hat and eta through the bridge to p_base_cf
+def loss_terms_inputs():
+    """y, w and t columns of 10 rows, the HTE node's columns p0, t_hat, eta,
+    p_cf and pt as one parameter, and the penalty r_orth as a scalar one."""
     rng = np.random.default_rng(16)
     n = 10
     w_col = (np.arange(n) % 2).reshape(-1, 1).astype(float)
@@ -526,8 +526,14 @@ def test_loss_terms_node_against_finite_differences(terms):
     columns = rng.uniform(0.05, 0.95, size=(n, 5))
     columns[:, ht.T_HAT] = rng.uniform(1.0, 3.0, size=n)
     columns[:, ht.ETA] = rng.uniform(0.0, 0.5, size=n)
-    hte = ad.ParamTensor("hte", columns)
-    r_orth = ad.ParamTensor("r_orth", rng.uniform(0.5, 2.0))  # the penalty, a scalar
+    return (y_col, w_col, t_col, ad.ParamTensor("hte", columns),
+            ad.ParamTensor("r_orth", rng.uniform(0.5, 2.0)))
+
+
+@pytest.mark.parametrize("terms", LOSS_TERM_WEIGHTS)
+def test_loss_terms_node_against_finite_differences(terms):
+    # l_x reaches pt, t_hat and eta through the bridge to p_base_cf
+    y_col, w_col, t_col, hte, r_orth = loss_terms_inputs()
     weights = LOSS_TERM_WEIGHTS[terms]
     tapes = []
 
@@ -537,13 +543,50 @@ def test_loss_terms_node_against_finite_differences(terms):
         return node
 
     assert finite_diff_check(loss_fn, [hte, r_orth], eps=1e-6) < 1e-6
-    # one node, whose parents are the HTE node, unless only r_orth is kept, and r_orth if it is
-    kept = {"r_orth": [r_orth], "all": [hte, r_orth]}.get(terms, [hte])
+    # one node, whose parents are the HTE node, unless only r_orth is kept, and
+    # r_orth if it is; with no term kept, a dead node of value 0.0
+    kept = {"r_orth": [r_orth], "all": [hte, r_orth], "none": []}.get(terms, [hte])
     assert len(tapes[0].nodes) == 1
     assert list(tapes[0].nodes[0].parents) == kept
+    if terms == "none":
+        assert float(tapes[0].nodes[0].value) == 0.0 and not tapes[0].nodes[0].live
     ad.backward(tapes[0])
     reached = set().union(*TERM_COLUMNS.values()) if terms == "all" else set(TERM_COLUMNS[terms])
     assert {col for col in range(5) if np.any(hte.grad[:, col])} == reached
+
+
+def test_loss_terms_columns_are_their_kernels_vjps():
+    # every weight on, g = 1: each column equals the kernels it is built from,
+    # PT and T_HAT the term's own part plus the downward bridge's, in that order
+    y_col, w_col, t_col, hte, r_orth = loss_terms_inputs()
+    lam = LOSS_TERM_WEIGHTS["all"]
+    node, _ = ht.loss_terms(lam, y_col, w_col, t_col, hte, r_orth, ad.Tape())
+    gh, go = node.vjp(np.ones(()))
+    p0, t_hat, eta, p_cf, pt = (hte.values[:, j:j + 1] for j in range(5))
+    ctrl = 1.0 - w_col
+    p_base_cf, bridge_vjp = ad.bridge(pt, t_hat, eta, -1.0)
+    gp, gt, ge = bridge_vjp(-(2.0 * (lam.lambda_x * ctrl) * (y_col - p_base_cf)))
+    err, gl = t_col - t_hat, lam.lambda_t * w_col
+    want = {ht.P0: ad.cross_entropy(y_col, p0)[1](lam.lambda_base * ctrl),
+            ht.P_CF: -2.0 * (lam.lambda_x * w_col) * (y_col - p_cf),
+            ht.ETA: ge,
+            ht.PT: ad.cross_entropy(y_col, pt)[1](lam.lambda_treat * w_col) + gp,
+            ht.T_HAT: -(gl * np.sign(err) + 2.0 * gl * err) + gt}
+    for col, grad in want.items():
+        assert np.array_equal(gh[:, col:col + 1], grad), col
+    assert go == lam.lambda_o
+
+
+def test_loss_node_gives_a_dead_r_orth_no_gradient():
+    # under ablate.dcr the penalty is a constant 0.0: a parent while lambda_o
+    # > 0, but a dead one, so the loss node's vjp gives it None
+    model = tiny_model(ablate=AblationConfig(dcr=True))
+    X, w, t, y = tiny_batch()
+    total, comps = ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), ad.Tape())
+    hte, r_orth = total.parents
+    assert hte.live and not r_orth.live and comps["r_orth"] == 0.0
+    gh, go = total.vjp(np.ones(()))
+    assert gh.shape == hte.shape and go is None
 
 
 # ---------------------------------------------------------------------------
