@@ -7,14 +7,15 @@ with the caller's vjp, built on kernels that return a value and its vjp:
 ``mlp`` (a whole layer stack, also a stack of K same-shaped stacks, which
 ``mlp_forward`` records as one node), ``cross_entropy`` and ``bridge`` (the
 counterfactual bridge over p, t_hat and eta), around the affine pair
-``affine_value`` and ``affine_grads``. An array that passes no gradient is
-a ``Tape.constant``, or, read inside a fused node, goes through
-``Tape.detach``, which records nothing but lets a gradient checker replay
-it. Around them: dense layers, weights alone, which ``mlp`` runs with a
-relu between them and the last left linear (``init_stacked_mlp`` draws K
-same-shaped stacks as one), an Adam optimizer with the one minibatch
-training loop and ``row_blocks`` (the ``SCORE_ROWS``-row blocks that every
-scoring call scores in turn).
+``affine_value`` and ``affine_grads``. Data, such as the features, is an
+array that a node reads and not a node of the tape; a value read off a
+parameter that passes no gradient goes through ``Tape.detach`` inside the
+fused node, which records nothing but lets a gradient checker replay it,
+and ``Tape.constant`` makes an array a leaf node. Around them: dense
+layers, weights alone, which ``mlp`` runs with a relu between them and the
+last left linear (``init_stacked_mlp`` draws K same-shaped stacks as one),
+an Adam optimizer with the one minibatch training loop and ``row_blocks``
+(the ``SCORE_ROWS``-row blocks that every scoring call scores in turn).
 
 ``Tape.record(value, parents, vjp)`` keeps a float ndarray value as it is,
 uncopied, so its caller hands it over and does not change it afterwards;
@@ -43,10 +44,9 @@ tape to its nodes and from a node to its parents, so a spent tape is freed
 by reference counting as soon as its last reference goes. The module holds
 no mutable state.
 
-Liveness is decided as the tape records: a parameter is live, and a node is
-live when it has a vjp and at least one live parent. A node that is not live
-keeps no vjp, and a live node's vjp gives None for a dead operand, so
-``backward`` computes gradients only along paths that reach a parameter.
+Every node the model records reaches a parameter, so there is no liveness
+to track: a vjp gives one gradient per parent, and a constant, a node
+without a vjp, stops whatever reaches it.
 
 The hot kernels avoid data-dependent selects, which are slow on random
 signs, and per-call dispatch, which dominates one-row prediction: the relu
@@ -122,16 +122,15 @@ def affine_value(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
     return out
 
 
-def affine_grads(g, xv, wv, lx=True, lw=True, lb=True) -> tuple:
-    """The vjp of x @ W + b for the output gradient g: the gradients of x, W
-    and b, each None where its flag says the operand is dead. The bias
-    gradient sums g over its rows as one BLAS product, (K, 1, out) for a
-    stack; the x gradient reads W^T as a contiguous copy."""
+def affine_grads(g, xv, wv, lx=True) -> tuple:
+    """The vjp of x @ W + b for the output gradient g: the gradients of x
+    (None unless lx), W and b. The bias gradient sums g over its rows as one
+    BLAS product, (K, 1, out) for a stack; the x gradient reads W^T as a
+    contiguous copy."""
     ones = np.ones((1, g.shape[-2]) if g.ndim > 2 else g.shape[-2])
     # a contiguous W^T: numpy's stacked matmul on a transposed view skips BLAS
-    return (_unbroadcast(g @ np.ascontiguousarray(wv.swapaxes(-1, -2)), xv.shape) if lx else None,
-            _unbroadcast(xv.swapaxes(-1, -2) @ g, wv.shape) if lw else None,
-            ones @ g if lb else None)
+    return (g @ np.ascontiguousarray(wv.swapaxes(-1, -2)) if lx else None,
+            xv.swapaxes(-1, -2) @ g, ones @ g)
 
 
 def cross_entropy(y, pv: np.ndarray) -> tuple:
@@ -166,10 +165,9 @@ def bridge(pv, tv, ev, sign: float = 1.0) -> tuple:
 class ParamTensor:
     """Trainable tensor with a persistent accumulated gradient; an
     OptimizerState that packs it rebinds both as views of its buffers. It is
-    an operand of any tape's primitives, always live and recorded on none."""
+    an operand of any tape's nodes and recorded on none."""
 
     __slots__ = ("name", "values", "grad")
-    live = True
     mark = None
 
     def __init__(self, name: str, values) -> None:
@@ -193,18 +191,16 @@ class ParamTensor:
 class Node:
     """One tape entry: a value plus the recipe for pushing gradients to parents.
 
-    A node is live when a gradient through it can reach a ParamTensor: when
-    it has a vjp and a live parent. Only a live node keeps its vjp; backward
-    passes nothing through a node without one, such as a constant.
+    The vjp maps the node's gradient to one gradient per parent; a node
+    without one, such as a constant, passes nothing upstream.
     """
 
-    __slots__ = ("value", "parents", "vjp", "live", "mark")
+    __slots__ = ("value", "parents", "vjp", "mark")
 
-    def __init__(self, value, parents, vjp, live, mark):
+    def __init__(self, value, parents, vjp, mark):
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.live = live
         self.mark = mark  # the recording tape's mark, which is not the tape
 
     @property
@@ -212,27 +208,14 @@ class Node:
         return np.shape(self.value)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcasted gradient back down to the original operand shape;
-    a gradient that already has it is returned as it is."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tape:
     """Ordered record of fused nodes, replayed in reverse by backward().
 
     ``record`` appends one node whose parents must be ParamTensors or nodes
-    recorded on this tape (UsageError otherwise); an array enters as
-    ``constant``. A node's vjp reads its operands' ``live`` flags when it is
-    built and gives None, which backward skips, for a dead one.
-    No vjp closes over the tape, so references run one way.
+    recorded on this tape (UsageError otherwise). A node reads data, such as
+    the features, as an array and not as a parent; an array that must be a
+    node enters as ``constant``. No vjp closes over the tape, so references
+    run one way.
     """
 
     def __init__(self) -> None:
@@ -241,23 +224,19 @@ class Tape:
 
     def record(self, value, parents=(), vjp=None) -> Node:
         mark = self._mark
-        live = False
         for parent in parents:
             if parent.mark is not mark and type(parent) is not ParamTensor:
                 raise UsageError("operand is neither a parameter nor a node recorded on this tape")
-            if parent.live:
-                live = True
         if type(value) is not np.ndarray or value.dtype.kind != "f":
             value = np.asarray(value)
             if value.dtype.kind != "f":
                 value = value.astype(np.float64)
-        live = live and vjp is not None
-        node = Node(value, tuple(parents), vjp if live else None, live, mark)
+        node = Node(value, tuple(parents), vjp, mark)
         self.nodes.append(node)
         return node
 
     def constant(self, values) -> Node:
-        """A leaf that receives no gradient."""
+        """A leaf without a vjp: it passes on no gradient that reaches it."""
         return self.record(values)
 
     def detach(self, values):
@@ -272,8 +251,8 @@ def backward(tape: Tape) -> None:
     """Replay the tape in reverse, accumulating d(loss)/d(param) into ParamTensor.grad.
 
     The tape must end in a scalar node (the loss). Each node is visited
-    exactly once; a node without a vjp propagates nothing upstream, and a
-    vjp output of None (a dead operand) is skipped. A vjp output for a
+    exactly once; a node that no gradient reached, or that has no vjp (a
+    constant), propagates nothing upstream. A vjp output for a
     parameter is added into its ``grad`` at once, so a parameter's
     contributions are summed in the order they arrive. The other gradients
     live in this call alone, each dropped once it has reached the node's
@@ -291,8 +270,6 @@ def backward(tape: Tape) -> None:
         if g is None or node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
-            if pg is None:
-                continue
             if type(parent) is ParamTensor:
                 parent.grad += pg
                 continue
@@ -368,10 +345,10 @@ def checked_affine(layer: Layer, xv: np.ndarray, index: int,
     return out
 
 
-def mlp(layers: Sequence[Layer], xv: np.ndarray, lx: bool) -> tuple:
+def mlp(layers: Sequence[Layer], xv: np.ndarray) -> tuple:
     """A layer stack on the array xv, with a relu between layers and the last
-    linear, and its vjp: x's gradient (None unless lx), then every layer's W
-    and b gradients. Stacked layers, weights (K, in, out) with biases (K, 1,
+    linear, and its vjp: every layer's W and b gradients (xv is data and
+    gets none). Stacked layers, weights (K, in, out) with biases (K, 1,
     out), run K stacks at once and give (K, rows, out); xv is then (rows, in)
     or already stacked. Raises ConfigError or NumericError naming the layer,
     as ``checked_affine``."""
@@ -385,19 +362,18 @@ def mlp(layers: Sequence[Layer], xv: np.ndarray, lx: bool) -> tuple:
         for i in reversed(range(len(layers))):
             if i < len(layers) - 1:
                 g = g * (hs[i + 1] > ZERO)  # out > 0 exactly where the affine output is
-            g, gw, gb = affine_grads(g, hs[i], layers[i].W.values, lx=i > 0 or lx)
+            g, gw, gb = affine_grads(g, hs[i], layers[i].W.values, lx=i > 0)
             grads += (gb, gw)
-        grads.append(g)
         return grads[::-1]
 
     return hs[-1], vjp
 
 
-def mlp_forward(layers: Sequence[Layer], x: Node, tape: Tape) -> Node:
-    """``mlp`` on x, a node of tape, as one node whose parents are x and every
+def mlp_forward(layers: Sequence[Layer], xv: np.ndarray, tape: Tape) -> Node:
+    """``mlp`` on the array xv as one node of tape whose parents are every
     layer's W and b."""
-    value, vjp = mlp(layers, x.value, x.live)
-    return tape.record(value, (x, *mlp_params(layers)), vjp)
+    value, vjp = mlp(layers, xv)
+    return tape.record(value, mlp_params(layers), vjp)
 
 
 # ---------------------------------------------------------------------------

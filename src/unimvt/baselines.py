@@ -38,7 +38,7 @@ def _mlp_predict(layers, X: np.ndarray, tn=None) -> np.ndarray:
     out = []
     for rows in ad.row_blocks(X.shape[0]):
         inputs = X[rows] if tn is None else np.column_stack([X[rows], tn[rows]])
-        out.append(expit(ad.mlp(layers, inputs, lx=False)[0].reshape(-1)))
+        out.append(expit(ad.mlp(layers, inputs)[0].reshape(-1)))
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
@@ -51,12 +51,12 @@ def _fit_binary_mlp(layers, inputs, labels, cfg: ExperimentConfig, rng) -> None:
     params = ad.mlp_params(layers)
 
     def batch_loss(rows, tape):
-        z, net_vjp = ad.mlp(layers, inputs[rows], lx=False)
+        z, net_vjp = ad.mlp(layers, inputs[rows])
         p = expit(z)
         value, vjp = ad.cross_entropy(y_col[rows], p)
 
         def loss_vjp(g):  # the cross-entropy's vjp through the sigmoid, then the net's
-            return net_vjp(vjp(np.full(value.shape, float(g))) * p * (1.0 - p))[1:]
+            return net_vjp(vjp(float(g)) * p * (1.0 - p))
 
         return tape.record(value.sum(), params, loss_vjp), None
 

@@ -16,14 +16,17 @@ after them: one GEMM of the bank gives their logits slot-major, (2, K,
 rows), and the softmax runs along the slot axis (``gates``). The stacked
 experts, the gate bank and the merge of both tasks are one tape node,
 ``dcr_forward``, whose value is the (2, rows, K * out_dim) stack [u0, ut]
-that the HTE net reads. Its (2, K) slot mask, fixed once per parameter
-bundle, closes the off-task group to the experts' gradient (u0 closes the
-treated slots, ut the base slots), so the base loss never trains treated
-experts and vice versa, while the shared slots stay open in both
-directions. Under ``ablate.dcr`` one shared MLP's (rows, K * out_dim)
-output, one ``autodiff.mlp_forward`` node, stands for both.
+that the HTE net reads. The features are data, read as an array: the node's
+parents are the parameters alone, and no gradient is computed for the
+features. Its (2, K) slot mask, fixed once per parameter bundle, closes the
+off-task group to the experts' gradient (u0 closes the treated slots, ut the
+base slots), so the base loss never trains treated experts and vice versa,
+while the shared slots stay open in both directions. Under ``ablate.dcr``
+one shared MLP's (rows, K * out_dim) output, one ``autodiff.mlp_forward``
+node, stands for both.
 A Frobenius cross-product penalty, one tape node over every layer, pushes
-the three groups' weight matrices toward mutually orthogonal subspaces.
+the three groups' weight matrices toward mutually orthogonal subspaces;
+the ablation has no experts and records no penalty.
 """
 from __future__ import annotations
 
@@ -112,14 +115,14 @@ def init_dcr(rng: np.random.Generator, input_dim: int, cfg: DcrConfig,
     return DcrParams(input_dim=input_dim, experts=experts, gates=gates)
 
 
-def gates(params: DcrParams, xv: np.ndarray, lx: bool) -> tuple:
+def gates(params: DcrParams, xv: np.ndarray) -> tuple:
     """Both gates on the array xv: the slot-major (2, K, rows) softmax
-    weights, gate0's in row 0 and gate_t's in row 1, and their vjp, which
-    gives x's gradient (None unless lx) and the bank's whole W and b
-    gradients. One GEMM of the gate bank gives every logit and the softmax
-    runs along the slot axis. In ``autodiff.checked_affine``'s words, an
-    input width the gates do not take raises ConfigError, and a non-finite
-    logit NumericError naming the bank's weight and the gate."""
+    weights, gate0's in row 0 and gate_t's in row 1, and their vjp, which gives
+    the bank's whole W and b gradients. One GEMM of the gate bank gives every
+    logit and the softmax runs along the slot axis. In
+    ``autodiff.checked_affine``'s words, an input width the gates do not take
+    raises ConfigError, and a non-finite logit NumericError naming the bank's
+    weight and the gate."""
     bank = params.gates
     wt = bank.W.values.T  # (2K, in), a view the GEMM reads transposed: logits come out slot-major
     if xv.shape[-1] != wt.shape[1]:
@@ -137,29 +140,27 @@ def gates(params: DcrParams, xv: np.ndarray, lx: bool) -> tuple:
 
     def vjp(g):  # the softmax vjp along the slot axis, then one affine vjp for the bank
         gz = (s * (g - (g * s).sum(axis=1, keepdims=True))).reshape(2 * k, -1)
-        return gz.T @ wt if lx else None, (gz @ xv).T, gz @ np.ones(gz.shape[1])
+        return (gz @ xv).T, gz @ np.ones(gz.shape[1])
 
     return s, vjp
 
 
-def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
-    """Both task representations of a batch of embedded features x, a node
-    of tape, as one node whose parents are x, every expert layer's W and b
-    and the gate bank's W and b: the (2, rows, K * out_dim) stack [u0, ut].
+def dcr_forward(params: DcrParams, xv: np.ndarray, tape: ad.Tape) -> ad.Node:
+    """Both task representations of the feature matrix xv, an array, as one
+    node of tape whose parents are every expert layer's W and b and the gate
+    bank's W and b: the (2, rows, K * out_dim) stack [u0, ut].
     u0 weights CONCAT(base, shared, SG(treated)); ut weights CONCAT(SG(base),
     shared, treated): task t, slot k's block is gate t's softmax weight
     times expert k's output, and the closed slots of ``slot_open`` read the
     experts through ``Tape.detach``. The vjp gives the gates their factor
-    task by task and the experts theirs last task first, then runs the gate
-    bank's vjp and the experts'; x's gradient is the gates' part plus the
-    experts'. Under ``ablate.dcr`` the node is the shared MLP's (rows, out)
-    output, which stands for both.
+    task by task and the experts theirs last task first, then runs the
+    experts' vjp and the gate bank's. Under ``ablate.dcr`` the node is the
+    shared MLP's (rows, out) output, which stands for both.
     """
     if not params.enabled:
-        return ad.mlp_forward(params.shared_mlp, x, tape)
-    xv, lx = x.value, x.live
-    ev, experts_vjp = ad.mlp(params.experts, xv, lx)  # (K, rows, d)
-    s, gates_vjp = gates(params, xv, lx)  # (2, K, rows)
+        return ad.mlp_forward(params.shared_mlp, xv, tape)
+    ev, experts_vjp = ad.mlp(params.experts, xv)  # (K, rows, d)
+    s, gates_vjp = gates(params, xv)  # (2, K, rows)
     k, n, d = ev.shape
     weights = s[:, :, :, None]  # (2, K, rows, 1)
     open_ = params.slot_open
@@ -175,17 +176,15 @@ def dcr_forward(params: DcrParams, x: ad.Node, tape: ad.Tape) -> ad.Node:
         # the experts' factor adds the tasks' parts last task first; a closed slot's is 0
         ge = (blocks[1] * (weights[1] * open_[1][:, None, None])
               + blocks[0] * (weights[0] * open_[0][:, None, None]))
-        gx, *bank_grads = gates_vjp(gg)
-        ex, *expert_grads = experts_vjp(ge)
-        return (gx + ex if lx else None, *expert_grads, *bank_grads)
+        return (*experts_vjp(ge), *gates_vjp(gg))
 
     # task t, slot k's block in columns k*d .. (k+1)*d - 1 of row block t:
     # the product is written row-major in (tasks, n, k, d), so the reshape copies nothing
     out = np.multiply(weights.transpose(0, 2, 1, 3), merged.swapaxes(-3, -2), order="C")
-    return tape.record(out.reshape(2, n, k * d), (x, *params.params), vjp)
+    return tape.record(out.reshape(2, n, k * d), params.params, vjp)
 
 
-def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:
+def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node | None:
     """Sum over layers and cross-group pairs i < j of ||A_i^T A_j||_F^2, where
     A_g is group g's weight matrices of the layer side by side (biases
     excluded), so every cross-group expert pair is covered.
@@ -194,10 +193,12 @@ def orth_penalty(params: DcrParams, tape: ad.Tape) -> ad.Node:
     tr(A_j^T A_i A_i^T A_j) = <G_i, G_j>_F, so a layer's penalty is
     sum_{i<j} <G_i, G_j>_F and its gradient for A_g is
     2 (sum_h G_h - G_g) A_g. Every layer's term and gradient go into one
-    node, whose parents are the layers' stacked weights.
+    node, whose parents are the layers' stacked weights. Under
+    ``ablate.dcr``, which has no expert groups, there is no penalty: None,
+    and nothing is recorded.
     """
     if not params.enabled:
-        return tape.constant(0.0)
+        return None
     values, grads = [], []
     for layer in params.experts:
         w = layer.W

@@ -23,11 +23,11 @@ one (rows, 5) gradient, and a forward runs one stacked GEMM per tower layer
 (3 by default), 2 for the heads and 1 for the gates. The towers' first
 layer reads no dose and runs before any gate.
 
-One ``forward`` records the representation and that node for training and
-prediction alike, which differ only in two arrays of data, imputed and dose,
-that gate the treatment tower at imputed * t_hat + dose: training passes
-(1 - w, t), scoring (0, q) to gate at q, or no dose to gate at t_hat
-itself.
+One ``forward`` records the representation and that node, 2 nodes on the
+features read as data, for training and prediction alike, which differ only
+in two arrays of data, imputed and dose, that gate the treatment tower at
+imputed * t_hat + dose: training passes (1 - w, t), scoring (0, q) to gate
+at q, or no dose to gate at t_hat itself.
 Prediction records it in blocks of ``autodiff.SCORE_ROWS`` rows, each on a
 fresh tape, so scoring holds one block's tape whatever the row count.
 ``predict`` scores its one row as one such block and reads it as five
@@ -36,13 +36,14 @@ Python arithmetic, bit-equal to a one-row ``predict_batch``.
 The joint loss is one kernel, ``loss_terms``, recorded as one node over the
 HTE node and the expert orthogonality penalty: the factual cross-entropies,
 the intensity regression, the counterfactual MSE terms (the downward bridge
-among them) and the penalty. Its closed-form vjp writes each of the HTE
-node's five gradient columns once and gives the penalty g * lambda_o, None
-when it is dead; ``train`` runs it in ``autodiff.minibatch_adam``. The
-uplift head reaches the joint loss only through the counterfactual terms,
-so ``loss.lambda_x = 0`` leaves it untrained at its initialization. A model
-file holds the stacked tensors, and one that holds a tensor per tower and
-head is refused by name.
+among them) and the penalty. Its parents are the HTE node and, unless it
+is dropped, the penalty node; its closed-form vjp writes each of the HTE
+node's five gradient columns once and gives the penalty g * lambda_o;
+``train`` runs it in ``autodiff.minibatch_adam``, 4 nodes a batch (3 under
+``ablate.dcr``, which records no penalty). The uplift head reaches the joint
+loss only through the counterfactual terms, so ``loss.lambda_x = 0`` leaves
+it untrained at its initialization. A model file holds the stacked tensors,
+and one that holds a tensor per tower and head is refused by name.
 """
 from __future__ import annotations
 
@@ -190,13 +191,14 @@ def hte_forward(hte: HteParams, reps: ad.Node, imputed, dose, tape: ad.Tape) -> 
     G_i and g_i are layer i's columns of the TA gate bank
     (``HteParams.ta_cols``), so every gate's logits come from one GEMM and
     the bank's gradients from one GEMM back. The vjp gives t_hat the gate
-    dose's gradient times imputed, and adds each shared operand's gradients
-    in a fixed order: ut's treatment tower then uplift head (then, under
-    ``ablate.dcr``, the base tower), t_hat's node gradient then treatment
-    tower then bridge, p0's and eta's node gradient then bridge. A width
-    the layer does not take raises ConfigError, a non-finite affine output
-    NumericError naming the layer (its index, weight and slice); gate i
-    counts as layer i, named by the bank's weight and its index."""
+    dose's gradient times imputed, and adds each shared operand's gradients in a
+    fixed order: ut's treatment tower then uplift head (then, under
+    ``ablate.dcr``, the base tower), t_hat's node gradient then treatment tower
+    then bridge, p0's and eta's node gradient then bridge; it gives reps its
+    gradient whatever reps is, and a constant reps stops it. A width the layer
+    does not take raises ConfigError, a non-finite affine output NumericError
+    naming the layer (its index, weight and slice); gate i counts as layer i,
+    named by the bank's weight and its index."""
     rv = reps.value
     ut = rv[1] if rv.ndim == 3 else rv
     towers, heads, bank, cols = hte.towers, hte.heads, hte.ta_gates, hte.ta_cols
@@ -228,7 +230,6 @@ def hte_forward(hte: HteParams, reps: ad.Node, imputed, dose, tape: ad.Tape) -> 
         out = ad.checked_affine(towers[i + 1], h, i + 1, TOWER_SLICES)
     p = expit(out)  # p0 and pt
     p_cf, bridge_vjp = ad.bridge(p[0], t_hat, eta)
-    live = reps.live
 
     def vjp(g):
         gp, gt, ge = bridge_vjp(g[:, P_CF:P_CF + 1])
@@ -263,14 +264,13 @@ def hte_forward(hte: HteParams, reps: ad.Node, imputed, dose, tape: ad.Tape) -> 
         gh, gw1, gb1 = ad.affine_grads(gh, hh, heads[1].W.values)
         gh *= hh > ad.ZERO
         _, gw0, gb0 = ad.affine_grads(gh, hx, heads[0].W.values, lx=False)
-        gx = None
-        if live:  # the towers' x gradient, then the uplift head's into ut
-            gx = gy @ np.ascontiguousarray(towers[0].W.values.swapaxes(-1, -2))
-            gu = gh[1] @ np.ascontiguousarray(heads[0].W.values[1].T)
-            if rv.ndim == 3:
-                gx[1] += gu
-            else:
-                gx = gx[1] + gu + gx[0]
+        # the towers' x gradient, then the uplift head's into ut
+        gx = gy @ np.ascontiguousarray(towers[0].W.values.swapaxes(-1, -2))
+        gu = gh[1] @ np.ascontiguousarray(heads[0].W.values[1].T)
+        if rv.ndim == 3:
+            gx[1] += gu
+        else:
+            gx = gx[1] + gu + gx[0]
         return (gx, *grads, gg, ggb, gw0, gb0, gw1, gb1)
 
     return tape.record(np.concatenate([p[0], t_hat, eta, p_cf, p[1]], axis=1),
@@ -278,12 +278,11 @@ def hte_forward(hte: HteParams, reps: ad.Node, imputed, dose, tape: ad.Tape) -> 
 
 
 def forward(model: UniMvtModel, X: np.ndarray, tape: ad.Tape, imputed, dose) -> ad.Node:
-    """Record the network once on tape for the feature matrix X: the
-    representation (``dcr_forward``), then the HTE node (``hte_forward``),
-    which is returned, its treatment tower gated at imputed * t_hat + dose,
-    or at t_hat when dose is None."""
-    return hte_forward(model.hte, dcr_forward(model.dcr, tape.constant(X), tape), imputed, dose,
-                       tape)
+    """Record the network once on tape for the feature matrix X, which is
+    data and no node: the representation (``dcr_forward``), then the HTE
+    node (``hte_forward``), which is returned, its treatment tower gated at
+    imputed * t_hat + dose, or at t_hat when dose is None."""
+    return hte_forward(model.hte, dcr_forward(model.dcr, X, tape), imputed, dose, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +299,14 @@ def loss_terms(weights: LossWeights, y_col, w_col, t_col, hte: ad.Node, r_orth, 
     (pt's, treated rows), l_t ((t - t_hat)^2 + |t - t_hat|, treated rows),
     l_x (squared errors of p_cf, treated rows, and of p_base_cf =
     bridge(pt, t_hat, eta, -1), control rows) and r_orth (the scalar penalty
-    node, as it is) as one node over the HTE node and r_orth. A zero weight
-    drops its term: no value, a component of 0.0, no gradient; with every
-    weight 0 the node is dead, of value 0.0 and without parents. The
+    node, as it is, or None where there is none) as one node over the HTE
+    node and r_orth. A zero weight drops its term: no value, a component of
+    0.0, no parent; a None r_orth is dropped as its zero weight drops it.
+    With every term dropped the node has value 0.0 and no parents. The
     closed-form vjp fills one zeroed (rows, 5) gradient column by column, PT
-    and T_HAT the term's own part, then the downward bridge's; r_orth's
-    gradient is g * lambda_o, and a dead operand's None. Returns (the node;
-    the unweighted terms under every LOSS_COMPONENTS key)."""
+    and T_HAT the term's own part, then the downward bridge's, and gives
+    r_orth g * lambda_o. Returns (the node; the unweighted terms under every
+    LOSS_COMPONENTS key)."""
     lb, ltr, lt, lx, lo = (getattr(weights, lam) for lam in LOSS_COMPONENTS.values())
     hv = hte.value
     p0, t_hat, eta, p_cf, pt = (hv[:, j:j + 1] for j in range(5))
@@ -325,31 +325,31 @@ def loss_terms(weights: LossWeights, y_col, w_col, t_col, hte: ad.Node, r_orth, 
         p_base_cf, bridge_vjp = ad.bridge(pt, t_hat, eta, -1.0)
         d_cf, d_base = y_col - p_cf, y_col - p_base_cf
         comps["l_x"] = (w_col * (d_cf * d_cf)).sum() + (ctrl * (d_base * d_base)).sum()
-    if lo > 0:
+    uses_orth = lo > 0 and r_orth is not None
+    if uses_orth:
         comps["r_orth"] = r_orth.value
     total = sum(getattr(weights, lam) * comps[k] for k, lam in LOSS_COMPONENTS.items())
-    parents = [hte] * (lb > 0 or ltr > 0 or lt > 0 or lx > 0) + [r_orth] * (lo > 0)
-    lh, lr = hte.live, lo > 0 and r_orth.live
+    uses_hte = lb > 0 or ltr > 0 or lt > 0 or lx > 0
+    parents = [hte] * uses_hte + [r_orth] * uses_orth
 
     def vjp(g):  # (g lambda) * mask is a masked sum's gradient in its per-row loss
-        g, gh = float(g), None
-        if lh:
-            gh = np.zeros(hv.shape)
-            gp = gt = ge = 0.0  # the downward bridge's parts of PT, T_HAT and ETA
-            if lx > 0:
-                gh[:, P_CF:P_CF + 1] += -(ad.TWO * ((g * lx) * w_col) * d_cf)
-                gp, gt, ge = bridge_vjp(-(ad.TWO * ((g * lx) * ctrl) * d_base))
-            if lb > 0:
-                gh[:, P0:P0 + 1] += base_vjp((g * lb) * ctrl)
-            if ltr > 0:
-                gp = treat_vjp((g * ltr) * w_col) + gp
-            if lt > 0:
-                gl = (g * lt) * w_col
-                gt = -(gl * np.sign(err) + ad.TWO * gl * err) + gt
-            gh[:, PT:PT + 1] += gp
-            gh[:, T_HAT:T_HAT + 1] += gt
-            gh[:, ETA:ETA + 1] += ge
-        return [gh if parent is hte else (g * lo if lr else None) for parent in parents]
+        g = float(g)
+        gh = np.zeros(hv.shape)
+        gp = gt = ge = 0.0  # the downward bridge's parts of PT, T_HAT and ETA
+        if lx > 0:
+            gh[:, P_CF:P_CF + 1] += -(ad.TWO * ((g * lx) * w_col) * d_cf)
+            gp, gt, ge = bridge_vjp(-(ad.TWO * ((g * lx) * ctrl) * d_base))
+        if lb > 0:
+            gh[:, P0:P0 + 1] += base_vjp((g * lb) * ctrl)
+        if ltr > 0:
+            gp = treat_vjp((g * ltr) * w_col) + gp
+        if lt > 0:
+            gl = (g * lt) * w_col
+            gt = -(gl * np.sign(err) + ad.TWO * gl * err) + gt
+        gh[:, PT:PT + 1] += gp
+        gh[:, T_HAT:T_HAT + 1] += gt
+        gh[:, ETA:ETA + 1] += ge
+        return [gh] * uses_hte + [g * lo] * uses_orth
 
     return tape.record(total, parents, vjp), {k: float(v) for k, v in comps.items()}
 
@@ -363,7 +363,8 @@ def joint_loss_arrays(X, w, t, y, model: UniMvtModel, weights: LossWeights, tape
 
     # the observed dose gates the treatment tower on treated rows, the imputed one on controls
     hte = forward(model, np.asarray(X, dtype=np.float64), tape, 1.0 - w_col, t_col)
-    # recorded after the forward nodes: backward adds its gradient into the expert weights first
+    # recorded after the forward nodes: backward adds its gradient into the expert weights first;
+    # None under ablate.dcr
     r_orth = orth_penalty(model.dcr, tape) if weights.lambda_o > 0 else None
     return loss_terms(weights, y_col, w_col, t_col, hte, r_orth, tape)
 

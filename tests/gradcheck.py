@@ -12,9 +12,11 @@ to a scalar loss, and ``binary_cross_entropy`` records ``cross_entropy``
 per element, so ``total(binary_cross_entropy(...))`` is the two-node loss
 that the S-/T-Learners' one loss node must equal. ``bridge`` records the
 ``autodiff.bridge`` kernel as a node of its own, so the kernel can be
-checked alone, and ``hte_reference`` is the HTE net layer by layer in plain
-numpy, from the unstacked slices, that ``htenet.hte_forward``'s one node
-must equal.
+checked alone. Every reference gives each operand its gradient, summed back
+to the operand's shape where numpy broadcast it (``_unbroadcast``), and a
+constant operand stops it. ``hte_reference`` is the HTE net layer by layer
+in plain numpy, from the unstacked slices, that ``htenet.hte_forward``'s
+one node must equal.
 
 ``finite_diff_check`` compares a tape's gradients with central differences
 of the forward pass. A constant or a ``Tape.detach`` read off a
@@ -63,22 +65,32 @@ def _operand(tape: ad.Tape, x):
     return x if isinstance(x, (ad.Node, ad.ParamTensor)) else tape.constant(x)
 
 
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcasted gradient back down to the original operand shape;
+    a gradient that already has it is returned as it is."""
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
 def add(tape: ad.Tape, a, b) -> ad.Node:
     a, b = _operand(tape, a), _operand(tape, b)
     sa, sb = np.shape(a.value), np.shape(b.value)
-    la, lb = a.live, b.live
     return tape.record(a.value + b.value, (a, b),
-                       lambda g: (ad._unbroadcast(g, sa) if la else None,
-                                  ad._unbroadcast(g, sb) if lb else None))
+                       lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(tape: ad.Tape, a, b) -> ad.Node:
     a, b = _operand(tape, a), _operand(tape, b)
     av, bv = a.value, b.value
-    la, lb = a.live, b.live
     return tape.record(av * bv, (a, b),
-                       lambda g: (ad._unbroadcast(g * bv, np.shape(av)) if la else None,
-                                  ad._unbroadcast(g * av, np.shape(bv)) if lb else None))
+                       lambda g: (_unbroadcast(g * bv, np.shape(av)),
+                                  _unbroadcast(g * av, np.shape(bv))))
 
 
 def total(tape: ad.Tape, a) -> ad.Node:
@@ -100,8 +112,7 @@ def bridge(tape: ad.Tape, p, t_hat, eta, sign: float = 1.0) -> ad.Node:
     operands = (p, t_hat, eta)
 
     def node_vjp(g):
-        return [ad._unbroadcast(grad, np.shape(x.value)) if x.live else None
-                for x, grad in zip(operands, vjp(g))]
+        return [_unbroadcast(grad, np.shape(x.value)) for x, grad in zip(operands, vjp(g))]
 
     return tape.record(value, operands, node_vjp)
 
@@ -109,10 +120,13 @@ def bridge(tape: ad.Tape, p, t_hat, eta, sign: float = 1.0) -> ad.Node:
 def affine(tape: ad.Tape, x, w, b) -> ad.Node:
     """x @ W + b with b broadcast over rows; a (K, in, out) weight with bias
     (K, 1, out) applies K layers at once, as in ``mlp_forward``."""
-    xv, wv = x.value, w.value
-    lx, lw, lb = x.live, w.live, b.live
-    return tape.record(ad.affine_value(xv, wv, b.value), (x, w, b),
-                       lambda g: ad.affine_grads(g, xv, wv, lx, lw, lb))
+    xv, wv, bv = x.value, w.value, b.value
+
+    def vjp(g):
+        return [_unbroadcast(grad, np.shape(v)) for v, grad in zip((xv, wv, bv),
+                                                                   ad.affine_grads(g, xv, wv))]
+
+    return tape.record(ad.affine_value(xv, wv, bv), (x, w, b), vjp)
 
 
 def relu(tape: ad.Tape, a) -> ad.Node:

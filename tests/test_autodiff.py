@@ -37,8 +37,7 @@ def test_row_blocks_cover_every_row_once_in_order(n):
 
 def test_mlp_identity_layer():
     layer = make_layer("l0", np.eye(2), np.zeros(2))
-    tape = ad.Tape()
-    out = ad.mlp_forward([layer], tape.constant(np.array([[3.0, -1.0]])), tape)
+    out = ad.mlp_forward([layer], np.array([[3.0, -1.0]]), ad.Tape())
     np.testing.assert_array_equal(out.value, [[3.0, -1.0]])
 
 
@@ -54,8 +53,7 @@ def test_mlp_matches_straight_line_matrix_eval():
     layers = [make_layer("l0", W1, b1), make_layer("l1", W2, b2)]
     x = rng.standard_normal((6, 4))
 
-    tape = ad.Tape()
-    out = ad.mlp_forward(layers, tape.constant(x), tape)
+    out = ad.mlp_forward(layers, x, ad.Tape())
 
     # oracle: plain matrix arithmetic, no tape involved
     h = np.maximum(x @ W1 + b1, 0.0)
@@ -65,17 +63,15 @@ def test_mlp_matches_straight_line_matrix_eval():
 
 def test_mlp_dimension_mismatch():
     layer = make_layer("l0", np.eye(3), np.zeros(3))
-    tape = ad.Tape()
     with pytest.raises(ConfigError):
-        ad.mlp_forward([layer], tape.constant(np.ones((1, 2))), tape)
+        ad.mlp_forward([layer], np.ones((1, 2)), ad.Tape())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_mlp_nonfinite_activation_names_layer():
     layer = make_layer("l0", np.array([[1e308], [1e308]]), np.array([1e308]))
-    tape = ad.Tape()
     with pytest.raises(NumericError, match="layer 0"):
-        ad.mlp_forward([layer], tape.constant(np.array([[1e9, 1e9]])), tape)
+        ad.mlp_forward([layer], np.array([[1e9, 1e9]]), ad.Tape())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -112,9 +108,10 @@ def fused_mlp_case(stacked, depth, seed=0):
             for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))]
 
 
-def chain_of_primitives(layers, x, tape):
-    """The layer stack as one reference node per affine and per relu, a relu
-    between layers only."""
+def chain_of_primitives(layers, xv, tape):
+    """The layer stack on the array xv, a constant, as one reference node per
+    affine and per relu, a relu between layers only."""
+    x = tape.constant(xv)
     for i, layer in enumerate(layers):
         x = affine(tape, x if i == 0 else relu(tape, x), layer.W, layer.b)
     return x
@@ -124,15 +121,13 @@ def chain_of_primitives(layers, x, tape):
 @pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
 def test_mlp_is_one_node_equal_to_the_chain_of_primitives(stacked, depth):
     layers = fused_mlp_case(stacked, depth)
-    x = ad.ParamTensor("x", np.random.default_rng(1).standard_normal((5, 4)))
-    params = [x, *ad.mlp_params(layers)]
+    x = np.random.default_rng(1).standard_normal((5, 4))
+    params = ad.mlp_params(layers)
     results = []
     for record in (ad.mlp_forward, chain_of_primitives):
         tape = ad.Tape()
-        inputs = mul(tape, x, 1.0)
-        before = len(tape.nodes)
-        out = record(layers, inputs, tape)
-        recorded = len(tape.nodes) - before
+        out = record(layers, x, tape)
+        recorded = len(tape.nodes)
         total(tape, mul(tape, out, np.linspace(-1.0, 2.0, out.value.size).reshape(out.shape)))
         ad.backward(tape)
         results.append((out.value, [p.grad.copy() for p in params], recorded))
@@ -145,23 +140,23 @@ def test_mlp_is_one_node_equal_to_the_chain_of_primitives(stacked, depth):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("live", [True, False], ids=["live input", "dead input"])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
-def test_mlp_gradients_against_finite_differences(stacked, depth, live):
+def test_mlp_gradients_against_finite_differences(stacked, depth):
     layers = fused_mlp_case(stacked, depth, seed=2)
-    x = ad.ParamTensor("x", np.random.default_rng(3).standard_normal((5, 4)))
+    x = np.random.default_rng(3).standard_normal((5, 4))
     weights = np.random.default_rng(4).uniform(0.5, 1.5, size=(3, 5, 2) if stacked else (5, 2))
     nodes = []
 
     def loss_fn(tape):
-        inputs = mul(tape, x, 1.0) if live else tape.constant(x.values)
-        nodes.append(ad.mlp_forward(layers, inputs, tape))
+        nodes.append(ad.mlp_forward(layers, x, tape))
         return total(tape, mul(tape, nodes[-1], weights))
 
-    params = [x, *ad.mlp_params(layers)] if live else ad.mlp_params(layers)
+    params = ad.mlp_params(layers)
     assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
-    assert (nodes[0].vjp(np.ones_like(nodes[0].value))[0] is None) == (not live)
+    # one gradient per parent, every layer's W and b: the input is data
+    assert nodes[0].parents == tuple(params)
+    assert len(nodes[0].vjp(np.ones_like(nodes[0].value))) == len(params)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +222,7 @@ def test_backward_two_layer_net_matches_finite_differences():
     params = ad.mlp_params(layers)
 
     def loss_fn(tape):
-        p = sigmoid(tape, ad.mlp_forward(layers, tape.constant(x), tape))
+        p = sigmoid(tape, ad.mlp_forward(layers, x, tape))
         return total(tape, binary_cross_entropy(tape, y, p))
 
     assert finite_diff_check(loss_fn, params, eps=1e-5) < 1e-4
@@ -272,12 +267,19 @@ def identity_layer(name):
 
 
 def relu_net(column):
-    """mlp_forward on a fresh tape over an (n, 1) column, a constant or a
-    ParamTensor whose gradient is wanted, through two identity layers, so
-    through the relu between them."""
-    tape = ad.Tape()
-    x = column if isinstance(column, ad.ParamTensor) else tape.constant(column)
-    return ad.mlp_forward([identity_layer("l0"), identity_layer("l1")], x, tape)
+    """mlp_forward on a fresh tape over an (n, 1) column through two identity
+    layers, so through the relu between them."""
+    return ad.mlp_forward([identity_layer("l0"), identity_layer("l1")], column, ad.Tape())
+
+
+def relu_gradient(a, g):
+    """The gradient that the relu of ``mlp`` passes back for the output
+    gradient g at the entries a: read off the first layer's bias gradient of
+    a net on a as one row, through two (n, n) identity layers, so that each
+    entry is its own unit and the row sum is the entry itself."""
+    eye = make_layer("l0", np.eye(a.size), np.zeros(a.size))
+    _, vjp = ad.mlp([eye, eye], a.reshape(1, -1))
+    return vjp(g.reshape(1, -1))[1].reshape(a.shape)
 
 
 def sigmoid_net(column):
@@ -334,10 +336,11 @@ def assert_within_2_ulp_where_normal(got, want):
 
 def test_mlp_relu_equals_the_select_form():
     a = np.concatenate([FINITE_EDGES, np.random.default_rng(0).standard_normal(54)]).reshape(-1, 1)
-    g = np.random.default_rng(1).standard_normal(a.shape)
-    node = relu_net(ad.ParamTensor("a", a))
+    # |g| < 1 keeps the weight gradients a g^T finite at a = +-1e308
+    g = np.random.default_rng(1).uniform(-1.0, 1.0, a.shape)
+    node = relu_net(a)
     assert same_bits(node.value, select_relu(a)) and not np.signbit(node.value).any()
-    assert np.array_equal(node.vjp(g)[0], g * (a > 0))  # the input's gradient
+    assert np.array_equal(relu_gradient(a, g), g * (a > 0))
 
 
 def test_sigmoid_equals_the_select_form_without_overflow():
@@ -389,6 +392,21 @@ def test_affine_bias_gradient_is_the_row_sum(shape):
     np.testing.assert_allclose(gb, want, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("shapes", [[(5, 4), (4, 3)], [(2, 5, 4), (2, 4, 3)], [(5, 4), (2, 4, 3)]],
+                         ids=["plain", "stacked", "stacked on a shared x"])
+def test_affine_grads_gives_x_its_gradient_only_on_request(shapes):
+    # the weight gradients are the same bits either way; x's, when asked for,
+    # is g W^T, which a stack on a shared x gives per slice
+    rng = np.random.default_rng(10)
+    x, w = (rng.standard_normal(s) for s in shapes)
+    g = rng.standard_normal((x @ w).shape)
+    gx, gw, gb = ad.affine_grads(g, x, w)
+    none, gw_only, gb_only = ad.affine_grads(g, x, w, lx=False)
+    assert none is None and gw.shape == w.shape
+    assert gw.tobytes() == gw_only.tobytes() and gb.tobytes() == gb_only.tobytes()
+    np.testing.assert_allclose(gx, g @ w.swapaxes(-1, -2), rtol=1e-13, atol=1e-13)
+
+
 def test_kernels_keep_extended_precision():
     """finite_diff_check re-evaluates in longdouble; no kernel may drop it."""
     rng = np.random.default_rng(6)
@@ -419,7 +437,7 @@ def square(tape, a):
 
 
 def bridge_term(tape, wn, sign):
-    """The bridge at ``sign`` with all three operands live on wn: p = 0.4 w +
+    """The bridge at ``sign`` with all three operands read off wn: p = 0.4 w +
     FD_OFFSETS, t_hat = 1 + 0.3 w and eta = 0.2 w - 12 sign FD_OFFSETS. Where
     the clamp binds, the shift, about -12 (1 + 0.3 w) FD_OFFSETS, brings the
     output back inside (0.02, 0.98), where central differences resolve it."""
@@ -508,10 +526,13 @@ def operand_gradients(name, constant):
 
 @pytest.mark.parametrize("name, k", [(name, k) for name, (_, shapes) in MULTI_OPERAND.items()
                                      for k in range(len(shapes))])
-def test_vjp_gives_none_for_a_constant_operand(name, k):
+def test_a_constant_operand_stops_its_gradient(name, k):
+    # the vjp gives every operand, the constant too, a gradient of its shape;
+    # the constant, which has no vjp, passes it nowhere
     out, got = operand_gradients(name, constant=k)
     parts = out.vjp(np.ones_like(out.value))
-    assert [part is None for part in parts] == [i == k for i in range(len(parts))]
+    assert [np.shape(part) for part in parts] == [np.shape(x.value) for x in out.parents]
+    assert out.parents[k].vjp is None
     _, want = operand_gradients(name, constant=None)
     for i, (g, w) in enumerate(zip(got, want)):
         if i == k:
@@ -520,43 +541,41 @@ def test_vjp_gives_none_for_a_constant_operand(name, k):
             np.testing.assert_array_equal(g, w)
 
 
-def test_only_a_node_that_reaches_a_parameter_is_live():
-    w = ad.ParamTensor("w", np.ones((2, 2)))
+def test_a_constant_stops_whatever_reaches_it():
+    # a node on constants keeps its vjp and passes its gradient back to them,
+    # and they, without a vjp, pass it nowhere: w's gradient is its own path's
+    w = ad.ParamTensor("w", np.full((2, 2), 3.0))
     tape = ad.Tape()
-    on_constants = mul(tape, tape.constant(np.ones((2, 2))), 2.0)
+    ones = tape.constant(np.ones((2, 2)))
+    on_constants = mul(tape, ones, 2.0)
     frozen = tape.constant(w.value)
-    mixed = add(tape, on_constants, w)
-    assert w.live and mixed.live and mixed.vjp is not None
-    for dead in (on_constants, frozen, mul(tape, frozen, on_constants)):
-        assert not dead.live and dead.vjp is None
-    # a layer stack is live through its weights; its vjp gives x a gradient only on a live x
-    layers = [make_layer("l0", np.ones((2, 3)), np.zeros(3))]
-    g = np.ones((2, 3))
-    on_a_constant, on_a_live_x = (ad.mlp_forward(layers, x, tape) for x in (frozen, mixed))
-    assert on_a_constant.live and on_a_constant.vjp(g)[0] is None
-    assert on_a_live_x.live and on_a_live_x.vjp(g)[0] is not None
+    mixed = add(tape, mul(tape, frozen, on_constants), w)  # 2 w0 + w, w0 held at 3
+    total(tape, mul(tape, mixed, w))
+    assert on_constants.vjp is not None and ones.vjp is None and frozen.vjp is None
+    ad.backward(tape)
+    np.testing.assert_array_equal(w.grad, np.full((2, 2), 12.0))  # 2 w0 + 2 w
+    np.testing.assert_array_equal(ones.value, np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
 def test_mlp_kernel_is_the_node_mlp_forward_records(stacked):
-    # the same value and vjp, bit for bit; on lx=False x's gradient is None
-    # and the layers' are unchanged
+    # the same value and vjp, bit for bit: every layer's W and b gradients,
+    # none for the input, which is data
     rng = np.random.default_rng(9)
     k = (2,) if stacked else ()
     layers = [make_layer(f"l{i}", rng.standard_normal((*k, fan_in, fan_out)),
                          rng.standard_normal((*k, 1, fan_out) if stacked else (fan_out,)))
               for i, (fan_in, fan_out) in enumerate([(4, 3), (3, 2)])]
-    x = ad.ParamTensor("x", rng.standard_normal((5, 4)))
+    x = rng.standard_normal((5, 4))
     g = rng.standard_normal((*k, 5, 2))
     node = ad.mlp_forward(layers, x, ad.Tape())
-    assert node.parents == (x, *ad.mlp_params(layers))
-    for lx in (True, False):
-        value, vjp = ad.mlp(layers, x.values, lx)
-        assert value.tobytes() == node.value.tobytes() and value.shape == node.value.shape
-        got, want = vjp(g), node.vjp(g)
-        assert (got[0] is None) == (not lx) and len(got) == len(want) == 5
-        for a, b in zip(got[0 if lx else 1:], want[0 if lx else 1:]):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert node.parents == tuple(ad.mlp_params(layers))
+    value, vjp = ad.mlp(layers, x)
+    assert value.tobytes() == node.value.tobytes() and value.shape == node.value.shape
+    got, want = vjp(g), node.vjp(g)
+    assert len(got) == len(want) == 4
+    for a, b, p in zip(got, want, node.parents):
+        assert a.shape == b.shape == p.shape and a.tobytes() == b.tobytes()
 
 
 def test_cross_entropy_passes_no_gradient_where_the_clamp_binds():
@@ -566,6 +585,17 @@ def test_cross_entropy_passes_no_gradient_where_the_clamp_binds():
     g = vjp(np.ones((1, 5)))
     np.testing.assert_array_equal(g[0, [0, 1, 3, 4]], 0.0)
     assert g[0, 2] == pytest.approx(-1.0 / 0.3, rel=1e-12)  # (p - y) / (p (1 - p)) at y = 1
+
+
+def test_cross_entropy_vjp_broadcasts_a_scalar_gradient_bit_for_bit():
+    # the S-/T-Learners' loss passes its scalar g as it is: the same bits as
+    # g spread over every element, clamped entries included
+    rng = np.random.default_rng(12)
+    p = np.concatenate([[[0.0], [1e-9], [1.0]], rng.uniform(0.0, 1.0, (20, 1))])
+    y = rng.integers(0, 2, size=p.shape).astype(float)
+    value, vjp = ad.cross_entropy(y, p)
+    g = 0.37
+    assert vjp(g).tobytes() == vjp(np.full(value.shape, g)).tobytes()
 
 
 def bridge_value(p, shift):
@@ -800,7 +830,7 @@ def test_seeded_init_and_steps_are_bit_reproducible():
         y = rng.integers(0, 2, size=(16, 1)).astype(float)
         for _ in range(5):
             tape = ad.Tape()
-            p = sigmoid(tape, ad.mlp_forward(layers, tape.constant(x), tape))
+            p = sigmoid(tape, ad.mlp_forward(layers, x, tape))
             total(tape, binary_cross_entropy(tape, y, p))
             ad.backward(tape)
             ad.optimizer_step(state)

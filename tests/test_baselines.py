@@ -120,8 +120,7 @@ def test_unit_uplift_hand_built_sigmoid_of_t():
 
 def logit_of(net, inputs):
     """The net's mlp_forward output on inputs, one tape, as a vector."""
-    tape = ad.Tape()
-    return ad.mlp_forward(net, tape.constant(inputs), tape).value.reshape(-1)
+    return ad.mlp_forward(net, inputs, ad.Tape()).value.reshape(-1)
 
 
 def test_base_ctr_is_expit_of_the_net_output_bit_for_bit(small_syn):
@@ -244,7 +243,7 @@ def test_fit_binary_mlp_trains_as_the_two_node_reference_loss():
     y_col = labels.reshape(-1, 1).astype(np.float64)
 
     def reference_loss(rows, tape):
-        p = sigmoid(tape, ad.mlp_forward(reference, tape.constant(inputs[rows]), tape))
+        p = sigmoid(tape, ad.mlp_forward(reference, inputs[rows], tape))
         return total(tape, binary_cross_entropy(tape, y_col[rows], p)), None
 
     ad.minibatch_adam(ad.mlp_params(reference), len(inputs), reference_loss, cfg.train,

@@ -33,9 +33,8 @@ def one_expert_identity_params(dim=2):
 
 def test_uniform_gate_with_identity_experts():
     params = one_expert_identity_params()
-    tape = ad.Tape()
     x = np.array([[1.5, -0.6]])
-    out = dcr.dcr_forward(params, tape.constant(x), tape)
+    out = dcr.dcr_forward(params, x, ad.Tape())
     expected = np.concatenate([x, x, x], axis=1) / 3.0
     assert out.value.shape == (2, 1, 6)  # [u0, ut]
     np.testing.assert_allclose(out.value[0], expected, atol=1e-15)
@@ -60,7 +59,7 @@ def backward_of(task, seed, data_seed):
     params = seeded_params(seed)
     rng = np.random.default_rng(data_seed)
     tape = ad.Tape()
-    out = dcr.dcr_forward(params, tape.constant(rng.standard_normal((6, 4))), tape)
+    out = dcr.dcr_forward(params, rng.standard_normal((6, 4)), tape)
     total(tape, mul(tape, np.array(["u0", "ut"]).reshape(2, 1, 1) == task, out))
     ad.backward(tape)
     return params
@@ -89,15 +88,15 @@ def byte_equal(got, want):
 def test_dcr_node_equals_the_per_task_transpose_form():
     # each task's block of the value is a merge of that task alone; the
     # experts' gradient adds the tasks' parts last task first, a closed slot
-    # getting an exact 0 from its task; on a live x, x's gradient is the
-    # gates' part plus the experts'
+    # getting an exact 0 from its task; the features are data, so the
+    # parents are the parameters alone
     params = seeded_params(5)
     rng = np.random.default_rng(5)
     k, n, d = 6, 7, 5
-    x = ad.ParamTensor("x", rng.standard_normal((n, 4)))
+    x = rng.standard_normal((n, 4))
     node = dcr.dcr_forward(params, x, ad.Tape())
-    ev, experts_vjp = ad.mlp(params.experts, x.values, True)
-    s, gates_vjp = dcr.gates(params, x.values, True)
+    ev, experts_vjp = ad.mlp(params.experts, x)
+    s, gates_vjp = dcr.gates(params, x)
     g = rng.standard_normal((2, n, k * d))
     gg, parts = np.empty(s.shape), []
     for task in range(2):
@@ -108,34 +107,17 @@ def test_dcr_node_equals_the_per_task_transpose_form():
         np.testing.assert_allclose(gg[task], (blocks * ev).sum(axis=2), rtol=1e-13, atol=1e-13)
         parts.append(blocks * (weights * params.slot_open[task][:, None, None]))
         np.testing.assert_array_equal(parts[-1][~params.slot_open[task]], 0.0)
-    gx_gates, *bank_grads = gates_vjp(gg)
-    gx_experts, *expert_grads = experts_vjp(parts[1] + parts[0])
-    want = [gx_gates + gx_experts, *expert_grads, *bank_grads]
+    want = [*experts_vjp(parts[1] + parts[0]), *gates_vjp(gg)]
     got = node.vjp(g)
-    assert node.parents == (x, *params.parameters()) and len(got) == len(want)
+    assert node.parents == tuple(params.parameters()) and len(got) == len(want)
     assert all(byte_equal(a, b) for a, b in zip(got, want))
-
-
-def test_dcr_node_gives_a_constant_x_no_gradient():
-    # on a constant x the vjp gives x None and every parameter the gradient
-    # it gets on a live x, bit for bit
-    params = seeded_params(6)
-    rng = np.random.default_rng(6)
-    xv, g = rng.standard_normal((7, 4)), rng.standard_normal((2, 7, 30))
-    tape = ad.Tape()
-    on_a_constant = dcr.dcr_forward(params, tape.constant(xv), tape)
-    on_a_live_x = dcr.dcr_forward(params, ad.ParamTensor("x", xv), ad.Tape())
-    assert on_a_constant.live and byte_equal(on_a_constant.value, on_a_live_x.value)
-    got, want = on_a_constant.vjp(g), on_a_live_x.vjp(g)
-    assert got[0] is None and want[0] is not None and len(got) == len(want)
-    assert all(byte_equal(a, b) for a, b in zip(got[1:], want[1:]))
 
 
 def test_gate_weights_sum_to_one():
     params = seeded_params(3)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 4))
-    g, _ = dcr.gates(params, x, False)
+    g, _ = dcr.gates(params, x)
     assert g.shape == (2, 6, 5)
     assert np.all(g > 0)
     np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
@@ -157,13 +139,13 @@ def test_gate_bank_guard_raises_exactly_where_the_plain_sum_is_not_finite(case):
     params.gates.b.values[:] = gate0 + gate_t
     x = np.zeros((GUARD_ROWS, 1))
     if named is None:
-        g, _ = dcr.gates(params, x, False)
+        g, _ = dcr.gates(params, x)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         return
     gate = ("gate0", "gate_t")[named]
     with pytest.raises(NumericError,
                        match=re.escape(f"after layer 0 (dcr.gates.W, {gate})") + "$"):
-        dcr.gates(params, x, False)
+        dcr.gates(params, x)
 
 
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
@@ -171,22 +153,22 @@ def test_gates_positive_and_normalized(logits):
     k = len(logits)
     params = dcr.DcrParams(input_dim=1, gates=zero_gates(1, k))
     params.gates.W.values[0, k:] = logits  # gate_t's columns
-    g, _ = dcr.gates(params, np.ones((1, 1)), False)
+    g, _ = dcr.gates(params, np.ones((1, 1)))
     assert np.all(g > 0)
     assert abs(g[0].sum() - 1.0) < 1e-12 and abs(g[1].sum() - 1.0) < 1e-12
 
 
 def test_gate_bank_against_finite_differences():
     # the fused bank's W and b, each gate's columns with a bias of its own,
-    # through a node of the gates kernel on a constant x
+    # through a node of the gates kernel on the array x
     params = seeded_params(4)
     rng = np.random.default_rng(4)
     x, mask = rng.standard_normal((5, 4)), rng.uniform(0.5, 1.5, size=(2, 6, 5))
     params.gates.b.values[:] = rng.normal(0.0, 0.5, size=12)
 
     def loss_fn(tape):
-        s, vjp = dcr.gates(params, x, False)
-        gates = tape.record(s, (tape.constant(x), params.gates.W, params.gates.b), vjp)
+        s, vjp = dcr.gates(params, x)
+        gates = tape.record(s, (params.gates.W, params.gates.b), vjp)
         return total(tape, mul(tape, mask, gates))
 
     assert params.parameters()[-2:] == [params.gates.W, params.gates.b]
@@ -203,16 +185,15 @@ def test_both_representations_against_finite_differences():
     mask = rng.uniform(0.5, 1.5, size=(2, 4, 30))  # u0's weights, then ut's
 
     def loss_fn(tape):
-        return total(tape, mul(tape, mask, dcr.dcr_forward(params, tape.constant(x), tape)))
+        return total(tape, mul(tape, mask, dcr.dcr_forward(params, x, tape)))
 
     assert finite_diff_check(loss_fn, params.parameters(), eps=1e-6) < 1e-6
 
 
 def test_dimension_mismatch_is_config_error():
     params = seeded_params(0, input_dim=4)
-    tape = ad.Tape()
     with pytest.raises(ConfigError):
-        dcr.dcr_forward(params, tape.constant(np.ones((2, 3))), tape)
+        dcr.dcr_forward(params, np.ones((2, 3)), ad.Tape())
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +285,10 @@ def test_disabled_dcr_collapses_to_shared_mlp():
     params = dcr.init_dcr(rng, 4, cfg, True)
     x = rng.standard_normal((3, 4))
     tape = ad.Tape()
-    out = dcr.dcr_forward(params, tape.constant(x), tape)  # one representation for both tasks
-    expected_tape = ad.Tape()
-    expected = ad.mlp_forward(params.shared_mlp, expected_tape.constant(x), expected_tape)
+    out = dcr.dcr_forward(params, x, tape)  # one representation for both tasks
+    expected = ad.mlp_forward(params.shared_mlp, x, ad.Tape())
     np.testing.assert_array_equal(out.value, expected.value)
     assert out.value.shape == (3, params.output_dim) and params.output_dim == 2 * 3 * 5
-    # penalty degenerates to zero
-    assert float(dcr.orth_penalty(params, ad.Tape()).value) == 0.0
+    assert out.parents == tuple(params.parameters())
+    # no expert groups, so no penalty: nothing is recorded
+    assert dcr.orth_penalty(params, tape) is None and tape.nodes == [out]

@@ -172,11 +172,10 @@ DOSES = np.array([[1.0], [1.7], [2.2], [3.0], [3.6]])
 def test_ta_gate_neutral_at_zero_params():
     # a = 2*sigmoid(0) is exactly 1: the tower is its plain MLP read through a sigmoid
     hte = one_gate_tower(np.zeros((2, 3)), np.zeros(3))
-    tape = ad.Tape()
     plain_tower = [ad.Layer(ad.ParamTensor(f"t{i}.W", layer.W.values[1]),
                             ad.ParamTensor(f"t{i}.b", layer.b.values[1, 0]))
                    for i, layer in enumerate(hte.towers)]
-    plain = expit(ad.mlp_forward(plain_tower, tape.constant(UT), tape).value)
+    plain = expit(ad.mlp_forward(plain_tower, UT, ad.Tape()).value)
     np.testing.assert_array_equal(tower_value(hte, UT, DOSES), plain)
 
 
@@ -331,13 +330,37 @@ def test_intensity_head_blocks_gradients_to_dcr():
     model = tiny_model(seed=3)
     X, w, t, y = tiny_batch(3)
     tape = ad.Tape()
-    rep = dcr.dcr_forward(model.dcr, tape.constant(X), tape)
+    rep = dcr.dcr_forward(model.dcr, X, tape)
     t_hat_only = np.arange(5) == ht.T_HAT
     total(tape, mul(tape, t_hat_only, ht.hte_forward(model.hte, rep, 1.0, 0.0, tape)))
     ad.backward(tape)
     for p in model.dcr.parameters():
         assert np.all(p.grad == 0.0)
     assert all(np.any(p.grad[0] != 0.0) for p in ad.mlp_params(model.hte.heads))
+
+
+def test_a_constant_representation_stops_the_hte_gradient():
+    # the HTE node gives its representation a gradient whatever it is; a
+    # constant stops it there, and the HTE net trains as on the DCR node
+    model = tiny_model(seed=4)
+    X, w, t, y = tiny_batch(4)
+    mask = np.random.default_rng(4).uniform(0.5, 1.5, size=(len(X), 5))
+    grads = []
+    for constant in (False, True):
+        tape = ad.Tape()
+        rep = dcr.dcr_forward(model.dcr, X, tape)
+        if constant:
+            rep = tape.constant(rep.value)
+        total(tape, mul(tape, mask, ht.hte_forward(model.hte, rep, 1.0 - w[:, None], t[:, None],
+                                                   tape)))
+        ad.backward(tape)
+        grads.append([p.grad.copy() for p in model.parameters()])
+        for p in model.parameters():
+            p.grad.fill(0.0)
+    (dcr_grads, on_dcr), (frozen_grads, on_constant) = (
+        (g[:len(model.dcr.parameters())], g[len(model.dcr.parameters()):]) for g in grads)
+    assert all(np.any(g != 0.0) for g in dcr_grads) and not any(np.any(g) for g in frozen_grads)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(on_dcr, on_constant))
 
 
 def test_bad_t_bounds_rejected():
@@ -544,12 +567,13 @@ def test_loss_terms_node_against_finite_differences(terms):
 
     assert finite_diff_check(loss_fn, [hte, r_orth], eps=1e-6) < 1e-6
     # one node, whose parents are the HTE node, unless only r_orth is kept, and
-    # r_orth if it is; with no term kept, a dead node of value 0.0
+    # r_orth if it is; with no term kept, a node of value 0.0 without parents
     kept = {"r_orth": [r_orth], "all": [hte, r_orth], "none": []}.get(terms, [hte])
     assert len(tapes[0].nodes) == 1
     assert list(tapes[0].nodes[0].parents) == kept
+    assert len(tapes[0].nodes[0].vjp(np.ones(()))) == len(kept)  # one gradient per parent
     if terms == "none":
-        assert float(tapes[0].nodes[0].value) == 0.0 and not tapes[0].nodes[0].live
+        assert float(tapes[0].nodes[0].value) == 0.0
     ad.backward(tapes[0])
     reached = set().union(*TERM_COLUMNS.values()) if terms == "all" else set(TERM_COLUMNS[terms])
     assert {col for col in range(5) if np.any(hte.grad[:, col])} == reached
@@ -577,16 +601,18 @@ def test_loss_terms_columns_are_their_kernels_vjps():
     assert go == lam.lambda_o
 
 
-def test_loss_node_gives_a_dead_r_orth_no_gradient():
-    # under ablate.dcr the penalty is a constant 0.0: a parent while lambda_o
-    # > 0, but a dead one, so the loss node's vjp gives it None
+def test_ablate_dcr_loss_node_has_the_hte_node_as_its_one_parent():
+    # ablate.dcr has no expert groups and records no penalty: the loss drops
+    # r_orth as a zero lambda_o drops it, and its component reads 0.0
     model = tiny_model(ablate=AblationConfig(dcr=True))
     X, w, t, y = tiny_batch()
-    total, comps = ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), ad.Tape())
-    hte, r_orth = total.parents
-    assert hte.live and not r_orth.live and comps["r_orth"] == 0.0
-    gh, go = total.vjp(np.ones(()))
-    assert gh.shape == hte.shape and go is None
+    assert LossWeights().lambda_o > 0
+    tape = ad.Tape()
+    total, comps = ht.joint_loss_arrays(X, w, t, y, model, LossWeights(), tape)
+    (hte,) = total.parents
+    assert hte is tape.nodes[-2] and hte.shape == (len(X), 5) and comps["r_orth"] == 0.0
+    (gh,) = total.vjp(np.ones(()))
+    assert gh.shape == hte.shape
 
 
 # ---------------------------------------------------------------------------
@@ -1193,13 +1219,41 @@ def training_batch_nodes(ablate):
     return len(tape.nodes)
 
 
-def test_default_training_batch_records_at_most_5_nodes():
-    # the features, the DCR node, the HTE node, r_orth and the loss
-    assert training_batch_nodes(AblationConfig()) <= 5
+def test_default_training_batch_records_at_most_4_nodes():
+    # the DCR node, the HTE node, r_orth and the loss
+    assert training_batch_nodes(AblationConfig()) <= 4
 
 
-def test_ablate_dcr_training_batch_records_at_most_5_nodes():
-    assert training_batch_nodes(AblationConfig(dcr=True)) <= 5
+def test_ablate_dcr_training_batch_records_at_most_3_nodes():
+    # the shared MLP, the HTE node and the loss: no expert groups, no penalty
+    assert training_batch_nodes(AblationConfig(dcr=True)) <= 3
+
+
+def batch_tape(monkeypatch, arm):
+    """The tape of one training batch: a default or ``ablate.dcr`` UniMVT
+    batch, or an S-/T-Learner's, taken from the loss that its fit hands the
+    training loop."""
+    tape = ad.Tape()
+    if arm == "learner":
+        net = ad.init_mlp(np.random.default_rng(0), "net", (6, 4, 1))
+        X, w, t, y = tiny_batch(seed=1, n=32, input_dim=6)
+        captured = []
+        monkeypatch.setattr(ad, "minibatch_adam", lambda params, n, batch_loss, train, rng:
+                            captured.append(batch_loss))
+        baselines._fit_binary_mlp(net, X, y, tiny_config(), np.random.default_rng(0))
+        captured[0](np.arange(32), tape)
+        return tape
+    model = tiny_model(ablate=AblationConfig(dcr=arm == "ablate.dcr"))
+    ht.joint_loss_arrays(*tiny_batch(), model, LossWeights(), tape)
+    return tape
+
+
+@pytest.mark.parametrize("arm", ["default", "ablate.dcr", "learner"])
+def test_every_node_a_training_batch_records_has_a_vjp(monkeypatch, arm):
+    # the features are data and the ablation records no penalty, so no node
+    # is a constant: every one passes its gradient on to its parents
+    tape = batch_tape(monkeypatch, arm)
+    assert tape.nodes and all(node.vjp is not None and node.parents for node in tape.nodes)
 
 
 def test_a_default_model_has_18_parameter_tensors():
@@ -1223,17 +1277,17 @@ def predict_nodes(monkeypatch, ablate, q=None):
     return len(tapes[0].nodes)
 
 
-def test_predict_records_at_most_3_nodes(monkeypatch):
-    # the features, the DCR node and the HTE node
-    assert predict_nodes(monkeypatch, AblationConfig()) <= 3
+def test_predict_records_at_most_2_nodes(monkeypatch):
+    # the DCR node and the HTE node
+    assert predict_nodes(monkeypatch, AblationConfig()) <= 2
 
 
-def test_ablate_dcr_predict_records_at_most_3_nodes(monkeypatch):
-    # the features, the shared MLP and the HTE node
-    assert predict_nodes(monkeypatch, AblationConfig(dcr=True)) <= 3
+def test_ablate_dcr_predict_records_at_most_2_nodes(monkeypatch):
+    # the shared MLP and the HTE node
+    assert predict_nodes(monkeypatch, AblationConfig(dcr=True)) <= 2
 
 
-@pytest.mark.parametrize("ablate, budget", [(AblationConfig(), 3), (AblationConfig(dcr=True), 3)],
+@pytest.mark.parametrize("ablate, budget", [(AblationConfig(), 2), (AblationConfig(dcr=True), 2)],
                          ids=["default", "ablate.dcr"])
 def test_predict_at_a_dose_records_no_more_nodes_than_without(monkeypatch, ablate, budget):
     # the dose is data: gating at q adds no node to the tape
@@ -1260,7 +1314,7 @@ def library_calls(fn) -> Counter:
     return calls
 
 
-@pytest.mark.parametrize("q, budget", [(None, 51), (2.0, 55)], ids=["at t_hat", "at q"])
+@pytest.mark.parametrize("q, budget", [(None, 48), (2.0, 52)], ids=["at t_hat", "at q"])
 def test_one_decision_keeps_its_budget_of_calls_into_the_library(q, budget):
     # one predict and one decide on a model with 3 tower layers; a per-call
     # rebuild of per-model state, such as its parameter list, shows here
